@@ -37,7 +37,9 @@ fn bench_round(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig4_one_round");
     for scheme_cfg in scenario::paper_schemes(cfg.r) {
         let mut rng = derive_rng(cfg.seed, 0xC0DE);
-        let scheme = scheme_cfg.build(cfg.units, cfg.workers, &mut rng);
+        let scheme = scheme_cfg
+            .try_build(cfg.units, cfg.workers, &mut rng)
+            .expect("paper scheme fits the scenario");
         group.bench_with_input(
             BenchmarkId::new("round", scheme.name()),
             &scheme,

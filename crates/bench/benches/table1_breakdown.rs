@@ -26,7 +26,9 @@ fn bench_kernels(c: &mut Criterion) {
     let mut group = c.benchmark_group("table1_kernels");
     for scheme_cfg in scenario::paper_schemes(cfg.r) {
         let mut rng = derive_rng(cfg.seed, 0xBE);
-        let scheme = scheme_cfg.build(cfg.units, cfg.workers, &mut rng);
+        let scheme = scheme_cfg
+            .try_build(cfg.units, cfg.workers, &mut rng)
+            .expect("paper scheme fits the scenario");
         let name = scheme.name().to_string();
 
         // Worker-side encode of worker 0's partial gradients.

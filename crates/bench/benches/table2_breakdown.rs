@@ -36,7 +36,9 @@ fn bench_scenario_two(c: &mut Criterion) {
     let mut group = c.benchmark_group("table2");
     for scheme_cfg in scenario::paper_schemes(cfg.r) {
         let mut rng = derive_rng(cfg.seed, 0xC0DE);
-        let scheme = scheme_cfg.build(cfg.units, cfg.workers, &mut rng);
+        let scheme = scheme_cfg
+            .try_build(cfg.units, cfg.workers, &mut rng)
+            .expect("paper scheme fits the scenario");
         group.bench_with_input(
             BenchmarkId::new("round_n100", scheme.name()),
             &scheme,

@@ -1,15 +1,13 @@
 //! Uniform backend configuration.
 //!
-//! The three backends (virtual, threaded, TCP — plus the loopback TCP
-//! fleet) accreted one `with_*` setter per knob per backend, so every new
+//! [`BackendConfig`] is one struct of optional knobs, applied uniformly by
+//! `configured(config)` on each backend (virtual, threaded, TCP — plus the
+//! loopback TCP fleet) and the only way to configure one, so a
 //! cross-cutting hook (the mode layer's [`OffsetModel`] is the motivating
-//! case) meant three or four copy-pasted methods. [`BackendConfig`] is the
-//! consolidated replacement: one struct of optional knobs, applied
-//! uniformly by each backend's `configured(config)`. Knobs a backend has no
-//! use for (e.g. `time_scale` on the virtual backend, `auth_token` off the
-//! TCP backend) are simply ignored — the config describes intent, each
-//! backend applies the subset it implements. The per-knob `with_*` setters
-//! remain as `#[deprecated]` thin wrappers.
+//! case) is one field rather than a method per backend. Knobs a backend has
+//! no use for (e.g. `time_scale` on the virtual backend, `auth_token` off
+//! the TCP backend) are simply ignored — the config describes intent, each
+//! backend applies the subset it implements.
 //!
 //! Fault-injection hooks (`kill_workers`, `fail_worker_at`, …) are *not*
 //! configuration — they mutate a running backend — and stay as methods.

@@ -82,9 +82,9 @@ pub trait TrainingMode: fmt::Debug + Send + Sync {
     fn schedule(&self) -> ModeSchedule;
 }
 
-/// Synchronous SGD — the paper's per-round step, bit-identical to the
-/// pre-mode driver (pinned by the perf-baseline replays and the
-/// `ssgd`-equals-legacy equivalence tests).
+/// Synchronous SGD — the paper's per-round step: the plain round loop,
+/// nothing retimed (pinned bit-for-bit by the perf-baseline replays and the
+/// `ssgd`-equals-hand-wired-loop test).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Ssgd;
 

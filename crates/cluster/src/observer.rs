@@ -7,7 +7,7 @@
 //! decoder's unit coverage at that instant. Anything that wants to watch a
 //! run (an event log for tests, a tracing bridge, a live dashboard)
 //! implements [`RoundObserver`] and is installed on a backend via
-//! `with_observer`; the protocol itself never changes, which is what keeps
+//! [`BackendConfig::observer`](crate::BackendConfig::observer); the protocol itself never changes, which is what keeps
 //! observed and unobserved runs byte-identical.
 //!
 //! Observers are shared as [`SharedObserver`] (`Arc<Mutex<…>>`) because the
@@ -130,7 +130,8 @@ pub struct EventLog {
 
 impl EventLog {
     /// A fresh, shareable log: install the handle on a backend with
-    /// `with_observer`, read `events` after the run.
+    /// [`BackendConfig::observer`](crate::BackendConfig::observer), read
+    /// `events` after the run.
     #[must_use]
     pub fn shared() -> Arc<Mutex<Self>> {
         Arc::new(Mutex::new(Self::default()))

@@ -119,65 +119,6 @@ impl ThreadedCluster {
         self
     }
 
-    /// Installs a per-round unit-subset sampler: each round trains on a
-    /// sampled minibatch instead of the full partition (see
-    /// [`crate::minibatch`]). Worker threads derive each round's selection
-    /// locally from the sampler seed — nothing extra goes over the wire.
-    /// `None` restores full-partition rounds.
-    #[deprecated(note = "use `configured(BackendConfig)` instead")]
-    #[must_use]
-    pub fn with_minibatch(mut self, minibatch: Option<Minibatch>) -> Self {
-        self.minibatch = minibatch;
-        self
-    }
-
-    /// Overrides the master's decode/aggregate thread budget (default:
-    /// all available cores). Bit-identical results at any setting — see
-    /// [`crate::decode`]'s determinism contract.
-    #[deprecated(note = "use `configured(BackendConfig)` instead")]
-    #[must_use]
-    pub fn with_decode_pool(mut self, pool: DecodePool) -> Self {
-        self.decode_pool = pool;
-        self
-    }
-
-    /// Replaces the worker-latency model (see the
-    /// [zoo](crate::straggler)). The profile keeps supplying the comm model
-    /// and worker count; compute times come from `model`.
-    #[deprecated(note = "use `configured(BackendConfig)` instead")]
-    #[must_use]
-    pub fn with_straggler_model(mut self, model: Arc<dyn StragglerModel>) -> Self {
-        self.model = model;
-        self
-    }
-
-    /// Replaces the aggregation policy deciding round completion and the
-    /// returned gradient (default:
-    /// [`WaitDecodable`](crate::policy::WaitDecodable)).
-    #[deprecated(note = "use `configured(BackendConfig)` instead")]
-    #[must_use]
-    pub fn with_aggregation_policy(mut self, policy: Arc<dyn AggregationPolicy>) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Installs a subscriber for the per-round
-    /// [`RoundEvent`](crate::observer::RoundEvent) stream.
-    #[deprecated(note = "use `configured(BackendConfig)` instead")]
-    #[must_use]
-    pub fn with_observer(mut self, observer: SharedObserver) -> Self {
-        self.observer = Some(observer);
-        self
-    }
-
-    /// Sets the master's stall-detection timeout (real time).
-    #[deprecated(note = "use `configured(BackendConfig)` instead")]
-    #[must_use]
-    pub fn with_recv_timeout(mut self, timeout: Duration) -> Self {
-        self.recv_timeout = timeout;
-        self
-    }
-
     /// Marks workers as dead (they never send) for failure injection.
     pub fn kill_workers(&mut self, workers: impl IntoIterator<Item = usize>) {
         self.dead_workers.extend(workers);

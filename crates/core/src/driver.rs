@@ -7,155 +7,42 @@
 //! scheme's completion condition holds. The optimizer is pluggable — the
 //! paper uses Nesterov's accelerated gradient method.
 
-use crate::experiment::BuildError;
-use bcc_cluster::{
-    ClusterBackend, ClusterError, RoundDriver, RoundOutcome, RoundSample, RunMetrics, UnitMap,
-};
-use bcc_coding::GradientCodingScheme;
+use bcc_cluster::{RoundDriver, RoundOutcome, RoundSample, RunMetrics};
 use bcc_control::ControlLoop;
 use bcc_data::Dataset;
 use bcc_linalg::vec_ops;
 use bcc_optim::{ConvergenceTrace, Loss, Optimizer};
-use serde::{Deserialize, Serialize};
 
-/// Training-run configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct TrainingConfig {
-    /// Number of GD iterations (the paper runs 100).
-    pub iterations: usize,
-    /// Record the empirical risk each iteration (costs one pass over the
-    /// data at the master; disable for pure timing runs).
-    pub record_risk: bool,
-}
-
-impl Default for TrainingConfig {
-    fn default() -> Self {
-        Self {
-            iterations: 100,
-            record_risk: true,
-        }
-    }
-}
-
-/// Outcome of a training run.
-#[derive(Debug, Clone)]
-pub struct TrainingReport {
+/// What every schedule arm of
+/// [`Experiment::run`](crate::experiment::Experiment::run) hands back.
+pub(crate) struct RunOutput {
     /// Final model iterate.
-    pub weights: Vec<f64>,
-    /// Convergence trace (risk per iteration when enabled).
-    pub trace: ConvergenceTrace,
+    pub(crate) weights: Vec<f64>,
+    /// Risk trace (one point per applied update / synchronization).
+    pub(crate) trace: ConvergenceTrace,
     /// Aggregated round metrics — the Tables I/II quantities.
-    pub metrics: RunMetrics,
-    /// Per-round observables in round order (for percentile analyses).
-    pub round_samples: Vec<RoundSample>,
+    pub(crate) metrics: RunMetrics,
+    /// Per-round observables in round order.
+    pub(crate) round_samples: Vec<RoundSample>,
+    /// Simulated wallclock: the sum of round times under synchronous
+    /// rounds and LocalSGD barriers, the overlapped timeline's makespan
+    /// under SSP/ASGD.
+    pub(crate) simulated_seconds: f64,
 }
 
-/// Distributed GD driver binding scheme + backend + data + optimizer.
-pub struct DistributedGd<'a> {
-    backend: &'a mut dyn ClusterBackend,
-    scheme: &'a dyn GradientCodingScheme,
-    units: &'a UnitMap,
-    data: &'a Dataset,
-    loss: &'a dyn Loss,
-}
-
-impl<'a> DistributedGd<'a> {
-    /// Assembles a driver, validating that scheme, unit map, and dataset
-    /// describe the same problem.
-    ///
-    /// # Errors
-    /// [`BuildError::UnitCountMismatch`] when the scheme's unit count
-    /// disagrees with the unit map, [`BuildError::ExampleCountMismatch`]
-    /// when the unit map does not cover the dataset — the fallible-
-    /// constructor convention the coding crate's `try_new`s established.
-    pub fn new(
-        backend: &'a mut dyn ClusterBackend,
-        scheme: &'a dyn GradientCodingScheme,
-        units: &'a UnitMap,
-        data: &'a Dataset,
-        loss: &'a dyn Loss,
-    ) -> Result<Self, BuildError> {
-        if scheme.num_examples() != units.num_units() {
-            return Err(BuildError::UnitCountMismatch {
-                scheme_units: scheme.num_examples(),
-                map_units: units.num_units(),
-            });
-        }
-        if units.num_examples() != data.len() {
-            return Err(BuildError::ExampleCountMismatch {
-                map_examples: units.num_examples(),
-                data_examples: data.len(),
-            });
-        }
-        Ok(Self {
-            backend,
-            scheme,
-            units,
-            data,
-            loss,
-        })
-    }
-
-    /// Runs `config.iterations` rounds driving `optimizer`.
-    ///
-    /// All rounds go through the backend's batched
-    /// [`ClusterBackend::run_rounds`], so per-round setup (worker thread
-    /// spawning on the threaded backend, schedule construction on the
-    /// virtual one) is amortized across the whole training run.
-    ///
-    /// # Errors
-    /// Propagates the first round failure ([`ClusterError::Stalled`] etc.).
-    pub fn train(
-        &mut self,
-        optimizer: &mut dyn Optimizer,
-        config: &TrainingConfig,
-    ) -> Result<TrainingReport, ClusterError> {
-        self.train_controlled(optimizer, config, None)
-    }
-
-    /// [`Self::train`] with an optional straggler-control loop: at each
-    /// round boundary the loop observes the finished round's arrival
-    /// stamps and may re-tune the aggregation policy for the next round.
-    ///
-    /// # Errors
-    /// Propagates the first round failure ([`ClusterError::Stalled`] etc.).
-    pub fn train_controlled(
-        &mut self,
-        optimizer: &mut dyn Optimizer,
-        config: &TrainingConfig,
-        control: Option<&mut ControlLoop>,
-    ) -> Result<TrainingReport, ClusterError> {
-        let mut loop_driver = TrainingLoop {
-            optimizer,
-            data: self.data,
-            loss: self.loss,
-            record_risk: config.record_risk,
-            trace: ConvergenceTrace::new(),
-            metrics: RunMetrics::new(),
-            round_samples: Vec::with_capacity(config.iterations),
-            control,
-        };
-        self.backend.run_rounds(
-            config.iterations,
-            self.scheme,
-            self.units,
-            self.data,
-            self.loss,
-            &mut loop_driver,
-        )?;
-        Ok(TrainingReport {
-            weights: loop_driver.optimizer.iterate().to_vec(),
-            trace: loop_driver.trace,
-            metrics: loop_driver.metrics,
-            round_samples: loop_driver.round_samples,
-        })
-    }
-}
-
-/// The training loop as a [`RoundDriver`]: broadcasts the optimizer's
-/// evaluation point each round and feeds the decoded gradient back into it.
-struct TrainingLoop<'a> {
-    optimizer: &'a mut dyn Optimizer,
+/// The synchronous round loop as a [`RoundDriver`]: broadcasts the
+/// optimizer's evaluation point each round and feeds the decoded gradient
+/// back into it. Without an optimizer
+/// ([`OptimizerSpec::FixedPoint`](crate::experiment::OptimizerSpec::FixedPoint))
+/// the broadcast stays at the origin and rounds are only measured.
+pub(crate) struct SyncDriver<'a> {
+    /// `None` runs the round process without optimization.
+    optimizer: Option<&'a mut dyn Optimizer>,
+    /// The fixed-point broadcast (and final weights): all zeros.
+    origin: Vec<f64>,
+    /// Exact mean gradient at `origin`, computed on a fixed-point run's
+    /// first non-exact round — the broadcast never moves.
+    exact_at_origin: Option<Vec<f64>>,
     data: &'a Dataset,
     loss: &'a dyn Loss,
     record_risk: bool,
@@ -164,24 +51,70 @@ struct TrainingLoop<'a> {
     round_samples: Vec<RoundSample>,
     /// Straggler-control loop fed at each round boundary (the decision it
     /// applies is in force from the next round).
-    control: Option<&'a mut ControlLoop>,
+    control: &'a mut ControlLoop,
 }
 
-impl RoundDriver for TrainingLoop<'_> {
+impl<'a> SyncDriver<'a> {
+    pub(crate) fn new(
+        optimizer: Option<&'a mut dyn Optimizer>,
+        dim: usize,
+        data: &'a Dataset,
+        loss: &'a dyn Loss,
+        record_risk: bool,
+        iterations: usize,
+        control: &'a mut ControlLoop,
+    ) -> Self {
+        Self {
+            optimizer,
+            origin: vec![0.0; dim],
+            exact_at_origin: None,
+            data,
+            loss,
+            record_risk,
+            trace: ConvergenceTrace::new(),
+            metrics: RunMetrics::new(),
+            round_samples: Vec::with_capacity(iterations),
+            control,
+        }
+    }
+
+    /// Consumes the driver after the backend's round loop.
+    pub(crate) fn finish(self) -> RunOutput {
+        RunOutput {
+            weights: match self.optimizer {
+                Some(optimizer) => optimizer.iterate().to_vec(),
+                None => self.origin,
+            },
+            trace: self.trace,
+            simulated_seconds: self.metrics.total_time,
+            metrics: self.metrics,
+            round_samples: self.round_samples,
+        }
+    }
+}
+
+impl RoundDriver for SyncDriver<'_> {
     fn eval_point(&mut self, _round: usize) -> Vec<f64> {
-        self.optimizer.eval_point().to_vec()
+        match &self.optimizer {
+            Some(optimizer) => optimizer.eval_point().to_vec(),
+            None => self.origin.clone(),
+        }
     }
 
     fn consume(&mut self, round: usize, outcome: RoundOutcome) {
-        if let Some(control) = self.control.as_deref_mut() {
-            control.observe_round(round as u64, &outcome.arrivals);
-        }
+        self.control.observe_round(round as u64, &outcome.arrivals);
         self.metrics.absorb(&outcome.metrics);
+
+        let mut sample = outcome.sample(None);
+        if self.optimizer.is_none() && sample.exact {
+            // Nothing reads an exact fixed-point round's gradient.
+            self.round_samples.push(sample);
+            return;
+        }
 
         // eq. (1): ∇L = (1/m)·Σ g_j — on a minibatch round, m is the
         // sampled example count, so the estimate stays an unbiased mean.
         let m = outcome.examples_used.unwrap_or(self.data.len()) as f64;
-        let mut sample = outcome.sample(None);
         let mut gradient = outcome.gradient_sum;
         vec_ops::scale(1.0 / m, &mut gradient);
 
@@ -189,17 +122,28 @@ impl RoundDriver for TrainingLoop<'_> {
         // approximate policy's rounds pay the extra data pass to measure
         // `‖ĝ − g‖₂` of the mean gradient. The optimizer has not stepped
         // yet, so its evaluation point is still this round's broadcast.
-        sample.gradient_error = (!sample.exact).then(|| {
-            let exact = exact_mean_gradient(self.data, self.loss, self.optimizer.eval_point());
-            gradient_error_norm(&exact, &gradient)
+        sample.gradient_error = (!sample.exact).then(|| match &self.optimizer {
+            Some(optimizer) => {
+                let exact = exact_mean_gradient(self.data, self.loss, optimizer.eval_point());
+                gradient_error_norm(&exact, &gradient)
+            }
+            None => {
+                let exact = self
+                    .exact_at_origin
+                    .get_or_insert_with(|| exact_mean_gradient(self.data, self.loss, &self.origin));
+                gradient_error_norm(exact, &gradient)
+            }
         });
         self.round_samples.push(sample);
 
+        let Some(optimizer) = self.optimizer.as_deref_mut() else {
+            return;
+        };
         let gnorm = vec_ops::norm2(&gradient);
-        self.optimizer.step(&gradient);
+        optimizer.step(&gradient);
 
         if self.record_risk {
-            let risk = empirical_risk_dyn(self.data, self.loss, self.optimizer.iterate());
+            let risk = empirical_risk_dyn(self.data, self.loss, optimizer.iterate());
             self.trace.push(round, risk, gnorm);
         }
     }
@@ -219,7 +163,7 @@ pub(crate) fn exact_mean_gradient(data: &Dataset, loss: &dyn Loss, w: &[f64]) ->
 
 /// `‖ĝ − g‖₂` between an estimated and the exact **mean** gradient — the
 /// one definition of the `RoundSample::gradient_error` norm, shared by the
-/// training loop and the fixed-point metrics driver.
+/// synchronous and stale drivers.
 #[must_use]
 pub(crate) fn gradient_error_norm(exact_mean: &[f64], estimate_mean: &[f64]) -> f64 {
     let mut diff = exact_mean.to_vec();
@@ -238,51 +182,33 @@ pub(crate) fn empirical_risk_dyn(data: &Dataset, loss: &dyn Loss, w: &[f64]) -> 
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::experiment::{
+        DataSpec, Experiment, ExperimentBuilder, ExperimentReport, LatencySpec, OptimizerSpec,
+        PolicySpec,
+    };
     use crate::schemes::SchemeConfig;
-    use bcc_cluster::{ClusterProfile, CommModel, VirtualCluster};
-    use bcc_data::synthetic::{generate, SyntheticConfig};
-    use bcc_optim::{LearningRate, LogisticLoss, Nesterov};
-    use bcc_stats::rng::derive_rng;
+    use bcc_linalg::vec_ops;
+    use bcc_optim::gradient::full_gradient;
+    use bcc_optim::LogisticLoss;
 
-    fn profile(n: usize) -> ClusterProfile {
-        ClusterProfile::homogeneous(
-            n,
-            100.0,
-            0.0001,
-            CommModel {
+    fn builder(cfg: SchemeConfig, seed: u64) -> ExperimentBuilder {
+        Experiment::builder()
+            .workers(20)
+            .units(20)
+            .scheme(cfg)
+            .data(DataSpec::synthetic(10, 8))
+            .latency(LatencySpec::Homogeneous {
+                mu: 100.0,
+                a: 0.0001,
                 per_message_overhead: 0.001,
                 per_unit: 0.004,
-            },
-        )
+            })
+            .iterations(40)
+            .seed(seed)
     }
 
-    fn train_with(cfg: SchemeConfig, seed: u64) -> TrainingReport {
-        let n = 20;
-        let m_units = 20;
-        let g = generate(&SyntheticConfig::small(200, 8, seed));
-        let units = UnitMap::grouped(200, m_units);
-        let mut rng = derive_rng(seed, 1);
-        let scheme = cfg.build(m_units, n, &mut rng);
-        let mut backend = VirtualCluster::new(profile(n), seed);
-        let mut driver = DistributedGd::new(
-            &mut backend,
-            scheme.as_ref(),
-            &units,
-            &g.dataset,
-            &LogisticLoss,
-        )
-        .expect("matched problem dimensions");
-        let mut opt = Nesterov::new(vec![0.0; 8], LearningRate::Constant(0.5));
-        driver
-            .train(
-                &mut opt,
-                &TrainingConfig {
-                    iterations: 40,
-                    record_risk: true,
-                },
-            )
-            .unwrap()
+    fn train_with(cfg: SchemeConfig, seed: u64) -> ExperimentReport {
+        builder(cfg, seed).build().unwrap().run().unwrap()
     }
 
     #[test]
@@ -311,7 +237,7 @@ mod tests {
     fn all_schemes_converge_to_same_model() {
         // Every decoder recovers the *exact* gradient, so with matched
         // optimizer state the trajectories are identical across schemes.
-        let reports: Vec<TrainingReport> = [
+        let reports: Vec<ExperimentReport> = [
             SchemeConfig::Uncoded,
             SchemeConfig::Bcc { r: 4 },
             SchemeConfig::CyclicRepetition { r: 4 },
@@ -342,83 +268,54 @@ mod tests {
 
     #[test]
     fn risk_recording_can_be_disabled() {
-        let n = 10;
-        let g = generate(&SyntheticConfig::small(50, 4, 23));
-        let units = UnitMap::grouped(50, 10);
-        let mut rng = derive_rng(23, 1);
-        let scheme = SchemeConfig::Uncoded.build(10, n, &mut rng);
-        let mut backend = VirtualCluster::new(profile(n), 23);
-        let mut driver = DistributedGd::new(
-            &mut backend,
-            scheme.as_ref(),
-            &units,
-            &g.dataset,
-            &LogisticLoss,
-        )
-        .expect("matched problem dimensions");
-        let mut opt = Nesterov::new(vec![0.0; 4], LearningRate::Constant(0.1));
-        let report = driver
-            .train(
-                &mut opt,
-                &TrainingConfig {
-                    iterations: 5,
-                    record_risk: false,
-                },
-            )
+        let report = builder(SchemeConfig::Uncoded, 23)
+            .iterations(5)
+            .record_risk(false)
+            .build()
+            .unwrap()
+            .run()
             .unwrap();
         assert!(report.trace.is_empty());
         assert_eq!(report.metrics.rounds, 5);
     }
 
     #[test]
-    fn unit_mismatch_is_a_typed_error() {
-        let n = 10;
-        let g = generate(&SyntheticConfig::small(50, 4, 29));
-        let units = UnitMap::grouped(50, 25); // 25 units
-        let mut rng = derive_rng(29, 1);
-        let scheme = SchemeConfig::Uncoded.build(10, n, &mut rng); // 10 units
-        let mut backend = VirtualCluster::new(profile(n), 29);
-        let err = DistributedGd::new(
-            &mut backend,
-            scheme.as_ref(),
-            &units,
-            &g.dataset,
-            &LogisticLoss,
-        )
-        .err()
-        .expect("mismatched unit counts must be rejected");
-        assert_eq!(
-            err,
-            BuildError::UnitCountMismatch {
-                scheme_units: 10,
-                map_units: 25
-            }
-        );
-    }
+    fn fixed_point_under_an_approximate_policy_prices_every_round() {
+        let exp = builder(SchemeConfig::Uncoded, 29)
+            .optimizer(OptimizerSpec::FixedPoint)
+            .policy(PolicySpec::fastest_k(12))
+            .iterations(6)
+            .record_risk(true)
+            .build()
+            .unwrap();
+        let report = exp.run().unwrap();
+        assert!(report.trace.is_empty(), "no optimizer, no risk trace");
+        assert_eq!(report.weights, vec![0.0; 8]);
+        assert_eq!(report.round_samples.len(), 6);
 
-    #[test]
-    fn example_mismatch_is_a_typed_error() {
-        let n = 10;
-        let g = generate(&SyntheticConfig::small(40, 4, 31)); // 40 examples
-        let units = UnitMap::grouped(50, 10); // covers 50
-        let mut rng = derive_rng(31, 1);
-        let scheme = SchemeConfig::Uncoded.build(10, n, &mut rng);
-        let mut backend = VirtualCluster::new(profile(n), 31);
-        let err = DistributedGd::new(
-            &mut backend,
-            scheme.as_ref(),
-            &units,
-            &g.dataset,
-            &LogisticLoss,
-        )
-        .err()
-        .expect("mismatched example counts must be rejected");
-        assert_eq!(
-            err,
-            BuildError::ExampleCountMismatch {
-                map_examples: 50,
-                data_examples: 40
-            }
-        );
+        // The coverage-rescaled partial sum of an uncoded round is the mean
+        // gradient over the examples of the workers that made the cut
+        // (worker → units from the placement, unit `u` → examples
+        // `10u..10(u + 1)`), so the test can price it independently.
+        let data = exp.dataset();
+        let placement = exp.scheme().placement();
+        let origin = [0.0; 8];
+        let exact = full_gradient(data, &LogisticLoss, &origin);
+        for sample in &report.round_samples {
+            assert!(!sample.exact);
+            assert_eq!(sample.arrivals.len(), 12);
+            let covered: Vec<usize> = sample
+                .arrivals
+                .iter()
+                .flat_map(|stamp| placement.worker_examples(stamp.worker))
+                .flat_map(|&unit| unit * 10..(unit + 1) * 10)
+                .collect();
+            let mut diff = full_gradient(&data.subset(&covered), &LogisticLoss, &origin);
+            vec_ops::axpy(-1.0, &exact, &mut diff);
+            let expected = vec_ops::norm2(&diff);
+            let got = sample.gradient_error.expect("non-exact rounds are priced");
+            assert!(got > 0.0);
+            assert!((got - expected).abs() < 1e-12, "{got} vs {expected}");
+        }
     }
 }

@@ -7,14 +7,14 @@ use super::spec::{
     BackendSpec, ControllerSpec, DataSpec, ExperimentSpec, LatencySpec, LossSpec, ModeSpec,
     NetProfileSpec, OptimizerSpec, PolicySpec, SchemeSpec,
 };
-use crate::driver::{exact_mean_gradient, gradient_error_norm, DistributedGd, TrainingConfig};
+use crate::driver::SyncDriver;
 use crate::error::BccError;
 use crate::modes::{run_local_sgd, StaleDriver};
 use bcc_cluster::{
     AggregationPolicy, BackendConfig, BimodalModel, ClusterBackend, ClusterProfile, CommModel,
-    MarkovModel, Minibatch, ModeSchedule, OffsetModel, OffsetTable, ParetoModel, RoundDriver,
-    RoundOutcome, RoundSample, RunMetrics, ShiftedExpModel, StragglerModel, ThreadedCluster,
-    TrainingMode, UnitMap, VirtualCluster, WanLinkModel, WeibullModel,
+    MarkovModel, Minibatch, ModeSchedule, OffsetModel, OffsetTable, ParetoModel, RoundSample,
+    RunMetrics, ShiftedExpModel, StragglerModel, ThreadedCluster, TrainingMode, UnitMap,
+    VirtualCluster, WanLinkModel, WeibullModel,
 };
 use bcc_coding::GradientCodingScheme;
 use bcc_control::{ChosenPolicy, ControlLoop, ControlRecord, SwitchablePolicy};
@@ -317,7 +317,7 @@ impl Experiment {
             .expect("controller spec was validated at build time");
         let mut control =
             ControlLoop::new(controller, self.spec.workers, self.initial_chosen_policy());
-        let policy: Arc<dyn AggregationPolicy> = if self.spec.controller.name == "static" {
+        let policy: Arc<dyn AggregationPolicy> = if self.spec.controller.is_default() {
             Arc::clone(&self.policy)
         } else {
             let switchable = SwitchablePolicy::new(Arc::clone(&self.policy));
@@ -430,216 +430,124 @@ impl Experiment {
         let start = Instant::now();
         let mut controller_records: Vec<ControlRecord> = Vec::new();
         let mut controller_switches = 0;
-        let (weights, trace, metrics, round_samples, simulated_seconds) =
-            match self.mode.schedule() {
-                ModeSchedule::Synchronous => {
-                    // The control loop observes each finished round's
-                    // arrival stamps and (for non-static controllers)
-                    // re-points the switchable policy before the next round
-                    // starts — the backends hold the handle, so the swap
-                    // needs no backend restart.
-                    let (mut control, policy) = self.control_loop();
-                    let mut backend = self.make_backend(backend_seed, base_model, policy)?;
-                    let out = match optimizer.as_mut() {
-                        Some(opt) => {
-                            let mut driver = DistributedGd::new(
-                                backend.as_mut(),
-                                self.scheme.as_ref(),
-                                &units,
-                                &data.dataset,
-                                loss,
-                            )?;
-                            let report = driver.train_controlled(
-                                opt.as_mut(),
-                                &TrainingConfig {
-                                    iterations: spec.iterations,
-                                    record_risk: spec.record_risk,
-                                },
-                                Some(&mut control),
-                            )?;
-                            let simulated = report.metrics.total_time;
-                            (
-                                report.weights,
-                                report.trace,
-                                report.metrics,
-                                report.round_samples,
-                                simulated,
-                            )
-                        }
-                        None => {
-                            // Fixed-point mode: broadcast w = 0 every round and
-                            // only collect metrics — the round process without
-                            // optimization.
-                            let mut driver = MetricsDriver {
-                                weights: vec![0.0; dim],
-                                metrics: RunMetrics::new(),
-                                round_samples: Vec::with_capacity(spec.iterations),
-                                data: &data.dataset,
-                                loss,
-                                exact_mean: None,
-                                control: Some(&mut control),
-                            };
-                            backend.run_rounds(
-                                spec.iterations,
-                                self.scheme.as_ref(),
-                                &units,
-                                &data.dataset,
-                                loss,
-                                &mut driver,
-                            )?;
-                            let simulated = driver.metrics.total_time;
-                            (
-                                driver.weights,
-                                ConvergenceTrace::new(),
-                                driver.metrics,
-                                driver.round_samples,
-                                simulated,
-                            )
-                        }
-                    };
-                    controller_switches = control.switches();
-                    controller_records = control.into_records();
-                    out
-                }
-                schedule @ (ModeSchedule::StaleBounded { .. } | ModeSchedule::Async) => {
-                    let bound = match schedule {
-                        ModeSchedule::StaleBounded { staleness } => Some(staleness),
-                        _ => None,
-                    };
-                    // The backend samples through an offset-adding wrapper;
-                    // the driver publishes each worker's backlog there before
-                    // the backend draws, so the synchronous round machinery
-                    // reproduces the overlapped execution's timing exactly.
-                    let offsets = OffsetTable::new();
-                    let wrapped: Arc<dyn StragglerModel> =
-                        Arc::new(OffsetModel::wrap(Arc::clone(&base_model), offsets.clone()));
-                    let mut backend =
-                        self.make_backend(backend_seed, wrapped, Arc::clone(&self.policy))?;
-                    let opt = optimizer
-                        .as_mut()
-                        .expect("validated: stale modes require an optimizer");
-                    let mut driver = StaleDriver::new(
-                        opt.as_mut(),
-                        &data.dataset,
-                        loss,
-                        spec.record_risk,
-                        bound,
-                        base_model,
-                        backend_seed,
-                        offsets,
-                        self.scheme.as_ref(),
-                        self.minibatch(),
-                        spec.iterations,
-                    );
-                    backend.run_rounds(
-                        spec.iterations,
-                        self.scheme.as_ref(),
-                        &units,
-                        &data.dataset,
-                        loss,
-                        &mut driver,
-                    )?;
-                    let out = driver.finalize();
-                    (
-                        opt.iterate().to_vec(),
-                        out.trace,
-                        out.metrics,
-                        out.round_samples,
-                        out.simulated_seconds,
-                    )
-                }
-                ModeSchedule::LocalSteps { local_steps } => {
-                    // No round protocol at all — the barrier timeline is
-                    // simulated directly against the straggler model, so the
-                    // run is backend-independent (WAN emulation has no socket
-                    // path to apply to; the serial receive port still charges
-                    // per-arrival transfer time).
-                    let rate = match spec.optimizer {
-                        OptimizerSpec::Nesterov { rate }
-                        | OptimizerSpec::GradientDescent { rate } => rate,
-                        OptimizerSpec::FixedPoint => {
-                            unreachable!("validated: local-sgd requires an optimizer")
-                        }
-                    };
-                    let out = run_local_sgd(
-                        self.scheme.as_ref(),
-                        &units,
-                        &data.dataset,
-                        loss,
-                        self.profile.comm,
-                        self.model.as_ref(),
-                        backend_seed,
-                        rate,
-                        dim,
-                        spec.iterations,
-                        local_steps,
-                        spec.record_risk,
-                    );
-                    (
-                        out.weights,
-                        out.trace,
-                        out.metrics,
-                        out.round_samples,
-                        out.simulated_seconds,
-                    )
-                }
-            };
+        let out = match self.mode.schedule() {
+            ModeSchedule::Synchronous => {
+                // The control loop observes each finished round's arrival
+                // stamps and (for non-static controllers) re-points the
+                // switchable policy before the next round starts — the
+                // backends hold the handle, so the swap needs no backend
+                // restart.
+                let (mut control, policy) = self.control_loop();
+                let mut backend = self.make_backend(backend_seed, base_model, policy)?;
+                let mut driver = SyncDriver::new(
+                    // `Option<&mut (dyn Optimizer + 'static)>` is invariant;
+                    // shorten the object lifetime per element.
+                    optimizer
+                        .as_deref_mut()
+                        .map(|opt| opt as &mut dyn Optimizer),
+                    dim,
+                    &data.dataset,
+                    loss,
+                    spec.record_risk,
+                    spec.iterations,
+                    &mut control,
+                );
+                backend.run_rounds(
+                    spec.iterations,
+                    self.scheme.as_ref(),
+                    &units,
+                    &data.dataset,
+                    loss,
+                    &mut driver,
+                )?;
+                let out = driver.finish();
+                controller_switches = control.switches();
+                controller_records = control.into_records();
+                out
+            }
+            schedule @ (ModeSchedule::StaleBounded { .. } | ModeSchedule::Async) => {
+                let bound = match schedule {
+                    ModeSchedule::StaleBounded { staleness } => Some(staleness),
+                    _ => None,
+                };
+                // The backend samples through an offset-adding wrapper;
+                // the driver publishes each worker's backlog there before
+                // the backend draws, so the synchronous round machinery
+                // reproduces the overlapped execution's timing exactly.
+                let offsets = OffsetTable::new();
+                let wrapped: Arc<dyn StragglerModel> =
+                    Arc::new(OffsetModel::wrap(Arc::clone(&base_model), offsets.clone()));
+                let mut backend =
+                    self.make_backend(backend_seed, wrapped, Arc::clone(&self.policy))?;
+                let mut driver = StaleDriver::new(
+                    optimizer
+                        .as_deref_mut()
+                        .expect("validated: stale modes require an optimizer"),
+                    &data.dataset,
+                    loss,
+                    spec.record_risk,
+                    bound,
+                    base_model,
+                    backend_seed,
+                    offsets,
+                    self.scheme.as_ref(),
+                    self.minibatch(),
+                    spec.iterations,
+                );
+                backend.run_rounds(
+                    spec.iterations,
+                    self.scheme.as_ref(),
+                    &units,
+                    &data.dataset,
+                    loss,
+                    &mut driver,
+                )?;
+                driver.finalize()
+            }
+            ModeSchedule::LocalSteps { local_steps } => {
+                // No round protocol at all — the barrier timeline is
+                // simulated directly against the straggler model, so the
+                // run is backend-independent (WAN emulation has no socket
+                // path to apply to; the serial receive port still charges
+                // per-arrival transfer time).
+                let rate = match spec.optimizer {
+                    OptimizerSpec::Nesterov { rate } | OptimizerSpec::GradientDescent { rate } => {
+                        rate
+                    }
+                    OptimizerSpec::FixedPoint => {
+                        unreachable!("validated: local-sgd requires an optimizer")
+                    }
+                };
+                run_local_sgd(
+                    self.scheme.as_ref(),
+                    &units,
+                    &data.dataset,
+                    loss,
+                    self.profile.comm,
+                    self.model.as_ref(),
+                    backend_seed,
+                    rate,
+                    dim,
+                    spec.iterations,
+                    local_steps,
+                    spec.record_risk,
+                )
+            }
+        };
         let wall_seconds = start.elapsed().as_secs_f64();
 
         Ok(ExperimentReport {
             spec: spec.clone(),
             scheme: self.scheme.name().to_string(),
-            weights,
-            trace,
-            metrics,
-            round_samples,
+            weights: out.weights,
+            trace: out.trace,
+            metrics: out.metrics,
+            round_samples: out.round_samples,
             wall_seconds,
-            simulated_seconds,
+            simulated_seconds: out.simulated_seconds,
             controller_records,
             controller_switches,
         })
-    }
-}
-
-/// [`RoundDriver`] for fixed-point mode: constant broadcast, metrics only
-/// (plus per-round coverage and — under approximate aggregation policies —
-/// gradient-error norms, with the exact mean gradient computed once since
-/// the broadcast never changes).
-struct MetricsDriver<'a> {
-    weights: Vec<f64>,
-    metrics: RunMetrics,
-    round_samples: Vec<RoundSample>,
-    data: &'a bcc_data::Dataset,
-    loss: &'a dyn Loss,
-    /// Exact mean gradient at the fixed broadcast, computed lazily on the
-    /// first non-exact round.
-    exact_mean: Option<Vec<f64>>,
-    /// Straggler-control loop fed at each round boundary.
-    control: Option<&'a mut ControlLoop>,
-}
-
-impl RoundDriver for MetricsDriver<'_> {
-    fn eval_point(&mut self, _round: usize) -> Vec<f64> {
-        self.weights.clone()
-    }
-
-    fn consume(&mut self, round: usize, outcome: RoundOutcome) {
-        if let Some(control) = self.control.as_deref_mut() {
-            control.observe_round(round as u64, &outcome.arrivals);
-        }
-        self.metrics.absorb(&outcome.metrics);
-        let gradient_error = if outcome.exact {
-            None
-        } else {
-            let exact = self
-                .exact_mean
-                .get_or_insert_with(|| exact_mean_gradient(self.data, self.loss, &self.weights));
-            let mut est = outcome.gradient_sum.clone();
-            let m = outcome.examples_used.unwrap_or(self.data.len()) as f64;
-            bcc_linalg::vec_ops::scale(1.0 / m, &mut est);
-            Some(gradient_error_norm(exact, &est))
-        };
-        self.round_samples.push(outcome.sample(gradient_error));
     }
 }
 
@@ -987,7 +895,7 @@ fn validate_controller(
     // Build (and drop) one instance now so a bad spec fails at build time,
     // not mid-run.
     drop(controllers.build(&spec.controller)?);
-    if spec.controller.name != "static" && !matches!(mode.schedule(), ModeSchedule::Synchronous) {
+    if !spec.controller.is_default() && !matches!(mode.schedule(), ModeSchedule::Synchronous) {
         return Err(BuildError::InvalidValue {
             field: "controller",
             reason: format!(

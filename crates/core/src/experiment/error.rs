@@ -106,22 +106,6 @@ pub enum BuildError {
         /// Every name the controller registry can resolve.
         known: Vec<String>,
     },
-    /// The scheme's unit count disagrees with the unit map it is asked to
-    /// code over (the [`DistributedGd`](crate::driver::DistributedGd)
-    /// assembly check).
-    UnitCountMismatch {
-        /// Units the scheme codes over.
-        scheme_units: usize,
-        /// Units in the unit map.
-        map_units: usize,
-    },
-    /// The unit map's example count disagrees with the dataset.
-    ExampleCountMismatch {
-        /// Examples the unit map covers.
-        map_examples: usize,
-        /// Examples in the dataset.
-        data_examples: usize,
-    },
     /// A coding-layer construction failure not covered by the structured
     /// variants above.
     Coding(CodingError),
@@ -193,20 +177,6 @@ impl fmt::Display for BuildError {
                     known.join(", ")
                 )
             }
-            Self::UnitCountMismatch {
-                scheme_units,
-                map_units,
-            } => write!(
-                f,
-                "scheme codes over {scheme_units} units but the unit map has {map_units}"
-            ),
-            Self::ExampleCountMismatch {
-                map_examples,
-                data_examples,
-            } => write!(
-                f,
-                "unit map covers {map_examples} examples but the dataset has {data_examples}"
-            ),
             Self::Coding(e) => write!(f, "scheme construction failed: {e}"),
         }
     }

@@ -208,9 +208,9 @@ impl ModeSpec {
         }
     }
 
-    /// Whether this is the legacy default ([`Self::DEFAULT_NAME`]) — the
-    /// configuration under which every artifact replays byte-identically
-    /// to the pre-mode driver.
+    /// Whether this is the default ([`Self::DEFAULT_NAME`]) — the plain
+    /// synchronous round loop, under which every pre-mode artifact replays
+    /// byte-identically.
     #[must_use]
     pub fn is_default(&self) -> bool {
         self.name == Self::DEFAULT_NAME
@@ -804,8 +804,7 @@ pub struct ExperimentSpec {
     /// byte-identical to the pre-policy engine).
     pub policy: PolicySpec,
     /// Training mode relating rounds to optimizer steps (default: `ssgd`,
-    /// the paper's synchronous protocol — byte-identical to the pre-mode
-    /// driver).
+    /// the paper's synchronous protocol — the plain round loop).
     pub mode: ModeSpec,
     /// Straggler controller re-tuning the aggregation policy between
     /// rounds (default: `static`, the no-op — byte-identical to

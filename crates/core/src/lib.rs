@@ -16,10 +16,11 @@
 //!   Monte-Carlo).
 //! * [`schemes`] — the built-in scheme configurations (every scheme in the
 //!   paper's comparison), registered by name in the registry.
-//! * [`driver`] — the distributed-GD training loop: per iteration the
-//!   master broadcasts the evaluation point, the cluster backend runs one
-//!   coded round, the decoded gradient feeds the optimizer (Nesterov in the
-//!   paper's experiments).
+//! * the round drivers behind [`Experiment::run`] — synchronous (per
+//!   iteration the master broadcasts the evaluation point, the cluster
+//!   backend runs one coded round, the decoded gradient feeds the optimizer;
+//!   Nesterov in the paper's experiments) and stale (SSP/ASGD), plus the
+//!   LocalSGD barrier simulation.
 //! * [`hetero`] — §IV, the heterogeneous extension: the shift-exponential
 //!   worker model, the P2 load-allocation solver (Lambert-W closed form per
 //!   worker + a closed-form target time, following the HCMM structure of
@@ -30,7 +31,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod driver;
+mod driver;
 pub mod error;
 pub mod experiment;
 pub mod hetero;
@@ -38,7 +39,6 @@ mod modes;
 pub mod schemes;
 pub mod theory;
 
-pub use driver::{DistributedGd, TrainingConfig, TrainingReport};
 pub use error::BccError;
 pub use experiment::{
     BackendSpec, BuildError, ControllerRegistry, ControllerSpec, DataSpec, Experiment,

@@ -1,6 +1,6 @@
 //! Mode drivers: how SSP, ASGD, and LocalSGD reorder the round loop.
 //!
-//! The synchronous driver ([`DistributedGd`](crate::driver::DistributedGd))
+//! The synchronous driver ([`SyncDriver`](crate::driver::SyncDriver))
 //! blocks on every round: broadcast, wait for the scheme's completion
 //! condition, apply, repeat. The stale modes instead let workers run ahead
 //! of the master's applied model, and LocalSGD trades per-round
@@ -31,7 +31,7 @@
 //! all fall outside a minibatch sends instantly and occupies no compute
 //! time.
 
-use crate::driver::{empirical_risk_dyn, exact_mean_gradient, gradient_error_norm};
+use crate::driver::{empirical_risk_dyn, exact_mean_gradient, gradient_error_norm, RunOutput};
 use bcc_cluster::{
     engine, CommModel, Minibatch, OffsetTable, RoundDriver, RoundMetrics, RoundOutcome,
     RoundSample, RunMetrics, StragglerModel, UnitMap, WorkerBlocks,
@@ -42,21 +42,6 @@ use bcc_linalg::vec_ops;
 use bcc_optim::{ConvergenceTrace, GradScratch, LearningRate, Loss, Optimizer};
 use std::collections::HashSet;
 use std::sync::Arc;
-
-/// What a stale-mode run hands back to [`Experiment::run`]
-/// (crate::experiment::Experiment::run); the final iterate stays in the
-/// caller's optimizer.
-pub(crate) struct StaleOutcome {
-    /// Risk trace in *application* order (iteration = merge index).
-    pub trace: ConvergenceTrace,
-    /// Aggregated round metrics (sums over rounds, as in SSGD).
-    pub metrics: RunMetrics,
-    /// Per-round samples in round order, with realized `staleness` filled.
-    pub round_samples: Vec<RoundSample>,
-    /// Simulated wallclock: when the last update was applied on the
-    /// overlapped timeline (not the sum of round times — rounds overlap).
-    pub simulated_seconds: f64,
-}
 
 /// A decoded update the backend delivered but the stale timeline has not
 /// applied yet.
@@ -226,14 +211,17 @@ impl<'a> StaleDriver<'a> {
     }
 
     /// Consumes the driver after the backend's round loop, merging the
-    /// still-in-flight tail.
-    pub(crate) fn finalize(mut self) -> StaleOutcome {
+    /// still-in-flight tail. The trace is in *application* order
+    /// (iteration = merge index) and the simulated wallclock is when the
+    /// last update was applied on the overlapped timeline — not the sum of
+    /// round times, since rounds overlap.
+    pub(crate) fn finalize(mut self) -> RunOutput {
         self.merge_ready(f64::INFINITY);
-        let round_samples: Vec<RoundSample> = self.samples.into_iter().flatten().collect();
-        StaleOutcome {
+        RunOutput {
+            weights: self.optimizer.iterate().to_vec(),
             trace: self.trace,
             metrics: self.metrics,
-            round_samples,
+            round_samples: self.samples.into_iter().flatten().collect(),
             simulated_seconds: self.makespan,
         }
     }
@@ -315,23 +303,6 @@ impl RoundDriver for StaleDriver<'_> {
     }
 }
 
-/// Outcome of a [`run_local_sgd`] run.
-pub(crate) struct LocalSgdOutcome {
-    /// Final averaged model.
-    pub weights: Vec<f64>,
-    /// Risk trace, one point per synchronization (iteration = last global
-    /// step index the sync covers; the gradient-norm column carries the
-    /// averaged update's magnitude `‖w_before − w_after‖₂`).
-    pub trace: ConvergenceTrace,
-    /// One aggregate entry per synchronization round.
-    pub metrics: RunMetrics,
-    /// One sample per synchronization round.
-    pub round_samples: Vec<RoundSample>,
-    /// Sum of synchronization-round times (rounds are barriers — they
-    /// never overlap).
-    pub simulated_seconds: f64,
-}
-
 /// LocalSGD: every participant takes `local_steps` plain-GD steps on its
 /// own shard between parameter-averaging barriers.
 ///
@@ -347,7 +318,11 @@ pub(crate) struct LocalSgdOutcome {
 ///
 /// `iterations` counts local steps, so a run makes
 /// `ceil(iterations / local_steps)` synchronizations and every mode sees
-/// the same gradient-step budget.
+/// the same gradient-step budget. The output carries one trace point,
+/// metrics entry and sample per synchronization (trace iteration = last
+/// global step the sync covers, its gradient-norm column the averaged
+/// update's magnitude `‖w_before − w_after‖₂`); barriers never overlap, so
+/// the simulated wallclock is the sum of their times.
 #[allow(clippy::too_many_arguments)] // one-shot wiring, one arg per collaborator
 pub(crate) fn run_local_sgd(
     scheme: &dyn GradientCodingScheme,
@@ -362,7 +337,7 @@ pub(crate) fn run_local_sgd(
     iterations: usize,
     local_steps: usize,
     record_risk: bool,
-) -> LocalSgdOutcome {
+) -> RunOutput {
     let participants = engine::participants(scheme, &HashSet::new());
     debug_assert!(!participants.is_empty(), "schemes place data somewhere");
     let packed = WorkerBlocks::build(scheme, units, data);
@@ -449,7 +424,7 @@ pub(crate) fn run_local_sgd(
             trace.push(step - 1, risk, vec_ops::norm2(&delta));
         }
     }
-    LocalSgdOutcome {
+    RunOutput {
         weights: global,
         trace,
         metrics,

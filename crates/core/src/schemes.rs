@@ -228,24 +228,6 @@ impl SchemeConfig {
         }
     }
 
-    /// Instantiates the scheme, panicking on constraint violations.
-    ///
-    /// [`Self::try_build`] is the fallible form; this wrapper keeps simple
-    /// call sites (tests, one-off scripts) ergonomic.
-    ///
-    /// # Panics
-    /// Panics with the [`BuildError`] message when the scheme's structural
-    /// requirements fail (e.g. CR with `m ≠ n`, FR with `r ∤ n`).
-    #[must_use]
-    pub fn build<R: Rng + ?Sized>(
-        &self,
-        m: usize,
-        n: usize,
-        rng: &mut R,
-    ) -> Box<dyn GradientCodingScheme> {
-        self.try_build(m, n, rng).unwrap_or_else(|e| panic!("{e}"))
-    }
-
     fn check_square(&self, m: usize, n: usize) -> Result<(), BuildError> {
         if m == n {
             Ok(())
@@ -298,7 +280,7 @@ mod tests {
             SchemeConfig::FractionalRepetition { r: 5 },
         ];
         for cfg in configs {
-            let scheme = cfg.build(20, 20, &mut rng);
+            let scheme = cfg.try_build(20, 20, &mut rng).expect("valid config");
             assert_eq!(scheme.name(), cfg.name());
             assert_eq!(scheme.num_workers(), 20);
             assert!(scheme.placement().covers_all());
@@ -325,17 +307,21 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "m = n")]
-    fn panicking_build_keeps_the_message() {
+    fn square_error_names_the_constraint() {
         let mut rng = derive_rng(2, 1);
-        let _ = SchemeConfig::CyclicMds { r: 2 }.build(10, 5, &mut rng);
+        let err = SchemeConfig::CyclicMds { r: 2 }
+            .try_build(10, 5, &mut rng)
+            .unwrap_err();
+        assert!(err.to_string().contains("m = n"), "got {err}");
     }
 
     #[test]
     fn bcc_retries_until_covered() {
         // n barely above batch count still succeeds via retry.
         let mut rng = derive_rng(3, 0);
-        let scheme = SchemeConfig::Bcc { r: 5 }.build(20, 8, &mut rng);
+        let scheme = SchemeConfig::Bcc { r: 5 }
+            .try_build(20, 8, &mut rng)
+            .expect("retries reach coverage");
         assert!(scheme.placement().covers_all());
     }
 

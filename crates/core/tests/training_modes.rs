@@ -2,10 +2,12 @@
 //!
 //! Two guarantees the `mode` API makes and this file locks in:
 //!
-//! 1. **`ssgd` is the legacy driver.** Running an experiment under the
-//!    default mode must be *byte-identical* (weights and message counts)
-//!    to wiring the backend + [`DistributedGd`] by hand the way callers
-//!    did before modes existed — across schemes and aggregation policies.
+//! 1. **`ssgd` is the plain synchronous round loop.** Running an
+//!    experiment under the default mode must be *byte-identical* (weights,
+//!    message counts, simulated time) to a minimal [`RoundDriver`] wired
+//!    onto the backend by hand — broadcast the optimizer's evaluation
+//!    point, step on the decoded mean gradient — across schemes and
+//!    aggregation policies.
 //! 2. **Every mode is backend-invariant.** SSP/ASGD re-time rounds through
 //!    offsets sampled master-side from the shared `(seed, round, worker)`
 //!    latency stream, and LocalSGD simulates its barrier directly, so the
@@ -13,14 +15,15 @@
 //!    byte-identical weights, message counts, and per-round staleness.
 
 use bcc_cluster::{
-    AggregationPolicy, BackendConfig, FastestK, UnitMap, VirtualCluster, WaitDecodable,
+    AggregationPolicy, BackendConfig, ClusterBackend, FastestK, RoundDriver, RoundOutcome,
+    RunMetrics, UnitMap, VirtualCluster, WaitDecodable,
 };
 use bcc_core::experiment::LatencySpec;
 use bcc_core::experiment::{
     BackendSpec, DataSpec, ExperimentBuilder, ModeSpec, OptimizerSpec, PolicySpec,
 };
-use bcc_core::{DistributedGd, Experiment, SchemeConfig, TrainingConfig};
-use bcc_optim::{LearningRate, LogisticLoss, Nesterov};
+use bcc_core::{Experiment, SchemeConfig};
+use bcc_optim::{LearningRate, LogisticLoss, Nesterov, Optimizer};
 use bcc_stats::derive_seed;
 use std::sync::Arc;
 
@@ -70,8 +73,28 @@ fn assert_bitwise_eq(a: &[f64], b: &[f64], what: &str) {
     }
 }
 
+/// The independent reference: the synchronous round loop and nothing else.
+struct HandWiredLoop {
+    optimizer: Nesterov,
+    examples: usize,
+    metrics: RunMetrics,
+}
+
+impl RoundDriver for HandWiredLoop {
+    fn eval_point(&mut self, _round: usize) -> Vec<f64> {
+        self.optimizer.eval_point().to_vec()
+    }
+
+    fn consume(&mut self, _round: usize, outcome: RoundOutcome) {
+        self.metrics.absorb(&outcome.metrics);
+        let m = outcome.examples_used.unwrap_or(self.examples) as f64;
+        let mean: Vec<f64> = outcome.gradient_sum.iter().map(|g| g * (1.0 / m)).collect();
+        self.optimizer.step(&mean);
+    }
+}
+
 #[test]
-fn ssgd_mode_matches_the_legacy_driver() {
+fn ssgd_mode_matches_a_hand_wired_round_loop() {
     type PolicyFactory = fn() -> Arc<dyn AggregationPolicy>;
     let policies: [(&str, PolicyFactory); 2] = [
         ("wait-decodable", || Arc::new(WaitDecodable)),
@@ -90,7 +113,7 @@ fn ssgd_mode_matches_the_legacy_driver() {
             let exp = b.build().unwrap();
             let via_mode = exp.run().unwrap();
 
-            // The pre-mode call sequence, wired by hand.
+            // The same rounds, wired by hand.
             let spec = exp.spec();
             let units = UnitMap::grouped(spec.data.shape(spec.units).0, spec.units);
             let mut backend = VirtualCluster::new(
@@ -102,34 +125,31 @@ fn ssgd_mode_matches_the_legacy_driver() {
                     .straggler_model(exp.net_model(None))
                     .aggregation_policy(policy()),
             );
-            let mut driver = DistributedGd::new(
-                &mut backend,
-                exp.scheme(),
-                &units,
-                exp.dataset(),
-                &LogisticLoss,
-            )
-            .unwrap();
-            let mut opt = Nesterov::new(vec![0.0; 4], LearningRate::Constant(0.5));
-            let legacy = driver
-                .train(
-                    &mut opt,
-                    &TrainingConfig {
-                        iterations: spec.iterations,
-                        record_risk: spec.record_risk,
-                    },
+            let mut hand = HandWiredLoop {
+                optimizer: Nesterov::new(vec![0.0; 4], LearningRate::Constant(0.5)),
+                examples: exp.dataset().len(),
+                metrics: RunMetrics::new(),
+            };
+            backend
+                .run_rounds(
+                    spec.iterations,
+                    exp.scheme(),
+                    &units,
+                    exp.dataset(),
+                    &LogisticLoss,
+                    &mut hand,
                 )
                 .unwrap();
 
             let what = format!("{} / {policy_name}", scheme.name());
-            assert_bitwise_eq(&via_mode.weights, &legacy.weights, &what);
+            assert_bitwise_eq(&via_mode.weights, hand.optimizer.iterate(), &what);
             assert_eq!(
-                via_mode.metrics.messages_used, legacy.metrics.messages_used,
+                via_mode.metrics.messages_used, hand.metrics.messages_used,
                 "{what}: messages_used"
             );
             assert_eq!(
                 via_mode.metrics.total_time.to_bits(),
-                legacy.metrics.total_time.to_bits(),
+                hand.metrics.total_time.to_bits(),
                 "{what}: total_time"
             );
         }

@@ -31,7 +31,7 @@
 //! encoded once with per-worker delays patched in, and round `t+1` fans
 //! out while round `t`'s tail arrivals drain — broadcast epochs keep late
 //! frames out of the decoder, so the pipelined path stays bit-identical
-//! to the serial reference (`TcpCluster::with_pipelining(false)`).
+//! to the serial reference (`BackendConfig::pipelining(false)`).
 //! Handshakes are authenticated by a job-seed-derived token
 //! ([`auth_token`]); a mismatch is answered with a typed rejection, never
 //! a silent drop.

@@ -304,103 +304,6 @@ impl TcpCluster {
         self
     }
 
-    /// Sets the job string shipped to each registering worker (a JSON
-    /// experiment spec for `bcc-worker` processes; leave empty for
-    /// loopback workers that already hold the problem).
-    #[deprecated(note = "use `configured(BackendConfig)` instead")]
-    #[must_use]
-    pub fn with_job(mut self, job: String) -> Self {
-        self.job = job;
-        self
-    }
-
-    /// Installs a per-round unit-subset sampler (see
-    /// [`bcc_cluster::minibatch`]). `None` restores full-partition rounds.
-    #[deprecated(note = "use `configured(BackendConfig)` instead")]
-    #[must_use]
-    pub fn with_minibatch(mut self, minibatch: Option<Minibatch>) -> Self {
-        self.minibatch = minibatch;
-        self
-    }
-
-    /// Overrides the master's decode/aggregate thread budget.
-    #[deprecated(note = "use `configured(BackendConfig)` instead")]
-    #[must_use]
-    pub fn with_decode_pool(mut self, pool: DecodePool) -> Self {
-        self.decode_pool = pool;
-        self
-    }
-
-    /// Replaces the worker-latency model (see the straggler zoo).
-    #[deprecated(note = "use `configured(BackendConfig)` instead")]
-    #[must_use]
-    pub fn with_straggler_model(mut self, model: Arc<dyn StragglerModel>) -> Self {
-        self.model = model;
-        self
-    }
-
-    /// Replaces the aggregation policy deciding round completion.
-    #[deprecated(note = "use `configured(BackendConfig)` instead")]
-    #[must_use]
-    pub fn with_aggregation_policy(mut self, policy: Arc<dyn AggregationPolicy>) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Installs a subscriber for the per-round event stream.
-    #[deprecated(note = "use `configured(BackendConfig)` instead")]
-    #[must_use]
-    pub fn with_observer(mut self, observer: SharedObserver) -> Self {
-        self.observer = Some(observer);
-        self
-    }
-
-    /// Toggles pipelined fan-out (writer threads + queued broadcast).
-    /// `false` restores the serial write-and-flush-per-peer path — the
-    /// measurement baseline for `repro net`'s speedup column.
-    #[deprecated(note = "use `configured(BackendConfig)` instead")]
-    #[must_use]
-    pub fn with_pipelining(mut self, pipelined: bool) -> Self {
-        self.pipelined = pipelined;
-        self
-    }
-
-    /// Overrides the auth token workers must echo in `Hello` (defaults to
-    /// [`auth_token`] of the bind seed; the experiment layer sets it to
-    /// the token of the *job* seed so master and `bcc-worker` processes
-    /// derive it independently).
-    #[deprecated(note = "use `configured(BackendConfig)` instead")]
-    #[must_use]
-    pub fn with_auth_token(self, token: u64) -> Self {
-        self.expected_token.store(token, Ordering::Relaxed);
-        self
-    }
-
-    /// Sets the no-progress timeout (real time) before a round exhausts.
-    #[deprecated(note = "use `configured(BackendConfig)` instead")]
-    #[must_use]
-    pub fn with_recv_timeout(mut self, timeout: Duration) -> Self {
-        self.recv_timeout = timeout;
-        self
-    }
-
-    /// Sets the silence threshold (real time) for declaring a worker dead.
-    #[deprecated(note = "use `configured(BackendConfig)` instead")]
-    #[must_use]
-    pub fn with_heartbeat_timeout(mut self, timeout: Duration) -> Self {
-        self.heartbeat_timeout = timeout;
-        self
-    }
-
-    /// Sets how long the master waits for missing participants to
-    /// register before failing the run.
-    #[deprecated(note = "use `configured(BackendConfig)` instead")]
-    #[must_use]
-    pub fn with_connect_timeout(mut self, timeout: Duration) -> Self {
-        self.connect_timeout = timeout;
-        self
-    }
-
     /// Marks workers as dead up front (failure injection): they are
     /// excluded from the participant set and never waited on.
     pub fn kill_workers(&mut self, workers: impl IntoIterator<Item = usize>) {

@@ -78,7 +78,6 @@ pub use bcc_cluster as cluster;
 pub use bcc_coding as coding;
 pub use bcc_core as core;
 pub use bcc_data as data;
-pub use bcc_des as des;
 pub use bcc_linalg as linalg;
 pub use bcc_net as net;
 pub use bcc_optim as optim;

@@ -3,32 +3,15 @@
 //! optimization trajectory must be identical across schemes AND backends —
 //! coding changes the waiting, never the math.
 
-use bcc::cluster::{
-    ClusterBackend, ClusterProfile, CommModel, ThreadedCluster, UnitMap, VirtualCluster,
-};
-use bcc::core::driver::{DistributedGd, TrainingConfig};
 use bcc::core::schemes::SchemeConfig;
-use bcc::data::synthetic::{generate, SyntheticConfig};
+use bcc::experiment::{BackendSpec, DataSpec, Experiment, LatencySpec, OptimizerSpec};
 use bcc::optim::{LearningRate, LogisticLoss, Nesterov, Optimizer};
-use bcc::stats::rng::derive_rng;
 
-const M_EXAMPLES: usize = 120;
 const UNITS: usize = 12;
 const WORKERS: usize = 12;
+const POINTS_PER_UNIT: usize = 10;
 const DIM: usize = 6;
 const ITERS: usize = 15;
-
-fn fast_profile() -> ClusterProfile {
-    ClusterProfile::homogeneous(
-        WORKERS,
-        50.0,
-        0.0002,
-        CommModel {
-            per_message_overhead: 0.0005,
-            per_unit: 0.001,
-        },
-    )
-}
 
 fn all_schemes() -> Vec<SchemeConfig> {
     vec![
@@ -41,30 +24,33 @@ fn all_schemes() -> Vec<SchemeConfig> {
     ]
 }
 
-fn train(backend: &mut dyn ClusterBackend, cfg: SchemeConfig, seed: u64) -> (Vec<f64>, f64) {
-    let data = generate(&SyntheticConfig::small(M_EXAMPLES, DIM, seed));
-    let units = UnitMap::grouped(M_EXAMPLES, UNITS);
-    let mut rng = derive_rng(seed, 77);
-    let scheme = cfg.build(UNITS, WORKERS, &mut rng);
-    let mut optimizer = Nesterov::new(vec![0.0; DIM], LearningRate::Constant(0.4));
-    let mut driver = DistributedGd::new(
-        backend,
-        scheme.as_ref(),
-        &units,
-        &data.dataset,
-        &LogisticLoss,
-    )
-    .expect("matched problem dimensions");
-    let report = driver
-        .train(
-            &mut optimizer,
-            &TrainingConfig {
-                iterations: ITERS,
-                record_risk: true,
-            },
-        )
-        .expect("training completes");
-    assert!(report.trace.improved(), "{}: risk must improve", cfg.name());
+fn experiment(backend: BackendSpec, cfg: SchemeConfig, seed: u64) -> Experiment {
+    Experiment::builder()
+        .workers(WORKERS)
+        .units(UNITS)
+        .scheme(cfg)
+        .data(DataSpec::synthetic(POINTS_PER_UNIT, DIM))
+        .latency(LatencySpec::Homogeneous {
+            mu: 50.0,
+            a: 0.0002,
+            per_message_overhead: 0.0005,
+            per_unit: 0.001,
+        })
+        .backend(backend)
+        .optimizer(OptimizerSpec::nesterov(0.4))
+        .iterations(ITERS)
+        .seed(seed)
+        .build()
+        .expect("valid experiment")
+}
+
+fn train(exp: &Experiment) -> (Vec<f64>, f64) {
+    let report = exp.run().expect("training completes");
+    assert!(
+        report.trace.improved(),
+        "{}: risk must improve",
+        report.scheme
+    );
     (report.weights, report.trace.final_risk().unwrap())
 }
 
@@ -72,8 +58,7 @@ fn train(backend: &mut dyn ClusterBackend, cfg: SchemeConfig, seed: u64) -> (Vec
 fn every_scheme_trains_identically_on_virtual_cluster() {
     let mut reference: Option<Vec<f64>> = None;
     for cfg in all_schemes() {
-        let mut backend = VirtualCluster::new(fast_profile(), 5);
-        let (w, _) = train(&mut backend, cfg, 42);
+        let (w, _) = train(&experiment(BackendSpec::Virtual, cfg, 42));
         match &reference {
             None => reference = Some(w),
             Some(r) => assert!(
@@ -89,10 +74,9 @@ fn every_scheme_trains_identically_on_virtual_cluster() {
 fn threaded_and_virtual_backends_agree_exactly() {
     // Timing differs; the decoded gradients — hence the weights — must not.
     for cfg in [SchemeConfig::Uncoded, SchemeConfig::Bcc { r: 3 }] {
-        let mut virt = VirtualCluster::new(fast_profile(), 7);
-        let (w_virtual, risk_v) = train(&mut virt, cfg, 51);
-        let mut threaded = ThreadedCluster::new(fast_profile(), 7, 0.002);
-        let (w_threaded, risk_t) = train(&mut threaded, cfg, 51);
+        let (w_virtual, risk_v) = train(&experiment(BackendSpec::Virtual, cfg, 51));
+        let threaded = BackendSpec::Threaded { time_scale: 0.002 };
+        let (w_threaded, risk_t) = train(&experiment(threaded, cfg, 51));
         assert!(
             bcc::linalg::approx_eq_slice(&w_virtual, &w_threaded, 1e-9),
             "{}: backends must produce identical trajectories",
@@ -106,19 +90,18 @@ fn threaded_and_virtual_backends_agree_exactly() {
 fn distributed_matches_centralized_gradient_descent() {
     // The distributed run must equal a single-machine Nesterov loop using
     // exact full gradients.
-    let data = generate(&SyntheticConfig::small(M_EXAMPLES, DIM, 13));
+    let exp = experiment(BackendSpec::Virtual, SchemeConfig::Bcc { r: 3 }, 13);
     let mut centralized = Nesterov::new(vec![0.0; DIM], LearningRate::Constant(0.4));
     for _ in 0..ITERS {
         let g = bcc::optim::gradient::full_gradient(
-            &data.dataset,
+            exp.dataset(),
             &LogisticLoss,
             centralized.eval_point(),
         );
         centralized.step(&g);
     }
 
-    let mut backend = VirtualCluster::new(fast_profile(), 9);
-    let (w_distributed, _) = train(&mut backend, SchemeConfig::Bcc { r: 3 }, 13);
+    let (w_distributed, _) = train(&exp);
     assert!(
         bcc::linalg::approx_eq_slice(centralized.iterate(), &w_distributed, 1e-9),
         "distributed BCC must replicate centralized GD exactly"
@@ -127,11 +110,10 @@ fn distributed_matches_centralized_gradient_descent() {
 
 #[test]
 fn training_improves_classification_accuracy() {
-    let data = generate(&SyntheticConfig::small(M_EXAMPLES, DIM, 17));
-    let acc_before = data.dataset.sign_accuracy(&[0.0; DIM]);
-    let mut backend = VirtualCluster::new(fast_profile(), 11);
-    let (w, _) = train(&mut backend, SchemeConfig::Bcc { r: 3 }, 17);
-    let acc_after = data.dataset.sign_accuracy(&w);
+    let exp = experiment(BackendSpec::Virtual, SchemeConfig::Bcc { r: 3 }, 17);
+    let acc_before = exp.dataset().sign_accuracy(&[0.0; DIM]);
+    let (w, _) = train(&exp);
+    let acc_after = exp.dataset().sign_accuracy(&w);
     assert!(
         acc_after > acc_before.max(0.6),
         "accuracy should rise: {acc_before} → {acc_after}"

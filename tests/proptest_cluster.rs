@@ -36,7 +36,9 @@ proptest! {
         let data = generate(&SyntheticConfig::small(examples, 5, seed));
         let units = UnitMap::grouped(examples, units_count);
         let mut rng = derive_rng(seed, 3);
-        let scheme = cfg.build(units_count, n, &mut rng);
+        let scheme = cfg
+            .try_build(units_count, n, &mut rng)
+            .expect("strategy yields constructible schemes");
         let profile = ClusterProfile::homogeneous(
             n,
             3.0,
@@ -80,7 +82,9 @@ proptest! {
         let data = generate(&SyntheticConfig::small(m, 4, seed));
         let units = UnitMap::identity(m);
         let mut rng = derive_rng(seed, 5);
-        let scheme = SchemeConfig::Bcc { r }.build(m, n, &mut rng);
+        let scheme = SchemeConfig::Bcc { r }
+            .try_build(m, n, &mut rng)
+            .expect("n = 2m covers every batch");
         let profile = ClusterProfile::homogeneous(
             n, 3.0, 0.001,
             CommModel { per_message_overhead: 0.0, per_unit: 0.001 },

@@ -29,7 +29,9 @@ fn measure_bcc(m: usize, n: usize, r: usize, rounds: usize) -> (f64, f64) {
     let mut comm_units = 0usize;
     let mut rng = derive_rng(3, 9);
     for round in 0..rounds {
-        let scheme = SchemeConfig::Bcc { r }.build(m, n, &mut rng);
+        let scheme = SchemeConfig::Bcc { r }
+            .try_build(m, n, &mut rng)
+            .expect("covering BCC placement");
         let mut cluster = VirtualCluster::new(profile.clone(), round as u64);
         let out = cluster
             .run_round(scheme.as_ref(), &units, &data.dataset, &LogisticLoss, &w)
