@@ -14,8 +14,7 @@
 //! receive port is strictly serial, the event calendar collapses to a
 //! stable sort of `(finish time, worker)` walked in order — delivery
 //! timestamps and arrival order are event-for-event identical to pumping a
-//! general discrete-event queue (which the `bcc-des` crate still provides
-//! for models with feedback), at a fraction of the per-round cost.
+//! general discrete-event queue, at a fraction of the per-round cost.
 
 use crate::backend::{ClusterBackend, RoundDriver, RoundOutcome};
 use crate::config::BackendConfig;

@@ -19,7 +19,7 @@
 
 use crate::error::CodingError;
 use crate::payload::Payload;
-use crate::scheme::{Coverage, Decoder, GradientCodingScheme, ReceiveLog};
+use crate::scheme::{solve_in_id_order, Coverage, Decoder, GradientCodingScheme, ReceiveLog};
 use bcc_data::Placement;
 use bcc_linalg::{qr, solve, vec_ops, Matrix};
 use bcc_stats::dist::Gaussian;
@@ -120,25 +120,30 @@ impl CyclicRepetitionScheme {
     }
 
     /// Tries to compute decoding coefficients for the received worker set
-    /// `F`: `a` with `aᵀB_F = 1ᵀ`. Returns `None` when `F` cannot decode.
+    /// `F`: `a` with `aᵀB_F = 1ᵀ`, one coefficient per entry of `received` in
+    /// the order given. Returns `None` when `F` cannot decode — too few
+    /// workers, or an id that is out of range or repeated.
+    ///
+    /// The solve runs on the rows sorted by worker id, where `B_Fᵀ` is a band
+    /// of width at most `2r` plus at most `r − 1` wrap-around columns, so the
+    /// profile-aware [`qr`] kernel spends `O(n·r²)` on it.
     #[must_use]
     pub fn decoding_coefficients(&self, received: &[usize]) -> Option<Vec<f64>> {
         if received.len() < self.recovery_threshold() {
             return None;
         }
-        let bf = self
-            .b
-            .select_rows(received)
-            .expect("received ids validated by decoder");
-        let ones = vec![1.0; self.n];
-        let a = qr::solve_row_combination(&bf, &ones).ok()?;
-        // Verify: residual ‖aᵀB_F − 1ᵀ‖∞ below tolerance.
-        let recon = bf.gemv_t(&a).expect("shape ok");
-        let ok = recon
-            .iter()
-            .zip(&ones)
-            .all(|(x, y)| (x - y).abs() < DECODE_TOL);
-        ok.then_some(a)
+        solve_in_id_order(received, self.n, |sorted| {
+            let bf = self.b.select_rows(sorted).ok()?;
+            let ones = vec![1.0; self.n];
+            let a = qr::solve_row_combination(&bf, &ones).ok()?;
+            // Verify: residual ‖aᵀB_F − 1ᵀ‖∞ below tolerance.
+            let recon = bf.gemv_t(&a).ok()?;
+            let ok = recon
+                .iter()
+                .zip(&ones)
+                .all(|(x, y)| (x - y).abs() < DECODE_TOL);
+            ok.then_some(a)
+        })
     }
 }
 
@@ -409,6 +414,24 @@ mod tests {
             &total_sum(&grads),
             1e-5
         ));
+    }
+
+    #[test]
+    fn coefficients_follow_the_order_given() {
+        let s = scheme(9, 4, 14);
+        let sorted = s.decoding_coefficients(&[0, 2, 3, 5, 7, 8]).unwrap();
+        let shuffled = s.decoding_coefficients(&[7, 0, 8, 3, 2, 5]).unwrap();
+        let expect = [4, 0, 5, 2, 1, 3].map(|k: usize| sorted[k]);
+        assert_eq!(shuffled, expect);
+    }
+
+    #[test]
+    fn out_of_range_or_repeated_ids_do_not_decode() {
+        let s = scheme(6, 3, 15);
+        assert!(s.decoding_coefficients(&[0, 1, 2, 3]).is_some());
+        assert_eq!(s.decoding_coefficients(&[0, 1, 2, 6]), None);
+        assert_eq!(s.decoding_coefficients(&[0, 1, 2, usize::MAX]), None);
+        assert_eq!(s.decoding_coefficients(&[0, 1, 2, 3, 1]), None);
     }
 
     #[test]

@@ -216,6 +216,34 @@ impl ReceiveLog {
     }
 }
 
+/// Runs a cyclic code's decoding solve in worker-id order and hands the
+/// coefficients back in arrival order.
+///
+/// Sorted by id, the received rows of a cyclic coding matrix form a band (plus
+/// the few rows whose window wraps around), which is what makes the solve
+/// cheap; arrival order scatters it. `solve` gets the sorted ids and returns
+/// one coefficient per id, or `None` when they cannot decode. Ids outside
+/// `0..num_workers` or received twice cannot decode either.
+pub(crate) fn solve_in_id_order<T: Copy>(
+    received: &[usize],
+    num_workers: usize,
+    solve: impl FnOnce(&[usize]) -> Option<Vec<T>>,
+) -> Option<Vec<T>> {
+    let mut order: Vec<usize> = (0..received.len()).collect();
+    order.sort_unstable_by_key(|&arrival| received[arrival]);
+    let sorted: Vec<usize> = order.iter().map(|&arrival| received[arrival]).collect();
+    if sorted.last().is_some_and(|&id| id >= num_workers) || sorted.windows(2).any(|w| w[0] == w[1])
+    {
+        return None;
+    }
+    let by_id = solve(&sorted)?;
+    let mut by_arrival = by_id.clone();
+    for (&arrival, &coefficient) in order.iter().zip(&by_id) {
+        by_arrival[arrival] = coefficient;
+    }
+    Some(by_arrival)
+}
+
 /// Test helpers shared by scheme unit tests and integration tests.
 ///
 /// Not part of the public API contract; exposed (doc-hidden) so the

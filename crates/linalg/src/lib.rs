@@ -7,11 +7,12 @@
 //! * [`Matrix`] — row-major dense matrices with BLAS-2/3 kernels.
 //! * [`solve`] — LU with partial pivoting, triangular solves, inverse.
 //! * [`cholesky`] — SPD factorization for normal-equation and ridge solves.
-//! * [`qr`] — Householder QR and least-squares solves (used by the
-//!   cyclic-repetition decoder, which solves `a^T B_F = 1^T`).
+//! * [`qr`] — Householder QR and least-squares solves that skip each
+//!   column's leading and trailing zeros (used by the cyclic-repetition and
+//!   cyclic-MDS decoders, which solve the banded `a^T B_F = 1^T`).
 //! * [`complex`] — minimal complex arithmetic plus complex matrices and a
-//!   complex LU solver (used by the cyclic-MDS code of Raviv et al., whose
-//!   generator lives over the complex roots of unity).
+//!   complex LU solver (used to build the cyclic-MDS code of Raviv et al.,
+//!   whose generator lives over the complex roots of unity).
 //! * [`parallel`] — chunked fork/join helpers built on `crossbeam::scope`,
 //!   the only data-parallelism primitive the workloads need.
 //!

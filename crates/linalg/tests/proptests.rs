@@ -118,3 +118,131 @@ proptest! {
         prop_assert!(bcc_linalg::approx_eq_slice(&lhs, &rhs, 1e-6));
     }
 }
+
+// ---------------------------------------------------------------------------
+// The profile-aware Householder kernel against a dense reference.
+// ---------------------------------------------------------------------------
+
+const QR_ROWS: usize = 20;
+const QR_COLS: usize = 14;
+
+/// Textbook Householder least squares: every reflector runs over all remaining
+/// rows of every remaining column, zero or not.
+fn dense_reference(a: &Matrix, b: &[f64]) -> bcc_linalg::Result<Vec<f64>> {
+    let n = a.cols();
+    let mut cols: Vec<Vec<f64>> = (0..n).map(|j| a.col(j)).collect();
+    let mut y = b.to_vec();
+    for k in 0..n {
+        let (head, rest) = cols.split_at_mut(k + 1);
+        let v = &mut head[k][k..];
+        let norm = vec_ops::norm2(v);
+        if norm == 0.0 {
+            continue;
+        }
+        let alpha = if v[0] >= 0.0 { -norm } else { norm };
+        v[0] -= alpha;
+        let beta = 2.0 / vec_ops::dot(v, v);
+        for target in rest.iter_mut().map(|c| &mut c[k..]).chain([&mut y[k..]]) {
+            let s = beta * vec_ops::dot(v, target);
+            vec_ops::axpy(-s, v, target);
+        }
+        v[0] = alpha;
+    }
+    let mut x = vec![0.0; n];
+    for i in (0..n).rev() {
+        let d = cols[i][i];
+        if d.abs() < 1e-10 {
+            return Err(bcc_linalg::LinAlgError::Singular { pivot: i });
+        }
+        let tail: f64 = (i + 1..n).map(|j| cols[j][i] * x[j]).sum();
+        x[i] = (y[i] - tail) / d;
+    }
+    Ok(x)
+}
+
+/// Shapes the decoders and their neighbours produce. Column `j` of the
+/// result is non-zero only on
+/// * kind 0 — every row (dense);
+/// * kind 1 — rows `j − width ..= j + width` (banded);
+/// * kind 2 — rows `j, j+1, …, j+width` taken modulo the row count (the
+///   cyclic band of a coding matrix, wrap-around columns included);
+/// * kind 3 — rows `j + shift ..= j + shift + width`, so the column starts
+///   with zeros down to and including its diagonal entry (received rows
+///   after `shift` stragglers in a row);
+///
+/// and one entry per column — on the diagonal, `shift` below it for kind 3 —
+/// is raised above the sum of the rest of its column, which keeps the matrix
+/// well conditioned.
+fn shaped(data: Vec<f64>, kind: usize, width: usize, shift: usize) -> Matrix {
+    let (m, n) = (QR_ROWS, QR_COLS);
+    let mut a = Matrix::from_vec(m, n, data).unwrap();
+    for j in 0..n {
+        let anchor = if kind == 3 { j + shift } else { j };
+        let mut colsum = 0.0;
+        for i in 0..m {
+            let keep = match kind {
+                0 => true,
+                1 => i + width >= j && i <= j + width,
+                2 => (i + m - j) % m <= width,
+                _ => i >= anchor && i <= anchor + width,
+            };
+            if !keep {
+                a[(i, j)] = 0.0;
+            }
+            colsum += a[(i, j)].abs();
+        }
+        a[(anchor, j)] = colsum + 1.0;
+    }
+    a
+}
+
+fn same_solution(x: &[f64], reference: &[f64]) -> bool {
+    vec_ops::dist2_sq(x, reference).sqrt() <= 1e-9 * vec_ops::norm2(reference)
+}
+
+proptest! {
+    #[test]
+    fn qr_profile_kernel_matches_dense_reference(
+        data in prop::collection::vec(-1.0..1.0f64, QR_ROWS * QR_COLS),
+        b in vec_f64(QR_ROWS),
+        kind in 0usize..4,
+        width in 1usize..6,
+        shift in 1usize..(QR_ROWS - QR_COLS + 1),
+    ) {
+        let a = shaped(data, kind, width, shift);
+        let reference = dense_reference(&a, &b).unwrap();
+        // Both entry points: columns gathered from a row-major matrix, and
+        // the rows of the transpose taken as they lie.
+        let x = qr::least_squares(&a, &b).unwrap();
+        prop_assert!(same_solution(&x, &reference), "kind {kind}: {x:?} vs {reference:?}");
+        let x = qr::solve_row_combination(&a.transpose(), &b).unwrap();
+        prop_assert!(same_solution(&x, &reference), "kind {kind}: {x:?} vs {reference:?}");
+    }
+
+    #[test]
+    fn qr_profile_kernel_reports_rank_deficiency_like_dense_reference(
+        data in prop::collection::vec(-1.0..1.0f64, QR_ROWS * QR_COLS),
+        b in vec_f64(QR_ROWS),
+        kind in 0usize..4,
+        width in 1usize..6,
+        shift in 1usize..(QR_ROWS - QR_COLS + 1),
+        from in 0usize..QR_COLS,
+        to in 0usize..QR_COLS,
+        factor in -2.0..2.0f64,
+    ) {
+        // Column `to` becomes a multiple of column `from` (zero when the two
+        // coincide or the factor is zero): rank at most QR_COLS − 1.
+        let mut a = shaped(data, kind, width, shift);
+        let scale = if from == to { 0.0 } else { factor };
+        for i in 0..QR_ROWS {
+            a[(i, to)] = scale * a[(i, from)];
+        }
+        let reference = dense_reference(&a, &b).unwrap_err();
+        prop_assert!(matches!(reference, bcc_linalg::LinAlgError::Singular { .. }));
+        let err = qr::least_squares(&a, &b).unwrap_err();
+        prop_assert_eq!(std::mem::discriminant(&err), std::mem::discriminant(&reference));
+        let err = qr::solve_row_combination(&a.transpose(), &b).unwrap_err();
+        prop_assert_eq!(std::mem::discriminant(&err), std::mem::discriminant(&reference));
+        prop_assert!(qr::Qr::factor(&a).unwrap().rank() < QR_COLS);
+    }
+}

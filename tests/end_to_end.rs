@@ -119,3 +119,29 @@ fn training_improves_classification_accuracy() {
         "accuracy should rise: {acc_before} → {acc_after}"
     );
 }
+
+#[test]
+fn cyclic_mds_completes_every_round_at_n48_r10() {
+    // Before the decoder solved by QR on the band, this shape stalled on the
+    // first round with every worker reported.
+    let (n, r) = (48, 10);
+    let exp = Experiment::builder()
+        .workers(n)
+        .units(n)
+        .scheme(SchemeConfig::CyclicMds { r })
+        .data(DataSpec::synthetic(2, DIM))
+        .latency(LatencySpec::Homogeneous {
+            mu: 50.0,
+            a: 0.0002,
+            per_message_overhead: 0.0005,
+            per_unit: 0.001,
+        })
+        .optimizer(OptimizerSpec::nesterov(0.4))
+        .iterations(ITERS)
+        .seed(48)
+        .build()
+        .expect("valid experiment");
+    let report = exp.run().expect("every round decodes");
+    assert_eq!(report.metrics.rounds, ITERS);
+    assert_eq!(report.metrics.avg_recovery_threshold(), (n - r + 1) as f64);
+}
