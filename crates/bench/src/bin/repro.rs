@@ -2,21 +2,19 @@
 //! arbitrary scenarios from spec files.
 //!
 //! ```text
-//! repro all                  # every paper artifact (default) + ablations + engine + sweep
+//! repro all                  # every paper artifact (default) + ablations + every grid
 //! repro fig2                 # tradeoff curves
 //! repro fig4                 # runtime comparison (both scenarios)
 //! repro table1               # scenario-one breakdown
 //! repro table2               # scenario-two breakdown
 //! repro fig5                 # heterogeneous cluster
 //! repro ablations            # design-choice ablations (beyond the paper)
-//! repro engine               # round-engine throughput → BENCH_round_engine.json
-//! repro sweep                # straggler-model sweep → BENCH_straggler_sweep.json
-//! repro policy               # aggregation-policy tradeoff → BENCH_policy_tradeoff.json
-//! repro control              # adaptive-control grid → BENCH_adaptive.json
-//! repro scale                # data-path scaling grid → BENCH_scale.json
-//! repro net [--wan]          # loopback-TCP backend grid → BENCH_net.json
-//!                            # (--wan adds deterministic-latency WAN cells)
-//! repro list                 # registered schemes, models, policies, data paths, backends
+//! repro <grid>               # one grid target → its BENCH_<artifact>.json:
+//!                            # engine | policy | modes | scale | net [--wan] |
+//!                            # control | sweep (the README's table; --wan
+//!                            # adds deterministic-latency WAN cells)
+//! repro list                 # registered schemes, models, policies, modes,
+//!                            # controllers, data paths, backends
 //! repro scenario SPEC.json   # replay a spec file (table row or custom scenario)
 //! repro gate --baseline-dir DIR [--current-dir DIR] [--max-slowdown X]
 //!                            # perf-regression gate over the BENCH files
@@ -27,28 +25,22 @@
 //! `experiments/`. Every experiment that runs gradient rounds additionally
 //! writes its **resolved `ExperimentSpec`s** as `<name>.spec.json` next to
 //! its results, so each artifact is replayable byte-for-byte via
-//! `repro scenario experiments/<name>.spec.json`. The engine benchmark
-//! writes the perf-trajectory file `BENCH_round_engine.json` at the working
-//! directory.
+//! `repro scenario experiments/<name>.spec.json`. The grid targets — the
+//! [table](bcc_bench::experiments::GRIDS) — write their perf-trajectory
+//! files `BENCH_<artifact>.json` at the working directory.
 
 use bcc_bench::experiments::spec_run::ScenarioSpec;
-use bcc_bench::experiments::{
-    ablation, control, engine_bench, fig2, fig5, modes, net_bench, policy_sweep, scale, scenario,
-    spec_run, sweep,
-};
+use bcc_bench::experiments::{ablation, fig2, fig5, scenario, spec_run, GRIDS};
 use bcc_bench::gate;
-use bcc_bench::report::{write_json, Table};
-use bcc_core::experiment::{
-    ControllerRegistry, ExperimentSpec, ModeRegistry, PolicyRegistry, SchemeRegistry,
-};
-use bcc_core::schemes::SchemeConfig;
+use bcc_bench::grid::Options;
+use bcc_bench::report::{persist, Table};
+use bcc_core::experiment::{ExperimentSpec, Registries};
 use std::path::PathBuf;
 
 struct Args {
     targets: Vec<String>,
     spec_files: Vec<PathBuf>,
-    fast: bool,
-    wan: bool,
+    options: Options,
     out_dir: PathBuf,
     baseline_dir: Option<PathBuf>,
     current_dir: PathBuf,
@@ -58,8 +50,7 @@ struct Args {
 fn parse_args() -> Args {
     let mut targets = Vec::new();
     let mut spec_files = Vec::new();
-    let mut fast = false;
-    let mut wan = false;
+    let mut options = Options::default();
     let mut out_dir = PathBuf::from("experiments");
     let mut baseline_dir = None;
     let mut current_dir = PathBuf::from(".");
@@ -73,8 +64,8 @@ fn parse_args() -> Args {
     };
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--fast" => fast = true,
-            "--wan" => wan = true,
+            "--fast" => options.fast = true,
+            "--wan" => options.wan = true,
             "--out" => out_dir = PathBuf::from(next_value(&mut args, "--out")),
             "--baseline-dir" => {
                 baseline_dir = Some(PathBuf::from(next_value(&mut args, "--baseline-dir")));
@@ -96,11 +87,11 @@ fn parse_args() -> Args {
             }
             "-h" | "--help" => {
                 println!(
-                    "usage: repro [--fast] [--wan] [--out DIR] \
-                     [all|fig2|fig4|table1|table2|fig5|ablations|engine|sweep|policy|modes|control|scale|net]... \
+                    "usage: repro [--fast] [--wan] [--out DIR] [{}]... \
                      [scenario SPEC.json]... \
                      [list] \
-                     [gate --baseline-dir DIR [--current-dir DIR] [--max-slowdown X]]"
+                     [gate --baseline-dir DIR [--current-dir DIR] [--max-slowdown X]]",
+                    known_targets().join("|")
                 );
                 std::process::exit(0);
             }
@@ -113,8 +104,7 @@ fn parse_args() -> Args {
     Args {
         targets,
         spec_files,
-        fast,
-        wan,
+        options,
         out_dir,
         baseline_dir,
         current_dir,
@@ -126,23 +116,24 @@ fn print_table(t: &Table) {
     println!("{}", t.render());
 }
 
-/// Every named artifact target.
-const KNOWN_TARGETS: [&str; 14] = [
-    "all",
-    "fig2",
-    "fig4",
-    "table1",
-    "table2",
-    "fig5",
-    "ablations",
-    "engine",
-    "sweep",
-    "policy",
-    "modes",
-    "control",
-    "scale",
-    "net",
-];
+/// Every named artifact target: the paper's, then the table's.
+fn known_targets() -> Vec<&'static str> {
+    let mut targets = vec![
+        "all",
+        "fig2",
+        "fig4",
+        "table1",
+        "table2",
+        "fig5",
+        "ablations",
+    ];
+    for grid in &GRIDS {
+        if !targets.contains(&grid.target) {
+            targets.push(grid.target);
+        }
+    }
+    targets
+}
 
 fn main() {
     let args = parse_args();
@@ -168,12 +159,12 @@ fn main() {
     let unknown: Vec<&String> = args
         .targets
         .iter()
-        .filter(|t| !KNOWN_TARGETS.contains(&t.as_str()))
+        .filter(|t| !known_targets().contains(&t.as_str()))
         .collect();
     if !unknown.is_empty() {
         eprintln!(
             "unknown target(s) {unknown:?}; expected {} or `scenario SPEC.json` or `gate`",
-            KNOWN_TARGETS.join("|")
+            known_targets().join("|")
         );
         std::process::exit(2);
     }
@@ -189,7 +180,7 @@ fn main() {
     if want("fig2") {
         ran_any = true;
         let cfg = fig2::Fig2Config {
-            trials: if args.fast { 500 } else { 5_000 },
+            trials: if args.options.fast { 500 } else { 5_000 },
             ..fig2::Fig2Config::default()
         };
         let result = fig2::run(&cfg);
@@ -200,7 +191,7 @@ fn main() {
     // fig4 shares its runs with table1/table2; compute each scenario once.
     let mut one = None;
     let mut two = None;
-    let iterations = if args.fast { 20 } else { 100 };
+    let iterations = if args.options.fast { 20 } else { 100 };
     if want("fig4") || want("table1") {
         let mut cfg = scenario::ScenarioConfig::scenario_one();
         cfg.iterations = iterations;
@@ -235,7 +226,7 @@ fn main() {
 
     if want("fig5") {
         ran_any = true;
-        let trials = if args.fast { 100 } else { 1_000 };
+        let trials = if args.options.fast { 100 } else { 1_000 };
         let result = fig5::run(trials, 2024);
         print_table(&fig5::render(&result));
         persist(&args.out_dir, "fig5_hetero", &result);
@@ -259,375 +250,93 @@ fn main() {
         }
     }
 
-    if want("engine") {
+    for grid in GRIDS.iter().filter(|grid| want(grid.target)) {
         ran_any = true;
-        let cfg = if args.fast {
-            engine_bench::EngineBenchConfig::fast()
-        } else {
-            engine_bench::EngineBenchConfig::default_config()
-        };
-        let result = engine_bench::run(&cfg);
-        print_table(&engine_bench::render(&result));
-        // Perf-trajectory artifacts: fixed names at the repo root (not under
-        // --out) so successive PRs overwrite and diff the same files.
-        match serde_json::to_string_pretty(&result) {
-            Ok(body) => match std::fs::write("BENCH_round_engine.json", body) {
-                Ok(()) => println!("[saved BENCH_round_engine.json]\n"),
-                Err(e) => eprintln!("[warn] could not write BENCH_round_engine.json: {e}"),
-            },
-            Err(e) => eprintln!("[warn] could not serialize engine bench: {e}"),
-        }
-        let kernel_cfg = if args.fast {
-            engine_bench::GradientKernelConfig::fast()
-        } else {
-            engine_bench::GradientKernelConfig::default_config()
-        };
-        let kernels = engine_bench::run_gradient_kernel(&kernel_cfg);
-        print_table(&engine_bench::render_gradient_kernel(&kernels));
-        match serde_json::to_string_pretty(&kernels) {
-            Ok(body) => match std::fs::write("BENCH_gradient_kernel.json", body) {
-                Ok(()) => println!("[saved BENCH_gradient_kernel.json]\n"),
-                Err(e) => eprintln!("[warn] could not write BENCH_gradient_kernel.json: {e}"),
-            },
-            Err(e) => eprintln!("[warn] could not serialize kernel bench: {e}"),
-        }
-        persist(&args.out_dir, "bench_gradient_kernel", &kernels);
-        persist(&args.out_dir, "bench_round_engine", &result);
-        persist_spec(
-            &args.out_dir,
-            "bench_round_engine",
-            &ScenarioSpec {
-                name: "round-engine throughput".into(),
-                experiments: cfg.specs(),
-            },
-        );
-    }
-
-    if want("sweep") {
-        ran_any = true;
-        let cfg = if args.fast {
-            sweep::SweepConfig::fast()
-        } else {
-            sweep::SweepConfig::default_config()
-        };
-        let result = sweep::run(&cfg);
-        print_table(&sweep::render(&result));
-        // Perf/scenario-trajectory artifact: fixed name at the repo root,
-        // like the other BENCH files.
-        match serde_json::to_string_pretty(&result) {
-            Ok(body) => match std::fs::write("BENCH_straggler_sweep.json", body) {
-                Ok(()) => println!("[saved BENCH_straggler_sweep.json]\n"),
-                Err(e) => eprintln!("[warn] could not write BENCH_straggler_sweep.json: {e}"),
-            },
-            Err(e) => eprintln!("[warn] could not serialize sweep: {e}"),
-        }
-        persist(&args.out_dir, "bench_straggler_sweep", &result);
-        // Per-cell spec files: each (model × scheme × seed) cell replays
-        // standalone via `repro scenario experiments/sweep/<cell>.spec.json`.
-        // Skipped for --fast: the checked-in cell specs describe the full
-        // configuration, and a smoke run must not overwrite them with its
-        // trimmed variants.
-        if args.fast {
-            println!("[--fast: skipping per-cell sweep specs (checked-in specs are full-config)]");
-        } else {
-            let sweep_dir = args.out_dir.join("sweep");
-            for (name, spec) in cfg.cells() {
-                persist_spec(
-                    &sweep_dir,
-                    &name,
-                    &ScenarioSpec {
-                        name: spec.name.clone(),
-                        experiments: vec![spec],
-                    },
-                );
-            }
-        }
-    }
-
-    if want("policy") {
-        ran_any = true;
-        let cfg = if args.fast {
-            policy_sweep::PolicySweepConfig::fast()
-        } else {
-            policy_sweep::PolicySweepConfig::default_config()
-        };
-        let result = policy_sweep::run(&cfg);
-        print_table(&policy_sweep::render(&result));
-        // Perf/scenario-trajectory artifact: fixed name at the repo root,
-        // like the other BENCH files.
-        match serde_json::to_string_pretty(&result) {
-            Ok(body) => match std::fs::write("BENCH_policy_tradeoff.json", body) {
-                Ok(()) => println!("[saved BENCH_policy_tradeoff.json]\n"),
-                Err(e) => eprintln!("[warn] could not write BENCH_policy_tradeoff.json: {e}"),
-            },
-            Err(e) => eprintln!("[warn] could not serialize policy tradeoff: {e}"),
-        }
-        persist(&args.out_dir, "bench_policy_tradeoff", &result);
-        // Per-cell spec files: each (model × scheme × policy) cell replays
-        // standalone via `repro scenario experiments/policy/<cell>.spec.json`.
-        // Skipped for --fast, mirroring the sweep: smoke runs must not
-        // overwrite the checked-in full-config specs.
-        if args.fast {
-            println!("[--fast: skipping per-cell policy specs (checked-in specs are full-config)]");
-        } else {
-            let policy_dir = args.out_dir.join("policy");
-            for (name, spec) in cfg.cells() {
-                persist_spec(
-                    &policy_dir,
-                    &name,
-                    &ScenarioSpec {
-                        name: spec.name.clone(),
-                        experiments: vec![spec],
-                    },
-                );
-            }
-        }
-    }
-
-    if want("modes") {
-        ran_any = true;
-        let cfg = if args.fast {
-            modes::ModesConfig::fast()
-        } else {
-            modes::ModesConfig::default_config()
-        };
-        let result = modes::run(&cfg);
-        print_table(&modes::render(&result));
-        // Perf/scenario-trajectory artifact: fixed name at the repo root,
-        // like the other BENCH files.
-        match serde_json::to_string_pretty(&result) {
-            Ok(body) => match std::fs::write("BENCH_modes.json", body) {
-                Ok(()) => println!("[saved BENCH_modes.json]\n"),
-                Err(e) => eprintln!("[warn] could not write BENCH_modes.json: {e}"),
-            },
-            Err(e) => eprintln!("[warn] could not serialize modes grid: {e}"),
-        }
-        persist(&args.out_dir, "bench_modes", &result);
-        // Per-cell spec files: each (model × scheme × mode) cell replays
-        // standalone via `repro scenario experiments/modes/<cell>.spec.json`.
-        // Skipped for --fast, mirroring the sweeps: smoke runs must not
-        // overwrite the checked-in full-config specs.
-        if args.fast {
-            println!("[--fast: skipping per-cell mode specs (checked-in specs are full-config)]");
-        } else {
-            let modes_dir = args.out_dir.join("modes");
-            for (name, spec) in cfg.cells() {
-                persist_spec(
-                    &modes_dir,
-                    &name,
-                    &ScenarioSpec {
-                        name: spec.name.clone(),
-                        experiments: vec![spec],
-                    },
-                );
-            }
-        }
-    }
-
-    if want("control") {
-        ran_any = true;
-        let cfg = if args.fast {
-            control::ControlConfig::fast()
-        } else {
-            control::ControlConfig::default_config()
-        };
-        let result = control::run(&cfg);
-        print_table(&control::render(&result));
-        // Perf/scenario-trajectory artifact: fixed name at the repo root,
-        // like the other BENCH files.
-        match serde_json::to_string_pretty(&result) {
-            Ok(body) => match std::fs::write("BENCH_adaptive.json", body) {
-                Ok(()) => println!("[saved BENCH_adaptive.json]\n"),
-                Err(e) => eprintln!("[warn] could not write BENCH_adaptive.json: {e}"),
-            },
-            Err(e) => eprintln!("[warn] could not serialize control grid: {e}"),
-        }
-        persist(&args.out_dir, "bench_adaptive", &result);
-        // Per-cell spec files: each (model × scheme × controller) cell
-        // replays standalone via
-        // `repro scenario experiments/control/<cell>.spec.json`. Skipped
-        // for --fast, mirroring the sweeps: smoke runs must not overwrite
-        // the checked-in full-config specs.
-        if args.fast {
-            println!(
-                "[--fast: skipping per-cell control specs (checked-in specs are full-config)]"
-            );
-        } else {
-            let control_dir = args.out_dir.join("control");
-            for (name, spec) in cfg.cells() {
-                persist_spec(
-                    &control_dir,
-                    &name,
-                    &ScenarioSpec {
-                        name: spec.name.clone(),
-                        experiments: vec![spec],
-                    },
-                );
-            }
-        }
-    }
-
-    if want("scale") {
-        ran_any = true;
-        let cfg = if args.fast {
-            scale::ScaleBenchConfig::fast()
-        } else {
-            scale::ScaleBenchConfig::default_config()
-        };
-        let result = scale::run(&cfg);
-        print_table(&scale::render(&result));
-        // Perf-trajectory artifact: fixed name at the repo root, like the
-        // other BENCH files.
-        match serde_json::to_string_pretty(&result) {
-            Ok(body) => match std::fs::write("BENCH_scale.json", body) {
-                Ok(()) => println!("[saved BENCH_scale.json]\n"),
-                Err(e) => eprintln!("[warn] could not write BENCH_scale.json: {e}"),
-            },
-            Err(e) => eprintln!("[warn] could not serialize scale bench: {e}"),
-        }
-        persist(&args.out_dir, "bench_scale", &result);
-        // Per-cell spec files: each (n × dim × mode) cell replays standalone
-        // via `repro scenario experiments/scale/<cell>.spec.json`. Unlike the
-        // sweeps, these are NOT skipped for --fast: the grid (and with it
-        // every spec) is identical between fast and full runs — only the
-        // host-timing repetitions differ.
-        let scale_dir = args.out_dir.join("scale");
-        for cell in cfg.grid.cells() {
-            let spec = cfg.grid.cell_spec(&cell);
-            persist_spec(
-                &scale_dir,
-                &cell.name(),
-                &ScenarioSpec {
-                    name: spec.name.clone(),
-                    experiments: vec![spec],
-                },
-            );
-        }
-    }
-
-    if want("net") {
-        ran_any = true;
-        let mut cfg = if args.fast {
-            net_bench::NetBenchConfig::fast()
-        } else {
-            net_bench::NetBenchConfig::default_config()
-        };
-        if args.wan {
-            let wan = net_bench::NetBenchConfig::wan();
-            cfg.wan_latency = wan.wan_latency;
-            cfg.wan_jitter = wan.wan_jitter;
-        }
-        let result = net_bench::run(&cfg);
-        print_table(&net_bench::render(&result));
-        // Perf-trajectory artifact: fixed name at the repo root, like the
-        // other BENCH files. Only the simulated metrics are gated; wall
-        // times and byte counts ride along for trajectory plots.
-        match serde_json::to_string_pretty(&result) {
-            Ok(body) => match std::fs::write("BENCH_net.json", body) {
-                Ok(()) => println!("[saved BENCH_net.json]\n"),
-                Err(e) => eprintln!("[warn] could not write BENCH_net.json: {e}"),
-            },
-            Err(e) => eprintln!("[warn] could not serialize net bench: {e}"),
-        }
-        persist(&args.out_dir, "bench_net", &result);
+        (grid.regenerate)(args.options, &args.out_dir);
     }
 
     // Unreachable unless the target list and the dispatch above drift.
     assert!(ran_any, "validated targets must all dispatch");
 }
 
-/// Prints every registered scheme, straggler model, and aggregation
-/// policy with a one-line description — the spec-author's discovery
-/// surface.
+/// Prints every registered scheme, straggler model, aggregation policy,
+/// training mode, and controller, then the data paths and backends, each
+/// with a one-line description — the spec-author's discovery surface.
 fn run_list() {
-    let mut schemes = Table::new("schemes (SchemeSpec name)", &["name", "description"]);
-    for name in SchemeRegistry::builtin().names() {
-        schemes.push_row(vec![
-            name.clone(),
-            SchemeConfig::description(&name)
-                .unwrap_or("custom registration")
-                .to_string(),
-        ]);
+    let registries = Registries::default();
+    let fixed = |rows: &[(&str, &str)]| -> Vec<(String, String)> {
+        let owned =
+            |(name, description): &(&str, &str)| (name.to_string(), description.to_string());
+        rows.iter().map(owned).collect()
+    };
+    let data = [
+        (
+            "in-memory",
+            "resident Dataset + packed worker arena; the default for every experiment",
+        ),
+        (
+            "chunked",
+            "ChunkedDataset: fixed-size row chunks materialized on demand behind an LRU \
+             window — bounded peak memory; drives `repro scale`",
+        ),
+        (
+            "minibatch knob",
+            "data.minibatch = k: each round samples k of the coding units (seeded, \
+             replayable); 1 ≤ k ≤ units",
+        ),
+    ];
+    let backends = [
+        (
+            "Virtual",
+            "discrete-event simulation; deterministic reference timing, no threads",
+        ),
+        (
+            "Threaded",
+            "one OS thread per worker, channel transport; real concurrency, emulated \
+             latency via time_scale",
+        ),
+        (
+            "Tcp",
+            "TCP master/worker round protocol; addr = null spawns a loopback fleet \
+             in-process, addr = \"host:port\" listens for external bcc-worker processes",
+        ),
+        (
+            "Tcp + wan",
+            "WAN profile: deterministic per-link latency ± jitter (seeded from \
+             (seed, round, worker)) layered over any straggler model; set \
+             `backend.wan = {latency, jitter}` in a spec or run `repro net --wan`",
+        ),
+    ];
+    for (title, rows) in [
+        (
+            "schemes (SchemeSpec name)",
+            registries.schemes.descriptions(),
+        ),
+        (
+            "straggler models (LatencySpec family)",
+            fixed(&bcc_cluster::straggler::ZOO),
+        ),
+        (
+            "aggregation policies (PolicySpec name)",
+            registries.policies.descriptions(),
+        ),
+        (
+            "training modes (ModeSpec name)",
+            registries.modes.descriptions(),
+        ),
+        (
+            "straggler controllers (ControllerSpec name)",
+            registries.controllers.descriptions(),
+        ),
+        ("data paths (DataSpec)", fixed(&data)),
+        ("backends (BackendSpec)", fixed(&backends)),
+    ] {
+        let mut table = Table::new(title, &["name", "description"]);
+        for (name, description) in rows {
+            table.push_row(vec![name, description]);
+        }
+        print_table(&table);
     }
-    print_table(&schemes);
-
-    let mut models = Table::new(
-        "straggler models (LatencySpec family)",
-        &["name", "description"],
-    );
-    for (name, description) in bcc_cluster::straggler::ZOO {
-        models.push_row(vec![name.to_string(), description.to_string()]);
-    }
-    print_table(&models);
-
-    let mut policies = Table::new(
-        "aggregation policies (PolicySpec name)",
-        &["name", "description"],
-    );
-    for (name, description) in PolicyRegistry::builtin().descriptions() {
-        policies.push_row(vec![name, description]);
-    }
-    print_table(&policies);
-
-    let mut modes = Table::new("training modes (ModeSpec name)", &["name", "description"]);
-    for (name, description) in ModeRegistry::builtin().descriptions() {
-        modes.push_row(vec![name, description]);
-    }
-    print_table(&modes);
-
-    let mut controllers = Table::new(
-        "straggler controllers (ControllerSpec name)",
-        &["name", "description"],
-    );
-    for (name, description) in ControllerRegistry::builtin().descriptions() {
-        controllers.push_row(vec![name, description]);
-    }
-    print_table(&controllers);
-
-    let mut data = Table::new("data paths (DataSpec)", &["name", "description"]);
-    data.push_row(vec![
-        "in-memory".into(),
-        "resident Dataset + packed worker arena; the default for every experiment".into(),
-    ]);
-    data.push_row(vec![
-        "chunked".into(),
-        "ChunkedDataset: fixed-size row chunks materialized on demand behind an LRU \
-         window — bounded peak memory; drives `repro scale`"
-            .into(),
-    ]);
-    data.push_row(vec![
-        "minibatch knob".into(),
-        "data.minibatch = k: each round samples k of the coding units (seeded, \
-         replayable); 1 ≤ k ≤ units"
-            .into(),
-    ]);
-    print_table(&data);
-
-    let mut backends = Table::new("backends (BackendSpec)", &["name", "description"]);
-    backends.push_row(vec![
-        "Virtual".into(),
-        "discrete-event simulation; deterministic reference timing, no threads".into(),
-    ]);
-    backends.push_row(vec![
-        "Threaded".into(),
-        "one OS thread per worker, channel transport; real concurrency, emulated \
-         latency via time_scale"
-            .into(),
-    ]);
-    backends.push_row(vec![
-        "Tcp".into(),
-        "TCP master/worker round protocol; addr = null spawns a loopback fleet \
-         in-process, addr = \"host:port\" listens for external bcc-worker processes"
-            .into(),
-    ]);
-    backends.push_row(vec![
-        "Tcp + wan".into(),
-        "WAN profile: deterministic per-link latency ± jitter (seeded from \
-         (seed, round, worker)) layered over any straggler model; set \
-         `backend.wan = {latency, jitter}` in a spec or run `repro net --wan`"
-            .into(),
-    ]);
-    print_table(&backends);
 }
 
 /// Runs the perf-regression gate and exits with its verdict (0 pass,
@@ -725,13 +434,6 @@ fn ablation_specs(seed: u64) -> Vec<(&'static str, ScenarioSpec)> {
             },
         ),
     ]
-}
-
-fn persist<T: serde::Serialize>(dir: &std::path::Path, name: &str, value: &T) {
-    match write_json(dir, name, value) {
-        Ok(path) => println!("[saved {}]\n", path.display()),
-        Err(e) => eprintln!("[warn] could not write {name}.json: {e}"),
-    }
 }
 
 /// Writes the scenario's resolved experiment specs as `<name>.spec.json`.

@@ -14,10 +14,7 @@
 
 use crate::report::{f1, f3, Table};
 use bcc_cluster::{ClusterProfile, CommModel};
-use bcc_core::experiment::{
-    BackendSpec, ControllerSpec, DataSpec, Experiment, ExperimentSpec, LatencySpec, LossSpec,
-    ModeSpec, OptimizerSpec, PolicySpec,
-};
+use bcc_core::experiment::{DataSpec, Experiment, ExperimentSpec, LatencySpec, OptimizerSpec};
 use bcc_core::schemes::SchemeConfig;
 use bcc_core::theory;
 use serde::{Deserialize, Serialize};
@@ -51,20 +48,13 @@ pub fn arm_spec(
 ) -> ExperimentSpec {
     ExperimentSpec {
         name: format!("ablation / {}", scheme_cfg.name()),
-        workers,
-        units: m_units,
-        scheme: scheme_cfg.spec(),
         data: DataSpec::synthetic(10, 16),
         latency: LatencySpec::from_profile(profile),
-        backend: BackendSpec::Virtual,
-        loss: LossSpec::Logistic,
         optimizer: OptimizerSpec::FixedPoint,
-        policy: PolicySpec::default(),
-        mode: ModeSpec::default(),
-        controller: ControllerSpec::default(),
         iterations: rounds,
         record_risk: false,
         seed,
+        ..ExperimentSpec::with_required(workers, m_units, scheme_cfg.spec())
     }
 }
 

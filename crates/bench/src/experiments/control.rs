@@ -17,22 +17,21 @@
 //! cut rounds still decode exactly, so the headline claim is measurable
 //! per cell: **lower simulated wallclock at equal-or-better final risk**.
 //!
-//! Every cell is an independent seeded [`Experiment`] on the virtual
-//! backend, fanned over a crossbeam pool exactly like the
-//! [training-mode grid](super::modes), and each cell's resolved
-//! [`ExperimentSpec`] is written under `experiments/control/` — any cell
-//! replays standalone via `repro scenario`.
+//! Every cell is an independent seeded experiment on the virtual backend —
+//! a pooled [`Grid`] exactly like the [training-mode grid](super::modes) —
+//! and each cell's resolved [`ExperimentSpec`] is written under
+//! `experiments/control/`: any cell replays standalone via
+//! `repro scenario`.
 
+use crate::experiments::scenario::partial_readout_schemes;
+use crate::grid::{run_spec, Artifact, Grid, Options};
 use crate::report::{f1, f3, Table};
 use bcc_control::ControlRecord;
 use bcc_core::experiment::{
-    BackendSpec, ControllerSpec, DataSpec, Experiment, ExperimentSpec, LatencySpec, LossSpec,
-    ModeSpec, OptimizerSpec, PolicySpec,
+    ControllerSpec, DataSpec, ExperimentSpec, LatencySpec, OptimizerSpec, PolicySpec,
 };
-use bcc_core::schemes::SchemeConfig;
 use bcc_optim::LearningRate;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The pinned baseline controller every adaptive column is judged against.
 pub const STATIC_NAME: &str = "static";
@@ -136,18 +135,6 @@ impl ControlConfig {
         ]
     }
 
-    /// The schemes this grid crosses — the paper's comparison triple. The
-    /// coded pair keeps decoding exact when the controllers cut the slow
-    /// set; uncoded shows the price of cutting without redundancy.
-    #[must_use]
-    pub fn schemes(&self) -> Vec<SchemeConfig> {
-        vec![
-            SchemeConfig::Uncoded,
-            SchemeConfig::Bcc { r: self.r },
-            SchemeConfig::FractionalRepetition { r: self.r },
-        ]
-    }
-
     /// The controller columns: every builtin, parameterized from the
     /// config.
     #[must_use]
@@ -167,7 +154,7 @@ impl ControlConfig {
     pub fn cells(&self) -> Vec<(String, ExperimentSpec)> {
         let mut cells = Vec::new();
         for (model, latency) in self.models() {
-            for scheme in self.schemes() {
+            for scheme in partial_readout_schemes(self.r) {
                 for controller in self.controllers() {
                     let name = format!("{model}_{}_{}", scheme.name(), controller.name);
                     let spec = ExperimentSpec {
@@ -176,22 +163,17 @@ impl ControlConfig {
                             scheme.name(),
                             controller.name
                         ),
-                        workers: self.workers,
-                        units: self.units,
-                        scheme: scheme.spec(),
                         data: DataSpec::synthetic(self.points_per_unit, self.dim),
                         latency: latency.clone(),
-                        backend: BackendSpec::Virtual,
-                        loss: LossSpec::Logistic,
                         optimizer: OptimizerSpec::GradientDescent {
                             rate: LearningRate::Constant(self.rate),
                         },
                         policy: PolicySpec::named("best-effort-all"),
-                        mode: ModeSpec::default(),
                         controller: controller.clone(),
                         iterations: self.iterations,
                         record_risk: true,
                         seed: self.seed,
+                        ..ExperimentSpec::with_required(self.workers, self.units, scheme.spec())
                     };
                     cells.push((name, spec));
                 }
@@ -231,28 +213,13 @@ pub struct ControlCellRow {
 }
 
 /// The full grid result (serialized to `BENCH_adaptive.json`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ControlResult {
-    /// Schema tag for downstream tooling.
-    pub schema: String,
-    /// Backend measured.
-    pub backend: String,
-    /// The configuration measured.
-    pub config: ControlConfig,
-    /// Worker threads the cell pool actually used.
-    pub threads_used: usize,
-    /// One row per cell, in grid order (model-major, then scheme, then
-    /// controller).
-    pub rows: Vec<ControlCellRow>,
-}
+pub type ControlResult = Artifact<ControlConfig>;
 
 impl ControlResult {
     /// Row lookup by `(model, scheme, controller)`.
     #[must_use]
     pub fn row(&self, model: &str, scheme: &str, controller: &str) -> Option<&ControlCellRow> {
-        self.rows
-            .iter()
-            .find(|r| r.model == model && r.scheme == scheme && r.controller == controller)
+        self.find(&format!("{model}/{scheme}/{controller}"))
     }
 
     /// The cells where an adaptive controller beat its `static`
@@ -262,150 +229,131 @@ impl ControlResult {
     /// tuples.
     #[must_use]
     pub fn wins_over_static(&self, risk_slack: f64) -> Vec<(String, String, String, f64)> {
-        let mut wins = Vec::new();
-        for row in &self.rows {
-            if row.controller == STATIC_NAME {
-                continue;
-            }
-            let Some(base) = self.row(&row.model, &row.scheme, STATIC_NAME) else {
-                continue;
-            };
-            if row.simulated_seconds < base.simulated_seconds
-                && row.final_risk <= base.final_risk * (1.0 + risk_slack)
-            {
-                wins.push((
-                    row.model.clone(),
-                    row.scheme.clone(),
-                    row.controller.clone(),
-                    base.simulated_seconds / row.simulated_seconds,
+        let fixed = |r: &ControlCellRow| format!("{}/{}/{STATIC_NAME}", r.model, r.scheme);
+        self.wins_over(fixed, |r| (r.simulated_seconds, r.final_risk), risk_slack)
+            .into_iter()
+            .map(|(r, speedup)| {
+                let (model, scheme) = (r.model.clone(), r.scheme.clone());
+                (model, scheme, r.controller.clone(), speedup)
+            })
+            .collect()
+    }
+}
+
+impl Grid for ControlConfig {
+    type Cell = (String, ExperimentSpec);
+    type Row = ControlCellRow;
+
+    const TARGET: &'static str = "control";
+    const ARTIFACT: &'static str = "adaptive";
+    const GATED: (&'static str, &'static str) = ("simulated_seconds", "simulated s");
+    const CLAIM: &'static str =
+        "every adaptive controller beats `static` on simulated wallclock at ≤ 1% risk slack in ≥ 4 cells";
+
+    fn config(options: Options) -> Self {
+        options.pick(Self::default_config, Self::fast)
+    }
+
+    fn threads(&self) -> Option<usize> {
+        Some(self.threads)
+    }
+
+    fn cells(&self) -> Vec<Self::Cell> {
+        ControlConfig::cells(self)
+    }
+
+    fn run_cell(&self, (_, spec): &Self::Cell) -> ControlCellRow {
+        let report = run_spec(spec);
+        ControlCellRow {
+            model: spec.latency.model_name().to_string(),
+            scheme: report.scheme,
+            controller: spec.controller.name.clone(),
+            rounds: report.round_samples.len(),
+            simulated_seconds: report.simulated_seconds,
+            avg_messages_used: report.metrics.avg_recovery_threshold(),
+            final_risk: report.trace.final_risk().unwrap_or(f64::NAN),
+            switches: report.controller_switches,
+            trace: report.controller_records,
+            wall_seconds: report.wall_seconds,
+        }
+    }
+
+    fn key(row: &ControlCellRow) -> String {
+        format!("{}/{}/{}", row.model, row.scheme, row.controller)
+    }
+
+    /// The artifact's headline claim must keep holding on fresh runs, not
+    /// just its timings.
+    fn claim(current: &ControlResult) -> Result<(), String> {
+        let wins = current.wins_over_static(0.01);
+        for controller in current.config.controllers() {
+            let name = controller.name;
+            let own = wins.iter().filter(|(_, _, c, _)| *c == name).count();
+            if name != STATIC_NAME && own < 4 {
+                return Err(format!(
+                    "controller `{name}` now beats static in only {own} cells \
+                     (need ≥ 4 at ≤ 1% risk slack) — the adaptive-control claim broke"
                 ));
             }
         }
-        wins
+        Ok(())
     }
-}
 
-/// Runs one cell and reduces the report to the cell row.
-fn run_cell(model: &str, controller: &str, spec: &ExperimentSpec) -> ControlCellRow {
-    let report = Experiment::from_spec(spec.clone())
-        .expect("control cells are structurally valid")
-        .run()
-        .expect("control cells complete every round (no dead workers)");
-    ControlCellRow {
-        model: model.to_string(),
-        scheme: report.scheme,
-        controller: controller.to_string(),
-        rounds: report.round_samples.len(),
-        simulated_seconds: report.simulated_seconds,
-        avg_messages_used: report.metrics.avg_recovery_threshold(),
-        final_risk: report.trace.final_risk().unwrap_or(f64::NAN),
-        switches: report.controller_switches,
-        trace: report.controller_records,
-        wall_seconds: report.wall_seconds,
+    fn cell_spec(&self, cell: &Self::Cell) -> Option<(String, ExperimentSpec)> {
+        Some(cell.clone())
     }
-}
 
-/// Runs the whole grid across a scoped worker pool (one atomic work
-/// index; results re-sorted into grid order, so the output is identical
-/// for any thread count).
-///
-/// # Panics
-/// Panics when a cell fails to build or complete (the grid keeps every
-/// worker alive, and every controller spec is a validated builtin).
-#[must_use]
-pub fn run(config: &ControlConfig) -> ControlResult {
-    let cells = config.cells();
-    let threads = if config.threads == 0 {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    } else {
-        config.threads
-    }
-    .min(cells.len())
-    .max(1);
-
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = crossbeam_channel::unbounded::<(usize, ControlCellRow)>();
-    crossbeam::scope(|scope| {
-        for _ in 0..threads {
-            let tx = tx.clone();
-            let (next, cells) = (&next, &cells);
-            scope.spawn(move |_| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some((_, spec)) = cells.get(i) else { break };
-                let row = run_cell(spec.latency.model_name(), &spec.controller.name, spec);
-                if tx.send((i, row)).is_err() {
-                    break;
-                }
-            });
+    /// Each (model, scheme) block reads as one static-vs-adaptive
+    /// comparison across the controller column.
+    fn render(result: &ControlResult) -> Table {
+        let mut t = Table::new(
+            format!(
+                "adaptive control — {} workers, {} rounds/cell, {} threads",
+                result.config.workers,
+                result.config.iterations,
+                result.threads_used.unwrap_or(1)
+            ),
+            &[
+                "model",
+                "scheme",
+                "controller",
+                "rounds",
+                "K (msgs)",
+                "switches",
+                "wallclock s",
+                "vs static",
+                "final risk",
+            ],
+        );
+        for row in &result.rows {
+            let speedup = result
+                .row(&row.model, &row.scheme, STATIC_NAME)
+                .map_or_else(
+                    || "-".into(),
+                    |base| format!("{:.2}x", base.simulated_seconds / row.simulated_seconds),
+                );
+            t.push_row(vec![
+                row.model.clone(),
+                row.scheme.clone(),
+                row.controller.clone(),
+                row.rounds.to_string(),
+                f1(row.avg_messages_used),
+                row.switches.to_string(),
+                f3(row.simulated_seconds),
+                speedup,
+                format!("{:.4}", row.final_risk),
+            ]);
         }
-    })
-    .expect("control-grid worker panicked");
-    drop(tx);
-
-    let mut indexed: Vec<(usize, ControlCellRow)> = Vec::with_capacity(cells.len());
-    while let Ok(pair) = rx.try_recv() {
-        indexed.push(pair);
+        t
     }
-    indexed.sort_by_key(|(i, _)| *i);
-    assert_eq!(indexed.len(), cells.len(), "every cell must report");
-
-    ControlResult {
-        schema: "bcc/bench_adaptive/v1".into(),
-        backend: "virtual-des".into(),
-        config: config.clone(),
-        threads_used: threads,
-        rows: indexed.into_iter().map(|(_, row)| row).collect(),
-    }
-}
-
-/// Renders the grid as a console table — each (model, scheme) block reads
-/// as one static-vs-adaptive comparison across the controller column.
-#[must_use]
-pub fn render(result: &ControlResult) -> Table {
-    let mut t = Table::new(
-        format!(
-            "adaptive control — {} workers, {} rounds/cell, {} threads",
-            result.config.workers, result.config.iterations, result.threads_used
-        ),
-        &[
-            "model",
-            "scheme",
-            "controller",
-            "rounds",
-            "K (msgs)",
-            "switches",
-            "wallclock s",
-            "vs static",
-            "final risk",
-        ],
-    );
-    for row in &result.rows {
-        let speedup = result
-            .row(&row.model, &row.scheme, STATIC_NAME)
-            .map_or_else(
-                || "-".into(),
-                |base| format!("{:.2}x", base.simulated_seconds / row.simulated_seconds),
-            );
-        t.push_row(vec![
-            row.model.clone(),
-            row.scheme.clone(),
-            row.controller.clone(),
-            row.rounds.to_string(),
-            f1(row.avg_messages_used),
-            row.switches.to_string(),
-            f3(row.simulated_seconds),
-            speedup,
-            format!("{:.4}", row.final_risk),
-        ]);
-    }
-    t
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::grid::run;
 
-    fn tiny() -> ControlConfig {
+    pub(crate) fn tiny() -> ControlConfig {
         ControlConfig {
             points_per_unit: 3,
             threads: 2,
@@ -437,7 +385,7 @@ mod tests {
                 "{controller}"
             );
         }
-        assert_eq!(render(&result).len(), result.rows.len());
+        assert_eq!(ControlConfig::render(&result).len(), result.rows.len());
     }
 
     #[test]
@@ -486,29 +434,5 @@ mod tests {
                 _ => assert!(row.trace.iter().all(|r| !r.switched)),
             }
         }
-    }
-
-    #[test]
-    fn results_are_thread_count_invariant() {
-        let strip = |mut rows: Vec<ControlCellRow>| {
-            for row in &mut rows {
-                row.wall_seconds = 0.0;
-            }
-            rows
-        };
-        let serial = run(&ControlConfig {
-            threads: 1,
-            ..tiny()
-        });
-        let two = run(&ControlConfig {
-            threads: 2,
-            ..tiny()
-        });
-        let eight = run(&ControlConfig {
-            threads: 8,
-            ..tiny()
-        });
-        assert_eq!(strip(serial.rows.clone()), strip(two.rows));
-        assert_eq!(strip(serial.rows), strip(eight.rows));
     }
 }

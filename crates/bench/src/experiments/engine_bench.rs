@@ -18,12 +18,11 @@
 //!
 //! [`run_rounds`]: bcc_cluster::ClusterBackend::run_rounds
 
+use crate::experiments::spec_run::ScenarioSpec;
+use crate::grid::{Artifact, Grid, Options};
 use crate::report::{f1, f3, Table};
 use bcc_cluster::UnitMap;
-use bcc_core::experiment::{
-    BackendSpec, ControllerSpec, DataSpec, Experiment, ExperimentSpec, LatencySpec, LossSpec,
-    ModeSpec, OptimizerSpec, PolicySpec,
-};
+use bcc_core::experiment::{DataSpec, Experiment, ExperimentSpec, OptimizerSpec};
 use bcc_data::synthetic::{generate, SyntheticConfig};
 use bcc_optim::{GradScratch, LogisticLoss, Loss};
 use serde::{Deserialize, Serialize};
@@ -75,6 +74,25 @@ impl EngineBenchConfig {
             ..Self::default_config()
         }
     }
+
+    /// The resolved specs this benchmark measures: fixed-point rounds
+    /// (no optimizer in the loop — pure engine throughput), one per paper
+    /// scheme.
+    #[must_use]
+    pub fn specs(&self) -> Vec<ExperimentSpec> {
+        super::scenario::paper_schemes(self.r)
+            .into_iter()
+            .map(|scheme| ExperimentSpec {
+                name: format!("engine bench / {}", scheme.name()),
+                data: DataSpec::synthetic(self.points_per_unit, self.dim),
+                optimizer: OptimizerSpec::FixedPoint,
+                iterations: self.rounds,
+                record_risk: false,
+                seed: self.seed,
+                ..ExperimentSpec::with_required(self.workers, self.units, scheme.spec())
+            })
+            .collect()
+    }
 }
 
 /// Per-scheme engine measurements.
@@ -95,88 +113,91 @@ pub struct EngineBenchRow {
 }
 
 /// The full benchmark result (serialized to `BENCH_round_engine.json`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct EngineBenchResult {
-    /// Schema tag for downstream tooling.
-    pub schema: String,
-    /// Backend measured.
-    pub backend: String,
-    /// The configuration measured.
-    pub config: EngineBenchConfig,
-    /// One row per scheme.
-    pub rows: Vec<EngineBenchRow>,
-}
+pub type EngineBenchResult = Artifact<EngineBenchConfig>;
 
-impl EngineBenchConfig {
-    /// The resolved specs this benchmark measures: fixed-point rounds
-    /// (no optimizer in the loop — pure engine throughput), one per paper
-    /// scheme.
-    #[must_use]
-    pub fn specs(&self) -> Vec<ExperimentSpec> {
-        super::scenario::paper_schemes(self.r)
-            .into_iter()
-            .map(|scheme| ExperimentSpec {
-                name: format!("engine bench / {}", scheme.name()),
-                workers: self.workers,
-                units: self.units,
-                scheme: scheme.spec(),
-                data: DataSpec::synthetic(self.points_per_unit, self.dim),
-                latency: LatencySpec::Ec2Like,
-                backend: BackendSpec::Virtual,
-                loss: LossSpec::Logistic,
-                optimizer: OptimizerSpec::FixedPoint,
-                policy: PolicySpec::default(),
-                mode: ModeSpec::default(),
-                controller: ControllerSpec::default(),
-                iterations: self.rounds,
-                record_risk: false,
-                seed: self.seed,
-            })
-            .collect()
+impl Grid for EngineBenchConfig {
+    type Cell = ExperimentSpec;
+    type Row = EngineBenchRow;
+
+    const TARGET: &'static str = "engine";
+    const ARTIFACT: &'static str = "round_engine";
+    const GATED: (&'static str, &'static str) = ("wall_seconds_per_round", "wall s/round");
+
+    fn config(options: Options) -> Self {
+        options.pick(Self::default_config, Self::fast)
     }
-}
 
-/// Runs the benchmark over the paper's scheme comparison set.
-///
-/// Each spec gets one untimed warmup run, then [`MEASURE_RUNS`] timed runs;
-/// the row reports the fastest (runs are seeded, so every repetition
-/// produces identical gradients and metrics — only host noise varies).
-#[must_use]
-pub fn run(config: &EngineBenchConfig) -> EngineBenchResult {
-    let rows = config
-        .specs()
-        .into_iter()
-        .map(|spec| {
-            let experiment =
-                Experiment::from_spec(spec).expect("engine bench specs are structurally valid");
-            // Warmup is discarded: its wall time includes page faults and
-            // cold caches, which the methodology promises to exclude. It
-            // also materializes the experiment's cached dataset, so the
-            // timed runs never re-allocate it.
-            let _ = experiment.run().expect("benchmark rounds complete");
-            let mut best = experiment.run().expect("benchmark rounds complete");
-            for _ in 1..MEASURE_RUNS {
-                let report = experiment.run().expect("benchmark rounds complete");
-                if report.wall_seconds < best.wall_seconds {
-                    best = report;
-                }
-            }
-            EngineBenchRow {
-                scheme: best.scheme,
-                rounds: config.rounds,
-                wall_seconds_per_round: best.wall_seconds / config.rounds as f64,
-                simulated_seconds_per_round: best.metrics.avg_round_time(),
-                avg_messages_used: best.metrics.avg_recovery_threshold(),
-                avg_communication_units: best.metrics.avg_communication_load(),
-            }
-        })
-        .collect();
+    fn cells(&self) -> Vec<ExperimentSpec> {
+        self.specs()
+    }
 
-    EngineBenchResult {
-        schema: "bcc/bench_round_engine/v1".into(),
-        backend: "virtual-des".into(),
-        config: config.clone(),
-        rows,
+    /// One untimed warmup run, then [`MEASURE_RUNS`] timed runs; the row
+    /// reports the fastest (runs are seeded, so every repetition produces
+    /// identical gradients and metrics — only host noise varies).
+    fn run_cell(&self, spec: &ExperimentSpec) -> EngineBenchRow {
+        let experiment =
+            Experiment::from_spec(spec.clone()).expect("engine bench specs are structurally valid");
+        // Warmup is discarded: its wall time includes page faults and
+        // cold caches, which the methodology promises to exclude. It
+        // also materializes the experiment's cached dataset, so the
+        // timed runs never re-allocate it.
+        let _ = experiment.run().expect("benchmark rounds complete");
+        let mut best = experiment.run().expect("benchmark rounds complete");
+        for _ in 1..MEASURE_RUNS {
+            let report = experiment.run().expect("benchmark rounds complete");
+            if report.wall_seconds < best.wall_seconds {
+                best = report;
+            }
+        }
+        EngineBenchRow {
+            scheme: best.scheme,
+            rounds: self.rounds,
+            wall_seconds_per_round: best.wall_seconds / self.rounds as f64,
+            simulated_seconds_per_round: best.metrics.avg_round_time(),
+            avg_messages_used: best.metrics.avg_recovery_threshold(),
+            avg_communication_units: best.metrics.avg_communication_load(),
+        }
+    }
+
+    fn key(row: &EngineBenchRow) -> String {
+        row.scheme.clone()
+    }
+
+    /// One grouped scenario: `experiments/bench_round_engine.spec.json`.
+    fn spec_dump(&self) -> Vec<(String, ScenarioSpec)> {
+        let scenario = ScenarioSpec {
+            name: "round-engine throughput".into(),
+            experiments: self.specs(),
+        };
+        vec![("bench_round_engine".into(), scenario)]
+    }
+
+    fn render(result: &EngineBenchResult) -> Table {
+        let mut table = Table::new(
+            format!(
+                "round engine, {} workers × {} rounds ({})",
+                result.config.workers,
+                result.config.rounds,
+                result.backend.as_deref().unwrap_or("-")
+            ),
+            &[
+                "scheme",
+                "wall µs/round",
+                "sim s/round",
+                "K (msgs)",
+                "L (units)",
+            ],
+        );
+        for row in &result.rows {
+            table.push_row(vec![
+                row.scheme.clone(),
+                f1(row.wall_seconds_per_round * 1e6),
+                f3(row.simulated_seconds_per_round),
+                f1(row.avg_messages_used),
+                f1(row.avg_communication_units),
+            ]);
+        }
+        table
     }
 }
 
@@ -239,18 +260,10 @@ pub struct GradientKernelRow {
 }
 
 /// The gradient-kernel result (serialized to `BENCH_gradient_kernel.json`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct GradientKernelResult {
-    /// Schema tag for downstream tooling.
-    pub schema: String,
-    /// The configuration measured.
-    pub config: GradientKernelConfig,
-    /// One row per loss.
-    pub rows: Vec<GradientKernelRow>,
-}
+pub type GradientKernelResult = Artifact<GradientKernelConfig>;
 
 /// Materialized inputs of one gradient-kernel comparison, shared by
-/// [`run_gradient_kernel`] and the criterion bench so the two cannot
+/// the [`Grid`] cell runner and the criterion bench so the two cannot
 /// drift apart.
 pub struct GradientKernelSetup {
     /// The synthetic dataset.
@@ -308,134 +321,116 @@ impl GradientKernelConfig {
     }
 }
 
-/// Runs the packed-vs-per-example kernel comparison.
-///
-/// Both paths compute the same per-unit partial gradients for every
-/// simulated worker (BCC-style: `units_per_worker` consecutive units per
-/// worker, all units covered): the per-example path is the pre-packing hot
-/// path — index gather through `Dataset::x(j)` and one `add_gradient` call
-/// per example through `&dyn Loss`, with fresh per-unit buffers — and the
-/// packed path streams the shared arena through reused scratch. The two
-/// results are asserted bit-identical before timing.
-///
-/// # Panics
-/// Panics when the paths disagree (the packed-kernel contract is broken)
-/// or the config does not tile its units evenly across workers.
-#[must_use]
-pub fn run_gradient_kernel(config: &GradientKernelConfig) -> GradientKernelResult {
-    let GradientKernelSetup {
-        data,
-        worker_units,
-        unit_ranges,
-        w,
-        units,
-    } = config.setup();
+impl Grid for GradientKernelConfig {
+    /// A loss by name. Logistic only: it is the loss of every paper
+    /// experiment and the one with the vectorizable coefficient map;
+    /// `SquaredLoss`'s packed kernels are pinned by the optim property
+    /// tests instead.
+    type Cell = (&'static str, &'static dyn Loss);
+    type Row = GradientKernelRow;
 
-    // Logistic only: it is the loss of every paper experiment and the one
-    // with the vectorizable coefficient map; SquaredLoss's packed kernels
-    // are pinned by the optim property tests instead.
-    let losses: [(&str, &dyn Loss); 1] = [("logistic", &LogisticLoss)];
-    let rows = losses
-        .iter()
-        .map(|(name, loss)| {
-            let mut scratch = GradScratch::new();
-            // Correctness gate: packed must equal per-example bit for bit.
-            for (list, ranges) in worker_units.iter().zip(&unit_ranges) {
-                let reference = units.worker_partials_dyn(&data, *loss, list, &w);
-                let packed =
-                    scratch.worker_partials(*loss, data.features(), data.labels(), ranges, &w);
-                assert_eq!(
-                    reference, packed,
-                    "packed kernels must match the per-example path bit for bit"
-                );
-            }
+    const TARGET: &'static str = "engine";
+    const ARTIFACT: &'static str = "gradient_kernel";
+    const BACKEND: Option<&'static str> = None;
+    /// The shipped hot path.
+    const GATED: (&'static str, &'static str) = ("packed_ns_per_sweep", "packed ns/sweep");
 
-            let mut per_example_best = f64::INFINITY;
-            let mut packed_best = f64::INFINITY;
-            for _ in 0..config.reps {
-                let t = Instant::now();
-                for list in &worker_units {
-                    let partials = units.worker_partials_dyn(&data, *loss, list, &w);
-                    std::hint::black_box(&partials);
-                }
-                per_example_best = per_example_best.min(t.elapsed().as_secs_f64());
-
-                let t = Instant::now();
-                for ranges in &unit_ranges {
-                    let partials =
-                        scratch.worker_partials(*loss, data.features(), data.labels(), ranges, &w);
-                    std::hint::black_box(&partials);
-                }
-                packed_best = packed_best.min(t.elapsed().as_secs_f64());
-            }
-            GradientKernelRow {
-                loss: (*name).to_string(),
-                per_example_ns_per_sweep: per_example_best * 1e9,
-                packed_ns_per_sweep: packed_best * 1e9,
-                speedup: per_example_best / packed_best,
-            }
-        })
-        .collect();
-
-    GradientKernelResult {
-        schema: "bcc/bench_gradient_kernel/v1".into(),
-        config: config.clone(),
-        rows,
+    fn config(options: Options) -> Self {
+        options.pick(Self::default_config, Self::fast)
     }
-}
 
-/// Renders the gradient-kernel result as a console table.
-#[must_use]
-pub fn render_gradient_kernel(result: &GradientKernelResult) -> Table {
-    let mut table = Table::new(
-        format!(
-            "gradient kernels, {} units x {} pts, dim {} (packed vs per-example)",
-            result.config.units, result.config.points_per_unit, result.config.dim
-        ),
-        &["loss", "per-example us", "packed us", "speedup"],
-    );
-    for row in &result.rows {
-        table.push_row(vec![
-            row.loss.clone(),
-            f1(row.per_example_ns_per_sweep / 1e3),
-            f1(row.packed_ns_per_sweep / 1e3),
-            format!("{:.2}x", row.speedup),
-        ]);
+    fn cells(&self) -> Vec<Self::Cell> {
+        vec![("logistic", &LogisticLoss)]
     }
-    table
-}
 
-/// Renders the result as a console table.
-#[must_use]
-pub fn render(result: &EngineBenchResult) -> Table {
-    let mut table = Table::new(
-        format!(
-            "round engine, {} workers × {} rounds ({})",
-            result.config.workers, result.config.rounds, result.backend
-        ),
-        &[
-            "scheme",
-            "wall µs/round",
-            "sim s/round",
-            "K (msgs)",
-            "L (units)",
-        ],
-    );
-    for row in &result.rows {
-        table.push_row(vec![
-            row.scheme.clone(),
-            f1(row.wall_seconds_per_round * 1e6),
-            f3(row.simulated_seconds_per_round),
-            f1(row.avg_messages_used),
-            f1(row.avg_communication_units),
-        ]);
+    /// Runs the packed-vs-per-example kernel comparison.
+    ///
+    /// Both paths compute the same per-unit partial gradients for every
+    /// simulated worker (BCC-style: `units_per_worker` consecutive units
+    /// per worker, all units covered): the per-example path is the
+    /// pre-packing hot path — index gather through `Dataset::x(j)` and one
+    /// `add_gradient` call per example through `&dyn Loss`, with fresh
+    /// per-unit buffers — and the packed path streams the shared arena
+    /// through reused scratch. The two results are asserted bit-identical
+    /// before timing.
+    ///
+    /// # Panics
+    /// Panics when the paths disagree (the packed-kernel contract is
+    /// broken) or the config does not tile its units evenly across
+    /// workers.
+    fn run_cell(&self, &(name, loss): &Self::Cell) -> GradientKernelRow {
+        let GradientKernelSetup {
+            data,
+            worker_units,
+            unit_ranges,
+            w,
+            units,
+        } = self.setup();
+        let mut scratch = GradScratch::new();
+        // Correctness gate: packed must equal per-example bit for bit.
+        for (list, ranges) in worker_units.iter().zip(&unit_ranges) {
+            let reference = units.worker_partials_dyn(&data, loss, list, &w);
+            let packed = scratch.worker_partials(loss, data.features(), data.labels(), ranges, &w);
+            assert_eq!(
+                reference, packed,
+                "packed kernels must match the per-example path bit for bit"
+            );
+        }
+
+        let mut per_example_best = f64::INFINITY;
+        let mut packed_best = f64::INFINITY;
+        for _ in 0..self.reps {
+            let t = Instant::now();
+            for list in &worker_units {
+                let partials = units.worker_partials_dyn(&data, loss, list, &w);
+                std::hint::black_box(&partials);
+            }
+            per_example_best = per_example_best.min(t.elapsed().as_secs_f64());
+
+            let t = Instant::now();
+            for ranges in &unit_ranges {
+                let partials =
+                    scratch.worker_partials(loss, data.features(), data.labels(), ranges, &w);
+                std::hint::black_box(&partials);
+            }
+            packed_best = packed_best.min(t.elapsed().as_secs_f64());
+        }
+        GradientKernelRow {
+            loss: name.to_string(),
+            per_example_ns_per_sweep: per_example_best * 1e9,
+            packed_ns_per_sweep: packed_best * 1e9,
+            speedup: per_example_best / packed_best,
+        }
     }
-    table
+
+    fn key(row: &GradientKernelRow) -> String {
+        row.loss.clone()
+    }
+
+    fn render(result: &GradientKernelResult) -> Table {
+        let mut table = Table::new(
+            format!(
+                "gradient kernels, {} units x {} pts, dim {} (packed vs per-example)",
+                result.config.units, result.config.points_per_unit, result.config.dim
+            ),
+            &["loss", "per-example us", "packed us", "speedup"],
+        );
+        for row in &result.rows {
+            table.push_row(vec![
+                row.loss.clone(),
+                f1(row.per_example_ns_per_sweep / 1e3),
+                f1(row.packed_ns_per_sweep / 1e3),
+                format!("{:.2}x", row.speedup),
+            ]);
+        }
+        table
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::grid::run;
 
     #[test]
     fn fast_bench_produces_sane_rows() {
@@ -463,23 +458,6 @@ mod tests {
             bcc.avg_messages_used < uncoded.avg_messages_used,
             "BCC must not wait for all workers"
         );
-        assert_eq!(render(&result).len(), 3);
-    }
-
-    #[test]
-    fn result_serializes_with_schema_tag() {
-        let result = run(&EngineBenchConfig {
-            workers: 6,
-            units: 6,
-            points_per_unit: 2,
-            dim: 3,
-            r: 2,
-            rounds: 2,
-            seed: 9,
-        });
-        let json = serde_json::to_string(&result).unwrap();
-        assert!(json.contains("bcc/bench_round_engine/v1"));
-        let back: EngineBenchResult = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, result);
+        assert_eq!(EngineBenchConfig::render(&result).len(), 3);
     }
 }

@@ -12,22 +12,19 @@
 //! wallclock (overlapped makespan for the stale modes, barrier sum for
 //! local SGD), final empirical risk, and the staleness actually incurred.
 //!
-//! Every cell is an independent seeded [`Experiment`] on the virtual
-//! backend (all times are deterministic simulated seconds), fanned over a
-//! crossbeam pool exactly like the
-//! [policy sweep](super::policy_sweep), and each cell's resolved
-//! [`ExperimentSpec`] is written under `experiments/modes/` — any cell
-//! replays standalone via `repro scenario`.
+//! Every cell is an independent seeded experiment on the virtual backend
+//! (all times are deterministic simulated seconds) — a pooled [`Grid`]
+//! exactly like the [policy sweep](super::policy_sweep) — and each cell's
+//! resolved [`ExperimentSpec`] is written under `experiments/modes/`: any
+//! cell replays standalone via `repro scenario`.
 
+use super::policy_sweep::mean_gradient_error;
+use crate::experiments::scenario::partial_readout_schemes;
+use crate::grid::{run_spec, Artifact, Grid, Options};
 use crate::report::{f1, f3, Table};
-use bcc_core::experiment::{
-    BackendSpec, ControllerSpec, DataSpec, Experiment, ExperimentSpec, LatencySpec, LossSpec,
-    ModeSpec, OptimizerSpec, PolicySpec,
-};
-use bcc_core::schemes::SchemeConfig;
+use bcc_core::experiment::{DataSpec, ExperimentSpec, LatencySpec, ModeSpec, OptimizerSpec};
 use bcc_optim::LearningRate;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Configuration of one training-mode grid run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -93,47 +90,13 @@ impl ModesConfig {
         }
     }
 
-    /// The straggler models this grid crosses — the two regimes where
-    /// round-overlap pays: the heavy tail (rare order-of-magnitude
-    /// stragglers) and the bimodal cluster with a persistently slow
-    /// subset, both calibrated like the
-    /// [straggler sweep](super::sweep::SweepConfig::model_zoo)'s members.
+    /// The straggler models this grid crosses — the two regimes of the
+    /// [model zoo](super::sweep::model_zoo) where round-overlap pays: the
+    /// heavy tail (rare order-of-magnitude stragglers) and the bimodal
+    /// cluster with a persistently slow subset.
     #[must_use]
     pub fn models(&self) -> Vec<(&'static str, LatencySpec)> {
-        let (per_message_overhead, per_unit) = (0.002, 0.004);
-        vec![
-            (
-                "pareto",
-                LatencySpec::Pareto {
-                    shape: 1.5,
-                    scale: 0.0015,
-                    per_message_overhead,
-                    per_unit,
-                },
-            ),
-            (
-                "bimodal",
-                LatencySpec::Bimodal {
-                    mu: 1000.0,
-                    a: 0.001,
-                    slow_workers: (self.workers / 10).max(1),
-                    slow_probability: 0.3,
-                    slowdown: 8.0,
-                    per_message_overhead,
-                    per_unit,
-                },
-            ),
-        ]
-    }
-
-    /// The schemes this grid crosses — the paper's comparison triple.
-    #[must_use]
-    pub fn schemes(&self) -> Vec<SchemeConfig> {
-        vec![
-            SchemeConfig::Uncoded,
-            SchemeConfig::Bcc { r: self.r },
-            SchemeConfig::FractionalRepetition { r: self.r },
-        ]
+        super::sweep::zoo_members(self.workers, &["pareto", "bimodal"])
     }
 
     /// The mode columns: every builtin, parameterized from the config.
@@ -154,27 +117,21 @@ impl ModesConfig {
     pub fn cells(&self) -> Vec<(String, ExperimentSpec)> {
         let mut cells = Vec::new();
         for (model, latency) in self.models() {
-            for scheme in self.schemes() {
+            for scheme in partial_readout_schemes(self.r) {
                 for mode in self.modes() {
                     let name = format!("{model}_{}_{}", scheme.name(), mode.name);
                     let spec = ExperimentSpec {
                         name: format!("modes / {model} / {} / {}", scheme.name(), mode.name),
-                        workers: self.workers,
-                        units: self.units,
-                        scheme: scheme.spec(),
                         data: DataSpec::synthetic(self.points_per_unit, self.dim),
                         latency: latency.clone(),
-                        backend: BackendSpec::Virtual,
-                        loss: LossSpec::Logistic,
                         optimizer: OptimizerSpec::GradientDescent {
                             rate: LearningRate::Constant(self.rate),
                         },
-                        policy: PolicySpec::default(),
                         mode: mode.clone(),
-                        controller: ControllerSpec::default(),
                         iterations: self.iterations,
                         record_risk: true,
                         seed: self.seed,
+                        ..ExperimentSpec::with_required(self.workers, self.units, scheme.spec())
                     };
                     cells.push((name, spec));
                 }
@@ -221,28 +178,13 @@ pub struct ModeCellRow {
 }
 
 /// The full grid result (serialized to `BENCH_modes.json`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ModesResult {
-    /// Schema tag for downstream tooling.
-    pub schema: String,
-    /// Backend measured.
-    pub backend: String,
-    /// The configuration measured.
-    pub config: ModesConfig,
-    /// Worker threads the cell pool actually used.
-    pub threads_used: usize,
-    /// One row per cell, in grid order (model-major, then scheme, then
-    /// mode).
-    pub rows: Vec<ModeCellRow>,
-}
+pub type ModesResult = Artifact<ModesConfig>;
 
 impl ModesResult {
     /// Row lookup by `(model, scheme, mode)`.
     #[must_use]
     pub fn row(&self, model: &str, scheme: &str, mode: &str) -> Option<&ModeCellRow> {
-        self.rows
-            .iter()
-            .find(|r| r.model == model && r.scheme == scheme && r.mode == mode)
+        self.find(&format!("{model}/{scheme}/{mode}"))
     }
 
     /// The cells where a non-synchronous mode beat `ssgd` on simulated
@@ -251,168 +193,117 @@ impl ModesResult {
     /// `(model, scheme, mode, wallclock speedup)` tuples.
     #[must_use]
     pub fn wins_over_ssgd(&self, risk_slack: f64) -> Vec<(String, String, String, f64)> {
-        let mut wins = Vec::new();
-        for row in &self.rows {
-            if row.mode == ModeSpec::DEFAULT_NAME {
-                continue;
-            }
-            let Some(base) = self.row(&row.model, &row.scheme, ModeSpec::DEFAULT_NAME) else {
-                continue;
-            };
-            if row.simulated_seconds < base.simulated_seconds
-                && row.final_risk <= base.final_risk * (1.0 + risk_slack)
-            {
-                wins.push((
-                    row.model.clone(),
-                    row.scheme.clone(),
-                    row.mode.clone(),
-                    base.simulated_seconds / row.simulated_seconds,
-                ));
-            }
+        let ssgd = |r: &ModeCellRow| format!("{}/{}/{}", r.model, r.scheme, ModeSpec::DEFAULT_NAME);
+        self.wins_over(ssgd, |r| (r.simulated_seconds, r.final_risk), risk_slack)
+            .into_iter()
+            .map(|(r, speedup)| (r.model.clone(), r.scheme.clone(), r.mode.clone(), speedup))
+            .collect()
+    }
+}
+
+impl Grid for ModesConfig {
+    type Cell = (String, ExperimentSpec);
+    type Row = ModeCellRow;
+
+    const TARGET: &'static str = "modes";
+    const ARTIFACT: &'static str = "modes";
+    const GATED: (&'static str, &'static str) = ("simulated_seconds", "simulated s");
+
+    fn config(options: Options) -> Self {
+        options.pick(Self::default_config, Self::fast)
+    }
+
+    fn threads(&self) -> Option<usize> {
+        Some(self.threads)
+    }
+
+    fn cells(&self) -> Vec<Self::Cell> {
+        ModesConfig::cells(self)
+    }
+
+    /// Trains the cell's experiment under its mode and reduces the
+    /// per-round samples to the tradeoff row.
+    fn run_cell(&self, (_, spec): &Self::Cell) -> ModeCellRow {
+        let report = run_spec(spec);
+        let rounds = report.round_samples.len();
+        let staleness: Vec<usize> = report.round_samples.iter().map(|s| s.staleness).collect();
+        ModeCellRow {
+            model: spec.latency.model_name().to_string(),
+            scheme: report.scheme,
+            mode: spec.mode.name.clone(),
+            rounds,
+            simulated_seconds: report.simulated_seconds,
+            total_round_time: report.metrics.total_time,
+            avg_messages_used: report.metrics.avg_recovery_threshold(),
+            mean_staleness: staleness.iter().sum::<usize>() as f64 / rounds.max(1) as f64,
+            max_staleness: staleness.iter().copied().max().unwrap_or(0),
+            mean_gradient_error: mean_gradient_error(&report.round_samples),
+            final_risk: report.trace.final_risk().unwrap_or(f64::NAN),
+            wall_seconds: report.wall_seconds,
         }
-        wins
     }
-}
 
-/// Runs one cell: build the experiment, train under the cell's mode,
-/// reduce the per-round samples to the cell row.
-fn run_cell(model: &str, mode: &str, spec: &ExperimentSpec) -> ModeCellRow {
-    let report = Experiment::from_spec(spec.clone())
-        .expect("mode cells are structurally valid")
-        .run()
-        .expect("mode cells complete every round (no dead workers)");
-    let rounds = report.round_samples.len();
-    let staleness: Vec<usize> = report.round_samples.iter().map(|s| s.staleness).collect();
-    let mean_staleness = staleness.iter().sum::<usize>() as f64 / rounds.max(1) as f64;
-    let errors: Vec<f64> = report
-        .round_samples
-        .iter()
-        .filter_map(|s| s.gradient_error)
-        .collect();
-    let mean_gradient_error = if errors.is_empty() {
-        0.0
-    } else {
-        errors.iter().sum::<f64>() / errors.len() as f64
-    };
-    ModeCellRow {
-        model: model.to_string(),
-        scheme: report.scheme,
-        mode: mode.to_string(),
-        rounds,
-        simulated_seconds: report.simulated_seconds,
-        total_round_time: report.metrics.total_time,
-        avg_messages_used: report.metrics.avg_recovery_threshold(),
-        mean_staleness,
-        max_staleness: staleness.iter().copied().max().unwrap_or(0),
-        mean_gradient_error,
-        final_risk: report.trace.final_risk().unwrap_or(f64::NAN),
-        wall_seconds: report.wall_seconds,
+    fn key(row: &ModeCellRow) -> String {
+        format!("{}/{}/{}", row.model, row.scheme, row.mode)
     }
-}
 
-/// Runs the whole grid across a scoped worker pool (one atomic work
-/// index; results re-sorted into grid order, so the output is identical
-/// for any thread count).
-///
-/// # Panics
-/// Panics when a cell fails to build or complete (the grid keeps every
-/// worker alive, and every mode is validated against the config).
-#[must_use]
-pub fn run(config: &ModesConfig) -> ModesResult {
-    let cells = config.cells();
-    let threads = if config.threads == 0 {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    } else {
-        config.threads
+    fn cell_spec(&self, cell: &Self::Cell) -> Option<(String, ExperimentSpec)> {
+        Some(cell.clone())
     }
-    .min(cells.len())
-    .max(1);
 
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = crossbeam_channel::unbounded::<(usize, ModeCellRow)>();
-    crossbeam::scope(|scope| {
-        for _ in 0..threads {
-            let tx = tx.clone();
-            let (next, cells) = (&next, &cells);
-            scope.spawn(move |_| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some((_, spec)) = cells.get(i) else { break };
-                let row = run_cell(spec.latency.model_name(), &spec.mode.name, spec);
-                if tx.send((i, row)).is_err() {
-                    break;
-                }
-            });
+    /// Each (model, scheme) block reads as one risk-vs-wallclock curve
+    /// across the mode column.
+    fn render(result: &ModesResult) -> Table {
+        let mut t = Table::new(
+            format!(
+                "training modes — {} workers, {} iterations/cell, {} threads",
+                result.config.workers,
+                result.config.iterations,
+                result.threads_used.unwrap_or(1)
+            ),
+            &[
+                "model",
+                "scheme",
+                "mode",
+                "rounds",
+                "K (msgs)",
+                "staleness",
+                "grad err",
+                "wallclock s",
+                "vs ssgd",
+                "final risk",
+            ],
+        );
+        for row in &result.rows {
+            let speedup = result
+                .row(&row.model, &row.scheme, ModeSpec::DEFAULT_NAME)
+                .map_or_else(
+                    || "-".into(),
+                    |base| format!("{:.2}x", base.simulated_seconds / row.simulated_seconds),
+                );
+            t.push_row(vec![
+                row.model.clone(),
+                row.scheme.clone(),
+                row.mode.clone(),
+                row.rounds.to_string(),
+                f1(row.avg_messages_used),
+                format!("{:.2}/{}", row.mean_staleness, row.max_staleness),
+                format!("{:.2e}", row.mean_gradient_error),
+                f3(row.simulated_seconds),
+                speedup,
+                format!("{:.4}", row.final_risk),
+            ]);
         }
-    })
-    .expect("modes-grid worker panicked");
-    drop(tx);
-
-    let mut indexed: Vec<(usize, ModeCellRow)> = Vec::with_capacity(cells.len());
-    while let Ok(pair) = rx.try_recv() {
-        indexed.push(pair);
+        t
     }
-    indexed.sort_by_key(|(i, _)| *i);
-    assert_eq!(indexed.len(), cells.len(), "every cell must report");
-
-    ModesResult {
-        schema: "bcc/bench_modes/v1".into(),
-        backend: "virtual-des".into(),
-        config: config.clone(),
-        threads_used: threads,
-        rows: indexed.into_iter().map(|(_, row)| row).collect(),
-    }
-}
-
-/// Renders the grid as a console table — each (model, scheme) block reads
-/// as one risk-vs-wallclock curve across the mode column.
-#[must_use]
-pub fn render(result: &ModesResult) -> Table {
-    let mut t = Table::new(
-        format!(
-            "training modes — {} workers, {} iterations/cell, {} threads",
-            result.config.workers, result.config.iterations, result.threads_used
-        ),
-        &[
-            "model",
-            "scheme",
-            "mode",
-            "rounds",
-            "K (msgs)",
-            "staleness",
-            "grad err",
-            "wallclock s",
-            "vs ssgd",
-            "final risk",
-        ],
-    );
-    for row in &result.rows {
-        let speedup = result
-            .row(&row.model, &row.scheme, ModeSpec::DEFAULT_NAME)
-            .map_or_else(
-                || "-".into(),
-                |base| format!("{:.2}x", base.simulated_seconds / row.simulated_seconds),
-            );
-        t.push_row(vec![
-            row.model.clone(),
-            row.scheme.clone(),
-            row.mode.clone(),
-            row.rounds.to_string(),
-            f1(row.avg_messages_used),
-            format!("{:.2}/{}", row.mean_staleness, row.max_staleness),
-            format!("{:.2e}", row.mean_gradient_error),
-            f3(row.simulated_seconds),
-            speedup,
-            format!("{:.4}", row.final_risk),
-        ]);
-    }
-    t
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::grid::run;
 
-    fn tiny() -> ModesConfig {
+    pub(crate) fn tiny() -> ModesConfig {
         ModesConfig {
             workers: 10,
             units: 10,
@@ -448,7 +339,7 @@ mod tests {
         for mode in ["ssgd", "ssp", "asgd", "local-sgd"] {
             assert!(result.rows.iter().any(|r| r.mode == mode), "{mode}");
         }
-        assert_eq!(render(&result).len(), result.rows.len());
+        assert_eq!(ModesConfig::render(&result).len(), result.rows.len());
     }
 
     #[test]
@@ -499,24 +390,5 @@ mod tests {
         for (_, _, _, speedup) in &overlap {
             assert!(*speedup > 1.0);
         }
-    }
-
-    #[test]
-    fn results_are_thread_count_invariant() {
-        let strip = |mut rows: Vec<ModeCellRow>| {
-            for row in &mut rows {
-                row.wall_seconds = 0.0;
-            }
-            rows
-        };
-        let serial = run(&ModesConfig {
-            threads: 1,
-            ..tiny()
-        });
-        let parallel = run(&ModesConfig {
-            threads: 4,
-            ..tiny()
-        });
-        assert_eq!(strip(serial.rows), strip(parallel.rows));
     }
 }

@@ -28,11 +28,12 @@
 //! jitter into the shared delay stream on both the TCP run and its
 //! virtual twin.
 
+use crate::grid::{Artifact, Grid, Options};
 use crate::report::{f1, f3, Table};
 use bcc_cluster::backend::FixedPointDriver;
 use bcc_cluster::{
     straggler, BackendConfig, BestEffortAll, ClusterBackend, ClusterProfile, CommModel,
-    RoundOutcome, StragglerModel, UnitMap, VirtualCluster, WanLinkModel, WorkerProfile,
+    RoundOutcome, UnitMap, VirtualCluster, WanLinkModel, WorkerProfile,
 };
 use bcc_coding::{BccScheme, GradientCodingScheme, UncodedScheme};
 use bcc_data::synthetic::{generate, SyntheticConfig};
@@ -199,28 +200,22 @@ pub struct NetCellRow {
     pub reconnects: u64,
 }
 
-/// The artifact behind `BENCH_net.json`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct NetBenchResult {
-    /// Schema tag (`bcc/bench_net/v2`).
-    pub schema: String,
-    /// Backend the cells ran on.
-    pub backend: String,
-    /// The configuration measured.
-    pub config: NetBenchConfig,
-    /// One row per cell.
-    pub rows: Vec<NetCellRow>,
-}
+/// The artifact behind `BENCH_net.json` (schema `bcc/bench_net/v2`).
+pub type NetBenchResult = Artifact<NetBenchConfig>;
+
+pub use crate::grid::run;
 
 impl NetBenchResult {
     /// The row for `cell`, if measured.
     #[must_use]
     pub fn row(&self, cell: &str) -> Option<&NetCellRow> {
-        self.rows.iter().find(|r| r.cell == cell)
+        self.find(cell)
     }
 }
 
-struct Cell {
+/// One benchmark cell before it is measured.
+#[derive(Debug)]
+pub struct Cell {
     name: &'static str,
     scheme: Box<dyn GradientCodingScheme>,
     policy: &'static str,
@@ -315,107 +310,94 @@ struct NetRun {
     round_wall_seconds: Vec<f64>,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_net_cell(
-    cell: &Cell,
-    cfg: &NetBenchConfig,
-    profile: &ClusterProfile,
-    model: &Arc<dyn StragglerModel>,
-    units: &UnitMap,
-    data: &bcc_data::Dataset,
-    weights: &[f64],
-    pipelined: bool,
-) -> NetRun {
-    let mut config = BackendConfig::new()
-        .pipelining(pipelined)
-        .straggler_model(Arc::clone(model));
-    if cell.policy == "best-effort-all" {
-        config = config.aggregation_policy(Arc::new(BestEffortAll));
-    }
-    let mut net =
-        LocalNetCluster::new(profile.clone(), cfg.seed, cfg.time_scale).configured(config);
-    if let Some((worker, round)) = cell.fail_at {
-        net.fail_worker_at(worker, round);
-    }
-    let mut driver = FixedPointDriver::new(weights.to_vec());
-    net.run_rounds(
-        cfg.rounds,
-        cell.scheme.as_ref(),
-        units,
-        data,
-        &LogisticLoss,
-        &mut driver,
-    )
-    .unwrap_or_else(|e| {
-        panic!(
-            "net cell `{}` ({} path) failed: {e}",
-            cell.name,
-            if pipelined { "pipelined" } else { "serial" }
-        )
-    });
-    let stats = net.last_net_stats().expect("stats after a run");
-    let round_wall_seconds = driver
-        .outcomes
-        .iter()
-        .map(|o| o.metrics.total_time * cfg.time_scale)
-        .collect();
-    NetRun {
-        outcomes: driver.outcomes,
-        stats,
-        round_wall_seconds,
-    }
-}
+impl Grid for NetBenchConfig {
+    type Cell = Cell;
+    type Row = NetCellRow;
 
-/// Runs the full grid: every cell on loopback TCP — serial and pipelined
-/// fan-out — plus its virtual twin.
-///
-/// # Panics
-/// Panics when a cell cannot complete — a benchmark that cannot run its
-/// own cells has no artifact to write.
-#[must_use]
-pub fn run(cfg: &NetBenchConfig) -> NetBenchResult {
-    let num_examples = cfg.units * cfg.points_per_unit;
-    let data = generate(&SyntheticConfig::small(num_examples, cfg.dim, cfg.seed));
-    let units = UnitMap::grouped(num_examples, cfg.units);
-    let profile = cfg.profile();
-    let weights = vec![0.0; cfg.dim];
-    let base_model = straggler::default_model(&profile);
-    let wan_model: Arc<dyn StragglerModel> = Arc::new(WanLinkModel::wrap(
-        Arc::clone(&base_model),
-        cfg.wan_latency,
-        cfg.wan_jitter,
-    ));
+    const TARGET: &'static str = "net";
+    const ARTIFACT: &'static str = "net";
+    const VERSION: u32 = 2;
+    const BACKEND: Option<&'static str> = Some("tcp-local");
+    /// Messages per round are deterministic on the staircase profile, so
+    /// drift is a protocol-behaviour change; wall times and byte counts
+    /// ride along ungated — loopback TCP timing is host property.
+    const GATED: (&'static str, &'static str) = ("avg_messages_used", "messages/round");
+    const CLAIM: &'static str =
+        "every cell has `gradients_match_virtual` and `pipelined_matches_serial`";
 
-    let mut rows = Vec::new();
-    for cell in cells(cfg) {
-        let model = if cell.wan { &wan_model } else { &base_model };
-
-        let serial = run_net_cell(
-            &cell,
-            cfg,
-            &profile,
-            model,
-            &units,
-            &data.dataset,
-            &weights,
-            false,
-        );
-        let pipelined = run_net_cell(
-            &cell,
-            cfg,
-            &profile,
-            model,
-            &units,
-            &data.dataset,
-            &weights,
-            true,
-        );
-
-        let mut config = BackendConfig::new().straggler_model(Arc::clone(model));
-        if cell.policy == "best-effort-all" {
-            config = config.aggregation_policy(Arc::new(BestEffortAll));
+    fn config(options: Options) -> Self {
+        let mut cfg = options.pick(Self::default_config, Self::fast);
+        if options.wan {
+            let wan = Self::wan();
+            cfg.wan_latency = wan.wan_latency;
+            cfg.wan_jitter = wan.wan_jitter;
         }
-        let mut virt = VirtualCluster::new(profile.clone(), cfg.seed).configured(config);
+        cfg
+    }
+
+    fn cells(&self) -> Vec<Cell> {
+        cells(self)
+    }
+
+    /// Runs one cell on loopback TCP — serial and pipelined fan-out — plus
+    /// its virtual twin.
+    fn run_cell(&self, cell: &Cell) -> NetCellRow {
+        let cfg = self;
+        let num_examples = cfg.units * cfg.points_per_unit;
+        let data = generate(&SyntheticConfig::small(num_examples, cfg.dim, cfg.seed)).dataset;
+        let units = UnitMap::grouped(num_examples, cfg.units);
+        let profile = cfg.profile();
+        let weights = vec![0.0; cfg.dim];
+        let mut model = straggler::default_model(&profile);
+        if cell.wan {
+            model = Arc::new(WanLinkModel::wrap(model, cfg.wan_latency, cfg.wan_jitter));
+        }
+        let backend_config = || {
+            let config = BackendConfig::new().straggler_model(Arc::clone(&model));
+            if cell.policy == "best-effort-all" {
+                config.aggregation_policy(Arc::new(BestEffortAll))
+            } else {
+                config
+            }
+        };
+
+        let run_over_tcp = |pipelined: bool| {
+            let mut net = LocalNetCluster::new(profile.clone(), cfg.seed, cfg.time_scale)
+                .configured(backend_config().pipelining(pipelined));
+            if let Some((worker, round)) = cell.fail_at {
+                net.fail_worker_at(worker, round);
+            }
+            let mut driver = FixedPointDriver::new(weights.clone());
+            net.run_rounds(
+                cfg.rounds,
+                cell.scheme.as_ref(),
+                &units,
+                &data,
+                &LogisticLoss,
+                &mut driver,
+            )
+            .unwrap_or_else(|e| {
+                panic!(
+                    "net cell `{}` ({} path) failed: {e}",
+                    cell.name,
+                    if pipelined { "pipelined" } else { "serial" }
+                )
+            });
+            let round_wall_seconds = driver
+                .outcomes
+                .iter()
+                .map(|o| o.metrics.total_time * cfg.time_scale)
+                .collect();
+            NetRun {
+                outcomes: driver.outcomes,
+                stats: net.last_net_stats().expect("stats after a run"),
+                round_wall_seconds,
+            }
+        };
+        let serial = run_over_tcp(false);
+        let pipelined = run_over_tcp(true);
+
+        let mut virt = VirtualCluster::new(profile.clone(), cfg.seed).configured(backend_config());
         if let Some((worker, _)) = cell.fail_at {
             // The virtual twin has no mid-round socket to drop; killing
             // the worker up front yields the same per-round message sets
@@ -427,7 +409,7 @@ pub fn run(cfg: &NetBenchConfig) -> NetBenchResult {
             cfg.rounds,
             cell.scheme.as_ref(),
             &units,
-            &data.dataset,
+            &data,
             &LogisticLoss,
             &mut virt_driver,
         )
@@ -446,7 +428,7 @@ pub fn run(cfg: &NetBenchConfig) -> NetBenchResult {
                 .round_wall_seconds
                 .iter()
                 .fold(f64::INFINITY, |a, &b| a.min(b));
-        rows.push(NetCellRow {
+        NetCellRow {
             cell: cell.name.to_string(),
             scheme: cell.scheme.name().to_string(),
             policy: cell.policy.to_string(),
@@ -480,21 +462,35 @@ pub fn run(cfg: &NetBenchConfig) -> NetBenchResult {
             deaths: pipelined.stats.deaths,
             reconnects: pipelined.stats.reconnects,
             round_wall_seconds: pipelined.round_wall_seconds,
-        });
+        }
     }
 
-    NetBenchResult {
-        schema: "bcc/bench_net/v2".into(),
-        backend: "tcp-local".into(),
-        config: cfg.clone(),
-        rows,
+    fn key(row: &NetCellRow) -> String {
+        row.cell.clone()
     }
-}
 
-/// Renders the result as a console table.
-#[must_use]
-pub fn render(result: &NetBenchResult) -> Table {
-    let mut t = Table::new(
+    /// A backend that diverges from its own references has no baseline
+    /// worth comparing against.
+    fn claim(current: &NetBenchResult) -> Result<(), String> {
+        if let Some(broken) = current.rows.iter().find(|r| !r.gradients_match_virtual) {
+            return Err(format!(
+                "cell `{}` no longer matches the virtual backend bit for bit — \
+                 cross-backend equivalence must hold before perf is worth comparing",
+                broken.cell
+            ));
+        }
+        if let Some(broken) = current.rows.iter().find(|r| !r.pipelined_matches_serial) {
+            return Err(format!(
+                "cell `{}`'s pipelined fan-out no longer reproduces the serial path — \
+                 pipelining must stay a pure latency optimisation",
+                broken.cell
+            ));
+        }
+        Ok(())
+    }
+
+    fn render(result: &NetBenchResult) -> Table {
+        let mut t = Table::new(
         format!(
             "networked backend — {} rounds/cell over loopback TCP (time scale {}), serial vs pipelined fan-out",
             result.config.rounds, result.config.time_scale
@@ -514,31 +510,32 @@ pub fn render(result: &NetBenchResult) -> Table {
             "grad = virtual",
         ],
     );
-    for r in &result.rows {
-        t.push_row(vec![
-            r.cell.clone(),
-            r.scheme.clone(),
-            r.policy.clone(),
-            f1(r.avg_messages_used),
-            f3(r.mean_round_wall_seconds),
-            f3(r.serial_mean_round_wall_seconds),
-            format!("{:.2}x", r.pipelined_speedup),
-            r.max_queue_depth.to_string(),
-            r.flushes.to_string(),
-            r.deaths.to_string(),
-            if r.pipelined_matches_serial {
-                "yes".into()
-            } else {
-                "NO".into()
-            },
-            if r.gradients_match_virtual {
-                "yes".into()
-            } else {
-                "NO".into()
-            },
-        ]);
+        for r in &result.rows {
+            t.push_row(vec![
+                r.cell.clone(),
+                r.scheme.clone(),
+                r.policy.clone(),
+                f1(r.avg_messages_used),
+                f3(r.mean_round_wall_seconds),
+                f3(r.serial_mean_round_wall_seconds),
+                format!("{:.2}x", r.pipelined_speedup),
+                r.max_queue_depth.to_string(),
+                r.flushes.to_string(),
+                r.deaths.to_string(),
+                if r.pipelined_matches_serial {
+                    "yes".into()
+                } else {
+                    "NO".into()
+                },
+                if r.gradients_match_virtual {
+                    "yes".into()
+                } else {
+                    "NO".into()
+                },
+            ]);
+        }
+        t
     }
-    t
 }
 
 impl NetCellRow {
@@ -632,16 +629,5 @@ mod tests {
                 lan.mean_round_wall_seconds,
             );
         }
-    }
-
-    #[test]
-    fn result_roundtrips_through_json() {
-        let result = run(&NetBenchConfig {
-            rounds: 1,
-            ..NetBenchConfig::fast()
-        });
-        let json = serde_json::to_string_pretty(&result).unwrap();
-        let back: NetBenchResult = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, result);
     }
 }

@@ -10,22 +10,18 @@
 //! the approximate rounds — exact rounds are free of error by
 //! construction, approximate rounds buy their speed with it.
 //!
-//! Every cell is an independent seeded [`Experiment`] on the virtual
-//! backend (so all times are deterministic simulated seconds), fanned over
-//! a crossbeam pool exactly like the
-//! [straggler sweep](super::sweep), and each cell's resolved
-//! [`ExperimentSpec`] is written under `experiments/policy/` — any cell
-//! replays standalone via `repro scenario`.
+//! Every cell is an independent seeded experiment on the virtual backend
+//! (so all times are deterministic simulated seconds) — a pooled [`Grid`]
+//! exactly like the [straggler sweep](super::sweep) — and each cell's
+//! resolved [`ExperimentSpec`] is written under `experiments/policy/`: any
+//! cell replays standalone via `repro scenario`.
 
+use crate::experiments::scenario::partial_readout_schemes;
+use crate::grid::{run_spec, Artifact, Grid, Options};
 use crate::report::{f1, f3, Table};
-use bcc_core::experiment::{
-    BackendSpec, ControllerSpec, DataSpec, Experiment, ExperimentSpec, LatencySpec, LossSpec,
-    ModeSpec, OptimizerSpec, PolicySpec,
-};
-use bcc_core::schemes::SchemeConfig;
+use bcc_core::experiment::{DataSpec, ExperimentSpec, LatencySpec, OptimizerSpec, PolicySpec};
 use bcc_stats::summary::quantile;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Configuration of one policy-tradeoff run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -88,35 +84,10 @@ impl PolicySweepConfig {
     }
 
     /// The straggler models this grid crosses: the paper's baseline and
-    /// the heavy tail, calibrated like the
-    /// [straggler sweep](super::sweep::SweepConfig::model_zoo)'s members.
+    /// the heavy tail of the [model zoo](super::sweep::model_zoo).
     #[must_use]
     pub fn models(&self) -> Vec<(&'static str, LatencySpec)> {
-        let (per_message_overhead, per_unit) = (0.002, 0.004);
-        vec![
-            ("shifted-exp", LatencySpec::Ec2Like),
-            (
-                "pareto",
-                LatencySpec::Pareto {
-                    shape: 1.5,
-                    scale: 0.0015,
-                    per_message_overhead,
-                    per_unit,
-                },
-            ),
-        ]
-    }
-
-    /// The schemes this grid crosses — the ones whose decoders support
-    /// partial readout (sum/coverage structure), so every policy is
-    /// meaningful on every row.
-    #[must_use]
-    pub fn schemes(&self) -> Vec<SchemeConfig> {
-        vec![
-            SchemeConfig::Uncoded,
-            SchemeConfig::Bcc { r: self.r },
-            SchemeConfig::FractionalRepetition { r: self.r },
-        ]
+        super::sweep::zoo_members(self.workers, &["shifted-exp", "pareto"])
     }
 
     /// The policy columns: every builtin, parameterized from the config.
@@ -137,25 +108,19 @@ impl PolicySweepConfig {
     pub fn cells(&self) -> Vec<(String, ExperimentSpec)> {
         let mut cells = Vec::new();
         for (model, latency) in self.models() {
-            for scheme in self.schemes() {
+            for scheme in partial_readout_schemes(self.r) {
                 for policy in self.policies() {
                     let name = format!("{model}_{}_{}", scheme.name(), policy.name);
                     let spec = ExperimentSpec {
                         name: format!("policy / {model} / {} / {}", scheme.name(), policy.name),
-                        workers: self.workers,
-                        units: self.units,
-                        scheme: scheme.spec(),
                         data: DataSpec::synthetic(self.points_per_unit, self.dim),
                         latency: latency.clone(),
-                        backend: BackendSpec::Virtual,
-                        loss: LossSpec::Logistic,
                         optimizer: OptimizerSpec::nesterov(0.5),
                         policy: policy.clone(),
-                        mode: ModeSpec::default(),
-                        controller: ControllerSpec::default(),
                         iterations: self.iterations,
                         record_risk: true,
                         seed: self.seed,
+                        ..ExperimentSpec::with_required(self.workers, self.units, scheme.spec())
                     };
                     cells.push((name, spec));
                 }
@@ -201,166 +166,126 @@ pub struct PolicyCellRow {
 }
 
 /// The full grid result (serialized to `BENCH_policy_tradeoff.json`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PolicySweepResult {
-    /// Schema tag for downstream tooling.
-    pub schema: String,
-    /// Backend measured.
-    pub backend: String,
-    /// The configuration measured.
-    pub config: PolicySweepConfig,
-    /// Worker threads the cell pool actually used.
-    pub threads_used: usize,
-    /// One row per cell, in grid order (model-major, then scheme, then
-    /// policy).
-    pub rows: Vec<PolicyCellRow>,
-}
+pub type PolicySweepResult = Artifact<PolicySweepConfig>;
 
 impl PolicySweepResult {
     /// Row lookup by `(model, scheme, policy)`.
     #[must_use]
     pub fn row(&self, model: &str, scheme: &str, policy: &str) -> Option<&PolicyCellRow> {
-        self.rows
-            .iter()
-            .find(|r| r.model == model && r.scheme == scheme && r.policy == policy)
+        self.find(&format!("{model}/{scheme}/{policy}"))
     }
 }
 
-/// Runs one cell: build the experiment, train, reduce the per-round
-/// samples to the cell row.
-fn run_cell(model: &str, policy: &str, spec: &ExperimentSpec) -> PolicyCellRow {
-    let report = Experiment::from_spec(spec.clone())
-        .expect("policy cells are structurally valid")
-        .run()
-        .expect("policy cells complete every round (no dead workers)");
-    let times: Vec<f64> = report.round_samples.iter().map(|s| s.total_time).collect();
-    let coverage: f64 = report
-        .round_samples
-        .iter()
-        .map(bcc_cluster::RoundSample::coverage_fraction)
-        .sum::<f64>()
-        / report.round_samples.len().max(1) as f64;
-    let exact_rounds = report.round_samples.iter().filter(|s| s.exact).count();
-    let errors: Vec<f64> = report
-        .round_samples
-        .iter()
-        .filter_map(|s| s.gradient_error)
-        .collect();
-    let mean_gradient_error = if errors.is_empty() {
+impl Grid for PolicySweepConfig {
+    type Cell = (String, ExperimentSpec);
+    type Row = PolicyCellRow;
+
+    const TARGET: &'static str = "policy";
+    const ARTIFACT: &'static str = "policy_tradeoff";
+    const GATED: (&'static str, &'static str) = ("mean_round_time", "simulated s/round");
+
+    fn config(options: Options) -> Self {
+        options.pick(Self::default_config, Self::fast)
+    }
+
+    fn threads(&self) -> Option<usize> {
+        Some(self.threads)
+    }
+
+    fn cells(&self) -> Vec<Self::Cell> {
+        PolicySweepConfig::cells(self)
+    }
+
+    /// Trains the cell's experiment and reduces the per-round samples to
+    /// the tradeoff row.
+    fn run_cell(&self, (_, spec): &Self::Cell) -> PolicyCellRow {
+        let report = run_spec(spec);
+        let samples = &report.round_samples;
+        let times: Vec<f64> = samples.iter().map(|s| s.total_time).collect();
+        let coverage: f64 = samples
+            .iter()
+            .map(bcc_cluster::RoundSample::coverage_fraction)
+            .sum::<f64>()
+            / samples.len().max(1) as f64;
+        PolicyCellRow {
+            model: spec.latency.model_name().to_string(),
+            scheme: report.scheme,
+            policy: spec.policy.name.clone(),
+            rounds: spec.iterations,
+            total_time: report.metrics.total_time,
+            mean_round_time: report.metrics.avg_round_time(),
+            p99_round_time: quantile(&times, 0.99),
+            avg_messages_used: report.metrics.avg_recovery_threshold(),
+            avg_coverage: coverage,
+            exact_rounds: samples.iter().filter(|s| s.exact).count(),
+            mean_gradient_error: mean_gradient_error(samples),
+            final_risk: report.trace.final_risk().unwrap_or(f64::NAN),
+            wall_seconds: report.wall_seconds,
+        }
+    }
+
+    fn key(row: &PolicyCellRow) -> String {
+        format!("{}/{}/{}", row.model, row.scheme, row.policy)
+    }
+
+    fn cell_spec(&self, cell: &Self::Cell) -> Option<(String, ExperimentSpec)> {
+        Some(cell.clone())
+    }
+
+    /// Each (model, scheme) block reads as one risk-vs-wallclock curve
+    /// across the policy column.
+    fn render(result: &PolicySweepResult) -> Table {
+        let mut t = Table::new(
+            format!(
+                "aggregation-policy tradeoff — {} workers, {} iterations/cell, {} threads",
+                result.config.workers,
+                result.config.iterations,
+                result.threads_used.unwrap_or(1)
+            ),
+            &[
+                "model",
+                "scheme",
+                "policy",
+                "K (msgs)",
+                "coverage",
+                "grad err",
+                "total s",
+                "final risk",
+            ],
+        );
+        for row in &result.rows {
+            t.push_row(vec![
+                row.model.clone(),
+                row.scheme.clone(),
+                row.policy.clone(),
+                f1(row.avg_messages_used),
+                format!("{:.2}", row.avg_coverage),
+                format!("{:.2e}", row.mean_gradient_error),
+                f3(row.total_time),
+                format!("{:.4}", row.final_risk),
+            ]);
+        }
+        t
+    }
+}
+
+/// Mean `‖ĝ − g‖₂` over the rounds that recorded one (`0.0` when every
+/// round was fresh and exact).
+pub(crate) fn mean_gradient_error(samples: &[bcc_cluster::RoundSample]) -> f64 {
+    let errors: Vec<f64> = samples.iter().filter_map(|s| s.gradient_error).collect();
+    if errors.is_empty() {
         0.0
     } else {
         errors.iter().sum::<f64>() / errors.len() as f64
-    };
-    PolicyCellRow {
-        model: model.to_string(),
-        scheme: report.scheme,
-        policy: policy.to_string(),
-        rounds: spec.iterations,
-        total_time: report.metrics.total_time,
-        mean_round_time: report.metrics.avg_round_time(),
-        p99_round_time: quantile(&times, 0.99),
-        avg_messages_used: report.metrics.avg_recovery_threshold(),
-        avg_coverage: coverage,
-        exact_rounds,
-        mean_gradient_error,
-        final_risk: report.trace.final_risk().unwrap_or(f64::NAN),
-        wall_seconds: report.wall_seconds,
     }
-}
-
-/// Runs the whole grid across a scoped worker pool (one atomic work
-/// index; results re-sorted into grid order, so the output is identical
-/// for any thread count).
-///
-/// # Panics
-/// Panics when a cell fails to build or complete (the grid keeps every
-/// worker alive, and every scheme supports every policy's readout).
-#[must_use]
-pub fn run(config: &PolicySweepConfig) -> PolicySweepResult {
-    let cells = config.cells();
-    let threads = if config.threads == 0 {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    } else {
-        config.threads
-    }
-    .min(cells.len())
-    .max(1);
-
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = crossbeam_channel::unbounded::<(usize, PolicyCellRow)>();
-    crossbeam::scope(|scope| {
-        for _ in 0..threads {
-            let tx = tx.clone();
-            let (next, cells) = (&next, &cells);
-            scope.spawn(move |_| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some((_, spec)) = cells.get(i) else { break };
-                let row = run_cell(spec.latency.model_name(), &spec.policy.name, spec);
-                if tx.send((i, row)).is_err() {
-                    break;
-                }
-            });
-        }
-    })
-    .expect("policy-sweep worker panicked");
-    drop(tx);
-
-    let mut indexed: Vec<(usize, PolicyCellRow)> = Vec::with_capacity(cells.len());
-    while let Ok(pair) = rx.try_recv() {
-        indexed.push(pair);
-    }
-    indexed.sort_by_key(|(i, _)| *i);
-    assert_eq!(indexed.len(), cells.len(), "every cell must report");
-
-    PolicySweepResult {
-        schema: "bcc/bench_policy_tradeoff/v1".into(),
-        backend: "virtual-des".into(),
-        config: config.clone(),
-        threads_used: threads,
-        rows: indexed.into_iter().map(|(_, row)| row).collect(),
-    }
-}
-
-/// Renders the grid as a console table — each (model, scheme) block reads
-/// as one risk-vs-wallclock curve across the policy column.
-#[must_use]
-pub fn render(result: &PolicySweepResult) -> Table {
-    let mut t = Table::new(
-        format!(
-            "aggregation-policy tradeoff — {} workers, {} iterations/cell, {} threads",
-            result.config.workers, result.config.iterations, result.threads_used
-        ),
-        &[
-            "model",
-            "scheme",
-            "policy",
-            "K (msgs)",
-            "coverage",
-            "grad err",
-            "total s",
-            "final risk",
-        ],
-    );
-    for row in &result.rows {
-        t.push_row(vec![
-            row.model.clone(),
-            row.scheme.clone(),
-            row.policy.clone(),
-            f1(row.avg_messages_used),
-            format!("{:.2}", row.avg_coverage),
-            format!("{:.2e}", row.mean_gradient_error),
-            f3(row.total_time),
-            format!("{:.4}", row.final_risk),
-        ]);
-    }
-    t
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::grid::run;
 
-    fn tiny() -> PolicySweepConfig {
+    pub(crate) fn tiny() -> PolicySweepConfig {
         PolicySweepConfig {
             workers: 10,
             units: 10,
@@ -394,7 +319,7 @@ mod tests {
         for policy in ["wait-decodable", "fastest-k", "deadline", "best-effort-all"] {
             assert!(result.rows.iter().any(|r| r.policy == policy), "{policy}");
         }
-        assert_eq!(render(&result).len(), result.rows.len());
+        assert_eq!(PolicySweepConfig::render(&result).len(), result.rows.len());
     }
 
     #[test]
@@ -422,24 +347,5 @@ mod tests {
         assert!(fast.mean_gradient_error > 0.0);
         assert!(fast.avg_coverage < 1.0);
         assert_eq!(exact.mean_gradient_error, 0.0);
-    }
-
-    #[test]
-    fn results_are_thread_count_invariant() {
-        let strip = |mut rows: Vec<PolicyCellRow>| {
-            for row in &mut rows {
-                row.wall_seconds = 0.0;
-            }
-            rows
-        };
-        let serial = run(&PolicySweepConfig {
-            threads: 1,
-            ..tiny()
-        });
-        let parallel = run(&PolicySweepConfig {
-            threads: 4,
-            ..tiny()
-        });
-        assert_eq!(strip(serial.rows), strip(parallel.rows));
     }
 }

@@ -33,16 +33,13 @@
 //!
 //! [`decode_reps`]: ScaleBenchConfig::decode_reps
 
+use crate::grid::{run_spec, Artifact, Grid, Options};
 use crate::report::{f1, Table};
 use bcc_cluster::{DecodePool, Minibatch, StreamedContext, UnitMap, UnitSelection};
 use bcc_coding::{CyclicRepetitionScheme, GradientCodingScheme, Payload};
-use bcc_core::experiment::{
-    BackendSpec, ControllerSpec, DataSpec, Experiment, ExperimentSpec, LatencySpec, LossSpec,
-    ModeSpec, OptimizerSpec, PolicySpec,
-};
+use bcc_core::experiment::{DataSpec, ExperimentSpec, OptimizerSpec};
 use bcc_data::synthetic::SyntheticConfig;
 use bcc_data::ChunkedDataset;
-use bcc_linalg::parallel::Parallelism;
 use bcc_optim::{GradScratch, LogisticLoss};
 use bcc_stats::rng::derive_rng;
 use serde::{Deserialize, Serialize};
@@ -188,22 +185,15 @@ impl ScaleGrid {
         if let Some(k) = cell.minibatch {
             data = data.with_minibatch(k);
         }
+        let scheme = bcc_core::schemes::SchemeConfig::CyclicRepetition { r: self.r }.spec();
         ExperimentSpec {
             name: cell.name(),
-            workers: cell.workers,
-            units: cell.workers,
-            scheme: bcc_core::schemes::SchemeConfig::CyclicRepetition { r: self.r }.spec(),
             data,
-            latency: LatencySpec::Ec2Like,
-            backend: BackendSpec::Virtual,
-            loss: LossSpec::Logistic,
             optimizer: OptimizerSpec::FixedPoint,
-            policy: PolicySpec::default(),
-            mode: ModeSpec::default(),
-            controller: ControllerSpec::default(),
             iterations: self.rounds,
             record_risk: false,
             seed: self.seed,
+            ..ExperimentSpec::with_required(cell.workers, cell.workers, scheme)
         }
     }
 }
@@ -247,32 +237,10 @@ pub struct ScaleCellRow {
     pub avg_messages_used: f64,
 }
 
-/// The full benchmark result (serialized to `BENCH_scale.json`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ScaleBenchResult {
-    /// Schema tag for downstream tooling.
-    pub schema: String,
-    /// Backend behind the simulated metrics.
-    pub backend: String,
-    /// Hardware threads of the measuring host — the context every
-    /// wall-clock column (and especially `decode_speedup`) must be read
-    /// in.
-    pub host_threads: usize,
-    /// The configuration measured.
-    pub config: ScaleBenchConfig,
-    /// One row per grid cell, in [`ScaleGrid::cells`] order.
-    pub rows: Vec<ScaleCellRow>,
-}
-
-impl ScaleBenchResult {
-    /// The row of one grid cell, keyed like the gate compares.
-    #[must_use]
-    pub fn row(&self, workers: usize, dim: usize, mode: &str) -> Option<&ScaleCellRow> {
-        self.rows
-            .iter()
-            .find(|r| r.workers == workers && r.dim == dim && r.mode == mode)
-    }
-}
+/// The full benchmark result (serialized to `BENCH_scale.json`). Records
+/// `host_threads` — the context every wall-clock column (and especially
+/// `decode_speedup`) must be read in.
+pub type ScaleBenchResult = Artifact<ScaleBenchConfig>;
 
 /// Builds the cell's cyclic-repetition scheme. CR keeps the placement
 /// deterministic at any `n` (no coverage retry loop) and decodes through
@@ -307,178 +275,204 @@ fn sweep_rows(
         .sum()
 }
 
-/// Runs the scale benchmark over the full grid.
-///
-/// # Panics
-/// Panics when a cell's spec fails to build or run (the grid is
-/// structurally valid by construction) or when the parallel decode is not
-/// bit-identical to the serial decode — the determinism contract this
-/// benchmark exists to guard.
-#[must_use]
-pub fn run(config: &ScaleBenchConfig) -> ScaleBenchResult {
-    let grid = &config.grid;
-    let rows = grid
-        .cells()
-        .iter()
-        .map(|cell| {
-            let n = cell.workers;
-            let num_examples = n * grid.points_per_unit;
+impl Grid for ScaleBenchConfig {
+    type Cell = ScaleCell;
+    type Row = ScaleCellRow;
 
-            // Deterministic, replayable simulated metrics (the gated part).
-            let report = Experiment::from_spec(grid.cell_spec(cell))
-                .expect("scale cell specs are structurally valid")
-                .run()
-                .expect("scale cell rounds complete");
+    const TARGET: &'static str = "scale";
+    const ARTIFACT: &'static str = "scale";
+    const GATED: (&'static str, &'static str) =
+        ("simulated_seconds_per_round", "simulated s/round");
+    const CLAIM: &'static str =
+        "configs compare on the swept grid alone (`--fast` differs only in host-timing repetitions)";
+    const HOST_THREADS: bool = true;
 
-            // Streamed compute+encode throughput over the bounded-memory
-            // chunked dataset (chunks tile the units → zero-copy reads).
-            let scheme = cell_scheme(grid, n);
-            let units = UnitMap::grouped(num_examples, n);
-            let chunked = ChunkedDataset::synthetic(
-                SyntheticConfig {
-                    num_examples,
-                    dim: cell.dim,
-                    separation: 1.5,
-                    seed: grid.seed,
-                },
-                grid.points_per_unit,
-                grid.max_live_chunks,
-            );
-            let selection = cell
-                .minibatch
-                .map(|k| Minibatch::new(k, grid.seed).select(0, n));
-            let ctx = StreamedContext {
-                scheme: &scheme,
-                units: &units,
-                data: &chunked,
-                loss: &LogisticLoss,
-            };
-            let w = eval_point(cell.dim);
-            let mut scratch = GradScratch::new();
-            let mut stream_best = f64::INFINITY;
-            let mut payloads: Vec<Payload> = Vec::new();
-            let mut first_sweep_misses = 0;
-            for rep in 0..config.stream_reps.max(1) {
-                let t = Instant::now();
-                let out: Vec<Payload> = (0..n)
-                    .map(|worker| {
-                        ctx.compute_and_encode(worker, &w, &mut scratch, selection.as_ref())
-                            .expect("streamed encode succeeds")
-                    })
-                    .collect();
-                stream_best = stream_best.min(t.elapsed().as_secs_f64());
-                if rep == 0 {
-                    first_sweep_misses = chunked.materializations();
-                }
-                payloads = out;
-            }
-            let rows_per_sweep = sweep_rows(&scheme, &units, selection.as_ref());
+    fn config(options: Options) -> Self {
+        options.pick(Self::default_config, Self::fast)
+    }
 
-            // Serial-vs-parallel decode of the completed round, asserted
-            // bit-identical before timing.
-            let mut decoder = scheme.decoder();
-            for (worker, payload) in payloads.iter().enumerate() {
-                if decoder.is_complete() {
-                    break;
-                }
-                decoder
-                    .receive(worker, payload.clone())
-                    .expect("fresh decoder accepts each worker once");
-            }
-            assert!(decoder.is_complete(), "all workers reported");
-            let serial = DecodePool::serial();
-            let parallel = DecodePool::threads(config.decode_threads);
-            let s_out = serial.decode(&*decoder).expect("serial decode");
-            let p_out = parallel.decode(&*decoder).expect("parallel decode");
-            assert!(
-                s_out.len() == p_out.len()
-                    && s_out
-                        .iter()
-                        .zip(&p_out)
-                        .all(|(a, b)| a.to_bits() == b.to_bits()),
-                "parallel decode must be bit-identical to serial \
-                 (n={n}, dim={}, mode={})",
-                cell.dim,
-                cell.mode()
-            );
-            let mut serial_best = f64::INFINITY;
-            let mut parallel_best = f64::INFINITY;
-            for _ in 0..config.decode_reps.max(1) {
-                let t = Instant::now();
-                std::hint::black_box(serial.decode(&*decoder).expect("serial decode"));
-                serial_best = serial_best.min(t.elapsed().as_secs_f64());
-                let t = Instant::now();
-                std::hint::black_box(parallel.decode(&*decoder).expect("parallel decode"));
-                parallel_best = parallel_best.min(t.elapsed().as_secs_f64());
-            }
+    fn cells(&self) -> Vec<ScaleCell> {
+        self.grid.cells()
+    }
 
-            ScaleCellRow {
-                workers: n,
+    /// Measures one cell.
+    ///
+    /// # Panics
+    /// Panics when the cell's spec fails to build or run (the grid is
+    /// structurally valid by construction) or when the parallel decode is
+    /// not bit-identical to the serial decode — the determinism contract
+    /// this benchmark exists to guard.
+    fn run_cell(&self, cell: &ScaleCell) -> ScaleCellRow {
+        let (config, grid) = (self, &self.grid);
+        let n = cell.workers;
+        let num_examples = n * grid.points_per_unit;
+
+        // Deterministic, replayable simulated metrics (the gated part).
+        let report = run_spec(&grid.cell_spec(cell));
+
+        // Streamed compute+encode throughput over the bounded-memory
+        // chunked dataset (chunks tile the units → zero-copy reads).
+        let scheme = cell_scheme(grid, n);
+        let units = UnitMap::grouped(num_examples, n);
+        let chunked = ChunkedDataset::synthetic(
+            SyntheticConfig {
+                num_examples,
                 dim: cell.dim,
-                mode: cell.mode().to_string(),
-                examples: num_examples,
-                minibatch_units: cell.minibatch,
-                rows_per_sweep,
-                stream_seconds_per_sweep: stream_best,
-                stream_examples_per_sec: rows_per_sweep as f64 / stream_best,
-                chunk_materializations: first_sweep_misses,
-                live_chunks: chunked.live_chunks(),
-                serial_decode_seconds: serial_best,
-                parallel_decode_seconds: parallel_best,
-                decode_speedup: serial_best / parallel_best,
-                simulated_seconds_per_round: report.metrics.avg_round_time(),
-                avg_messages_used: report.metrics.avg_recovery_threshold(),
+                separation: 1.5,
+                seed: grid.seed,
+            },
+            grid.points_per_unit,
+            grid.max_live_chunks,
+        );
+        let selection = cell
+            .minibatch
+            .map(|k| Minibatch::new(k, grid.seed).select(0, n));
+        let ctx = StreamedContext {
+            scheme: &scheme,
+            units: &units,
+            data: &chunked,
+            loss: &LogisticLoss,
+        };
+        let w = eval_point(cell.dim);
+        let mut scratch = GradScratch::new();
+        let mut stream_best = f64::INFINITY;
+        let mut payloads: Vec<Payload> = Vec::new();
+        let mut first_sweep_misses = 0;
+        for rep in 0..config.stream_reps.max(1) {
+            let t = Instant::now();
+            let out: Vec<Payload> = (0..n)
+                .map(|worker| {
+                    ctx.compute_and_encode(worker, &w, &mut scratch, selection.as_ref())
+                        .expect("streamed encode succeeds")
+                })
+                .collect();
+            stream_best = stream_best.min(t.elapsed().as_secs_f64());
+            if rep == 0 {
+                first_sweep_misses = chunked.materializations();
             }
-        })
-        .collect();
+            payloads = out;
+        }
+        let rows_per_sweep = sweep_rows(&scheme, &units, selection.as_ref());
 
-    ScaleBenchResult {
-        schema: "bcc/bench_scale/v1".into(),
-        backend: "virtual-des".into(),
-        host_threads: Parallelism::available().get(),
-        config: config.clone(),
-        rows,
-    }
-}
+        // Serial-vs-parallel decode of the completed round, asserted
+        // bit-identical before timing.
+        let mut decoder = scheme.decoder();
+        for (worker, payload) in payloads.iter().enumerate() {
+            if decoder.is_complete() {
+                break;
+            }
+            decoder
+                .receive(worker, payload.clone())
+                .expect("fresh decoder accepts each worker once");
+        }
+        assert!(decoder.is_complete(), "all workers reported");
+        let serial = DecodePool::serial();
+        let parallel = DecodePool::threads(config.decode_threads);
+        let s_out = serial.decode(&*decoder).expect("serial decode");
+        let p_out = parallel.decode(&*decoder).expect("parallel decode");
+        assert!(
+            s_out.len() == p_out.len()
+                && s_out
+                    .iter()
+                    .zip(&p_out)
+                    .all(|(a, b)| a.to_bits() == b.to_bits()),
+            "parallel decode must be bit-identical to serial \
+                 (n={n}, dim={}, mode={})",
+            cell.dim,
+            cell.mode()
+        );
+        let mut serial_best = f64::INFINITY;
+        let mut parallel_best = f64::INFINITY;
+        for _ in 0..config.decode_reps.max(1) {
+            let t = Instant::now();
+            std::hint::black_box(serial.decode(&*decoder).expect("serial decode"));
+            serial_best = serial_best.min(t.elapsed().as_secs_f64());
+            let t = Instant::now();
+            std::hint::black_box(parallel.decode(&*decoder).expect("parallel decode"));
+            parallel_best = parallel_best.min(t.elapsed().as_secs_f64());
+        }
 
-/// Renders the result as a console table.
-#[must_use]
-pub fn render(result: &ScaleBenchResult) -> Table {
-    let mut table = Table::new(
-        format!(
-            "data-path scaling, {} cells (host threads: {})",
-            result.rows.len(),
-            result.host_threads
-        ),
-        &[
-            "cell",
-            "examples",
-            "stream ex/s",
-            "serial dec ms",
-            "par dec ms",
-            "dec speedup",
-            "sim s/round",
-            "K (msgs)",
-        ],
-    );
-    for row in &result.rows {
-        table.push_row(vec![
-            format!("n{} d{} {}", row.workers, row.dim, row.mode),
-            row.examples.to_string(),
-            format!("{:.3e}", row.stream_examples_per_sec),
-            format!("{:.3}", row.serial_decode_seconds * 1e3),
-            format!("{:.3}", row.parallel_decode_seconds * 1e3),
-            format!("{:.2}x", row.decode_speedup),
-            format!("{:.3}", row.simulated_seconds_per_round),
-            f1(row.avg_messages_used),
-        ]);
+        ScaleCellRow {
+            workers: n,
+            dim: cell.dim,
+            mode: cell.mode().to_string(),
+            examples: num_examples,
+            minibatch_units: cell.minibatch,
+            rows_per_sweep,
+            stream_seconds_per_sweep: stream_best,
+            stream_examples_per_sec: rows_per_sweep as f64 / stream_best,
+            chunk_materializations: first_sweep_misses,
+            live_chunks: chunked.live_chunks(),
+            serial_decode_seconds: serial_best,
+            parallel_decode_seconds: parallel_best,
+            decode_speedup: serial_best / parallel_best,
+            simulated_seconds_per_round: report.metrics.avg_round_time(),
+            avg_messages_used: report.metrics.avg_recovery_threshold(),
+        }
     }
-    table
+
+    fn key(row: &ScaleCellRow) -> String {
+        format!("n{} d{} {}", row.workers, row.dim, row.mode)
+    }
+
+    /// Keyed on [`ScaleGrid`] alone: the host-timing knobs (`stream_reps`
+    /// / `decode_reps`) differ between `--fast` and full runs by design
+    /// and never influence the gated metrics.
+    fn comparable(&self, current: &Self) -> Result<(), String> {
+        if self.grid == current.grid {
+            return Ok(());
+        }
+        Err(format!(
+            "baseline and current grids differ — baseline {:?} vs current {:?}; \
+             the swept grid must match for cells to compare",
+            self.grid, current.grid
+        ))
+    }
+
+    /// Unlike the sweeps' dumps, this one survives `--fast`: the grid (and
+    /// with it every spec) is identical between fast and full runs.
+    fn cell_spec(&self, cell: &ScaleCell) -> Option<(String, ExperimentSpec)> {
+        Some((cell.name(), self.grid.cell_spec(cell)))
+    }
+
+    fn render(result: &ScaleBenchResult) -> Table {
+        let mut table = Table::new(
+            format!(
+                "data-path scaling, {} cells (host threads: {})",
+                result.rows.len(),
+                result.host_threads.unwrap_or(1)
+            ),
+            &[
+                "cell",
+                "examples",
+                "stream ex/s",
+                "serial dec ms",
+                "par dec ms",
+                "dec speedup",
+                "sim s/round",
+                "K (msgs)",
+            ],
+        );
+        for row in &result.rows {
+            table.push_row(vec![
+                format!("n{} d{} {}", row.workers, row.dim, row.mode),
+                row.examples.to_string(),
+                format!("{:.3e}", row.stream_examples_per_sec),
+                format!("{:.3}", row.serial_decode_seconds * 1e3),
+                format!("{:.3}", row.parallel_decode_seconds * 1e3),
+                format!("{:.2}x", row.decode_speedup),
+                format!("{:.3}", row.simulated_seconds_per_round),
+                f1(row.avg_messages_used),
+            ]);
+        }
+        table
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::grid::run;
 
     fn tiny() -> ScaleBenchConfig {
         ScaleBenchConfig {
@@ -512,7 +506,7 @@ mod tests {
     }
 
     #[test]
-    fn tiny_grid_produces_sane_rows_and_roundtrips() {
+    fn tiny_grid_produces_sane_rows() {
         let cfg = tiny();
         let result = run(&cfg);
         assert_eq!(result.rows.len(), 4, "2 n × 1 dim × 2 modes");
@@ -527,18 +521,16 @@ mod tests {
             );
             assert!(row.chunk_materializations > 0, "{row:?}");
         }
-        let full = result.row(8, 3, "full").unwrap();
-        let mini = result.row(8, 3, "minibatch").unwrap();
+        let full = result.find("n8 d3 full").unwrap();
+        let mini = result.find("n8 d3 minibatch").unwrap();
         assert_eq!(mini.minibatch_units, Some(2));
         assert!(
             mini.rows_per_sweep < full.rows_per_sweep,
             "minibatch sweeps touch fewer rows"
         );
-        let json = serde_json::to_string(&result).unwrap();
-        assert!(json.contains("bcc/bench_scale/v1"));
-        let back: ScaleBenchResult = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, result);
-        assert_eq!(render(&result).len(), 4);
+        assert_eq!(result.schema, "bcc/bench_scale/v1");
+        assert!(result.host_threads.is_some() && result.threads_used.is_none());
+        assert_eq!(ScaleBenchConfig::render(&result).len(), 4);
     }
 
     #[test]

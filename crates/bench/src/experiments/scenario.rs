@@ -10,8 +10,7 @@
 
 use crate::report::{f1, f3, Table};
 use bcc_core::experiment::{
-    BackendSpec, ControllerSpec, DataSpec, Experiment, ExperimentReport, ExperimentSpec,
-    LatencySpec, LossSpec, ModeSpec, OptimizerSpec, PolicySpec,
+    DataSpec, Experiment, ExperimentReport, ExperimentSpec, LatencySpec, OptimizerSpec,
 };
 use bcc_core::schemes::SchemeConfig;
 use serde::{Deserialize, Serialize};
@@ -96,20 +95,13 @@ impl ScenarioConfig {
     pub fn experiment_spec(&self, scheme: SchemeConfig, record_risk: bool) -> ExperimentSpec {
         ExperimentSpec {
             name: format!("{} / {}", self.name, scheme.name()),
-            workers: self.workers,
-            units: self.units,
-            scheme: scheme.spec(),
             data: DataSpec::synthetic(self.points_per_unit, self.dim),
             latency: LatencySpec::Ec2Like,
-            backend: BackendSpec::Virtual,
-            loss: LossSpec::Logistic,
             optimizer: OptimizerSpec::nesterov(0.5),
-            policy: PolicySpec::default(),
-            mode: ModeSpec::default(),
-            controller: ControllerSpec::default(),
             iterations: self.iterations,
             record_risk,
             seed: self.seed,
+            ..ExperimentSpec::with_required(self.workers, self.units, scheme.spec())
         }
     }
 }
@@ -193,6 +185,21 @@ pub fn paper_schemes(r: usize) -> Vec<SchemeConfig> {
         SchemeConfig::Uncoded,
         SchemeConfig::CyclicRepetition { r },
         SchemeConfig::Bcc { r },
+    ]
+}
+
+/// The schemes the policy, training-mode and adaptive-control grids cross:
+/// the ones whose decoders support partial readout (sum/coverage
+/// structure), so every policy a cell or a controller installs is
+/// meaningful on every row. The coded pair keeps decoding exactly when a
+/// round is cut short; uncoded shows the price of cutting without
+/// redundancy.
+#[must_use]
+pub fn partial_readout_schemes(r: usize) -> Vec<SchemeConfig> {
+    vec![
+        SchemeConfig::Uncoded,
+        SchemeConfig::Bcc { r },
+        SchemeConfig::FractionalRepetition { r },
     ]
 }
 

@@ -9,7 +9,7 @@
 use super::scenario::SchemeRow;
 use crate::report::{f1, f3, Table};
 use bcc_core::error::BccError;
-use bcc_core::experiment::{Experiment, ExperimentSpec, SchemeRegistry};
+use bcc_core::experiment::{Experiment, ExperimentSpec, Registries};
 use serde::{Deserialize, Serialize, Value};
 use std::path::Path;
 
@@ -78,22 +78,22 @@ pub fn load(path: &Path) -> Result<ScenarioSpec, BccError> {
     })
 }
 
-/// Runs every experiment of the scenario against the built-in registry.
+/// Runs every experiment of the scenario against the built-in registries.
 ///
 /// # Errors
 /// The first build or run failure, as [`BccError`].
 pub fn run(spec: &ScenarioSpec) -> Result<SpecRunResult, BccError> {
-    run_with(spec, &SchemeRegistry::builtin())
+    run_with(spec, &Registries::default())
 }
 
-/// Runs every experiment, resolving schemes through `registry`.
+/// Runs every experiment, resolving its plug-ins through `registries`.
 ///
 /// # Errors
 /// The first build or run failure, as [`BccError`].
-pub fn run_with(spec: &ScenarioSpec, registry: &SchemeRegistry) -> Result<SpecRunResult, BccError> {
+pub fn run_with(spec: &ScenarioSpec, registries: &Registries) -> Result<SpecRunResult, BccError> {
     let mut rows = Vec::with_capacity(spec.experiments.len());
     for exp in &spec.experiments {
-        let report = Experiment::from_spec_with(exp.clone(), registry)?.run()?;
+        let report = Experiment::from_spec_with(exp.clone(), registries)?.run()?;
         rows.push(SchemeRow::from_report(&report));
     }
     Ok(SpecRunResult {

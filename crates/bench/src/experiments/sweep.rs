@@ -10,22 +10,18 @@
 //! and reports distribution-level round statistics (mean/p50/p99 round
 //! time, mean messages) per cell.
 //!
-//! Every cell is an independent seeded [`Experiment`] on the virtual
-//! backend, so the grid is embarrassingly parallel: [`run`] spreads cells
-//! over a crossbeam scoped thread pool (one atomic work index, results
-//! re-sorted into grid order), and the output is bit-identical regardless
-//! of thread count. Each cell's resolved [`ExperimentSpec`] is also
-//! emitted (`repro sweep` writes them under `experiments/sweep/`), so any
-//! cell replays standalone via `repro scenario`.
+//! Every cell is an independent seeded experiment on the virtual backend,
+//! so the grid is embarrassingly parallel: it is a pooled [`Grid`], and the
+//! output is bit-identical regardless of thread count. Each cell's resolved
+//! [`ExperimentSpec`] is also emitted (`repro sweep` writes them under
+//! `experiments/sweep/`), so any cell replays standalone via
+//! `repro scenario`.
 
+use crate::grid::{run_spec, Artifact, Grid, Options};
 use crate::report::{f1, Table};
-use bcc_core::experiment::{
-    BackendSpec, ControllerSpec, DataSpec, Experiment, ExperimentSpec, LatencySpec, LossSpec,
-    ModeSpec, OptimizerSpec, PolicySpec,
-};
+use bcc_core::experiment::{DataSpec, ExperimentSpec, LatencySpec, OptimizerSpec};
 use bcc_stats::summary::quantile;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Configuration of one sweep run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -77,92 +73,25 @@ impl SweepConfig {
         }
     }
 
-    /// The model zoo this sweep covers: `(name, latency spec)` per member,
-    /// calibrated so per-unit mean compute is in the EC2-like regime (a
-    /// few ms/unit over the same master link), making round times
-    /// comparable across rows.
-    #[must_use]
-    pub fn model_zoo(&self) -> Vec<(&'static str, LatencySpec)> {
-        // The Tables I/II master link, shared by every member.
-        let (per_message_overhead, per_unit) = (0.002, 0.004);
-        vec![
-            // The paper's baseline — identical to the single-model path.
-            ("shifted-exp", LatencySpec::Ec2Like),
-            // shape 1.5: finite mean (4.5 ms/unit) but infinite variance —
-            // rare order-of-magnitude stragglers that clear the serialized
-            // comm floor, which is the regime heavy-tail analyses target.
-            (
-                "pareto",
-                LatencySpec::Pareto {
-                    shape: 1.5,
-                    scale: 0.0015,
-                    per_message_overhead,
-                    per_unit,
-                },
-            ),
-            (
-                "weibull",
-                LatencySpec::Weibull {
-                    shape: 0.7,
-                    scale: 0.001,
-                    shift: 0.001,
-                    per_message_overhead,
-                    per_unit,
-                },
-            ),
-            (
-                "bimodal",
-                LatencySpec::Bimodal {
-                    mu: 1000.0,
-                    a: 0.001,
-                    slow_workers: (self.workers / 10).max(1),
-                    slow_probability: 0.3,
-                    slowdown: 8.0,
-                    per_message_overhead,
-                    per_unit,
-                },
-            ),
-            (
-                "markov",
-                LatencySpec::Markov {
-                    mu: 1000.0,
-                    a: 0.001,
-                    p_slow: 0.1,
-                    p_recover: 0.3,
-                    slowdown: 8.0,
-                    per_message_overhead,
-                    per_unit,
-                },
-            ),
-        ]
-    }
-
     /// The full cell grid in row order: model-major, then scheme, then
     /// seed. Each entry is `(cell name, resolved spec)`; the name doubles
     /// as the per-cell spec-file stem.
     #[must_use]
     pub fn cells(&self) -> Vec<(String, ExperimentSpec)> {
         let mut cells = Vec::new();
-        for (model, latency) in self.model_zoo() {
+        for (model, latency) in model_zoo(self.workers) {
             for scheme in super::scenario::paper_schemes(self.r) {
                 for &seed in &self.seeds {
                     let name = format!("{model}_{}_s{seed}", scheme.name());
                     let spec = ExperimentSpec {
                         name: format!("sweep / {model} / {} / seed {seed}", scheme.name()),
-                        workers: self.workers,
-                        units: self.units,
-                        scheme: scheme.spec(),
                         data: DataSpec::synthetic(self.points_per_unit, self.dim),
                         latency: latency.clone(),
-                        backend: BackendSpec::Virtual,
-                        loss: LossSpec::Logistic,
                         optimizer: OptimizerSpec::FixedPoint,
-                        policy: PolicySpec::default(),
-                        mode: ModeSpec::default(),
-                        controller: ControllerSpec::default(),
                         iterations: self.rounds,
                         record_risk: false,
                         seed,
+                        ..ExperimentSpec::with_required(self.workers, self.units, scheme.spec())
                     };
                     cells.push((name, spec));
                 }
@@ -170,6 +99,74 @@ impl SweepConfig {
         }
         cells
     }
+}
+
+/// The model zoo the grids cross: `(name, latency spec)` per member for a
+/// cluster of `workers`, calibrated so per-unit mean compute is in the
+/// EC2-like regime (a few ms/unit over the same master link), making round
+/// times comparable across rows and across grids.
+#[must_use]
+pub fn model_zoo(workers: usize) -> Vec<(&'static str, LatencySpec)> {
+    // The Tables I/II master link, shared by every member.
+    let (per_message_overhead, per_unit) = (0.002, 0.004);
+    vec![
+        // The paper's baseline — identical to the single-model path.
+        ("shifted-exp", LatencySpec::Ec2Like),
+        // shape 1.5: finite mean (4.5 ms/unit) but infinite variance —
+        // rare order-of-magnitude stragglers that clear the serialized
+        // comm floor, which is the regime heavy-tail analyses target.
+        (
+            "pareto",
+            LatencySpec::Pareto {
+                shape: 1.5,
+                scale: 0.0015,
+                per_message_overhead,
+                per_unit,
+            },
+        ),
+        (
+            "weibull",
+            LatencySpec::Weibull {
+                shape: 0.7,
+                scale: 0.001,
+                shift: 0.001,
+                per_message_overhead,
+                per_unit,
+            },
+        ),
+        (
+            "bimodal",
+            LatencySpec::Bimodal {
+                mu: 1000.0,
+                a: 0.001,
+                slow_workers: (workers / 10).max(1),
+                slow_probability: 0.3,
+                slowdown: 8.0,
+                per_message_overhead,
+                per_unit,
+            },
+        ),
+        (
+            "markov",
+            LatencySpec::Markov {
+                mu: 1000.0,
+                a: 0.001,
+                p_slow: 0.1,
+                p_recover: 0.3,
+                slowdown: 8.0,
+                per_message_overhead,
+                per_unit,
+            },
+        ),
+    ]
+}
+
+/// The zoo members called `names`, in zoo order.
+#[must_use]
+pub fn zoo_members(workers: usize, names: &[&str]) -> Vec<(&'static str, LatencySpec)> {
+    let mut zoo = model_zoo(workers);
+    zoo.retain(|(name, _)| names.contains(name));
+    zoo
 }
 
 /// One (model × scheme × seed) cell's aggregated measurements.
@@ -200,149 +197,104 @@ pub struct SweepCellRow {
 }
 
 /// The full sweep result (serialized to `BENCH_straggler_sweep.json`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SweepResult {
-    /// Schema tag for downstream tooling.
-    pub schema: String,
-    /// Backend measured.
-    pub backend: String,
-    /// The configuration measured.
-    pub config: SweepConfig,
-    /// Worker threads the cell pool actually used.
-    pub threads_used: usize,
-    /// One row per cell, in grid order (model-major, then scheme, then
-    /// seed).
-    pub rows: Vec<SweepCellRow>,
-}
+pub type SweepResult = Artifact<SweepConfig>;
 
 impl SweepResult {
     /// Row lookup by `(model, scheme, seed)`.
     #[must_use]
     pub fn row(&self, model: &str, scheme: &str, seed: u64) -> Option<&SweepCellRow> {
-        self.rows
-            .iter()
-            .find(|r| r.model == model && r.scheme == scheme && r.seed == seed)
+        self.find(&format!("{model}/{scheme}/s{seed}"))
     }
 }
 
-/// Runs one cell: build the experiment, run it, reduce the per-round
-/// samples to the cell row.
-fn run_cell(model: &str, spec: &ExperimentSpec) -> SweepCellRow {
-    let report = Experiment::from_spec(spec.clone())
-        .expect("sweep cells are structurally valid")
-        .run()
-        .expect("sweep cells complete every round (no dead workers)");
-    let times: Vec<f64> = report.round_samples.iter().map(|s| s.total_time).collect();
-    SweepCellRow {
-        model: model.to_string(),
-        scheme: report.scheme,
-        seed: spec.seed,
-        rounds: spec.iterations,
-        mean_round_time: report.metrics.avg_round_time(),
-        p50_round_time: quantile(&times, 0.5),
-        p99_round_time: quantile(&times, 0.99),
-        avg_messages_used: report.metrics.avg_recovery_threshold(),
-        avg_communication_units: report.metrics.avg_communication_load(),
-        wall_seconds: report.wall_seconds,
-    }
-}
+impl Grid for SweepConfig {
+    type Cell = (String, ExperimentSpec);
+    type Row = SweepCellRow;
 
-/// Runs the whole grid across a scoped worker pool.
-///
-/// Cells are claimed off one atomic index and results re-sorted into grid
-/// order, so the output is identical for any thread count — only the wall
-/// clock changes.
-///
-/// # Panics
-/// Panics when a cell fails to build or complete (sweep configurations
-/// keep every worker alive, so completion is guaranteed by construction).
-#[must_use]
-pub fn run(config: &SweepConfig) -> SweepResult {
-    let cells = config.cells();
-    let threads = if config.threads == 0 {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    } else {
-        config.threads
-    }
-    .min(cells.len())
-    .max(1);
+    const TARGET: &'static str = "sweep";
+    const ARTIFACT: &'static str = "straggler_sweep";
+    const GATED: (&'static str, &'static str) = ("mean_round_time", "simulated s/round");
 
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = crossbeam_channel::unbounded::<(usize, SweepCellRow)>();
-    crossbeam::scope(|scope| {
-        for _ in 0..threads {
-            let tx = tx.clone();
-            let (next, cells) = (&next, &cells);
-            scope.spawn(move |_| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some((_, spec)) = cells.get(i) else { break };
-                let row = run_cell(spec.latency.model_name(), spec);
-                if tx.send((i, row)).is_err() {
-                    break;
-                }
-            });
+    fn config(options: Options) -> Self {
+        options.pick(Self::default_config, Self::fast)
+    }
+
+    fn threads(&self) -> Option<usize> {
+        Some(self.threads)
+    }
+
+    fn cells(&self) -> Vec<Self::Cell> {
+        SweepConfig::cells(self)
+    }
+
+    /// Runs the cell's experiment and reduces the per-round samples to
+    /// distribution-level statistics.
+    fn run_cell(&self, (_, spec): &Self::Cell) -> SweepCellRow {
+        let report = run_spec(spec);
+        let times: Vec<f64> = report.round_samples.iter().map(|s| s.total_time).collect();
+        SweepCellRow {
+            model: spec.latency.model_name().to_string(),
+            scheme: report.scheme,
+            seed: spec.seed,
+            rounds: spec.iterations,
+            mean_round_time: report.metrics.avg_round_time(),
+            p50_round_time: quantile(&times, 0.5),
+            p99_round_time: quantile(&times, 0.99),
+            avg_messages_used: report.metrics.avg_recovery_threshold(),
+            avg_communication_units: report.metrics.avg_communication_load(),
+            wall_seconds: report.wall_seconds,
         }
-    })
-    .expect("sweep worker panicked");
-    drop(tx);
-
-    // The scope joined every worker, so all results are buffered.
-    let mut indexed: Vec<(usize, SweepCellRow)> = Vec::with_capacity(cells.len());
-    while let Ok(pair) = rx.try_recv() {
-        indexed.push(pair);
     }
-    indexed.sort_by_key(|(i, _)| *i);
-    assert_eq!(indexed.len(), cells.len(), "every cell must report");
 
-    SweepResult {
-        schema: "bcc/bench_straggler_sweep/v1".into(),
-        backend: "virtual-des".into(),
-        config: config.clone(),
-        threads_used: threads,
-        rows: indexed.into_iter().map(|(_, row)| row).collect(),
+    fn key(row: &SweepCellRow) -> String {
+        format!("{}/{}/s{}", row.model, row.scheme, row.seed)
     }
-}
 
-/// Renders the sweep as a console table.
-#[must_use]
-pub fn render(result: &SweepResult) -> Table {
-    let mut t = Table::new(
-        format!(
-            "straggler sweep — {} workers, {} rounds/cell, {} seed(s), {} threads",
-            result.config.workers,
-            result.config.rounds,
-            result.config.seeds.len(),
-            result.threads_used
-        ),
-        &[
-            "model",
-            "scheme",
-            "seed",
-            "K (msgs)",
-            "mean s/round",
-            "p50 s/round",
-            "p99 s/round",
-        ],
-    );
-    for row in &result.rows {
-        t.push_row(vec![
-            row.model.clone(),
-            row.scheme.clone(),
-            row.seed.to_string(),
-            f1(row.avg_messages_used),
-            format!("{:.4}", row.mean_round_time),
-            format!("{:.4}", row.p50_round_time),
-            format!("{:.4}", row.p99_round_time),
-        ]);
+    fn cell_spec(&self, cell: &Self::Cell) -> Option<(String, ExperimentSpec)> {
+        Some(cell.clone())
     }
-    t
+
+    fn render(result: &SweepResult) -> Table {
+        let mut t = Table::new(
+            format!(
+                "straggler sweep — {} workers, {} rounds/cell, {} seed(s), {} threads",
+                result.config.workers,
+                result.config.rounds,
+                result.config.seeds.len(),
+                result.threads_used.unwrap_or(1)
+            ),
+            &[
+                "model",
+                "scheme",
+                "seed",
+                "K (msgs)",
+                "mean s/round",
+                "p50 s/round",
+                "p99 s/round",
+            ],
+        );
+        for row in &result.rows {
+            t.push_row(vec![
+                row.model.clone(),
+                row.scheme.clone(),
+                row.seed.to_string(),
+                f1(row.avg_messages_used),
+                format!("{:.4}", row.mean_round_time),
+                format!("{:.4}", row.p50_round_time),
+                format!("{:.4}", row.p99_round_time),
+            ]);
+        }
+        t
+    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::grid::run;
+    use bcc_core::experiment::Experiment;
 
-    fn tiny() -> SweepConfig {
+    pub(crate) fn tiny() -> SweepConfig {
         SweepConfig {
             workers: 10,
             units: 10,
@@ -360,7 +312,7 @@ mod tests {
         let cfg = tiny();
         let result = run(&cfg);
         assert_eq!(result.rows.len(), 5 * 3, "5 models × 3 schemes × 1 seed");
-        assert!(result.threads_used >= 2 || result.rows.len() < 2);
+        assert_eq!(result.threads_used, Some(2));
         for row in &result.rows {
             assert_eq!(row.rounds, 4);
             assert!(row.mean_round_time > 0.0);
@@ -376,38 +328,13 @@ mod tests {
             assert!(row.avg_messages_used >= 1.0);
         }
         // Every zoo member and every scheme appears.
-        for (model, _) in cfg.model_zoo() {
+        for (model, _) in model_zoo(cfg.workers) {
             assert!(result.rows.iter().any(|r| r.model == model), "{model}");
         }
         for scheme in ["uncoded", "cyclic-repetition", "bcc"] {
             assert!(result.rows.iter().any(|r| r.scheme == scheme), "{scheme}");
         }
-        assert_eq!(render(&result).len(), result.rows.len());
-    }
-
-    #[test]
-    fn results_are_thread_count_invariant() {
-        // Everything but the host wall clock must be bit-identical for any
-        // pool size.
-        let strip = |mut rows: Vec<SweepCellRow>| {
-            for row in &mut rows {
-                row.wall_seconds = 0.0;
-            }
-            rows
-        };
-        let serial = run(&SweepConfig {
-            threads: 1,
-            ..tiny()
-        });
-        let parallel = run(&SweepConfig {
-            threads: 4,
-            ..tiny()
-        });
-        assert_eq!(
-            strip(serial.rows),
-            strip(parallel.rows),
-            "grid must not depend on pool size"
-        );
+        assert_eq!(SweepConfig::render(&result).len(), result.rows.len());
     }
 
     #[test]

@@ -13,10 +13,16 @@
 //! | scenario-one breakdown | Table I | [`experiments::scenario::run`] with [`experiments::scenario::ScenarioConfig::scenario_one`] |
 //! | scenario-two breakdown | Table II | [`experiments::scenario::run`] with [`experiments::scenario::ScenarioConfig::scenario_two`] |
 //! | heterogeneous cluster | Fig. 5 | [`experiments::fig5::run`] |
+//!
+//! The experiments behind the `BENCH_*.json` perf/behaviour trajectory are
+//! [`grid::Grid`] declarations listed in [`experiments::GRIDS`]; the cell
+//! pool, artifact I/O, spec dumps, the [`gate`] comparison and `repro`'s
+//! targets are derived from that table.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod experiments;
 pub mod gate;
+pub mod grid;
 pub mod report;

@@ -103,6 +103,15 @@ pub fn write_json<T: Serialize>(
     Ok(path)
 }
 
+/// [`write_json`] for the `repro` CLI: reports the saved path on stdout, a
+/// failure as a warning on stderr.
+pub fn persist<T: Serialize>(dir: &Path, name: &str, value: &T) {
+    match write_json(dir, name, value) {
+        Ok(path) => println!("[saved {}]\n", path.display()),
+        Err(e) => eprintln!("[warn] could not write {name}.json: {e}"),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

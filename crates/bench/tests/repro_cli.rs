@@ -108,17 +108,9 @@ fn gate_exit_code_tracks_the_verdict() {
     let (baseline, current) = (dir.join("baseline"), dir.join("current"));
     std::fs::create_dir_all(&baseline).unwrap();
     std::fs::create_dir_all(&current).unwrap();
-    for name in [
-        "BENCH_round_engine.json",
-        "BENCH_gradient_kernel.json",
-        "BENCH_policy_tradeoff.json",
-        "BENCH_modes.json",
-        "BENCH_scale.json",
-        "BENCH_net.json",
-        "BENCH_adaptive.json",
-    ] {
-        std::fs::copy(repo_root.join(name), baseline.join(name)).unwrap();
-        std::fs::copy(repo_root.join(name), current.join(name)).unwrap();
+    for name in bcc_bench::experiments::GRIDS.iter().map(|grid| grid.file()) {
+        std::fs::copy(repo_root.join(&name), baseline.join(&name)).unwrap();
+        std::fs::copy(repo_root.join(&name), current.join(&name)).unwrap();
     }
 
     // Identical measurements: pass, exit 0.
@@ -161,6 +153,25 @@ fn gate_exit_code_tracks_the_verdict() {
         stderr(&out)
     );
     assert!(stderr(&out).contains("FAILED"), "{}", stderr(&out));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn help_names_every_target_of_the_table() {
+    let dir = scratch("help");
+    let out = repro(&["--help"], &dir);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+    let usage: Vec<&str> = stdout
+        .split(|c: char| !(c.is_alphanumeric() || c == '-'))
+        .collect();
+    for grid in &bcc_bench::experiments::GRIDS {
+        assert!(
+            usage.contains(&grid.target),
+            "`{}` missing from --help:\n{stdout}",
+            grid.target
+        );
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

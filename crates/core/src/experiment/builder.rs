@@ -2,7 +2,9 @@
 //! through the registry, and run it end to end.
 
 use super::error::BuildError;
-use super::registry::{ControllerRegistry, ModeRegistry, PolicyRegistry, SchemeRegistry};
+use super::registry::{
+    ControllerFactory, ControllerRegistry, ModeRegistry, PolicyRegistry, Registries, SchemeRegistry,
+};
 use super::spec::{
     BackendSpec, ControllerSpec, DataSpec, ExperimentSpec, LatencySpec, LossSpec, ModeSpec,
     NetProfileSpec, OptimizerSpec, PolicySpec, SchemeSpec,
@@ -84,10 +86,11 @@ pub struct Experiment {
     model: Arc<dyn StragglerModel>,
     policy: Arc<dyn AggregationPolicy>,
     mode: Arc<dyn TrainingMode>,
-    /// Controller registry kept past validation: [`Self::run`] builds a
-    /// fresh (stateless-at-start) controller instance per run, so repeated
-    /// runs of one experiment never leak telemetry into each other.
-    controllers: ControllerRegistry,
+    /// The resolved controller factory, kept past validation:
+    /// [`Self::run`] builds a fresh (stateless-at-start) controller
+    /// instance per run, so repeated runs of one experiment never leak
+    /// telemetry into each other.
+    controller: Arc<ControllerFactory>,
     /// Dataset cache: materialized by the first [`Self::run`] and reused by
     /// every later run. The data is a pure function of the spec, and the
     /// benchmarks re-run one experiment many times (warmup + repeated
@@ -116,79 +119,30 @@ impl Experiment {
     /// # Errors
     /// Any [`BuildError`] the builder reports.
     pub fn from_spec(spec: ExperimentSpec) -> Result<Self, BuildError> {
-        Self::from_spec_with(spec, &SchemeRegistry::builtin())
+        Self::from_spec_with(spec, &Registries::default())
     }
 
-    /// Validates `spec`, resolving its scheme through `registry` (policies
-    /// through the built-in [`PolicyRegistry`]).
+    /// Validates `spec`, resolving every pluggable part — scheme,
+    /// aggregation policy, training mode, and straggler controller —
+    /// through caller-supplied `registries`.
     ///
     /// # Errors
     /// Any [`BuildError`] the builder reports.
     pub fn from_spec_with(
         spec: ExperimentSpec,
-        registry: &SchemeRegistry,
-    ) -> Result<Self, BuildError> {
-        Self::from_spec_with_registries(spec, registry, &PolicyRegistry::builtin())
-    }
-
-    /// Validates `spec`, resolving its scheme through `registry` and its
-    /// aggregation policy through `policies` (training mode through the
-    /// built-in [`ModeRegistry`]).
-    ///
-    /// # Errors
-    /// Any [`BuildError`] the builder reports.
-    pub fn from_spec_with_registries(
-        spec: ExperimentSpec,
-        registry: &SchemeRegistry,
-        policies: &PolicyRegistry,
-    ) -> Result<Self, BuildError> {
-        Self::from_spec_with_all(spec, registry, policies, &ModeRegistry::builtin())
-    }
-
-    /// Validates `spec`, resolving every pluggable part — scheme,
-    /// aggregation policy, and training mode — through caller-supplied
-    /// registries (straggler controller through the built-in
-    /// [`ControllerRegistry`]).
-    ///
-    /// # Errors
-    /// Any [`BuildError`] the builder reports.
-    pub fn from_spec_with_all(
-        spec: ExperimentSpec,
-        registry: &SchemeRegistry,
-        policies: &PolicyRegistry,
-        modes: &ModeRegistry,
-    ) -> Result<Self, BuildError> {
-        Self::from_spec_with_controllers(
-            spec,
-            registry,
-            policies,
-            modes,
-            ControllerRegistry::builtin(),
-        )
-    }
-
-    /// Validates `spec`, resolving scheme, policy, mode, *and* straggler
-    /// controller through caller-supplied registries. Takes the controller
-    /// registry by value: controllers are stateful, so each
-    /// [`Self::run`] builds a fresh instance from the retained registry.
-    ///
-    /// # Errors
-    /// Any [`BuildError`] the builder reports.
-    pub fn from_spec_with_controllers(
-        spec: ExperimentSpec,
-        registry: &SchemeRegistry,
-        policies: &PolicyRegistry,
-        modes: &ModeRegistry,
-        controllers: ControllerRegistry,
+        registries: &Registries,
     ) -> Result<Self, BuildError> {
         validate_spec(&spec)?;
         let (profile, model) = resolve_latency(&spec.latency, spec.workers)?;
-        let policy = policies.build(&spec.policy)?;
-        let mode = modes.build(&spec.mode)?;
+        let policy = registries.policies.build(&spec.policy)?;
+        let mode = registries.modes.build(&spec.mode)?;
         validate_mode(&spec, mode.as_ref())?;
-        validate_controller(&spec, mode.as_ref(), &controllers)?;
+        let controller = Arc::clone(registries.controllers.factory(&spec.controller)?);
+        validate_controller(&spec, mode.as_ref(), controller.as_ref())?;
         let mut rng = derive_rng(spec.seed, SCHEME_STREAM);
-        let scheme = registry.build(&spec.scheme, spec.units, spec.workers, &mut rng)?;
+        let scheme = registries
+            .schemes
+            .build(&spec.scheme, spec.units, spec.workers, &mut rng)?;
         Ok(Self {
             spec,
             scheme,
@@ -196,7 +150,7 @@ impl Experiment {
             model,
             policy,
             mode,
-            controllers,
+            controller,
             data: OnceLock::new(),
         })
     }
@@ -311,9 +265,7 @@ impl Experiment {
     /// the exact pre-controller code path — or a [`SwitchablePolicy`]
     /// handle the loop re-points between rounds for the adaptive ones.
     fn control_loop(&self) -> (ControlLoop, Arc<dyn AggregationPolicy>) {
-        let controller = self
-            .controllers
-            .build(&self.spec.controller)
+        let controller = (self.controller)(&self.spec.controller)
             .expect("controller spec was validated at build time");
         let mut control =
             ControlLoop::new(controller, self.spec.workers, self.initial_chosen_policy());
@@ -573,10 +525,7 @@ pub struct ExperimentBuilder {
     iterations: Option<usize>,
     record_risk: Option<bool>,
     seed: Option<u64>,
-    registry: Option<SchemeRegistry>,
-    policy_registry: Option<PolicyRegistry>,
-    mode_registry: Option<ModeRegistry>,
-    controller_registry: Option<ControllerRegistry>,
+    registries: Registries,
 }
 
 impl ExperimentBuilder {
@@ -694,7 +643,7 @@ impl ExperimentBuilder {
     /// built-ins.
     #[must_use]
     pub fn registry(mut self, registry: SchemeRegistry) -> Self {
-        self.registry = Some(registry);
+        self.registries.schemes = registry;
         self
     }
 
@@ -702,7 +651,7 @@ impl ExperimentBuilder {
     /// the built-ins.
     #[must_use]
     pub fn policy_registry(mut self, registry: PolicyRegistry) -> Self {
-        self.policy_registry = Some(registry);
+        self.registries.policies = registry;
         self
     }
 
@@ -710,7 +659,7 @@ impl ExperimentBuilder {
     /// built-ins.
     #[must_use]
     pub fn mode_registry(mut self, registry: ModeRegistry) -> Self {
-        self.mode_registry = Some(registry);
+        self.registries.modes = registry;
         self
     }
 
@@ -718,7 +667,7 @@ impl ExperimentBuilder {
     /// of the built-ins.
     #[must_use]
     pub fn controller_registry(mut self, registry: ControllerRegistry) -> Self {
-        self.controller_registry = Some(registry);
+        self.registries.controllers = registry;
         self
     }
 
@@ -753,13 +702,7 @@ impl ExperimentBuilder {
             units: defaults.units,
             scheme: defaults.scheme,
         };
-        let schemes = self.registry.unwrap_or_else(SchemeRegistry::builtin);
-        let policies = self.policy_registry.unwrap_or_else(PolicyRegistry::builtin);
-        let modes = self.mode_registry.unwrap_or_else(ModeRegistry::builtin);
-        let controllers = self
-            .controller_registry
-            .unwrap_or_else(ControllerRegistry::builtin);
-        Experiment::from_spec_with_controllers(spec, &schemes, &policies, &modes, controllers)
+        Experiment::from_spec_with(spec, &self.registries)
     }
 }
 
@@ -883,18 +826,18 @@ fn validate_mode(spec: &ExperimentSpec, mode: &dyn TrainingMode) -> Result<(), B
     }
 }
 
-/// Controller checks: the spec must resolve in the registry (parameter
+/// Controller checks: the resolved factory must accept the spec (parameter
 /// validation lives in the factories), and non-static controllers only make
 /// sense under synchronous rounds — the stale modes overlap rounds, so
 /// there is no boundary at which a policy swap takes clean effect.
 fn validate_controller(
     spec: &ExperimentSpec,
     mode: &dyn TrainingMode,
-    controllers: &ControllerRegistry,
+    controller: &ControllerFactory,
 ) -> Result<(), BuildError> {
     // Build (and drop) one instance now so a bad spec fails at build time,
     // not mid-run.
-    drop(controllers.build(&spec.controller)?);
+    drop(controller(&spec.controller)?);
     if !spec.controller.is_default() && !matches!(mode.schedule(), ModeSchedule::Synchronous) {
         return Err(BuildError::InvalidValue {
             field: "controller",
@@ -1499,9 +1442,13 @@ mod tests {
     #[test]
     fn custom_registry_schemes_run() {
         let mut reg = SchemeRegistry::builtin();
-        reg.register("everyone", |_spec, m, n, _rng| {
-            Ok(Box::new(bcc_coding::UncodedScheme::new(m, n)) as Box<dyn GradientCodingScheme>)
-        });
+        reg.register(
+            "everyone",
+            "uncoded by another name",
+            |_spec, m, n, _rng| {
+                Ok(Box::new(bcc_coding::UncodedScheme::new(m, n)) as Box<dyn GradientCodingScheme>)
+            },
+        );
         let report = tiny_builder()
             .scheme(SchemeSpec::named("everyone"))
             .registry(reg)

@@ -7,7 +7,9 @@
 //!   optimizer, seed). Specs round-trip through JSON, so scenarios are
 //!   *data*: `repro scenario <spec.json>` replays any of them with no Rust
 //!   changes.
-//! * [`SchemeRegistry`] — an open name → factory map. The built-in
+//! * [`SchemeRegistry`] — an open name → factory map, one instantiation of
+//!   the generic [`Registry`] that also backs the policy, mode, and
+//!   controller registries ([`Registries`] bundles the four). The built-in
 //!   registrations are the paper's comparison set
 //!   ([`SchemeConfig`](crate::schemes::SchemeConfig)); downstream code
 //!   registers custom schemes under new names.
@@ -44,7 +46,7 @@ pub use error::BuildError;
 pub use net_worker::run_worker;
 pub use registry::{
     ControllerFactory, ControllerRegistry, ModeFactory, ModeRegistry, PolicyFactory,
-    PolicyRegistry, SchemeFactory, SchemeRegistry,
+    PolicyRegistry, Registries, Registry, SchemeFactory, SchemeRegistry,
 };
 pub use spec::{
     BackendSpec, ControllerSpec, DataSpec, ExperimentSpec, LatencySpec, LossSpec, ModeSpec,

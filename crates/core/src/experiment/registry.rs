@@ -1,19 +1,26 @@
 //! The open scheme, aggregation-policy, training-mode, and
-//! straggler-controller registries: name → factory.
+//! straggler-controller registries: name → (description, factory).
 //!
-//! The built-in scheme registrations are the paper's comparison set
-//! (everything [`SchemeConfig`] can describe); the built-in policy
-//! registrations are the four members of [`bcc_cluster::policy`]; the
-//! built-in mode registrations are the four members of
-//! [`bcc_cluster::mode`]; the built-in controller registrations are the
-//! four members of [`bcc_control`]. Downstream code extends any set by
-//! registering its own factory under a new name and handing the registry to
-//! [`ExperimentBuilder::registry`](super::ExperimentBuilder::registry) /
-//! [`ExperimentBuilder::policy_registry`](super::ExperimentBuilder::policy_registry) /
-//! [`ExperimentBuilder::mode_registry`](super::ExperimentBuilder::mode_registry) /
-//! [`ExperimentBuilder::controller_registry`](super::ExperimentBuilder::controller_registry)
-//! — spec files can then name custom schemes, policies, modes, and
-//! controllers with no changes here.
+//! One generic [`Registry`] owns the map and everything the four kinds
+//! share — `empty` / `contains` / `names` / `descriptions`, the lookup that
+//! answers an unknown name with the registered ones, `Default` = built-ins.
+//! [`SchemeRegistry`], [`PolicyRegistry`], [`ModeRegistry`] and
+//! [`ControllerRegistry`] are aliases of it; per kind there is only the
+//! factory signature (`register` / `build`) and the built-in registrations:
+//! the paper's comparison set (everything [`SchemeConfig`] can describe),
+//! the four members of [`bcc_cluster::policy`], of [`bcc_cluster::mode`]
+//! and of [`bcc_control`].
+//!
+//! Downstream code extends any kind by registering its own factory under a
+//! new name and handing the registry to the builder
+//! ([`ExperimentBuilder::registry`](super::ExperimentBuilder::registry) /
+//! [`policy_registry`](super::ExperimentBuilder::policy_registry) /
+//! [`mode_registry`](super::ExperimentBuilder::mode_registry) /
+//! [`controller_registry`](super::ExperimentBuilder::controller_registry))
+//! or, as one [`Registries`] bundle, to
+//! [`Experiment::from_spec_with`](super::Experiment::from_spec_with) — spec
+//! files can then name custom schemes, policies, modes, and controllers
+//! with no changes here.
 
 use super::error::BuildError;
 use super::spec::{ControllerSpec, ModeSpec, PolicySpec, SchemeSpec};
@@ -26,51 +33,215 @@ use bcc_coding::GradientCodingScheme;
 use bcc_control::{AdaptiveK, Controller, QuantileDeadline, RegimeSwitch, StaticController};
 use rand::RngCore;
 use std::collections::BTreeMap;
+use std::fmt::Display;
 use std::sync::Arc;
 
-/// A scheme factory: builds a scheme for `m` units over `n` workers from a
-/// spec, drawing any randomized placement from `rng`.
-pub type SchemeFactory = Box<
-    dyn Fn(
-            &SchemeSpec,
-            usize,
-            usize,
-            &mut dyn RngCore,
-        ) -> Result<Box<dyn GradientCodingScheme>, BuildError>
-        + Send
-        + Sync,
->;
+mod kind {
+    use super::{BuildError, Registry};
 
-/// Name → factory map resolving [`SchemeSpec`]s to scheme instances.
-pub struct SchemeRegistry {
-    factories: BTreeMap<String, SchemeFactory>,
+    /// What the one [`Registry`] is generic over — implemented by the four
+    /// spec types, and by nothing outside this module.
+    pub trait Kind: Sized {
+        /// The kind's noun in validation messages (`"policy"`, …).
+        const NOUN: &'static str;
+        /// The factory signature entries of this kind are stored under.
+        type Factory: ?Sized;
+        /// The registry name a spec of this kind asks for.
+        fn name(&self) -> &str;
+        /// The kind's `Unknown…` error.
+        fn unknown(name: String, known: Vec<String>) -> BuildError;
+        /// The built-in registrations.
+        fn builtin() -> Registry<Self>;
+    }
+}
+use kind::Kind;
+
+/// Name → (one-line description, factory) map resolving the specs of one
+/// plug-in kind to instances.
+pub struct Registry<S: Kind> {
+    entries: BTreeMap<String, (String, Arc<S::Factory>)>,
 }
 
-impl SchemeRegistry {
+impl<S: Kind> Registry<S> {
     /// A registry with no registrations.
     #[must_use]
     pub fn empty() -> Self {
         Self {
-            factories: BTreeMap::new(),
+            entries: BTreeMap::new(),
         }
     }
 
-    /// The registry with every scheme in the paper's comparison registered
-    /// under its report name (see [`SchemeConfig::name`]).
+    /// The registry with every built-in of this kind registered under its
+    /// report name.
     #[must_use]
     pub fn builtin() -> Self {
-        let mut reg = Self::empty();
-        for name in SchemeConfig::BUILTIN_NAMES {
-            reg.register(name, |spec, m, n, rng| {
+        S::builtin()
+    }
+
+    /// Whether `name` resolves.
+    #[must_use]
+    pub fn contains(&self, name: &str) -> bool {
+        self.entries.contains_key(name)
+    }
+
+    /// Every registered name, sorted.
+    #[must_use]
+    pub fn names(&self) -> Vec<String> {
+        self.entries.keys().cloned().collect()
+    }
+
+    /// Every `(name, description)` pair, sorted by name (shown by
+    /// `repro list`).
+    #[must_use]
+    pub fn descriptions(&self) -> Vec<(String, String)> {
+        self.entries
+            .iter()
+            .map(|(name, (desc, _))| (name.clone(), desc.clone()))
+            .collect()
+    }
+
+    fn insert(
+        &mut self,
+        name: impl Into<String>,
+        description: impl Into<String>,
+        factory: Arc<S::Factory>,
+    ) {
+        self.entries
+            .insert(name.into(), (description.into(), factory));
+    }
+
+    /// The factory `spec` names, or the kind's `Unknown…` error listing
+    /// every registration.
+    pub(super) fn factory(&self, spec: &S) -> Result<&Arc<S::Factory>, BuildError> {
+        self.entries
+            .get(spec.name())
+            .map(|(_, factory)| factory)
+            .ok_or_else(|| S::unknown(spec.name().to_string(), self.names()))
+    }
+}
+
+impl<S: Kind> Default for Registry<S> {
+    fn default() -> Self {
+        S::builtin()
+    }
+}
+
+impl<S: Kind> std::fmt::Debug for Registry<S> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Registry")
+            .field("kind", &S::NOUN)
+            .field("names", &self.names())
+            .finish()
+    }
+}
+
+/// The parameter check every built-in factory goes through: `value` (the
+/// spec's field, or its documented default) must be present and satisfy
+/// `ok`; `expect` says what that is.
+fn param<S: Kind, T: Copy + Display>(
+    spec: &S,
+    field: &'static str,
+    value: Option<T>,
+    ok: impl Fn(T) -> bool,
+    expect: &str,
+) -> Result<T, BuildError> {
+    let (noun, name) = (S::NOUN, spec.name());
+    let reason = match value {
+        Some(value) if ok(value) => return Ok(value),
+        Some(value) => format!("{noun} `{name}` needs {expect}, got {value}"),
+        None => format!("{noun} `{name}` requires it ({expect})"),
+    };
+    Err(BuildError::InvalidValue { field, reason })
+}
+
+/// The kinds whose factories take the spec alone — policies, modes, and
+/// controllers.
+impl<S, P> Registry<S>
+where
+    S: Kind<Factory = dyn Fn(&S) -> Result<P, BuildError> + Send + Sync>,
+{
+    /// Registers (or replaces) a factory under `name` with a one-line
+    /// `description`.
+    pub fn register<F>(
+        &mut self,
+        name: impl Into<String>,
+        description: impl Into<String>,
+        factory: F,
+    ) where
+        F: Fn(&S) -> Result<P, BuildError> + Send + Sync + 'static,
+    {
+        self.insert(name, description, Arc::new(factory));
+    }
+
+    /// Resolves and builds what `spec` describes.
+    ///
+    /// # Errors
+    /// The kind's `Unknown…` error ([`BuildError::UnknownPolicy`] /
+    /// [`UnknownMode`](BuildError::UnknownMode) /
+    /// [`UnknownController`](BuildError::UnknownController)) when the name
+    /// has no registration, plus whatever parameter validation the factory
+    /// reports.
+    pub fn build(&self, spec: &S) -> Result<P, BuildError> {
+        (self.factory(spec)?)(spec)
+    }
+}
+
+/// A scheme factory: builds a scheme for `m` units over `n` workers from a
+/// spec, drawing any randomized placement from `rng`.
+pub type SchemeFactory = dyn Fn(
+        &SchemeSpec,
+        usize,
+        usize,
+        &mut dyn RngCore,
+    ) -> Result<Box<dyn GradientCodingScheme>, BuildError>
+    + Send
+    + Sync;
+
+/// Resolves [`SchemeSpec`]s to scheme instances.
+pub type SchemeRegistry = Registry<SchemeSpec>;
+
+impl Kind for SchemeSpec {
+    const NOUN: &'static str = "scheme";
+    type Factory = SchemeFactory;
+
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn unknown(name: String, known: Vec<String>) -> BuildError {
+        BuildError::UnknownScheme { name, known }
+    }
+
+    /// Every scheme in the paper's comparison, under its report name (see
+    /// [`SchemeConfig::name`]).
+    fn builtin() -> SchemeRegistry {
+        let mut reg = SchemeRegistry::empty();
+        for (name, description) in [
+            ("uncoded", "disjoint shards, master waits for every worker (the baseline)"),
+            ("bcc", "Batched Coupon's Collector — random batch per worker, stop on coverage (this paper)"),
+            ("bcc-uncompressed", "BCC placement with per-example messages (ablation of Remark 3's compression)"),
+            ("random", "simple randomized subsets, per-example messages (Prior Art, eq. (5)-(6))"),
+            ("cyclic-repetition", "cyclic-window gradient coding of Tandon et al. (m = n, any n-r+1 decode)"),
+            ("cyclic-mds", "cyclic-MDS code over C of Raviv et al. (m = n, any n-r+1 decode)"),
+            ("fractional-repetition", "disjoint shard groups replicated r times (m = n, r | n)"),
+        ] {
+            reg.register(name, description, |spec, m, n, rng| {
                 SchemeConfig::from_spec(spec)?.try_build(m, n, rng)
             });
         }
         reg
     }
+}
 
-    /// Registers (or replaces) a factory under `name`.
-    pub fn register<F>(&mut self, name: impl Into<String>, factory: F)
-    where
+impl SchemeRegistry {
+    /// Registers (or replaces) a factory under `name` with a one-line
+    /// `description`.
+    pub fn register<F>(
+        &mut self,
+        name: impl Into<String>,
+        description: impl Into<String>,
+        factory: F,
+    ) where
         F: Fn(
                 &SchemeSpec,
                 usize,
@@ -81,19 +252,7 @@ impl SchemeRegistry {
             + Sync
             + 'static,
     {
-        self.factories.insert(name.into(), Box::new(factory));
-    }
-
-    /// Whether `name` resolves.
-    #[must_use]
-    pub fn contains(&self, name: &str) -> bool {
-        self.factories.contains_key(name)
-    }
-
-    /// Every registered name, sorted.
-    #[must_use]
-    pub fn names(&self) -> Vec<String> {
-        self.factories.keys().cloned().collect()
+        self.insert(name, description, Arc::new(factory));
     }
 
     /// Resolves and builds the scheme for `m` units over `n` workers.
@@ -108,77 +267,33 @@ impl SchemeRegistry {
         n: usize,
         rng: &mut dyn RngCore,
     ) -> Result<Box<dyn GradientCodingScheme>, BuildError> {
-        let factory = self
-            .factories
-            .get(&spec.name)
-            .ok_or_else(|| BuildError::UnknownScheme {
-                name: spec.name.clone(),
-                known: self.names(),
-            })?;
-        factory(spec, m, n, rng)
-    }
-}
-
-impl Default for SchemeRegistry {
-    fn default() -> Self {
-        Self::builtin()
-    }
-}
-
-impl std::fmt::Debug for SchemeRegistry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SchemeRegistry")
-            .field("names", &self.names())
-            .finish()
+        (self.factory(spec)?)(spec, m, n, rng)
     }
 }
 
 /// An aggregation-policy factory: builds the policy a [`PolicySpec`]
 /// describes, validating its parameters.
 pub type PolicyFactory =
-    Box<dyn Fn(&PolicySpec) -> Result<Arc<dyn AggregationPolicy>, BuildError> + Send + Sync>;
+    dyn Fn(&PolicySpec) -> Result<Arc<dyn AggregationPolicy>, BuildError> + Send + Sync;
 
-/// Name → (description, factory) map resolving [`PolicySpec`]s to
-/// [`AggregationPolicy`] instances.
-pub struct PolicyRegistry {
-    factories: BTreeMap<String, (String, PolicyFactory)>,
-}
+/// Resolves [`PolicySpec`]s to [`AggregationPolicy`] instances.
+pub type PolicyRegistry = Registry<PolicySpec>;
 
-/// A positive-parameter check the built-in policy factories share.
-fn require_param<T: Copy>(
-    spec: &PolicySpec,
-    field: &'static str,
-    value: Option<T>,
-    ok: impl Fn(T) -> bool,
-    expect: &str,
-) -> Result<T, BuildError> {
-    let value = value.ok_or_else(|| BuildError::InvalidValue {
-        field,
-        reason: format!("policy `{}` requires it ({expect})", spec.name),
-    })?;
-    if !ok(value) {
-        return Err(BuildError::InvalidValue {
-            field,
-            reason: format!("policy `{}` needs {expect}", spec.name),
-        });
-    }
-    Ok(value)
-}
+impl Kind for PolicySpec {
+    const NOUN: &'static str = "policy";
+    type Factory = PolicyFactory;
 
-impl PolicyRegistry {
-    /// A registry with no registrations.
-    #[must_use]
-    pub fn empty() -> Self {
-        Self {
-            factories: BTreeMap::new(),
-        }
+    fn name(&self) -> &str {
+        &self.name
     }
 
-    /// The registry with the four built-in policies of
-    /// [`bcc_cluster::policy`] registered under their report names.
-    #[must_use]
-    pub fn builtin() -> Self {
-        let mut reg = Self::empty();
+    fn unknown(name: String, known: Vec<String>) -> BuildError {
+        BuildError::UnknownPolicy { name, known }
+    }
+
+    /// The four policies of [`bcc_cluster::policy`].
+    fn builtin() -> PolicyRegistry {
+        let mut reg = PolicyRegistry::empty();
         reg.register(
             "wait-decodable",
             "exact decode: stop at the scheme's completion condition (the paper's master; default)",
@@ -188,7 +303,7 @@ impl PolicyRegistry {
             "fastest-k",
             "stop after the fastest k arrivals; coverage-rescaled unbiased estimate (requires `k`)",
             |spec| {
-                let k = require_param(
+                let k = param(
                     spec,
                     "policy.k",
                     spec.k,
@@ -202,7 +317,7 @@ impl PolicyRegistry {
             "deadline",
             "cut the round off at a simulated-time budget; rescaled partial gradient (requires `deadline`)",
             |spec| {
-                let d = require_param(
+                let d = param(
                     spec,
                     "policy.deadline",
                     spec.deadline,
@@ -219,139 +334,52 @@ impl PolicyRegistry {
         );
         reg
     }
-
-    /// Registers (or replaces) a factory under `name` with a one-line
-    /// `description` (shown by `repro list`).
-    pub fn register<F>(
-        &mut self,
-        name: impl Into<String>,
-        description: impl Into<String>,
-        factory: F,
-    ) where
-        F: Fn(&PolicySpec) -> Result<Arc<dyn AggregationPolicy>, BuildError>
-            + Send
-            + Sync
-            + 'static,
-    {
-        self.factories
-            .insert(name.into(), (description.into(), Box::new(factory)));
-    }
-
-    /// Whether `name` resolves.
-    #[must_use]
-    pub fn contains(&self, name: &str) -> bool {
-        self.factories.contains_key(name)
-    }
-
-    /// Every registered name, sorted.
-    #[must_use]
-    pub fn names(&self) -> Vec<String> {
-        self.factories.keys().cloned().collect()
-    }
-
-    /// Every `(name, description)` pair, sorted by name.
-    #[must_use]
-    pub fn descriptions(&self) -> Vec<(String, String)> {
-        self.factories
-            .iter()
-            .map(|(name, (desc, _))| (name.clone(), desc.clone()))
-            .collect()
-    }
-
-    /// Resolves and builds the policy `spec` describes.
-    ///
-    /// # Errors
-    /// [`BuildError::UnknownPolicy`] when the name has no registration,
-    /// plus whatever parameter validation the factory reports.
-    pub fn build(&self, spec: &PolicySpec) -> Result<Arc<dyn AggregationPolicy>, BuildError> {
-        let (_, factory) =
-            self.factories
-                .get(&spec.name)
-                .ok_or_else(|| BuildError::UnknownPolicy {
-                    name: spec.name.clone(),
-                    known: self.names(),
-                })?;
-        factory(spec)
-    }
-}
-
-impl Default for PolicyRegistry {
-    fn default() -> Self {
-        Self::builtin()
-    }
-}
-
-impl std::fmt::Debug for PolicyRegistry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PolicyRegistry")
-            .field("names", &self.names())
-            .finish()
-    }
 }
 
 /// A training-mode factory: builds the mode a [`ModeSpec`] describes,
 /// validating its parameters.
-pub type ModeFactory =
-    Box<dyn Fn(&ModeSpec) -> Result<Arc<dyn TrainingMode>, BuildError> + Send + Sync>;
+pub type ModeFactory = dyn Fn(&ModeSpec) -> Result<Arc<dyn TrainingMode>, BuildError> + Send + Sync;
 
-/// Name → (description, factory) map resolving [`ModeSpec`]s to
-/// [`TrainingMode`] instances.
-pub struct ModeRegistry {
-    factories: BTreeMap<String, (String, ModeFactory)>,
+/// Resolves [`ModeSpec`]s to [`TrainingMode`] instances.
+pub type ModeRegistry = Registry<ModeSpec>;
+
+/// The description a `(name, description)` table of built-ins gives `name`.
+fn described(table: &[(&'static str, &'static str)], name: &str) -> &'static str {
+    table
+        .iter()
+        .find(|(n, _)| *n == name)
+        .map(|(_, d)| *d)
+        .expect("built-in missing from its description table")
 }
 
-/// A positive-parameter check the built-in mode factories share: the
-/// parameter must be present and `>= 1` (the iterations-relative upper
-/// bound is the builder's job — the registry does not know the spec).
-fn require_mode_param(
-    spec: &ModeSpec,
-    field: &'static str,
-    value: Option<usize>,
-    expect: &str,
-) -> Result<usize, BuildError> {
-    let value = value.ok_or_else(|| BuildError::InvalidValue {
-        field,
-        reason: format!("mode `{}` requires it ({expect})", spec.name),
-    })?;
-    if value == 0 {
-        return Err(BuildError::InvalidValue {
-            field,
-            reason: format!("mode `{}` needs {expect}, got 0", spec.name),
-        });
-    }
-    Ok(value)
-}
+impl Kind for ModeSpec {
+    const NOUN: &'static str = "mode";
+    type Factory = ModeFactory;
 
-impl ModeRegistry {
-    /// A registry with no registrations.
-    #[must_use]
-    pub fn empty() -> Self {
-        Self {
-            factories: BTreeMap::new(),
-        }
+    fn name(&self) -> &str {
+        &self.name
     }
 
-    /// The registry with the four built-in modes of [`bcc_cluster::mode`]
-    /// registered under their report names (descriptions from
-    /// [`bcc_cluster::mode::MODES`]).
-    #[must_use]
-    pub fn builtin() -> Self {
-        let description = |name: &str| {
-            bcc_cluster::mode::MODES
-                .iter()
-                .find(|(n, _)| *n == name)
-                .map(|(_, d)| *d)
-                .expect("built-in mode missing from MODES")
-        };
-        let mut reg = Self::empty();
+    fn unknown(name: String, known: Vec<String>) -> BuildError {
+        BuildError::UnknownMode { name, known }
+    }
+
+    /// The four modes of [`bcc_cluster::mode`] (descriptions from
+    /// [`bcc_cluster::mode::MODES`]). The factories only require their
+    /// parameter to be present and `>= 1`; the iterations-relative upper
+    /// bound is the builder's job — the registry does not know the spec.
+    fn builtin() -> ModeRegistry {
+        let description = |name| described(&bcc_cluster::mode::MODES, name);
+        let mut reg = ModeRegistry::empty();
         reg.register("ssgd", description("ssgd"), |_spec| {
             Ok(Arc::new(Ssgd) as Arc<dyn TrainingMode>)
         });
         reg.register("ssp", description("ssp"), |spec| {
-            let staleness = require_mode_param(
+            let staleness = param(
                 spec,
                 "mode.staleness",
                 spec.staleness,
+                |s| s >= 1,
                 "a staleness bound >= 1",
             )?;
             Ok(Arc::new(Ssp { staleness }) as Arc<dyn TrainingMode>)
@@ -360,133 +388,53 @@ impl ModeRegistry {
             Ok(Arc::new(Asgd) as Arc<dyn TrainingMode>)
         });
         reg.register("local-sgd", description("local-sgd"), |spec| {
-            let local_steps = require_mode_param(
+            let local_steps = param(
                 spec,
                 "mode.local_steps",
                 spec.local_steps,
+                |s| s >= 1,
                 "a local step count >= 1",
             )?;
             Ok(Arc::new(LocalSgd { local_steps }) as Arc<dyn TrainingMode>)
         });
         reg
     }
-
-    /// Registers (or replaces) a factory under `name` with a one-line
-    /// `description` (shown by `repro list`).
-    pub fn register<F>(
-        &mut self,
-        name: impl Into<String>,
-        description: impl Into<String>,
-        factory: F,
-    ) where
-        F: Fn(&ModeSpec) -> Result<Arc<dyn TrainingMode>, BuildError> + Send + Sync + 'static,
-    {
-        self.factories
-            .insert(name.into(), (description.into(), Box::new(factory)));
-    }
-
-    /// Whether `name` resolves.
-    #[must_use]
-    pub fn contains(&self, name: &str) -> bool {
-        self.factories.contains_key(name)
-    }
-
-    /// Every registered name, sorted.
-    #[must_use]
-    pub fn names(&self) -> Vec<String> {
-        self.factories.keys().cloned().collect()
-    }
-
-    /// Every `(name, description)` pair, sorted by name.
-    #[must_use]
-    pub fn descriptions(&self) -> Vec<(String, String)> {
-        self.factories
-            .iter()
-            .map(|(name, (desc, _))| (name.clone(), desc.clone()))
-            .collect()
-    }
-
-    /// Resolves and builds the mode `spec` describes.
-    ///
-    /// # Errors
-    /// [`BuildError::UnknownMode`] when the name has no registration, plus
-    /// whatever parameter validation the factory reports.
-    pub fn build(&self, spec: &ModeSpec) -> Result<Arc<dyn TrainingMode>, BuildError> {
-        let (_, factory) =
-            self.factories
-                .get(&spec.name)
-                .ok_or_else(|| BuildError::UnknownMode {
-                    name: spec.name.clone(),
-                    known: self.names(),
-                })?;
-        factory(spec)
-    }
-}
-
-impl Default for ModeRegistry {
-    fn default() -> Self {
-        Self::builtin()
-    }
-}
-
-impl std::fmt::Debug for ModeRegistry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ModeRegistry")
-            .field("names", &self.names())
-            .finish()
-    }
 }
 
 /// A controller factory: builds a straggler controller from its spec.
 pub type ControllerFactory =
-    Box<dyn Fn(&ControllerSpec) -> Result<Box<dyn Controller>, BuildError> + Send + Sync>;
+    dyn Fn(&ControllerSpec) -> Result<Box<dyn Controller>, BuildError> + Send + Sync;
 
-/// Name → (description, factory) map resolving [`ControllerSpec`]s to
-/// [`Controller`] instances.
-pub struct ControllerRegistry {
-    factories: BTreeMap<String, (String, ControllerFactory)>,
-}
+/// Resolves [`ControllerSpec`]s to [`Controller`] instances.
+pub type ControllerRegistry = Registry<ControllerSpec>;
 
-/// A positive-finite float check the built-in controller factories share.
-fn controller_float(
-    spec: &ControllerSpec,
-    field: &'static str,
-    value: Option<f64>,
-    default: f64,
-    expect: &str,
-) -> Result<f64, BuildError> {
-    let value = value.unwrap_or(default);
-    if !value.is_finite() || value <= 0.0 {
-        return Err(BuildError::InvalidValue {
-            field,
-            reason: format!("controller `{}` needs {expect}, got {value}", spec.name),
-        });
-    }
-    Ok(value)
-}
+impl Kind for ControllerSpec {
+    const NOUN: &'static str = "controller";
+    type Factory = ControllerFactory;
 
-impl ControllerRegistry {
-    /// A registry with no registrations.
-    #[must_use]
-    pub fn empty() -> Self {
-        Self {
-            factories: BTreeMap::new(),
-        }
+    fn name(&self) -> &str {
+        &self.name
     }
 
-    /// The registry with the four built-in controllers of [`bcc_control`]
-    /// registered under their report names (descriptions from
-    /// [`bcc_control::CONTROLLERS`]).
-    #[must_use]
-    pub fn builtin() -> Self {
-        let description = |name: &str| {
-            bcc_control::CONTROLLERS
-                .iter()
-                .find(|(n, _)| *n == name)
-                .map(|(_, d)| *d)
-                .expect("built-in controller missing from CONTROLLERS")
+    fn unknown(name: String, known: Vec<String>) -> BuildError {
+        BuildError::UnknownController { name, known }
+    }
+
+    /// The four controllers of [`bcc_control`] (descriptions from
+    /// [`bcc_control::CONTROLLERS`]); absent tuning fields take the
+    /// controller's documented defaults.
+    fn builtin() -> ControllerRegistry {
+        let description = |name| described(&bcc_control::CONTROLLERS, name);
+        let slow_factor = |spec: &ControllerSpec, default: f64| {
+            param(
+                spec,
+                "controller.slow_factor",
+                spec.slow_factor.or(Some(default)),
+                |s: f64| s.is_finite() && s > 1.0,
+                "a slow factor > 1",
+            )
         };
-        let mut reg = Self::empty();
+        let mut reg = ControllerRegistry::empty();
         reg.register("static", description("static"), |_spec| {
             Ok(Box::new(StaticController) as Box<dyn Controller>)
         });
@@ -495,158 +443,66 @@ impl ControllerRegistry {
             description("quantile-deadline"),
             |spec| {
                 let defaults = QuantileDeadline::default();
-                let q = controller_float(
-                    spec,
-                    "controller.q",
-                    spec.q,
-                    defaults.q,
-                    "a quantile in (0, 1)",
-                )?;
-                if q >= 1.0 {
-                    return Err(BuildError::InvalidValue {
-                        field: "controller.q",
-                        reason: format!(
-                            "controller `{}` needs a quantile in (0, 1), got {q}",
-                            spec.name
-                        ),
-                    });
-                }
-                let margin = controller_float(
-                    spec,
-                    "controller.margin",
-                    spec.margin,
-                    defaults.margin,
-                    "a positive budget multiplier",
-                )?;
                 Ok(Box::new(QuantileDeadline {
-                    q,
-                    margin,
+                    q: param(
+                        spec,
+                        "controller.q",
+                        spec.q.or(Some(defaults.q)),
+                        |q: f64| q > 0.0 && q < 1.0,
+                        "a quantile in (0, 1)",
+                    )?,
+                    margin: param(
+                        spec,
+                        "controller.margin",
+                        spec.margin.or(Some(defaults.margin)),
+                        |m: f64| m.is_finite() && m > 0.0,
+                        "a positive budget multiplier",
+                    )?,
                     warmup: spec.warmup.unwrap_or(defaults.warmup),
                 }) as Box<dyn Controller>)
             },
         );
-        reg.register("adaptive-k", description("adaptive-k"), |spec| {
+        reg.register("adaptive-k", description("adaptive-k"), move |spec| {
             let defaults = AdaptiveK::default();
-            let slow_factor = controller_float(
-                spec,
-                "controller.slow_factor",
-                spec.slow_factor,
-                defaults.slow_factor,
-                "a slow factor > 1",
-            )?;
-            if slow_factor <= 1.0 {
-                return Err(BuildError::InvalidValue {
-                    field: "controller.slow_factor",
-                    reason: format!(
-                        "controller `{}` needs a slow factor > 1, got {slow_factor}",
-                        spec.name
-                    ),
-                });
-            }
             Ok(Box::new(AdaptiveK {
-                slow_factor,
+                slow_factor: slow_factor(spec, defaults.slow_factor)?,
                 warmup: spec.warmup.unwrap_or(defaults.warmup),
                 min_k: defaults.min_k,
             }) as Box<dyn Controller>)
         });
-        reg.register("regime-switch", description("regime-switch"), |spec| {
+        reg.register("regime-switch", description("regime-switch"), move |spec| {
             let defaults = RegimeSwitch::default();
-            let slow_factor = controller_float(
-                spec,
-                "controller.slow_factor",
-                spec.slow_factor,
-                defaults.slow_factor,
-                "a slow factor > 1",
-            )?;
-            if slow_factor <= 1.0 {
-                return Err(BuildError::InvalidValue {
-                    field: "controller.slow_factor",
-                    reason: format!(
-                        "controller `{}` needs a slow factor > 1, got {slow_factor}",
-                        spec.name
-                    ),
-                });
-            }
-            let hysteresis = spec.hysteresis.unwrap_or(defaults.hysteresis);
-            if hysteresis == 0 {
-                return Err(BuildError::InvalidValue {
-                    field: "controller.hysteresis",
-                    reason: format!("controller `{}` needs hysteresis >= 1, got 0", spec.name),
-                });
-            }
             Ok(Box::new(RegimeSwitch {
-                slow_factor,
-                hysteresis,
+                slow_factor: slow_factor(spec, defaults.slow_factor)?,
+                hysteresis: param(
+                    spec,
+                    "controller.hysteresis",
+                    spec.hysteresis.or(Some(defaults.hysteresis)),
+                    |h| h >= 1,
+                    "hysteresis >= 1",
+                )?,
                 min_k: defaults.min_k,
             }) as Box<dyn Controller>)
         });
         reg
     }
-
-    /// Registers (or replaces) a factory under `name` with a one-line
-    /// `description` (shown by `repro list`).
-    pub fn register<F>(
-        &mut self,
-        name: impl Into<String>,
-        description: impl Into<String>,
-        factory: F,
-    ) where
-        F: Fn(&ControllerSpec) -> Result<Box<dyn Controller>, BuildError> + Send + Sync + 'static,
-    {
-        self.factories
-            .insert(name.into(), (description.into(), Box::new(factory)));
-    }
-
-    /// Whether `name` resolves.
-    #[must_use]
-    pub fn contains(&self, name: &str) -> bool {
-        self.factories.contains_key(name)
-    }
-
-    /// Every registered name, sorted.
-    #[must_use]
-    pub fn names(&self) -> Vec<String> {
-        self.factories.keys().cloned().collect()
-    }
-
-    /// Every `(name, description)` pair, sorted by name.
-    #[must_use]
-    pub fn descriptions(&self) -> Vec<(String, String)> {
-        self.factories
-            .iter()
-            .map(|(name, (desc, _))| (name.clone(), desc.clone()))
-            .collect()
-    }
-
-    /// Resolves and builds the controller `spec` describes.
-    ///
-    /// # Errors
-    /// [`BuildError::UnknownController`] when the name has no registration,
-    /// plus whatever parameter validation the factory reports.
-    pub fn build(&self, spec: &ControllerSpec) -> Result<Box<dyn Controller>, BuildError> {
-        let (_, factory) =
-            self.factories
-                .get(&spec.name)
-                .ok_or_else(|| BuildError::UnknownController {
-                    name: spec.name.clone(),
-                    known: self.names(),
-                })?;
-        factory(spec)
-    }
 }
 
-impl Default for ControllerRegistry {
-    fn default() -> Self {
-        Self::builtin()
-    }
-}
-
-impl std::fmt::Debug for ControllerRegistry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ControllerRegistry")
-            .field("names", &self.names())
-            .finish()
-    }
+/// One registry per plug-in kind — everything an [`ExperimentSpec`]
+/// resolves by name. `Default` is the four built-in sets.
+///
+/// [`ExperimentSpec`]: super::ExperimentSpec
+#[derive(Debug, Default)]
+pub struct Registries {
+    /// Resolves [`ExperimentSpec::scheme`](super::ExperimentSpec::scheme).
+    pub schemes: SchemeRegistry,
+    /// Resolves [`ExperimentSpec::policy`](super::ExperimentSpec::policy).
+    pub policies: PolicyRegistry,
+    /// Resolves [`ExperimentSpec::mode`](super::ExperimentSpec::mode).
+    pub modes: ModeRegistry,
+    /// Resolves
+    /// [`ExperimentSpec::controller`](super::ExperimentSpec::controller).
+    pub controllers: ControllerRegistry,
 }
 
 #[cfg(test)]
@@ -655,12 +511,35 @@ mod tests {
     use bcc_coding::UncodedScheme;
     use bcc_stats::rng::derive_rng;
 
+    /// The name lookup every kind's `build` starts with, erased to what
+    /// the cross-kind tests compare.
+    fn lookup<S: Kind>(reg: &Registry<S>, spec: &S) -> Result<(), BuildError> {
+        reg.factory(spec).map(|_| ())
+    }
+
+    /// A `(name, description)` table the way `descriptions()` lists it.
+    fn sorted(table: &[(&str, &str)]) -> Vec<(String, String)> {
+        let mut table: Vec<_> = table
+            .iter()
+            .map(|(n, d)| (n.to_string(), d.to_string()))
+            .collect();
+        table.sort();
+        table
+    }
+
     #[test]
-    fn builtin_covers_the_paper_comparison() {
+    fn builtin_schemes_cover_the_paper_comparison() {
         let reg = SchemeRegistry::builtin();
+        assert_eq!(reg.names().len(), SchemeConfig::BUILTIN_NAMES.len());
         for name in SchemeConfig::BUILTIN_NAMES {
             assert!(reg.contains(name), "missing builtin `{name}`");
         }
+        assert!(reg.descriptions().iter().all(|(_, desc)| !desc.is_empty()));
+        assert!(reg.descriptions().contains(&(
+            "bcc".into(),
+            "Batched Coupon's Collector — random batch per worker, stop on coverage (this paper)"
+                .into()
+        )));
         let mut rng = derive_rng(1, 0);
         let scheme = reg
             .build(&SchemeSpec::with_load("bcc", 4), 20, 20, &mut rng)
@@ -669,41 +548,97 @@ mod tests {
     }
 
     #[test]
-    fn unknown_name_lists_registrations() {
-        let reg = SchemeRegistry::builtin();
-        let mut rng = derive_rng(1, 0);
-        let err = reg
-            .build(&SchemeSpec::named("lt-codes"), 10, 10, &mut rng)
-            .unwrap_err();
-        match err {
-            BuildError::UnknownScheme { name, known } => {
-                assert_eq!(name, "lt-codes");
-                assert!(known.contains(&"uncoded".to_string()));
-            }
-            other => panic!("expected UnknownScheme, got {other:?}"),
-        }
+    fn unknown_names_list_the_registrations_for_every_kind() {
+        let regs = Registries::default();
+        let known = |names: &[&str]| {
+            let mut names: Vec<String> = names.iter().map(ToString::to_string).collect();
+            names.sort();
+            names
+        };
+        assert_eq!(
+            lookup(&regs.schemes, &SchemeSpec::named("lt-codes")),
+            Err(BuildError::UnknownScheme {
+                name: "lt-codes".into(),
+                known: known(&SchemeConfig::BUILTIN_NAMES),
+            })
+        );
+        assert_eq!(
+            lookup(&regs.policies, &PolicySpec::named("vote-majority")),
+            Err(BuildError::UnknownPolicy {
+                name: "vote-majority".into(),
+                known: known(&["wait-decodable", "fastest-k", "deadline", "best-effort-all"]),
+            })
+        );
+        assert_eq!(
+            lookup(&regs.modes, &ModeSpec::named("hogwild")),
+            Err(BuildError::UnknownMode {
+                name: "hogwild".into(),
+                known: known(&["asgd", "local-sgd", "ssgd", "ssp"]),
+            })
+        );
+        assert_eq!(
+            lookup(&regs.controllers, &ControllerSpec::named("pid")),
+            Err(BuildError::UnknownController {
+                name: "pid".into(),
+                known: known(&["adaptive-k", "quantile-deadline", "regime-switch", "static"]),
+            })
+        );
     }
 
     #[test]
-    fn custom_registrations_resolve() {
-        let mut reg = SchemeRegistry::builtin();
-        reg.register("everyone", |_spec, m, n, _rng| {
-            Ok(Box::new(UncodedScheme::new(m, n)) as Box<dyn GradientCodingScheme>)
-        });
+    fn custom_registrations_resolve_for_every_kind() {
+        let mut regs = Registries::default();
+        regs.schemes
+            .register("everyone", "uncoded under another name", |_, m, n, _| {
+                Ok(Box::new(UncodedScheme::new(m, n)) as Box<dyn GradientCodingScheme>)
+            });
+        regs.policies
+            .register("always-two", "stop after two arrivals", |_spec| {
+                Ok(Arc::new(FastestK::new(2)) as Arc<dyn AggregationPolicy>)
+            });
+        regs.modes
+            .register("pipeline-two", "ssp at a fixed staleness of 2", |_spec| {
+                Ok(Arc::new(Ssp { staleness: 2 }) as Arc<dyn TrainingMode>)
+            });
+        regs.controllers
+            .register("eager-k", "adaptive-k with no warmup", |_spec| {
+                Ok(Box::new(AdaptiveK {
+                    warmup: 0,
+                    ..AdaptiveK::default()
+                }) as Box<dyn Controller>)
+            });
+
         let mut rng = derive_rng(2, 0);
-        let scheme = reg
+        let scheme = regs
+            .schemes
             .build(&SchemeSpec::named("everyone"), 8, 4, &mut rng)
             .unwrap();
         assert_eq!(scheme.num_workers(), 4);
-        assert!(reg.names().contains(&"everyone".to_string()));
+        let policy = regs.policies.build(&PolicySpec::named("always-two"));
+        assert_eq!(policy.unwrap().name(), "fastest-k");
+        let mode = regs.modes.build(&ModeSpec::named("pipeline-two")).unwrap();
+        assert_eq!(
+            mode.schedule(),
+            bcc_cluster::ModeSchedule::StaleBounded { staleness: 2 }
+        );
+        let controller = regs.controllers.build(&ControllerSpec::named("eager-k"));
+        assert_eq!(controller.unwrap().name(), "adaptive-k");
+
+        let listed = |descriptions: Vec<(String, String)>, custom: &str| {
+            descriptions
+                .iter()
+                .any(|(n, d)| n == custom && !d.is_empty())
+        };
+        assert!(listed(regs.schemes.descriptions(), "everyone"));
+        assert!(listed(regs.policies.descriptions(), "always-two"));
+        assert!(listed(regs.modes.descriptions(), "pipeline-two"));
+        assert!(listed(regs.controllers.descriptions(), "eager-k"));
+        assert!(regs.controllers.names().contains(&"eager-k".to_string()));
     }
 
     #[test]
     fn builtin_policies_resolve_with_descriptions() {
         let reg = PolicyRegistry::builtin();
-        for name in ["wait-decodable", "fastest-k", "deadline", "best-effort-all"] {
-            assert!(reg.contains(name), "missing builtin policy `{name}`");
-        }
         assert_eq!(reg.descriptions().len(), 4);
         assert!(reg.descriptions().iter().all(|(_, desc)| !desc.is_empty()));
         let p = reg.build(&PolicySpec::fastest_k(5)).unwrap();
@@ -712,83 +647,14 @@ mod tests {
         assert_eq!(p.name(), "deadline");
         let p = reg.build(&PolicySpec::default()).unwrap();
         assert_eq!(p.name(), "wait-decodable");
-    }
-
-    #[test]
-    fn policy_parameter_validation_is_typed() {
-        let reg = PolicyRegistry::builtin();
-        let err = reg.build(&PolicySpec::named("fastest-k")).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                BuildError::InvalidValue {
-                    field: "policy.k",
-                    ..
-                }
-            ),
-            "{err:?}"
-        );
-        let err = reg.build(&PolicySpec::fastest_k(0)).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                BuildError::InvalidValue {
-                    field: "policy.k",
-                    ..
-                }
-            ),
-            "{err:?}"
-        );
-        let err = reg.build(&PolicySpec::named("deadline")).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                BuildError::InvalidValue {
-                    field: "policy.deadline",
-                    ..
-                }
-            ),
-            "{err:?}"
-        );
-        let err = reg.build(&PolicySpec::deadline(-1.0)).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                BuildError::InvalidValue {
-                    field: "policy.deadline",
-                    ..
-                }
-            ),
-            "{err:?}"
-        );
-    }
-
-    #[test]
-    fn unknown_policy_lists_registrations() {
-        let reg = PolicyRegistry::builtin();
-        let err = reg.build(&PolicySpec::named("vote-majority")).unwrap_err();
-        match err {
-            BuildError::UnknownPolicy { name, known } => {
-                assert_eq!(name, "vote-majority");
-                assert!(known.contains(&"wait-decodable".to_string()));
-            }
-            other => panic!("expected UnknownPolicy, got {other:?}"),
-        }
+        let p = reg.build(&PolicySpec::named("best-effort-all")).unwrap();
+        assert_eq!(p.name(), "best-effort-all");
     }
 
     #[test]
     fn builtin_modes_resolve_with_descriptions() {
         let reg = ModeRegistry::builtin();
-        for (name, description) in bcc_cluster::mode::MODES {
-            assert!(reg.contains(name), "missing builtin mode `{name}`");
-            assert!(
-                reg.descriptions()
-                    .iter()
-                    .any(|(n, d)| n == name && d == description),
-                "description drift for `{name}`"
-            );
-        }
-        assert_eq!(reg.descriptions().len(), 4);
+        assert_eq!(reg.descriptions(), sorted(&bcc_cluster::mode::MODES));
         let m = reg.build(&ModeSpec::default()).unwrap();
         assert_eq!(m.name(), "ssgd");
         let m = reg.build(&ModeSpec::ssp(4)).unwrap();
@@ -807,108 +673,52 @@ mod tests {
     }
 
     #[test]
-    fn mode_parameter_validation_is_typed() {
-        let reg = ModeRegistry::builtin();
-        for spec in [ModeSpec::named("ssp"), ModeSpec::ssp(0)] {
-            let err = reg.build(&spec).unwrap_err();
-            assert!(
-                matches!(
-                    err,
-                    BuildError::InvalidValue {
-                        field: "mode.staleness",
-                        ..
-                    }
-                ),
-                "{err:?}"
-            );
-        }
-        for spec in [ModeSpec::named("local-sgd"), ModeSpec::local_sgd(0)] {
-            let err = reg.build(&spec).unwrap_err();
-            assert!(
-                matches!(
-                    err,
-                    BuildError::InvalidValue {
-                        field: "mode.local_steps",
-                        ..
-                    }
-                ),
-                "{err:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn unknown_mode_lists_registrations() {
-        let reg = ModeRegistry::builtin();
-        let err = reg.build(&ModeSpec::named("hogwild")).unwrap_err();
-        match err {
-            BuildError::UnknownMode { name, known } => {
-                assert_eq!(name, "hogwild");
-                assert_eq!(known, vec!["asgd", "local-sgd", "ssgd", "ssp"]);
-            }
-            other => panic!("expected UnknownMode, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn custom_mode_registrations_resolve() {
-        let mut reg = ModeRegistry::builtin();
-        reg.register("pipeline-two", "ssp at a fixed staleness of 2", |_spec| {
-            Ok(Arc::new(Ssp { staleness: 2 }) as Arc<dyn TrainingMode>)
-        });
-        let m = reg.build(&ModeSpec::named("pipeline-two")).unwrap();
-        assert_eq!(
-            m.schedule(),
-            bcc_cluster::ModeSchedule::StaleBounded { staleness: 2 }
-        );
-        assert!(reg.names().contains(&"pipeline-two".to_string()));
-    }
-
-    #[test]
-    fn custom_policy_registrations_resolve() {
-        let mut reg = PolicyRegistry::builtin();
-        reg.register("always-two", "stop after two arrivals", |_spec| {
-            Ok(Arc::new(FastestK::new(2)) as Arc<dyn AggregationPolicy>)
-        });
-        let p = reg.build(&PolicySpec::named("always-two")).unwrap();
-        assert_eq!(p.name(), "fastest-k");
-        assert!(reg.names().contains(&"always-two".to_string()));
-    }
-
-    #[test]
     fn builtin_controllers_resolve_with_descriptions() {
         let reg = ControllerRegistry::builtin();
-        for (name, description) in bcc_control::CONTROLLERS {
-            assert!(reg.contains(name), "missing builtin controller `{name}`");
-            assert!(
-                reg.descriptions()
-                    .iter()
-                    .any(|(n, d)| n == name && d == description),
-                "description drift for `{name}`"
-            );
+        assert_eq!(reg.descriptions(), sorted(&bcc_control::CONTROLLERS));
+        for (spec, name) in [
+            (ControllerSpec::default(), "static"),
+            (ControllerSpec::quantile_deadline(0.8), "quantile-deadline"),
+            (ControllerSpec::adaptive_k(4.0), "adaptive-k"),
+            (ControllerSpec::regime_switch(3), "regime-switch"),
+            // Bare names take the controller's documented defaults.
+            (
+                ControllerSpec::named("quantile-deadline"),
+                "quantile-deadline",
+            ),
+            (ControllerSpec::named("regime-switch"), "regime-switch"),
+        ] {
+            assert_eq!(reg.build(&spec).unwrap().name(), name);
         }
-        assert_eq!(reg.descriptions().len(), 4);
-        let c = reg.build(&ControllerSpec::default()).unwrap();
-        assert_eq!(c.name(), "static");
-        let c = reg.build(&ControllerSpec::quantile_deadline(0.8)).unwrap();
-        assert_eq!(c.name(), "quantile-deadline");
-        let c = reg.build(&ControllerSpec::adaptive_k(4.0)).unwrap();
-        assert_eq!(c.name(), "adaptive-k");
-        let c = reg.build(&ControllerSpec::regime_switch(3)).unwrap();
-        assert_eq!(c.name(), "regime-switch");
-        // Bare names take the controller's documented defaults.
-        let c = reg
-            .build(&ControllerSpec::named("quantile-deadline"))
-            .unwrap();
-        assert_eq!(c.name(), "quantile-deadline");
     }
 
     #[test]
-    fn controller_parameter_validation_is_typed() {
-        let reg = ControllerRegistry::builtin();
+    fn parameter_validation_is_typed_and_says_what_it_got() {
+        let regs = Registries::default();
+        let field_of = |err: BuildError| match err {
+            BuildError::InvalidValue { field, reason } => (field, reason),
+            other => panic!("expected InvalidValue, got {other:?}"),
+        };
+        for (spec, field) in [
+            (PolicySpec::named("fastest-k"), "policy.k"),
+            (PolicySpec::fastest_k(0), "policy.k"),
+            (PolicySpec::named("deadline"), "policy.deadline"),
+            (PolicySpec::deadline(-1.0), "policy.deadline"),
+        ] {
+            assert_eq!(field_of(regs.policies.build(&spec).unwrap_err()).0, field);
+        }
+        for (spec, field) in [
+            (ModeSpec::named("ssp"), "mode.staleness"),
+            (ModeSpec::ssp(0), "mode.staleness"),
+            (ModeSpec::named("local-sgd"), "mode.local_steps"),
+            (ModeSpec::local_sgd(0), "mode.local_steps"),
+        ] {
+            assert_eq!(field_of(regs.modes.build(&spec).unwrap_err()).0, field);
+        }
         for (spec, field) in [
             (ControllerSpec::quantile_deadline(0.0), "controller.q"),
             (ControllerSpec::quantile_deadline(1.5), "controller.q"),
+            (ControllerSpec::quantile_deadline(f64::NAN), "controller.q"),
             (
                 ControllerSpec {
                     margin: Some(-2.0),
@@ -926,41 +736,18 @@ mod tests {
             ),
             (ControllerSpec::regime_switch(0), "controller.hysteresis"),
         ] {
-            let err = reg.build(&spec).unwrap_err();
-            match err {
-                BuildError::InvalidValue { field: f, .. } => assert_eq!(f, field, "{spec:?}"),
-                other => panic!("expected InvalidValue on {field}, got {other:?}"),
-            }
+            let err = regs.controllers.build(&spec).unwrap_err();
+            assert_eq!(field_of(err).0, field, "{spec:?}");
         }
-    }
-
-    #[test]
-    fn unknown_controller_lists_registrations() {
-        let reg = ControllerRegistry::builtin();
-        let err = reg.build(&ControllerSpec::named("pid")).unwrap_err();
-        match err {
-            BuildError::UnknownController { name, known } => {
-                assert_eq!(name, "pid");
-                assert_eq!(
-                    known,
-                    vec!["adaptive-k", "quantile-deadline", "regime-switch", "static"]
-                );
-            }
-            other => panic!("expected UnknownController, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn custom_controller_registrations_resolve() {
-        let mut reg = ControllerRegistry::builtin();
-        reg.register("eager-k", "adaptive-k with no warmup", |_spec| {
-            Ok(Box::new(bcc_control::AdaptiveK {
-                warmup: 0,
-                ..bcc_control::AdaptiveK::default()
-            }) as Box<dyn Controller>)
-        });
-        let c = reg.build(&ControllerSpec::named("eager-k")).unwrap();
-        assert_eq!(c.name(), "adaptive-k");
-        assert!(reg.names().contains(&"eager-k".to_string()));
+        // One message shape for every kind: a missing parameter names what
+        // is required, a bad one what it got.
+        let (_, reason) = field_of(regs.modes.build(&ModeSpec::named("ssp")).unwrap_err());
+        assert_eq!(reason, "mode `ssp` requires it (a staleness bound >= 1)");
+        let err = regs.controllers.build(&ControllerSpec::adaptive_k(0.5));
+        let (_, reason) = field_of(err.unwrap_err());
+        assert_eq!(
+            reason,
+            "controller `adaptive-k` needs a slow factor > 1, got 0.5"
+        );
     }
 }

@@ -52,16 +52,10 @@ impl SchemeSpec {
 
 impl Deserialize for SchemeSpec {
     fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        match v {
-            Value::Str(name) => Ok(Self::named(name.clone())),
-            Value::Object(_) => Ok(Self {
-                name: String::from_value(v.field("name")?)?,
-                r: opt_field(v, "r")?,
-            }),
-            other => Err(serde::Error::msg(format!(
-                "expected scheme name or {{name, r}} object, got {other:?}"
-            ))),
-        }
+        Ok(Self {
+            name: reference_name(v, "scheme", "{name, r}", None)?,
+            r: opt_field(v, "r")?,
+        })
     }
 }
 
@@ -134,17 +128,11 @@ impl Default for PolicySpec {
 
 impl Deserialize for PolicySpec {
     fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        match v {
-            Value::Str(name) => Ok(Self::named(name.clone())),
-            Value::Object(_) => Ok(Self {
-                name: String::from_value(v.field("name")?)?,
-                k: opt_field(v, "k")?,
-                deadline: opt_field(v, "deadline")?,
-            }),
-            other => Err(serde::Error::msg(format!(
-                "expected policy name or {{name, k?, deadline?}} object, got {other:?}"
-            ))),
-        }
+        Ok(Self {
+            name: reference_name(v, "policy", "{name, k?, deadline?}", None)?,
+            k: opt_field(v, "k")?,
+            deadline: opt_field(v, "deadline")?,
+        })
     }
 }
 
@@ -237,25 +225,12 @@ impl From<String> for ModeSpec {
 
 impl Deserialize for ModeSpec {
     fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        match v {
-            Value::Str(name) => {
-                if !bcc_cluster::mode::MODES.iter().any(|(n, _)| n == name) {
-                    return Err(serde::Error::msg(format!(
-                        "unknown mode `{name}`: expected one of {}",
-                        Self::VARIANTS
-                    )));
-                }
-                Ok(Self::named(name.clone()))
-            }
-            Value::Object(_) => Ok(Self {
-                name: String::from_value(v.field("name")?)?,
-                staleness: opt_field(v, "staleness")?,
-                local_steps: opt_field(v, "local_steps")?,
-            }),
-            other => Err(serde::Error::msg(format!(
-                "expected mode name or {{name, staleness?, local_steps?}} object, got {other:?}"
-            ))),
-        }
+        let shape = "{name, staleness?, local_steps?}";
+        Ok(Self {
+            name: reference_name(v, "mode", shape, Some(&bcc_cluster::mode::MODES))?,
+            staleness: opt_field(v, "staleness")?,
+            local_steps: opt_field(v, "local_steps")?,
+        })
     }
 }
 
@@ -368,29 +343,15 @@ impl From<String> for ControllerSpec {
 
 impl Deserialize for ControllerSpec {
     fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        match v {
-            Value::Str(name) => {
-                if !bcc_control::CONTROLLERS.iter().any(|(n, _)| n == name) {
-                    return Err(serde::Error::msg(format!(
-                        "unknown controller `{name}`: expected one of {}",
-                        Self::VARIANTS
-                    )));
-                }
-                Ok(Self::named(name.clone()))
-            }
-            Value::Object(_) => Ok(Self {
-                name: String::from_value(v.field("name")?)?,
-                q: opt_field(v, "q")?,
-                margin: opt_field(v, "margin")?,
-                warmup: opt_field(v, "warmup")?,
-                slow_factor: opt_field(v, "slow_factor")?,
-                hysteresis: opt_field(v, "hysteresis")?,
-            }),
-            other => Err(serde::Error::msg(format!(
-                "expected controller name or {{name, q?, margin?, warmup?, slow_factor?, \
-                 hysteresis?}} object, got {other:?}"
-            ))),
-        }
+        let shape = "{name, q?, margin?, warmup?, slow_factor?, hysteresis?}";
+        Ok(Self {
+            name: reference_name(v, "controller", shape, Some(&bcc_control::CONTROLLERS))?,
+            q: opt_field(v, "q")?,
+            margin: opt_field(v, "margin")?,
+            warmup: opt_field(v, "warmup")?,
+            slow_factor: opt_field(v, "slow_factor")?,
+            hysteresis: opt_field(v, "hysteresis")?,
+        })
     }
 }
 
@@ -899,6 +860,35 @@ impl Deserialize for ExperimentSpec {
             units: defaults.units,
             scheme: defaults.scheme,
         })
+    }
+}
+
+/// The registry name of a plug-in reference — the JSON shape the four
+/// `*Spec` reference types share: a bare name (every parameter then reads
+/// as absent) or an object carrying `name` next to the parameters `shape`
+/// spells out. With a `(name, description)` table of `builtins`, a bare
+/// name must be in it — a typo fails at parse time, naming the valid
+/// variants — while the object form passes any name through to the
+/// registry.
+fn reference_name(
+    v: &Value,
+    kind: &str,
+    shape: &str,
+    builtins: Option<&[(&str, &str)]>,
+) -> Result<String, serde::Error> {
+    match (v, builtins) {
+        (Value::Str(name), Some(table)) if !table.iter().any(|(n, _)| n == name) => {
+            let variants: Vec<&str> = table.iter().map(|(n, _)| *n).collect();
+            Err(serde::Error::msg(format!(
+                "unknown {kind} `{name}`: expected one of {}",
+                variants.join(", ")
+            )))
+        }
+        (Value::Str(name), _) => Ok(name.clone()),
+        (Value::Object(_), _) => String::from_value(v.field("name")?),
+        (other, _) => Err(serde::Error::msg(format!(
+            "expected {kind} name or {shape} object, got {other:?}"
+        ))),
     }
 }
 

@@ -43,7 +43,7 @@ pub use error::BccError;
 pub use experiment::{
     BackendSpec, BuildError, ControllerRegistry, ControllerSpec, DataSpec, Experiment,
     ExperimentBuilder, ExperimentReport, ExperimentSpec, LatencySpec, LossSpec, ModeRegistry,
-    ModeSpec, NetProfileSpec, OptimizerSpec, PolicyRegistry, PolicySpec, SchemeRegistry,
-    SchemeSpec,
+    ModeSpec, NetProfileSpec, OptimizerSpec, PolicyRegistry, PolicySpec, Registries, Registry,
+    SchemeRegistry, SchemeSpec,
 };
 pub use schemes::SchemeConfig;

@@ -64,22 +64,6 @@ impl SchemeConfig {
         "fractional-repetition",
     ];
 
-    /// One-line description of a built-in registry name (for `repro list`
-    /// and other discovery surfaces); `None` for unknown names.
-    #[must_use]
-    pub fn description(name: &str) -> Option<&'static str> {
-        Some(match name {
-            "uncoded" => "disjoint shards, master waits for every worker (the baseline)",
-            "bcc" => "Batched Coupon's Collector — random batch per worker, stop on coverage (this paper)",
-            "bcc-uncompressed" => "BCC placement with per-example messages (ablation of Remark 3's compression)",
-            "random" => "simple randomized subsets, per-example messages (Prior Art, eq. (5)-(6))",
-            "cyclic-repetition" => "cyclic-window gradient coding of Tandon et al. (m = n, any n-r+1 decode)",
-            "cyclic-mds" => "cyclic-MDS code over C of Raviv et al. (m = n, any n-r+1 decode)",
-            "fractional-repetition" => "disjoint shard groups replicated r times (m = n, r | n)",
-            _ => return None,
-        })
-    }
-
     /// Scheme name as used in reports and the registry.
     #[must_use]
     pub fn name(&self) -> &'static str {

@@ -82,9 +82,11 @@ fn main() {
     // The registry is open: register a custom scheme under a new name and
     // any spec file can reference it — no changes to the library.
     let mut registry = SchemeRegistry::builtin();
-    registry.register("wait-for-everyone", |_spec, m, n, _rng| {
-        Ok(Box::new(UncodedScheme::new(m, n)) as Box<dyn GradientCodingScheme>)
-    });
+    registry.register(
+        "wait-for-everyone",
+        "uncoded under a custom name",
+        |_spec, m, n, _rng| Ok(Box::new(UncodedScheme::new(m, n)) as Box<dyn GradientCodingScheme>),
+    );
     let report = Experiment::builder()
         .workers(n)
         .units(m)
