@@ -1,4 +1,7 @@
-//! The backend trait both runtimes implement.
+//! The backend trait all four runtimes implement (virtual, threaded, and
+//! `bcc_net`'s bound and loopback TCP masters), the round outcome, and the
+//! driver callbacks a run of rounds is steered by. The loop behind
+//! [`ClusterBackend::run_rounds`] is shared: see [`crate::round_loop`].
 
 use crate::error::ClusterError;
 use crate::metrics::{ArrivalStamp, RoundMetrics, RoundSample};
@@ -35,7 +38,8 @@ pub struct RoundOutcome {
 
 impl RoundOutcome {
     /// Assembles the outcome from a policy's aggregate and the round's
-    /// metrics (full-partition round: no example subsetting).
+    /// metrics (full-partition round, no arrival telemetry: the round loop
+    /// fills `examples_used` and `arrivals` in).
     #[must_use]
     pub fn new(aggregate: AggregatedGradient, metrics: RoundMetrics) -> Self {
         Self {
@@ -46,20 +50,6 @@ impl RoundOutcome {
             examples_used: None,
             arrivals: Vec::new(),
         }
-    }
-
-    /// Tags the outcome with the minibatch's backing example count.
-    #[must_use]
-    pub fn with_examples_used(mut self, examples_used: Option<usize>) -> Self {
-        self.examples_used = examples_used;
-        self
-    }
-
-    /// Attaches the round's per-worker arrival telemetry.
-    #[must_use]
-    pub fn with_arrivals(mut self, arrivals: Vec<ArrivalStamp>) -> Self {
-        self.arrivals = arrivals;
-        self
     }
 
     /// The per-round observable sample for this outcome;
@@ -89,8 +79,8 @@ impl RoundOutcome {
 /// Training loops are inherently sequential — round `t + 1`'s broadcast
 /// weights depend on round `t`'s decoded gradient — so batching across
 /// rounds has to invert control: the backend keeps its expensive per-run
-/// state (worker threads, DES schedules) alive and calls back into the
-/// driver between rounds.
+/// state (worker threads, sockets, packed blocks) alive and calls back into
+/// the driver between rounds.
 pub trait RoundDriver {
     /// The model broadcast for `round` (0-based within this run).
     fn eval_point(&mut self, round: usize) -> Vec<f64>;
@@ -135,51 +125,33 @@ impl RoundDriver for FixedPointDriver {
 /// A cluster backend: executes gradient rounds under a coding scheme.
 ///
 /// The scheme codes over [`UnitMap`] units; `data` holds the raw examples.
-/// Implementations must (a) compute each worker's unit partial gradients,
-/// (b) encode them with the scheme, (c) deliver messages to the master under
-/// the backend's timing model, and (d) stop as soon as the scheme's decoder
-/// reports completion. All backends share the protocol logic in
-/// [`crate::engine::RoundEngine`] and differ only in how arrivals are
-/// produced.
+/// A round (a) computes each worker's unit partial gradients, (b) encodes
+/// them with the scheme, (c) delivers messages to the master under the
+/// backend's timing model, and (d) stops as soon as the aggregation policy
+/// reports completion. All backends run the one loop in
+/// [`crate::round_loop`] over the shared [`crate::engine::RoundEngine`] and
+/// differ only in how arrivals are produced.
 pub trait ClusterBackend {
-    /// Runs one round, returning the decoded gradient sum and metrics.
+    /// Runs `rounds` consecutive rounds, keeping the expensive per-run state
+    /// (packed worker blocks, worker threads, sockets) alive across them.
+    ///
+    /// Batching is a throughput optimization, never a protocol change:
+    /// one call of `k` rounds uses the same per-round latency streams and
+    /// the same engine as `k` calls of one, and a failing round leaves the
+    /// round counter advanced by exactly the rounds attempted. On the
+    /// virtual backend the outcomes are bit-identical (pinned by tests). On
+    /// the real-time backends arrival order is subject to OS scheduling
+    /// jitter either way; additionally, a pooled worker that is
+    /// mid-computation when the master finishes its round starts the next
+    /// round late by the leftover compute time — workers sleep their
+    /// emulated delay *before* computing precisely to keep that window to
+    /// the cancellation slice in the common case.
     ///
     /// # Errors
-    /// [`ClusterError::Stalled`] when all live workers report without
-    /// completing the scheme, plus coding/wire failures.
-    fn run_round(
-        &mut self,
-        scheme: &dyn GradientCodingScheme,
-        units: &UnitMap,
-        data: &Dataset,
-        loss: &dyn Loss,
-        weights: &[f64],
-    ) -> Result<RoundOutcome, ClusterError>;
-
-    /// Runs `rounds` consecutive rounds, amortizing per-round setup (worker
-    /// thread spawning, schedule construction) across the whole run where
-    /// the backend supports it.
-    ///
-    /// The default implementation simply loops over [`run_round`]; backends
-    /// override it to keep expensive state alive between rounds. Batching
-    /// is a throughput optimization, never a protocol change: rounds use
-    /// the same per-round latency streams and the same engine as
-    /// `rounds` sequential [`run_round`] calls, and a mid-batch failure
-    /// leaves the round counter exactly where the sequential calls would
-    /// have. On deterministic backends the outcomes are bit-identical
-    /// (pinned by tests). On the threaded backend arrival order is subject
-    /// to OS scheduling jitter either way; additionally, a pooled worker
-    /// that is mid-computation when the master finishes its round starts
-    /// the next round late by the leftover compute time (sequential
-    /// `run_round` calls joined every thread between rounds) — workers
-    /// sleep their emulated delay *before* computing precisely to keep that
-    /// window to the cancellation slice in the common case.
-    ///
-    /// [`run_round`]: ClusterBackend::run_round
-    ///
-    /// # Errors
-    /// Propagates the first round failure; earlier rounds' outcomes have
-    /// already been handed to `driver`.
+    /// Propagates the first round failure ([`ClusterError::Stalled`] when
+    /// all live workers report without completing the scheme, plus
+    /// coding/wire failures); earlier rounds' outcomes have already been
+    /// handed to `driver`.
     fn run_rounds(
         &mut self,
         rounds: usize,
@@ -188,13 +160,27 @@ pub trait ClusterBackend {
         data: &Dataset,
         loss: &dyn Loss,
         driver: &mut dyn RoundDriver,
-    ) -> Result<(), ClusterError> {
-        for round in 0..rounds {
-            let weights = driver.eval_point(round);
-            let outcome = self.run_round(scheme, units, data, loss, &weights)?;
-            driver.consume(round, outcome);
-        }
-        Ok(())
+    ) -> Result<(), ClusterError>;
+
+    /// Runs one round at `weights`, returning the decoded gradient sum and
+    /// metrics: [`Self::run_rounds`] for a single round.
+    ///
+    /// # Errors
+    /// Exactly [`Self::run_rounds`]'s.
+    fn run_round(
+        &mut self,
+        scheme: &dyn GradientCodingScheme,
+        units: &UnitMap,
+        data: &Dataset,
+        loss: &dyn Loss,
+        weights: &[f64],
+    ) -> Result<RoundOutcome, ClusterError> {
+        let mut single = FixedPointDriver::new(weights.to_vec());
+        self.run_rounds(1, scheme, units, data, loss, &mut single)?;
+        Ok(single
+            .outcomes
+            .pop()
+            .expect("a successful one-round run consumed one outcome"))
     }
 
     /// Human-readable backend name for reports.

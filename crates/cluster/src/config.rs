@@ -1,13 +1,15 @@
 //! Uniform backend configuration.
 //!
-//! [`BackendConfig`] is one struct of optional knobs, applied uniformly by
-//! `configured(config)` on each backend (virtual, threaded, TCP — plus the
-//! loopback TCP fleet) and the only way to configure one, so a
+//! [`BackendConfig`] is one struct of optional knobs and the only way to
+//! configure a backend: every backend's `configured(config)` folds it into
+//! the config its [`BackendCore`](crate::round_loop::BackendCore) stores
+//! ([`BackendConfig::merge`] — the one place a field is applied), so a
 //! cross-cutting hook (the mode layer's [`OffsetModel`] is the motivating
 //! case) is one field rather than a method per backend. Knobs a backend has
-//! no use for (e.g. `time_scale` on the virtual backend, `auth_token` off
-//! the TCP backend) are simply ignored — the config describes intent, each
-//! backend applies the subset it implements.
+//! no use for (e.g. `recv_timeout` on the virtual backend, `auth_token` off
+//! the TCP backends) are stored and never read — the config describes
+//! intent, each backend reads the subset it implements, through the core's
+//! defaulting accessors.
 //!
 //! Fault-injection hooks (`kill_workers`, `fail_worker_at`, …) are *not*
 //! configuration — they mutate a running backend — and stay as methods.
@@ -34,11 +36,11 @@ use std::time::Duration;
 /// | `decode_pool` | ✓ | ✓ | ✓ |
 /// | `minibatch` | ✓ | ✓ | ✓ |
 /// | `recv_timeout` | — | ✓ | ✓ |
-/// | `heartbeat_timeout` | — | — | bound only |
-/// | `connect_timeout` | — | — | bound only |
+/// | `heartbeat_timeout` | — | — | ✓ |
+/// | `connect_timeout` | — | — | ✓ |
 /// | `pipelining` | — | — | ✓ |
-/// | `job` | — | — | bound only |
-/// | `auth_token` | — | — | bound only |
+/// | `job` | — | — | ✓ (loopback workers hold the problem in-process and ignore it) |
+/// | `auth_token` | — | — | ✓ (loopback workers echo whatever token their master expects) |
 #[derive(Debug, Clone, Default)]
 pub struct BackendConfig {
     /// Worker-latency model replacing the profile's default
@@ -74,6 +76,25 @@ impl BackendConfig {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Folds `other` into `self`: every knob `other` sets replaces the
+    /// stored one, every knob it leaves `None` keeps it. The struct literal
+    /// makes a field added without a merge rule a compile error.
+    pub fn merge(&mut self, other: Self) {
+        *self = Self {
+            straggler_model: other.straggler_model.or(self.straggler_model.take()),
+            aggregation_policy: other.aggregation_policy.or(self.aggregation_policy.take()),
+            observer: other.observer.or(self.observer.take()),
+            decode_pool: other.decode_pool.or(self.decode_pool),
+            minibatch: other.minibatch.or(self.minibatch),
+            recv_timeout: other.recv_timeout.or(self.recv_timeout),
+            heartbeat_timeout: other.heartbeat_timeout.or(self.heartbeat_timeout),
+            connect_timeout: other.connect_timeout.or(self.connect_timeout),
+            pipelining: other.pipelining.or(self.pipelining),
+            job: other.job.or(self.job.take()),
+            auth_token: other.auth_token.or(self.auth_token),
+        };
     }
 
     /// Sets the worker-latency model.
@@ -197,5 +218,23 @@ mod tests {
         assert_eq!(c.pipelining, Some(false));
         assert_eq!(c.job.as_deref(), Some("{}"));
         assert_eq!(c.auth_token, Some(42));
+    }
+
+    #[test]
+    fn merge_overrides_set_knobs_and_keeps_the_rest() {
+        let mut c = BackendConfig::new()
+            .recv_timeout(Duration::from_secs(1))
+            .pipelining(false)
+            .job("a".to_string());
+        c.merge(
+            BackendConfig::new()
+                .recv_timeout(Duration::from_secs(9))
+                .auth_token(7),
+        );
+        assert_eq!(c.recv_timeout, Some(Duration::from_secs(9)), "overridden");
+        assert_eq!(c.auth_token, Some(7), "newly set");
+        assert_eq!(c.pipelining, Some(false), "kept");
+        assert_eq!(c.job.as_deref(), Some("a"), "kept");
+        assert!(c.straggler_model.is_none());
     }
 }

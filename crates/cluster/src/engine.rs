@@ -3,28 +3,31 @@
 //! The paper's protocol (§II eq. (9)–(10), §III-C) is one object: workers
 //! encode partial gradients, the master feeds arrivals to the scheme's
 //! decoder and stops the moment the completion condition holds. What differs
-//! between runtimes is only *how messages arrive* — over crossbeam channels
-//! in wall-clock time ([`crate::ThreadedCluster`]) or as discrete events in
-//! virtual time ([`crate::VirtualCluster`]).
+//! between runtimes is only *how messages arrive* — as a sorted schedule in
+//! virtual time ([`crate::VirtualCluster`]), over crossbeam channels in
+//! wall-clock time ([`crate::ThreadedCluster`]), or over TCP sockets (the
+//! `bcc_net` crate's bound master and loopback fleet).
 //!
 //! [`RoundEngine`] owns everything backend-independent about one round:
-//! which workers participate, payload-to-decoder feeding, completion
-//! detection, stall handling, and [`RoundMetrics`] accumulation. Backends
-//! implement [`ArrivalSource`] — a pull-based stream of delivered messages —
-//! and collapse to thin arrival adapters. Because both backends run the
-//! *same* engine over the *same* per-worker latency streams, a seed/scheme/
-//! profile triple yields byte-identical decoded gradients and identical
-//! `messages_used` on either backend (pinned by the cross-backend
-//! equivalence test in `tests/backend_equivalence.rs`).
+//! payload-to-decoder feeding, completion detection, stall handling, and
+//! [`RoundMetrics`] accumulation; the one loop that builds and drives it is
+//! [`crate::round_loop`]. Backends implement [`ArrivalSource`] — a
+//! pull-based stream of delivered messages — and collapse to thin arrival
+//! adapters. Because all four run the *same* engine over the *same*
+//! per-worker latency streams, a seed/scheme/profile triple yields
+//! byte-identical decoded gradients and identical `messages_used` on every
+//! backend (pinned by `tests/backend_equivalence.rs` and
+//! `bcc_net`'s `tests/net_equivalence.rs`).
 
 use crate::decode::DecodePool;
 use crate::error::ClusterError;
 use crate::latency::ClusterProfile;
 use crate::metrics::{ArrivalStamp, RoundMetrics};
 use crate::minibatch::{Minibatch, UnitSelection};
-use crate::observer::{NullObserver, RoundEvent, RoundObserver};
+use crate::observer::{RoundEvent, RoundObserver};
 use crate::packed::WorkerBlocks;
 use crate::policy::{AggregatedGradient, AggregationPolicy, RoundVerdict, RoundView};
+use crate::straggler::StragglerModel;
 use crate::units::UnitMap;
 use bcc_coding::{Decoder, GradientCodingScheme, Payload};
 use bcc_data::Dataset;
@@ -81,7 +84,7 @@ pub trait ArrivalSource {
 }
 
 /// Live workers that hold data under `scheme`, in worker-id order — the
-/// participant set both backends must agree on.
+/// participant set every backend must agree on.
 #[must_use]
 pub fn participants(
     scheme: &dyn GradientCodingScheme,
@@ -96,9 +99,9 @@ pub fn participants(
 /// `round` — the baseline latency stream, keyed on `(seed, round, worker)`
 /// so runs replay identically regardless of backend or thread scheduling.
 /// Backends actually sample through a pluggable
-/// [`StragglerModel`](crate::straggler::StragglerModel); the default model
+/// [`StragglerModel`]; the default model
 /// ([`ShiftedExpModel`](crate::straggler::ShiftedExpModel)) routes through
-/// this exact stream, keeping legacy behaviour byte-identical.
+/// this exact stream, keeping the paper-model runs byte-identical.
 #[must_use]
 pub fn sample_compute_seconds(
     profile: &ClusterProfile,
@@ -150,9 +153,9 @@ pub struct RoundContext<'a> {
     /// [`WorkerBlocks::build`]).
     pub packed: &'a WorkerBlocks,
     /// Per-round unit-subset sampler for minibatch rounds (`None` = the
-    /// paper's full-partition rounds). Both backends — and every worker
-    /// thread — derive round `t`'s selection independently from this
-    /// config, so no selection is ever communicated.
+    /// paper's full-partition rounds). Every master — and every worker
+    /// thread or process — derives round `t`'s selection independently
+    /// from this config, so no selection is ever communicated.
     pub minibatch: Option<Minibatch>,
 }
 
@@ -224,6 +227,36 @@ impl RoundContext<'_> {
             .map(|mb| mb.select(round, self.units.num_units()))
     }
 
+    /// Worker `worker`'s simulated compute seconds for `round`, drawn from
+    /// `model`'s `(seed, round, worker)` stream — the one `load → delay`
+    /// sampler behind the virtual schedule, the threaded pool threads and
+    /// the TCP masters' shipped delays. Minibatch rounds only charge
+    /// compute for the worker's units that fall in `selection`.
+    #[must_use]
+    pub fn compute_delay(
+        &self,
+        model: &dyn StragglerModel,
+        seed: u64,
+        round: u64,
+        worker: usize,
+        selection: Option<&UnitSelection>,
+    ) -> f64 {
+        let placement = self.scheme.placement();
+        let load = match selection {
+            Some(sel) => sel.selected_load(placement.worker_examples(worker)),
+            None => placement.load_of(worker),
+        };
+        // A worker whose units all fell outside the minibatch still encodes
+        // and sends (coded messages mix selected and unselected units), but
+        // computes nothing — the latency model is undefined at zero load,
+        // so charge zero compute.
+        if load == 0 {
+            0.0
+        } else {
+            model.compute_seconds(seed, round, worker, load)
+        }
+    }
+
     /// Dataset examples backing `selection` — what the master divides the
     /// decoded minibatch sum by.
     #[must_use]
@@ -240,10 +273,9 @@ impl RoundContext<'_> {
     ///
     /// # Panics
     /// On worker-count or unit-count mismatches — construction bugs, not
-    /// data conditions. Both legacy backends asserted the worker count; the
-    /// unit count was asserted only by the virtual backend (the threaded
-    /// one surfaced it later as an encode-failure stall). Checking both up
-    /// front on every backend is part of the engine's equal-semantics
+    /// data conditions. Checking both up front on every backend (a
+    /// real-time backend would otherwise surface a unit mismatch later, as
+    /// an encode-failure stall) is part of the engine's equal-semantics
     /// contract.
     pub fn validate(&self, profile: &ClusterProfile) {
         assert_eq!(
@@ -283,15 +315,8 @@ pub struct RoundEngine<'a> {
 
 impl<'a> RoundEngine<'a> {
     /// Fresh engine for one round of `scheme` with `live_participants`
-    /// workers able to send, under the legacy exact policy
-    /// ([`crate::policy::WaitDecodable`]).
-    #[must_use]
-    pub fn new(scheme: &'a dyn GradientCodingScheme, live_participants: usize) -> Self {
-        Self::with_policy(scheme, live_participants, &crate::policy::DEFAULT_POLICY)
-    }
-
-    /// Fresh engine consulting `policy` for round completion and gradient
-    /// aggregation.
+    /// workers able to send, consulting `policy` for round completion and
+    /// gradient aggregation.
     #[must_use]
     pub fn with_policy(
         scheme: &'a dyn GradientCodingScheme,
@@ -385,7 +410,9 @@ impl<'a> RoundEngine<'a> {
 
     /// Drives the protocol: pulls arrivals from `source` and feeds the
     /// decoder until the policy completes the round or the source
-    /// exhausts. Returns the clock reading of the completing arrival.
+    /// exhausts, emitting one [`RoundEvent`] per protocol transition to
+    /// `observer` (`round` labels the events; it does not affect the
+    /// protocol). Returns the clock reading of the completing arrival.
     ///
     /// # Errors
     /// [`ClusterError::Stalled`] when the source exhausts (or no live worker
@@ -393,16 +420,6 @@ impl<'a> RoundEngine<'a> {
     /// policy accepts exhaustion ([`AggregationPolicy::complete_on_exhausted`]
     /// with at least one message in hand) — plus any transport/decoder
     /// failure.
-    pub fn run(&mut self, source: &mut dyn ArrivalSource) -> Result<f64, ClusterError> {
-        self.run_observed(source, 0, &mut NullObserver)
-    }
-
-    /// [`Self::run`], emitting one [`RoundEvent`] per protocol transition
-    /// to `observer` (`round` labels the events; it does not affect the
-    /// protocol).
-    ///
-    /// # Errors
-    /// Exactly [`Self::run`]'s.
     pub fn run_observed(
         &mut self,
         source: &mut dyn ArrivalSource,
@@ -496,8 +513,8 @@ impl<'a> RoundEngine<'a> {
 
     /// Hands the round to the policy's aggregation and closes out the
     /// metrics. `total_time` is the backend's clock reading for the whole
-    /// round (virtual: the completing delivery's timestamp; threaded:
-    /// scaled wall clock at completion).
+    /// round (virtual: the completing delivery's timestamp; real-time
+    /// backends: scaled wall clock at completion).
     ///
     /// # Errors
     /// Whatever the policy's [`AggregationPolicy::finish`] reports — for
@@ -508,12 +525,7 @@ impl<'a> RoundEngine<'a> {
         self,
         total_time: f64,
     ) -> Result<(AggregatedGradient, RoundMetrics), ClusterError> {
-        let aggregate = self.policy.finish(&RoundView {
-            decoder: &*self.decoder,
-            live_participants: self.live_participants,
-            now: self.last_at,
-            pool: self.pool,
-        })?;
+        let aggregate = self.policy.finish(&self.view())?;
         let metrics = RoundMetrics {
             messages_used: self.decoder.messages_received(),
             communication_units: self.decoder.communication_units(),
@@ -529,6 +541,8 @@ impl<'a> RoundEngine<'a> {
 mod tests {
     use super::*;
     use crate::latency::{ClusterProfile, CommModel};
+    use crate::observer::NullObserver;
+    use crate::policy::WaitDecodable;
     use bcc_coding::scheme::test_support::{random_gradients, total_sum, worker_partials};
     use bcc_coding::UncodedScheme;
 
@@ -568,12 +582,14 @@ mod tests {
     #[test]
     fn runs_to_completion_and_decodes_exactly() {
         let (scheme, grads, arrivals) = uncoded_arrivals(4, 4);
-        let mut engine = RoundEngine::new(&scheme, 4);
+        let mut engine = RoundEngine::with_policy(&scheme, 4, &WaitDecodable);
         let mut source = Replay {
             arrivals: arrivals.into_iter(),
             end_reason: "unreachable".into(),
         };
-        let end = engine.run(&mut source).unwrap();
+        let end = engine
+            .run_observed(&mut source, 0, &mut NullObserver)
+            .unwrap();
         assert!((end - 0.8).abs() < 1e-12, "completing arrival's clock");
         let (agg, metrics) = engine.finish(end).unwrap();
         assert_eq!(agg.gradient_sum, total_sum(&grads));
@@ -587,12 +603,14 @@ mod tests {
     #[test]
     fn exhaustion_becomes_stall_with_received_count() {
         let (scheme, _, arrivals) = uncoded_arrivals(4, 2);
-        let mut engine = RoundEngine::new(&scheme, 4);
+        let mut engine = RoundEngine::with_policy(&scheme, 4, &WaitDecodable);
         let mut source = Replay {
             arrivals: arrivals.into_iter(),
             end_reason: "test exhaustion".into(),
         };
-        let err = engine.run(&mut source).unwrap_err();
+        let err = engine
+            .run_observed(&mut source, 0, &mut NullObserver)
+            .unwrap_err();
         assert!(
             matches!(err, ClusterError::Stalled { received: 2, ref reason } if reason == "test exhaustion"),
             "got {err:?}"
@@ -602,12 +620,14 @@ mod tests {
     #[test]
     fn zero_participants_stall_immediately() {
         let (scheme, _, _) = uncoded_arrivals(4, 0);
-        let mut engine = RoundEngine::new(&scheme, 0);
+        let mut engine = RoundEngine::with_policy(&scheme, 0, &WaitDecodable);
         let mut source = Replay {
             arrivals: Vec::new().into_iter(),
             end_reason: "unused".into(),
         };
-        let err = engine.run(&mut source).unwrap_err();
+        let err = engine
+            .run_observed(&mut source, 0, &mut NullObserver)
+            .unwrap_err();
         assert!(
             matches!(err, ClusterError::Stalled { received: 0, ref reason }
                 if reason.contains("no live workers")),

@@ -9,9 +9,10 @@
 //! and the decoded gradient is exact *with respect to the minibatch*.
 //!
 //! Replay contract: the selection for round `t` is a pure function of
-//! `(sampler_seed, t)` — both backends (and every worker thread) derive it
-//! independently with no extra communication, keeping the cross-backend
-//! byte-identity guarantee. Pinned by `tests/minibatch_sampler.rs`.
+//! `(sampler_seed, t)` — the round loop (and every worker thread or
+//! process) derives it independently with no extra communication, keeping
+//! the cross-backend byte-identity guarantee. Pinned by
+//! `tests/minibatch_sampler.rs`.
 
 use bcc_stats::rng::derive_rng;
 use rand::Rng;

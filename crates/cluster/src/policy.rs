@@ -116,7 +116,7 @@ impl fmt::Debug for RoundView<'_> {
 ///
 /// Object-safe (backends hold `Arc<dyn AggregationPolicy>`), `Send + Sync`
 /// because the threaded master consults it from its round loop.
-/// Implementations must be deterministic functions of the view — both
+/// Implementations must be deterministic functions of the view — all
 /// backends rely on replaying identical verdicts for identical arrival
 /// sequences (the cross-backend equivalence contract).
 pub trait AggregationPolicy: fmt::Debug + Send + Sync {
@@ -179,11 +179,8 @@ fn finish_rescaled(view: &RoundView<'_>) -> Result<AggregatedGradient, ClusterEr
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WaitDecodable;
 
-/// The policy every engine and backend installs unless told otherwise.
-pub(crate) static DEFAULT_POLICY: WaitDecodable = WaitDecodable;
-
-/// A fresh handle to the default policy ([`WaitDecodable`]) — what both
-/// backends install at construction.
+/// A fresh handle to the default policy ([`WaitDecodable`]) — what every
+/// backend runs under unless its config names another.
 #[must_use]
 pub fn default_policy() -> Arc<dyn AggregationPolicy> {
     Arc::new(WaitDecodable)

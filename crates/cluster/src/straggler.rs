@@ -6,7 +6,7 @@
 //! and related work evaluates under heavy-tailed (Bitar et al.), Weibull
 //! (Karakus et al.), and persistent/time-correlated models. This module
 //! makes the latency family a first-class extension point:
-//! [`StragglerModel`] is an object-safe sampler both backends consult for
+//! [`StragglerModel`] is an object-safe sampler every backend consults for
 //! every `(round, worker)` compute time, and the zoo ships five members:
 //!
 //! | model | tail | state |
@@ -30,8 +30,8 @@
 //! they do for the baseline model.
 //!
 //! [`ShiftedExpModel`] routes through the very RNG stream the backends used
-//! before this trait existed, so installing it (which both backends do by
-//! default) is byte-identical to the legacy hardcoded path — pinned by
+//! before this trait existed, so running under it (which every backend does
+//! by default) is byte-identical to the pre-trait hardcoded path — pinned by
 //! `tests/straggler_models.rs`.
 
 use crate::engine;
@@ -53,8 +53,8 @@ const MARKOV_STREAM: u64 = 0x4D4B;
 /// Object-safe so backends can hold `Arc<dyn StragglerModel>`; `Send +
 /// Sync` because the threaded backend samples from its per-worker OS
 /// threads. Implementations must be pure functions of their arguments (see
-/// the module docs' determinism contract) — both backends rely on replaying
-/// the same draw for the same `(seed, round, worker)`.
+/// the module docs' determinism contract) — all four backends rely on
+/// replaying the same draw for the same `(seed, round, worker)`.
 pub trait StragglerModel: fmt::Debug + Send + Sync {
     /// Samples the compute time (simulated seconds) for `load` units.
     fn compute_seconds(&self, seed: u64, round: u64, worker: usize, load: usize) -> f64;
@@ -70,18 +70,18 @@ pub trait StragglerModel: fmt::Debug + Send + Sync {
 
 /// The per-`(round, worker)` latency RNG — the one stream every stateless
 /// draw comes from, keyed by [`engine::latency_stream`] (the same
-/// derivation the legacy backends hardcoded).
+/// derivation the backends hardcoded before the trait existed).
 fn round_rng(seed: u64, round: u64, worker: usize) -> StdRng {
     derive_rng(seed, engine::latency_stream(round, worker))
 }
 
 /// The paper's shift-exponential model (eq. 15), one [`WorkerProfile`] per
-/// worker — the baseline member of the zoo and the model both backends
-/// install by default.
+/// worker — the baseline member of the zoo and the model every backend
+/// runs under by default.
 ///
 /// Draws through the exact RNG stream the backends hardcoded before the
 /// [`StragglerModel`] trait existed, so its samples are byte-identical to
-/// the legacy path.
+/// that path.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShiftedExpModel {
     workers: Vec<WorkerProfile>,
@@ -429,8 +429,8 @@ pub const ZOO: [(&str, &str); 5] = [
 ];
 
 /// The default model for a profile: the paper's shift-exponential over the
-/// profile's per-worker `(mu, a)` parameters — what both backends install
-/// unless given another model.
+/// profile's per-worker `(mu, a)` parameters — what every backend runs
+/// under unless its config names another model.
 #[must_use]
 pub fn default_model(profile: &ClusterProfile) -> Arc<dyn StragglerModel> {
     Arc::new(ShiftedExpModel::from_profile(profile))

@@ -4,11 +4,11 @@
 //! the installed [`StragglerModel`] (default: the paper's
 //! `shift-exp(aᵢ·rᵢ, μᵢ/rᵢ)`) and "finishes" at `Tᵢ`; its message then
 //! queues for the master's single receive port (transfer time
-//! `overhead + units·per_unit`, one transfer at a time). All protocol logic
-//! — decoder feeding, completion, stalls, metrics — lives in the shared
-//! [`RoundEngine`]; this file is only the arrival adapter that feeds the
-//! engine's pull-based [`ArrivalSource`]. Identical protocol semantics to
-//! [`crate::ThreadedCluster`] by construction, minus the wall clock.
+//! `overhead + units·per_unit`, one transfer at a time). The round loop and
+//! all protocol logic — decoder feeding, completion, stalls, metrics — are
+//! shared ([`crate::round_loop`], [`crate::engine::RoundEngine`]); this file
+//! is only the arrival adapter. Identical protocol semantics to the
+//! real-time backends by construction, minus the wall clock.
 //!
 //! Because every finish time is known when the round starts and the
 //! receive port is strictly serial, the event calendar collapses to a
@@ -16,36 +16,22 @@
 //! timestamps and arrival order are event-for-event identical to pumping a
 //! general discrete-event queue, at a fraction of the per-round cost.
 
-use crate::backend::{ClusterBackend, RoundDriver, RoundOutcome};
 use crate::config::BackendConfig;
-use crate::decode::DecodePool;
-use crate::engine::{Arrival, ArrivalEvent, ArrivalSource, RoundContext, RoundEngine};
+use crate::engine::{Arrival, ArrivalEvent, ArrivalSource, RoundContext};
 use crate::error::ClusterError;
 use crate::latency::{ClusterProfile, CommModel};
-use crate::minibatch::{Minibatch, UnitSelection};
-use crate::observer::{NullObserver, RoundObserver, SharedObserver};
-use crate::packed::{UnitGradientCache, WorkerBlocks};
-use crate::policy::AggregationPolicy;
-use crate::straggler::{self, StragglerModel};
-use crate::units::UnitMap;
+use crate::minibatch::UnitSelection;
+use crate::packed::UnitGradientCache;
+use crate::round_loop::{BackendCore, RoundLoop, RoundSession, RoundTransport};
+use crate::straggler::StragglerModel;
 use bcc_coding::{GradientCodingScheme, Payload};
-use bcc_data::Dataset;
-use bcc_optim::{GradScratch, Loss};
-use std::collections::HashSet;
+use bcc_optim::GradScratch;
 use std::sync::Arc;
 
 /// Virtual (discrete-event) cluster backend.
 #[derive(Debug, Clone)]
 pub struct VirtualCluster {
-    profile: ClusterProfile,
-    model: Arc<dyn StragglerModel>,
-    policy: Arc<dyn AggregationPolicy>,
-    observer: Option<SharedObserver>,
-    seed: u64,
-    round: u64,
-    dead_workers: HashSet<usize>,
-    decode_pool: DecodePool,
-    minibatch: Option<Minibatch>,
+    core: BackendCore,
 }
 
 impl VirtualCluster {
@@ -54,214 +40,68 @@ impl VirtualCluster {
     /// the profile's per-worker parameters.
     #[must_use]
     pub fn new(profile: ClusterProfile, seed: u64) -> Self {
-        let model = straggler::default_model(&profile);
         Self {
-            profile,
-            model,
-            policy: crate::policy::default_policy(),
-            observer: None,
-            seed,
-            round: 0,
-            dead_workers: HashSet::new(),
-            decode_pool: DecodePool::default(),
-            minibatch: None,
+            core: BackendCore::new(profile, seed),
         }
     }
 
-    /// Applies every [`BackendConfig`] knob this backend implements:
-    /// latency model, aggregation policy, observer, decode pool, and
-    /// minibatch sampler. Network-only knobs (timeouts, pipelining, job,
-    /// auth token) are ignored — the virtual clock has no real network.
+    /// Stores `config`; this backend reads the latency model, aggregation
+    /// policy, observer, decode pool, and minibatch sampler. Network-only
+    /// knobs (timeouts, pipelining, job, auth token) are never read — the
+    /// virtual clock has no real network.
     #[must_use]
     pub fn configured(mut self, config: BackendConfig) -> Self {
-        if let Some(model) = config.straggler_model {
-            self.model = model;
-        }
-        if let Some(policy) = config.aggregation_policy {
-            self.policy = policy;
-        }
-        if let Some(observer) = config.observer {
-            self.observer = Some(observer);
-        }
-        if let Some(pool) = config.decode_pool {
-            self.decode_pool = pool;
-        }
-        if let Some(minibatch) = config.minibatch {
-            self.minibatch = Some(minibatch);
-        }
+        self.core.config.merge(config);
         self
     }
 
     /// Marks workers as dead for failure-injection experiments; they never
     /// produce messages.
     pub fn kill_workers(&mut self, workers: impl IntoIterator<Item = usize>) {
-        self.dead_workers.extend(workers);
+        self.core.dead_workers.extend(workers);
     }
 
     /// Revives all workers.
     pub fn revive_all(&mut self) {
-        self.dead_workers.clear();
+        self.core.dead_workers.clear();
     }
 
     /// The latency profile in force.
     #[must_use]
     pub fn profile(&self) -> &ClusterProfile {
-        &self.profile
-    }
-
-    /// Runs one round over a fixed participant set (round id preallocated).
-    /// `scratch` carries the reusable gradient buffers across rounds.
-    #[allow(clippy::too_many_arguments)] // per-run reusable state, one arg each
-    fn round_with_participants(
-        &self,
-        round: u64,
-        participants: &[usize],
-        ctx: RoundContext<'_>,
-        weights: &[f64],
-        scratch: &mut GradScratch,
-        cache: Option<&mut UnitGradientCache>,
-        schedule: &mut Vec<(usize, f64)>,
-    ) -> Result<RoundOutcome, ClusterError> {
-        let mut cache = cache;
-        if let Some(c) = cache.as_deref_mut() {
-            c.begin_round();
-        }
-        let selection = ctx.selection_for(round);
-        let examples_used = selection.as_ref().map(|sel| ctx.examples_in(sel));
-        let mut source = VirtualArrivals::new(
-            self.profile.comm,
-            participants.iter().map(|&worker| {
-                // Minibatch rounds only charge compute for the worker's
-                // units that fall in the sample.
-                let load = match &selection {
-                    Some(sel) => sel.selected_load(ctx.scheme.placement().worker_examples(worker)),
-                    None => ctx.scheme.placement().load_of(worker),
-                };
-                // A worker whose units all fell outside the minibatch still
-                // encodes and sends (coded messages mix selected and
-                // unselected units), but computes nothing — the latency
-                // model is undefined at zero load, so charge zero compute.
-                let t = if load == 0 {
-                    0.0
-                } else {
-                    self.model.compute_seconds(self.seed, round, worker, load)
-                };
-                (worker, t)
-            }),
-            ctx,
-            weights,
-            scratch,
-            cache,
-            schedule,
-            selection.as_ref(),
-        );
-        let mut engine = RoundEngine::with_policy(ctx.scheme, participants.len(), &*self.policy)
-            .with_decode_pool(self.decode_pool);
-        let mut null = NullObserver;
-        let mut guard = self
-            .observer
-            .as_ref()
-            .map(|o| o.lock().expect("round observer lock poisoned"));
-        let observer: &mut dyn RoundObserver = match guard.as_deref_mut() {
-            Some(o) => o,
-            None => &mut null,
-        };
-        let end = engine.run_observed(&mut source, round, observer)?;
-        let arrivals = engine.arrival_stamps();
-        let (aggregate, metrics) = engine.finish(end)?;
-        Ok(RoundOutcome::new(aggregate, metrics)
-            .with_examples_used(examples_used)
-            .with_arrivals(arrivals))
+        self.core.profile()
     }
 }
 
-impl ClusterBackend for VirtualCluster {
-    fn run_round(
-        &mut self,
-        scheme: &dyn GradientCodingScheme,
-        units: &UnitMap,
-        data: &Dataset,
-        loss: &dyn Loss,
-        weights: &[f64],
-    ) -> Result<RoundOutcome, ClusterError> {
-        let packed = WorkerBlocks::build(scheme, units, data);
-        let ctx = RoundContext {
-            scheme,
-            units,
-            data,
-            loss,
-            packed: &packed,
-            minibatch: self.minibatch,
-        };
-        ctx.validate(&self.profile);
-        let round = self.round;
-        self.round += 1;
-        let participants = ctx.participants(&self.dead_workers);
-        let mut scratch = GradScratch::new();
-        let mut cache = use_cache(scheme).then(|| UnitGradientCache::new(units.num_units()));
-        let mut schedule = Vec::new();
-        self.round_with_participants(
-            round,
-            &participants,
+impl RoundSession for VirtualCluster {
+    const NAME: &'static str = "virtual-des";
+
+    fn core(&mut self) -> &mut BackendCore {
+        &mut self.core
+    }
+
+    fn session(&mut self, rounds: &mut RoundLoop<'_>) -> Result<(), ClusterError> {
+        let ctx = rounds.ctx;
+        // Amortized over the run: the participant set, the gradient
+        // scratch and the schedule buffer are built once, not per round.
+        let mut transport = VirtualArrivals {
+            comm: self.core.profile().comm,
+            model: self.core.model(),
+            seed: self.core.seed(),
+            participants: ctx.participants(&self.core.dead_workers),
             ctx,
-            weights,
-            &mut scratch,
-            cache.as_mut(),
-            &mut schedule,
-        )
-    }
-
-    fn run_rounds(
-        &mut self,
-        rounds: usize,
-        scheme: &dyn GradientCodingScheme,
-        units: &UnitMap,
-        data: &Dataset,
-        loss: &dyn Loss,
-        driver: &mut dyn RoundDriver,
-    ) -> Result<(), ClusterError> {
-        // Amortize round setup: validate, build the participant set, pack
-        // each worker's data, and allocate the gradient scratch once for
-        // the whole run instead of once per round.
-        let packed = WorkerBlocks::build(scheme, units, data);
-        let ctx = RoundContext {
-            scheme,
-            units,
-            data,
-            loss,
-            packed: &packed,
-            minibatch: self.minibatch,
+            scratch: GradScratch::new(),
+            // Replication-free schemes (uncoded) never share a unit across
+            // workers, so memoization would be pure copy overhead — decided
+            // once per run, not per round.
+            cache: use_cache(ctx.scheme).then(|| UnitGradientCache::new(ctx.units.num_units())),
+            schedule: Vec::new(),
+            next: 0,
+            port_free_at: 0.0,
+            weights: Vec::new(),
+            selection: None,
         };
-        ctx.validate(&self.profile);
-        let participants = ctx.participants(&self.dead_workers);
-        let mut scratch = GradScratch::new();
-        // Replication-free schemes (uncoded) never share a unit across
-        // workers, so memoization would be pure copy overhead — decided
-        // once per run, not per round.
-        let mut cache = use_cache(scheme).then(|| UnitGradientCache::new(units.num_units()));
-        let mut schedule = Vec::new();
-        for index in 0..rounds {
-            // Advance per attempted round (failing rounds included), exactly
-            // like sequential run_round calls would.
-            let round = self.round;
-            self.round += 1;
-            let weights = driver.eval_point(index);
-            let outcome = self.round_with_participants(
-                round,
-                &participants,
-                ctx,
-                &weights,
-                &mut scratch,
-                cache.as_mut(),
-                &mut schedule,
-            )?;
-            driver.consume(index, outcome);
-        }
-        Ok(())
-    }
-
-    fn backend_name(&self) -> &'static str {
-        "virtual-des"
+        rounds.run(&mut transport)
     }
 }
 
@@ -279,49 +119,55 @@ fn use_cache(scheme: &dyn GradientCodingScheme) -> bool {
 /// modelling the master's serialized receive port, and materializes each
 /// worker's payload at delivery time.
 struct VirtualArrivals<'a> {
+    comm: CommModel,
+    model: Arc<dyn StragglerModel>,
+    seed: u64,
+    /// The run's fixed participant set, in worker-id order.
+    participants: Vec<usize>,
+    ctx: RoundContext<'a>,
+    /// Reusable gradient buffers, carried across rounds.
+    scratch: GradScratch,
+    cache: Option<UnitGradientCache>,
     /// `(worker, finish_time)` stably sorted by finish time — FIFO port
     /// order; the buffer is reused across rounds.
-    schedule: &'a [(usize, f64)],
+    schedule: Vec<(usize, f64)>,
     next: usize,
     port_free_at: f64,
-    comm: CommModel,
-    ctx: RoundContext<'a>,
-    weights: &'a [f64],
-    scratch: &'a mut GradScratch,
-    cache: Option<&'a mut UnitGradientCache>,
-    selection: Option<&'a UnitSelection>,
+    weights: Vec<f64>,
+    selection: Option<UnitSelection>,
 }
 
-impl<'a> VirtualArrivals<'a> {
-    #[allow(clippy::too_many_arguments)] // per-round reusable state, one arg each
-    fn new(
-        comm: CommModel,
-        finish_times: impl Iterator<Item = (usize, f64)>,
-        ctx: RoundContext<'a>,
-        weights: &'a [f64],
-        scratch: &'a mut GradScratch,
-        cache: Option<&'a mut UnitGradientCache>,
-        schedule: &'a mut Vec<(usize, f64)>,
-        selection: Option<&'a UnitSelection>,
-    ) -> Self {
-        schedule.clear();
-        schedule.extend(finish_times);
+impl RoundTransport for VirtualArrivals<'_> {
+    fn begin_round(
+        &mut self,
+        round: u64,
+        weights: Vec<f64>,
+        selection: Option<UnitSelection>,
+    ) -> usize {
+        if let Some(cache) = &mut self.cache {
+            cache.begin_round();
+        }
+        self.schedule.clear();
+        for &worker in &self.participants {
+            let delay =
+                self.ctx
+                    .compute_delay(&*self.model, self.seed, round, worker, selection.as_ref());
+            self.schedule.push((worker, delay));
+        }
         // Stable: simultaneous finishers keep participant order, exactly
         // like the FIFO tie-breaking of a discrete-event calendar.
-        schedule.sort_by(|a, b| a.1.total_cmp(&b.1));
-        Self {
-            schedule,
-            next: 0,
-            port_free_at: 0.0,
-            comm,
-            ctx,
-            weights,
-            scratch,
-            cache,
-            selection,
-        }
+        self.schedule.sort_by(|a, b| a.1.total_cmp(&b.1));
+        self.next = 0;
+        self.port_free_at = 0.0;
+        self.weights = weights;
+        self.selection = selection;
+        self.participants.len()
     }
 
+    fn end_round(&mut self, _round: u64) {}
+}
+
+impl VirtualArrivals<'_> {
     /// [`RoundContext::compute_and_encode`] with per-round unit
     /// memoization: units already computed this round (by a replica worker)
     /// are copied from the cache instead of recomputed — bit-identical by
@@ -331,9 +177,9 @@ impl<'a> VirtualArrivals<'a> {
         let Some(cache) = self.cache.as_mut() else {
             return self.ctx.compute_and_encode_selected(
                 worker,
-                self.weights,
-                self.scratch,
-                self.selection,
+                &self.weights,
+                &mut self.scratch,
+                self.selection.as_ref(),
             );
         };
         let unit_ids = self.ctx.scheme.placement().worker_examples(worker);
@@ -343,14 +189,18 @@ impl<'a> VirtualArrivals<'a> {
         for (slot, (&unit, rows)) in unit_ids.iter().zip(ranges).enumerate() {
             // Units outside the round's minibatch keep the zero vector
             // `ensure_slots` left in the slot.
-            if self.selection.is_some_and(|sel| !sel.contains(unit)) {
+            if self
+                .selection
+                .as_ref()
+                .is_some_and(|sel| !sel.contains(unit))
+            {
                 continue;
             }
             if let Some(grad) = cache.get(unit) {
                 self.scratch.copy_partial_from(slot, grad);
             } else {
                 self.scratch
-                    .fill_partial(slot, self.ctx.loss, x, y, rows.clone(), self.weights);
+                    .fill_partial(slot, self.ctx.loss, x, y, rows.clone(), &self.weights);
                 cache.store(unit, self.scratch.partial(slot));
             }
         }
@@ -389,7 +239,9 @@ impl ArrivalSource for VirtualArrivals<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::ClusterBackend;
     use crate::latency::{ClusterProfile, CommModel};
+    use crate::units::UnitMap;
     use bcc_coding::{BccScheme, UncodedScheme};
     use bcc_data::synthetic::{generate, SyntheticConfig};
     use bcc_linalg::approx_eq_slice;

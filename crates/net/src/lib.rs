@@ -1,15 +1,17 @@
 //! Networked cluster backend: a TCP master/worker runtime.
 //!
 //! The two in-process backends ([`bcc_cluster::ThreadedCluster`] and
-//! [`bcc_cluster::VirtualCluster`]) simulate arrivals; this crate makes
-//! them *genuine network events*. The master ([`TcpCluster`]) binds a
-//! `std::net` TCP listener, registers workers through a `Hello`/`Job`
-//! handshake, broadcasts per-round weight frames, and feeds the shared
-//! [`bcc_cluster::RoundEngine`] from one reader thread per worker. Workers
-//! — OS processes running the `bcc-worker` binary, or loopback threads
-//! spawned by [`LocalNetCluster`] — compute partial gradients, encode them
-//! with the scheme, and ship the exact [`bcc_cluster::wire`] envelope bytes
-//! inside length-prefixed frames ([`frame`]).
+//! [`bcc_cluster::VirtualCluster`]) simulate arrivals; this crate's two
+//! make them *genuine network events* — under the same round loop
+//! ([`bcc_cluster::round_loop`]), as one more transport. The master
+//! ([`TcpCluster`]) binds a `std::net` TCP listener, registers workers
+//! through a `Hello`/`Job` handshake, broadcasts per-round weight frames,
+//! and feeds the shared [`bcc_cluster::RoundEngine`] from one reader thread
+//! per worker. Workers — OS processes running the `bcc-worker` binary, or
+//! loopback threads spawned by [`LocalNetCluster`] — run the threaded
+//! backend's worker body ([`bcc_cluster::worker::WorkerStep`]) and ship the
+//! exact [`bcc_cluster::wire`] envelope bytes inside length-prefixed frames
+//! ([`frame`]).
 //!
 //! Fault tolerance maps worker death onto the policy layer's exhaustion
 //! path: a disconnect (EOF/reset) or heartbeat timeout removes the worker

@@ -5,11 +5,12 @@
 //! `Hello`/`Job` handshake (an acceptor thread validates the job auth
 //! token and feeds a registration channel), and spawns **one reader
 //! thread per worker** that turns incoming frames into `MasterEvent`s on
-//! a single shared channel. The round loop is the same shape as every
-//! other backend: sample each live worker's compute delay from the shared
-//! `(seed, round, worker)` latency stream, broadcast `Round` frames, and
-//! feed the shared [`RoundEngine`] from a private `NetArrivals` source
-//! until the aggregation policy completes the round.
+//! a single shared channel. The round loop is every other backend's
+//! ([`bcc_cluster::round_loop`]); this file's part is the private
+//! `NetArrivals` transport: sample each participant's compute delay from
+//! the shared `(seed, round, worker)` latency stream, broadcast `Round`
+//! frames, and feed the shared `RoundEngine` until the aggregation policy
+//! completes the round.
 //!
 //! **Fan-out** is pipelined by default: every connection also owns a
 //! writer thread fed by a bounded queue of pooled, pre-encoded frames.
@@ -40,21 +41,15 @@
 
 use crate::frame::{self, auth_token, FramePool, NetMessage};
 use crate::stats::{CountingReader, NetStats, SharedStats};
-use bcc_cluster::backend::{ClusterBackend, FixedPointDriver, RoundDriver, RoundOutcome};
 use bcc_cluster::config::BackendConfig;
-use bcc_cluster::decode::DecodePool;
-use bcc_cluster::engine::{Arrival, ArrivalEvent, ArrivalSource, RoundContext, RoundEngine};
-use bcc_cluster::latency::{ClusterProfile, CommModel};
-use bcc_cluster::minibatch::Minibatch;
-use bcc_cluster::observer::{NullObserver, RoundEvent, RoundObserver, SharedObserver};
-use bcc_cluster::packed::WorkerBlocks;
-use bcc_cluster::policy::AggregationPolicy;
-use bcc_cluster::straggler::{self, StragglerModel};
-use bcc_cluster::units::UnitMap;
+use bcc_cluster::engine::{Arrival, ArrivalEvent, ArrivalSource, RoundContext};
+use bcc_cluster::latency::ClusterProfile;
+use bcc_cluster::minibatch::UnitSelection;
+use bcc_cluster::observer::RoundEvent;
+use bcc_cluster::round_loop::{BackendCore, RoundLoop, RoundSession, RoundTransport};
+use bcc_cluster::straggler::StragglerModel;
 use bcc_cluster::{wire, ClusterError, Envelope};
-use bcc_coding::{GradientCodingScheme, Payload};
-use bcc_data::Dataset;
-use bcc_optim::Loss;
+use bcc_coding::Payload;
 use bytes::BytesMut;
 use crossbeam_channel::{
     bounded, unbounded, Receiver, RecvTimeoutError, Sender, SyncSender, TrySendError,
@@ -127,28 +122,8 @@ struct Conn {
 /// asynchronously and the first round blocks (up to the connect timeout)
 /// until every live participant has completed its handshake.
 pub struct TcpCluster {
-    profile: ClusterProfile,
-    model: Arc<dyn StragglerModel>,
-    policy: Arc<dyn AggregationPolicy>,
-    observer: Option<SharedObserver>,
-    seed: u64,
-    round: u64,
+    core: BackendCore,
     time_scale: f64,
-    /// Real time without *any* progress (message or death) before a round
-    /// exhausts with "no message".
-    recv_timeout: Duration,
-    /// Real silence (no frame of any kind) before a worker is declared
-    /// dead. Must comfortably exceed the workers' heartbeat cadence.
-    heartbeat_timeout: Duration,
-    /// How long the first round waits for missing participants to
-    /// register.
-    connect_timeout: Duration,
-    dead_workers: HashSet<usize>,
-    decode_pool: DecodePool,
-    minibatch: Option<Minibatch>,
-    /// Handshake payload for registering workers (a JSON experiment spec;
-    /// empty for the loopback harness).
-    job: String,
     local_addr: std::net::SocketAddr,
     conns: BTreeMap<usize, Conn>,
     ever_registered: HashSet<usize>,
@@ -160,9 +135,6 @@ pub struct TcpCluster {
     readers: Vec<JoinHandle<()>>,
     stats: SharedStats,
     pool: FramePool,
-    /// Writer-thread fan-out + speculative next-round broadcast (the
-    /// default); `false` restores the serial write-per-peer seed path.
-    pipelined: bool,
     /// Monotonic connection-generation counter (see [`MasterEvent::Down`]).
     conn_gen: u64,
     /// Monotonic broadcast-epoch counter; bumped once per fan-out,
@@ -215,22 +187,9 @@ impl TcpCluster {
             Arc::clone(&expected_token),
             stats.clone(),
         );
-        let model = straggler::default_model(&profile);
         Ok(Self {
-            profile,
-            model,
-            policy: bcc_cluster::policy::default_policy(),
-            observer: None,
-            seed,
-            round: 0,
+            core: BackendCore::new(profile, seed),
             time_scale,
-            recv_timeout: Duration::from_secs(5),
-            heartbeat_timeout: Duration::from_secs(2),
-            connect_timeout: Duration::from_secs(30),
-            dead_workers: HashSet::new(),
-            decode_pool: DecodePool::default(),
-            minibatch: None,
-            job: String::new(),
             local_addr,
             conns: BTreeMap::new(),
             ever_registered: HashSet::new(),
@@ -242,7 +201,6 @@ impl TcpCluster {
             readers: Vec::new(),
             stats,
             pool: FramePool::new(),
-            pipelined: true,
             conn_gen: 0,
             epoch_counter: 0,
             expected_token,
@@ -262,43 +220,15 @@ impl TcpCluster {
         self.stats.snapshot()
     }
 
-    /// Applies every [`BackendConfig`] knob — the TCP master implements
-    /// the full set (latency model, aggregation policy, observer, decode
-    /// pool, minibatch, receive/heartbeat/connect timeouts, pipelining,
-    /// job string, auth token).
+    /// Stores `config` — the TCP master reads the full set (latency model,
+    /// aggregation policy, observer, decode pool, minibatch,
+    /// receive/heartbeat/connect timeouts, pipelining, job string, auth
+    /// token). The token is also published to the acceptor thread, which
+    /// has been checking `Hello`s since [`TcpCluster::bind`].
     #[must_use]
     pub fn configured(mut self, config: BackendConfig) -> Self {
-        if let Some(model) = config.straggler_model {
-            self.model = model;
-        }
-        if let Some(policy) = config.aggregation_policy {
-            self.policy = policy;
-        }
-        if let Some(observer) = config.observer {
-            self.observer = Some(observer);
-        }
-        if let Some(pool) = config.decode_pool {
-            self.decode_pool = pool;
-        }
-        if let Some(minibatch) = config.minibatch {
-            self.minibatch = Some(minibatch);
-        }
-        if let Some(timeout) = config.recv_timeout {
-            self.recv_timeout = timeout;
-        }
-        if let Some(timeout) = config.heartbeat_timeout {
-            self.heartbeat_timeout = timeout;
-        }
-        if let Some(timeout) = config.connect_timeout {
-            self.connect_timeout = timeout;
-        }
-        if let Some(pipelined) = config.pipelining {
-            self.pipelined = pipelined;
-        }
-        if let Some(job) = config.job {
-            self.job = job;
-        }
-        if let Some(token) = config.auth_token {
+        self.core.config.merge(config);
+        if let Some(token) = self.core.config.auth_token {
             self.expected_token.store(token, Ordering::Relaxed);
         }
         self
@@ -307,13 +237,18 @@ impl TcpCluster {
     /// Marks workers as dead up front (failure injection): they are
     /// excluded from the participant set and never waited on.
     pub fn kill_workers(&mut self, workers: impl IntoIterator<Item = usize>) {
-        self.dead_workers.extend(workers);
+        self.core.dead_workers.extend(workers);
     }
 
     /// The profile in force.
     #[must_use]
     pub fn profile(&self) -> &ClusterProfile {
-        &self.profile
+        self.core.profile()
+    }
+
+    /// The token a `Hello` must carry right now.
+    pub(crate) fn expected_token(&self) -> u64 {
+        self.expected_token.load(Ordering::Relaxed)
     }
 
     /// Sends `Shutdown` to every registered worker and tears down the
@@ -354,15 +289,18 @@ impl TcpCluster {
     /// seen worker counts as a reconnect and clears its death mark.
     fn register(&mut self, reg: Registration) {
         let Registration { worker, stream } = reg;
-        if worker >= self.profile.num_workers() {
+        if worker >= self.core.profile().num_workers() {
             return; // unknown id: drop the socket
         }
-        if send_frame(&stream, &NetMessage::Job(self.job.clone()), &self.stats).is_err() {
+        // The handshake payload: a JSON experiment spec for self-building
+        // workers; empty for the loopback harness.
+        let job = self.core.config.job.clone().unwrap_or_default();
+        if send_frame(&stream, &NetMessage::Job(job), &self.stats).is_err() {
             return; // died during the handshake; the worker can retry
         }
         if self.ever_registered.contains(&worker) {
             self.stats.record_reconnect();
-            self.dead_workers.remove(&worker);
+            self.core.dead_workers.remove(&worker);
         }
         self.ever_registered.insert(worker);
         let reader_stream = match stream.try_clone() {
@@ -424,7 +362,8 @@ impl TcpCluster {
     /// Blocks until every worker in `participants` has registered, up to
     /// the connect timeout.
     fn ensure_registered(&mut self, participants: &[usize]) -> Result<(), ClusterError> {
-        let deadline = Instant::now() + self.connect_timeout;
+        let connect_timeout = self.core.connect_timeout();
+        let deadline = Instant::now() + connect_timeout;
         loop {
             let missing: Vec<usize> = participants
                 .iter()
@@ -436,8 +375,7 @@ impl TcpCluster {
             }
             if Instant::now() >= deadline {
                 return Err(ClusterError::Net(format!(
-                    "workers {missing:?} did not register within {:?}",
-                    self.connect_timeout
+                    "workers {missing:?} did not register within {connect_timeout:?}"
                 )));
             }
             match self
@@ -502,7 +440,7 @@ impl TcpCluster {
     /// the seed path) otherwise. The buffer returns to the pool either
     /// way.
     fn ship_frame(&self, worker: usize, buf: BytesMut, block: bool) -> bool {
-        if self.pipelined {
+        if self.core.pipelined() {
             return self.enqueue_frame(worker, buf, block);
         }
         let ok = self.conns.get(&worker).is_some_and(|conn| {
@@ -516,144 +454,40 @@ impl TcpCluster {
         self.pool.put(buf);
         ok
     }
+}
 
-    /// Drives `rounds` rounds over the registered workers — the networked
-    /// analogue of the threaded backend's worker-pool loop. `attempted`
-    /// counts rounds started so the caller can advance its round counter
-    /// exactly as sequential `run_round` calls would.
-    pub(crate) fn run_batch(
-        &mut self,
-        first_round: u64,
-        rounds: usize,
-        ctx: RoundContext<'_>,
-        driver: &mut dyn RoundDriver,
-        attempted: &mut u64,
-    ) -> Result<(), ClusterError> {
-        self.ensure_registered(&ctx.participants(&self.dead_workers))?;
-        // Clone the shared handles up front so the engine and the arrival
-        // source never borrow `self` mutably mid-round.
-        let policy = Arc::clone(&self.policy);
-        let model = Arc::clone(&self.model);
-        let observer_handle = self.observer.clone();
-        let decode_pool = self.decode_pool;
-        let comm = self.profile.comm;
-        for index in 0..rounds {
-            let round = first_round + index as u64;
-            *attempted = index as u64 + 1;
-            self.admit_reconnects();
-            let live = ctx.participants(&self.dead_workers);
-            let weights = driver.eval_point(index);
-            let selection = ctx.selection_for(round);
-            // Sample every participant's delay, not just the live set: a
-            // worker rejoining mid-round is re-admitted with the same
-            // deterministic delay a boundary broadcast would have shipped.
-            let all = ctx.participants(&HashSet::new());
-            let mut delays = BTreeMap::new();
-            for &worker in &all {
-                // The master samples the worker's simulated compute delay
-                // from the shared latency stream and ships it — the load
-                // is selection-aware exactly like the in-process backends.
-                let load = match &selection {
-                    Some(sel) => sel.selected_load(ctx.scheme.placement().worker_examples(worker)),
-                    None => ctx.scheme.placement().load_of(worker),
-                };
-                let delay = if load == 0 {
-                    0.0
-                } else {
-                    model.compute_seconds(self.seed, round, worker, load)
-                };
-                delays.insert(worker, delay);
-            }
-            // Encode the shared Round body once; per worker the pooled
-            // copy only gets its delay patched in.
-            let epoch = self.next_epoch();
-            let broadcast_started = Instant::now();
-            let mut template = self.pool.take();
-            frame::encode_round_into(&mut template, round, epoch, 0.0, &weights);
-            let mut live_sent = Vec::with_capacity(live.len());
-            let mut epoch_of = HashMap::new();
-            for &worker in &live {
-                let mut buf = self.pool.take();
-                buf.clear();
-                buf.extend_from_slice(template.as_ref());
-                frame::patch_round_delay(buf.as_mut(), delays[&worker]);
-                if self.ship_frame(worker, buf, true) {
-                    live_sent.push(worker);
-                    epoch_of.insert(worker, epoch);
-                } else {
-                    // Already-dead socket: record the death now so the
-                    // round never waits on it.
-                    self.dead_workers.insert(worker);
-                    self.stats.record_death();
-                }
-            }
-            self.pool.put(template);
-            self.stats
-                .record_broadcast_wall(broadcast_started.elapsed());
-            let now = Instant::now();
-            let mut source = NetArrivals {
-                round,
-                comm,
-                time_scale: self.time_scale,
-                recv_timeout: self.recv_timeout,
-                heartbeat_timeout: self.heartbeat_timeout,
-                start: now,
-                weights: &weights,
-                delays,
-                participants: all.iter().copied().collect(),
-                epoch_of,
-                live: live_sent.iter().copied().collect(),
-                reported: HashSet::new(),
-                pending: BTreeMap::new(),
-                last_seen: live_sent.iter().map(|&w| (w, now)).collect(),
-                deaths: Vec::new(),
-                last_progress: now,
-                master: self,
-            };
-            let mut engine = RoundEngine::with_policy(ctx.scheme, live_sent.len(), &*policy)
-                .with_decode_pool(decode_pool);
-            let result = {
-                let mut null = NullObserver;
-                let mut guard = observer_handle
-                    .as_ref()
-                    .map(|o| o.lock().expect("round observer lock poisoned"));
-                let observer: &mut dyn RoundObserver = match guard.as_deref_mut() {
-                    Some(o) => o,
-                    None => &mut null,
-                };
-                engine.run_observed(&mut source, round, observer)
-            };
-            let start = source.start;
-            let deaths = std::mem::take(&mut source.deaths);
-            drop(source);
-            // Wake sleeping stragglers of this round promptly, dead or
-            // not (sends to dead sockets are ignored). In pipelined mode
-            // this is a queue push and round t+1's fan-out follows while
-            // t's tail arrivals are still draining.
-            for &worker in self.conns.keys() {
-                let mut buf = self.pool.take();
-                frame::encode_into(
-                    &NetMessage::Finished {
-                        before_round: round + 1,
-                    },
-                    &mut buf,
-                );
-                let _ = self.ship_frame(worker, buf, false);
-            }
-            self.dead_workers.extend(deaths);
-            result?;
-            let total_time = start.elapsed().as_secs_f64() / self.time_scale;
-            let arrivals = engine.arrival_stamps();
-            let (aggregate, metrics) = engine.finish(total_time)?;
-            let examples_used = ctx.selection_for(round).map(|sel| ctx.examples_in(&sel));
-            driver.consume(
-                index,
-                RoundOutcome::new(aggregate, metrics)
-                    .with_examples_used(examples_used)
-                    .with_arrivals(arrivals),
-            );
-        }
-        Ok(())
+impl RoundSession for TcpCluster {
+    const NAME: &'static str = "tcp";
+
+    fn core(&mut self) -> &mut BackendCore {
+        &mut self.core
+    }
+
+    /// Waits for the run's participants to register, then drives the rounds
+    /// over the registered workers — the networked analogue of the threaded
+    /// backend's worker-pool session.
+    fn session(&mut self, rounds: &mut RoundLoop<'_>) -> Result<(), ClusterError> {
+        let ctx = rounds.ctx;
+        self.ensure_registered(&ctx.participants(&self.core.dead_workers))?;
+        let now = Instant::now();
+        let mut transport = NetArrivals {
+            ctx,
+            model: self.core.model(),
+            participants: ctx.participants(&HashSet::new()).into_iter().collect(),
+            master: self,
+            round: 0,
+            start: now,
+            weights: Vec::new(),
+            delays: BTreeMap::new(),
+            epoch_of: HashMap::new(),
+            live: BTreeSet::new(),
+            reported: HashSet::new(),
+            pending: BTreeMap::new(),
+            last_seen: HashMap::new(),
+            deaths: Vec::new(),
+            last_progress: now,
+        };
+        rounds.run(&mut transport)
     }
 }
 
@@ -667,12 +501,12 @@ impl std::fmt::Debug for TcpCluster {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TcpCluster")
             .field("local_addr", &self.local_addr)
-            .field("workers", &self.profile.num_workers())
+            .field("workers", &self.core.profile().num_workers())
             .field("registered", &self.conns.len())
-            .field("seed", &self.seed)
-            .field("round", &self.round)
+            .field("seed", &self.core.seed())
+            .field("round", &self.core.round())
             .field("time_scale", &self.time_scale)
-            .field("pipelined", &self.pipelined)
+            .field("pipelined", &self.core.pipelined())
             .finish_non_exhaustive()
     }
 }
@@ -851,26 +685,25 @@ fn spawn_writer(
     })
 }
 
-/// Arrival adapter for one round: consumes [`MasterEvent`]s, filters
-/// stale rounds and superseded broadcast epochs (crediting them to
+/// Arrival adapter: fans each round out, then consumes [`MasterEvent`]s,
+/// filters stale rounds and superseded broadcast epochs (crediting them to
 /// [`NetStats::stale_frames`] via [`RoundEvent::StaleFrame`]), admits
 /// mid-round rejoins, models the master's serialized receive port, tracks
 /// per-round reports, and maps disconnects and heartbeat silence onto the
 /// live set. Exhausts when every remaining live worker has reported or
 /// when no progress happens within the receive timeout.
 struct NetArrivals<'a> {
+    master: &'a mut TcpCluster,
+    ctx: RoundContext<'a>,
+    model: Arc<dyn StragglerModel>,
+    /// All of the scheme's scheduled participants (dead or alive).
+    participants: BTreeSet<usize>,
     round: u64,
-    comm: CommModel,
-    time_scale: f64,
-    recv_timeout: Duration,
-    heartbeat_timeout: Duration,
     start: Instant,
     /// The broadcast weights, kept for mid-round rejoin re-broadcasts.
-    weights: &'a [f64],
+    weights: Vec<f64>,
     /// Deterministic per-worker compute delays for *every* participant.
     delays: BTreeMap<usize, f64>,
-    /// All of the round's scheduled participants (dead or alive).
-    participants: BTreeSet<usize>,
     /// The broadcast epoch each worker's Data must echo to count.
     epoch_of: HashMap<usize, u64>,
     /// Workers still able to report this round.
@@ -890,7 +723,87 @@ struct NetArrivals<'a> {
     deaths: Vec<usize>,
     /// Last delivery or death — the no-progress clock.
     last_progress: Instant,
-    master: &'a mut TcpCluster,
+}
+
+impl RoundTransport for NetArrivals<'_> {
+    fn begin_round(
+        &mut self,
+        round: u64,
+        weights: Vec<f64>,
+        selection: Option<UnitSelection>,
+    ) -> usize {
+        let master = &mut *self.master;
+        master.admit_reconnects();
+        let live = self.ctx.participants(&master.core.dead_workers);
+        // The master samples every participant's simulated compute delay
+        // from the shared latency stream and ships it — not just the live
+        // set's: a worker rejoining mid-round is re-admitted with the same
+        // deterministic delay a boundary broadcast would have shipped.
+        let ctx = self.ctx;
+        let model = &*self.model;
+        let seed = master.core.seed();
+        let batch = selection.as_ref();
+        let delay = |&w: &usize| (w, ctx.compute_delay(model, seed, round, w, batch));
+        self.delays = self.participants.iter().map(delay).collect();
+        // Encode the shared Round body once; per worker the pooled copy
+        // only gets its delay patched in.
+        let epoch = master.next_epoch();
+        let broadcast_started = Instant::now();
+        let mut template = master.pool.take();
+        frame::encode_round_into(&mut template, round, epoch, 0.0, &weights);
+        self.epoch_of.clear();
+        self.live.clear();
+        for worker in live {
+            let mut buf = master.pool.take();
+            buf.clear();
+            buf.extend_from_slice(template.as_ref());
+            frame::patch_round_delay(buf.as_mut(), self.delays[&worker]);
+            if master.ship_frame(worker, buf, true) {
+                self.live.insert(worker);
+                self.epoch_of.insert(worker, epoch);
+            } else {
+                // Already-dead socket: record the death now so the round
+                // never waits on it.
+                master.core.dead_workers.insert(worker);
+                master.stats.record_death();
+            }
+        }
+        master.pool.put(template);
+        master
+            .stats
+            .record_broadcast_wall(broadcast_started.elapsed());
+        let now = Instant::now();
+        self.round = round;
+        self.weights = weights;
+        self.start = now;
+        self.last_progress = now;
+        self.reported.clear();
+        self.pending.clear();
+        self.last_seen = self.live.iter().map(|&w| (w, now)).collect();
+        self.live.len()
+    }
+
+    fn end_round(&mut self, round: u64) {
+        // Wake sleeping stragglers of this round promptly, dead or not
+        // (sends to dead sockets are ignored). In pipelined mode this is a
+        // queue push and round t+1's fan-out follows while t's tail
+        // arrivals are still draining.
+        for &worker in self.master.conns.keys() {
+            let mut buf = self.master.pool.take();
+            frame::encode_into(
+                &NetMessage::Finished {
+                    before_round: round + 1,
+                },
+                &mut buf,
+            );
+            let _ = self.master.ship_frame(worker, buf, false);
+        }
+        self.master.core.dead_workers.extend(self.deaths.drain(..));
+    }
+
+    fn elapsed(&self) -> Option<f64> {
+        Some(self.start.elapsed().as_secs_f64() / self.master.time_scale)
+    }
 }
 
 impl NetArrivals<'_> {
@@ -918,7 +831,7 @@ impl NetArrivals<'_> {
         let delay = *self.delays.get(&worker)?;
         let epoch = self.master.next_epoch();
         let mut buf = self.master.pool.take();
-        frame::encode_round_into(&mut buf, self.round, epoch, delay, self.weights);
+        frame::encode_round_into(&mut buf, self.round, epoch, delay, &self.weights);
         if !self.master.ship_frame(worker, buf, true) {
             return None;
         }
@@ -974,13 +887,15 @@ impl NetArrivals<'_> {
         let (worker, payload, compute_seconds) = self.pending.remove(&key)?;
         // Serialized receive port, same as the other backends: the
         // transfer occupies the master.
-        let transfer = self.comm.transfer_time(payload.units());
-        std::thread::sleep(Duration::from_secs_f64(transfer * self.time_scale));
+        let comm = self.master.core.profile().comm;
+        let transfer = comm.transfer_time(payload.units());
+        let time_scale = self.master.time_scale;
+        std::thread::sleep(Duration::from_secs_f64(transfer * time_scale));
         Some(Arrival {
             worker,
             payload,
             compute_seconds,
-            at: self.start.elapsed().as_secs_f64() / self.time_scale,
+            at: self.start.elapsed().as_secs_f64() / time_scale,
         })
     }
 }
@@ -1067,31 +982,31 @@ impl ArrivalSource for NetArrivals<'_> {
                     // Slow path: declare silence past the heartbeat
                     // timeout a death (covers frozen-but-connected peers).
                     let now = Instant::now();
-                    let stale: Vec<usize> =
-                        self.live
-                            .iter()
-                            .copied()
-                            .filter(|w| {
-                                !self.reported.contains(w)
-                                    && self.last_seen.get(w).is_none_or(|t| {
-                                        now.duration_since(*t) > self.heartbeat_timeout
-                                    })
-                            })
-                            .collect();
+                    let heartbeat_timeout = self.master.core.heartbeat_timeout();
+                    let stale: Vec<usize> = self
+                        .live
+                        .iter()
+                        .copied()
+                        .filter(|w| {
+                            !self.reported.contains(w)
+                                && self
+                                    .last_seen
+                                    .get(w)
+                                    .is_none_or(|t| now.duration_since(*t) > heartbeat_timeout)
+                        })
+                        .collect();
                     for worker in stale {
                         self.mark_dead(worker);
                     }
-                    if self.last_progress.elapsed() > self.recv_timeout {
+                    let recv_timeout = self.master.core.recv_timeout();
+                    if self.last_progress.elapsed() > recv_timeout {
                         // Flush held frames (in order) before giving up:
                         // a stalled gate must not swallow data in hand.
                         if let Some(arrival) = self.release_pending(true) {
                             return Ok(ArrivalEvent::Delivered(arrival));
                         }
                         return Ok(ArrivalEvent::Exhausted {
-                            reason: format!(
-                                "no message within {:?} (dead workers?)",
-                                self.recv_timeout
-                            ),
+                            reason: format!("no message within {recv_timeout:?} (dead workers?)"),
                         });
                     }
                 }
@@ -1105,69 +1020,10 @@ impl ArrivalSource for NetArrivals<'_> {
     }
 }
 
-impl ClusterBackend for TcpCluster {
-    fn run_round(
-        &mut self,
-        scheme: &dyn GradientCodingScheme,
-        units: &UnitMap,
-        data: &Dataset,
-        loss: &dyn Loss,
-        weights: &[f64],
-    ) -> Result<RoundOutcome, ClusterError> {
-        let packed = WorkerBlocks::build(scheme, units, data);
-        let ctx = RoundContext {
-            scheme,
-            units,
-            data,
-            loss,
-            packed: &packed,
-            minibatch: self.minibatch,
-        };
-        ctx.validate(&self.profile);
-        let round = self.round;
-        self.round += 1;
-        let mut single = FixedPointDriver::new(weights.to_vec());
-        self.run_batch(round, 1, ctx, &mut single, &mut 0)?;
-        Ok(single.outcomes.pop().expect("run_batch consumed one round"))
-    }
-
-    fn run_rounds(
-        &mut self,
-        rounds: usize,
-        scheme: &dyn GradientCodingScheme,
-        units: &UnitMap,
-        data: &Dataset,
-        loss: &dyn Loss,
-        driver: &mut dyn RoundDriver,
-    ) -> Result<(), ClusterError> {
-        let packed = WorkerBlocks::build(scheme, units, data);
-        let ctx = RoundContext {
-            scheme,
-            units,
-            data,
-            loss,
-            packed: &packed,
-            minibatch: self.minibatch,
-        };
-        ctx.validate(&self.profile);
-        if rounds == 0 {
-            return Ok(());
-        }
-        let first_round = self.round;
-        let mut attempted = 0;
-        let result = self.run_batch(first_round, rounds, ctx, driver, &mut attempted);
-        self.round = first_round + attempted;
-        result
-    }
-
-    fn backend_name(&self) -> &'static str {
-        "tcp"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bcc_cluster::latency::CommModel;
 
     #[test]
     fn bind_resolves_ephemeral_port_and_shuts_down() {

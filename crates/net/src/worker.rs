@@ -7,27 +7,24 @@
 //! 2. a **heartbeat thread** that keeps a liveness beacon flowing so the
 //!    master can distinguish "slow" from "gone", and
 //! 3. the **round loop** ([`serve_rounds`]): for each `Round` frame it
-//!    derives the minibatch selection locally, emulates the sampled
-//!    compute delay with a cancellable sleep, computes and encodes the
-//!    coded partial gradient, and ships the wire envelope back as a
-//!    `Data` frame.
+//!    derives the minibatch selection locally, runs the shared
+//!    [`WorkerStep`] (cancellable sleep of the shipped compute delay, then
+//!    compute + encode of the coded partial gradient), and ships the wire
+//!    envelope back as a `Data` frame.
 //!
 //! The same loop serves both deployments: the `bcc-worker` binary (one OS
 //! process per worker) and [`crate::LocalNetCluster`]'s loopback threads.
 
 use crate::frame::{self, NetMessage};
 use bcc_cluster::engine::RoundContext;
-use bcc_cluster::{wire, ClusterError, Envelope};
-use bcc_optim::GradScratch;
+use bcc_cluster::worker::{cancellable_sleep, WorkerReport, WorkerStep};
+use bcc_cluster::ClusterError;
 use bytes::BytesMut;
 use crossbeam_channel::{unbounded, Receiver, Sender};
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-/// Granularity of cancellable sleeps and heartbeat stop checks.
-const SLEEP_SLICE: Duration = Duration::from_millis(2);
 
 /// Cap on the heartbeat back-off multiplier a `Backpressure` advisory can
 /// drive (each advisory doubles the interval up to this; the next `Round`
@@ -146,27 +143,16 @@ pub fn handshake(
     }
 }
 
-/// Everything the reader thread forwards to the round loop.
-enum WorkerEvent {
-    Round {
-        round: u64,
-        epoch: u64,
-        delay_seconds: f64,
-        weights: Vec<f64>,
-    },
-    Shutdown,
-}
-
 /// Serves rounds on an established (handshaken) connection until the
 /// master sends `Shutdown`, the connection drops, or the armed
 /// `die_at_round` fault fires.
 ///
-/// The round loop is deliberately the same shape as the threaded
-/// backend's pool worker: sleep the shipped delay (cancellably), re-check
-/// the finished watermark, compute + encode, re-check, send. The one
-/// difference is where the delay comes from — the master samples it from
-/// the shared latency stream and ships it in the `Round` frame, which is
-/// what keeps a networked run byte-identical to the simulated backends.
+/// The round body is the threaded backend's pool worker's ([`WorkerStep`]:
+/// sleep the delay cancellably, re-check the finished watermark, compute +
+/// encode, re-check), then send. The one difference is where the delay
+/// comes from — the master samples it from the shared latency stream and
+/// ships it in the `Round` frame, which is what keeps a networked run
+/// byte-identical to the simulated backends.
 ///
 /// # Errors
 /// [`ClusterError::Net`] on a send failure mid-run. A master-initiated
@@ -188,7 +174,9 @@ pub fn serve_rounds(
         Arc::new(Mutex::new(stream.try_clone().map_err(|e| {
             ClusterError::Net(format!("socket clone failed: {e}"))
         })?));
-    let (event_tx, event_rx) = unbounded::<WorkerEvent>();
+    // The reader forwards `Round` frames whole, and one `Shutdown` when the
+    // master says so or the socket ends.
+    let (event_tx, event_rx) = unbounded::<NetMessage>();
 
     let reader = spawn_reader(
         stream,
@@ -226,29 +214,16 @@ pub fn serve_rounds(
 /// orderly stop end the same way.
 fn spawn_reader(
     mut stream: TcpStream,
-    event_tx: Sender<WorkerEvent>,
+    event_tx: Sender<NetMessage>,
     finished_before: Arc<AtomicU64>,
     heartbeat_backoff: Arc<AtomicU64>,
 ) -> std::thread::JoinHandle<()> {
     std::thread::spawn(move || {
         loop {
             match frame::read_message(&mut stream) {
-                Ok(Some(NetMessage::Round {
-                    round,
-                    epoch,
-                    delay_seconds,
-                    weights,
-                })) => {
+                Ok(Some(round @ NetMessage::Round { .. })) => {
                     heartbeat_backoff.store(1, Ordering::Relaxed);
-                    if event_tx
-                        .send(WorkerEvent::Round {
-                            round,
-                            epoch,
-                            delay_seconds,
-                            weights,
-                        })
-                        .is_err()
-                    {
+                    if event_tx.send(round).is_err() {
                         return;
                     }
                 }
@@ -261,7 +236,7 @@ fn spawn_reader(
                         .store((backoff * 2).min(MAX_HEARTBEAT_BACKOFF), Ordering::Relaxed);
                 }
                 Ok(Some(NetMessage::Shutdown)) | Ok(None) | Err(_) => {
-                    let _ = event_tx.send(WorkerEvent::Shutdown);
+                    let _ = event_tx.send(NetMessage::Shutdown);
                     return;
                 }
                 // A confused master is not fatal to the worker; ignore
@@ -300,27 +275,26 @@ fn spawn_heartbeat(
 }
 
 fn round_loop(
-    event_rx: &Receiver<WorkerEvent>,
+    event_rx: &Receiver<NetMessage>,
     ctx: &RoundContext<'_>,
     cfg: &WorkerConfig,
     finished_before: &AtomicU64,
     writer: &Mutex<TcpStream>,
 ) -> Result<(), ClusterError> {
-    // Reused across rounds: gradient scratch, the wire staging buffer,
-    // and the outgoing frame buffer — after warm-up the data path
+    // Reused across rounds: the step's gradient scratch and wire staging
+    // buffer, and the outgoing frame buffer — after warm-up the data path
     // allocates nothing per round.
-    let mut scratch = GradScratch::new();
-    let mut wire_buf = BytesMut::with_capacity(0);
+    let mut step = WorkerStep::new(*ctx, cfg.worker, cfg.time_scale, finished_before);
     let mut frame_buf = BytesMut::with_capacity(0);
     while let Ok(event) = event_rx.recv() {
-        let (round, epoch, delay_seconds, weights) = match event {
-            WorkerEvent::Round {
-                round,
-                epoch,
-                delay_seconds,
-                weights,
-            } => (round, epoch, delay_seconds, weights),
-            WorkerEvent::Shutdown => return Ok(()),
+        let NetMessage::Round {
+            round,
+            epoch,
+            delay_seconds,
+            weights,
+        } = event
+        else {
+            return Ok(()); // Shutdown
         };
         if cfg.die_at_round == Some(round) {
             // Injected fault: vanish after the master committed to this
@@ -331,56 +305,22 @@ fn round_loop(
         // Minibatch rounds derive the unit selection locally from the
         // round id — nothing extra on the wire.
         let selection = ctx.selection_for(round);
-        cancellable_sleep(
-            Duration::from_secs_f64(delay_seconds * cfg.time_scale),
-            || finished_before.load(Ordering::Relaxed) > round,
-        );
-        if finished_before.load(Ordering::Relaxed) > round {
-            continue; // master settled this round while we "computed"
-        }
-        match ctx.compute_and_encode_selected(
-            cfg.worker,
-            &weights,
-            &mut scratch,
-            selection.as_ref(),
-        ) {
-            Ok(payload) => {
-                wire::encode_into(
-                    &Envelope {
-                        iteration: round,
-                        worker: cfg.worker,
-                        compute_seconds: delay_seconds,
-                        payload,
-                    },
-                    &mut wire_buf,
-                );
-                // Straight from the envelope staging buffer into the
-                // frame buffer, echoing the broadcast epoch — no
-                // intermediate `Bytes` allocation.
-                frame::encode_data_frame_into(&mut frame_buf, epoch, wire_buf.as_ref());
+        match step.run(round, &weights, selection.as_ref(), delay_seconds) {
+            WorkerReport::Cancelled => continue, // master settled this round first
+            // Straight from the envelope staging buffer into the frame
+            // buffer, echoing the broadcast epoch — no intermediate
+            // `Bytes` allocation.
+            WorkerReport::Envelope(envelope) => {
+                frame::encode_data_frame_into(&mut frame_buf, epoch, envelope);
             }
-            Err(_) => {
+            WorkerReport::Skipped => {
                 frame::encode_into(&NetMessage::Skipped { round }, &mut frame_buf);
             }
-        }
-        if finished_before.load(Ordering::Relaxed) > round {
-            continue; // settled while we encoded
         }
         let mut w = writer.lock().expect("worker writer lock poisoned");
         frame::write_frame_bytes(&mut *w, frame_buf.as_ref())?;
     }
     Ok(())
-}
-
-/// Sleeps `duration`, waking early when `cancelled` reports true.
-fn cancellable_sleep(duration: Duration, cancelled: impl Fn() -> bool) {
-    let deadline = Instant::now() + duration;
-    while Instant::now() < deadline {
-        if cancelled() {
-            return;
-        }
-        std::thread::sleep(SLEEP_SLICE.min(deadline.saturating_duration_since(Instant::now())));
-    }
 }
 
 #[cfg(test)]
