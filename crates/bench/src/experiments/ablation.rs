@@ -14,8 +14,9 @@
 
 use crate::report::{f1, f3, Table};
 use bcc_cluster::{ClusterProfile, CommModel};
-use bcc_core::experiment::{DataSpec, Experiment, ExperimentSpec, LatencySpec, OptimizerSpec};
-use bcc_core::schemes::SchemeConfig;
+use bcc_core::experiment::{
+    DataSpec, Experiment, ExperimentSpec, LatencySpec, OptimizerSpec, SchemeSpec,
+};
 use bcc_core::theory;
 use serde::{Deserialize, Serialize};
 
@@ -39,7 +40,7 @@ pub struct ArmResult {
 /// rounds (no optimizer in the loop) of one scheme under `profile`.
 #[must_use]
 pub fn arm_spec(
-    scheme_cfg: SchemeConfig,
+    scheme: SchemeSpec,
     m_units: usize,
     workers: usize,
     profile: &ClusterProfile,
@@ -47,14 +48,14 @@ pub fn arm_spec(
     seed: u64,
 ) -> ExperimentSpec {
     ExperimentSpec {
-        name: format!("ablation / {}", scheme_cfg.name()),
+        name: format!("ablation / {}", scheme.name),
         data: DataSpec::synthetic(10, 16),
         latency: LatencySpec::from_profile(profile),
         optimizer: OptimizerSpec::FixedPoint,
         iterations: rounds,
         record_risk: false,
         seed,
-        ..ExperimentSpec::with_required(workers, m_units, scheme_cfg.spec())
+        ..ExperimentSpec::with_required(workers, m_units, scheme)
     }
 }
 
@@ -76,16 +77,14 @@ pub fn measure_spec(spec: &ExperimentSpec) -> ArmResult {
 /// Runs `rounds` single gradient rounds of one scheme under `profile`.
 #[must_use]
 pub fn measure(
-    scheme_cfg: SchemeConfig,
+    scheme: SchemeSpec,
     m_units: usize,
     workers: usize,
     profile: &ClusterProfile,
     rounds: usize,
     seed: u64,
 ) -> ArmResult {
-    measure_spec(&arm_spec(
-        scheme_cfg, m_units, workers, profile, rounds, seed,
-    ))
+    measure_spec(&arm_spec(scheme, m_units, workers, profile, rounds, seed))
 }
 
 // ---------------------------------------------------------------------
@@ -113,9 +112,16 @@ pub fn compression_specs(seed: u64) -> Vec<ExperimentSpec> {
     let (m, n, r) = (50, 50, 10);
     let profile = ClusterProfile::ec2_like(n);
     vec![
-        arm_spec(SchemeConfig::Bcc { r }, m, n, &profile, ROUNDS, seed),
         arm_spec(
-            SchemeConfig::BccUncompressed { r },
+            SchemeSpec::with_load("bcc", r),
+            m,
+            n,
+            &profile,
+            ROUNDS,
+            seed,
+        ),
+        arm_spec(
+            SchemeSpec::with_load("bcc-uncompressed", r),
             m,
             n,
             &profile,
@@ -178,8 +184,15 @@ pub fn bandwidth_specs(seed: u64) -> Vec<ExperimentSpec> {
                 },
             );
             [
-                arm_spec(SchemeConfig::Uncoded, m, n, &profile, ROUNDS, seed),
-                arm_spec(SchemeConfig::Bcc { r }, m, n, &profile, ROUNDS, seed),
+                arm_spec(SchemeSpec::named("uncoded"), m, n, &profile, ROUNDS, seed),
+                arm_spec(
+                    SchemeSpec::with_load("bcc", r),
+                    m,
+                    n,
+                    &profile,
+                    ROUNDS,
+                    seed,
+                ),
             ]
         })
         .collect()
@@ -237,7 +250,7 @@ pub fn batch_count_scan(seed: u64) -> Vec<BatchCountPoint> {
             let rounds = 30;
             for round in 0..rounds {
                 let arm = measure(
-                    SchemeConfig::Bcc { r },
+                    SchemeSpec::with_load("bcc", r),
                     m,
                     n,
                     &profile,
@@ -276,9 +289,9 @@ pub fn straggler_specs(seed: u64) -> Vec<ExperimentSpec> {
     let (m, n, r) = (60, 60, 6);
     let profile = ClusterProfile::ec2_like(n);
     [
-        SchemeConfig::FractionalRepetition { r },
-        SchemeConfig::CyclicRepetition { r },
-        SchemeConfig::Bcc { r },
+        SchemeSpec::with_load("fractional-repetition", r),
+        SchemeSpec::with_load("cyclic-repetition", r),
+        SchemeSpec::with_load("bcc", r),
     ]
     .into_iter()
     .map(|cfg| arm_spec(cfg, m, n, &profile, ROUNDS, seed))

@@ -156,13 +156,9 @@ impl ControlConfig {
         for (model, latency) in self.models() {
             for scheme in partial_readout_schemes(self.r) {
                 for controller in self.controllers() {
-                    let name = format!("{model}_{}_{}", scheme.name(), controller.name);
+                    let name = format!("{model}_{}_{}", scheme.name, controller.name);
                     let spec = ExperimentSpec {
-                        name: format!(
-                            "control / {model} / {} / {}",
-                            scheme.name(),
-                            controller.name
-                        ),
+                        name: format!("control / {model} / {} / {}", scheme.name, controller.name),
                         data: DataSpec::synthetic(self.points_per_unit, self.dim),
                         latency: latency.clone(),
                         optimizer: OptimizerSpec::GradientDescent {
@@ -173,7 +169,7 @@ impl ControlConfig {
                         iterations: self.iterations,
                         record_risk: true,
                         seed: self.seed,
-                        ..ExperimentSpec::with_required(self.workers, self.units, scheme.spec())
+                        ..ExperimentSpec::with_required(self.workers, self.units, scheme.clone())
                     };
                     cells.push((name, spec));
                 }

@@ -83,13 +83,13 @@ impl EngineBenchConfig {
         super::scenario::paper_schemes(self.r)
             .into_iter()
             .map(|scheme| ExperimentSpec {
-                name: format!("engine bench / {}", scheme.name()),
+                name: format!("engine bench / {}", scheme.name),
                 data: DataSpec::synthetic(self.points_per_unit, self.dim),
                 optimizer: OptimizerSpec::FixedPoint,
                 iterations: self.rounds,
                 record_risk: false,
                 seed: self.seed,
-                ..ExperimentSpec::with_required(self.workers, self.units, scheme.spec())
+                ..ExperimentSpec::with_required(self.workers, self.units, scheme)
             })
             .collect()
     }
@@ -262,9 +262,7 @@ pub struct GradientKernelRow {
 /// The gradient-kernel result (serialized to `BENCH_gradient_kernel.json`).
 pub type GradientKernelResult = Artifact<GradientKernelConfig>;
 
-/// Materialized inputs of one gradient-kernel comparison, shared by
-/// the [`Grid`] cell runner and the criterion bench so the two cannot
-/// drift apart.
+/// Materialized inputs of one gradient-kernel comparison.
 pub struct GradientKernelSetup {
     /// The synthetic dataset.
     pub data: bcc_data::Dataset,

@@ -119,9 +119,9 @@ impl ModesConfig {
         for (model, latency) in self.models() {
             for scheme in partial_readout_schemes(self.r) {
                 for mode in self.modes() {
-                    let name = format!("{model}_{}_{}", scheme.name(), mode.name);
+                    let name = format!("{model}_{}_{}", scheme.name, mode.name);
                     let spec = ExperimentSpec {
-                        name: format!("modes / {model} / {} / {}", scheme.name(), mode.name),
+                        name: format!("modes / {model} / {} / {}", scheme.name, mode.name),
                         data: DataSpec::synthetic(self.points_per_unit, self.dim),
                         latency: latency.clone(),
                         optimizer: OptimizerSpec::GradientDescent {
@@ -131,7 +131,7 @@ impl ModesConfig {
                         iterations: self.iterations,
                         record_risk: true,
                         seed: self.seed,
-                        ..ExperimentSpec::with_required(self.workers, self.units, scheme.spec())
+                        ..ExperimentSpec::with_required(self.workers, self.units, scheme.clone())
                     };
                     cells.push((name, spec));
                 }

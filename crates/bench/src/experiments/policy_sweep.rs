@@ -110,9 +110,9 @@ impl PolicySweepConfig {
         for (model, latency) in self.models() {
             for scheme in partial_readout_schemes(self.r) {
                 for policy in self.policies() {
-                    let name = format!("{model}_{}_{}", scheme.name(), policy.name);
+                    let name = format!("{model}_{}_{}", scheme.name, policy.name);
                     let spec = ExperimentSpec {
-                        name: format!("policy / {model} / {} / {}", scheme.name(), policy.name),
+                        name: format!("policy / {model} / {} / {}", scheme.name, policy.name),
                         data: DataSpec::synthetic(self.points_per_unit, self.dim),
                         latency: latency.clone(),
                         optimizer: OptimizerSpec::nesterov(0.5),
@@ -120,7 +120,7 @@ impl PolicySweepConfig {
                         iterations: self.iterations,
                         record_risk: true,
                         seed: self.seed,
-                        ..ExperimentSpec::with_required(self.workers, self.units, scheme.spec())
+                        ..ExperimentSpec::with_required(self.workers, self.units, scheme.clone())
                     };
                     cells.push((name, spec));
                 }

@@ -37,7 +37,7 @@ use crate::grid::{run_spec, Artifact, Grid, Options};
 use crate::report::{f1, Table};
 use bcc_cluster::{DecodePool, Minibatch, StreamedContext, UnitMap, UnitSelection};
 use bcc_coding::{CyclicRepetitionScheme, GradientCodingScheme, Payload};
-use bcc_core::experiment::{DataSpec, ExperimentSpec, OptimizerSpec};
+use bcc_core::experiment::{DataSpec, ExperimentSpec, OptimizerSpec, SchemeSpec};
 use bcc_data::synthetic::SyntheticConfig;
 use bcc_data::ChunkedDataset;
 use bcc_optim::{GradScratch, LogisticLoss};
@@ -185,7 +185,7 @@ impl ScaleGrid {
         if let Some(k) = cell.minibatch {
             data = data.with_minibatch(k);
         }
-        let scheme = bcc_core::schemes::SchemeConfig::CyclicRepetition { r: self.r }.spec();
+        let scheme = SchemeSpec::with_load("cyclic-repetition", self.r);
         ExperimentSpec {
             name: cell.name(),
             data,

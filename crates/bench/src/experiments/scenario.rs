@@ -10,9 +10,8 @@
 
 use crate::report::{f1, f3, Table};
 use bcc_core::experiment::{
-    DataSpec, Experiment, ExperimentReport, ExperimentSpec, LatencySpec, OptimizerSpec,
+    DataSpec, Experiment, ExperimentReport, ExperimentSpec, LatencySpec, OptimizerSpec, SchemeSpec,
 };
-use bcc_core::schemes::SchemeConfig;
 use serde::{Deserialize, Serialize};
 
 /// One scenario of the paper's EC2 evaluation.
@@ -92,16 +91,16 @@ impl ScenarioConfig {
     /// The resolved [`ExperimentSpec`] for one scheme of this scenario —
     /// the declarative form `repro scenario` replays from JSON.
     #[must_use]
-    pub fn experiment_spec(&self, scheme: SchemeConfig, record_risk: bool) -> ExperimentSpec {
+    pub fn experiment_spec(&self, scheme: SchemeSpec, record_risk: bool) -> ExperimentSpec {
         ExperimentSpec {
-            name: format!("{} / {}", self.name, scheme.name()),
+            name: format!("{} / {}", self.name, scheme.name),
             data: DataSpec::synthetic(self.points_per_unit, self.dim),
             latency: LatencySpec::Ec2Like,
             optimizer: OptimizerSpec::nesterov(0.5),
             iterations: self.iterations,
             record_risk,
             seed: self.seed,
-            ..ExperimentSpec::with_required(self.workers, self.units, scheme.spec())
+            ..ExperimentSpec::with_required(self.workers, self.units, scheme)
         }
     }
 }
@@ -169,8 +168,8 @@ impl ScenarioResult {
 
 /// Runs one scheme of the scenario through the declarative experiment API
 /// (the paper trains logistic regression with Nesterov's method).
-fn run_scheme(config: &ScenarioConfig, scheme_cfg: SchemeConfig, record_risk: bool) -> SchemeRow {
-    let spec = config.experiment_spec(scheme_cfg, record_risk);
+fn run_scheme(config: &ScenarioConfig, scheme: SchemeSpec, record_risk: bool) -> SchemeRow {
+    let spec = config.experiment_spec(scheme, record_risk);
     let report = Experiment::from_spec(spec)
         .expect("scenario specs are structurally valid")
         .run()
@@ -180,11 +179,11 @@ fn run_scheme(config: &ScenarioConfig, scheme_cfg: SchemeConfig, record_risk: bo
 
 /// The scheme set the paper's EC2 experiments compare.
 #[must_use]
-pub fn paper_schemes(r: usize) -> Vec<SchemeConfig> {
+pub fn paper_schemes(r: usize) -> Vec<SchemeSpec> {
     vec![
-        SchemeConfig::Uncoded,
-        SchemeConfig::CyclicRepetition { r },
-        SchemeConfig::Bcc { r },
+        SchemeSpec::named("uncoded"),
+        SchemeSpec::with_load("cyclic-repetition", r),
+        SchemeSpec::with_load("bcc", r),
     ]
 }
 
@@ -195,11 +194,11 @@ pub fn paper_schemes(r: usize) -> Vec<SchemeConfig> {
 /// round is cut short; uncoded shows the price of cutting without
 /// redundancy.
 #[must_use]
-pub fn partial_readout_schemes(r: usize) -> Vec<SchemeConfig> {
+pub fn partial_readout_schemes(r: usize) -> Vec<SchemeSpec> {
     vec![
-        SchemeConfig::Uncoded,
-        SchemeConfig::Bcc { r },
-        SchemeConfig::FractionalRepetition { r },
+        SchemeSpec::named("uncoded"),
+        SchemeSpec::with_load("bcc", r),
+        SchemeSpec::with_load("fractional-repetition", r),
     ]
 }
 

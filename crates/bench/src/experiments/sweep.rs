@@ -82,16 +82,16 @@ impl SweepConfig {
         for (model, latency) in model_zoo(self.workers) {
             for scheme in super::scenario::paper_schemes(self.r) {
                 for &seed in &self.seeds {
-                    let name = format!("{model}_{}_s{seed}", scheme.name());
+                    let name = format!("{model}_{}_s{seed}", scheme.name);
                     let spec = ExperimentSpec {
-                        name: format!("sweep / {model} / {} / seed {seed}", scheme.name()),
+                        name: format!("sweep / {model} / {} / seed {seed}", scheme.name),
                         data: DataSpec::synthetic(self.points_per_unit, self.dim),
                         latency: latency.clone(),
                         optimizer: OptimizerSpec::FixedPoint,
                         iterations: self.rounds,
                         record_risk: false,
                         seed,
-                        ..ExperimentSpec::with_required(self.workers, self.units, scheme.spec())
+                        ..ExperimentSpec::with_required(self.workers, self.units, scheme.clone())
                     };
                     cells.push((name, spec));
                 }

@@ -1,9 +1,7 @@
 //! Benchmark harness: regenerates every table and figure of the paper.
 //!
-//! The experiment implementations live here so that the five criterion
-//! benches (`fig2_tradeoff`, `fig4_runtime`, `table1_breakdown`,
-//! `table2_breakdown`, `fig5_hetero`) and the `repro` binary share one code
-//! path. Each experiment returns serializable rows mirroring the paper's
+//! The experiment implementations live here, behind the `repro` binary's
+//! targets. Each experiment returns serializable rows mirroring the paper's
 //! table/figure, plus helpers that render them as console tables and JSON.
 //!
 //! | experiment | paper artifact | entry point |

@@ -58,8 +58,8 @@ fn checked_in_spec_matches_the_resolved_scenario() {
     // resolves — otherwise the replay guarantee silently weakens.
     let spec = spec_run::load(&checked_in_spec()).expect("checked-in spec loads");
     let cfg = scenario::ScenarioConfig::scenario_one();
-    for (exp, scheme_cfg) in spec.experiments.iter().zip(scenario::paper_schemes(cfg.r)) {
-        let mut resolved = cfg.experiment_spec(scheme_cfg, false);
+    for (exp, scheme) in spec.experiments.iter().zip(scenario::paper_schemes(cfg.r)) {
+        let mut resolved = cfg.experiment_spec(scheme, false);
         // The artifact's iteration count tracks the repro invocation
         // (--fast trims it); everything else must match exactly.
         resolved.iterations = exp.iterations;

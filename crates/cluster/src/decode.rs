@@ -14,9 +14,9 @@
 //! `out[k] = vᵢ[k].mul_add(cᵢ, out[k])`). The result is bit-identical to
 //! the serial `decode`/`decode_partial` fold for **any** thread count —
 //! pinned by `tests/parallel_decode.rs` and the extended
-//! `tests/policy_equivalence.rs`. Decoders that opt out (linear solves
-//! like cyclic-MDS) fall back to their serial entry points, as do empty
-//! decoders so `NotComplete` errors surface unchanged.
+//! `tests/policy_equivalence.rs`. Decoders that report no terms (cyclic
+//! repetition before its solve succeeds) fall back to their serial entry
+//! points, as do empty decoders so `NotComplete` errors surface unchanged.
 
 use bcc_coding::{CodingError, Decoder};
 use bcc_linalg::parallel::{par_weighted_sum, Parallelism};

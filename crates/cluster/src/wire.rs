@@ -10,7 +10,10 @@
 //! ```text
 //! magic  u32 = 0xBCC0_17E5
 //! ver    u8  = 1
-//! kind   u8  : 0 Sum | 1 Linear | 2 LinearComplex | 3 PerExample
+//! kind   u8  : 0 Sum | 1 Linear | 3 PerExample
+//!              (2 was the complex payload of the deleted cyclic-MDS scheme;
+//!              it stays unassigned so the other kinds keep their bytes, and
+//!              decodes to `ClusterError::Wire` like any unknown kind)
 //! iter   u64
 //! worker u64
 //! compute_seconds f64
@@ -20,7 +23,6 @@
 use crate::error::ClusterError;
 use crate::message::Envelope;
 use bcc_coding::Payload;
-use bcc_linalg::Complex;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 const MAGIC: u32 = 0xBCC0_17E5;
@@ -36,7 +38,6 @@ fn payload_body_len(p: &Payload) -> usize {
     match p {
         Payload::Sum { vector, .. } => 8 + 8 + 8 * vector.len(),
         Payload::Linear { vector } => 8 + 8 * vector.len(),
-        Payload::LinearComplex { vector } => 8 + 16 * vector.len(),
         Payload::PerExample { entries } => {
             8 + entries
                 .iter()
@@ -79,7 +80,6 @@ fn payload_kind(p: &Payload) -> u8 {
     match p {
         Payload::Sum { .. } => 0,
         Payload::Linear { .. } => 1,
-        Payload::LinearComplex { .. } => 2,
         Payload::PerExample { .. } => 3,
     }
 }
@@ -91,13 +91,6 @@ fn encode_payload(p: &Payload, buf: &mut BytesMut) {
             put_vec(buf, vector);
         }
         Payload::Linear { vector } => put_vec(buf, vector),
-        Payload::LinearComplex { vector } => {
-            buf.put_u64_le(vector.len() as u64);
-            for z in vector {
-                buf.put_f64_le(z.re);
-                buf.put_f64_le(z.im);
-            }
-        }
         Payload::PerExample { entries } => {
             buf.put_u64_le(entries.len() as u64);
             for (j, g) in entries {
@@ -152,18 +145,6 @@ pub fn decode(mut bytes: Bytes) -> Result<Envelope, ClusterError> {
         1 => Payload::Linear {
             vector: get_vec(&mut bytes)?,
         },
-        2 => {
-            need(&bytes, 8, "complex len")?;
-            let len = bytes.get_u64_le() as usize;
-            need(&bytes, len.saturating_mul(16), "complex body")?;
-            let mut vector = Vec::with_capacity(len);
-            for _ in 0..len {
-                let re = bytes.get_f64_le();
-                let im = bytes.get_f64_le();
-                vector.push(Complex::new(re, im));
-            }
-            Payload::LinearComplex { vector }
-        }
         3 => {
             need(&bytes, 8, "entry count")?;
             let count = bytes.get_u64_le() as usize;
@@ -242,11 +223,36 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_complex() {
-        let e = env(Payload::LinearComplex {
-            vector: vec![Complex::new(1.0, -1.0), Complex::new(0.5, 2.0)],
+    fn retired_kind_two_is_an_unknown_kind() {
+        // Byte 5 is the kind; 2 once meant a complex payload. A frame from a
+        // peer that still sends it is rejected, not reinterpreted.
+        let e = env(Payload::Linear {
+            vector: vec![1.0, -1.0, 0.5, 2.0],
         });
-        assert_eq!(decode(encode(&e)).unwrap(), e);
+        let mut bytes = encode(&e).to_vec();
+        assert_eq!(bytes[5], 1);
+        bytes[5] = 2;
+        assert!(matches!(
+            decode(Bytes::from(bytes)),
+            Err(ClusterError::Wire(msg)) if msg.contains("unknown payload kind 2")
+        ));
+    }
+
+    #[test]
+    fn payload_kind_bytes_are_pinned() {
+        for (payload, kind) in [
+            (
+                Payload::Sum {
+                    unit: 0,
+                    vector: vec![],
+                },
+                0,
+            ),
+            (Payload::Linear { vector: vec![] }, 1),
+            (Payload::PerExample { entries: vec![] }, 3),
+        ] {
+            assert_eq!(encode(&env(payload)).to_vec()[5], kind);
+        }
     }
 
     #[test]
@@ -310,9 +316,6 @@ mod tests {
                 vector: vec![1.0; 7],
             },
             Payload::Linear { vector: vec![] },
-            Payload::LinearComplex {
-                vector: vec![Complex::new(1.0, 2.0); 3],
-            },
             Payload::PerExample {
                 entries: vec![(0, vec![1.0; 4]), (2, vec![2.0; 4])],
             },

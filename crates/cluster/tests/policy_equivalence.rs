@@ -27,8 +27,8 @@ use bcc_cluster::{
     VirtualCluster, WaitDecodable, WorkerProfile,
 };
 use bcc_coding::{
-    BccScheme, CyclicMdsScheme, CyclicRepetitionScheme, FractionalRepetitionScheme,
-    GradientCodingScheme, RandomSubsetScheme, UncodedScheme, UncompressedBccScheme,
+    BccScheme, CyclicRepetitionScheme, FractionalRepetitionScheme, GradientCodingScheme,
+    RandomSubsetScheme, UncodedScheme, UncompressedBccScheme,
 };
 use bcc_data::synthetic::{generate, SyntheticConfig};
 use bcc_optim::LogisticLoss;
@@ -64,7 +64,6 @@ fn builtin_schemes() -> Vec<Box<dyn GradientCodingScheme>> {
         Box::new(bcc_uncompressed),
         Box::new(random),
         Box::new(CyclicRepetitionScheme::new(n, r, &mut rng)),
-        Box::new(CyclicMdsScheme::new(n, r)),
         Box::new(FractionalRepetitionScheme::new(n, r)),
     ]
 }
@@ -224,7 +223,7 @@ fn parallel_decode_replays_the_serial_fold_on_every_scheme_and_policy() {
     for scheme in builtin_schemes() {
         for (policy_name, policy) in &policies {
             // Some combinations legitimately cannot finish (e.g. a
-            // fastest-k cut below cyclic-MDS's solve threshold): then both
+            // fastest-k cut below cyclic repetition's solve threshold): then both
             // pools must fail identically, never just one of them.
             let run = |pool: DecodePool| {
                 let mut cluster = VirtualCluster::new(profile.clone(), 83).configured(

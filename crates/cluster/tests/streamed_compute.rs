@@ -6,9 +6,8 @@
 use bcc_cluster::engine::RoundContext;
 use bcc_cluster::{Minibatch, StreamedContext, UnitMap, WorkerBlocks};
 use bcc_coding::{
-    BccScheme, CyclicMdsScheme, CyclicRepetitionScheme, FractionalRepetitionScheme,
-    GeneralizedBccScheme, GradientCodingScheme, RandomSubsetScheme, UncodedScheme,
-    UncompressedBccScheme,
+    BccScheme, CyclicRepetitionScheme, FractionalRepetitionScheme, GeneralizedBccScheme,
+    GradientCodingScheme, RandomSubsetScheme, UncodedScheme, UncompressedBccScheme,
 };
 use bcc_data::synthetic::{generate, SyntheticConfig};
 use bcc_data::ChunkedDataset;
@@ -54,7 +53,6 @@ fn builtin_schemes(
             "cyclic_repetition",
             Box::new(CyclicRepetitionScheme::new(n, r, &mut rng)),
         ),
-        ("cyclic_mds", Box::new(CyclicMdsScheme::new(n, r))),
         (
             "fractional",
             Box::new(FractionalRepetitionScheme::new(n, r)),

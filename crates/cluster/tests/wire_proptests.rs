@@ -4,7 +4,6 @@
 use bcc_cluster::message::Envelope;
 use bcc_cluster::wire;
 use bcc_coding::Payload;
-use bcc_linalg::Complex;
 use proptest::prelude::*;
 
 fn vec_f64(max_len: usize) -> impl Strategy<Value = Vec<f64>> {
@@ -27,14 +26,6 @@ fn payload_strategy() -> impl Strategy<Value = Payload> {
             vector
         }),
         vec_f64(32).prop_map(|vector| Payload::Linear { vector }),
-        prop::collection::vec((any::<f32>(), any::<f32>()), 0..16).prop_map(|pairs| {
-            Payload::LinearComplex {
-                vector: pairs
-                    .into_iter()
-                    .map(|(re, im)| Complex::new(f64::from(re), f64::from(im)))
-                    .collect(),
-            }
-        }),
         prop::collection::vec((any::<u16>(), vec_f64(8)), 0..8).prop_map(|entries| {
             Payload::PerExample {
                 entries: entries.into_iter().map(|(j, g)| (j as usize, g)).collect(),
@@ -90,7 +81,8 @@ proptest! {
     #[test]
     fn corrupting_the_kind_byte_is_rejected_or_structural(
         vector in vec_f64(16),
-        bad_kind in 4u8..255,
+        // 2 is the retired complex kind: unassigned, like everything ≥ 4.
+        bad_kind in prop_oneof![Just(2u8), 4u8..255],
     ) {
         let env = Envelope {
             iteration: 0,

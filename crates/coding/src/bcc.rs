@@ -15,9 +15,8 @@
 
 use crate::error::CodingError;
 use crate::payload::Payload;
-use crate::scheme::{Coverage, Decoder, GradientCodingScheme, ReceiveLog};
+use crate::scheme::{encode_sum, CoverageDecoder, Decoder, GradientCodingScheme, Slots};
 use bcc_data::{Batching, Placement};
-use bcc_linalg::vec_ops;
 use bcc_stats::harmonic::harmonic;
 use rand::Rng;
 
@@ -111,41 +110,17 @@ impl GradientCodingScheme for BccScheme {
     }
 
     fn encode(&self, worker: usize, partials: &[Vec<f64>]) -> Result<Payload, CodingError> {
-        if worker >= self.num_workers() {
-            return Err(CodingError::UnknownWorker {
-                worker,
-                num_workers: self.num_workers(),
-            });
-        }
-        let expected = self.placement.load_of(worker);
-        if partials.len() != expected {
-            return Err(CodingError::MalformedPayload {
-                reason: format!(
-                    "worker {worker} expected {expected} partial gradients, got {}",
-                    partials.len()
-                ),
-            });
-        }
-        // eq. (12): z_i = Σ_{j ∈ B_{σ_i}} g_j — maximal in-worker compression.
-        let vector = vec_ops::sum_vectors(partials.iter().map(Vec::as_slice)).ok_or(
-            CodingError::MalformedPayload {
-                reason: "BCC worker holds a non-empty batch by construction".into(),
-            },
-        )?;
-        Ok(Payload::Sum {
-            unit: self.choices[worker],
-            vector,
-        })
+        encode_sum(&self.placement, &self.choices, worker, partials)
     }
 
     fn decoder(&self) -> Box<dyn Decoder + '_> {
-        Box::new(BccDecoder {
-            scheme: self,
-            log: ReceiveLog::new(self.num_workers()),
-            batch_sums: vec![None; self.batching.num_batches()],
-            covered: 0,
-            covered_units: 0,
-        })
+        Box::new(CoverageDecoder::new(
+            &self.placement,
+            Slots::Summed {
+                count: self.batching.num_batches(),
+                of_worker: &self.choices,
+            },
+        ))
     }
 
     fn analytic_recovery_threshold(&self) -> Option<f64> {
@@ -153,96 +128,6 @@ impl GradientCodingScheme for BccScheme {
             self.num_examples(),
             self.batching.batch_size(),
         ))
-    }
-}
-
-/// Master-side BCC aggregation: keep first message per batch, discard
-/// repeats, complete on coverage.
-struct BccDecoder<'a> {
-    scheme: &'a BccScheme,
-    log: ReceiveLog,
-    batch_sums: Vec<Option<Vec<f64>>>,
-    covered: usize,
-    /// Units inside the covered batches (the last batch may be ragged).
-    covered_units: usize,
-}
-
-impl Decoder for BccDecoder<'_> {
-    fn receive(&mut self, worker: usize, payload: Payload) -> Result<bool, CodingError> {
-        let Payload::Sum { unit, vector } = payload else {
-            return Err(CodingError::MalformedPayload {
-                reason: "BCC expects Sum payloads".into(),
-            });
-        };
-        if worker < self.scheme.choices.len() && unit != self.scheme.choices[worker] {
-            return Err(CodingError::MalformedPayload {
-                reason: format!(
-                    "worker {worker} claims batch {unit} but selected {}",
-                    self.scheme.choices[worker]
-                ),
-            });
-        }
-        if unit >= self.batch_sums.len() {
-            return Err(CodingError::MalformedPayload {
-                reason: format!("batch id {unit} out of range"),
-            });
-        }
-        self.log.record(worker, 1)?;
-        // "it discards the message if the master has received the result
-        //  from processing the same batch before, and keeps it otherwise."
-        if self.batch_sums[unit].is_none() {
-            self.covered_units += self.scheme.batching.batch_indices(unit).len();
-            self.batch_sums[unit] = Some(vector);
-            self.covered += 1;
-        }
-        Ok(self.is_complete())
-    }
-
-    fn is_complete(&self) -> bool {
-        self.covered == self.batch_sums.len()
-    }
-
-    fn decode(&self) -> Result<Vec<f64>, CodingError> {
-        if !self.is_complete() {
-            return Err(CodingError::NotComplete {
-                received: self.log.messages(),
-            });
-        }
-        vec_ops::sum_vectors(self.batch_sums.iter().flatten().map(Vec::as_slice)).ok_or_else(|| {
-            CodingError::DecodingFailed {
-                reason: "no batches collected".into(),
-            }
-        })
-    }
-
-    fn messages_received(&self) -> usize {
-        self.log.messages()
-    }
-
-    fn communication_units(&self) -> usize {
-        self.log.units()
-    }
-
-    fn coverage(&self) -> Coverage {
-        Coverage::new(self.covered_units, self.scheme.num_examples())
-    }
-
-    fn decode_partial(&self) -> Result<Vec<f64>, CodingError> {
-        vec_ops::sum_vectors(self.batch_sums.iter().flatten().map(Vec::as_slice)).ok_or(
-            CodingError::NotComplete {
-                received: self.log.messages(),
-            },
-        )
-    }
-
-    fn partial_sum_terms(&self) -> Option<Vec<(f64, &[f64])>> {
-        let terms: Vec<_> = self
-            .batch_sums
-            .iter()
-            .flatten()
-            .map(|v| (1.0, v.as_slice()))
-            .collect();
-        (!terms.is_empty()).then_some(terms)
     }
 }
 
@@ -380,22 +265,6 @@ mod tests {
             (avg - expect).abs() < 1.0,
             "empirical {avg} vs theoretical {expect}"
         );
-    }
-
-    #[test]
-    fn mismatched_batch_claim_rejected() {
-        let scheme = BccScheme::from_choices(8, 4, vec![0, 1]);
-        let mut dec = scheme.decoder();
-        assert!(matches!(
-            dec.receive(
-                0,
-                Payload::Sum {
-                    unit: 1,
-                    vector: vec![0.0; 2]
-                }
-            ),
-            Err(CodingError::MalformedPayload { .. })
-        ));
     }
 
     #[test]

@@ -7,60 +7,44 @@
 //! is unchanged while the communication load multiplies by `r`, isolating
 //! the contribution of the summation step.
 
+use crate::bcc::BccScheme;
 use crate::error::CodingError;
 use crate::payload::Payload;
-use crate::scheme::{Coverage, Decoder, GradientCodingScheme, ReceiveLog};
-use bcc_data::{Batching, Placement};
-use bcc_linalg::vec_ops;
+use crate::scheme::{encode_per_example, CoverageDecoder, Decoder, GradientCodingScheme, Slots};
+use bcc_data::Placement;
 use rand::Rng;
 
 /// BCC placement with per-example (uncompressed) messages.
 #[derive(Debug, Clone)]
 pub struct UncompressedBccScheme {
-    batching: Batching,
-    placement: Placement,
-    choices: Vec<usize>,
+    /// The batching, placement and batch choices are BCC's own.
+    bcc: BccScheme,
 }
 
 impl UncompressedBccScheme {
     /// Same decentralized data distribution as [`crate::BccScheme`].
     #[must_use]
     pub fn new<R: Rng + ?Sized>(m: usize, n: usize, r: usize, rng: &mut R) -> Self {
-        let batching = Batching::even(m, r);
-        let (placement, choices) = Placement::bcc_batched(&batching, n, rng);
         Self {
-            batching,
-            placement,
-            choices,
+            bcc: BccScheme::new(m, n, r, rng),
         }
     }
 
     /// Builds from explicit batch choices (tests / replay).
+    ///
+    /// # Panics
+    /// Panics when any choice is out of range.
     #[must_use]
     pub fn from_choices(m: usize, r: usize, choices: Vec<usize>) -> Self {
-        let batching = Batching::even(m, r);
-        let nb = batching.num_batches();
-        assert!(
-            choices.iter().all(|&b| b < nb),
-            "batch choice out of range (have {nb} batches)"
-        );
-        let assignments = choices.iter().map(|&b| batching.batch_indices(b)).collect();
-        let placement = Placement::new(m, assignments);
         Self {
-            batching,
-            placement,
-            choices,
+            bcc: BccScheme::from_choices(m, r, choices),
         }
     }
 
     /// True when every batch was selected by some worker.
     #[must_use]
     pub fn covers_all_batches(&self) -> bool {
-        let mut seen = vec![false; self.batching.num_batches()];
-        for &b in &self.choices {
-            seen[b] = true;
-        }
-        seen.iter().all(|s| *s)
+        self.bcc.covers_all_batches()
     }
 }
 
@@ -70,129 +54,24 @@ impl GradientCodingScheme for UncompressedBccScheme {
     }
 
     fn placement(&self) -> &Placement {
-        &self.placement
+        self.bcc.placement()
     }
 
     fn encode(&self, worker: usize, partials: &[Vec<f64>]) -> Result<Payload, CodingError> {
-        if worker >= self.num_workers() {
-            return Err(CodingError::UnknownWorker {
-                worker,
-                num_workers: self.num_workers(),
-            });
-        }
-        let examples = self.placement.worker_examples(worker);
-        if partials.len() != examples.len() {
-            return Err(CodingError::MalformedPayload {
-                reason: format!(
-                    "worker {worker} expected {} partial gradients, got {}",
-                    examples.len(),
-                    partials.len()
-                ),
-            });
-        }
-        Ok(Payload::PerExample {
-            entries: examples
-                .iter()
-                .copied()
-                .zip(partials.iter().cloned())
-                .collect(),
-        })
+        encode_per_example(self.placement(), worker, partials)
     }
 
     fn decoder(&self) -> Box<dyn Decoder + '_> {
-        Box::new(UncompressedDecoder {
-            log: ReceiveLog::new(self.num_workers()),
-            grads: vec![None; self.num_examples()],
-            covered: 0,
-        })
+        Box::new(CoverageDecoder::new(self.placement(), Slots::Examples))
     }
 
     fn analytic_recovery_threshold(&self) -> Option<f64> {
         // Same coverage process as BCC — identical K, r× the load.
-        Some(crate::BccScheme::theoretical_recovery_threshold(
-            self.num_examples(),
-            self.batching.batch_size(),
-        ))
+        self.bcc.analytic_recovery_threshold()
     }
 
     fn message_units(&self, worker: usize) -> usize {
-        self.placement.load_of(worker)
-    }
-}
-
-struct UncompressedDecoder {
-    log: ReceiveLog,
-    grads: Vec<Option<Vec<f64>>>,
-    covered: usize,
-}
-
-impl Decoder for UncompressedDecoder {
-    fn receive(&mut self, worker: usize, payload: Payload) -> Result<bool, CodingError> {
-        let Payload::PerExample { entries } = payload else {
-            return Err(CodingError::MalformedPayload {
-                reason: "uncompressed BCC expects PerExample payloads".into(),
-            });
-        };
-        self.log.record(worker, entries.len())?;
-        for (j, g) in entries {
-            if j >= self.grads.len() {
-                return Err(CodingError::MalformedPayload {
-                    reason: format!("example id {j} out of range"),
-                });
-            }
-            if self.grads[j].is_none() {
-                self.grads[j] = Some(g);
-                self.covered += 1;
-            }
-        }
-        Ok(self.is_complete())
-    }
-
-    fn is_complete(&self) -> bool {
-        self.covered == self.grads.len()
-    }
-
-    fn decode(&self) -> Result<Vec<f64>, CodingError> {
-        if !self.is_complete() {
-            return Err(CodingError::NotComplete {
-                received: self.log.messages(),
-            });
-        }
-        vec_ops::sum_vectors(self.grads.iter().flatten().map(Vec::as_slice)).ok_or_else(|| {
-            CodingError::DecodingFailed {
-                reason: "no gradients collected".into(),
-            }
-        })
-    }
-
-    fn messages_received(&self) -> usize {
-        self.log.messages()
-    }
-
-    fn communication_units(&self) -> usize {
-        self.log.units()
-    }
-
-    fn coverage(&self) -> Coverage {
-        Coverage::new(self.covered, self.grads.len())
-    }
-
-    fn decode_partial(&self) -> Result<Vec<f64>, CodingError> {
-        vec_ops::sum_vectors(self.grads.iter().flatten().map(Vec::as_slice)).ok_or(
-            CodingError::NotComplete {
-                received: self.log.messages(),
-            },
-        )
-    }
-
-    fn partial_sum_terms(&self) -> Option<Vec<(f64, &[f64])>> {
-        let terms: Vec<_> = self
-            .grads
-            .iter()
-            .flatten()
-            .map(|v| (1.0, v.as_slice()))
-            .collect();
-        (!terms.is_empty()).then_some(terms)
+        self.placement().load_of(worker)
     }
 }
 

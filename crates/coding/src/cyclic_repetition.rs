@@ -19,7 +19,7 @@
 
 use crate::error::CodingError;
 use crate::payload::Payload;
-use crate::scheme::{solve_in_id_order, Coverage, Decoder, GradientCodingScheme, ReceiveLog};
+use crate::scheme::{assigned_examples, Coverage, Decoder, GradientCodingScheme, ReceiveLog};
 use bcc_data::Placement;
 use bcc_linalg::{qr, solve, vec_ops, Matrix};
 use bcc_stats::dist::Gaussian;
@@ -147,6 +147,34 @@ impl CyclicRepetitionScheme {
     }
 }
 
+/// Runs the decoding solve in worker-id order and hands the
+/// coefficients back in arrival order.
+///
+/// Sorted by id, the received rows of the cyclic coding matrix form a band (plus
+/// the few rows whose window wraps around), which is what makes the solve
+/// cheap; arrival order scatters it. `solve` gets the sorted ids and returns
+/// one coefficient per id, or `None` when they cannot decode. Ids outside
+/// `0..num_workers` or received twice cannot decode either.
+fn solve_in_id_order(
+    received: &[usize],
+    num_workers: usize,
+    solve: impl FnOnce(&[usize]) -> Option<Vec<f64>>,
+) -> Option<Vec<f64>> {
+    let mut order: Vec<usize> = (0..received.len()).collect();
+    order.sort_unstable_by_key(|&arrival| received[arrival]);
+    let sorted: Vec<usize> = order.iter().map(|&arrival| received[arrival]).collect();
+    if sorted.last().is_some_and(|&id| id >= num_workers) || sorted.windows(2).any(|w| w[0] == w[1])
+    {
+        return None;
+    }
+    let by_id = solve(&sorted)?;
+    let mut by_arrival = by_id.clone();
+    for (&arrival, &coefficient) in order.iter().zip(&by_id) {
+        by_arrival[arrival] = coefficient;
+    }
+    Some(by_arrival)
+}
+
 impl GradientCodingScheme for CyclicRepetitionScheme {
     fn name(&self) -> &'static str {
         "cyclic-repetition"
@@ -157,22 +185,7 @@ impl GradientCodingScheme for CyclicRepetitionScheme {
     }
 
     fn encode(&self, worker: usize, partials: &[Vec<f64>]) -> Result<Payload, CodingError> {
-        if worker >= self.n {
-            return Err(CodingError::UnknownWorker {
-                worker,
-                num_workers: self.n,
-            });
-        }
-        let units = self.placement.worker_examples(worker);
-        if partials.len() != units.len() {
-            return Err(CodingError::MalformedPayload {
-                reason: format!(
-                    "worker {worker} expected {} partial gradients, got {}",
-                    units.len(),
-                    partials.len()
-                ),
-            });
-        }
+        let units = assigned_examples(&self.placement, worker, partials)?;
         // z_i = Σ_{u ∈ S_i} B[i,u]·g_u.
         let terms = units
             .iter()
@@ -432,6 +445,18 @@ mod tests {
         assert_eq!(s.decoding_coefficients(&[0, 1, 2, 6]), None);
         assert_eq!(s.decoding_coefficients(&[0, 1, 2, usize::MAX]), None);
         assert_eq!(s.decoding_coefficients(&[0, 1, 2, 3, 1]), None);
+    }
+
+    #[test]
+    fn terms_appear_exactly_when_the_coefficients_do() {
+        let s = scheme(10, 3, 5);
+        let grads = random_gradients(10, 8, 13);
+        let mut dec = s.decoder();
+        for i in 0..10 {
+            let partials = worker_partials(s.placement(), i, &grads);
+            dec.receive(i, s.encode(i, &partials).unwrap()).unwrap();
+            assert_eq!(dec.partial_sum_terms().is_some(), dec.is_complete());
+        }
     }
 
     #[test]

@@ -12,9 +12,8 @@
 
 use crate::error::CodingError;
 use crate::payload::Payload;
-use crate::scheme::{Coverage, Decoder, GradientCodingScheme, ReceiveLog};
+use crate::scheme::{encode_sum, CoverageDecoder, Decoder, GradientCodingScheme, Slots};
 use bcc_data::Placement;
-use bcc_linalg::vec_ops;
 
 /// Fractional-repetition scheme over `n` workers / `n` units, `r | n`.
 #[derive(Debug, Clone)]
@@ -23,6 +22,8 @@ pub struct FractionalRepetitionScheme {
     n: usize,
     r: usize,
     shards: usize,
+    /// `shard_of[i]` = shard stored by worker `i`.
+    shard_of: Vec<usize>,
 }
 
 impl FractionalRepetitionScheme {
@@ -47,12 +48,13 @@ impl FractionalRepetitionScheme {
                 reason: format!("fractional repetition needs r | n (n={n}, r={r})"),
             });
         }
-        let placement = Placement::fractional_repetition(n, r);
+        let shards = n / r;
         Ok(Self {
-            placement,
+            placement: Placement::fractional_repetition(n, r),
             n,
             r,
-            shards: n / r,
+            shards,
+            shard_of: (0..n).map(|worker| worker % shards).collect(),
         })
     }
 
@@ -76,21 +78,18 @@ impl FractionalRepetitionScheme {
     }
 
     /// Expected number of uniformly random worker arrivals until every shard
-    /// group is hit at least once.
+    /// group is hit at least once — a coupon collector *without
+    /// replacement* over `g = n/r` groups of `r` workers each.
     ///
-    /// This is a coupon-collector variant *without replacement*: drawing
-    /// workers in a uniformly random order, the expected number of draws to
-    /// cover all `g = n/r` groups of size `r` is
-    /// `n − r·g/(g·r − r + ... )`… computed exactly here by the standard
-    /// order-statistics identity: `E = n + 1 − (r·g + 1)·Π…`; rather than a
-    /// closed form we evaluate `E = Σ_k Pr[draws ≥ k]` with
-    /// `Pr[not covered after k] ≤ …` — implemented by exact DP over
-    /// hypergeometric survival, which is cheap for the sizes used here.
+    /// With `T` the number of arrivals needed, `E[T] = Σ_{k=0}^{n−1} Pr[T > k]`,
+    /// and `T > k` means some group has no member among the first `k`
+    /// arrivals. Inclusion–exclusion over which `j` groups are missed gives
+    ///
+    /// `Pr[T > k] = Σ_{j=1}^{g} (−1)^{j+1} · C(g, j) · C(n − j·r, k) / C(n, k)`,
+    ///
+    /// (terms with `n − j·r < k` vanish), evaluated here in log space.
     #[must_use]
     pub fn expected_recovery_threshold(&self) -> f64 {
-        // E[T] = Σ_{k≥0} Pr[T > k]; Pr[T > k] = P(some group unseen after k
-        // draws without replacement). By inclusion–exclusion over groups:
-        // Pr[T > k] = Σ_{j≥1} (−1)^{j+1} C(g, j)·C(n−j·r, k)/C(n, k).
         let g = self.shards;
         let n = self.n;
         let r = self.r;
@@ -142,122 +141,21 @@ impl GradientCodingScheme for FractionalRepetitionScheme {
     }
 
     fn encode(&self, worker: usize, partials: &[Vec<f64>]) -> Result<Payload, CodingError> {
-        if worker >= self.n {
-            return Err(CodingError::UnknownWorker {
-                worker,
-                num_workers: self.n,
-            });
-        }
-        let expected = self.placement.load_of(worker);
-        if partials.len() != expected {
-            return Err(CodingError::MalformedPayload {
-                reason: format!(
-                    "worker {worker} expected {expected} partial gradients, got {}",
-                    partials.len()
-                ),
-            });
-        }
-        let vector = vec_ops::sum_vectors(partials.iter().map(Vec::as_slice)).ok_or(
-            CodingError::MalformedPayload {
-                reason: "FR worker stores a non-empty shard".into(),
-            },
-        )?;
-        Ok(Payload::Sum {
-            unit: self.shard_of_worker(worker),
-            vector,
-        })
+        encode_sum(&self.placement, &self.shard_of, worker, partials)
     }
 
     fn decoder(&self) -> Box<dyn Decoder + '_> {
-        Box::new(FrDecoder {
-            scheme: self,
-            log: ReceiveLog::new(self.n),
-            shard_sums: vec![None; self.shards],
-            covered: 0,
-        })
+        Box::new(CoverageDecoder::new(
+            &self.placement,
+            Slots::Summed {
+                count: self.shards,
+                of_worker: &self.shard_of,
+            },
+        ))
     }
 
     fn analytic_recovery_threshold(&self) -> Option<f64> {
         Some(self.expected_recovery_threshold())
-    }
-}
-
-struct FrDecoder<'a> {
-    scheme: &'a FractionalRepetitionScheme,
-    log: ReceiveLog,
-    shard_sums: Vec<Option<Vec<f64>>>,
-    covered: usize,
-}
-
-impl Decoder for FrDecoder<'_> {
-    fn receive(&mut self, worker: usize, payload: Payload) -> Result<bool, CodingError> {
-        let Payload::Sum { unit, vector } = payload else {
-            return Err(CodingError::MalformedPayload {
-                reason: "FR expects Sum payloads".into(),
-            });
-        };
-        if worker < self.scheme.n && unit != self.scheme.shard_of_worker(worker) {
-            return Err(CodingError::MalformedPayload {
-                reason: format!(
-                    "worker {worker} claims shard {unit} but owns {}",
-                    self.scheme.shard_of_worker(worker)
-                ),
-            });
-        }
-        self.log.record(worker, 1)?;
-        if self.shard_sums[unit].is_none() {
-            self.shard_sums[unit] = Some(vector);
-            self.covered += 1;
-        }
-        Ok(self.is_complete())
-    }
-
-    fn is_complete(&self) -> bool {
-        self.covered == self.shard_sums.len()
-    }
-
-    fn decode(&self) -> Result<Vec<f64>, CodingError> {
-        if !self.is_complete() {
-            return Err(CodingError::NotComplete {
-                received: self.log.messages(),
-            });
-        }
-        vec_ops::sum_vectors(self.shard_sums.iter().flatten().map(Vec::as_slice)).ok_or_else(|| {
-            CodingError::DecodingFailed {
-                reason: "no shard sums collected".into(),
-            }
-        })
-    }
-
-    fn messages_received(&self) -> usize {
-        self.log.messages()
-    }
-
-    fn communication_units(&self) -> usize {
-        self.log.units()
-    }
-
-    fn coverage(&self) -> Coverage {
-        // Every shard holds exactly `r` of the `n` units.
-        Coverage::new(self.covered * self.scheme.r, self.scheme.n)
-    }
-
-    fn decode_partial(&self) -> Result<Vec<f64>, CodingError> {
-        vec_ops::sum_vectors(self.shard_sums.iter().flatten().map(Vec::as_slice)).ok_or(
-            CodingError::NotComplete {
-                received: self.log.messages(),
-            },
-        )
-    }
-
-    fn partial_sum_terms(&self) -> Option<Vec<(f64, &[f64])>> {
-        let terms: Vec<_> = self
-            .shard_sums
-            .iter()
-            .flatten()
-            .map(|v| (1.0, v.as_slice()))
-            .collect();
-        (!terms.is_empty()).then_some(terms)
     }
 }
 

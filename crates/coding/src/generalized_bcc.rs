@@ -9,16 +9,14 @@
 
 use crate::error::CodingError;
 use crate::payload::Payload;
-use crate::scheme::{Coverage, Decoder, GradientCodingScheme, ReceiveLog};
+use crate::scheme::{encode_per_example, CoverageDecoder, Decoder, GradientCodingScheme, Slots};
 use bcc_data::Placement;
-use bcc_linalg::vec_ops;
 use rand::Rng;
 
 /// Generalized BCC: heterogeneous random placement + uncoded communication.
 #[derive(Debug, Clone)]
 pub struct GeneralizedBccScheme {
     placement: Placement,
-    m: usize,
 }
 
 impl GeneralizedBccScheme {
@@ -36,7 +34,7 @@ impl GeneralizedBccScheme {
         for _ in 0..10_000 {
             let placement = Placement::heterogeneous_random(m, loads, rng);
             if placement.covers_all() {
-                return Some(Self { placement, m });
+                return Some(Self { placement });
             }
         }
         None
@@ -49,8 +47,7 @@ impl GeneralizedBccScheme {
     #[must_use]
     pub fn from_placement(placement: Placement) -> Self {
         assert!(placement.covers_all(), "placement must cover the dataset");
-        let m = placement.num_examples();
-        Self { placement, m }
+        Self { placement }
     }
 }
 
@@ -64,120 +61,15 @@ impl GradientCodingScheme for GeneralizedBccScheme {
     }
 
     fn encode(&self, worker: usize, partials: &[Vec<f64>]) -> Result<Payload, CodingError> {
-        if worker >= self.num_workers() {
-            return Err(CodingError::UnknownWorker {
-                worker,
-                num_workers: self.num_workers(),
-            });
-        }
-        let examples = self.placement.worker_examples(worker);
-        if partials.len() != examples.len() {
-            return Err(CodingError::MalformedPayload {
-                reason: format!(
-                    "worker {worker} expected {} partial gradients, got {}",
-                    examples.len(),
-                    partials.len()
-                ),
-            });
-        }
-        // §IV-A: z_i = {g_j : j ∈ G_i}, shipped individually.
-        Ok(Payload::PerExample {
-            entries: examples
-                .iter()
-                .copied()
-                .zip(partials.iter().cloned())
-                .collect(),
-        })
+        encode_per_example(&self.placement, worker, partials)
     }
 
     fn decoder(&self) -> Box<dyn Decoder + '_> {
-        Box::new(CoverageDecoder {
-            log: ReceiveLog::new(self.num_workers()),
-            grads: vec![None; self.m],
-            covered: 0,
-        })
+        Box::new(CoverageDecoder::new(&self.placement, Slots::Examples))
     }
 
     fn message_units(&self, worker: usize) -> usize {
         self.placement.load_of(worker)
-    }
-}
-
-/// Coverage decoder: keeps the first copy of each example's gradient and
-/// completes when all `m` are present.
-struct CoverageDecoder {
-    log: ReceiveLog,
-    grads: Vec<Option<Vec<f64>>>,
-    covered: usize,
-}
-
-impl Decoder for CoverageDecoder {
-    fn receive(&mut self, worker: usize, payload: Payload) -> Result<bool, CodingError> {
-        let Payload::PerExample { entries } = payload else {
-            return Err(CodingError::MalformedPayload {
-                reason: "generalized BCC expects PerExample payloads".into(),
-            });
-        };
-        self.log.record(worker, entries.len())?;
-        for (j, g) in entries {
-            if j >= self.grads.len() {
-                return Err(CodingError::MalformedPayload {
-                    reason: format!("example id {j} out of range"),
-                });
-            }
-            if self.grads[j].is_none() {
-                self.grads[j] = Some(g);
-                self.covered += 1;
-            }
-        }
-        Ok(self.is_complete())
-    }
-
-    fn is_complete(&self) -> bool {
-        self.covered == self.grads.len()
-    }
-
-    fn decode(&self) -> Result<Vec<f64>, CodingError> {
-        if !self.is_complete() {
-            return Err(CodingError::NotComplete {
-                received: self.log.messages(),
-            });
-        }
-        vec_ops::sum_vectors(self.grads.iter().flatten().map(Vec::as_slice)).ok_or_else(|| {
-            CodingError::DecodingFailed {
-                reason: "no gradients collected".into(),
-            }
-        })
-    }
-
-    fn messages_received(&self) -> usize {
-        self.log.messages()
-    }
-
-    fn communication_units(&self) -> usize {
-        self.log.units()
-    }
-
-    fn coverage(&self) -> Coverage {
-        Coverage::new(self.covered, self.grads.len())
-    }
-
-    fn decode_partial(&self) -> Result<Vec<f64>, CodingError> {
-        vec_ops::sum_vectors(self.grads.iter().flatten().map(Vec::as_slice)).ok_or(
-            CodingError::NotComplete {
-                received: self.log.messages(),
-            },
-        )
-    }
-
-    fn partial_sum_terms(&self) -> Option<Vec<(f64, &[f64])>> {
-        let terms: Vec<_> = self
-            .grads
-            .iter()
-            .flatten()
-            .map(|v| (1.0, v.as_slice()))
-            .collect();
-        (!terms.is_empty()).then_some(terms)
     }
 }
 

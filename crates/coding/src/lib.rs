@@ -19,8 +19,19 @@
 //! | [`random`] | simple randomized (Prior Art, eq. (5)–(6)) | `≈ (m/r)·log m` | `≈ m·log m` |
 //! | [`fractional`] | fractional repetition (Tandon et al.) | group coverage | ≤ `n` |
 //! | [`cyclic_repetition`] | CR gradient coding (Tandon et al. \[7\]) | `m − r + 1` worst case | `m − r + 1` |
-//! | [`cyclic_mds`] | cyclic-MDS code over ℂ (Raviv et al. \[9\]) | `m − r + 1` worst case | `m − r + 1` |
 //! | [`bcc`] | **Batched Coupon's Collector (this paper)** | `⌈m/r⌉·H_{⌈m/r⌉}` expected | same |
+//! | [`bcc_uncompressed`] | BCC placement, per-example messages (Remark 3 ablation) | as BCC | `r ×` BCC's |
+//! | [`generalized_bcc`] | generalized BCC for heterogeneous loads (§IV) | coverage, eq. (16) | `Σ rᵢ` of the workers heard |
+//!
+//! There are two master-side decoders. Every scheme above except
+//! [`cyclic_repetition`] is the paper's one rule — keep the first message
+//! per slot, discard repeats, stop on coverage — over different coupons
+//! (shards, batches, groups, examples), so they share the one coverage
+//! decoder in [`scheme`] and differ only in placement and in which slot(s) a
+//! worker fills. CR's decoder is a linear solve. A new coverage-structured
+//! scheme is therefore one file here (placement + `encode` + the slot table
+//! it hands the shared decoder) plus one `register` line in
+//! `bcc_core::experiment::registry`.
 //!
 //! All decoders recover the exact **sum** `Σ_{j=1}^{m} g_j` (the master
 //! divides by `m` itself, matching eq. (1)); exactness is property-tested.
@@ -33,7 +44,6 @@
 
 pub mod bcc;
 pub mod bcc_uncompressed;
-pub mod cyclic_mds;
 pub mod cyclic_repetition;
 pub mod error;
 pub mod fractional;
@@ -45,7 +55,6 @@ pub mod uncoded;
 
 pub use bcc::BccScheme;
 pub use bcc_uncompressed::UncompressedBccScheme;
-pub use cyclic_mds::CyclicMdsScheme;
 pub use cyclic_repetition::CyclicRepetitionScheme;
 pub use error::CodingError;
 pub use fractional::FractionalRepetitionScheme;

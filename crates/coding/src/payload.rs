@@ -4,7 +4,6 @@
 //! the size of one partial gradient, so each payload variant knows its size
 //! in those units.
 
-use bcc_linalg::Complex;
 use serde::{Deserialize, Serialize};
 
 /// The body of one worker's message for one GD iteration.
@@ -25,11 +24,6 @@ pub enum Payload {
         /// `Σ_j B[i,j]·g_j`.
         vector: Vec<f64>,
     },
-    /// A complex linear combination (cyclic-MDS scheme over ℂ).
-    LinearComplex {
-        /// `Σ_j B[i,j]·g_j` with `B ∈ ℂ^{n×n}`.
-        vector: Vec<Complex>,
-    },
     /// Individual per-example partial gradients (simple randomized scheme),
     /// tagged with example indices.
     PerExample {
@@ -41,15 +35,10 @@ pub enum Payload {
 impl Payload {
     /// Size of this payload in units of one partial gradient
     /// (Definition 3's normalization).
-    ///
-    /// Following the convention of \[7\]–\[9\] and the paper, a single coded
-    /// combination counts as one unit even for the complex-valued cyclic-MDS
-    /// scheme (its real representation is twice the bytes; the *unit*
-    /// accounting matches the papers so loads are comparable).
     #[must_use]
     pub fn units(&self) -> usize {
         match self {
-            Self::Sum { .. } | Self::Linear { .. } | Self::LinearComplex { .. } => 1,
+            Self::Sum { .. } | Self::Linear { .. } => 1,
             Self::PerExample { entries } => entries.len(),
         }
     }
@@ -60,7 +49,6 @@ impl Payload {
     pub fn dim(&self) -> usize {
         match self {
             Self::Sum { vector, .. } | Self::Linear { vector } => vector.len(),
-            Self::LinearComplex { vector } => vector.len(),
             Self::PerExample { entries } => entries.first().map_or(0, |(_, g)| g.len()),
         }
     }
@@ -81,13 +69,6 @@ mod tests {
             1
         );
         assert_eq!(Payload::Linear { vector: vec![1.0] }.units(), 1);
-        assert_eq!(
-            Payload::LinearComplex {
-                vector: vec![Complex::ONE; 3]
-            }
-            .units(),
-            1
-        );
         assert_eq!(
             Payload::PerExample {
                 entries: vec![(0, vec![1.0]), (3, vec![2.0])]
@@ -119,8 +100,8 @@ mod tests {
 
     #[test]
     fn serde_roundtrip() {
-        let p = Payload::LinearComplex {
-            vector: vec![Complex::new(1.5, -2.5)],
+        let p = Payload::PerExample {
+            entries: vec![(3, vec![1.5, -2.5])],
         };
         let json = serde_json::to_string(&p).unwrap();
         let back: Payload = serde_json::from_str(&json).unwrap();

@@ -9,9 +9,8 @@
 
 use crate::error::CodingError;
 use crate::payload::Payload;
-use crate::scheme::{Coverage, Decoder, GradientCodingScheme, ReceiveLog};
+use crate::scheme::{encode_per_example, CoverageDecoder, Decoder, GradientCodingScheme, Slots};
 use bcc_data::Placement;
-use bcc_linalg::vec_ops;
 use rand::Rng;
 
 /// Simple randomized scheme: uniform `r`-subsets, per-example messages.
@@ -68,39 +67,11 @@ impl GradientCodingScheme for RandomSubsetScheme {
     }
 
     fn encode(&self, worker: usize, partials: &[Vec<f64>]) -> Result<Payload, CodingError> {
-        if worker >= self.num_workers() {
-            return Err(CodingError::UnknownWorker {
-                worker,
-                num_workers: self.num_workers(),
-            });
-        }
-        let examples = self.placement.worker_examples(worker);
-        if partials.len() != examples.len() {
-            return Err(CodingError::MalformedPayload {
-                reason: format!(
-                    "worker {worker} expected {} partial gradients, got {}",
-                    examples.len(),
-                    partials.len()
-                ),
-            });
-        }
-        Ok(Payload::PerExample {
-            entries: examples
-                .iter()
-                .copied()
-                .zip(partials.iter().cloned())
-                .collect(),
-        })
+        encode_per_example(&self.placement, worker, partials)
     }
 
     fn decoder(&self) -> Box<dyn Decoder + '_> {
-        Box::new(RandomDecoder {
-            log: ReceiveLog::new(self.num_workers()),
-            grads: vec![None; self.m],
-            covered: 0,
-            m: self.m,
-            r: self.r,
-        })
+        Box::new(CoverageDecoder::new(&self.placement, Slots::Examples))
     }
 
     fn analytic_recovery_threshold(&self) -> Option<f64> {
@@ -109,90 +80,6 @@ impl GradientCodingScheme for RandomSubsetScheme {
 
     fn message_units(&self, worker: usize) -> usize {
         self.placement.load_of(worker)
-    }
-}
-
-struct RandomDecoder {
-    log: ReceiveLog,
-    grads: Vec<Option<Vec<f64>>>,
-    covered: usize,
-    m: usize,
-    r: usize,
-}
-
-impl Decoder for RandomDecoder {
-    fn receive(&mut self, worker: usize, payload: Payload) -> Result<bool, CodingError> {
-        let Payload::PerExample { entries } = payload else {
-            return Err(CodingError::MalformedPayload {
-                reason: "randomized scheme expects PerExample payloads".into(),
-            });
-        };
-        if entries.len() != self.r {
-            return Err(CodingError::MalformedPayload {
-                reason: format!("expected {} entries, got {}", self.r, entries.len()),
-            });
-        }
-        // Communication cost: r units regardless of usefulness (eq. (6)).
-        self.log.record(worker, entries.len())?;
-        for (j, g) in entries {
-            if j >= self.m {
-                return Err(CodingError::MalformedPayload {
-                    reason: format!("example id {j} out of range"),
-                });
-            }
-            if self.grads[j].is_none() {
-                self.grads[j] = Some(g);
-                self.covered += 1;
-            }
-        }
-        Ok(self.is_complete())
-    }
-
-    fn is_complete(&self) -> bool {
-        self.covered == self.m
-    }
-
-    fn decode(&self) -> Result<Vec<f64>, CodingError> {
-        if !self.is_complete() {
-            return Err(CodingError::NotComplete {
-                received: self.log.messages(),
-            });
-        }
-        vec_ops::sum_vectors(self.grads.iter().flatten().map(Vec::as_slice)).ok_or_else(|| {
-            CodingError::DecodingFailed {
-                reason: "no gradients collected".into(),
-            }
-        })
-    }
-
-    fn messages_received(&self) -> usize {
-        self.log.messages()
-    }
-
-    fn communication_units(&self) -> usize {
-        self.log.units()
-    }
-
-    fn coverage(&self) -> Coverage {
-        Coverage::new(self.covered, self.grads.len())
-    }
-
-    fn decode_partial(&self) -> Result<Vec<f64>, CodingError> {
-        vec_ops::sum_vectors(self.grads.iter().flatten().map(Vec::as_slice)).ok_or(
-            CodingError::NotComplete {
-                received: self.log.messages(),
-            },
-        )
-    }
-
-    fn partial_sum_terms(&self) -> Option<Vec<(f64, &[f64])>> {
-        let terms: Vec<_> = self
-            .grads
-            .iter()
-            .flatten()
-            .map(|v| (1.0, v.as_slice()))
-            .collect();
-        (!terms.is_empty()).then_some(terms)
     }
 }
 
@@ -279,21 +166,6 @@ mod tests {
             &dec.decode().unwrap(),
             &total_sum(&grads),
             1e-9
-        ));
-    }
-
-    #[test]
-    fn wrong_entry_count_rejected() {
-        let scheme = covering_scheme(6, 12, 2, 7);
-        let mut dec = scheme.decoder();
-        assert!(matches!(
-            dec.receive(
-                0,
-                Payload::PerExample {
-                    entries: vec![(0, vec![1.0])]
-                }
-            ),
-            Err(CodingError::MalformedPayload { .. })
         ));
     }
 

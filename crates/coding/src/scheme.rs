@@ -3,6 +3,7 @@
 use crate::error::CodingError;
 use crate::payload::Payload;
 use bcc_data::Placement;
+use bcc_linalg::vec_ops;
 
 /// A gradient-coding scheme: data distribution + worker encoding + master
 /// decoding, per §II's `(φᵢ, ψ)` formulation.
@@ -83,7 +84,7 @@ impl Coverage {
     }
 
     /// All-or-nothing coverage: everything when `complete`, else nothing —
-    /// the shape exact linear decoders (CR, cyclic-MDS) report.
+    /// the shape an exact linear decoder (CR) reports.
     #[must_use]
     pub fn all_or_nothing(complete: bool, total: usize) -> Self {
         Self::new(if complete { total } else { 0 }, total)
@@ -172,6 +173,67 @@ pub trait Decoder {
     }
 }
 
+/// The argument check every `encode` starts with: `worker` exists and
+/// `partials` holds one gradient per example the placement assigns it.
+/// Returns those examples, in placement order.
+pub(crate) fn assigned_examples<'p>(
+    placement: &'p Placement,
+    worker: usize,
+    partials: &[Vec<f64>],
+) -> Result<&'p [usize], CodingError> {
+    if worker >= placement.num_workers() {
+        return Err(CodingError::UnknownWorker {
+            worker,
+            num_workers: placement.num_workers(),
+        });
+    }
+    let examples = placement.worker_examples(worker);
+    if partials.len() != examples.len() {
+        return Err(CodingError::MalformedPayload {
+            reason: format!(
+                "worker {worker} expected {} partial gradients, got {}",
+                examples.len(),
+                partials.len()
+            ),
+        });
+    }
+    Ok(examples)
+}
+
+/// eq. (12): worker `i` compresses its whole load into the one sum
+/// `z_i = Σ_{j ∈ G_i} g_j`, tagged with the slot `of_worker[i]` it fills (the
+/// table [`Slots::Summed`] takes). A worker holding nothing (an uncoded
+/// shard when `n > m`) sends the empty vector.
+pub(crate) fn encode_sum(
+    placement: &Placement,
+    of_worker: &[usize],
+    worker: usize,
+    partials: &[Vec<f64>],
+) -> Result<Payload, CodingError> {
+    assigned_examples(placement, worker, partials)?;
+    Ok(Payload::Sum {
+        unit: of_worker[worker],
+        vector: vec_ops::sum_vectors(partials.iter().map(Vec::as_slice)).unwrap_or_default(),
+    })
+}
+
+/// §IV-A: `z_i = {g_j : j ∈ G_i}`, every partial gradient shipped
+/// individually under its example id.
+pub(crate) fn encode_per_example(
+    placement: &Placement,
+    worker: usize,
+    partials: &[Vec<f64>],
+) -> Result<Payload, CodingError> {
+    let examples = assigned_examples(placement, worker, partials)?;
+    Ok(Payload::PerExample {
+        entries: examples
+            .iter()
+            .copied()
+            .zip(partials.iter().cloned())
+            .collect(),
+    })
+}
+
 /// Shared bookkeeping for decoders: tracks seen workers and unit counts.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ReceiveLog {
@@ -216,32 +278,145 @@ impl ReceiveLog {
     }
 }
 
-/// Runs a cyclic code's decoding solve in worker-id order and hands the
-/// coefficients back in arrival order.
-///
-/// Sorted by id, the received rows of a cyclic coding matrix form a band (plus
-/// the few rows whose window wraps around), which is what makes the solve
-/// cheap; arrival order scatters it. `solve` gets the sorted ids and returns
-/// one coefficient per id, or `None` when they cannot decode. Ids outside
-/// `0..num_workers` or received twice cannot decode either.
-pub(crate) fn solve_in_id_order<T: Copy>(
-    received: &[usize],
-    num_workers: usize,
-    solve: impl FnOnce(&[usize]) -> Option<Vec<T>>,
-) -> Option<Vec<T>> {
-    let mut order: Vec<usize> = (0..received.len()).collect();
-    order.sort_unstable_by_key(|&arrival| received[arrival]);
-    let sorted: Vec<usize> = order.iter().map(|&arrival| received[arrival]).collect();
-    if sorted.last().is_some_and(|&id| id >= num_workers) || sorted.windows(2).any(|w| w[0] == w[1])
-    {
-        return None;
+/// The coupons a coverage scheme collects: which slot(s) the placement lets
+/// worker `i` fill, and with which payload variant.
+pub(crate) enum Slots<'a> {
+    /// `count` slots (batches / shards); worker `i` sends one
+    /// [`Payload::Sum`] over its whole load into slot `of_worker[i]`.
+    Summed {
+        /// Number of slots.
+        count: usize,
+        /// The slot each worker's placement row is.
+        of_worker: &'a [usize],
+    },
+    /// One slot per example; worker `i` sends a [`Payload::PerExample`]
+    /// filling exactly the examples of its placement row.
+    Examples,
+}
+
+/// The paper's master, once (§III; eq. (16) for §IV): keep the first message
+/// per slot, discard repeats, complete on coverage. Uncoded shards, BCC
+/// batches, fractional-repetition groups and the per-example schemes differ
+/// only in their [`Slots`].
+pub(crate) struct CoverageDecoder<'a> {
+    placement: &'a Placement,
+    slots: Slots<'a>,
+    log: ReceiveLog,
+    /// The kept message of each slot; summed in slot order by `decode`.
+    kept: Vec<Option<Vec<f64>>>,
+    /// Examples inside the kept slots (slots may be ragged).
+    covered_units: usize,
+}
+
+impl<'a> CoverageDecoder<'a> {
+    pub(crate) fn new(placement: &'a Placement, slots: Slots<'a>) -> Self {
+        let count = match slots {
+            Slots::Summed { count, .. } => count,
+            Slots::Examples => placement.num_examples(),
+        };
+        Self {
+            placement,
+            slots,
+            log: ReceiveLog::new(placement.num_workers()),
+            kept: vec![None; count],
+            covered_units: 0,
+        }
     }
-    let by_id = solve(&sorted)?;
-    let mut by_arrival = by_id.clone();
-    for (&arrival, &coefficient) in order.iter().zip(&by_id) {
-        by_arrival[arrival] = coefficient;
+
+    /// "it discards the message if the master has received the result from
+    /// processing the same batch before, and keeps it otherwise." A slot
+    /// holding no example (an empty uncoded shard) is no coupon at all.
+    fn keep(&mut self, slot: usize, units: usize, vector: Vec<f64>) {
+        if units > 0 && self.kept[slot].is_none() {
+            self.kept[slot] = Some(vector);
+            self.covered_units += units;
+        }
     }
-    Some(by_arrival)
+
+    fn kept_vectors(&self) -> impl Iterator<Item = &[f64]> {
+        self.kept.iter().flatten().map(Vec::as_slice)
+    }
+}
+
+impl Decoder for CoverageDecoder<'_> {
+    /// Rejects, before touching any state, a payload of the other variant, an
+    /// unknown worker, slot ids that are not exactly the ones the placement
+    /// assigns the worker, and a worker's second message.
+    fn receive(&mut self, worker: usize, payload: Payload) -> Result<bool, CodingError> {
+        let malformed = |reason: String| Err(CodingError::MalformedPayload { reason });
+        let known = worker < self.placement.num_workers();
+        match (&self.slots, payload) {
+            (Slots::Summed { of_worker, .. }, Payload::Sum { unit, vector }) => {
+                if known && unit != of_worker[worker] {
+                    return malformed(format!(
+                        "worker {worker} claims slot {unit} but was assigned {}",
+                        of_worker[worker]
+                    ));
+                }
+                self.log.record(worker, 1)?;
+                self.keep(unit, self.placement.load_of(worker), vector);
+            }
+            (Slots::Examples, Payload::PerExample { entries }) => {
+                if known
+                    && !entries
+                        .iter()
+                        .map(|(j, _)| j)
+                        .eq(self.placement.worker_examples(worker))
+                {
+                    return malformed(format!(
+                        "worker {worker} must send exactly its assigned examples {:?}",
+                        self.placement.worker_examples(worker)
+                    ));
+                }
+                // Communication cost: every entry, kept or not (eq. (6)).
+                self.log.record(worker, entries.len())?;
+                for (example, gradient) in entries {
+                    self.keep(example, 1, gradient);
+                }
+            }
+            (Slots::Summed { .. }, _) => return malformed("expected a Sum payload".into()),
+            (Slots::Examples, _) => return malformed("expected a PerExample payload".into()),
+        }
+        Ok(self.is_complete())
+    }
+
+    fn is_complete(&self) -> bool {
+        self.covered_units == self.placement.num_examples()
+    }
+
+    fn decode(&self) -> Result<Vec<f64>, CodingError> {
+        if !self.is_complete() {
+            return Err(CodingError::NotComplete {
+                received: self.log.messages(),
+            });
+        }
+        vec_ops::sum_vectors(self.kept_vectors()).ok_or_else(|| CodingError::DecodingFailed {
+            reason: "nothing collected".into(),
+        })
+    }
+
+    fn messages_received(&self) -> usize {
+        self.log.messages()
+    }
+
+    fn communication_units(&self) -> usize {
+        self.log.units()
+    }
+
+    fn coverage(&self) -> Coverage {
+        Coverage::new(self.covered_units, self.placement.num_examples())
+    }
+
+    fn decode_partial(&self) -> Result<Vec<f64>, CodingError> {
+        vec_ops::sum_vectors(self.kept_vectors()).ok_or(CodingError::NotComplete {
+            received: self.log.messages(),
+        })
+    }
+
+    fn partial_sum_terms(&self) -> Option<Vec<(f64, &[f64])>> {
+        let terms: Vec<_> = self.kept_vectors().map(|v| (1.0, v)).collect();
+        (!terms.is_empty()).then_some(terms)
+    }
 }
 
 /// Test helpers shared by scheme unit tests and integration tests.

@@ -5,9 +5,8 @@
 
 use crate::error::CodingError;
 use crate::payload::Payload;
-use crate::scheme::{Coverage, Decoder, GradientCodingScheme, ReceiveLog};
+use crate::scheme::{encode_sum, CoverageDecoder, Decoder, GradientCodingScheme, Slots};
 use bcc_data::Placement;
-use bcc_linalg::vec_ops;
 
 /// Uncoded scheme: worker `i` owns shard `i` (disjoint), sends the shard's
 /// gradient sum; the master waits for every non-empty shard.
@@ -15,6 +14,8 @@ use bcc_linalg::vec_ops;
 pub struct UncodedScheme {
     placement: Placement,
     non_empty: usize,
+    /// Worker `i` owns shard `i`.
+    shard_of: Vec<usize>,
 }
 
 impl UncodedScheme {
@@ -26,6 +27,7 @@ impl UncodedScheme {
         Self {
             placement,
             non_empty,
+            shard_of: (0..n).collect(),
         }
     }
 
@@ -46,120 +48,21 @@ impl GradientCodingScheme for UncodedScheme {
     }
 
     fn encode(&self, worker: usize, partials: &[Vec<f64>]) -> Result<Payload, CodingError> {
-        if worker >= self.num_workers() {
-            return Err(CodingError::UnknownWorker {
-                worker,
-                num_workers: self.num_workers(),
-            });
-        }
-        let expected = self.placement.load_of(worker);
-        if partials.len() != expected {
-            return Err(CodingError::MalformedPayload {
-                reason: format!(
-                    "worker {worker} expected {expected} partial gradients, got {}",
-                    partials.len()
-                ),
-            });
-        }
-        let dim = partials.first().map_or(0, Vec::len);
-        let vector = vec_ops::sum_vectors(partials.iter().map(Vec::as_slice))
-            .unwrap_or_else(|| vec![0.0; dim]);
-        Ok(Payload::Sum {
-            unit: worker,
-            vector,
-        })
+        encode_sum(&self.placement, &self.shard_of, worker, partials)
     }
 
     fn decoder(&self) -> Box<dyn Decoder + '_> {
-        Box::new(UncodedDecoder {
-            scheme: self,
-            log: ReceiveLog::new(self.num_workers()),
-            sums: vec![None; self.num_workers()],
-            have: 0,
-            covered_units: 0,
-        })
+        Box::new(CoverageDecoder::new(
+            &self.placement,
+            Slots::Summed {
+                count: self.shard_of.len(),
+                of_worker: &self.shard_of,
+            },
+        ))
     }
 
     fn analytic_recovery_threshold(&self) -> Option<f64> {
         Some(self.non_empty as f64)
-    }
-}
-
-struct UncodedDecoder<'a> {
-    scheme: &'a UncodedScheme,
-    log: ReceiveLog,
-    sums: Vec<Option<Vec<f64>>>,
-    have: usize,
-    /// Units (examples) covered by the shard sums kept so far.
-    covered_units: usize,
-}
-
-impl Decoder for UncodedDecoder<'_> {
-    fn receive(&mut self, worker: usize, payload: Payload) -> Result<bool, CodingError> {
-        let Payload::Sum { unit, vector } = payload else {
-            return Err(CodingError::MalformedPayload {
-                reason: "uncoded expects Sum payloads".into(),
-            });
-        };
-        if unit != worker {
-            return Err(CodingError::MalformedPayload {
-                reason: format!("uncoded shard id {unit} must equal worker id {worker}"),
-            });
-        }
-        self.log.record(worker, 1)?;
-        if self.scheme.placement.load_of(worker) > 0 && self.sums[worker].is_none() {
-            self.covered_units += self.scheme.placement.load_of(worker);
-            self.sums[worker] = Some(vector);
-            self.have += 1;
-        }
-        Ok(self.is_complete())
-    }
-
-    fn is_complete(&self) -> bool {
-        self.have == self.scheme.non_empty
-    }
-
-    fn decode(&self) -> Result<Vec<f64>, CodingError> {
-        if !self.is_complete() {
-            return Err(CodingError::NotComplete {
-                received: self.log.messages(),
-            });
-        }
-        vec_ops::sum_vectors(self.sums.iter().flatten().map(Vec::as_slice)).ok_or_else(|| {
-            CodingError::DecodingFailed {
-                reason: "no shard sums collected".into(),
-            }
-        })
-    }
-
-    fn messages_received(&self) -> usize {
-        self.log.messages()
-    }
-
-    fn communication_units(&self) -> usize {
-        self.log.units()
-    }
-
-    fn coverage(&self) -> Coverage {
-        Coverage::new(self.covered_units, self.scheme.num_examples())
-    }
-
-    fn decode_partial(&self) -> Result<Vec<f64>, CodingError> {
-        vec_ops::sum_vectors(self.sums.iter().flatten().map(Vec::as_slice)).ok_or(
-            CodingError::NotComplete {
-                received: self.log.messages(),
-            },
-        )
-    }
-
-    fn partial_sum_terms(&self) -> Option<Vec<(f64, &[f64])>> {
-        let terms: Vec<_> = self
-            .sums
-            .iter()
-            .flatten()
-            .map(|v| (1.0, v.as_slice()))
-            .collect();
-        (!terms.is_empty()).then_some(terms)
     }
 }
 
@@ -235,30 +138,6 @@ mod tests {
         assert!(matches!(
             scheme.encode(7, &[]),
             Err(CodingError::UnknownWorker { .. })
-        ));
-    }
-
-    #[test]
-    fn rejects_wrong_payload_variant() {
-        let scheme = UncodedScheme::new(4, 2);
-        let mut dec = scheme.decoder();
-        assert!(matches!(
-            dec.receive(0, Payload::Linear { vector: vec![] }),
-            Err(CodingError::MalformedPayload { .. })
-        ));
-    }
-
-    #[test]
-    fn duplicate_worker_rejected() {
-        let scheme = UncodedScheme::new(4, 2);
-        let grads = random_gradients(4, 2, 3);
-        let mut dec = scheme.decoder();
-        let partials = worker_partials(scheme.placement(), 0, &grads);
-        let p = scheme.encode(0, &partials).unwrap();
-        dec.receive(0, p.clone()).unwrap();
-        assert!(matches!(
-            dec.receive(0, p),
-            Err(CodingError::DuplicateWorker { worker: 0 })
         ));
     }
 }

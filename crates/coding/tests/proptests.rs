@@ -4,8 +4,8 @@
 
 use bcc_coding::scheme::test_support::{random_gradients, total_sum, worker_partials};
 use bcc_coding::{
-    BccScheme, CyclicMdsScheme, CyclicRepetitionScheme, FractionalRepetitionScheme,
-    GradientCodingScheme, RandomSubsetScheme, UncodedScheme,
+    BccScheme, CyclicRepetitionScheme, FractionalRepetitionScheme, GradientCodingScheme,
+    RandomSubsetScheme, UncodedScheme,
 };
 use bcc_stats::rng::derive_rng;
 use proptest::prelude::*;
@@ -79,21 +79,6 @@ proptest! {
         let (sum, used) = drive(&scheme, &grads, &order).expect("full arrival completes");
         prop_assert!(bcc_linalg::approx_eq_slice(&sum, &total_sum(&grads), 1e-4));
         prop_assert!(used >= scheme.recovery_threshold());
-    }
-
-    #[test]
-    fn cyclic_mds_exact_under_random_stragglers(
-        n in 3usize..12,
-        seed in 0u64..1000,
-    ) {
-        let r = 1 + (seed as usize % n.min(4));
-        let scheme = CyclicMdsScheme::new(n, r);
-        let grads = random_gradients(n, 2, seed ^ 0xef);
-        let order = shuffled_order(n, seed);
-        let (sum, used) = drive(&scheme, &grads, &order).expect("full arrival completes");
-        prop_assert!(bcc_linalg::approx_eq_slice(&sum, &total_sum(&grads), 1e-4));
-        // MDS property: completes exactly at the threshold for any order.
-        prop_assert_eq!(used, scheme.recovery_threshold());
     }
 
     #[test]

@@ -184,18 +184,17 @@ pub(crate) fn empirical_risk_dyn(data: &Dataset, loss: &dyn Loss, w: &[f64]) -> 
 mod tests {
     use crate::experiment::{
         DataSpec, Experiment, ExperimentBuilder, ExperimentReport, LatencySpec, OptimizerSpec,
-        PolicySpec,
+        PolicySpec, SchemeSpec,
     };
-    use crate::schemes::SchemeConfig;
     use bcc_linalg::vec_ops;
     use bcc_optim::gradient::full_gradient;
     use bcc_optim::LogisticLoss;
 
-    fn builder(cfg: SchemeConfig, seed: u64) -> ExperimentBuilder {
+    fn builder(scheme: SchemeSpec, seed: u64) -> ExperimentBuilder {
         Experiment::builder()
             .workers(20)
             .units(20)
-            .scheme(cfg)
+            .scheme(scheme)
             .data(DataSpec::synthetic(10, 8))
             .latency(LatencySpec::Homogeneous {
                 mu: 100.0,
@@ -207,25 +206,24 @@ mod tests {
             .seed(seed)
     }
 
-    fn train_with(cfg: SchemeConfig, seed: u64) -> ExperimentReport {
-        builder(cfg, seed).build().unwrap().run().unwrap()
+    fn train_with(scheme: SchemeSpec, seed: u64) -> ExperimentReport {
+        builder(scheme, seed).build().unwrap().run().unwrap()
     }
 
     #[test]
     fn training_reduces_risk_for_every_scheme() {
-        for cfg in [
-            SchemeConfig::Uncoded,
-            SchemeConfig::Bcc { r: 4 },
-            SchemeConfig::Random { r: 4 },
-            SchemeConfig::CyclicRepetition { r: 4 },
-            SchemeConfig::CyclicMds { r: 4 },
-            SchemeConfig::FractionalRepetition { r: 4 },
+        for scheme in [
+            SchemeSpec::named("uncoded"),
+            SchemeSpec::with_load("bcc", 4),
+            SchemeSpec::with_load("random", 4),
+            SchemeSpec::with_load("cyclic-repetition", 4),
+            SchemeSpec::with_load("fractional-repetition", 4),
         ] {
-            let report = train_with(cfg, 11);
+            let report = train_with(scheme, 11);
             assert!(
                 report.trace.improved(),
                 "{}: risk must decrease ({:?} → {:?})",
-                cfg.name(),
+                report.scheme,
                 report.trace.initial_risk(),
                 report.trace.final_risk()
             );
@@ -238,12 +236,12 @@ mod tests {
         // Every decoder recovers the *exact* gradient, so with matched
         // optimizer state the trajectories are identical across schemes.
         let reports: Vec<ExperimentReport> = [
-            SchemeConfig::Uncoded,
-            SchemeConfig::Bcc { r: 4 },
-            SchemeConfig::CyclicRepetition { r: 4 },
+            SchemeSpec::named("uncoded"),
+            SchemeSpec::with_load("bcc", 4),
+            SchemeSpec::with_load("cyclic-repetition", 4),
         ]
         .into_iter()
-        .map(|cfg| train_with(cfg, 13))
+        .map(|scheme| train_with(scheme, 13))
         .collect();
         for pair in reports.windows(2) {
             assert!(
@@ -255,8 +253,8 @@ mod tests {
 
     #[test]
     fn bcc_uses_fewer_messages_than_uncoded() {
-        let uncoded = train_with(SchemeConfig::Uncoded, 17);
-        let bcc = train_with(SchemeConfig::Bcc { r: 4 }, 17);
+        let uncoded = train_with(SchemeSpec::named("uncoded"), 17);
+        let bcc = train_with(SchemeSpec::with_load("bcc", 4), 17);
         assert!(
             bcc.metrics.avg_recovery_threshold() < uncoded.metrics.avg_recovery_threshold(),
             "BCC {} vs uncoded {}",
@@ -268,7 +266,7 @@ mod tests {
 
     #[test]
     fn risk_recording_can_be_disabled() {
-        let report = builder(SchemeConfig::Uncoded, 23)
+        let report = builder(SchemeSpec::named("uncoded"), 23)
             .iterations(5)
             .record_risk(false)
             .build()
@@ -281,7 +279,7 @@ mod tests {
 
     #[test]
     fn fixed_point_under_an_approximate_policy_prices_every_round() {
-        let exp = builder(SchemeConfig::Uncoded, 29)
+        let exp = builder(SchemeSpec::named("uncoded"), 29)
             .optimizer(OptimizerSpec::FixedPoint)
             .policy(PolicySpec::fastest_k(12))
             .iterations(6)

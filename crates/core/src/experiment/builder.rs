@@ -550,8 +550,7 @@ impl ExperimentBuilder {
         self
     }
 
-    /// The scheme (required): a [`SchemeSpec`] or anything convertible
-    /// (e.g. a [`SchemeConfig`](crate::schemes::SchemeConfig)).
+    /// The scheme (required): a [`SchemeSpec`] or anything convertible.
     #[must_use]
     pub fn scheme(mut self, scheme: impl Into<SchemeSpec>) -> Self {
         self.scheme = Some(scheme.into());
@@ -1032,23 +1031,16 @@ fn resolve_latency(
     }
 }
 
-impl From<crate::schemes::SchemeConfig> for SchemeSpec {
-    fn from(cfg: crate::schemes::SchemeConfig) -> Self {
-        cfg.spec()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schemes::SchemeConfig;
 
     fn tiny_builder() -> ExperimentBuilder {
         Experiment::builder()
             .name("tiny")
             .workers(10)
             .units(10)
-            .scheme(SchemeConfig::Bcc { r: 2 })
+            .scheme(SchemeSpec::with_load("bcc", 2))
             .data(DataSpec::synthetic(5, 4))
             .iterations(8)
             .seed(7)
@@ -1325,7 +1317,7 @@ mod tests {
     /// built to exploit.
     fn straggler_builder() -> ExperimentBuilder {
         tiny_builder()
-            .scheme(SchemeConfig::Uncoded)
+            .scheme(SchemeSpec::named("uncoded"))
             .latency(LatencySpec::Bimodal {
                 mu: 100.0,
                 a: 0.0001,

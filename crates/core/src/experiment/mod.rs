@@ -10,9 +10,9 @@
 //! * [`SchemeRegistry`] — an open name → factory map, one instantiation of
 //!   the generic [`Registry`] that also backs the policy, mode, and
 //!   controller registries ([`Registries`] bundles the four). The built-in
-//!   registrations are the paper's comparison set
-//!   ([`SchemeConfig`](crate::schemes::SchemeConfig)); downstream code
-//!   registers custom schemes under new names.
+//!   registrations are the paper's comparison set (six `bcc_coding`
+//!   schemes, one `register` call each); downstream code registers custom
+//!   schemes under new names.
 //! * [`Experiment`] / [`ExperimentBuilder`] — typed wiring + validation.
 //!   Every structural constraint (`m = n` for the cyclic codes, `r | n` for
 //!   fractional repetition, placement coverage, profile/worker agreement)

@@ -7,9 +7,11 @@
 //! [`SchemeRegistry`], [`PolicyRegistry`], [`ModeRegistry`] and
 //! [`ControllerRegistry`] are aliases of it; per kind there is only the
 //! factory signature (`register` / `build`) and the built-in registrations:
-//! the paper's comparison set (everything [`SchemeConfig`] can describe),
-//! the four members of [`bcc_cluster::policy`], of [`bcc_cluster::mode`]
-//! and of [`bcc_control`].
+//! the paper's comparison set (six [`bcc_coding`] schemes), the four members
+//! of [`bcc_cluster::policy`], of [`bcc_cluster::mode`] and of
+//! [`bcc_control`]. A built-in is one `register` call in its kind's
+//! `builtin()` — nothing else in the workspace lists the names — so a new
+//! scheme is one file in `crates/coding/src` plus one `register` line here.
 //!
 //! Downstream code extends any kind by registering its own factory under a
 //! new name and handing the registry to the builder
@@ -24,12 +26,14 @@
 
 use super::error::BuildError;
 use super::spec::{ControllerSpec, ModeSpec, PolicySpec, SchemeSpec};
-use crate::schemes::SchemeConfig;
 use bcc_cluster::{
     AggregationPolicy, Asgd, BestEffortAll, Deadline, FastestK, LocalSgd, Ssgd, Ssp, TrainingMode,
     WaitDecodable,
 };
-use bcc_coding::GradientCodingScheme;
+use bcc_coding::{
+    BccScheme, CyclicRepetitionScheme, FractionalRepetitionScheme, GradientCodingScheme,
+    RandomSubsetScheme, UncodedScheme, UncompressedBccScheme,
+};
 use bcc_control::{AdaptiveK, Controller, QuantileDeadline, RegimeSwitch, StaticController};
 use rand::RngCore;
 use std::collections::BTreeMap;
@@ -212,25 +216,128 @@ impl Kind for SchemeSpec {
         BuildError::UnknownScheme { name, known }
     }
 
-    /// Every scheme in the paper's comparison, under its report name (see
-    /// [`SchemeConfig::name`]).
+    /// Every scheme in the paper's comparison, under its report name: one
+    /// `register` per scheme, each constructing its `bcc_coding` type
+    /// directly after the structural checks that type's constructor would
+    /// otherwise panic on.
     fn builtin() -> SchemeRegistry {
         let mut reg = SchemeRegistry::empty();
-        for (name, description) in [
-            ("uncoded", "disjoint shards, master waits for every worker (the baseline)"),
-            ("bcc", "Batched Coupon's Collector — random batch per worker, stop on coverage (this paper)"),
-            ("bcc-uncompressed", "BCC placement with per-example messages (ablation of Remark 3's compression)"),
-            ("random", "simple randomized subsets, per-example messages (Prior Art, eq. (5)-(6))"),
-            ("cyclic-repetition", "cyclic-window gradient coding of Tandon et al. (m = n, any n-r+1 decode)"),
-            ("cyclic-mds", "cyclic-MDS code over C of Raviv et al. (m = n, any n-r+1 decode)"),
-            ("fractional-repetition", "disjoint shard groups replicated r times (m = n, r | n)"),
-        ] {
-            reg.register(name, description, |spec, m, n, rng| {
-                SchemeConfig::from_spec(spec)?.try_build(m, n, rng)
-            });
-        }
+        reg.register(
+            "uncoded",
+            "disjoint shards, master waits for every worker (the baseline)",
+            |_spec, m, n, _rng| Ok(Box::new(UncodedScheme::new(m, n))),
+        );
+        reg.register(
+            "bcc",
+            "Batched Coupon's Collector — random batch per worker, stop on coverage (this paper)",
+            |spec, m, n, rng| redraw_until_covered(spec, m, n, |r| BccScheme::new(m, n, r, rng)),
+        );
+        reg.register(
+            "bcc-uncompressed",
+            "BCC placement with per-example messages (ablation of Remark 3's compression)",
+            |spec, m, n, rng| {
+                redraw_until_covered(spec, m, n, |r| UncompressedBccScheme::new(m, n, r, rng))
+            },
+        );
+        reg.register(
+            "random",
+            "simple randomized subsets, per-example messages (Prior Art, eq. (5)-(6))",
+            |spec, m, n, rng| {
+                redraw_until_covered(spec, m, n, |r| RandomSubsetScheme::new(m, n, r, rng))
+            },
+        );
+        reg.register(
+            "cyclic-repetition",
+            "cyclic-window gradient coding of Tandon et al. (m = n, any n-r+1 decode)",
+            |spec, m, n, rng| {
+                let r = load(spec)?;
+                require_square(spec, m, n)?;
+                require_load_within(spec, r, n)?;
+                Ok(Box::new(CyclicRepetitionScheme::try_new(n, r, rng)?))
+            },
+        );
+        reg.register(
+            "fractional-repetition",
+            "disjoint shard groups replicated r times (m = n, r | n)",
+            |spec, m, n, _rng| {
+                let r = load(spec)?;
+                require_square(spec, m, n)?;
+                if r == 0 || !n.is_multiple_of(r) {
+                    return Err(BuildError::LoadNotDivisor {
+                        scheme: spec.name.clone(),
+                        r,
+                        n,
+                    });
+                }
+                Ok(Box::new(FractionalRepetitionScheme::try_new(n, r)?))
+            },
+        );
         reg
     }
+}
+
+/// Placement redraws before a randomized scheme reports
+/// [`BuildError::CoverageFailed`].
+const COVERAGE_ATTEMPTS: usize = 10_000;
+
+/// The computational load a loaded scheme's spec must carry.
+fn load(spec: &SchemeSpec) -> Result<usize, BuildError> {
+    spec.r.ok_or_else(|| BuildError::MissingLoad {
+        scheme: spec.name.clone(),
+    })
+}
+
+/// `m = n`: the scheme codes over one unit per worker.
+fn require_square(spec: &SchemeSpec, m: usize, n: usize) -> Result<(), BuildError> {
+    if m == n {
+        return Ok(());
+    }
+    Err(BuildError::SquareRequired {
+        scheme: spec.name.clone(),
+        m,
+        n,
+    })
+}
+
+/// `0 < r ≤ bound` (the worker count for the cyclic code, the unit count
+/// for the batched and randomized ones).
+fn require_load_within(spec: &SchemeSpec, r: usize, bound: usize) -> Result<(), BuildError> {
+    if (1..=bound).contains(&r) {
+        return Ok(());
+    }
+    Err(BuildError::LoadOutOfRange {
+        scheme: spec.name.clone(),
+        r,
+        bound,
+    })
+}
+
+/// Runs a randomized data-distribution step at the spec's load
+/// (`0 < r ≤ m`) until every unit is stored by some worker. The paper
+/// assumes `n` large enough that the uncovered probability vanishes; with
+/// finite `n` a re-draw is the practical equivalent, and a placement that
+/// cannot cover is a typed error.
+fn redraw_until_covered<S: GradientCodingScheme + 'static>(
+    spec: &SchemeSpec,
+    m: usize,
+    n: usize,
+    mut draw: impl FnMut(usize) -> S,
+) -> Result<Box<dyn GradientCodingScheme>, BuildError> {
+    let r = load(spec)?;
+    require_load_within(spec, r, m)?;
+    for _ in 0..COVERAGE_ATTEMPTS {
+        let scheme = draw(r);
+        if scheme.placement().covers_all() {
+            return Ok(Box::new(scheme));
+        }
+    }
+    Err(BuildError::CoverageFailed {
+        scheme: spec.name.clone(),
+        m,
+        n,
+        r,
+        attempts: COVERAGE_ATTEMPTS,
+    })
 }
 
 impl SchemeRegistry {
@@ -527,13 +634,21 @@ mod tests {
         table
     }
 
+    /// The built-in scheme names as `names()` lists them — a literal, so a
+    /// registration added or dropped by accident fails here.
+    const BUILTIN_SCHEMES: [&str; 6] = [
+        "bcc",
+        "bcc-uncompressed",
+        "cyclic-repetition",
+        "fractional-repetition",
+        "random",
+        "uncoded",
+    ];
+
     #[test]
     fn builtin_schemes_cover_the_paper_comparison() {
         let reg = SchemeRegistry::builtin();
-        assert_eq!(reg.names().len(), SchemeConfig::BUILTIN_NAMES.len());
-        for name in SchemeConfig::BUILTIN_NAMES {
-            assert!(reg.contains(name), "missing builtin `{name}`");
-        }
+        assert_eq!(reg.names(), BUILTIN_SCHEMES);
         assert!(reg.descriptions().iter().all(|(_, desc)| !desc.is_empty()));
         assert!(reg.descriptions().contains(&(
             "bcc".into(),
@@ -548,6 +663,22 @@ mod tests {
     }
 
     #[test]
+    fn randomized_placements_are_redrawn_until_they_cover() {
+        // 4 batches over 8 workers: a single draw misses a batch about one
+        // time in two, the redraw loop never does.
+        let reg = SchemeRegistry::builtin();
+        for seed in 0..20 {
+            let mut rng = derive_rng(3, seed);
+            for name in ["bcc", "bcc-uncompressed", "random"] {
+                let scheme = reg
+                    .build(&SchemeSpec::with_load(name, 5), 20, 8, &mut rng)
+                    .expect("retries reach coverage");
+                assert!(scheme.placement().covers_all(), "{name}");
+            }
+        }
+    }
+
+    #[test]
     fn unknown_names_list_the_registrations_for_every_kind() {
         let regs = Registries::default();
         let known = |names: &[&str]| {
@@ -559,7 +690,7 @@ mod tests {
             lookup(&regs.schemes, &SchemeSpec::named("lt-codes")),
             Err(BuildError::UnknownScheme {
                 name: "lt-codes".into(),
-                known: known(&SchemeConfig::BUILTIN_NAMES),
+                known: known(&BUILTIN_SCHEMES),
             })
         );
         assert_eq!(

@@ -1045,7 +1045,7 @@ mod tests {
             name: "rt".into(),
             workers: 12,
             units: 12,
-            scheme: SchemeSpec::with_load("cyclic-mds", 3),
+            scheme: SchemeSpec::with_load("cyclic-repetition", 3),
             data: DataSpec::synthetic(7, 5),
             latency: LatencySpec::Homogeneous {
                 mu: 2.0,

@@ -67,7 +67,7 @@ pub struct CoverageStats {
 /// dataset — the practical counterpart of the proof's conditioning on
 /// achievable coverage (§IV's "we only consider the case where the coverage
 /// can be achieved using the messages sent by all n nodes"), and the same
-/// policy [`crate::SchemeConfig::Bcc`] applies in the homogeneous setting.
+/// policy the registry's `bcc` factory applies in the homogeneous setting.
 fn gbcc_trial(config: &Fig5Config, loads: &[usize], trial: u64) -> Option<f64> {
     let m = config.num_examples;
     if loads.iter().sum::<usize>() < m {

@@ -14,8 +14,6 @@
 //!   `m/r` lower bound, the randomized scheme's `(m/r)·log m`, the coded
 //!   schemes' `m − r + 1`, and the Fig. 2 tradeoff table (analytic +
 //!   Monte-Carlo).
-//! * [`schemes`] — the built-in scheme configurations (every scheme in the
-//!   paper's comparison), registered by name in the registry.
 //! * the round drivers behind [`Experiment::run`] — synchronous (per
 //!   iteration the master broadcasts the evaluation point, the cluster
 //!   backend runs one coded round, the decoded gradient feeds the optimizer;
@@ -36,7 +34,6 @@ pub mod error;
 pub mod experiment;
 pub mod hetero;
 mod modes;
-pub mod schemes;
 pub mod theory;
 
 pub use error::BccError;
@@ -46,4 +43,3 @@ pub use experiment::{
     ModeSpec, NetProfileSpec, OptimizerSpec, PolicyRegistry, PolicySpec, Registries, Registry,
     SchemeRegistry, SchemeSpec,
 };
-pub use schemes::SchemeConfig;

@@ -31,14 +31,23 @@ fn cyclic_repetition_needs_m_equals_n() {
 }
 
 #[test]
-fn cyclic_mds_needs_m_equals_n() {
-    let err = builder_for(8, 12, SchemeSpec::with_load("cyclic-mds", 3)).unwrap_err();
+fn the_deleted_cyclic_mds_is_unknown_at_build_time() {
+    // It used to validate and then stall at run time from n ≈ 100; a spec
+    // that still names it fails here, listing what the registry has.
+    let err = builder_for(12, 12, SchemeSpec::with_load("cyclic-mds", 3)).unwrap_err();
+    let known = [
+        "bcc",
+        "bcc-uncompressed",
+        "cyclic-repetition",
+        "fractional-repetition",
+        "random",
+        "uncoded",
+    ];
     assert_eq!(
         err,
-        BuildError::SquareRequired {
-            scheme: "cyclic-mds".into(),
-            m: 8,
-            n: 12,
+        BuildError::UnknownScheme {
+            name: "cyclic-mds".into(),
+            known: known.map(String::from).to_vec(),
         }
     );
 }
@@ -73,11 +82,7 @@ fn fractional_repetition_needs_r_dividing_n() {
 
 #[test]
 fn cyclic_loads_are_range_checked() {
-    for (r, name) in [
-        (0usize, "cyclic-repetition"),
-        (11, "cyclic-repetition"),
-        (0, "cyclic-mds"),
-    ] {
+    for (r, name) in [(0usize, "cyclic-repetition"), (11, "cyclic-repetition")] {
         let err = builder_for(10, 10, SchemeSpec::with_load(name, r)).unwrap_err();
         assert_eq!(
             err,
@@ -124,7 +129,13 @@ fn bcc_impossible_coverage_is_typed() {
 
 #[test]
 fn loaded_schemes_require_r() {
-    for name in ["bcc", "random", "cyclic-repetition", "cyclic-mds"] {
+    for name in [
+        "bcc",
+        "bcc-uncompressed",
+        "random",
+        "cyclic-repetition",
+        "fractional-repetition",
+    ] {
         let err = builder_for(10, 10, SchemeSpec::named(name)).unwrap_err();
         assert_eq!(
             err,

@@ -8,8 +8,9 @@
 
 use bcc_core::experiment::{
     BackendSpec, ControllerSpec, DataSpec, ExperimentBuilder, LatencySpec, OptimizerSpec,
+    SchemeSpec,
 };
-use bcc_core::{Experiment, SchemeConfig};
+use bcc_core::Experiment;
 
 /// A two-tier staircase: eight fast workers with unambiguous per-worker
 /// shift gaps plus two persistent ~10× stragglers. Gaps are far wider than
@@ -39,7 +40,7 @@ fn builder(controller: ControllerSpec) -> ExperimentBuilder {
         .name("controller-pin")
         .workers(10)
         .units(10)
-        .scheme(SchemeConfig::Uncoded)
+        .scheme(SchemeSpec::named("uncoded"))
         .data(DataSpec::synthetic(6, 4))
         .latency(two_tier())
         .optimizer(OptimizerSpec::nesterov(0.5))

@@ -20,9 +20,9 @@ use bcc_cluster::{
 };
 use bcc_core::experiment::LatencySpec;
 use bcc_core::experiment::{
-    BackendSpec, DataSpec, ExperimentBuilder, ModeSpec, OptimizerSpec, PolicySpec,
+    BackendSpec, DataSpec, ExperimentBuilder, ModeSpec, OptimizerSpec, PolicySpec, SchemeSpec,
 };
-use bcc_core::{Experiment, SchemeConfig};
+use bcc_core::Experiment;
 use bcc_optim::{LearningRate, LogisticLoss, Nesterov, Optimizer};
 use bcc_stats::derive_seed;
 use std::sync::Arc;
@@ -49,7 +49,7 @@ fn staircase() -> LatencySpec {
     }
 }
 
-fn builder(scheme: SchemeConfig, seed: u64) -> ExperimentBuilder {
+fn builder(scheme: SchemeSpec, seed: u64) -> ExperimentBuilder {
     Experiment::builder()
         .name("mode-pin")
         .workers(10)
@@ -101,12 +101,12 @@ fn ssgd_mode_matches_a_hand_wired_round_loop() {
         ("fastest-k", || Arc::new(FastestK::new(7))),
     ];
     for scheme in [
-        SchemeConfig::Uncoded,
-        SchemeConfig::Bcc { r: 2 },
-        SchemeConfig::FractionalRepetition { r: 2 },
+        SchemeSpec::named("uncoded"),
+        SchemeSpec::with_load("bcc", 2),
+        SchemeSpec::with_load("fractional-repetition", 2),
     ] {
         for (policy_name, policy) in &policies {
-            let mut b = builder(scheme, 41).policy(PolicySpec::named(*policy_name));
+            let mut b = builder(scheme.clone(), 41).policy(PolicySpec::named(*policy_name));
             if *policy_name == "fastest-k" {
                 b = b.policy(PolicySpec::fastest_k(7));
             }
@@ -141,7 +141,7 @@ fn ssgd_mode_matches_a_hand_wired_round_loop() {
                 )
                 .unwrap();
 
-            let what = format!("{} / {policy_name}", scheme.name());
+            let what = format!("{} / {policy_name}", scheme.name);
             assert_bitwise_eq(&via_mode.weights, hand.optimizer.iterate(), &what);
             assert_eq!(
                 via_mode.metrics.messages_used, hand.metrics.messages_used,
@@ -180,7 +180,7 @@ fn every_mode_is_backend_invariant() {
         ModeSpec::local_sgd(2),
     ] {
         let run = |backend: &BackendSpec| {
-            builder(SchemeConfig::Bcc { r: 2 }, 43)
+            builder(SchemeSpec::with_load("bcc", 2), 43)
                 .mode(mode.clone())
                 .backend(backend.clone())
                 .build()
@@ -235,7 +235,7 @@ fn every_mode_is_backend_invariant() {
 #[test]
 fn ssp_staleness_respects_the_bound() {
     for bound in [1usize, 3, 5] {
-        let report = builder(SchemeConfig::Bcc { r: 2 }, 47)
+        let report = builder(SchemeSpec::with_load("bcc", 2), 47)
             .mode(ModeSpec::ssp(bound))
             .iterations(24)
             .build()
@@ -258,7 +258,7 @@ fn ssp_staleness_respects_the_bound() {
 fn stale_runs_replay_byte_identically() {
     for mode in [ModeSpec::ssp(4), ModeSpec::named("asgd")] {
         let run = || {
-            builder(SchemeConfig::Bcc { r: 2 }, 53)
+            builder(SchemeSpec::with_load("bcc", 2), 53)
                 .mode(mode.clone())
                 .build()
                 .unwrap()

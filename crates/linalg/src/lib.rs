@@ -8,11 +8,8 @@
 //! * [`solve`] — LU with partial pivoting, triangular solves, inverse.
 //! * [`cholesky`] — SPD factorization for normal-equation and ridge solves.
 //! * [`qr`] — Householder QR and least-squares solves that skip each
-//!   column's leading and trailing zeros (used by the cyclic-repetition and
-//!   cyclic-MDS decoders, which solve the banded `a^T B_F = 1^T`).
-//! * [`complex`] — minimal complex arithmetic plus complex matrices and a
-//!   complex LU solver (used to build the cyclic-MDS code of Raviv et al.,
-//!   whose generator lives over the complex roots of unity).
+//!   column's leading and trailing zeros (used by the cyclic-repetition
+//!   decoder, which solves the banded `a^T B_F = 1^T`).
 //! * [`parallel`] — chunked fork/join helpers built on `crossbeam::scope`,
 //!   the only data-parallelism primitive the workloads need.
 //!
@@ -25,7 +22,6 @@
 #![warn(missing_docs)]
 
 pub mod cholesky;
-pub mod complex;
 pub mod error;
 pub mod matrix;
 pub mod parallel;
@@ -34,7 +30,6 @@ pub mod qr;
 pub mod solve;
 pub mod vec_ops;
 
-pub use complex::{CMatrix, Complex};
 pub use error::LinAlgError;
 pub use matrix::Matrix;
 

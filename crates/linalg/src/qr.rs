@@ -1,8 +1,7 @@
 //! Householder QR and least-squares solves, aware of each column's profile.
 //!
-//! The cyclic-repetition and cyclic-MDS decoders solve `B_Fᵀ a = 1` once per
-//! round, and every row of `B` is non-zero only on one cyclic window of `r`
-//! entries: with the received rows sorted by worker id, `B_Fᵀ` is a band of
+//! The cyclic-repetition decoder solves `B_Fᵀ a = 1` once per round, and
+//! every row of `B` is non-zero only on one cyclic window of `r` entries: with the received rows sorted by worker id, `B_Fᵀ` is a band of
 //! width at most `2r` plus at most `r − 1` wrap-around columns. Householder
 //! QR is the numerically stable way to solve it, and a reflector built from a
 //! column that is zero outside rows `lo..hi` is itself zero outside that

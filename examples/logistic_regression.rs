@@ -7,9 +7,8 @@
 //! cargo run --release --example logistic_regression
 //! ```
 
-use bcc::core::schemes::SchemeConfig;
 use bcc::core::theory;
-use bcc::experiment::{BackendSpec, DataSpec, Experiment};
+use bcc::experiment::{BackendSpec, DataSpec, Experiment, SchemeSpec};
 
 fn main() {
     // Scaled-down scenario one: 20 workers, 20 units × 50 points, r = 4.
@@ -25,16 +24,16 @@ fn main() {
         "scheme", "avg K", "comm (s)", "comp (s)", "total (s)", "final risk"
     );
 
-    for cfg in [
-        SchemeConfig::Uncoded,
-        SchemeConfig::CyclicRepetition { r },
-        SchemeConfig::Bcc { r },
+    for scheme in [
+        SchemeSpec::named("uncoded"),
+        SchemeSpec::with_load("cyclic-repetition", r),
+        SchemeSpec::with_load("bcc", r),
     ] {
         let report = Experiment::builder()
             .name("logistic regression")
             .workers(workers)
             .units(units)
-            .scheme(cfg)
+            .scheme(scheme)
             .data(DataSpec::synthetic(50, 32))
             // time_scale 0.004: 1 simulated second ≈ 4 ms of wall time.
             .backend(BackendSpec::Threaded { time_scale: 0.004 })

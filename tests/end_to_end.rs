@@ -3,8 +3,7 @@
 //! optimization trajectory must be identical across schemes AND backends —
 //! coding changes the waiting, never the math.
 
-use bcc::core::schemes::SchemeConfig;
-use bcc::experiment::{BackendSpec, DataSpec, Experiment, LatencySpec, OptimizerSpec};
+use bcc::experiment::{BackendSpec, DataSpec, Experiment, LatencySpec, OptimizerSpec, SchemeSpec};
 use bcc::optim::{LearningRate, LogisticLoss, Nesterov, Optimizer};
 
 const UNITS: usize = 12;
@@ -13,22 +12,21 @@ const POINTS_PER_UNIT: usize = 10;
 const DIM: usize = 6;
 const ITERS: usize = 15;
 
-fn all_schemes() -> Vec<SchemeConfig> {
+fn all_schemes() -> Vec<SchemeSpec> {
     vec![
-        SchemeConfig::Uncoded,
-        SchemeConfig::Bcc { r: 3 },
-        SchemeConfig::Random { r: 3 },
-        SchemeConfig::CyclicRepetition { r: 3 },
-        SchemeConfig::CyclicMds { r: 3 },
-        SchemeConfig::FractionalRepetition { r: 3 },
+        SchemeSpec::named("uncoded"),
+        SchemeSpec::with_load("bcc", 3),
+        SchemeSpec::with_load("random", 3),
+        SchemeSpec::with_load("cyclic-repetition", 3),
+        SchemeSpec::with_load("fractional-repetition", 3),
     ]
 }
 
-fn experiment(backend: BackendSpec, cfg: SchemeConfig, seed: u64) -> Experiment {
+fn experiment(backend: BackendSpec, scheme: SchemeSpec, seed: u64) -> Experiment {
     Experiment::builder()
         .workers(WORKERS)
         .units(UNITS)
-        .scheme(cfg)
+        .scheme(scheme)
         .data(DataSpec::synthetic(POINTS_PER_UNIT, DIM))
         .latency(LatencySpec::Homogeneous {
             mu: 50.0,
@@ -57,14 +55,14 @@ fn train(exp: &Experiment) -> (Vec<f64>, f64) {
 #[test]
 fn every_scheme_trains_identically_on_virtual_cluster() {
     let mut reference: Option<Vec<f64>> = None;
-    for cfg in all_schemes() {
-        let (w, _) = train(&experiment(BackendSpec::Virtual, cfg, 42));
+    for scheme in all_schemes() {
+        let (w, _) = train(&experiment(BackendSpec::Virtual, scheme.clone(), 42));
         match &reference {
             None => reference = Some(w),
             Some(r) => assert!(
                 bcc::linalg::approx_eq_slice(r, &w, 1e-6),
                 "{}: weights diverged from reference",
-                cfg.name()
+                scheme.name
             ),
         }
     }
@@ -73,14 +71,17 @@ fn every_scheme_trains_identically_on_virtual_cluster() {
 #[test]
 fn threaded_and_virtual_backends_agree_exactly() {
     // Timing differs; the decoded gradients — hence the weights — must not.
-    for cfg in [SchemeConfig::Uncoded, SchemeConfig::Bcc { r: 3 }] {
-        let (w_virtual, risk_v) = train(&experiment(BackendSpec::Virtual, cfg, 51));
+    for scheme in [
+        SchemeSpec::named("uncoded"),
+        SchemeSpec::with_load("bcc", 3),
+    ] {
+        let (w_virtual, risk_v) = train(&experiment(BackendSpec::Virtual, scheme.clone(), 51));
         let threaded = BackendSpec::Threaded { time_scale: 0.002 };
-        let (w_threaded, risk_t) = train(&experiment(threaded, cfg, 51));
+        let (w_threaded, risk_t) = train(&experiment(threaded, scheme.clone(), 51));
         assert!(
             bcc::linalg::approx_eq_slice(&w_virtual, &w_threaded, 1e-9),
             "{}: backends must produce identical trajectories",
-            cfg.name()
+            scheme.name
         );
         assert!((risk_v - risk_t).abs() < 1e-12);
     }
@@ -90,7 +91,7 @@ fn threaded_and_virtual_backends_agree_exactly() {
 fn distributed_matches_centralized_gradient_descent() {
     // The distributed run must equal a single-machine Nesterov loop using
     // exact full gradients.
-    let exp = experiment(BackendSpec::Virtual, SchemeConfig::Bcc { r: 3 }, 13);
+    let exp = experiment(BackendSpec::Virtual, SchemeSpec::with_load("bcc", 3), 13);
     let mut centralized = Nesterov::new(vec![0.0; DIM], LearningRate::Constant(0.4));
     for _ in 0..ITERS {
         let g = bcc::optim::gradient::full_gradient(
@@ -110,7 +111,7 @@ fn distributed_matches_centralized_gradient_descent() {
 
 #[test]
 fn training_improves_classification_accuracy() {
-    let exp = experiment(BackendSpec::Virtual, SchemeConfig::Bcc { r: 3 }, 17);
+    let exp = experiment(BackendSpec::Virtual, SchemeSpec::with_load("bcc", 3), 17);
     let acc_before = exp.dataset().sign_accuracy(&[0.0; DIM]);
     let (w, _) = train(&exp);
     let acc_after = exp.dataset().sign_accuracy(&w);
@@ -118,30 +119,4 @@ fn training_improves_classification_accuracy() {
         acc_after > acc_before.max(0.6),
         "accuracy should rise: {acc_before} → {acc_after}"
     );
-}
-
-#[test]
-fn cyclic_mds_completes_every_round_at_n48_r10() {
-    // Before the decoder solved by QR on the band, this shape stalled on the
-    // first round with every worker reported.
-    let (n, r) = (48, 10);
-    let exp = Experiment::builder()
-        .workers(n)
-        .units(n)
-        .scheme(SchemeConfig::CyclicMds { r })
-        .data(DataSpec::synthetic(2, DIM))
-        .latency(LatencySpec::Homogeneous {
-            mu: 50.0,
-            a: 0.0002,
-            per_message_overhead: 0.0005,
-            per_unit: 0.001,
-        })
-        .optimizer(OptimizerSpec::nesterov(0.4))
-        .iterations(ITERS)
-        .seed(48)
-        .build()
-        .expect("valid experiment");
-    let report = exp.run().expect("every round decodes");
-    assert_eq!(report.metrics.rounds, ITERS);
-    assert_eq!(report.metrics.avg_recovery_threshold(), (n - r + 1) as f64);
 }

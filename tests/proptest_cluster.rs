@@ -3,21 +3,20 @@
 //! gradient and report self-consistent metrics.
 
 use bcc::cluster::{ClusterBackend, ClusterProfile, CommModel, UnitMap, VirtualCluster};
-use bcc::core::schemes::SchemeConfig;
+use bcc::core::{SchemeRegistry, SchemeSpec};
 use bcc::data::synthetic::{generate, SyntheticConfig};
 use bcc::optim::gradient::full_gradient;
 use bcc::optim::LogisticLoss;
 use bcc::stats::rng::derive_rng;
 use proptest::prelude::*;
 
-fn scheme_strategy() -> impl Strategy<Value = SchemeConfig> {
+fn scheme_strategy() -> impl Strategy<Value = SchemeSpec> {
     prop_oneof![
-        Just(SchemeConfig::Uncoded),
-        (2usize..5).prop_map(|r| SchemeConfig::Bcc { r }),
-        (2usize..5).prop_map(|r| SchemeConfig::BccUncompressed { r }),
-        (2usize..5).prop_map(|r| SchemeConfig::Random { r }),
-        (2usize..5).prop_map(|r| SchemeConfig::CyclicRepetition { r }),
-        (2usize..5).prop_map(|r| SchemeConfig::CyclicMds { r }),
+        Just(SchemeSpec::named("uncoded")),
+        (2usize..5).prop_map(|r| SchemeSpec::with_load("bcc", r)),
+        (2usize..5).prop_map(|r| SchemeSpec::with_load("bcc-uncompressed", r)),
+        (2usize..5).prop_map(|r| SchemeSpec::with_load("random", r)),
+        (2usize..5).prop_map(|r| SchemeSpec::with_load("cyclic-repetition", r)),
     ]
 }
 
@@ -26,7 +25,7 @@ proptest! {
 
     #[test]
     fn any_scheme_round_decodes_exact_gradient(
-        cfg in scheme_strategy(),
+        spec in scheme_strategy(),
         units_count in 8usize..20,
         per_unit_examples in 1usize..6,
         seed in 0u64..500,
@@ -36,8 +35,8 @@ proptest! {
         let data = generate(&SyntheticConfig::small(examples, 5, seed));
         let units = UnitMap::grouped(examples, units_count);
         let mut rng = derive_rng(seed, 3);
-        let scheme = cfg
-            .try_build(units_count, n, &mut rng)
+        let scheme = SchemeRegistry::builtin()
+            .build(&spec, units_count, n, &mut rng)
             .expect("strategy yields constructible schemes");
         let profile = ClusterProfile::homogeneous(
             n,
@@ -82,8 +81,8 @@ proptest! {
         let data = generate(&SyntheticConfig::small(m, 4, seed));
         let units = UnitMap::identity(m);
         let mut rng = derive_rng(seed, 5);
-        let scheme = SchemeConfig::Bcc { r }
-            .try_build(m, n, &mut rng)
+        let scheme = SchemeRegistry::builtin()
+            .build(&SchemeSpec::with_load("bcc", r), m, n, &mut rng)
             .expect("n = 2m covers every batch");
         let profile = ClusterProfile::homogeneous(
             n, 3.0, 0.001,

@@ -3,8 +3,7 @@
 //! between the `m/r` lower bound and the paper's upper bound.
 
 use bcc::cluster::{ClusterBackend, ClusterProfile, CommModel, UnitMap, VirtualCluster};
-use bcc::core::schemes::SchemeConfig;
-use bcc::core::theory;
+use bcc::core::{theory, SchemeRegistry, SchemeSpec};
 use bcc::data::synthetic::{generate, SyntheticConfig};
 use bcc::optim::LogisticLoss;
 use bcc::stats::rng::derive_rng;
@@ -28,9 +27,10 @@ fn measure_bcc(m: usize, n: usize, r: usize, rounds: usize) -> (f64, f64) {
     let mut messages = 0usize;
     let mut comm_units = 0usize;
     let mut rng = derive_rng(3, 9);
+    let (schemes, bcc) = (SchemeRegistry::builtin(), SchemeSpec::with_load("bcc", r));
     for round in 0..rounds {
-        let scheme = SchemeConfig::Bcc { r }
-            .try_build(m, n, &mut rng)
+        let scheme = schemes
+            .build(&bcc, m, n, &mut rng)
             .expect("covering BCC placement");
         let mut cluster = VirtualCluster::new(profile.clone(), round as u64);
         let out = cluster
