@@ -272,12 +272,7 @@ fn run_list() {
     let data = [
         (
             "in-memory",
-            "resident Dataset + packed worker arena; the default for every experiment",
-        ),
-        (
-            "chunked",
-            "ChunkedDataset: fixed-size row chunks materialized on demand behind an LRU \
-             window — bounded peak memory; drives `repro scale`",
+            "resident Dataset (its storage is the worker arena); the data path of every experiment",
         ),
         (
             "minibatch knob",

@@ -4,51 +4,38 @@
 //! Sweeps a grid of `n` workers × feature dimension × {full, minibatch}
 //! rounds and measures, per cell:
 //!
-//! * **Streaming compute throughput** (the headline, in gradient-example
-//!   evaluations per second): every worker's compute + encode sweep through
-//!   a [`StreamedContext`] over a [`ChunkedDataset`] whose live-chunk
-//!   window is bounded, so peak memory stays independent of the example
-//!   count. The chunk size tiles the coding units, so every unit read is a
-//!   zero-copy alias of a live chunk.
-//! * **Server-side decode, serial vs parallel**: the same completed
-//!   decoder drained through [`DecodePool::serial`] and
-//!   [`DecodePool::threads`], asserted **bit-identical** before timing —
-//!   the determinism contract of the parallel column reduction. The
-//!   speedup column is only meaningful on multi-core hosts; the result
-//!   records [`host_threads`](ScaleBenchResult::host_threads) so a
-//!   single-core CI reading (speedup ≈ 1) is not mistaken for a
-//!   regression.
 //! * **Simulated round metrics** from a replayable [`ExperimentSpec`]
 //!   (virtual backend, fixed-point rounds). These are deterministic in the
 //!   spec seed — identical across hosts, thread counts, and `--fast` — and
 //!   are what the perf gate compares, so drift means a behaviour change,
 //!   never host noise.
+//! * **Server-side decode, serial vs parallel**: one round of the same
+//!   experiment — its scheme, its resident dataset, its minibatch sampler —
+//!   computed and encoded worker by worker into a decoder, which is then
+//!   drained through [`DecodePool::serial`] and [`DecodePool::threads`],
+//!   asserted **bit-identical** before timing — the determinism contract of
+//!   the parallel column reduction. The speedup column is only meaningful
+//!   on multi-core hosts; the result records
+//!   [`host_threads`](ScaleBenchResult::host_threads) so a single-core CI
+//!   reading (speedup ≈ 1) is not mistaken for a regression.
+//!
+//! Each cell holds one dataset, dropped before the next cell starts.
 //!
 //! `--fast` trims only the host-timing repetitions
-//! ([`ScaleBenchConfig::stream_reps`] / [`decode_reps`]); the grid — and
-//! with it every simulated metric and every persisted cell spec — is
-//! unchanged, which is why the gate can compare a `--fast` snapshot
-//! against the committed full artifact (it keys config equality on
-//! [`ScaleGrid`] alone).
-//!
-//! [`decode_reps`]: ScaleBenchConfig::decode_reps
+//! ([`ScaleBenchConfig::decode_reps`]); the grid — and with it every
+//! simulated metric and every persisted cell spec — is unchanged, which is
+//! why the gate can compare a `--fast` snapshot against the committed full
+//! artifact (it keys config equality on [`ScaleGrid`] alone).
 
-use crate::grid::{run_spec, Artifact, Grid, Options};
+use crate::grid::{Artifact, Grid, Options};
 use crate::report::{f1, Table};
-use bcc_cluster::{DecodePool, Minibatch, StreamedContext, UnitMap, UnitSelection};
-use bcc_coding::{CyclicRepetitionScheme, GradientCodingScheme, Payload};
-use bcc_core::experiment::{DataSpec, ExperimentSpec, OptimizerSpec, SchemeSpec};
-use bcc_data::synthetic::SyntheticConfig;
-use bcc_data::ChunkedDataset;
+use bcc_cluster::engine::RoundContext;
+use bcc_cluster::{DecodePool, UnitMap, UnitSelection, WorkerBlocks};
+use bcc_coding::GradientCodingScheme;
+use bcc_core::experiment::{DataSpec, Experiment, ExperimentSpec, OptimizerSpec, SchemeSpec};
 use bcc_optim::{GradScratch, LogisticLoss};
-use bcc_stats::rng::derive_rng;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
-
-/// Stream tag for the cyclic-repetition placement RNG (unused by the
-/// deterministic CR construction, but fixed so the scheme build is
-/// reproducible by contract).
-const SCHEME_STREAM: u64 = 0x5CA1E;
 
 /// The swept grid — the gate's config-equality key. Everything here shapes
 /// the *deterministic* outputs (cell specs and simulated metrics);
@@ -68,8 +55,6 @@ pub struct ScaleGrid {
     pub minibatch_divisor: usize,
     /// Simulated rounds per cell.
     pub rounds: usize,
-    /// Live-chunk bound of the streamed dataset (peak resident chunks).
-    pub max_live_chunks: usize,
     /// Spec seed.
     pub seed: u64,
 }
@@ -79,8 +64,6 @@ pub struct ScaleGrid {
 pub struct ScaleBenchConfig {
     /// The deterministic grid (the gate's comparison key).
     pub grid: ScaleGrid,
-    /// Timed streaming sweeps per cell (minimum is reported).
-    pub stream_reps: usize,
     /// Timed decodes per cell and path (minimum is reported).
     pub decode_reps: usize,
     /// Thread budget of the parallel decode path.
@@ -100,10 +83,8 @@ impl ScaleBenchConfig {
                 r: 5,
                 minibatch_divisor: 4,
                 rounds: 3,
-                max_live_chunks: 8,
                 seed: 2024,
             },
-            stream_reps: 3,
             decode_reps: 5,
             decode_threads: 8,
         }
@@ -115,7 +96,6 @@ impl ScaleBenchConfig {
     #[must_use]
     pub fn fast() -> Self {
         Self {
-            stream_reps: 1,
             decode_reps: 1,
             ..Self::default_config()
         }
@@ -211,19 +191,10 @@ pub struct ScaleCellRow {
     pub examples: usize,
     /// Units sampled per round (`None` on full cells).
     pub minibatch_units: Option<usize>,
-    /// Gradient-example evaluations per streaming sweep (counts
-    /// replication: each selected unit is computed by `r` workers).
+    /// Gradient-example evaluations of one round's compute sweep over all
+    /// workers (counts replication: each selected unit is computed by `r`
+    /// workers).
     pub rows_per_sweep: usize,
-    /// Host seconds of the fastest full streaming compute+encode sweep.
-    pub stream_seconds_per_sweep: f64,
-    /// The headline: `rows_per_sweep / stream_seconds_per_sweep`.
-    pub stream_examples_per_sec: f64,
-    /// Chunk materializations during the first sweep (cache misses — shows
-    /// the LRU window actually streamed instead of going fully resident).
-    pub chunk_materializations: u64,
-    /// Live chunks after the sweep (bounded by the grid's
-    /// `max_live_chunks`).
-    pub live_chunks: usize,
     /// Host seconds of the fastest serial decode of the completed round.
     pub serial_decode_seconds: f64,
     /// Host seconds of the fastest parallel decode (bit-identical result).
@@ -242,15 +213,7 @@ pub struct ScaleCellRow {
 /// `decode_speedup`) must be read in.
 pub type ScaleBenchResult = Artifact<ScaleBenchConfig>;
 
-/// Builds the cell's cyclic-repetition scheme. CR keeps the placement
-/// deterministic at any `n` (no coverage retry loop) and decodes through
-/// the weighted-sum fast path, so the parallel fold is actually exercised.
-fn cell_scheme(grid: &ScaleGrid, n: usize) -> CyclicRepetitionScheme {
-    let mut rng = derive_rng(grid.seed, SCHEME_STREAM);
-    CyclicRepetitionScheme::new(n, grid.r, &mut rng)
-}
-
-/// The evaluation point used by every streaming sweep (fixed, seedless).
+/// The evaluation point of the decoded round (fixed, seedless).
 fn eval_point(dim: usize) -> Vec<f64> {
     (0..dim).map(|k| 0.05 * ((k as f64) * 0.7).sin()).collect()
 }
@@ -281,6 +244,7 @@ impl Grid for ScaleBenchConfig {
 
     const TARGET: &'static str = "scale";
     const ARTIFACT: &'static str = "scale";
+    const VERSION: u32 = 2;
     const GATED: (&'static str, &'static str) =
         ("simulated_seconds_per_round", "simulated s/round");
     const CLAIM: &'static str =
@@ -308,64 +272,45 @@ impl Grid for ScaleBenchConfig {
         let num_examples = n * grid.points_per_unit;
 
         // Deterministic, replayable simulated metrics (the gated part).
-        let report = run_spec(&grid.cell_spec(cell));
+        let experiment = Experiment::from_spec(grid.cell_spec(cell))
+            .expect("scale cells are structurally valid");
+        let report = experiment.run().expect("scale rounds complete");
 
-        // Streamed compute+encode throughput over the bounded-memory
-        // chunked dataset (chunks tile the units → zero-copy reads).
-        let scheme = cell_scheme(grid, n);
+        // One round of the same experiment, computed and encoded over the
+        // resident arena worker by worker until the decoder completes.
+        // (The cyclic-repetition decoder solves for its coefficients and
+        // then takes a weighted sum — the fold the pool parallelizes.)
+        let scheme = experiment.scheme();
         let units = UnitMap::grouped(num_examples, n);
-        let chunked = ChunkedDataset::synthetic(
-            SyntheticConfig {
-                num_examples,
-                dim: cell.dim,
-                separation: 1.5,
-                seed: grid.seed,
-            },
-            grid.points_per_unit,
-            grid.max_live_chunks,
-        );
-        let selection = cell
-            .minibatch
-            .map(|k| Minibatch::new(k, grid.seed).select(0, n));
-        let ctx = StreamedContext {
-            scheme: &scheme,
+        let packed = WorkerBlocks::build(scheme, &units, experiment.dataset());
+        let ctx = RoundContext {
+            scheme,
             units: &units,
-            data: &chunked,
+            data: experiment.dataset(),
             loss: &LogisticLoss,
+            packed: &packed,
+            minibatch: experiment.minibatch(),
         };
+        let selection = ctx.selection_for(0);
         let w = eval_point(cell.dim);
         let mut scratch = GradScratch::new();
-        let mut stream_best = f64::INFINITY;
-        let mut payloads: Vec<Payload> = Vec::new();
-        let mut first_sweep_misses = 0;
-        for rep in 0..config.stream_reps.max(1) {
-            let t = Instant::now();
-            let out: Vec<Payload> = (0..n)
-                .map(|worker| {
-                    ctx.compute_and_encode(worker, &w, &mut scratch, selection.as_ref())
-                        .expect("streamed encode succeeds")
-                })
-                .collect();
-            stream_best = stream_best.min(t.elapsed().as_secs_f64());
-            if rep == 0 {
-                first_sweep_misses = chunked.materializations();
-            }
-            payloads = out;
-        }
-        let rows_per_sweep = sweep_rows(&scheme, &units, selection.as_ref());
-
-        // Serial-vs-parallel decode of the completed round, asserted
-        // bit-identical before timing.
         let mut decoder = scheme.decoder();
-        for (worker, payload) in payloads.iter().enumerate() {
+        for worker in 0..n {
             if decoder.is_complete() {
                 break;
             }
+            let payload = ctx
+                .compute_and_encode_selected(worker, &w, &mut scratch, selection.as_ref())
+                .expect("resident encode succeeds");
             decoder
-                .receive(worker, payload.clone())
+                .receive(worker, payload)
                 .expect("fresh decoder accepts each worker once");
         }
         assert!(decoder.is_complete(), "all workers reported");
+        let rows_per_sweep = sweep_rows(scheme, &units, selection.as_ref());
+
+        // Serial-vs-parallel decode of the completed round, asserted
+        // bit-identical before timing.
         let serial = DecodePool::serial();
         let parallel = DecodePool::threads(config.decode_threads);
         let s_out = serial.decode(&*decoder).expect("serial decode");
@@ -399,10 +344,6 @@ impl Grid for ScaleBenchConfig {
             examples: num_examples,
             minibatch_units: cell.minibatch,
             rows_per_sweep,
-            stream_seconds_per_sweep: stream_best,
-            stream_examples_per_sec: rows_per_sweep as f64 / stream_best,
-            chunk_materializations: first_sweep_misses,
-            live_chunks: chunked.live_chunks(),
             serial_decode_seconds: serial_best,
             parallel_decode_seconds: parallel_best,
             decode_speedup: serial_best / parallel_best,
@@ -415,9 +356,9 @@ impl Grid for ScaleBenchConfig {
         format!("n{} d{} {}", row.workers, row.dim, row.mode)
     }
 
-    /// Keyed on [`ScaleGrid`] alone: the host-timing knobs (`stream_reps`
-    /// / `decode_reps`) differ between `--fast` and full runs by design
-    /// and never influence the gated metrics.
+    /// Keyed on [`ScaleGrid`] alone: the host-timing knob (`decode_reps`)
+    /// differs between `--fast` and full runs by design and never
+    /// influences the gated metrics.
     fn comparable(&self, current: &Self) -> Result<(), String> {
         if self.grid == current.grid {
             return Ok(());
@@ -445,7 +386,6 @@ impl Grid for ScaleBenchConfig {
             &[
                 "cell",
                 "examples",
-                "stream ex/s",
                 "serial dec ms",
                 "par dec ms",
                 "dec speedup",
@@ -457,7 +397,6 @@ impl Grid for ScaleBenchConfig {
             table.push_row(vec![
                 format!("n{} d{} {}", row.workers, row.dim, row.mode),
                 row.examples.to_string(),
-                format!("{:.3e}", row.stream_examples_per_sec),
                 format!("{:.3}", row.serial_decode_seconds * 1e3),
                 format!("{:.3}", row.parallel_decode_seconds * 1e3),
                 format!("{:.2}x", row.decode_speedup),
@@ -483,10 +422,8 @@ mod tests {
                 r: 3,
                 minibatch_divisor: 4,
                 rounds: 2,
-                max_live_chunks: 3,
                 seed: 11,
             },
-            stream_reps: 1,
             decode_reps: 1,
             decode_threads: 4,
         }
@@ -507,19 +444,14 @@ mod tests {
 
     #[test]
     fn tiny_grid_produces_sane_rows() {
-        let cfg = tiny();
-        let result = run(&cfg);
+        // `run_cell` asserts parallel decode ≡ serial decode bit for bit in
+        // every cell before it times either.
+        let result = run(&tiny());
         assert_eq!(result.rows.len(), 4, "2 n × 1 dim × 2 modes");
         for row in &result.rows {
-            assert!(row.stream_examples_per_sec > 0.0, "{row:?}");
             assert!(row.serial_decode_seconds > 0.0, "{row:?}");
             assert!(row.parallel_decode_seconds > 0.0, "{row:?}");
             assert!(row.simulated_seconds_per_round > 0.0, "{row:?}");
-            assert!(
-                row.live_chunks <= cfg.grid.max_live_chunks,
-                "LRU bound violated: {row:?}"
-            );
-            assert!(row.chunk_materializations > 0, "{row:?}");
         }
         let full = result.find("n8 d3 full").unwrap();
         let mini = result.find("n8 d3 minibatch").unwrap();
@@ -528,7 +460,7 @@ mod tests {
             mini.rows_per_sweep < full.rows_per_sweep,
             "minibatch sweeps touch fewer rows"
         );
-        assert_eq!(result.schema, "bcc/bench_scale/v1");
+        assert_eq!(result.schema, "bcc/bench_scale/v2");
         assert!(result.host_threads.is_some() && result.threads_used.is_none());
         assert_eq!(ScaleBenchConfig::render(&result).len(), 4);
     }
@@ -541,7 +473,7 @@ mod tests {
             "--fast must stay gate-comparable against the full artifact"
         );
         let mut fast = tiny();
-        fast.stream_reps = 2;
+        fast.decode_reps = 2;
         let a = run(&tiny());
         let b = run(&fast);
         for (ra, rb) in a.rows.iter().zip(&b.rows) {

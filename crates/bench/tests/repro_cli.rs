@@ -102,7 +102,7 @@ fn gate_requires_a_baseline_dir() {
 #[test]
 fn gate_exit_code_tracks_the_verdict() {
     // Build a baseline + current pair from the repo's checked-in BENCH
-    // files, then inject a >1.5x slowdown and watch the exit code flip.
+    // files, then inject a >1.5x drift and watch the exit code flip.
     let repo_root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
     let dir = scratch("gate_verdict");
     let (baseline, current) = (dir.join("baseline"), dir.join("current"));
@@ -126,13 +126,13 @@ fn gate_exit_code_tracks_the_verdict() {
     );
     assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
 
-    // Inject a relative 2x slowdown: halve every wall reading in the
-    // baseline copy, making `current` twice as slow per entry.
+    // Inject a relative 2x drift: halve every gated (simulated) reading in
+    // the baseline copy, making `current` read twice the baseline per entry.
     let engine = baseline.join("BENCH_round_engine.json");
     let mut doc: bcc_bench::experiments::engine_bench::EngineBenchResult =
         serde_json::from_str(&std::fs::read_to_string(&engine).unwrap()).unwrap();
     for row in &mut doc.rows {
-        row.wall_seconds_per_round /= 2.0;
+        row.simulated_seconds_per_round /= 2.0;
     }
     std::fs::write(&engine, serde_json::to_string_pretty(&doc).unwrap()).unwrap();
 
@@ -149,7 +149,7 @@ fn gate_exit_code_tracks_the_verdict() {
     assert_eq!(
         out.status.code(),
         Some(1),
-        "2x slowdown must fail the gate: {}",
+        "2x drift must fail the gate: {}",
         stderr(&out)
     );
     assert!(stderr(&out).contains("FAILED"), "{}", stderr(&out));
@@ -203,7 +203,6 @@ fn list_enumerates_schemes_models_and_policies() {
         "regime-switch",
         "Batched Coupon's Collector",
         "in-memory",
-        "chunked",
         "minibatch",
         "Virtual",
         "Threaded",
@@ -212,6 +211,8 @@ fn list_enumerates_schemes_models_and_policies() {
     ] {
         assert!(stdout.contains(expected), "`{expected}` missing:\n{stdout}");
     }
+    // No `DataSpec` variant selects a chunk-streamed path: none is listed.
+    assert!(!stdout.contains("chunked"), "{stdout}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -50,7 +50,6 @@ pub mod packed;
 pub mod policy;
 pub mod round_loop;
 pub mod straggler;
-pub mod streamed;
 pub mod threaded;
 pub mod units;
 pub mod virtual_cluster;
@@ -78,7 +77,6 @@ pub use straggler::{
     BimodalModel, MarkovModel, ParetoModel, ShiftedExpModel, StragglerModel, WanLinkModel,
     WeibullModel,
 };
-pub use streamed::StreamedContext;
 pub use threaded::ThreadedCluster;
 pub use units::UnitMap;
 pub use virtual_cluster::VirtualCluster;

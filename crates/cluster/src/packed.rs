@@ -1,51 +1,23 @@
 //! Per-worker packed data for the round hot path.
 //!
 //! Built once per training run from the scheme's placement and the unit
-//! map: the dataset's rows are gathered **once** into a single contiguous
-//! arena [`PackedBlock`] in unit order, and each worker's assignment
-//! becomes a list of row *ranges* into that arena. Replicated units (the
-//! redundancy every coded scheme relies on) therefore cost no extra memory,
-//! every round streams one contiguous allocation instead of scattered
-//! per-worker copies, and round-time access is a linear scan — "pack once,
-//! stream forever".
+//! map. Units tile the dataset front to back (both [`UnitMap`]
+//! constructors group consecutive rows), so the dataset's own storage is
+//! the arena: each worker's assignment becomes a list of row *ranges* into
+//! it. Replicated units (the redundancy every coded scheme relies on)
+//! therefore cost no extra memory, nothing is copied, and round-time access
+//! is a linear scan of one contiguous allocation.
 
 use crate::units::UnitMap;
 use bcc_coding::GradientCodingScheme;
-use bcc_data::{ChunkedDataset, Dataset, PackedBlock};
+use bcc_data::Dataset;
 use bcc_linalg::Matrix;
 use std::ops::Range;
-use std::sync::Arc;
 
-/// How the arena's rows are held: owned when they were gathered, shared
-/// when a chunk-streamed build could alias a live chunk without copying.
-#[derive(Debug, Clone)]
-enum Arena {
-    /// Rows gathered/assembled into a block of our own.
-    Owned(PackedBlock),
-    /// Zero-copy alias of a [`ChunkedDataset`] chunk (the whole dataset was
-    /// one chunk in unit order).
-    Shared(Arc<PackedBlock>),
-}
-
-impl Arena {
-    fn block(&self) -> &PackedBlock {
-        match self {
-            Self::Owned(block) => block,
-            Self::Shared(arc) => arc,
-        }
-    }
-}
-
-/// The shared arena (all units back to back) plus every worker's unit
-/// ranges into it.
+/// Every unit's row range into the arena (the resident dataset), plus every
+/// worker's assigned ranges.
 #[derive(Debug, Clone)]
 pub struct WorkerBlocks {
-    /// Materialized arena for unit maps that permute the dataset, or for
-    /// chunk-streamed builds (which have no resident dataset to borrow).
-    /// `None` when units tile a resident dataset in order (the standard
-    /// grouped map) — then the arena *is* the dataset, borrowed with zero
-    /// copies.
-    gathered: Option<Arena>,
     /// Arena row range of each unit id.
     unit_ranges: Vec<Range<usize>>,
     /// Per worker: the arena range of each assigned unit, in placement
@@ -54,119 +26,37 @@ pub struct WorkerBlocks {
 }
 
 impl WorkerBlocks {
-    /// Packs the dataset in unit order and indexes each worker's assigned
-    /// units as ranges into the arena.
+    /// Indexes each worker's assigned units as row ranges into the arena.
     ///
     /// Range `k` of worker `i` holds the rows of unit
     /// `placement.worker_examples(i)[k]`, in row order — the same order the
-    /// per-example path visits, so blocked kernels stay bit-identical. When
-    /// the units already tile the dataset front to back (always true for
-    /// [`UnitMap::grouped`]) nothing is copied at all.
+    /// per-example path visits, so blocked kernels stay bit-identical.
+    /// Nothing is copied: the arena is `data` itself (see
+    /// [`WorkerBlocks::arena`]).
+    ///
+    /// # Panics
+    /// Panics when the unit map reaches past the end of `data`.
     #[must_use]
     pub fn build(scheme: &dyn GradientCodingScheme, units: &UnitMap, data: &Dataset) -> Self {
-        let mut rows = Vec::with_capacity(data.len());
-        let mut unit_ranges = Vec::with_capacity(units.num_units());
-        for unit in 0..units.num_units() {
-            let start = rows.len();
-            rows.extend(units.unit_range(unit));
-            unit_ranges.push(start..rows.len());
-        }
-        let identity = rows.len() == data.len() && rows.iter().enumerate().all(|(i, &r)| i == r);
-        let gathered = (!identity).then(|| Arena::Owned(PackedBlock::gather(data, &rows)));
+        assert!(
+            units.num_examples() <= data.len(),
+            "unit map covers {} rows but the dataset has {}",
+            units.num_examples(),
+            data.len()
+        );
+        let unit_ranges: Vec<Range<usize>> = (0..units.num_units())
+            .map(|unit| units.unit_range(unit))
+            .collect();
         Self {
-            gathered,
             per_worker: per_worker_ranges(scheme, &unit_ranges),
             unit_ranges,
         }
     }
 
-    /// Like [`WorkerBlocks::build`], but sourcing the arena from a
-    /// chunk-streamed dataset instead of a resident one.
-    ///
-    /// Each unit's rows come from [`ChunkedDataset::read`], which aliases a
-    /// live chunk without copying whenever the unit tiles one (size the
-    /// chunks to the unit size for an all-alias build). Peak memory during
-    /// the build is the arena plus the chunk LRU window — the full matrix
-    /// is never resident twice. When the whole dataset is a single chunk
-    /// that the units tile in order, the arena **is** that chunk, shared
-    /// with zero copies.
-    ///
-    /// The packed bytes are bit-identical to
-    /// `build(scheme, units, &data.materialize_all())` (pinned by this
-    /// module's tests), so every downstream kernel is unaffected by how the
-    /// data was materialized.
-    #[must_use]
-    pub fn build_streamed(
-        scheme: &dyn GradientCodingScheme,
-        units: &UnitMap,
-        data: &ChunkedDataset,
-    ) -> Self {
-        let mut unit_ranges = Vec::with_capacity(units.num_units());
-        let mut arena_rows = 0;
-        for unit in 0..units.num_units() {
-            let r = units.unit_range(unit);
-            unit_ranges.push(arena_rows..arena_rows + r.len());
-            arena_rows += r.len();
-        }
-        let identity = arena_rows == data.num_examples()
-            && (0..units.num_units()).all(|u| units.unit_range(u) == unit_ranges[u]);
-
-        let gathered = if identity && data.num_chunks() == 1 {
-            // The one live chunk is the arena: share it, copy nothing.
-            Arena::Shared(data.chunk(0))
-        } else {
-            let dim = data.dim();
-            let mut flat = Vec::with_capacity(arena_rows * dim);
-            let mut y = Vec::with_capacity(arena_rows);
-            let mut src_rows = Vec::with_capacity(arena_rows);
-            for unit in 0..units.num_units() {
-                let block = data.read(units.unit_range(unit));
-                flat.extend_from_slice(block.features().as_slice());
-                y.extend_from_slice(block.labels());
-                src_rows.extend_from_slice(block.src_rows());
-            }
-            let x = Matrix::from_vec(arena_rows, dim, flat).expect("units share dataset dim");
-            Arena::Owned(PackedBlock::from_parts(x, y, src_rows))
-        };
-        Self {
-            gathered: Some(gathered),
-            per_worker: per_worker_ranges(scheme, &unit_ranges),
-            unit_ranges,
-        }
-    }
-
-    /// The arena's feature matrix and labels: the materialized gather, or
-    /// the dataset itself when no gather was needed.
+    /// The arena's feature matrix and labels: the dataset's own storage.
     #[must_use]
     pub fn arena<'a>(&'a self, data: &'a Dataset) -> (&'a Matrix, &'a [f64]) {
-        match &self.gathered {
-            Some(arena) => {
-                let block = arena.block();
-                (block.features(), block.labels())
-            }
-            None => (data.features(), data.labels()),
-        }
-    }
-
-    /// The arena without a resident dataset — available exactly for
-    /// [`WorkerBlocks::build_streamed`] results (which always materialize).
-    /// `None` for zero-copy [`WorkerBlocks::build`] results, whose arena is
-    /// the borrowed dataset.
-    #[must_use]
-    pub fn arena_block(&self) -> Option<(&Matrix, &[f64])> {
-        self.gathered.as_ref().map(|arena| {
-            let block = arena.block();
-            (block.features(), block.labels())
-        })
-    }
-
-    /// The dataset row behind an arena row (the placement round-trip).
-    #[must_use]
-    pub fn src_row(&self, arena_row: usize) -> usize {
-        match &self.gathered {
-            Some(arena) => arena.block().src_rows()[arena_row],
-            None => arena_row,
-        }
+        (data.features(), data.labels())
     }
 
     /// Arena row range of unit `unit`.
@@ -259,9 +149,9 @@ mod tests {
     use bcc_data::synthetic::{generate, SyntheticConfig};
 
     #[test]
-    fn src_rows_round_trip_placement() {
-        // Regression: packing must remember exactly which dataset rows each
-        // worker-unit range came from, i.e. the placement × unit map.
+    fn worker_ranges_follow_the_placement() {
+        // Regression: each worker-unit range must be exactly the dataset
+        // rows of that unit, i.e. the placement × unit map.
         let g = generate(&SyntheticConfig::small(40, 4, 2));
         let units = UnitMap::grouped(40, 8);
         let choices = vec![0, 1, 2, 3, 0, 1, 2, 3];
@@ -272,19 +162,32 @@ mod tests {
             let unit_list = scheme.placement().worker_examples(worker);
             let ranges = blocks.worker(worker);
             assert_eq!(ranges.len(), unit_list.len());
-            let (x, y) = blocks.arena(&g.dataset);
             for (range, &unit) in ranges.iter().zip(unit_list) {
-                let expect: Vec<usize> = units.unit_range(unit).collect();
-                let src: Vec<usize> = range.clone().map(|i| blocks.src_row(i)).collect();
                 assert_eq!(
-                    src, expect,
-                    "worker {worker} unit {unit} must pack its placement rows"
+                    *range,
+                    units.unit_range(unit),
+                    "worker {worker} unit {unit} must hold its placement rows"
                 );
-                for (i, &j) in range.clone().zip(&src) {
-                    assert_eq!(x.row(i), g.dataset.x(j));
-                    assert_eq!(y[i], g.dataset.y(j));
-                }
             }
+        }
+    }
+
+    #[test]
+    fn arena_is_the_datasets_own_storage() {
+        let g = generate(&SyntheticConfig::small(30, 3, 5));
+        let per_example = UncodedScheme::new(30, 5);
+        let grouped = UncodedScheme::new(10, 5);
+        for (scheme, units) in [
+            (&per_example, UnitMap::identity(30)),
+            (&grouped, UnitMap::grouped(30, 10)),
+        ] {
+            let blocks = WorkerBlocks::build(scheme, &units, &g.dataset);
+            let (x, y) = blocks.arena(&g.dataset);
+            assert!(
+                std::ptr::eq(x, g.dataset.features()),
+                "features are borrowed"
+            );
+            assert!(std::ptr::eq(y, g.dataset.labels()), "labels are borrowed");
         }
     }
 
@@ -323,52 +226,6 @@ mod tests {
         assert!(
             seen.iter().all(|s| *s),
             "uncoded packing must cover all rows"
-        );
-    }
-
-    #[test]
-    fn streamed_build_matches_resident_build() {
-        let cfg = SyntheticConfig::small(40, 4, 2);
-        let g = generate(&cfg);
-        let units = UnitMap::grouped(40, 8);
-        let choices = vec![0, 1, 2, 3, 0, 1, 2, 3];
-        let scheme = BccScheme::from_choices(8, 2, choices);
-        let resident = WorkerBlocks::build(&scheme, &units, &g.dataset);
-        // Chunk size deliberately misaligned with the 5-row units.
-        let chunked = bcc_data::ChunkedDataset::synthetic(cfg, 7, 2);
-        let streamed = WorkerBlocks::build_streamed(&scheme, &units, &chunked);
-        let (rx, ry) = resident.arena(&g.dataset);
-        let (sx, sy) = streamed
-            .arena_block()
-            .expect("streamed always materializes");
-        assert_eq!(rx.as_slice(), sx.as_slice(), "arena bytes must match");
-        assert_eq!(ry, sy);
-        for worker in 0..scheme.num_workers() {
-            assert_eq!(resident.worker(worker), streamed.worker(worker));
-        }
-        for row in 0..40 {
-            assert_eq!(resident.src_row(row), streamed.src_row(row));
-        }
-    }
-
-    #[test]
-    fn streamed_single_chunk_arena_is_shared() {
-        let cfg = SyntheticConfig::small(30, 3, 5);
-        let units = UnitMap::grouped(30, 10);
-        let scheme = UncodedScheme::new(10, 5);
-        let chunked = bcc_data::ChunkedDataset::synthetic(cfg, 30, 1);
-        let before = chunked.materializations();
-        let streamed = WorkerBlocks::build_streamed(&scheme, &units, &chunked);
-        assert_eq!(
-            chunked.materializations(),
-            before + 1,
-            "exactly the one chunk materialization"
-        );
-        let (sx, _) = streamed.arena_block().expect("streamed arena");
-        let chunk = chunked.chunk(0);
-        assert!(
-            std::ptr::eq(sx.as_slice().as_ptr(), chunk.features().as_slice().as_ptr()),
-            "single-chunk identity build must alias the live chunk"
         );
     }
 

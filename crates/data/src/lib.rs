@@ -11,12 +11,6 @@
 //! * [`placement`] — data-placement bipartite graph (§II): which worker
 //!   stores which examples, with coverage/load/replication accounting, and
 //!   builders for every placement the paper compares.
-//! * [`packed`] — contiguous per-worker row blocks: each worker's assigned
-//!   index set gathered once at setup so the round-time gradient kernels
-//!   stream linearly instead of gathering by index every iteration.
-//! * [`chunked`] — bounded-memory datasets: fixed-size row chunks
-//!   materialized on demand from a seeded source with LRU eviction, so the
-//!   scale grids never hold the full feature matrix resident.
 
 #![forbid(unsafe_code)]
 // Index loops are kept where they mirror the papers' matrix/recurrence
@@ -25,15 +19,11 @@
 #![warn(missing_docs)]
 
 pub mod batching;
-pub mod chunked;
 pub mod dataset;
-pub mod packed;
 pub mod placement;
 pub mod synthetic;
 
 pub use batching::Batching;
-pub use chunked::{BlockRead, ChunkedDataset, InMemorySource, RowSource, SyntheticSource};
 pub use dataset::Dataset;
-pub use packed::PackedBlock;
 pub use placement::Placement;
 pub use synthetic::SyntheticConfig;

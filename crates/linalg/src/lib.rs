@@ -6,12 +6,12 @@
 //! * [`vec_ops`] — BLAS-1 style kernels over `&[f64]` slices (dot, axpy, …).
 //! * [`Matrix`] — row-major dense matrices with BLAS-2/3 kernels.
 //! * [`solve`] — LU with partial pivoting, triangular solves, inverse.
-//! * [`cholesky`] — SPD factorization for normal-equation and ridge solves.
 //! * [`qr`] — Householder QR and least-squares solves that skip each
 //!   column's leading and trailing zeros (used by the cyclic-repetition
 //!   decoder, which solves the banded `a^T B_F = 1^T`).
-//! * [`parallel`] — chunked fork/join helpers built on `crossbeam::scope`,
-//!   the only data-parallelism primitive the workloads need.
+//! * [`parallel`] — the thread budget ([`parallel::Parallelism`]) and the
+//!   bit-deterministic column-parallel weighted sum the decode pool runs on
+//!   `crossbeam::scope`.
 //!
 //! Everything is `f64`; the reproduction never needs mixed precision.
 
@@ -21,11 +21,9 @@
 #![allow(clippy::needless_range_loop)]
 #![warn(missing_docs)]
 
-pub mod cholesky;
 pub mod error;
 pub mod matrix;
 pub mod parallel;
-pub mod power;
 pub mod qr;
 pub mod solve;
 pub mod vec_ops;

@@ -7,14 +7,7 @@
 
 use crate::loss::Loss;
 use bcc_data::Dataset;
-use bcc_linalg::parallel::{par_sum_vectors, Parallelism};
 use bcc_linalg::vec_ops;
-
-/// Partial gradient `g_j(w)` of a single example.
-#[must_use]
-pub fn partial_gradient<L: Loss>(data: &Dataset, loss: &L, j: usize, w: &[f64]) -> Vec<f64> {
-    loss.gradient(data.x(j), data.y(j), w)
-}
 
 /// Sum of partial gradients over an index set: `Σ_{j∈set} g_j(w)`.
 ///
@@ -53,37 +46,6 @@ pub fn sum_partial_gradients_range<L: Loss>(
 #[must_use]
 pub fn full_gradient<L: Loss>(data: &Dataset, loss: &L, w: &[f64]) -> Vec<f64> {
     let mut g = sum_partial_gradients_range(data, loss, 0..data.len(), w);
-    vec_ops::scale(1.0 / data.len() as f64, &mut g);
-    g
-}
-
-/// Chunk-parallel full gradient; numerically equal to [`full_gradient`] up to
-/// floating-point reassociation.
-#[must_use]
-pub fn full_gradient_parallel<L: Loss>(
-    data: &Dataset,
-    loss: &L,
-    w: &[f64],
-    par: Parallelism,
-) -> Vec<f64> {
-    // One range per thread instead of one index per example: the only
-    // allocation proportional to anything is the (thread-count-sized) range
-    // list.
-    let threads = par.get().min(data.len()).max(1);
-    let chunk = data.len().div_ceil(threads).max(1);
-    let ranges: Vec<std::ops::Range<usize>> = (0..data.len())
-        .step_by(chunk)
-        .map(|start| start..(start + chunk).min(data.len()))
-        .collect();
-    let mut g = par_sum_vectors(par, &ranges, w.len(), |_, rs| {
-        let mut acc = vec![0.0; w.len()];
-        for r in rs {
-            for j in r.clone() {
-                loss.add_gradient(data.x(j), data.y(j), w, &mut acc);
-            }
-        }
-        acc
-    });
     vec_ops::scale(1.0 / data.len() as f64, &mut g);
     g
 }
@@ -133,15 +95,6 @@ mod tests {
         let all: Vec<usize> = (0..d.len()).collect();
         let total = sum_partial_gradients(&d, &LogisticLoss, &all, &w);
         assert!(approx_eq_slice(&acc, &total, 1e-9));
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let d = data();
-        let w = vec![0.2; 8];
-        let seq = full_gradient(&d, &LogisticLoss, &w);
-        let par = full_gradient_parallel(&d, &LogisticLoss, &w, Parallelism::threads(4));
-        assert!(approx_eq_slice(&seq, &par, 1e-9));
     }
 
     #[test]

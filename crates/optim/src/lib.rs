@@ -12,12 +12,10 @@
 //!   packed-kernel specializations for the round hot path.
 //! * [`scratch`] — reusable margins/accumulator buffers so the blocked
 //!   kernels allocate nothing per round.
-//! * [`gradient`] — full/partial-gradient kernels over a [`bcc_data::Dataset`],
-//!   sequential and chunk-parallel.
+//! * [`gradient`] — full/partial-gradient kernels over a [`bcc_data::Dataset`].
 //! * [`schedule`] — learning-rate schedules.
 //! * [`gd`] — vanilla gradient descent.
 //! * [`nesterov`] — Nesterov's accelerated gradient method.
-//! * [`regularized`] — L2 (ridge) wrapper over any per-example loss.
 //! * [`trace`] — convergence traces for the experiment harness.
 
 #![forbid(unsafe_code)]
@@ -30,19 +28,15 @@ pub mod gd;
 pub mod gradient;
 pub mod loss;
 pub mod nesterov;
-pub mod regularized;
 pub mod schedule;
 pub mod scratch;
-pub mod stepsize;
 pub mod trace;
 
 pub use gd::GradientDescent;
 pub use loss::{LogisticLoss, Loss, SquaredLoss};
 pub use nesterov::Nesterov;
-pub use regularized::L2Regularized;
 pub use schedule::LearningRate;
 pub use scratch::GradScratch;
-pub use stepsize::{auto_constant_rate, LossSmoothness};
 pub use trace::ConvergenceTrace;
 
 /// A first-order optimizer that consumes externally computed gradients.

@@ -1,7 +1,6 @@
 //! Per-example loss functions, their gradients, and the blocked kernels the
 //! packed hot path streams.
 
-use bcc_data::PackedBlock;
 use bcc_linalg::{vec_ops, Matrix};
 
 /// A per-example loss `ℓ(x, y; w)` with gradient `∇_w ℓ`.
@@ -49,24 +48,6 @@ pub trait Loss: Send + Sync {
         for i in rows {
             self.add_gradient(x.row(i), y[i], w, acc);
         }
-    }
-
-    /// [`Loss::add_gradient_rows`] over a whole packed block.
-    fn add_gradient_block(
-        &self,
-        block: &PackedBlock,
-        w: &[f64],
-        margins: &mut Vec<f64>,
-        acc: &mut [f64],
-    ) {
-        self.add_gradient_rows(
-            block.features(),
-            block.labels(),
-            0..block.len(),
-            w,
-            margins,
-            acc,
-        );
     }
 }
 

@@ -13,7 +13,7 @@ use bcc_linalg::Matrix;
 /// Owned margins + partial-gradient buffers, reused across rounds.
 #[derive(Debug, Default)]
 pub struct GradScratch {
-    /// Margin scratch handed to [`Loss::add_gradient_block`].
+    /// Margin scratch handed to [`Loss::add_gradient_rows`].
     margins: Vec<f64>,
     /// Per-unit accumulator pool; only the first `blocks.len()` entries of a
     /// call are live, and capacity persists across calls.

@@ -1,10 +1,10 @@
 //! Property tests pinning the packed-kernel contract: blocked gradient
 //! kernels must equal the per-example path **bit for bit**, across losses,
 //! worker/unit counts, and uneven batch sizes. This is the invariant that
-//! lets the cluster hot path switch to packed blocks without perturbing a
-//! single Table I/II gradient.
+//! lets the cluster hot path stream the arena through blocked kernels without
+//! perturbing a single Table I/II gradient.
 
-use bcc_data::{synthetic, Dataset, PackedBlock};
+use bcc_data::{synthetic, Dataset};
 use bcc_optim::loss::{LogisticLoss, SquaredLoss};
 use bcc_optim::{GradScratch, Loss};
 use proptest::prelude::*;
@@ -29,19 +29,14 @@ fn per_example(loss: &dyn Loss, data: &Dataset, rows: &[usize], w: &[f64]) -> Ve
     acc
 }
 
-/// Packed path via the scratch-owned blocked kernel over a gathered block.
+/// Packed path via the scratch-owned blocked kernel over `rows` gathered,
+/// in order, into a matrix of their own.
 fn packed(loss: &dyn Loss, data: &Dataset, rows: &[usize], w: &[f64]) -> Vec<f64> {
-    let block = PackedBlock::gather(data, rows);
+    let x = data.features().select_rows(rows).expect("rows in range");
+    let y: Vec<f64> = rows.iter().map(|&j| data.y(j)).collect();
     let mut scratch = GradScratch::new();
     let full = 0..rows.len();
-    scratch.worker_partials(
-        loss,
-        block.features(),
-        block.labels(),
-        std::slice::from_ref(&full),
-        w,
-    )[0]
-    .clone()
+    scratch.worker_partials(loss, &x, &y, std::slice::from_ref(&full), w)[0].clone()
 }
 
 fn assert_bitwise_eq(a: &[f64], b: &[f64], what: &str) {
@@ -124,7 +119,7 @@ proptest! {
         seed in 0u64..200,
     ) {
         /// Loss with only the per-example methods (exercises the default
-        /// `add_gradient_block`).
+        /// `add_gradient_rows`).
         #[derive(Debug)]
         struct Hinge;
         impl Loss for Hinge {
