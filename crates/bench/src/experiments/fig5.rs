@@ -7,12 +7,18 @@
 //! `⌊m·log m⌋` deliveries and places examples uniformly at random; LB
 //! splits the data proportionally to speed without repetition. The paper
 //! reports a 29.28% reduction in average computation time.
+//!
+//! The figure is two experiments on the round engine — `generalized-bcc`
+//! and `load-balanced` of [`hetero::schemes`], no optimizer. The profile's
+//! link is zero-cost, so a round's time *is* its coverage time (eq. (16)).
 
 use crate::report::{f1, Table};
-use bcc_core::hetero::{
-    optimal_loads, simulate_gbcc_coverage_time, simulate_lb_completion_time, theorem2_bounds,
-    Fig5Config,
+use bcc_cluster::ClusterProfile;
+use bcc_core::hetero::{self, coverage_budget, optimal_loads, theorem2_bounds};
+use bcc_core::{
+    DataSpec, Experiment, ExperimentSpec, LatencySpec, OptimizerSpec, Registries, SchemeSpec,
 };
+use bcc_stats::{derive_seed, Summary};
 use serde::{Deserialize, Serialize};
 
 /// Fig. 5 result.
@@ -38,28 +44,62 @@ pub struct Fig5Result {
     pub trials: usize,
 }
 
-/// Runs the Fig. 5 comparison with the paper's cluster.
+/// Dataset size `m` and cluster size `n` (that of
+/// [`LatencySpec::Fig5Heterogeneous`]).
+const UNITS: usize = 500;
+const WORKERS: usize = 100;
+/// Placements each arm averages over (generalized BCC's is random).
+const PLACEMENTS: u64 = 10;
+
+/// Round times of `scheme` over `trials` rounds (rounded up to a multiple of
+/// [`PLACEMENTS`]), split evenly over placement seeds derived from `seed`.
+fn coverage_times(scheme: &str, trials: usize, seed: u64, registries: &Registries) -> Summary {
+    let mut times = Summary::new();
+    for placement in 0..PLACEMENTS {
+        let spec = ExperimentSpec {
+            name: format!("fig5 / {scheme}"),
+            data: DataSpec::synthetic(1, 2),
+            latency: LatencySpec::Fig5Heterogeneous,
+            optimizer: OptimizerSpec::FixedPoint,
+            iterations: trials.div_ceil(PLACEMENTS as usize),
+            seed: derive_seed(seed, placement),
+            ..ExperimentSpec::with_required(WORKERS, UNITS, SchemeSpec::named(scheme))
+        };
+        let report = Experiment::from_spec_with(spec, registries)
+            .expect("the Fig. 5 specs are valid")
+            .run()
+            .expect("virtual rounds of a covering placement complete");
+        for sample in &report.round_samples {
+            times.push(sample.total_time);
+        }
+    }
+    times
+}
+
+/// Runs the Fig. 5 comparison with the paper's cluster: `trials` rounds
+/// per arm, both arms on the same latency streams.
 #[must_use]
 pub fn run(trials: usize, seed: u64) -> Fig5Result {
-    let config = Fig5Config::paper(trials, seed);
-    let m = config.num_examples;
-    let s = (m as f64 * (m as f64).ln()).floor() as usize;
-    let solution = optimal_loads(&config.workers, s, m);
-
-    let gbcc = simulate_gbcc_coverage_time(&config, &solution.loads);
-    let lb = simulate_lb_completion_time(&config);
-    let bounds = theorem2_bounds(&config.workers, m, trials.min(300), seed ^ 0xB0);
+    let profile = ClusterProfile::fig5_heterogeneous();
+    let registries = Registries {
+        schemes: hetero::schemes(&profile),
+        ..Registries::default()
+    };
+    let gbcc = coverage_times("generalized-bcc", trials, seed, &registries);
+    let lb = coverage_times("load-balanced", trials, seed, &registries);
+    let loads = optimal_loads(&profile.workers, coverage_budget(UNITS), UNITS).loads;
+    let bounds = theorem2_bounds(&profile.workers, UNITS, trials.min(300), seed ^ 0xB0);
 
     Fig5Result {
-        lb_mean: lb.mean_time,
-        gbcc_mean: gbcc.mean_time,
-        lb_std_err: lb.std_err,
-        gbcc_std_err: gbcc.std_err,
-        reduction_percent: (1.0 - gbcc.mean_time / lb.mean_time) * 100.0,
-        gbcc_loads: solution.loads,
+        lb_mean: lb.mean(),
+        gbcc_mean: gbcc.mean(),
+        lb_std_err: lb.std_err(),
+        gbcc_std_err: gbcc.std_err(),
+        reduction_percent: (1.0 - gbcc.mean() / lb.mean()) * 100.0,
+        gbcc_loads: loads,
         theorem2_lower: bounds.lower,
         theorem2_upper: bounds.upper,
-        trials,
+        trials: lb.count() as usize,
     }
 }
 

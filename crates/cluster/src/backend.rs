@@ -68,7 +68,6 @@ impl RoundOutcome {
             exact: self.exact,
             gradient_error,
             staleness: 0,
-            arrivals: self.arrivals.clone(),
         }
     }
 }

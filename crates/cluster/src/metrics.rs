@@ -86,11 +86,6 @@ pub struct RoundSample {
     /// positive under the stale modes (SSP/ASGD), where it is the realized
     /// staleness of the round's gradient.
     pub staleness: usize,
-    /// The messages the master consumed, in worker-id order — the
-    /// per-worker arrival telemetry adaptive controllers feed on. Empty on
-    /// pre-telemetry sample dumps and synthetic samples (LocalSGD merge
-    /// rounds have no master-side arrivals).
-    pub arrivals: Vec<ArrivalStamp>,
 }
 
 // Manual impl so pre-mode sample dumps (no `staleness` key) keep
@@ -109,10 +104,6 @@ impl Deserialize for RoundSample {
             },
             staleness: match v.get("staleness") {
                 None | Some(serde::Value::Null) => 0,
-                Some(inner) => Deserialize::from_value(inner)?,
-            },
-            arrivals: match v.get("arrivals") {
-                None | Some(serde::Value::Null) => Vec::new(),
                 Some(inner) => Deserialize::from_value(inner)?,
             },
         })

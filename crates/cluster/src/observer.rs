@@ -142,107 +142,6 @@ impl EventLog {
     pub fn round_events(&self, round: u64) -> Vec<&RoundEvent> {
         self.events.iter().filter(|e| e.round() == round).collect()
     }
-
-    /// The log as newline-delimited JSON (one object per event, in emission
-    /// order, each tagged with an `"event"` discriminant) — the
-    /// machine-readable telemetry export for offline inspection of a run.
-    #[must_use]
-    pub fn to_json_lines(&self) -> String {
-        use serde::Value;
-        fn obj(event: &'static str, fields: Vec<(String, Value)>) -> Value {
-            let mut all = vec![("event".to_string(), Value::Str(event.into()))];
-            all.extend(fields);
-            Value::Object(all)
-        }
-        fn key(k: &str, v: Value) -> (String, Value) {
-            (k.to_string(), v)
-        }
-        fn coverage(c: &Coverage) -> Vec<(String, Value)> {
-            vec![
-                key("covered_units", Value::Uint(c.covered_units as u64)),
-                key("total_units", Value::Uint(c.total_units as u64)),
-            ]
-        }
-        let mut out = String::new();
-        for event in &self.events {
-            let value = match event {
-                RoundEvent::Broadcast {
-                    round,
-                    participants,
-                } => obj(
-                    "broadcast",
-                    vec![
-                        key("round", Value::Uint(*round)),
-                        key("participants", Value::Uint(*participants as u64)),
-                    ],
-                ),
-                RoundEvent::Arrival {
-                    round,
-                    worker,
-                    at,
-                    messages,
-                    coverage: c,
-                } => {
-                    let mut fields = vec![
-                        key("round", Value::Uint(*round)),
-                        key("worker", Value::Uint(*worker as u64)),
-                        key("at", Value::Num(*at)),
-                        key("messages", Value::Uint(*messages as u64)),
-                    ];
-                    fields.extend(coverage(c));
-                    obj("arrival", fields)
-                }
-                RoundEvent::Complete {
-                    round,
-                    at,
-                    messages,
-                    coverage: c,
-                } => {
-                    let mut fields = vec![
-                        key("round", Value::Uint(*round)),
-                        key("at", Value::Num(*at)),
-                        key("messages", Value::Uint(*messages as u64)),
-                    ];
-                    fields.extend(coverage(c));
-                    obj("complete", fields)
-                }
-                RoundEvent::Stalled {
-                    round,
-                    received,
-                    reason,
-                } => obj(
-                    "stalled",
-                    vec![
-                        key("round", Value::Uint(*round)),
-                        key("received", Value::Uint(*received as u64)),
-                        key("reason", Value::Str(reason.clone())),
-                    ],
-                ),
-                RoundEvent::StaleFrame {
-                    round,
-                    worker,
-                    frame_round,
-                } => obj(
-                    "stale_frame",
-                    vec![
-                        key("round", Value::Uint(*round)),
-                        key("worker", Value::Uint(*worker as u64)),
-                        key("frame_round", Value::Uint(*frame_round)),
-                    ],
-                ),
-                RoundEvent::Rejoined { round, worker } => obj(
-                    "rejoined",
-                    vec![
-                        key("round", Value::Uint(*round)),
-                        key("worker", Value::Uint(*worker as u64)),
-                    ],
-                ),
-            };
-            out.push_str(&serde_json::to_string(&value).expect("event serialization is total"));
-            out.push('\n');
-        }
-        out
-    }
 }
 
 impl RoundObserver for EventLog {

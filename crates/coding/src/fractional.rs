@@ -58,12 +58,6 @@ impl FractionalRepetitionScheme {
         })
     }
 
-    /// Shard id stored by a worker.
-    #[must_use]
-    pub fn shard_of_worker(&self, worker: usize) -> usize {
-        worker % self.shards
-    }
-
     /// Number of distinct shards (`n/r`).
     #[must_use]
     pub fn num_shards(&self) -> usize {

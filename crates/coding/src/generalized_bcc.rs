@@ -16,6 +16,7 @@ use rand::Rng;
 /// Generalized BCC: heterogeneous random placement + uncoded communication.
 #[derive(Debug, Clone)]
 pub struct GeneralizedBccScheme {
+    name: &'static str,
     placement: Placement,
 }
 
@@ -34,26 +35,28 @@ impl GeneralizedBccScheme {
         for _ in 0..10_000 {
             let placement = Placement::heterogeneous_random(m, loads, rng);
             if placement.covers_all() {
-                return Some(Self { placement });
+                return Some(Self::from_placement("generalized-bcc", placement));
             }
         }
         None
     }
 
-    /// Builds from an explicit placement (tests / replay).
+    /// Builds from an explicit placement under the report name `name` —
+    /// §IV-A's uncoded communication over any covering assignment (the
+    /// load-balanced baseline of §IV-C, tests, replay).
     ///
     /// # Panics
     /// Panics when the placement does not cover the dataset.
     #[must_use]
-    pub fn from_placement(placement: Placement) -> Self {
+    pub fn from_placement(name: &'static str, placement: Placement) -> Self {
         assert!(placement.covers_all(), "placement must cover the dataset");
-        Self { placement }
+        Self { name, placement }
     }
 }
 
 impl GradientCodingScheme for GeneralizedBccScheme {
     fn name(&self) -> &'static str {
-        "generalized-bcc"
+        self.name
     }
 
     fn placement(&self) -> &Placement {
@@ -126,7 +129,8 @@ mod tests {
         // One worker holds everything; hearing from it alone completes.
         let m = 6;
         let placement = Placement::new(m, vec![vec![0, 1, 2, 3, 4, 5], vec![0, 1], vec![2, 3]]);
-        let scheme = GeneralizedBccScheme::from_placement(placement);
+        let scheme = GeneralizedBccScheme::from_placement("explicit", placement);
+        assert_eq!(scheme.name(), "explicit");
         let grads = random_gradients(m, 2, 5);
         let mut dec = scheme.decoder();
         let partials = worker_partials(scheme.placement(), 0, &grads);
@@ -141,6 +145,6 @@ mod tests {
     #[should_panic(expected = "cover")]
     fn from_placement_requires_coverage() {
         let placement = Placement::new(4, vec![vec![0, 1]]);
-        let _ = GeneralizedBccScheme::from_placement(placement);
+        let _ = GeneralizedBccScheme::from_placement("explicit", placement);
     }
 }

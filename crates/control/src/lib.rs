@@ -134,12 +134,6 @@ impl ControlLoop {
         });
     }
 
-    /// The controller's name.
-    #[must_use]
-    pub fn controller_name(&self) -> &'static str {
-        self.controller.name()
-    }
-
     /// Per-round decisions so far, in round order.
     #[must_use]
     pub fn records(&self) -> &[ControlRecord] {

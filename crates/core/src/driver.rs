@@ -182,13 +182,18 @@ pub(crate) fn empirical_risk_dyn(data: &Dataset, loss: &dyn Loss, w: &[f64]) -> 
 
 #[cfg(test)]
 mod tests {
+    use super::{ControlLoop, RoundDriver, RoundOutcome, SyncDriver};
     use crate::experiment::{
         DataSpec, Experiment, ExperimentBuilder, ExperimentReport, LatencySpec, OptimizerSpec,
         PolicySpec, SchemeSpec,
     };
+    use bcc_cluster::{BackendConfig, ClusterBackend, FastestK, UnitMap, VirtualCluster};
+    use bcc_control::{ChosenPolicy, StaticController};
     use bcc_linalg::vec_ops;
     use bcc_optim::gradient::full_gradient;
     use bcc_optim::LogisticLoss;
+    use bcc_stats::derive_seed;
+    use std::sync::Arc;
 
     fn builder(scheme: SchemeSpec, seed: u64) -> ExperimentBuilder {
         Experiment::builder()
@@ -277,6 +282,22 @@ mod tests {
         assert_eq!(report.metrics.rounds, 5);
     }
 
+    /// Forwards to the wrapped driver, keeping each round's consumed
+    /// workers — the arrival stamps a run report does not retain.
+    struct Recording<'a>(SyncDriver<'a>, Vec<Vec<usize>>);
+
+    impl RoundDriver for Recording<'_> {
+        fn eval_point(&mut self, round: usize) -> Vec<f64> {
+            self.0.eval_point(round)
+        }
+
+        fn consume(&mut self, round: usize, outcome: RoundOutcome) {
+            let workers = outcome.arrivals.iter().map(|stamp| stamp.worker);
+            self.1.push(workers.collect());
+            self.0.consume(round, outcome);
+        }
+    }
+
     #[test]
     fn fixed_point_under_an_approximate_policy_prices_every_round() {
         let exp = builder(SchemeSpec::named("uncoded"), 29)
@@ -286,7 +307,31 @@ mod tests {
             .record_risk(true)
             .build()
             .unwrap();
-        let report = exp.run().unwrap();
+        // `Experiment::run`'s wiring by hand, so the driver can be wrapped.
+        let data = exp.dataset();
+        let mut control = ControlLoop::new(
+            Box::new(StaticController),
+            20,
+            ChosenPolicy::wait_decodable(),
+        );
+        let sync = SyncDriver::new(None, 8, data, &LogisticLoss, true, 6, &mut control);
+        let mut driver = Recording(sync, Vec::new());
+        let config = BackendConfig::new()
+            .straggler_model(exp.net_model(None))
+            .aggregation_policy(Arc::new(FastestK::new(12)));
+        VirtualCluster::new(exp.profile().clone(), derive_seed(29, 0x5EED))
+            .configured(config)
+            .run_rounds(
+                6,
+                exp.scheme(),
+                &UnitMap::grouped(data.len(), 20),
+                data,
+                &LogisticLoss,
+                &mut driver,
+            )
+            .unwrap();
+        let (consumed, report) = (driver.1, driver.0.finish());
+        assert_eq!(report.round_samples, exp.run().unwrap().round_samples);
         assert!(report.trace.is_empty(), "no optimizer, no risk trace");
         assert_eq!(report.weights, vec![0.0; 8]);
         assert_eq!(report.round_samples.len(), 6);
@@ -295,17 +340,15 @@ mod tests {
         // gradient over the examples of the workers that made the cut
         // (worker → units from the placement, unit `u` → examples
         // `10u..10(u + 1)`), so the test can price it independently.
-        let data = exp.dataset();
         let placement = exp.scheme().placement();
         let origin = [0.0; 8];
         let exact = full_gradient(data, &LogisticLoss, &origin);
-        for sample in &report.round_samples {
+        for (sample, workers) in report.round_samples.iter().zip(&consumed) {
             assert!(!sample.exact);
-            assert_eq!(sample.arrivals.len(), 12);
-            let covered: Vec<usize> = sample
-                .arrivals
+            assert_eq!(workers.len(), 12);
+            let covered: Vec<usize> = workers
                 .iter()
-                .flat_map(|stamp| placement.worker_examples(stamp.worker))
+                .flat_map(|&worker| placement.worker_examples(worker))
                 .flat_map(|&unit| unit * 10..(unit + 1) * 10)
                 .collect();
             let mut diff = full_gradient(&data.subset(&covered), &LogisticLoss, &origin);

@@ -72,12 +72,12 @@ pub fn theorem2_bounds(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hetero::coverage::{simulate_gbcc_coverage_time, Fig5Config};
+    use crate::experiment::{DataSpec, Experiment, LatencySpec, OptimizerSpec, SchemeSpec};
+    use crate::hetero::{coverage_budget, schemes};
+    use bcc_cluster::ClusterProfile;
 
     fn fig5_workers() -> Vec<WorkerProfile> {
-        let mut w = vec![WorkerProfile { mu: 1.0, a: 20.0 }; 95];
-        w.extend(vec![WorkerProfile { mu: 20.0, a: 20.0 }; 5]);
-        w
+        ClusterProfile::fig5_heterogeneous().workers
     }
 
     #[test]
@@ -110,30 +110,35 @@ mod tests {
         // upper bound is achieved *by* a generalized BCC with the theorem's
         // inflated budget — the simulated coverage at s = ⌊m log m⌋ should
         // not exceed the upper bound either.
-        let workers = fig5_workers();
+        let profile = ClusterProfile::fig5_heterogeneous();
         let m = 500;
-        let bounds = theorem2_bounds(&workers, m, 150, 7);
+        let bounds = theorem2_bounds(&profile.workers, m, 150, 7);
+        assert!(coverage_budget(m) < bounds.upper_budget);
 
-        let cfg = Fig5Config {
-            num_examples: m,
-            workers: workers.clone(),
-            trials: 100,
-            seed: 11,
-        };
-        let s = (m as f64 * (m as f64).ln()).floor() as usize;
-        let sol = optimal_loads(&workers, s, m);
-        let gbcc = simulate_gbcc_coverage_time(&cfg, &sol.loads);
-        assert!(gbcc.success_rate > 0.9);
+        let rounds = 100;
+        let gbcc = Experiment::builder()
+            .workers(100)
+            .units(m)
+            .scheme(SchemeSpec::named("generalized-bcc"))
+            .data(DataSpec::synthetic(1, 2))
+            .latency(LatencySpec::Fig5Heterogeneous)
+            .optimizer(OptimizerSpec::FixedPoint)
+            .iterations(rounds)
+            .seed(11)
+            .registry(schemes(&profile))
+            .build()
+            .unwrap();
+        let mean_time = gbcc.run().unwrap().metrics.total_time / rounds as f64;
         assert!(
-            gbcc.mean_time >= bounds.lower * 0.9,
+            mean_time >= bounds.lower * 0.9,
             "coverage {} below lower bound {}",
-            gbcc.mean_time,
+            mean_time,
             bounds.lower
         );
         assert!(
-            gbcc.mean_time <= bounds.upper * 1.1,
+            mean_time <= bounds.upper * 1.1,
             "coverage {} above upper bound {}",
-            gbcc.mean_time,
+            mean_time,
             bounds.upper
         );
     }

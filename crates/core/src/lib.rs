@@ -22,8 +22,8 @@
 //! * [`hetero`] — §IV, the heterogeneous extension: the shift-exponential
 //!   worker model, the P2 load-allocation solver (Lambert-W closed form per
 //!   worker + a closed-form target time, following the HCMM structure of
-//!   \[16\]), the generalized-BCC coverage process, the LB baseline, and the
-//!   Theorem 2 bounds.
+//!   \[16\]), the registry placing generalized BCC and the LB baseline on a
+//!   cluster profile ([`hetero::schemes`]), and the Theorem 2 bounds.
 //! * [`error`] — [`BccError`], the one error type facade callers match.
 
 #![forbid(unsafe_code)]

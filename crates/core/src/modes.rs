@@ -415,7 +415,6 @@ pub(crate) fn run_local_sgd(
             exact: covered_units == total_units,
             gradient_error: None,
             staleness: 0,
-            arrivals: Vec::new(),
         });
         if let Some(before) = w_before {
             let mut delta = before;

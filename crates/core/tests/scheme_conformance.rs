@@ -1,17 +1,19 @@
 //! The `GradientCodingScheme` / `Decoder` contract, checked for every scheme
-//! the registry knows — the table is `Registries::default().schemes.names()`,
-//! so a newly registered scheme is covered without touching this file. The
-//! one scheme built from per-worker loads instead of a spec (generalized BCC,
-//! §IV) rides along as an extra row.
+//! a registry knows — the table is `hetero::schemes(&profile).names()`: the
+//! built-ins plus §IV's `generalized-bcc` and `load-balanced` on a graded
+//! 20-worker cluster, so a newly registered scheme is covered without
+//! touching this file.
 //!
-//! Per scheme, over random arrival orders × seeds at `m = n = 20`, `r = 4`:
+//! Per scheme, over random arrival orders × seeds at `m = n = 20`, `r = 4`
+//! (workers a placement leaves empty never report, as in the round engine):
 //! exact recovery, truthful monotone coverage, the partial readout,
 //! `partial_sum_terms` folding bit-identically (serially and in parallel),
 //! and `receive` rejecting hostile input atomically.
 
+use bcc_cluster::ClusterProfile;
 use bcc_coding::scheme::test_support::{random_gradients, total_sum, worker_partials};
-use bcc_coding::{CodingError, Decoder, GeneralizedBccScheme, GradientCodingScheme, Payload};
-use bcc_core::{Registries, SchemeSpec};
+use bcc_coding::{CodingError, Decoder, GradientCodingScheme, Payload};
+use bcc_core::{hetero, SchemeSpec};
 use bcc_linalg::parallel::{par_weighted_sum, Parallelism};
 use bcc_stats::rng::derive_rng;
 use rand::seq::SliceRandom;
@@ -24,10 +26,21 @@ const ORDERS: u64 = 3;
 
 type Scheme = Box<dyn GradientCodingScheme>;
 
+/// Speeds 1..=5: P2 loads of 3 to 5 examples for generalized BCC, and a
+/// load-balanced split that leaves the slowest workers empty.
+fn profile() -> ClusterProfile {
+    let free_link = ClusterProfile::fig5_heterogeneous().comm;
+    let mut profile = ClusterProfile::homogeneous(N, 1.0, 1.0, free_link);
+    for (i, worker) in profile.workers.iter_mut().enumerate() {
+        worker.mu += (i % 5) as f64;
+    }
+    profile
+}
+
 fn schemes_under_test(seed: u64) -> Vec<Scheme> {
-    let registry = Registries::default().schemes;
+    let registry = hetero::schemes(&profile());
     let mut rng = derive_rng(seed, 0x5c4e);
-    let mut table: Vec<Scheme> = registry
+    registry
         .names()
         .iter()
         .map(|name| {
@@ -39,17 +52,14 @@ fn schemes_under_test(seed: u64) -> Vec<Scheme> {
             assert!(scheme.placement().covers_all(), "{name}");
             scheme
         })
-        .collect();
-    let loads: Vec<usize> = (0..N).map(|i| 2 + i % 5).collect();
-    table.push(Box::new(
-        GeneralizedBccScheme::new(M, &loads, &mut rng).expect("Σ rᵢ = 4m covers"),
-    ));
-    table
+        .collect()
 }
 
-fn arrival_order(seed: u64, k: u64) -> Vec<usize> {
+/// The loaded workers in a random order.
+fn arrival_order(scheme: &dyn GradientCodingScheme, seed: u64, k: u64) -> Vec<usize> {
     let mut order: Vec<usize> = (0..N).collect();
     order.shuffle(&mut derive_rng(seed, 0x0a11 + k));
+    order.retain(|&worker| scheme.placement().load_of(worker) > 0);
     order
 }
 
@@ -112,7 +122,7 @@ fn every_registered_scheme_decodes_covers_and_folds() {
                 assert!(dec.partial_sum_terms().is_none(), "{what}: no terms yet");
                 let mut heard = vec![false; M];
                 let mut covered_before = 0;
-                for worker in arrival_order(seed, k) {
+                for worker in arrival_order(scheme.as_ref(), seed, k) {
                     let done = dec
                         .receive(worker, encode(scheme.as_ref(), worker, &grads))
                         .expect("receive");
@@ -175,7 +185,7 @@ fn every_registered_scheme_decodes_covers_and_folds() {
                 }
 
                 // Everyone reported: decode ≡ Σ gⱼ.
-                assert!(dec.is_complete(), "{what}: all {N} workers must suffice");
+                assert!(dec.is_complete(), "{what}: all loaded workers must suffice");
                 let decoded = dec.decode().expect("decode");
                 assert!(
                     bcc_linalg::approx_eq_slice(&decoded, &total_sum(&grads), 1e-6),
@@ -243,8 +253,11 @@ fn rejected_messages_leave_every_registered_decoder_untouched() {
         for scheme in schemes_under_test(seed) {
             let what = format!("{} (seed {seed})", scheme.name());
             let grads = random_gradients(M, 5, seed ^ 0x7a);
-            let order = arrival_order(seed, 0);
-            let (first, sender) = (order[0], order[1]);
+            let order = arrival_order(scheme.as_ref(), seed, 0);
+            // The heaviest other worker: a tampered per-example message
+            // needs two entries to repeat an id in.
+            let load = |worker: &&usize| scheme.placement().load_of(**worker);
+            let (first, sender) = (order[0], *order[1..].iter().max_by_key(load).unwrap());
             let mut dec = scheme.decoder();
             dec.receive(first, encode(scheme.as_ref(), first, &grads))
                 .expect("first message");

@@ -98,8 +98,7 @@ pub fn generate_true_weights(config: &SyntheticConfig) -> Vec<f64> {
 
 /// Generates the example rows `range` only, bit-identical to the same rows
 /// of [`generate`]: each example draws from its own derived stream
-/// (`1 + j`), so any sub-range can be materialized independently — the
-/// primitive behind chunk-streamed datasets.
+/// (`1 + j`), so any sub-range can be materialized independently of the rest.
 ///
 /// # Panics
 /// Panics when `range` exceeds `config.num_examples` or

@@ -147,12 +147,6 @@ impl Matrix {
         &self.data
     }
 
-    /// Consumes the matrix returning its flat row-major buffer.
-    #[must_use]
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Transpose into a fresh matrix.
     #[must_use]
     pub fn transpose(&self) -> Self {

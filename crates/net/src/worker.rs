@@ -65,13 +65,6 @@ impl WorkerConfig {
         }
     }
 
-    /// Overrides the heartbeat cadence.
-    #[must_use]
-    pub fn with_heartbeat_interval(mut self, interval: Duration) -> Self {
-        self.heartbeat_interval = interval;
-        self
-    }
-
     /// Arms the mid-round death fault injection (see
     /// [`WorkerConfig::die_at_round`]).
     #[must_use]

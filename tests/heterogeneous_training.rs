@@ -1,86 +1,90 @@
 //! §IV end-to-end: generalized BCC running *through the full cluster stack*
-//! (not just the coverage simulator) on a heterogeneous profile — P2 loads,
-//! random placement, uncoded communication, real logistic gradients — and
-//! beating the load-balancing baseline in round time.
+//! on a heterogeneous profile — P2 loads, random placement, uncoded
+//! communication, real logistic gradients — beating the load-balancing
+//! baseline in round time, and meeting the policies, a controller and the
+//! TCP backend the homogeneous schemes already run under. Both §IV schemes
+//! arrive by name through `hetero::schemes`.
 
-use bcc::cluster::{
-    ClusterBackend, ClusterProfile, CommModel, UnitMap, VirtualCluster, WorkerProfile,
+use bcc::cluster::{ClusterBackend, ClusterError, ClusterProfile, UnitMap, VirtualCluster};
+use bcc::core::hetero;
+use bcc::experiment::{
+    BackendSpec, ControllerSpec, DataSpec, Experiment, ExperimentBuilder, ExperimentReport,
+    LatencySpec, OptimizerSpec, PolicySpec, SchemeSpec,
 };
-use bcc::coding::{GeneralizedBccScheme, UncodedScheme};
-use bcc::core::hetero::optimal_loads;
-use bcc::data::synthetic::{generate, SyntheticConfig};
-use bcc::optim::gradient::full_gradient;
-use bcc::optim::LogisticLoss;
-use bcc::stats::rng::derive_rng;
+use bcc::optim::{LearningRate, LogisticLoss};
 
 /// 1/5-scale Fig. 5 cluster: 19 slow (μ=1) + 1 fast (μ=20), a = 20.
 fn profile() -> ClusterProfile {
-    let mut workers = vec![WorkerProfile { mu: 1.0, a: 20.0 }; 19];
-    workers.push(WorkerProfile { mu: 20.0, a: 20.0 });
-    ClusterProfile {
-        workers,
-        comm: CommModel {
-            per_message_overhead: 0.0,
-            per_unit: 0.0,
-        },
-    }
+    let mut profile = ClusterProfile::fig5_heterogeneous();
+    profile.workers.drain(19..99);
+    profile
 }
 
 const M: usize = 100;
 const DIM: usize = 5;
+const ROUNDS: usize = 25;
+
+/// `ROUNDS` gradient-descent iterations of `scheme` on the cluster.
+fn training(scheme: &str) -> ExperimentBuilder {
+    let profile = profile();
+    Experiment::builder()
+        .workers(profile.num_workers())
+        .units(M)
+        .scheme(SchemeSpec::named(scheme))
+        .data(DataSpec::synthetic(1, DIM))
+        .latency(LatencySpec::Explicit {
+            workers: profile.workers.clone(),
+            comm: profile.comm,
+        })
+        .optimizer(OptimizerSpec::GradientDescent {
+            rate: LearningRate::Constant(0.5),
+        })
+        .iterations(ROUNDS)
+        .seed(2)
+        .registry(hetero::schemes(&profile))
+}
+
+fn run(builder: ExperimentBuilder) -> ExperimentReport {
+    builder
+        .build()
+        .expect("a valid heterogeneous spec")
+        .run()
+        .expect("the run completes")
+}
 
 #[test]
 fn generalized_bcc_round_is_exact_and_faster_than_lb_uncoded() {
-    let profile = profile();
-    let data = generate(&SyntheticConfig::small(M, DIM, 1));
-    let units = UnitMap::identity(M);
-    let w = vec![0.0; DIM];
-    let mut exact = full_gradient(&data.dataset, &LogisticLoss, &w);
-    bcc::linalg::vec_ops::scale(M as f64, &mut exact);
-
-    // Generalized BCC with P2-optimal loads for s = ⌊m·log m⌋.
-    let s = (M as f64 * (M as f64).ln()).floor() as usize;
-    let sol = optimal_loads(&profile.workers, s, M);
-    let mut rng = derive_rng(2, 0);
-    let gbcc =
-        GeneralizedBccScheme::new(M, &sol.loads, &mut rng).expect("P2 loads cover the dataset");
-
-    // LB baseline: uncoded scheme over a speed-proportional disjoint split.
-    // (UncodedScheme uses even shards; the LB effect here is the placement's
-    // load on the fast worker, which we emulate by using the paper's LB
-    // placement directly through the generalized scheme's machinery.)
-    let lb_placement = bcc::data::Placement::load_balanced(
-        M,
-        &profile.workers.iter().map(|p| p.mu).collect::<Vec<_>>(),
-    );
-    let lb = GeneralizedBccScheme::from_placement(lb_placement);
-
-    let mut gbcc_total = 0.0;
-    let mut lb_total = 0.0;
-    let rounds = 25;
-    for seed in 0..rounds {
-        let mut cluster = VirtualCluster::new(profile.clone(), seed);
-        let out = cluster
-            .run_round(&gbcc, &units, &data.dataset, &LogisticLoss, &w)
-            .expect("GBCC completes");
+    // Generalized BCC with P2-optimal loads for s = ⌊m·log m⌋ against the
+    // LB baseline: the paper's speed-proportional disjoint split, shipped
+    // through the same uncoded communication.
+    let gbcc = run(training("generalized-bcc"));
+    let lb = run(training("load-balanced"));
+    for report in [&gbcc, &lb] {
+        assert_eq!(report.scheme, report.spec.scheme.name);
         assert!(
-            bcc::linalg::approx_eq_slice(&out.gradient_sum, &exact, 1e-7),
-            "GBCC decode must be exact"
+            report.round_samples.iter().all(|s| s.exact),
+            "{}: every round decodes exactly",
+            report.scheme
         );
-        gbcc_total += out.metrics.total_time;
-
-        let mut cluster = VirtualCluster::new(profile.clone(), seed ^ 0x55);
-        let out = cluster
-            .run_round(&lb, &units, &data.dataset, &LogisticLoss, &w)
-            .expect("LB completes");
-        assert!(bcc::linalg::approx_eq_slice(
-            &out.gradient_sum,
-            &exact,
-            1e-7
-        ));
-        lb_total += out.metrics.total_time;
     }
-    let (gbcc_avg, lb_avg) = (gbcc_total / rounds as f64, lb_total / rounds as f64);
+    // Exact gradients every round: the two runs walk the same path.
+    assert!(bcc::linalg::approx_eq_slice(
+        &gbcc.weights,
+        &lb.weights,
+        1e-9
+    ));
+
+    // LB hears from every worker, so no round of its is shorter than the
+    // largest deterministic shift aᵢ·rᵢ — the fast worker's 20 · 51.
+    assert!(lb
+        .round_samples
+        .iter()
+        .all(|s| s.messages_used == 20 && s.total_time >= 1020.0));
+
+    let (gbcc_avg, lb_avg) = (
+        gbcc.metrics.total_time / ROUNDS as f64,
+        lb.metrics.total_time / ROUNDS as f64,
+    );
     assert!(
         gbcc_avg < lb_avg,
         "generalized BCC ({gbcc_avg:.1}) must beat LB placement ({lb_avg:.1})"
@@ -94,18 +98,57 @@ fn generalized_bcc_round_is_exact_and_faster_than_lb_uncoded() {
 }
 
 #[test]
+fn policies_a_controller_and_sockets_run_the_heterogeneous_cluster() {
+    // Cut short — after five arrivals, or at a deadline few slow workers
+    // make (every shift a·r is at least 480) — a round reports the
+    // coverage it really has and is priced.
+    for policy in [PolicySpec::fastest_k(5), PolicySpec::deadline(490.0)] {
+        let report = run(training("generalized-bcc").policy(policy));
+        assert_eq!(report.round_samples.len(), ROUNDS);
+        for sample in &report.round_samples {
+            assert!(!sample.exact && sample.covered_units < sample.total_units);
+            assert!(sample.gradient_error.is_some_and(|e| e > 0.0));
+        }
+    }
+
+    let adaptive = run(training("generalized-bcc").controller(ControllerSpec::adaptive_k(2.0)));
+    assert_eq!(adaptive.controller_records.len(), ROUNDS);
+
+    // ~500 simulated seconds a round, slept as ~5 ms.
+    let tcp = run(training("generalized-bcc").backend(BackendSpec::tcp_loopback(1e-5)));
+    let virt = run(training("generalized-bcc"));
+    assert_eq!(tcp.metrics.messages_used, virt.metrics.messages_used);
+    assert_eq!(tcp.weights, virt.weights);
+}
+
+#[test]
+fn arrivals_that_cannot_cover_stall_the_round() {
+    // Loads that do not union to the dataset never reach coverage: with
+    // the fast worker dead, LB's survivors hold 49 of the 100 examples.
+    let lb = training("load-balanced").build().unwrap();
+    let mut cluster = VirtualCluster::new(profile(), 9);
+    cluster.kill_workers([19]);
+    let units = UnitMap::identity(M);
+    let err = cluster
+        .run_round(
+            lb.scheme(),
+            &units,
+            lb.dataset(),
+            &LogisticLoss,
+            &[0.0; DIM],
+        )
+        .unwrap_err();
+    assert!(matches!(err, ClusterError::Stalled { received: 19, .. }));
+}
+
+#[test]
 fn uncoded_on_heterogeneous_cluster_pays_the_slowest_worker() {
     // Sanity: a plain uncoded even split on the same cluster waits for the
-    // slow workers' shifted tails every round.
-    let profile = profile();
-    let data = generate(&SyntheticConfig::small(M, DIM, 3));
-    let units = UnitMap::identity(M);
-    let scheme = UncodedScheme::new(M, 20);
-    let mut cluster = VirtualCluster::new(profile, 7);
-    let out = cluster
-        .run_round(&scheme, &units, &data.dataset, &LogisticLoss, &[0.0; DIM])
-        .expect("uncoded completes with all workers live");
-    // Every worker holds 5 examples → shift alone is a·r = 100.
-    assert!(out.metrics.total_time >= 100.0);
-    assert_eq!(out.metrics.messages_used, 20);
+    // slow workers' shifted tails every round — every worker holds 5
+    // examples, so the shift alone is a·r = 100.
+    let report = run(training("uncoded"));
+    assert!(report
+        .round_samples
+        .iter()
+        .all(|s| s.messages_used == 20 && s.total_time >= 100.0));
 }

@@ -1,59 +1,64 @@
 //! Integration check of Theorem 2 (heterogeneous clusters): the sandwich
 //! `min E[T̂(m)] ≤ min_G E[T] ≤ min E[T̂(⌊c·m·log m⌋)] + 1` holds around the
-//! generalized-BCC simulation, and the Fig. 5 gain materializes.
+//! generalized-BCC rounds of the engine, and the Fig. 5 gain materializes.
 
-use bcc::cluster::WorkerProfile;
-use bcc::core::hetero::{
-    expected_t_hat, optimal_loads, simulate_gbcc_coverage_time, simulate_lb_completion_time,
-    theorem2_bounds, Fig5Config,
-};
+use bcc::cluster::ClusterProfile;
+use bcc::core::hetero::{self, coverage_budget, expected_t_hat, optimal_loads, theorem2_bounds};
+use bcc::core::{DataSpec, Experiment, LatencySpec, OptimizerSpec, SchemeSpec};
 
-fn paper_cluster() -> Vec<WorkerProfile> {
-    let mut w = vec![WorkerProfile { mu: 1.0, a: 20.0 }; 95];
-    w.extend(vec![WorkerProfile { mu: 20.0, a: 20.0 }; 5]);
-    w
+const M: usize = 500;
+
+/// Mean coverage time of `scheme` (a name of `hetero::schemes`) on the
+/// Fig. 5 cluster — its link is free, so a round's time is its coverage
+/// time — over `rounds` engine rounds on each of `placements` seeds.
+fn mean_coverage_time(scheme: &str, placements: u64, rounds: usize, seed: u64) -> f64 {
+    let profile = ClusterProfile::fig5_heterogeneous();
+    let total: f64 = (0..placements)
+        .map(|placement| {
+            let report = Experiment::builder()
+                .workers(profile.num_workers())
+                .units(M)
+                .scheme(SchemeSpec::named(scheme))
+                .data(DataSpec::synthetic(1, 2))
+                .latency(LatencySpec::Fig5Heterogeneous)
+                .optimizer(OptimizerSpec::FixedPoint)
+                .iterations(rounds)
+                .seed(seed + placement)
+                .registry(hetero::schemes(&profile))
+                .build()
+                .expect("a valid Fig. 5 spec")
+                .run()
+                .expect("rounds of a covering placement complete");
+            assert!(report.round_samples.iter().all(|s| s.exact), "{scheme}");
+            report.metrics.total_time
+        })
+        .sum();
+    total / (placements as usize * rounds) as f64
 }
 
 #[test]
 fn sandwich_holds_around_gbcc() {
-    let workers = paper_cluster();
-    let m = 500;
-    let bounds = theorem2_bounds(&workers, m, 200, 11);
+    let bounds = theorem2_bounds(&ClusterProfile::fig5_heterogeneous().workers, M, 200, 11);
     assert!(bounds.lower < bounds.upper, "degenerate sandwich");
 
-    let cfg = Fig5Config {
-        num_examples: m,
-        workers: workers.clone(),
-        trials: 150,
-        seed: 13,
-    };
-    let s = (m as f64 * (m as f64).ln()).floor() as usize;
-    let sol = optimal_loads(&workers, s, m);
-    let gbcc = simulate_gbcc_coverage_time(&cfg, &sol.loads);
-    assert!(gbcc.success_rate > 0.9);
+    let gbcc = mean_coverage_time("generalized-bcc", 5, 30, 13);
     assert!(
-        bounds.lower <= gbcc.mean_time * 1.02,
-        "lower bound {} above achievable {}",
-        bounds.lower,
-        gbcc.mean_time
+        bounds.lower <= gbcc * 1.02,
+        "lower bound {} above achievable {gbcc}",
+        bounds.lower
     );
     assert!(
-        gbcc.mean_time <= bounds.upper * 1.05,
-        "achievable {} above upper bound {}",
-        gbcc.mean_time,
+        gbcc <= bounds.upper * 1.05,
+        "achievable {gbcc} above upper bound {}",
         bounds.upper
     );
 }
 
 #[test]
 fn fig5_gain_in_paper_band() {
-    let cfg = Fig5Config::paper(300, 21);
-    let m = cfg.num_examples;
-    let s = (m as f64 * (m as f64).ln()).floor() as usize;
-    let sol = optimal_loads(&cfg.workers, s, m);
-    let gbcc = simulate_gbcc_coverage_time(&cfg, &sol.loads);
-    let lb = simulate_lb_completion_time(&cfg);
-    let reduction = (1.0 - gbcc.mean_time / lb.mean_time) * 100.0;
+    let gbcc = mean_coverage_time("generalized-bcc", 10, 30, 21);
+    let lb = mean_coverage_time("load-balanced", 10, 30, 21);
+    let reduction = (1.0 - gbcc / lb) * 100.0;
     // Paper: 29.28%. Accept a generous band — the shape, not the digit.
     assert!(
         (15.0..45.0).contains(&reduction),
@@ -63,7 +68,7 @@ fn fig5_gain_in_paper_band() {
 
 #[test]
 fn lemma1_monotonicity_of_waiting_time() {
-    let workers = paper_cluster();
+    let workers = ClusterProfile::fig5_heterogeneous().workers;
     let loads = vec![32; 100];
     let mut prev = 0.0;
     for s in [500, 1000, 2000, 3000] {
@@ -80,10 +85,9 @@ fn lemma1_monotonicity_of_waiting_time() {
 fn p2_loads_beat_naive_uniform_for_t_hat() {
     // The P2 solution should reach the budget sooner (or as soon) in
     // expectation than a uniform split of the same total storage.
-    let workers = paper_cluster();
-    let m = 500;
-    let s = (m as f64 * (m as f64).ln()).floor() as usize;
-    let sol = optimal_loads(&workers, s, m);
+    let workers = ClusterProfile::fig5_heterogeneous().workers;
+    let s = coverage_budget(M);
+    let sol = optimal_loads(&workers, s, M);
     let total: usize = sol.loads.iter().sum();
     let uniform = vec![total / workers.len(); workers.len()];
 
