@@ -21,13 +21,15 @@
 //!
 //! A model's sample is a **pure function** of `(seed, round, worker,
 //! load)`. Stateful models (bimodal's per-round slow coin, Markov's
-//! cross-round chain) derive their state from dedicated seed streams and —
-//! for the chain — replay it deterministically from round 0, so the same
-//! draw comes out regardless of which backend asks, in which order, or on
-//! which thread. This is what lets the threaded backend's free-running
-//! worker threads and the virtual backend's sorted schedule stay
-//! event-for-event identical (`tests/backend_equivalence.rs`), exactly as
-//! they do for the baseline model.
+//! cross-round chain) derive their state from dedicated seed streams, so
+//! the same draw comes out regardless of which backend asks, in which
+//! order, or on which thread. The chain's draw is still a pure function of
+//! `(seed, round, worker)`: a per-worker cursor carries it forward (`O(1)`
+//! amortised for forward access), and a backward seek or a new seed
+//! replays it once from round 0. This is what lets the threaded backend's
+//! free-running worker threads and the virtual backend's sorted schedule
+//! stay event-for-event identical (`tests/backend_equivalence.rs`),
+//! exactly as they do for the baseline model.
 //!
 //! [`ShiftedExpModel`] routes through the very RNG stream the backends used
 //! before this trait existed, so running under it (which every backend does
@@ -40,7 +42,7 @@ use bcc_stats::dist::{Pareto, Sample, Weibull};
 use bcc_stats::rng::{derive_rng, derive_seed};
 use rand::{rngs::StdRng, Rng};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Seed-stream tag for the bimodal model's per-round slow coin.
 const BIMODAL_STREAM: u64 = 0xB1B0;
@@ -308,17 +310,43 @@ impl StragglerModel for BimodalModel {
 /// most optimistic. Chains start in the fast state before round 0 and take
 /// one transition per round.
 ///
-/// The state at round `t` is obtained by replaying the worker's chain from
-/// round 0 on a dedicated `(seed, worker)` stream — `O(t)` per sample, but
-/// a pure function of the key, which keeps the cross-backend determinism
-/// contract (the threaded backend's workers sample rounds at their own
-/// pace, so the model cannot rely on in-order calls).
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// The state at round `t` is the chain's state after `t + 1` transitions
+/// on a dedicated `(seed, worker)` stream, so a draw is still a pure
+/// function of `(seed, round, worker)` — which keeps the cross-backend
+/// determinism contract (the threaded backend's workers sample rounds at
+/// their own pace, so the model cannot rely on in-order calls). Each
+/// worker's chain is carried forward by a cursor: forward access is `O(1)`
+/// amortised, and a backward seek or a new seed replays once from round 0.
+/// A clone starts with no cursors.
+#[derive(Debug)]
 pub struct MarkovModel {
     base: WorkerProfile,
     p_slow: f64,
     p_recover: f64,
     slowdown: f64,
+    cursors: Mutex<Vec<Option<ChainCursor>>>,
+}
+
+/// One worker's chain position: `slow` is the state after `taken`
+/// transitions of `seed`'s chain, and `rng` is positioned at the next one.
+#[derive(Debug)]
+struct ChainCursor {
+    seed: u64,
+    taken: u64,
+    slow: bool,
+    rng: StdRng,
+}
+
+impl Clone for MarkovModel {
+    fn clone(&self) -> Self {
+        Self {
+            base: self.base,
+            p_slow: self.p_slow,
+            p_recover: self.p_recover,
+            slowdown: self.slowdown,
+            cursors: Mutex::new(Vec::new()),
+        }
+    }
 }
 
 impl MarkovModel {
@@ -347,13 +375,14 @@ impl MarkovModel {
             p_slow,
             p_recover,
             slowdown,
+            cursors: Mutex::new(Vec::new()),
         }
     }
 
     /// The chain's stationary probability of the slow state,
-    /// `p_slow / (p_slow + p_recover)` (1 when both probabilities are 0 is
-    /// undefined; returns 0 then, matching the chain that never leaves
-    /// fast).
+    /// `p_slow / (p_slow + p_recover)`. The ratio is undefined when both
+    /// probabilities are 0; the function returns 0 then, the fraction of
+    /// the chain that never leaves fast.
     #[must_use]
     pub fn stationary_slow_fraction(&self) -> f64 {
         let denom = self.p_slow + self.p_recover;
@@ -364,10 +393,44 @@ impl MarkovModel {
         }
     }
 
-    /// Whether `worker` is in the slow state at `round`, by deterministic
-    /// chain replay from round 0.
+    /// Whether `worker` is in the slow state at `round`: the worker's
+    /// cursor steps forward to `round`, restarting from round 0 first when
+    /// it belongs to another seed or has already passed `round`.
     #[must_use]
     pub fn is_slow(&self, seed: u64, round: u64, worker: usize) -> bool {
+        // A cursor is only ever a consistent tuple or replaced whole, so a
+        // lock poisoned by a panicking sampler is safe to keep using.
+        let mut cursors = self.cursors.lock().unwrap_or_else(PoisonError::into_inner);
+        if cursors.len() <= worker {
+            cursors.resize_with(worker + 1, || None);
+        }
+        let mut cursor = match cursors[worker].take() {
+            Some(c) if c.seed == seed && c.taken <= round.saturating_add(1) => c,
+            // The chain of `(seed, worker)` before its first transition.
+            _ => ChainCursor {
+                seed,
+                taken: 0,
+                slow: false,
+                rng: derive_rng(derive_seed(seed, MARKOV_STREAM), worker as u64),
+            },
+        };
+        while cursor.taken <= round {
+            let u: f64 = cursor.rng.gen();
+            cursor.slow = if cursor.slow {
+                u >= self.p_recover
+            } else {
+                u < self.p_slow
+            };
+            cursor.taken += 1;
+        }
+        let slow = cursor.slow;
+        cursors[worker] = Some(cursor);
+        slow
+    }
+
+    /// The reference the cursor must match: the chain replayed from round 0.
+    #[cfg(test)]
+    fn replayed_is_slow(&self, seed: u64, round: u64, worker: usize) -> bool {
         let mut rng = derive_rng(derive_seed(seed, MARKOV_STREAM), worker as u64);
         let mut slow = false;
         for _ in 0..=round {
@@ -517,6 +580,7 @@ mod tests {
     use super::*;
     use crate::latency::{ClusterProfile, CommModel};
     use bcc_stats::Summary;
+    use proptest::prelude::*;
 
     fn profile(n: usize) -> ClusterProfile {
         ClusterProfile::homogeneous(
@@ -686,6 +750,79 @@ mod tests {
             "long-run slow fraction {freq} vs stationary {}",
             m.stationary_slow_fraction()
         );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn markov_cursor_matches_replay_in_any_access_order(
+            ops in prop::collection::vec((0u8..8, 0u64..1000), 1..150),
+        ) {
+            let seeds = [23, 24];
+            let oracle = MarkovModel::new(2.0, 0.01, 0.3, 0.4, 10.0);
+            let mut models = vec![oracle.clone()];
+            let (mut seed, mut worker, mut workers_seen, mut round) = (seeds[0], 0, 1, 0);
+            for (kind, x) in ops {
+                match kind {
+                    // Forward steps (1–3 rounds), and the same round twice.
+                    0 | 1 => round += 1 + x % 3,
+                    2 => {}
+                    // Backward seeks: to round 0 and to mid-run.
+                    3 => round = 0,
+                    4 => round = x % (round + 1),
+                    // Interleaved workers: a seen one, or one beyond them all.
+                    5 => worker = x as usize % workers_seen,
+                    6 => {
+                        worker = workers_seen + x as usize % 4;
+                        workers_seen = worker + 1;
+                    }
+                    // Two interleaved seeds, and a clone taken mid-run.
+                    _ if x % 2 == 0 => seed = seeds[(x / 2 % 2) as usize],
+                    _ => models.push(models[x as usize % models.len()].clone()),
+                }
+                let want = oracle.replayed_is_slow(seed, round, worker);
+                for (i, m) in models.iter().enumerate() {
+                    prop_assert_eq!(
+                        m.is_slow(seed, round, worker),
+                        want,
+                        "model {i}: seed {seed}, round {round}, worker {worker}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn markov_cursor_matches_replay_across_threads() {
+        let (seed, workers, rounds) = (31, 6usize, 120u64);
+        let model = Arc::new(MarkovModel::new(2.0, 0.01, 0.2, 0.3, 10.0));
+        let want: Vec<Vec<bool>> = (0..workers)
+            .map(|w| {
+                (0..rounds)
+                    .map(|r| model.replayed_is_slow(seed, r, w))
+                    .collect()
+            })
+            .collect();
+        std::thread::scope(|s| {
+            for t in 0..8u64 {
+                let (model, want) = (Arc::clone(&model), &want);
+                s.spawn(move || {
+                    // Every thread walks every worker forward from its own
+                    // offset, so the threads overtake and rewind each
+                    // other's cursors.
+                    for step in 0..2 * rounds {
+                        let worker = ((step + t) % workers as u64) as usize;
+                        let round = (step / 2 + 7 * t) % rounds;
+                        assert_eq!(
+                            model.is_slow(seed, round, worker),
+                            want[worker][round as usize],
+                            "thread {t}: round {round}, worker {worker}"
+                        );
+                    }
+                });
+            }
+        });
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //!   the unit pin lives in `src/straggler.rs`).
 //! * Under the Markov time-correlated model, the threaded and virtual
 //!   backends still produce byte-identical gradients and identical
-//!   message accounting: the chain replays from its keyed stream, so
-//!   free-running worker threads and the sorted virtual schedule cannot
-//!   diverge.
+//!   message accounting: the chain is a pure function of its keyed stream,
+//!   so free-running worker threads and the sorted virtual schedule cannot
+//!   diverge — nor can two clusters at different seeds sharing one model.
 //! * Every zoo member runs rounds that are deterministic in the seed and
 //!   visibly reshape round-time behaviour.
 
@@ -78,8 +78,8 @@ fn markov_model_is_backend_invariant_for_uncoded() {
     let mut threaded_cluster = ThreadedCluster::new(profile(n), 23, 0.02)
         .configured(BackendConfig::new().straggler_model(model()));
 
-    // Several rounds so the chains actually transition.
-    for round in 0..3 {
+    // Enough rounds that the chains leave the fast state and come back.
+    for round in 0..60 {
         let v = virtual_cluster
             .run_round(&scheme, &units, &g.dataset, &LogisticLoss, &w)
             .unwrap();
@@ -93,6 +93,42 @@ fn markov_model_is_backend_invariant_for_uncoded() {
             "round {round}: both backends must replay the same chain + draws"
         );
         assert_eq!(v.gradient_sum, t.gradient_sum, "round {round}");
+    }
+}
+
+#[test]
+fn one_markov_model_serves_two_seeds_interleaved() {
+    // The model's per-worker cursors are keyed on the seed as well: two
+    // clusters sharing one model at different seeds, run round by round in
+    // turn, must each see the chain a model of their own would give them.
+    let n = 5;
+    let g = generate(&SyntheticConfig::small(20, 3, 6));
+    let units = UnitMap::grouped(20, 10);
+    let scheme = UncodedScheme::new(10, n);
+    let w = vec![0.05; 3];
+    let model = || Arc::new(MarkovModel::new(100.0, 0.02, 0.4, 0.3, 5.0));
+    let cluster = |seed, model: Arc<MarkovModel>| {
+        VirtualCluster::new(profile(n), seed)
+            .configured(BackendConfig::new().straggler_model(model))
+    };
+
+    let shared = model();
+    let mut shared_clusters = [
+        cluster(23, Arc::clone(&shared)),
+        cluster(24, Arc::clone(&shared)),
+    ];
+    let mut own_clusters = [cluster(23, model()), cluster(24, model())];
+    for round in 0..60 {
+        for (shared_cluster, own_cluster) in shared_clusters.iter_mut().zip(&mut own_clusters) {
+            let a = shared_cluster
+                .run_round(&scheme, &units, &g.dataset, &LogisticLoss, &w)
+                .unwrap();
+            let b = own_cluster
+                .run_round(&scheme, &units, &g.dataset, &LogisticLoss, &w)
+                .unwrap();
+            assert_eq!(a.metrics, b.metrics, "round {round}");
+            assert_eq!(a.gradient_sum, b.gradient_sum, "round {round}");
+        }
     }
 }
 
