@@ -96,15 +96,17 @@ fn per_worker_ranges(
         .collect()
 }
 
-/// Per-round memoization of unit partial gradients for single-threaded
-/// backends.
+/// Per-round table of unit partial gradients for single-threaded backends.
 ///
 /// Coded schemes replicate units across workers (that is the whole point of
 /// the redundancy), so within one round several simulated workers compute
 /// the *same* unit gradient at the same weights. A real cluster pays that
 /// cost in parallel on separate machines; a single-threaded simulator pays
 /// it serially — and needlessly, because the result is bit-identical. The
-/// cache remembers each unit's gradient for the current round; it must be
+/// table holds one entry per unit id: [`UnitGradientCache::compute_in_place`]
+/// computes a unit once per round, directly into its entry, and a worker
+/// whose placement row is one ascending run of unit ids is encoded straight
+/// from [`UnitGradientCache::filled_range`] without a copy. It must be
 /// [`UnitGradientCache::begin_round`]-reset whenever the weights change.
 #[derive(Debug)]
 pub struct UnitGradientCache {
@@ -139,6 +141,40 @@ impl UnitGradientCache {
         self.grads[unit].clear();
         self.grads[unit].extend_from_slice(grad);
         self.filled[unit] = true;
+    }
+
+    /// `unit`'s gradient this round, computed in place on first touch: the
+    /// entry is zeroed to `dim` and handed to `compute`, which accumulates
+    /// into it (a `compute` that adds nothing leaves the zero vector). Later
+    /// touches this round return the entry without calling `compute`.
+    pub fn compute_in_place(
+        &mut self,
+        unit: usize,
+        dim: usize,
+        compute: impl FnOnce(&mut [f64]),
+    ) -> &[f64] {
+        let grad = &mut self.grads[unit];
+        if !self.filled[unit] {
+            grad.clear();
+            grad.resize(dim, 0.0);
+            compute(grad);
+            self.filled[unit] = true;
+        }
+        grad
+    }
+
+    /// The entries of unit ids `units`, in id order, borrowed — the
+    /// `partials` of a placement row that is exactly this run of ids.
+    ///
+    /// # Panics
+    /// Panics when an entry in `units` was not filled this round.
+    #[must_use]
+    pub fn filled_range(&self, units: Range<usize>) -> &[Vec<f64>] {
+        assert!(
+            self.filled[units.clone()].iter().all(|&f| f),
+            "unit range {units:?} read before it was filled this round"
+        );
+        &self.grads[units]
     }
 }
 
@@ -237,5 +273,33 @@ mod tests {
         assert_eq!(cache.get(1), Some(&[1.0, 2.0][..]));
         cache.begin_round();
         assert!(cache.get(1).is_none(), "begin_round invalidates");
+    }
+
+    #[test]
+    fn unit_cache_computes_once_in_place_and_lends_ranges() {
+        let mut cache = UnitGradientCache::new(4);
+        cache.store(2, &[9.0, 9.0, 9.0]);
+        cache.begin_round();
+        let mut calls = 0;
+        for unit in 1..3 {
+            let grad = cache.compute_in_place(unit, 2, |acc| {
+                calls += 1;
+                acc[0] += unit as f64;
+            });
+            assert_eq!(grad, &[unit as f64, 0.0], "stale entry is zeroed first");
+        }
+        let again = cache.compute_in_place(1, 2, |_| calls += 1);
+        assert_eq!(again, &[1.0, 0.0]);
+        assert_eq!(calls, 2, "a filled unit is never recomputed");
+        assert_eq!(cache.get(2), Some(&[2.0, 0.0][..]));
+        assert_eq!(cache.filled_range(1..3), &[vec![1.0, 0.0], vec![2.0, 0.0]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "read before it was filled")]
+    fn unit_cache_range_rejects_unfilled_entries() {
+        let mut cache = UnitGradientCache::new(3);
+        cache.compute_in_place(0, 1, |_| {});
+        let _ = cache.filled_range(0..2);
     }
 }

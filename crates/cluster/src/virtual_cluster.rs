@@ -25,7 +25,9 @@ use crate::packed::UnitGradientCache;
 use crate::round_loop::{BackendCore, RoundLoop, RoundSession, RoundTransport};
 use crate::straggler::StragglerModel;
 use bcc_coding::{GradientCodingScheme, Payload};
+use bcc_data::Placement;
 use bcc_optim::GradScratch;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Virtual (discrete-event) cluster backend.
@@ -82,6 +84,15 @@ impl RoundSession for VirtualCluster {
 
     fn session(&mut self, rounds: &mut RoundLoop<'_>) -> Result<(), ClusterError> {
         let ctx = rounds.ctx;
+        // Replication-free schemes (uncoded) never share a unit across
+        // workers, so the unit table would save no kernel call and only
+        // add an m × dim allocation — decided once per run, not per round.
+        let cache = use_cache(ctx.scheme).then(|| UnitGradientCache::new(ctx.units.num_units()));
+        let contiguous = if cache.is_some() {
+            contiguous_rows(ctx.scheme.placement())
+        } else {
+            Vec::new()
+        };
         // Amortized over the run: the participant set, the gradient
         // scratch and the schedule buffer are built once, not per round.
         let mut transport = VirtualArrivals {
@@ -91,10 +102,8 @@ impl RoundSession for VirtualCluster {
             participants: ctx.participants(&self.core.dead_workers),
             ctx,
             scratch: GradScratch::new(),
-            // Replication-free schemes (uncoded) never share a unit across
-            // workers, so memoization would be pure copy overhead — decided
-            // once per run, not per round.
-            cache: use_cache(ctx.scheme).then(|| UnitGradientCache::new(ctx.units.num_units())),
+            cache,
+            contiguous,
             schedule: Vec::new(),
             next: 0,
             port_free_at: 0.0,
@@ -115,6 +124,23 @@ fn use_cache(scheme: &dyn GradientCodingScheme) -> bool {
         .any(|&c| c > 1)
 }
 
+/// Per worker: its placement row as a range of unit ids when the ids
+/// ascend by exactly 1 (every uncoded, BCC and fractional-repetition row;
+/// cyclic rows that do not wrap around), else `None`. Such a row's
+/// partials are a contiguous run of the unit-gradient table.
+fn contiguous_rows(placement: &Placement) -> Vec<Option<Range<usize>>> {
+    (0..placement.num_workers())
+        .map(|worker| {
+            let row = placement.worker_examples(worker);
+            let first = *row.first()?;
+            row.iter()
+                .zip(first..)
+                .all(|(&unit, expected)| unit == expected)
+                .then(|| first..first + row.len())
+        })
+        .collect()
+}
+
 /// Arrival adapter: walks the round's finish-time schedule in order,
 /// modelling the master's serialized receive port, and materializes each
 /// worker's payload at delivery time.
@@ -128,6 +154,8 @@ struct VirtualArrivals<'a> {
     /// Reusable gradient buffers, carried across rounds.
     scratch: GradScratch,
     cache: Option<UnitGradientCache>,
+    /// [`contiguous_rows`] of the placement when `cache` is in use.
+    contiguous: Vec<Option<Range<usize>>>,
     /// `(worker, finish_time)` stably sorted by finish time — FIFO port
     /// order; the buffer is reused across rounds.
     schedule: Vec<(usize, f64)>,
@@ -168,11 +196,12 @@ impl RoundTransport for VirtualArrivals<'_> {
 }
 
 impl VirtualArrivals<'_> {
-    /// [`RoundContext::compute_and_encode`] with per-round unit
-    /// memoization: units already computed this round (by a replica worker)
-    /// are copied from the cache instead of recomputed — bit-identical by
-    /// construction, since every replica computes the same block at the
-    /// same weights.
+    /// [`RoundContext::compute_and_encode`] over the round's unit-gradient
+    /// table: each unit is computed once per round, in place, and reused by
+    /// every replica worker — bit-identical by construction, since every
+    /// replica computes the same block at the same weights into the same
+    /// zeroed accumulator. A contiguous placement row is encoded straight
+    /// from the table; any other row is gathered into scratch slots first.
     fn compute_and_encode_cached(&mut self, worker: usize) -> Result<Payload, ClusterError> {
         let Some(cache) = self.cache.as_mut() else {
             return self.ctx.compute_and_encode_selected(
@@ -185,28 +214,31 @@ impl VirtualArrivals<'_> {
         let unit_ids = self.ctx.scheme.placement().worker_examples(worker);
         let ranges = self.ctx.packed.worker(worker);
         let (x, y) = self.ctx.packed.arena(self.ctx.data);
-        self.scratch.ensure_slots(ranges.len(), self.weights.len());
+        let (loss, weights, selection) = (self.ctx.loss, &self.weights, self.selection.as_ref());
+        let contiguous = self.contiguous[worker].clone();
+        if contiguous.is_none() {
+            self.scratch.ensure_slots(ranges.len(), weights.len());
+        }
         for (slot, (&unit, rows)) in unit_ids.iter().zip(ranges).enumerate() {
-            // Units outside the round's minibatch keep the zero vector
-            // `ensure_slots` left in the slot.
-            if self
-                .selection
-                .as_ref()
-                .is_some_and(|sel| !sel.contains(unit))
-            {
-                continue;
-            }
-            if let Some(grad) = cache.get(unit) {
+            // Units outside the round's minibatch stay the zero vector the
+            // entry was reset to.
+            let grad = cache.compute_in_place(unit, weights.len(), |acc| {
+                if selection.is_none_or(|sel| sel.contains(unit)) {
+                    self.scratch
+                        .accumulate_rows(loss, x, y, rows.clone(), weights, acc);
+                }
+            });
+            if contiguous.is_none() {
                 self.scratch.copy_partial_from(slot, grad);
-            } else {
-                self.scratch
-                    .fill_partial(slot, self.ctx.loss, x, y, rows.clone(), &self.weights);
-                cache.store(unit, self.scratch.partial(slot));
             }
         }
+        let partials = match contiguous {
+            Some(units) => cache.filled_range(units),
+            None => self.scratch.partials(ranges.len()),
+        };
         self.ctx
             .scheme
-            .encode(worker, self.scratch.partials(ranges.len()))
+            .encode(worker, partials)
             .map_err(ClusterError::from)
     }
 }

@@ -1,6 +1,6 @@
 //! Aggregation-policy equivalence suite.
 //!
-//! Two contracts:
+//! Four contracts:
 //!
 //! 1. **Legacy equivalence.** The default engine path *is*
 //!    [`WaitDecodable`]: a backend with no policy installed and one with
@@ -19,12 +19,18 @@
 //!    decode/aggregate fold ([`bcc_cluster::DecodePool`]) must replay the
 //!    serial fold bit-for-bit on every builtin scheme under every builtin
 //!    policy — exact decodes and partial (approximate) readouts alike.
+//! 4. **Row-shape equivalence.** The virtual backend reads replicated
+//!    schemes' partials from a per-round unit-gradient table — borrowed for
+//!    contiguous placement rows, gathered for wrap-around and scattered
+//!    ones. Over several rounds at moving weights, with and without a
+//!    minibatch, every row shape must replay the threaded backend (which
+//!    computes each worker's partials itself) bit for bit.
 
 use bcc_cluster::backend::FixedPointDriver;
 use bcc_cluster::{
     AggregationPolicy, BackendConfig, BestEffortAll, ClusterBackend, ClusterProfile, CommModel,
-    Deadline, DecodePool, EventLog, FastestK, RoundEvent, RoundOutcome, ThreadedCluster, UnitMap,
-    VirtualCluster, WaitDecodable, WorkerProfile,
+    Deadline, DecodePool, EventLog, FastestK, Minibatch, RoundDriver, RoundEvent, RoundOutcome,
+    ThreadedCluster, UnitMap, VirtualCluster, WaitDecodable, WorkerProfile,
 };
 use bcc_coding::{
     BccScheme, CyclicRepetitionScheme, FractionalRepetitionScheme, GradientCodingScheme,
@@ -201,6 +207,116 @@ fn assert_backend_agreement(v: &RoundOutcome, t: &RoundOutcome, tag: &str) {
     for (i, (a, b)) in v.gradient_sum.iter().zip(&t.gradient_sum).enumerate() {
         assert_eq!(a.to_bits(), b.to_bits(), "{tag}: gradient component {i}");
     }
+}
+
+/// How a placement row lays over the unit ids `0..m`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum RowShape {
+    /// `s, s+1, …, s+len−1`.
+    Contiguous,
+    /// A run of consecutive ids modulo `m` that wraps past `m − 1`.
+    Wrap,
+    /// Anything else.
+    Scattered,
+}
+
+fn row_shape(row: &[usize], m: usize) -> RowShape {
+    let is_run_from = |start: usize| (0..row.len()).all(|k| row.contains(&((start + k) % m)));
+    if row
+        .iter()
+        .zip(row.first().copied().unwrap_or(0)..)
+        .all(|(&u, e)| u == e)
+    {
+        RowShape::Contiguous
+    } else if row.iter().any(|&start| is_run_from(start)) {
+        RowShape::Wrap
+    } else {
+        RowShape::Scattered
+    }
+}
+
+/// Takes a small gradient step after every round, so each round evaluates
+/// a fresh point — a unit-gradient table carried over from the previous
+/// round would show.
+struct StepDriver {
+    weights: Vec<f64>,
+    outcomes: Vec<RoundOutcome>,
+}
+
+impl RoundDriver for StepDriver {
+    fn eval_point(&mut self, _round: usize) -> Vec<f64> {
+        self.weights.clone()
+    }
+
+    fn consume(&mut self, _round: usize, outcome: RoundOutcome) {
+        for (w, g) in self.weights.iter_mut().zip(&outcome.gradient_sum) {
+            *w -= 0.01 * g;
+        }
+        self.outcomes.push(outcome);
+    }
+}
+
+#[test]
+fn virtual_replays_threaded_on_every_row_shape() {
+    // Odd multiples of 4 ms: a one-unit finish (a·1) and a two-unit
+    // finish (a·2, an even multiple) never collide, so the threaded
+    // backend's real arrival order is the virtual order. A 9-of-10
+    // minibatch keeps at most one worker at zero load (and zero compute).
+    let shifts: Vec<f64> = (0..10)
+        .map(|i| 0.004 * (2 * ((i * 7) % 10) + 1) as f64)
+        .collect();
+    let profile = staircase_profile(&shifts);
+    let units = UnitMap::grouped(40, 10);
+    let data = generate(&SyntheticConfig::small(40, 4, 97));
+    let mut shapes = std::collections::HashSet::new();
+    for scheme in builtin_schemes() {
+        let placement = scheme.placement();
+        shapes.extend(
+            (0..placement.num_workers())
+                .map(|w| row_shape(placement.worker_examples(w), placement.num_examples())),
+        );
+        for minibatch in [None, Some(Minibatch::new(9, 41))] {
+            let config = || match minibatch {
+                Some(mb) => BackendConfig::new().minibatch(mb),
+                None => BackendConfig::new(),
+            };
+            let run = |cluster: &mut dyn ClusterBackend| {
+                let mut driver = StepDriver {
+                    weights: vec![0.05; 4],
+                    outcomes: Vec::new(),
+                };
+                cluster
+                    .run_rounds(
+                        4,
+                        scheme.as_ref(),
+                        &units,
+                        &data.dataset,
+                        &LogisticLoss,
+                        &mut driver,
+                    )
+                    .expect("rounds complete");
+                driver.outcomes
+            };
+            let virtual_out =
+                run(&mut VirtualCluster::new(profile.clone(), 29).configured(config()));
+            let threaded_out =
+                run(&mut ThreadedCluster::new(profile.clone(), 29, 1.0).configured(config()));
+            assert_eq!(virtual_out.len(), threaded_out.len());
+            for (round, (v, t)) in virtual_out.iter().zip(&threaded_out).enumerate() {
+                let tag = format!(
+                    "{}/minibatch {:?}/round {round}",
+                    scheme.name(),
+                    minibatch.map(|mb| mb.units_per_round)
+                );
+                assert_backend_agreement(v, t, &tag);
+            }
+        }
+    }
+    assert_eq!(
+        shapes.len(),
+        3,
+        "the schemes must cover contiguous, wrap and scattered rows: {shapes:?}"
+    );
 }
 
 #[test]

@@ -288,8 +288,9 @@ impl Controller for AdaptiveK {
 /// policy.
 #[derive(Debug, Clone, Copy)]
 pub struct RegimeSwitch {
-    /// EWMA multiple of the median that marks a worker slow (also the
-    /// telemetry store's per-round straggler test).
+    /// EWMA multiple of the median that marks a worker slow — both for
+    /// sizing `k` and, passed on as [`TelemetryConfig::slow_factor`], for
+    /// the slow-worker fraction the regime tracker votes on.
     pub slow_factor: f64,
     /// Consecutive contrary rounds before the regime flips.
     pub hysteresis: usize,

@@ -39,8 +39,7 @@ pub use controller::{
 };
 pub use switchable::SwitchablePolicy;
 pub use telemetry::{
-    round_straggler_count, QuantileEstimator, Regime, RegimeTracker, Telemetry, TelemetryConfig,
-    WorkerStats,
+    QuantileEstimator, Regime, RegimeTracker, Telemetry, TelemetryConfig, WorkerStats,
 };
 
 use bcc_cluster::{AggregationPolicy, ArrivalStamp};

@@ -17,9 +17,15 @@
 //! [`Telemetry::slow_worker_count`] counts a worker slow when its EWMA is a
 //! `slow_factor` multiple of the median **or** when it arrived in fewer
 //! than a third of observed rounds (including workers never seen at all).
+//!
+//! **Cost.** The store is dense — one slot per worker id, grown on first
+//! sight — and the median EWMA is a selection (`select_nth_unstable_by`),
+//! not a sort: a round costs O(arrivals + highest worker id), which matters
+//! at n = 1000, where the regime vote runs every round even under the
+//! `static` controller. The selected value equals sort-then-index, so
+//! every count and decision is the same as over a sorted copy.
 
 use bcc_cluster::ArrivalStamp;
-use std::collections::BTreeMap;
 
 /// Tuning knobs a [`Controller`](crate::Controller) hands its telemetry
 /// store at construction.
@@ -28,8 +34,8 @@ pub struct TelemetryConfig {
     /// EWMA smoothing factor in `(0, 1]` — weight of the newest sample.
     pub alpha: f64,
     /// A worker counts as slow when its EWMA exceeds `slow_factor ×` the
-    /// median EWMA (also the per-round straggler test of
-    /// [`round_straggler_count`]).
+    /// median EWMA; the regime tracker votes on the resulting
+    /// [`Telemetry::slow_worker_count`] as a fraction of participants.
     pub slow_factor: f64,
     /// Persistent-slow worker fraction at/above which a round votes for
     /// the slow regime.
@@ -193,7 +199,10 @@ impl QuantileEstimator {
 #[derive(Debug, Clone)]
 pub struct Telemetry {
     config: TelemetryConfig,
-    workers: BTreeMap<usize, WorkerStats>,
+    /// Indexed by worker id; `None` until the worker first arrives.
+    workers: Vec<Option<WorkerStats>>,
+    /// Number of `Some` entries in `workers`.
+    seen: usize,
     quantiles: QuantileEstimator,
     regime: RegimeTracker,
     rounds_observed: u64,
@@ -211,7 +220,8 @@ impl Telemetry {
     pub fn new(config: TelemetryConfig) -> Self {
         Self {
             config,
-            workers: BTreeMap::new(),
+            workers: Vec::new(),
+            seen: 0,
             quantiles: QuantileEstimator::new(512),
             regime: RegimeTracker::new(config.regime_threshold, config.hysteresis),
             rounds_observed: 0,
@@ -226,14 +236,18 @@ impl Telemetry {
         self.rounds_observed += 1;
         for stamp in arrivals {
             self.quantiles.push(stamp.compute_seconds);
-            let stats = self
-                .workers
-                .entry(stamp.worker)
-                .or_insert_with(|| WorkerStats {
-                    ewma: stamp.compute_seconds,
-                    last: stamp.compute_seconds,
-                    samples: 0,
-                });
+            if self.workers.len() <= stamp.worker {
+                self.workers.resize(stamp.worker + 1, None);
+            }
+            let slot = &mut self.workers[stamp.worker];
+            if slot.is_none() {
+                self.seen += 1;
+            }
+            let stats = slot.get_or_insert(WorkerStats {
+                ewma: stamp.compute_seconds,
+                last: stamp.compute_seconds,
+                samples: 0,
+            });
             if stats.samples > 0 {
                 stats.ewma = self.config.alpha * stamp.compute_seconds
                     + (1.0 - self.config.alpha) * stats.ewma;
@@ -253,12 +267,15 @@ impl Telemetry {
     /// One worker's summary, if it ever arrived.
     #[must_use]
     pub fn worker(&self, worker: usize) -> Option<&WorkerStats> {
-        self.workers.get(&worker)
+        self.workers.get(worker)?.as_ref()
     }
 
     /// Every observed worker's summary, in worker-id order.
     pub fn workers(&self) -> impl Iterator<Item = (usize, &WorkerStats)> {
-        self.workers.iter().map(|(&w, s)| (w, s))
+        self.workers
+            .iter()
+            .enumerate()
+            .filter_map(|(w, s)| Some((w, s.as_ref()?)))
     }
 
     /// The `q`-quantile of observed compute times (`None` before data).
@@ -270,12 +287,14 @@ impl Telemetry {
     /// Median of the per-worker EWMAs (`None` before data).
     #[must_use]
     pub fn median_ewma(&self) -> Option<f64> {
-        let mut ewmas: Vec<f64> = self.workers.values().map(|s| s.ewma).collect();
+        let mut ewmas: Vec<f64> = self.workers().map(|(_, s)| s.ewma).collect();
         if ewmas.is_empty() {
             return None;
         }
-        ewmas.sort_by(|a, b| a.partial_cmp(b).expect("EWMAs are finite"));
-        Some(ewmas[(ewmas.len() - 1) / 2])
+        let mid = (ewmas.len() - 1) / 2;
+        let (_, median, _) =
+            ewmas.select_nth_unstable_by(mid, |a, b| a.partial_cmp(b).expect("EWMAs are finite"));
+        Some(*median)
     }
 
     /// The estimated persistent straggler population among `participants`
@@ -288,12 +307,11 @@ impl Telemetry {
         if self.rounds_observed == 0 {
             return 0;
         }
-        let never_seen = participants.saturating_sub(self.workers.len());
+        let never_seen = participants.saturating_sub(self.seen);
         let median = self.median_ewma();
         let observed_slow = self
-            .workers
-            .values()
-            .filter(|s| {
+            .workers()
+            .filter(|(_, s)| {
                 let ewma_slow = median.is_some_and(|m| s.ewma > slow_factor * m);
                 let censored = 3 * s.samples < self.rounds_observed;
                 ewma_slow || censored
@@ -319,23 +337,6 @@ impl Telemetry {
     pub fn config(&self) -> TelemetryConfig {
         self.config
     }
-}
-
-/// Arrivals of one round whose compute time exceeds `slow_factor ×` the
-/// round's median compute time — the per-round straggler count the regime
-/// tracker votes on.
-#[must_use]
-pub fn round_straggler_count(arrivals: &[ArrivalStamp], slow_factor: f64) -> usize {
-    if arrivals.is_empty() {
-        return 0;
-    }
-    let mut times: Vec<f64> = arrivals.iter().map(|a| a.compute_seconds).collect();
-    times.sort_by(|a, b| a.partial_cmp(b).expect("compute times are finite"));
-    let median = times[(times.len() - 1) / 2];
-    arrivals
-        .iter()
-        .filter(|a| a.compute_seconds > slow_factor * median)
-        .count()
 }
 
 #[cfg(test)]
@@ -402,13 +403,6 @@ mod tests {
     }
 
     #[test]
-    fn straggler_count_keys_on_round_median() {
-        let arrivals = [stamp(0, 1.0), stamp(1, 1.1), stamp(2, 0.9), stamp(3, 9.0)];
-        assert_eq!(round_straggler_count(&arrivals, 3.0), 1);
-        assert_eq!(round_straggler_count(&[], 3.0), 0);
-    }
-
-    #[test]
     fn slow_workers_exceed_median_ewma() {
         let mut t = Telemetry::default();
         for _ in 0..3 {
@@ -453,5 +447,221 @@ mod tests {
         }
         assert_eq!(t.slow_worker_count(3.0, 4), 0);
         assert_eq!(t.regime(), Regime::Fast);
+    }
+
+    /// The store before it went dense: a `BTreeMap` keyed by worker id and
+    /// a full sort of every EWMA per median — the oracle [`Telemetry`]
+    /// must agree with bit for bit.
+    struct SortedStore {
+        config: TelemetryConfig,
+        workers: std::collections::BTreeMap<usize, WorkerStats>,
+        quantiles: QuantileEstimator,
+        regime: RegimeTracker,
+        rounds_observed: u64,
+    }
+
+    impl SortedStore {
+        fn new(config: TelemetryConfig) -> Self {
+            Self {
+                config,
+                workers: std::collections::BTreeMap::new(),
+                quantiles: QuantileEstimator::new(512),
+                regime: RegimeTracker::new(config.regime_threshold, config.hysteresis),
+                rounds_observed: 0,
+            }
+        }
+
+        fn observe(&mut self, participants: usize, arrivals: &[ArrivalStamp]) {
+            self.rounds_observed += 1;
+            for stamp in arrivals {
+                self.quantiles.push(stamp.compute_seconds);
+                let stats = self
+                    .workers
+                    .entry(stamp.worker)
+                    .or_insert_with(|| WorkerStats {
+                        ewma: stamp.compute_seconds,
+                        last: stamp.compute_seconds,
+                        samples: 0,
+                    });
+                if stats.samples > 0 {
+                    stats.ewma = self.config.alpha * stamp.compute_seconds
+                        + (1.0 - self.config.alpha) * stats.ewma;
+                }
+                stats.last = stamp.compute_seconds;
+                stats.samples += 1;
+            }
+            let fraction = if participants == 0 {
+                0.0
+            } else {
+                self.slow_worker_count(self.config.slow_factor, participants) as f64
+                    / participants as f64
+            };
+            self.regime.observe(fraction);
+        }
+
+        fn median_ewma(&self) -> Option<f64> {
+            let mut ewmas: Vec<f64> = self.workers.values().map(|s| s.ewma).collect();
+            if ewmas.is_empty() {
+                return None;
+            }
+            ewmas.sort_by(|a, b| a.partial_cmp(b).expect("EWMAs are finite"));
+            Some(ewmas[(ewmas.len() - 1) / 2])
+        }
+
+        fn slow_worker_count(&self, slow_factor: f64, participants: usize) -> usize {
+            if self.rounds_observed == 0 {
+                return 0;
+            }
+            let never_seen = participants.saturating_sub(self.workers.len());
+            let median = self.median_ewma();
+            let observed_slow = self
+                .workers
+                .values()
+                .filter(|s| {
+                    let ewma_slow = median.is_some_and(|m| s.ewma > slow_factor * m);
+                    let censored = 3 * s.samples < self.rounds_observed;
+                    ewma_slow || censored
+                })
+                .count();
+            never_seen + observed_slow
+        }
+
+        /// The three acting controllers' decisions, each written out over
+        /// this store's queries.
+        fn decisions(
+            &self,
+            controllers: &(QuantileDeadline, AdaptiveK, RegimeSwitch),
+            participants: usize,
+        ) -> [ControlAction; 3] {
+            let (deadline, adaptive, switch) = controllers;
+            let fastest_k = |slow: usize, min_k: usize| {
+                ControlAction::SetPolicy(ChosenPolicy::fastest_k(
+                    participants.saturating_sub(slow).max(min_k),
+                ))
+            };
+            let deadline = if self.rounds_observed < deadline.warmup {
+                ControlAction::Keep
+            } else {
+                match self.quantiles.quantile(deadline.q) {
+                    Some(q) if q > 0.0 => {
+                        ControlAction::SetPolicy(ChosenPolicy::deadline(q * deadline.margin))
+                    }
+                    _ => ControlAction::Keep,
+                }
+            };
+            let adaptive = if self.rounds_observed < adaptive.warmup {
+                ControlAction::Keep
+            } else {
+                match self.slow_worker_count(adaptive.slow_factor, participants) {
+                    0 => ControlAction::Revert,
+                    slow => fastest_k(slow, adaptive.min_k),
+                }
+            };
+            let switch = match self.regime.regime() {
+                Regime::Fast => ControlAction::Revert,
+                Regime::Slow => fastest_k(
+                    self.slow_worker_count(switch.slow_factor, participants)
+                        .max(1),
+                    switch.min_k,
+                ),
+            };
+            [deadline, adaptive, switch]
+        }
+    }
+
+    use crate::controller::{
+        AdaptiveK, ChosenPolicy, ControlAction, Controller, QuantileDeadline, RegimeSwitch,
+        RoundTelemetry,
+    };
+    use proptest::prelude::*;
+
+    /// A worker id: mostly from a small pool (repeats across rounds), some
+    /// sparse and far past every other id (the dense store grows holes).
+    fn worker_id() -> impl Strategy<Value = usize> {
+        prop_oneof![0usize..6, 0usize..40, 500usize..3000]
+    }
+
+    /// A compute time, with exact repeats so the median meets ties.
+    fn compute_time() -> impl Strategy<Value = f64> {
+        prop_oneof![0.0..10.0f64, Just(1.0), Just(0.25), Just(0.0)]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn dense_store_matches_the_sorted_oracle(
+            rounds in prop::collection::vec(
+                (
+                    0usize..3100,
+                    prop::collection::vec((worker_id(), compute_time()), 0..14),
+                ),
+                1..30,
+            ),
+            slow_factor in 1.5..4.0f64,
+            hysteresis in 1usize..4,
+            warmup in 0u64..4,
+        ) {
+            let switch = RegimeSwitch { slow_factor, hysteresis, min_k: 1 };
+            let controllers = (
+                QuantileDeadline { q: 0.6, margin: 2.0, warmup },
+                AdaptiveK { slow_factor: 2.0, warmup, min_k: 2 },
+                switch,
+            );
+            let config = switch.telemetry_config();
+            let mut dense = Telemetry::new(config);
+            let mut sorted = SortedStore::new(config);
+            let mut ids = vec![0, 7, 5000];
+            for (round, (participants, arrivals)) in rounds.iter().enumerate() {
+                let arrivals: Vec<ArrivalStamp> =
+                    arrivals.iter().map(|&(w, c)| stamp(w, c)).collect();
+                dense.observe(*participants, &arrivals);
+                sorted.observe(*participants, &arrivals);
+                ids.extend(arrivals.iter().flat_map(|a| [a.worker, a.worker + 1]));
+
+                for &id in &ids {
+                    prop_assert_eq!(dense.worker(id), sorted.workers.get(&id), "worker {}", id);
+                }
+                let dense_all: Vec<(usize, WorkerStats)> =
+                    dense.workers().map(|(w, s)| (w, *s)).collect();
+                let sorted_all: Vec<(usize, WorkerStats)> =
+                    sorted.workers.iter().map(|(&w, s)| (w, *s)).collect();
+                prop_assert_eq!(dense_all, sorted_all);
+                prop_assert_eq!(
+                    dense.median_ewma().map(f64::to_bits),
+                    sorted.median_ewma().map(f64::to_bits)
+                );
+                for factor in [2.0, 3.0] {
+                    for p in [*participants, participants + 5] {
+                        prop_assert_eq!(
+                            dense.slow_worker_count(factor, p),
+                            sorted.slow_worker_count(factor, p)
+                        );
+                    }
+                }
+                prop_assert_eq!(dense.regime(), sorted.regime.regime());
+                for q in [0.0, 0.5, 0.7, 1.0] {
+                    prop_assert_eq!(
+                        dense.quantile(q).map(f64::to_bits),
+                        sorted.quantiles.quantile(q).map(f64::to_bits)
+                    );
+                }
+                prop_assert_eq!(dense.rounds_observed(), sorted.rounds_observed);
+
+                let seen = RoundTelemetry {
+                    round: round as u64,
+                    participants: *participants,
+                    arrivals: &arrivals,
+                    telemetry: &dense,
+                };
+                let (mut deadline, mut adaptive, mut regime) = controllers;
+                let got = [
+                    deadline.observe_round(&seen),
+                    adaptive.observe_round(&seen),
+                    regime.observe_round(&seen),
+                ];
+                prop_assert_eq!(got, sorted.decisions(&controllers, *participants));
+            }
+        }
     }
 }

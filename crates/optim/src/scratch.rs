@@ -74,7 +74,25 @@ impl GradScratch {
         rows: std::ops::Range<usize>,
         w: &[f64],
     ) {
-        loss.add_gradient_rows(x, y, rows, w, &mut self.margins, &mut self.partials[slot]);
+        let mut acc = std::mem::take(&mut self.partials[slot]);
+        self.accumulate_rows(loss, x, y, rows, w, &mut acc);
+        self.partials[slot] = acc;
+    }
+
+    /// Accumulates the gradient of `arena` rows `rows` into the caller's
+    /// `acc` (zeroed by the caller), using this scratch's margin buffer —
+    /// the one gradient-kernel call site, shared by [`Self::fill_partial`]
+    /// and by backends that keep their own per-unit storage.
+    pub fn accumulate_rows(
+        &mut self,
+        loss: &dyn Loss,
+        x: &Matrix,
+        y: &[f64],
+        rows: std::ops::Range<usize>,
+        w: &[f64],
+        acc: &mut [f64],
+    ) {
+        loss.add_gradient_rows(x, y, rows, w, &mut self.margins, acc);
     }
 
     /// Overwrites slot `slot` with an already-computed gradient (the
