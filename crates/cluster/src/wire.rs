@@ -103,9 +103,48 @@ fn encode_payload(p: &Payload, buf: &mut BytesMut) {
 
 fn put_vec(buf: &mut BytesMut, v: &[f64]) {
     buf.put_u64_le(v.len() as u64);
-    for x in v {
-        buf.put_f64_le(*x);
+    put_f64s_le(buf, v);
+}
+
+/// Values staged per `extend_from_slice` in [`put_f64s_le`] (512 bytes).
+const F64_BLOCK: usize = 64;
+
+/// Appends `values` to `buf` as little-endian f64s, 8 bytes each with no
+/// length word — the one f64 encode loop on the wire (envelope vectors
+/// here, Round-frame weights in `bcc_net::frame`). Values are staged in a
+/// stack block and appended one block per `extend_from_slice`, so the loop
+/// body is a fixed-size copy the compiler vectorises.
+pub fn put_f64s_le(buf: &mut BytesMut, values: &[f64]) {
+    let mut block = [0u8; 8 * F64_BLOCK];
+    for chunk in values.chunks(F64_BLOCK) {
+        for (dst, x) in block.chunks_exact_mut(8).zip(chunk) {
+            dst.copy_from_slice(&x.to_le_bytes());
+        }
+        buf.extend_from_slice(&block[..8 * chunk.len()]);
     }
+}
+
+/// Reads little-endian f64s back from `bytes`, the inverse of
+/// [`put_f64s_le`]: one bulk pass into an exact-size `Vec` (bit patterns,
+/// NaN payloads included, are preserved). Callers check `bytes.len()`
+/// against the count their format carries.
+///
+/// # Panics
+/// Panics when `bytes.len()` is not a multiple of 8.
+#[must_use]
+pub fn f64s_from_le(bytes: &[u8]) -> Vec<f64> {
+    assert!(
+        bytes.len().is_multiple_of(8),
+        "f64 block must be whole values"
+    );
+    bytes
+        .chunks_exact(8)
+        .map(|b| {
+            let mut raw = [0u8; 8];
+            raw.copy_from_slice(b);
+            f64::from_le_bytes(raw)
+        })
+        .collect()
 }
 
 /// Deserializes an envelope from bytes.
@@ -171,14 +210,12 @@ fn get_vec(bytes: &mut Bytes) -> Result<Vec<f64>, ClusterError> {
     if bytes.remaining() < 8 {
         return Err(ClusterError::Wire("truncated reading vec len".into()));
     }
-    let len = bytes.get_u64_le() as usize;
-    if bytes.remaining() < len.saturating_mul(8) {
+    let body_len = (bytes.get_u64_le() as usize).saturating_mul(8);
+    if bytes.remaining() < body_len {
         return Err(ClusterError::Wire("truncated reading vec body".into()));
     }
-    let mut v = Vec::with_capacity(len);
-    for _ in 0..len {
-        v.push(bytes.get_f64_le());
-    }
+    let v = f64s_from_le(&bytes.chunk()[..body_len]);
+    bytes.advance(body_len);
     Ok(v)
 }
 

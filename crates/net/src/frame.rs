@@ -31,9 +31,26 @@
 //! place with [`patch_round_delay`] (the delay sits at a fixed offset —
 //! see the body layout below). Workers use [`encode_data_frame_into`] to
 //! wrap an already-encoded wire envelope without the intermediate
-//! `Bytes::copy_from_slice`. After warm-up no frame path allocates.
+//! `Bytes::copy_from_slice`. After warm-up no frame *encode* path
+//! allocates; weight vectors go through [`bcc_cluster::wire`]'s bulk f64
+//! codec, one block copy per 64 values.
+//!
+//! # Receive path
+//!
+//! The read path does allocate. [`read_message`] reads each frame once,
+//! into a buffer it allocates at the frame's length (after the
+//! [`MAX_FRAME_LEN`] check, with no zero-fill), and decodes from that
+//! buffer:
+//! - a Data frame keeps it — the payload is a [`Bytes`] view into the read
+//!   buffer (plus the view's small shared handle), so the envelope is
+//!   copied only when `wire::decode` unpacks its vector;
+//! - a Round frame allocates its weight vector, one bulk pass over the
+//!   body;
+//! - control frames allocate only a Job/Reject string.
+//!
+//! These counts are pinned by `tests/frame_allocs.rs`.
 
-use bcc_cluster::ClusterError;
+use bcc_cluster::{wire, ClusterError};
 use bytes::{Buf, Bytes, BytesMut};
 use std::io::{ErrorKind, Read, Write};
 use std::sync::{Arc, Mutex};
@@ -145,6 +162,10 @@ const TAG_BACKPRESSURE: u8 = 9;
 /// prefix 4 + tag 1 + round 8 + epoch 8).
 const ROUND_DELAY_OFFSET: usize = 4 + 1 + 8 + 8;
 
+/// Offset of a Data frame's envelope after the length prefix (tag 1 +
+/// epoch 8).
+const DATA_PAYLOAD_OFFSET: usize = 1 + 8;
+
 fn err(msg: impl Into<String>) -> ClusterError {
     ClusterError::Net(msg.into())
 }
@@ -222,9 +243,7 @@ pub fn encode_into(msg: &NetMessage, buf: &mut BytesMut) -> usize {
             buf.extend_from_slice(&epoch.to_le_bytes());
             buf.extend_from_slice(&delay_seconds.to_le_bytes());
             buf.extend_from_slice(&(weights.len() as u64).to_le_bytes());
-            for w in weights {
-                buf.extend_from_slice(&w.to_le_bytes());
-            }
+            wire::put_f64s_le(buf, weights);
         }
         NetMessage::Data { epoch, payload } => {
             buf.extend_from_slice(&[TAG_DATA]);
@@ -288,9 +307,7 @@ pub fn encode_round_into(
     buf.extend_from_slice(&epoch.to_le_bytes());
     buf.extend_from_slice(&delay_seconds.to_le_bytes());
     buf.extend_from_slice(&(weights.len() as u64).to_le_bytes());
-    for w in weights {
-        buf.extend_from_slice(&w.to_le_bytes());
-    }
+    wire::put_f64s_le(buf, weights);
     buf.len()
 }
 
@@ -378,11 +395,10 @@ impl FramePool {
 /// trailing bytes, or invalid UTF-8 in a job/reject string — never a
 /// panic, and never a read past `payload`.
 pub fn decode_frame(payload: &[u8]) -> Result<NetMessage, ClusterError> {
-    let (&tag, body) = payload
+    let (&tag, mut body) = payload
         .split_first()
         .ok_or_else(|| err("empty frame (missing tag)"))?;
-    let mut body = Bytes::copy_from_slice(body);
-    let take_u64 = |b: &mut Bytes, what: &str| -> Result<u64, ClusterError> {
+    let take_u64 = |b: &mut &[u8], what: &str| -> Result<u64, ClusterError> {
         if b.remaining() < 8 {
             return Err(err(format!("truncated frame reading {what}")));
         }
@@ -396,13 +412,13 @@ pub fn decode_frame(payload: &[u8]) -> Result<NetMessage, ClusterError> {
         TAG_JOB => {
             let job = String::from_utf8(body.to_vec())
                 .map_err(|_| err("job frame is not valid UTF-8"))?;
-            body.advance(body.remaining());
+            body = &[];
             NetMessage::Job(job)
         }
         TAG_REJECT => {
             let reason = String::from_utf8(body.to_vec())
                 .map_err(|_| err("reject frame is not valid UTF-8"))?;
-            body.advance(body.remaining());
+            body = &[];
             NetMessage::Reject(reason)
         }
         TAG_ROUND => {
@@ -419,10 +435,8 @@ pub fn decode_frame(payload: &[u8]) -> Result<NetMessage, ClusterError> {
                     body.remaining()
                 )));
             }
-            let mut weights = Vec::with_capacity(len);
-            for _ in 0..len {
-                weights.push(body.get_f64_le());
-            }
+            let weights = wire::f64s_from_le(body);
+            body = &[];
             NetMessage::Round {
                 round,
                 epoch,
@@ -432,8 +446,8 @@ pub fn decode_frame(payload: &[u8]) -> Result<NetMessage, ClusterError> {
         }
         TAG_DATA => {
             let epoch = take_u64(&mut body, "data epoch")?;
-            let payload = body.clone();
-            body.advance(body.remaining());
+            let payload = Bytes::copy_from_slice(body);
+            body = &[];
             NetMessage::Data { epoch, payload }
         }
         TAG_SKIPPED => NetMessage::Skipped {
@@ -469,6 +483,10 @@ pub fn decode_frame(payload: &[u8]) -> Result<NetMessage, ClusterError> {
 /// [`ClusterError::Net`] on mid-frame EOF, socket errors, a zero or
 /// over-[`MAX_FRAME_LEN`] length prefix, or a malformed payload. The
 /// length check happens before any allocation.
+///
+/// The frame is read once into a buffer of exactly its length (not
+/// zero-filled first). A Data frame's payload is a view into that buffer;
+/// every other frame is decoded from it by [`decode_frame`].
 pub fn read_message(r: &mut impl Read) -> Result<Option<NetMessage>, ClusterError> {
     let mut len_buf = [0u8; 4];
     match read_exact_or_eof(r, &mut len_buf)? {
@@ -484,9 +502,20 @@ pub fn read_message(r: &mut impl Read) -> Result<Option<NetMessage>, ClusterErro
             "frame length {len} exceeds the {MAX_FRAME_LEN}-byte cap"
         )));
     }
-    let mut payload = vec![0u8; len];
-    r.read_all(&mut payload)?;
-    decode_frame(&payload).map(Some)
+    let mut frame = Vec::with_capacity(len);
+    let read = r
+        .take(len as u64)
+        .read_to_end(&mut frame)
+        .map_err(|e| err(format!("receive failed: {e}")))?;
+    if read < len {
+        return Err(err("connection closed mid-frame"));
+    }
+    if frame[0] == TAG_DATA && len >= DATA_PAYLOAD_OFFSET {
+        let epoch = (&frame[1..DATA_PAYLOAD_OFFSET]).get_u64_le();
+        let payload = Bytes::from(frame).slice(DATA_PAYLOAD_OFFSET..len);
+        return Ok(Some(NetMessage::Data { epoch, payload }));
+    }
+    decode_frame(&frame).map(Some)
 }
 
 /// Writes one complete frame to `w`, returning the bytes put on the wire.
@@ -553,19 +582,6 @@ fn read_exact_or_eof<R: Read + ?Sized>(
     }
     Ok(ReadOutcome::Filled)
 }
-
-/// `read_exact` with [`ClusterError::Net`] errors (EOF here is always a
-/// truncation, the length prefix already promised more bytes).
-trait ReadAll: Read {
-    fn read_all(&mut self, buf: &mut [u8]) -> Result<(), ClusterError> {
-        match read_exact_or_eof(self, buf)? {
-            ReadOutcome::Filled => Ok(()),
-            ReadOutcome::Eof => Err(err("connection closed mid-frame")),
-        }
-    }
-}
-
-impl<R: Read> ReadAll for R {}
 
 #[cfg(test)]
 mod tests {

@@ -8,12 +8,17 @@
 //! the inner gradient-envelope codec the same way; a `Data` frame's body
 //! is exactly such an envelope, so the two suites together cover the full
 //! master↔worker byte path.
+//!
+//! The read path is also driven through a socket that trickles 1–7 bytes
+//! per call and interrupts itself, and at full size: a 131 072-weight
+//! Round frame and a 1 MiB Data frame. Round frames are held to the
+//! per-element encoder the bulk f64 codec replaced.
 
 use bcc_cluster::ClusterError;
 use bcc_net::frame::{self, NetMessage};
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use proptest::prelude::*;
-use std::io::Cursor;
+use std::io::{self, Cursor, ErrorKind, Read};
 
 fn finite_f64() -> impl Strategy<Value = f64> {
     prop_oneof![
@@ -66,6 +71,116 @@ fn message_strategy() -> impl Strategy<Value = NetMessage> {
         Just(NetMessage::Shutdown),
         any::<u64>().prop_map(|queued| NetMessage::Backpressure { queued }),
     ]
+}
+
+/// A socket at its most awkward: each `read` returns 1–7 bytes, cycling
+/// through `sizes`, and every `interrupt_every`-th call fails with
+/// `ErrorKind::Interrupted` instead.
+struct Trickle {
+    inner: Cursor<Vec<u8>>,
+    sizes: Vec<usize>,
+    interrupt_every: usize,
+    calls: usize,
+}
+
+impl Read for Trickle {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.calls += 1;
+        if self.calls.is_multiple_of(self.interrupt_every) {
+            return Err(ErrorKind::Interrupted.into());
+        }
+        let n = self.sizes[self.calls % self.sizes.len()].min(buf.len());
+        self.inner.read(&mut buf[..n])
+    }
+}
+
+/// The per-element Round encoder the bulk codec replaced: one
+/// `extend_from_slice` per weight.
+fn oracle_round_frame(round: u64, epoch: u64, delay_seconds: f64, weights: &[f64]) -> Vec<u8> {
+    let mut frame = ((1 + 32 + 8 * weights.len()) as u32).to_le_bytes().to_vec();
+    frame.push(2); // TAG_ROUND
+    frame.extend_from_slice(&round.to_le_bytes());
+    frame.extend_from_slice(&epoch.to_le_bytes());
+    frame.extend_from_slice(&delay_seconds.to_le_bytes());
+    frame.extend_from_slice(&(weights.len() as u64).to_le_bytes());
+    for w in weights {
+        frame.extend_from_slice(&w.to_le_bytes());
+    }
+    frame
+}
+
+fn weight_bits(msg: &NetMessage) -> Vec<u64> {
+    match msg {
+        NetMessage::Round { weights, .. } => weights.iter().map(|w| w.to_bits()).collect(),
+        other => panic!("expected a Round frame, got {other:?}"),
+    }
+}
+
+/// Any f64 bit pattern, weighted towards NaN payloads, ±0, subnormals and
+/// ±∞ — the values a value-level codec could mangle.
+fn any_bits_f64() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        any::<u64>(),
+        0x7FF0_0000_0000_0001..0x8000_0000_0000_0000u64,
+        0xFFF0_0000_0000_0001..u64::MAX,
+        1..0x0010_0000_0000_0000u64,
+        Just(0x8000_0000_0000_0000u64),
+        Just(f64::INFINITY.to_bits()),
+        Just(f64::NEG_INFINITY.to_bits()),
+    ]
+    .prop_map(f64::from_bits)
+}
+
+const LARGE_WEIGHTS: usize = 131_072;
+
+fn large_round_frame() -> Vec<u8> {
+    let weights: Vec<f64> = (0..LARGE_WEIGHTS).map(|i| i as f64 * 0.5 - 7.0).collect();
+    frame::encode(&NetMessage::Round {
+        round: 3,
+        epoch: 4,
+        delay_seconds: 0.25,
+        weights,
+    })
+}
+
+fn large_data_frame() -> Vec<u8> {
+    let payload: Vec<u8> = (0..1 << 20).map(|i: u32| (i * 31 % 251) as u8).collect();
+    frame::encode(&NetMessage::Data {
+        epoch: 9,
+        payload: Bytes::from(payload),
+    })
+}
+
+#[test]
+fn large_frames_roundtrip() {
+    for frame in [large_round_frame(), large_data_frame()] {
+        let decoded = frame::decode_frame(&frame[4..]).unwrap();
+        assert_eq!(frame::encode(&decoded), frame);
+        let mut cursor = Cursor::new(frame.as_slice());
+        assert_eq!(frame::read_message(&mut cursor).unwrap().unwrap(), decoded);
+        assert!(frame::read_message(&mut cursor).unwrap().is_none());
+    }
+}
+
+/// Truncation of the large frames: every cut in the first and last 64
+/// bytes (the header, the tag, the first and last values), and a
+/// prime-stride sweep in between. A full sweep re-reads up to 1 MiB per cut,
+/// quadratic in the frame, so the middle is sampled at every residue mod 8.
+#[test]
+fn large_frames_truncated_anywhere_are_net_errors() {
+    for frame in [large_round_frame(), large_data_frame()] {
+        let len = frame.len();
+        let cuts = (1..64)
+            .chain((64..len - 64).step_by(509))
+            .chain(len - 64..len);
+        for cut in cuts {
+            let result = frame::read_message(&mut Cursor::new(&frame[..cut]));
+            assert!(
+                matches!(result, Err(ClusterError::Net(_))),
+                "cut at {cut} of {len} must be ClusterError::Net, got {result:?}"
+            );
+        }
+    }
 }
 
 proptest! {
@@ -207,5 +322,65 @@ proptest! {
             weights,
         });
         prop_assert_eq!(buf.as_ref(), direct.as_slice());
+    }
+
+    #[test]
+    fn any_stream_reads_back_through_a_trickling_interrupting_socket(
+        msgs in prop::collection::vec(message_strategy(), 1..6),
+        sizes in prop::collection::vec(1..8usize, 1..8),
+        interrupt_every in 2..6usize,
+    ) {
+        let mut wire = Vec::new();
+        for msg in &msgs {
+            frame::write_message(&mut wire, msg).unwrap();
+        }
+        let mut socket = Trickle {
+            inner: Cursor::new(wire),
+            sizes,
+            interrupt_every,
+            calls: 0,
+        };
+        for msg in &msgs {
+            prop_assert_eq!(&frame::read_message(&mut socket).unwrap().unwrap(), msg);
+        }
+        prop_assert!(frame::read_message(&mut socket).unwrap().is_none());
+    }
+
+    #[test]
+    fn data_frames_read_zero_copy_equal_decode_frame(
+        epoch in any::<u64>(),
+        raw in prop::collection::vec(any::<u8>(), 0..600),
+    ) {
+        let frame = frame::encode(&NetMessage::Data {
+            epoch,
+            payload: Bytes::from(raw),
+        });
+        let read = frame::read_message(&mut Cursor::new(frame.as_slice()))
+            .unwrap()
+            .unwrap();
+        prop_assert_eq!(read, frame::decode_frame(&frame[4..]).unwrap());
+    }
+
+    #[test]
+    fn bulk_round_codec_matches_the_per_element_oracle(
+        round in any::<u64>(),
+        epoch in any::<u64>(),
+        delay_seconds in any_bits_f64(),
+        weights in prop::collection::vec(any_bits_f64(), 0..301),
+    ) {
+        let oracle = oracle_round_frame(round, epoch, delay_seconds, &weights);
+        let mut buf = BytesMut::with_capacity(0);
+        frame::encode_round_into(&mut buf, round, epoch, delay_seconds, &weights);
+        prop_assert_eq!(buf.as_ref(), oracle.as_slice());
+        let msg = NetMessage::Round { round, epoch, delay_seconds, weights };
+        frame::encode_into(&msg, &mut buf);
+        prop_assert_eq!(buf.as_ref(), oracle.as_slice());
+
+        let decoded = frame::decode_frame(&oracle[4..]).unwrap();
+        prop_assert_eq!(weight_bits(&decoded), weight_bits(&msg));
+        let read = frame::read_message(&mut Cursor::new(oracle.as_slice()))
+            .unwrap()
+            .unwrap();
+        prop_assert_eq!(weight_bits(&read), weight_bits(&msg));
     }
 }

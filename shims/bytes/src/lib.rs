@@ -1,9 +1,12 @@
 //! In-tree stand-in for the `bytes` crate.
 //!
 //! [`Bytes`] is an `Arc`-backed immutable byte buffer with O(1) `clone` and
-//! `slice`; [`BytesMut`] is a growable builder that freezes into one. The
-//! [`Buf`]/[`BufMut`] traits carry the little-endian accessor subset the
-//! wire codec uses. Semantics (cursor advance, panic on underflow) match
+//! `slice`; [`BytesMut`] is a growable builder that freezes into one. As
+//! upstream, `Bytes::from(Vec<u8>)` and [`BytesMut::freeze`] take the
+//! vector's allocation over without copying it. The [`Buf`]/[`BufMut`]
+//! traits carry the little-endian accessor subset the wire codec uses, and
+//! `Buf` is implemented for `&[u8]` so a borrowed slice parses without
+//! becoming a `Bytes`. Semantics (cursor advance, panic on underflow) match
 //! upstream for that subset.
 
 use std::ops::Range;
@@ -12,7 +15,7 @@ use std::sync::Arc;
 /// Immutable, cheaply cloneable byte buffer view.
 #[derive(Debug, Clone)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    data: Arc<Vec<u8>>,
     start: usize,
     end: usize,
 }
@@ -53,18 +56,12 @@ impl Bytes {
         self.as_slice().to_vec()
     }
 
-    /// Copies a slice into a fresh `Bytes` (one copy, straight into the
-    /// shared allocation) — the reuse-friendly way to ship a staging
-    /// buffer's contents without consuming the buffer.
+    /// Copies a slice into a fresh `Bytes` (one copy) — the reuse-friendly
+    /// way to ship a staging buffer's contents without consuming the
+    /// buffer.
     #[must_use]
     pub fn copy_from_slice(data: &[u8]) -> Bytes {
-        let data: Arc<[u8]> = Arc::from(data);
-        let end = data.len();
-        Bytes {
-            data,
-            start: 0,
-            end,
-        }
+        data.to_vec().into()
     }
 
     fn as_slice(&self) -> &[u8] {
@@ -72,12 +69,12 @@ impl Bytes {
     }
 }
 
+/// Takes the vector's allocation over: O(1), no copy.
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
-        let data: Arc<[u8]> = v.into();
-        let end = data.len();
+        let end = v.len();
         Bytes {
-            data,
+            data: Arc::new(v),
             start: 0,
             end,
         }
@@ -137,7 +134,8 @@ impl BytesMut {
         self.buf.is_empty()
     }
 
-    /// Converts into an immutable [`Bytes`].
+    /// Converts into an immutable [`Bytes`] over the same allocation
+    /// (O(1), no copy).
     #[must_use]
     pub fn freeze(self) -> Bytes {
         self.buf.into()
@@ -237,6 +235,22 @@ impl Buf for Bytes {
     }
 }
 
+/// A borrowed slice is its own cursor: reading shrinks it from the front.
+impl Buf for &[u8] {
+    fn remaining(&self) -> usize {
+        self.len()
+    }
+
+    fn chunk(&self) -> &[u8] {
+        self
+    }
+
+    fn advance(&mut self, n: usize) {
+        assert!(n <= self.len(), "advance past end of slice");
+        *self = &self[n..];
+    }
+}
+
 /// Write cursor appending to a byte sink (little-endian subset).
 pub trait BufMut {
     /// Appends raw bytes.
@@ -304,6 +318,70 @@ mod tests {
     fn advance_past_end_panics() {
         let mut b: Bytes = vec![1u8].into();
         b.advance(2);
+    }
+
+    #[test]
+    fn from_vec_and_freeze_keep_the_allocation() {
+        let v = vec![1u8, 2, 3, 4];
+        let ptr = v.as_ptr();
+        assert_eq!(Bytes::from(v).as_ref().as_ptr(), ptr);
+
+        let mut b = BytesMut::with_capacity(16);
+        b.put_u64_le(7);
+        let ptr = b.as_ref().as_ptr();
+        assert_eq!(b.freeze().as_ref().as_ptr(), ptr);
+    }
+
+    #[test]
+    fn slice_shares_the_allocation() {
+        let bytes: Bytes = vec![0, 1, 2, 3, 4, 5].into();
+        let base = bytes.as_ref().as_ptr();
+        assert_eq!(bytes.slice(2..5).as_ref().as_ptr(), base.wrapping_add(2));
+        assert_eq!(
+            bytes.slice(2..5).slice(1..2).as_ref().as_ptr(),
+            base.wrapping_add(3)
+        );
+    }
+
+    #[test]
+    fn slice_cursor_reads_like_bytes() {
+        let mut b = BytesMut::new();
+        b.put_u32_le(0xDEAD_BEEF);
+        b.put_u8(7);
+        b.put_u64_le(42);
+        b.put_f64_le(-1.5);
+        let raw = b.freeze();
+        let mut slice: &[u8] = raw.as_ref();
+        let mut bytes = raw.clone();
+        assert_eq!(slice.get_u32_le(), bytes.get_u32_le());
+        assert_eq!(slice.get_u8(), bytes.get_u8());
+        assert_eq!(slice.remaining(), bytes.remaining());
+        assert_eq!(slice.get_u64_le(), bytes.get_u64_le());
+        assert_eq!(slice.get_f64_le().to_bits(), bytes.get_f64_le().to_bits());
+        assert_eq!(slice.remaining(), 0);
+        assert_eq!(bytes.remaining(), 0);
+        assert!(slice.chunk().is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "advance past end")]
+    fn slice_advance_past_end_panics() {
+        let mut s: &[u8] = &[1u8];
+        s.advance(2);
+    }
+
+    #[test]
+    #[should_panic]
+    fn slice_get_past_end_panics() {
+        let mut s: &[u8] = &[1u8, 2, 3, 4];
+        let _ = s.get_u64_le();
+    }
+
+    #[test]
+    #[should_panic]
+    fn bytes_get_past_end_panics() {
+        let mut b: Bytes = vec![1u8, 2, 3, 4].into();
+        let _ = b.get_u64_le();
     }
 
     #[test]
