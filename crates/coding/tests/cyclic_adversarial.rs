@@ -103,7 +103,7 @@ fn drive(
 /// returns the worst residual and the worst ratio to the dense reference's.
 fn check_scheme(scheme_seed: u64) -> (f64, f64) {
     let scheme = CyclicRepetitionScheme::new(N, R, &mut derive_rng(scheme_seed, 0));
-    let b = scheme.coding_matrix();
+    let b = &scheme.coding_matrix();
     let grads = random_gradients(N, 3, scheme_seed ^ 0x5eed);
     let expect = total_sum(&grads);
     let payloads: Vec<Payload> = (0..N)
