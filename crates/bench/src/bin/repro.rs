@@ -179,11 +179,7 @@ fn main() {
 
     if want("fig2") {
         ran_any = true;
-        let cfg = fig2::Fig2Config {
-            trials: if args.options.fast { 500 } else { 5_000 },
-            ..fig2::Fig2Config::default()
-        };
-        let result = fig2::run(&cfg);
+        let result = fig2::run(&fig2::Fig2Config::default());
         print_table(&fig2::render(&result));
         persist(&args.out_dir, "fig2_tradeoff", &result);
     }

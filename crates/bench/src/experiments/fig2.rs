@@ -12,10 +12,6 @@ pub struct Fig2Config {
     pub m: usize,
     /// The loads swept on the x-axis.
     pub loads: Vec<usize>,
-    /// Monte-Carlo trials per point for the simulated curves.
-    pub trials: usize,
-    /// Seed.
-    pub seed: u64,
 }
 
 impl Default for Fig2Config {
@@ -23,8 +19,6 @@ impl Default for Fig2Config {
         Self {
             m: 100,
             loads: (1..=10).map(|k| k * 5).collect(),
-            trials: 5_000,
-            seed: 2024,
         }
     }
 }
@@ -41,7 +35,7 @@ pub struct Fig2Result {
 /// Runs the Fig. 2 sweep.
 #[must_use]
 pub fn run(config: &Fig2Config) -> Fig2Result {
-    let points = fig2_tradeoff(config.m, &config.loads, config.trials, config.seed);
+    let points = fig2_tradeoff(config.m, &config.loads);
     Fig2Result {
         config: config.clone(),
         points,
@@ -60,9 +54,9 @@ pub fn render(result: &Fig2Result) -> Table {
             "r",
             "lower bound m/r",
             "BCC (analytic)",
-            "BCC (simulated)",
+            "BCC (exact, n = m)",
             "randomized (approx)",
-            "randomized (simulated)",
+            "randomized (exact, n = m)",
             "CR m-r+1",
         ],
     );
@@ -71,9 +65,9 @@ pub fn render(result: &Fig2Result) -> Table {
             p.r.to_string(),
             f1(p.lower_bound),
             f1(p.bcc),
-            f1(p.bcc_simulated),
+            f1(p.bcc_exact),
             f1(p.random),
-            f1(p.random_simulated),
+            f1(p.random_exact),
             f1(p.cyclic_repetition),
         ]);
     }
@@ -87,7 +81,6 @@ mod tests {
     #[test]
     fn produces_expected_shape() {
         let cfg = Fig2Config {
-            trials: 300,
             loads: vec![10, 25, 50],
             ..Fig2Config::default()
         };

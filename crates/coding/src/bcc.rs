@@ -17,7 +17,7 @@ use crate::error::CodingError;
 use crate::payload::Payload;
 use crate::scheme::{encode_sum, CoverageDecoder, Decoder, GradientCodingScheme, Slots};
 use bcc_data::{Batching, Placement};
-use bcc_stats::harmonic::harmonic;
+use bcc_stats::coupon;
 use rand::Rng;
 
 /// The Batched Coupon's Collector scheme.
@@ -91,13 +91,6 @@ impl BccScheme {
         }
         seen.iter().all(|s| *s)
     }
-
-    /// `K_BCC(r) = ⌈m/r⌉ · H_{⌈m/r⌉}` (eq. (2) / Theorem 1).
-    #[must_use]
-    pub fn theoretical_recovery_threshold(m: usize, r: usize) -> f64 {
-        let nb = m.div_ceil(r);
-        nb as f64 * harmonic(nb)
-    }
 }
 
 impl GradientCodingScheme for BccScheme {
@@ -123,11 +116,9 @@ impl GradientCodingScheme for BccScheme {
         ))
     }
 
+    /// `K_BCC(r) = ⌈m/r⌉ · H_{⌈m/r⌉}` (eq. (2) / Theorem 1).
     fn analytic_recovery_threshold(&self) -> Option<f64> {
-        Some(Self::theoretical_recovery_threshold(
-            self.num_examples(),
-            self.batching.batch_size(),
-        ))
+        Some(coupon::expected_draws(self.batching.num_batches()))
     }
 }
 
@@ -224,19 +215,22 @@ mod tests {
     #[test]
     fn theoretical_threshold_matches_formula() {
         // m/r = 10 batches: K = 10·H_10 ≈ 29.29.
-        let k = BccScheme::theoretical_recovery_threshold(100, 10);
+        let k = coupon::expected_draws(10);
+        let scheme = BccScheme::from_choices(100, 10, (0..10).collect());
+        assert_eq!(scheme.analytic_recovery_threshold(), Some(k));
         assert!((k - 10.0 * bcc_stats::harmonic::harmonic(10)).abs() < 1e-12);
         assert!((k - 29.289_682_539_682_54).abs() < 1e-9);
         // r = m → one batch → K = 1.
-        assert_eq!(BccScheme::theoretical_recovery_threshold(50, 50), 1.0);
+        let whole = BccScheme::from_choices(50, 50, vec![0]);
+        assert_eq!(whole.analytic_recovery_threshold(), Some(1.0));
     }
 
     #[test]
     fn empirical_threshold_matches_coupon_collector() {
         // Feed workers in random arrival order; count messages until
         // coverage. Average should approach ⌈m/r⌉·H_{⌈m/r⌉} for n → ∞.
-        let (m, r) = (40, 8); // 5 batches → K = 5·H_5 ≈ 11.416
-        let expect = BccScheme::theoretical_recovery_threshold(m, r);
+        let (m, r) = (40usize, 8); // 5 batches → K = 5·H_5 ≈ 11.416
+        let expect = coupon::expected_draws(m.div_ceil(r));
         let grads = random_gradients(m, 1, 3);
         let mut rng = derive_rng(21, 0);
         let trials = 400;

@@ -128,7 +128,7 @@ mod tests {
         let s = UncompressedBccScheme::from_choices(20, 5, vec![0, 1, 2, 3]);
         assert_eq!(
             s.analytic_recovery_threshold(),
-            Some(crate::BccScheme::theoretical_recovery_threshold(20, 5))
+            Some(bcc_stats::coupon::expected_draws(4))
         );
     }
 }

@@ -8,10 +8,12 @@
 //! * CR/RS/CM coded schemes (eq. (7)): `K = m − r + 1`;
 //! * communication loads: `L_BCC = K_BCC` (eq. (14)), `L_random ≈ m·log m`
 //!   (eq. (6)), `L_CR = m − r + 1` (eq. (8)).
+//!
+//! The BCC and randomized lines hold as `n → ∞`; Fig. 2 adds both schemes'
+//! exact `E[K]` over `n = m` workers that cover, from [`bcc_stats::coupon`].
 
 use bcc_stats::coupon;
 use bcc_stats::harmonic::harmonic;
-use bcc_stats::rng::derive_rng;
 use serde::{Deserialize, Serialize};
 
 /// Lower bound `m/r` on the minimum recovery threshold (Theorem 1).
@@ -23,8 +25,7 @@ pub fn lower_bound(m: usize, r: usize) -> f64 {
 /// `K_BCC(r) = ⌈m/r⌉·H_{⌈m/r⌉}` (eq. (2)).
 #[must_use]
 pub fn k_bcc(m: usize, r: usize) -> f64 {
-    let nb = m.div_ceil(r);
-    nb as f64 * harmonic(nb)
+    coupon::expected_draws(m.div_ceil(r))
 }
 
 /// `L_BCC(r) = K_BCC(r)` (eq. (14)): every counted worker ships one unit.
@@ -70,43 +71,41 @@ pub struct TradeoffPoint {
     pub r: usize,
     /// Lower bound `m/r`.
     pub lower_bound: f64,
-    /// BCC's analytic threshold.
+    /// BCC's analytic threshold as `n → ∞`.
     pub bcc: f64,
-    /// Simple randomized scheme's approximate threshold.
+    /// Simple randomized scheme's approximate threshold (eq. (5)).
     pub random: f64,
     /// CR scheme's threshold `m − r + 1`.
     pub cyclic_repetition: f64,
-    /// Monte-Carlo estimate of BCC's threshold (coupon-collector draws).
-    pub bcc_simulated: f64,
-    /// Monte-Carlo estimate of the randomized scheme's threshold.
-    pub random_simulated: f64,
+    /// BCC's exact `E[K]` at `n = m` workers, given that they cover.
+    pub bcc_exact: f64,
+    /// The randomized scheme's exact `E[K]` at `n = m`, given coverage.
+    pub random_exact: f64,
 }
 
-/// Generates the Fig. 2 curve for `m = n` and the given loads.
-///
-/// `trials` Monte-Carlo runs per point validate the analytic curves; the
-/// simulation seeds derive from `seed` so the table is reproducible.
+/// Generates the Fig. 2 curve for `m = n` and the given loads. An exact
+/// mean is NaN where `m` workers cover with a probability below `f64`'s range.
 #[must_use]
-pub fn fig2_tradeoff(m: usize, loads: &[usize], trials: usize, seed: u64) -> Vec<TradeoffPoint> {
+pub fn fig2_tradeoff(m: usize, loads: &[usize]) -> Vec<TradeoffPoint> {
     loads
         .iter()
-        .map(|&r| {
-            let nb = m.div_ceil(r);
-            let mut rng = derive_rng(seed, r as u64);
-            let bcc_simulated = coupon::simulate_expected_draws(nb, trials, &mut rng);
-            let random_simulated =
-                coupon::simulate_random_subset_expected(m, r, trials.min(2_000), &mut rng);
-            TradeoffPoint {
-                r,
-                lower_bound: lower_bound(m, r),
-                bcc: k_bcc(m, r),
-                random: k_random_approx(m, r),
-                cyclic_repetition: k_coded(m, r),
-                bcc_simulated,
-                random_simulated,
-            }
+        .map(|&r| TradeoffPoint {
+            r,
+            lower_bound: lower_bound(m, r),
+            bcc: k_bcc(m, r),
+            random: k_random_approx(m, r),
+            cyclic_repetition: k_coded(m, r),
+            bcc_exact: mean(coupon::batched_pmf(m.div_ceil(r), m)),
+            random_exact: mean(coupon::random_subset_pmf(m, r, m)),
         })
         .collect()
+}
+
+/// `E[K]` of a law of `K`, NaN when there is none.
+fn mean(pmf: Option<Vec<f64>>) -> f64 {
+    pmf.map_or(f64::NAN, |pmf| {
+        pmf.iter().enumerate().map(|(k, p)| k as f64 * p).sum()
+    })
 }
 
 #[cfg(test)]
@@ -168,35 +167,20 @@ mod tests {
     }
 
     #[test]
-    fn fig2_simulation_tracks_analytics() {
-        let points = fig2_tradeoff(100, &[10, 25, 50], 3_000, 99);
-        assert_eq!(points.len(), 3);
+    fn fig2_exact_columns_are_the_finite_cluster_means() {
+        // m = n = 100; coupon.rs pins the laws themselves.
+        let points = fig2_tradeoff(100, &[5, 10, 25, 50, 100]);
+        assert!((points[0].bcc_exact - 65.750_329).abs() < 1e-6);
+        assert!((points[0].random_exact - 84.843_808).abs() < 1e-6);
+        assert!((points[1].bcc_exact - 29.268_240).abs() < 1e-6);
+        assert!((points[1].random_exact - 49.784_799).abs() < 1e-6);
         for p in &points {
-            // Simulated BCC within a few percent of ⌈m/r⌉·H (exact theory).
-            assert!(
-                (p.bcc_simulated - p.bcc).abs() / p.bcc < 0.06,
-                "r={}: sim {} vs exact {}",
-                p.r,
-                p.bcc_simulated,
-                p.bcc
-            );
-            // Randomized simulation in the ballpark of (m/r)·log m.
-            assert!(
-                p.random_simulated > 0.4 * p.random && p.random_simulated < 1.6 * p.random,
-                "r={}: sim {} vs approx {}",
-                p.r,
-                p.random_simulated,
-                p.random
-            );
-            // Everything at least the lower bound.
-            assert!(p.bcc_simulated >= p.lower_bound * 0.99);
+            // Conditioning on coverage by n = m workers only shortens the
+            // wait, and never below the m/r floor.
+            assert!(p.lower_bound <= p.bcc_exact && p.bcc_exact <= p.bcc + 1e-12);
+            assert!(p.lower_bound <= p.random_exact, "r={}", p.r);
         }
-    }
-
-    #[test]
-    fn fig2_deterministic_in_seed() {
-        let a = fig2_tradeoff(50, &[5, 10], 500, 7);
-        let b = fig2_tradeoff(50, &[5, 10], 500, 7);
-        assert_eq!(a, b);
+        assert_eq!(points[4].bcc_exact, 1.0);
+        assert_eq!(points[4].random_exact, 1.0);
     }
 }

@@ -1,10 +1,6 @@
 //! Harmonic numbers `H_n = Σ_{k=1..n} 1/k`.
 //!
-//! Theorem 1 states `K_BCC(r) = ⌈m/r⌉ · H_{⌈m/r⌉}`; the harness needs both
-//! exact small-`n` values and a fast asymptotic for large `n`.
-
-/// Euler–Mascheroni constant.
-pub const EULER_GAMMA: f64 = 0.577_215_664_901_532_9;
+//! Theorem 1 states `K_BCC(r) = ⌈m/r⌉ · H_{⌈m/r⌉}`.
 
 /// Exact harmonic number `H_n` by direct summation (summed small-to-large for
 /// accuracy). `H_0 = 0`.
@@ -15,21 +11,6 @@ pub fn harmonic(n: usize) -> f64 {
         s += 1.0 / k as f64;
     }
     s
-}
-
-/// Asymptotic harmonic number `ln n + γ + 1/(2n) − 1/(12n²)`.
-///
-/// Accurate to ~1e-8 for `n ≥ 10`; returns exact values for `n ≤ 1`.
-#[must_use]
-pub fn harmonic_asymptotic(n: usize) -> f64 {
-    match n {
-        0 => 0.0,
-        1 => 1.0,
-        _ => {
-            let x = n as f64;
-            x.ln() + EULER_GAMMA + 1.0 / (2.0 * x) - 1.0 / (12.0 * x * x)
-        }
-    }
 }
 
 /// Generalized harmonic number `H_{n,s} = Σ 1/k^s`.
@@ -57,17 +38,6 @@ mod tests {
         assert_eq!(harmonic(1), 1.0);
         assert!((harmonic(2) - 1.5).abs() < 1e-15);
         assert!((harmonic(4) - (1.0 + 0.5 + 1.0 / 3.0 + 0.25)).abs() < 1e-15);
-    }
-
-    #[test]
-    fn asymptotic_matches_exact() {
-        for n in [10usize, 50, 100, 1000, 10_000] {
-            let e = harmonic(n);
-            let a = harmonic_asymptotic(n);
-            assert!((e - a).abs() < 1e-6, "n={n}: {e} vs {a}");
-        }
-        assert_eq!(harmonic_asymptotic(0), 0.0);
-        assert_eq!(harmonic_asymptotic(1), 1.0);
     }
 
     #[test]

@@ -1,49 +1,10 @@
-//! Principal branch of the Lambert-W function.
+//! Secondary real branch of the Lambert-W function.
 //!
 //! The heterogeneous P2 load solver (following the HCMM structure of
 //! Reisizadeh et al. \[16\]) maximizes each worker's expected useful work at a
-//! target time `τ`; the stationarity condition has the form `x·eˣ = c`, whose
-//! solution is `W₀(c)`.
-
-/// Lambert `W₀(x)`: the solution `w ≥ −1` of `w·e^w = x`, for `x ≥ −1/e`.
-///
-/// Uses a log-based initial guess plus Halley iterations; absolute error is
-/// below `1e-12` across the domain.
-///
-/// # Panics
-/// Panics when `x < −1/e` (outside the real principal branch).
-#[must_use]
-pub fn lambert_w0(x: f64) -> f64 {
-    assert!(
-        x >= -std::f64::consts::E.recip() - 1e-12,
-        "lambert_w0 domain is x >= -1/e, got {x}"
-    );
-    if x == 0.0 {
-        return 0.0;
-    }
-    // Initial guess.
-    let mut w = if x < 1.0 {
-        // Series around 0: W ≈ x(1 − x + 1.5x²).
-        let xx = x.max(-std::f64::consts::E.recip());
-        xx * (1.0 - xx + 1.5 * xx * xx)
-    } else {
-        // Asymptotic: W ≈ ln x − ln ln x.
-        let l = x.ln();
-        l - l.ln().max(0.0)
-    };
-    // Halley iteration.
-    for _ in 0..64 {
-        let ew = w.exp();
-        let f = w * ew - x;
-        let denom = ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0);
-        let step = f / denom;
-        w -= step;
-        if step.abs() < 1e-14 * (1.0 + w.abs()) {
-            break;
-        }
-    }
-    w
-}
+//! target time `τ`; the stationarity condition `eᵘ = u + 1 + μa` has the
+//! non-trivial solution `u* = −W₋₁(−e^{−1−μa}) − 1 − μa`, on the `W₋₁`
+//! branch.
 
 /// Secondary real branch `W₋₁(x)` for `x ∈ [−1/e, 0)`: the solution
 /// `w ≤ −1` of `w·e^w = x`.
@@ -80,44 +41,6 @@ pub fn lambert_wm1(x: f64) -> f64 {
 mod tests {
     use super::*;
 
-    fn check_w0(x: f64) {
-        let w = lambert_w0(x);
-        assert!(
-            (w * w.exp() - x).abs() < 1e-9 * (1.0 + x.abs()),
-            "W0({x}) = {w} fails defining equation"
-        );
-    }
-
-    #[test]
-    fn known_values() {
-        assert_eq!(lambert_w0(0.0), 0.0);
-        assert!((lambert_w0(std::f64::consts::E) - 1.0).abs() < 1e-12);
-        // W0(1) = Ω ≈ 0.5671432904.
-        assert!((lambert_w0(1.0) - 0.567_143_290_409_783_8).abs() < 1e-12);
-    }
-
-    #[test]
-    fn defining_equation_across_domain() {
-        for &x in &[
-            -0.367, -0.3, -0.1, -1e-6, 1e-6, 0.5, 1.0, 2.0, 10.0, 100.0, 1e6, 1e12,
-        ] {
-            check_w0(x);
-        }
-    }
-
-    #[test]
-    fn branch_point() {
-        let x = -std::f64::consts::E.recip();
-        let w = lambert_w0(x);
-        assert!((w + 1.0).abs() < 1e-4, "W0(-1/e) = {w} should be ≈ -1");
-    }
-
-    #[test]
-    #[should_panic(expected = "domain")]
-    fn below_branch_point_panics() {
-        let _ = lambert_w0(-1.0);
-    }
-
     #[test]
     fn wm1_defining_equation() {
         for &x in &[-0.3, -0.2, -0.1, -0.05, -0.01, -1e-4] {
@@ -127,17 +50,6 @@ mod tests {
                 (w * w.exp() - x).abs() < 1e-8,
                 "W-1({x}) = {w} fails defining equation"
             );
-        }
-    }
-
-    #[test]
-    fn w0_monotone() {
-        let mut prev = lambert_w0(-0.36);
-        for i in 1..100 {
-            let x = -0.36 + i as f64 * 0.1;
-            let w = lambert_w0(x);
-            assert!(w > prev);
-            prev = w;
         }
     }
 }

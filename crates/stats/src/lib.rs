@@ -13,10 +13,10 @@
 //!   moments.
 //! * [`harmonic`](mod@harmonic) — harmonic numbers `H_n` appearing in Theorem 1.
 //! * [`coupon`] — coupon-collector analysis: exact expectation `N·H_N`, the
-//!   tail bound of Lemma 2, and seeded Monte-Carlo simulators for both the
-//!   batched (BCC) and raw-example (simple randomized) collection processes.
-//! * [`lambertw`] — the Lambert-W function used by the heterogeneous P2 load
-//!   solver (closed-form per-worker optimal loads follow \[16\]'s structure).
+//!   tail bound of Lemma 2, and the exact finite-`n` laws of the BCC and
+//!   simple randomized recovery thresholds.
+//! * [`lambertw`] — the `W₋₁` branch of Lambert-W used by the heterogeneous
+//!   P2 load solver (closed-form per-worker optimal loads follow \[16\]'s structure).
 //! * [`order`] — order statistics of (shift-)exponentials: the closed
 //!   forms (`E[max] = H_n/λ` etc.) that anchor the cluster simulators.
 //! * [`summary`] — Welford online moments and quantile summaries for the
@@ -37,6 +37,5 @@ pub mod summary;
 pub use dist::{Bernoulli, Exponential, Gaussian, Pareto, ShiftedExponential, Weibull};
 pub use gamma::gamma;
 pub use harmonic::harmonic;
-pub use lambertw::lambert_w0;
 pub use rng::{derive_rng, derive_seed};
 pub use summary::Summary;

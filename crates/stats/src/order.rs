@@ -12,9 +12,8 @@
 //! and a common shift just translates. These closed forms anchor the cluster
 //! simulators: tests compare measured round times against them.
 
-use crate::dist::{Sample, ShiftedExponential};
+use crate::dist::ShiftedExponential;
 use crate::harmonic::harmonic_range;
-use rand::Rng;
 
 /// Expected `k`-th smallest of `n` i.i.d. `Exp(rate)` variables:
 /// `(H_n − H_{n−k})/rate`.
@@ -44,21 +43,9 @@ pub fn expected_kth_shift_exp(n: usize, k: usize, mu: f64, a: f64, r: usize) -> 
     d.shift() + expected_kth_of_exponentials(n, k, d.rate())
 }
 
-/// One sampled `k`-th order statistic of `n` i.i.d. draws from `dist`
-/// (selection via full sort — `n` is at most a few hundred here).
-pub fn sample_kth<D: Sample, R: Rng + ?Sized>(dist: &D, n: usize, k: usize, rng: &mut R) -> f64 {
-    assert!(k >= 1 && k <= n, "need 1 ≤ k ≤ n");
-    let mut draws: Vec<f64> = (0..n).map(|_| dist.sample(rng)).collect();
-    draws.sort_by(|x, y| x.partial_cmp(y).expect("finite samples"));
-    draws[k - 1]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dist::Exponential;
-    use crate::rng::derive_rng;
-    use crate::summary::Summary;
 
     #[test]
     fn max_identity_is_harmonic() {
@@ -82,23 +69,6 @@ mod tests {
             assert!(e > prev);
             prev = e;
         }
-    }
-
-    #[test]
-    fn monte_carlo_matches_closed_form() {
-        let (n, k, rate) = (12, 9, 0.8);
-        let expect = expected_kth_of_exponentials(n, k, rate);
-        let d = Exponential::new(rate);
-        let mut rng = derive_rng(4, 0);
-        let mut s = Summary::new();
-        for _ in 0..40_000 {
-            s.push(sample_kth(&d, n, k, &mut rng));
-        }
-        assert!(
-            (s.mean() - expect).abs() < 5.0 * s.std_err().max(1e-3),
-            "MC {} vs closed form {expect}",
-            s.mean()
-        );
     }
 
     #[test]

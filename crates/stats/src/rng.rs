@@ -27,12 +27,6 @@ pub fn derive_rng(seed: u64, stream: u64) -> StdRng {
     StdRng::seed_from_u64(derive_seed(seed, stream))
 }
 
-/// Convenience: a two-level derivation for `(trial, entity)` streams.
-#[must_use]
-pub fn derive_rng2(seed: u64, trial: u64, entity: u64) -> StdRng {
-    StdRng::seed_from_u64(derive_seed(derive_seed(seed, trial), entity))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -60,16 +54,6 @@ mod tests {
         for _ in 0..16 {
             assert_eq!(r1.gen::<u64>(), r2.gen::<u64>());
         }
-    }
-
-    #[test]
-    fn two_level_derivation_decorrelates() {
-        let mut a = derive_rng2(5, 0, 0);
-        let mut b = derive_rng2(5, 0, 1);
-        let mut c = derive_rng2(5, 1, 0);
-        let (x, y, z) = (a.gen::<u64>(), b.gen::<u64>(), c.gen::<u64>());
-        assert_ne!(x, y);
-        assert_ne!(x, z);
     }
 
     #[test]
