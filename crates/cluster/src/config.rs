@@ -52,7 +52,7 @@ pub struct BackendConfig {
     /// Subscriber for the per-round [`RoundEvent`](crate::observer::RoundEvent)
     /// stream.
     pub observer: Option<SharedObserver>,
-    /// Master decode/aggregate thread budget.
+    /// Master decode/aggregate thread budget (unset: the serial fold).
     pub decode_pool: Option<DecodePool>,
     /// Per-round unit-subset sampler (minibatch rounds).
     pub minibatch: Option<Minibatch>,

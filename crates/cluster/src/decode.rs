@@ -32,10 +32,14 @@ pub struct DecodePool {
 }
 
 impl Default for DecodePool {
-    /// Uses every available core ([`Parallelism::available`]) — safe by the
-    /// bit-identity contract above.
+    /// The serial fold ([`DecodePool::serial`]); threads only when asked
+    /// for with [`DecodePool::threads`]. Most rounds fold less than
+    /// `par_weighted_sum`'s 64k-element serial threshold and never spawn,
+    /// and where they do spawn the threads can lose: on a 2-core host two
+    /// threads sum 2 × 131 072 terms in 396 µs against 176 µs serially
+    /// (median of 400 calls).
     fn default() -> Self {
-        Self::new(Parallelism::available())
+        Self::serial()
     }
 }
 
@@ -118,6 +122,11 @@ mod tests {
                 .unwrap();
         }
         dec
+    }
+
+    #[test]
+    fn default_pool_is_serial() {
+        assert_eq!(DecodePool::default(), DecodePool::serial());
     }
 
     #[test]

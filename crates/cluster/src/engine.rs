@@ -335,9 +335,9 @@ impl<'a> RoundEngine<'a> {
         }
     }
 
-    /// Overrides the decode/aggregate thread budget (default: all
-    /// available cores — safe because the parallel fold is bit-identical
-    /// to the serial one, see [`crate::decode`]).
+    /// Overrides the decode/aggregate thread budget (default: the serial
+    /// fold, [`DecodePool::default`]; any thread count gives the same
+    /// bits, see [`crate::decode`]).
     #[must_use]
     pub fn with_decode_pool(mut self, pool: DecodePool) -> Self {
         self.pool = pool;

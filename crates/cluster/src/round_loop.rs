@@ -268,7 +268,7 @@ impl<B: RoundSession> ClusterBackend for B {
             ctx,
             next_round: core.round,
             rounds,
-            // Defaults: the exact `WaitDecodable` policy, all cores.
+            // Defaults: the exact `WaitDecodable` policy, the serial fold.
             policy: policy.unwrap_or_else(default_policy),
             decode_pool: core.config.decode_pool.unwrap_or_default(),
             observer: core.config.observer.clone(),

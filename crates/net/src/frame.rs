@@ -24,16 +24,26 @@
 //!
 //! # Hot-path encoding
 //!
-//! The serial seed protocol allocated a fresh `Vec` per frame. The
-//! pipelined master instead encodes into pooled [`bytes::BytesMut`]
-//! staging buffers ([`FramePool`]) via [`encode_into`]; a shared Round
-//! body is encoded once and the per-worker compute delay is patched in
-//! place with [`patch_round_delay`] (the delay sits at a fixed offset —
-//! see the body layout below). Workers use [`encode_data_frame_into`] to
-//! wrap an already-encoded wire envelope without the intermediate
-//! `Bytes::copy_from_slice`. After warm-up no frame *encode* path
-//! allocates; weight vectors go through [`bcc_cluster::wire`]'s bulk f64
-//! codec, one block copy per 64 values.
+//! The serial seed protocol allocated a fresh `Vec` per frame. The master
+//! instead encodes control frames into pooled [`bytes::BytesMut`] staging
+//! buffers ([`FramePool`]) via [`encode_into`], and sends a frame whose
+//! bulk is shared or already encoded as a small fixed-size head followed
+//! by that bulk:
+//! - a Round frame is [`round_head`] (length, tag, round, epoch, delay,
+//!   weight count: [`ROUND_HEAD_LEN`] bytes) then [`encode_round_body`]'s
+//!   weight bytes. The master encodes the body once per round and every
+//!   worker's queue holds a handle to it, so the weights are serialized
+//!   once and copied never, whatever the fleet size;
+//! - a Data frame is [`data_head`] (length, tag, epoch: [`DATA_HEAD_LEN`]
+//!   bytes) then the worker's already-encoded wire envelope, written
+//!   straight from the staging buffer it was encoded into.
+//!
+//! Head plus body is byte for byte the frame [`encode`] produces, and
+//! [`encode_round_into`] / [`encode_data_frame_into`] are the one-buffer
+//! spellings of the same bytes. After warm-up no frame *encode* path
+//! allocates except the one Round body per round; weight vectors go
+//! through [`bcc_cluster::wire`]'s bulk f64 codec, one block copy per 64
+//! values.
 //!
 //! # Receive path
 //!
@@ -90,7 +100,7 @@ pub enum NetMessage {
     /// ```text
     /// round  u64 le   — frame offset  5..13
     /// epoch  u64 le   — frame offset 13..21
-    /// delay  f64 le   — frame offset 21..29   (patched per worker)
+    /// delay  f64 le   — frame offset 21..29   (per worker)
     /// count  u64 le   — frame offset 29..37
     /// w[i]   f64 le   — 8 bytes each
     /// ```
@@ -158,13 +168,17 @@ const TAG_SHUTDOWN: u8 = 7;
 const TAG_REJECT: u8 = 8;
 const TAG_BACKPRESSURE: u8 = 9;
 
-/// Frame offset of the `delay_seconds` field in a Round frame (length
-/// prefix 4 + tag 1 + round 8 + epoch 8).
-const ROUND_DELAY_OFFSET: usize = 4 + 1 + 8 + 8;
+/// Length of a Round frame's head: length prefix 4 + tag 1 + round 8 +
+/// epoch 8 + delay 8 + weight count 8. The weights follow it.
+pub const ROUND_HEAD_LEN: usize = 4 + 1 + 8 + 8 + 8 + 8;
+
+/// Length of a Data frame's head: length prefix 4 + tag 1 + epoch 8. The
+/// wire envelope follows it.
+pub const DATA_HEAD_LEN: usize = 4 + 1 + 8;
 
 /// Offset of a Data frame's envelope after the length prefix (tag 1 +
 /// epoch 8).
-const DATA_PAYLOAD_OFFSET: usize = 1 + 8;
+const DATA_PAYLOAD_OFFSET: usize = DATA_HEAD_LEN - 4;
 
 fn err(msg: impl Into<String>) -> ClusterError {
     ClusterError::Net(msg.into())
@@ -213,11 +227,7 @@ pub fn encode_into(msg: &NetMessage, buf: &mut BytesMut) -> usize {
     let body_len = body_len(msg);
     buf.clear();
     buf.reserve(4 + 1 + body_len);
-    buf.extend_from_slice(
-        &u32::try_from(1 + body_len)
-            .expect("frame fits u32")
-            .to_le_bytes(),
-    );
+    buf.extend_from_slice(&frame_len(1 + body_len));
     match msg {
         NetMessage::Hello { worker, token } => {
             buf.extend_from_slice(&[TAG_HELLO]);
@@ -283,9 +293,39 @@ pub fn encode(msg: &NetMessage) -> Vec<u8> {
     buf.as_ref().to_vec()
 }
 
-/// Serializes a Round frame into `buf` directly from borrowed weights —
-/// the broadcast template path ([`NetMessage::Round`] would force the
-/// master to clone the weight vector just to encode it). Returns the
+/// The head of a Round frame carrying `weights` weights: everything
+/// before the weights. A worker's Round frame is this head followed by
+/// [`encode_round_body`]'s bytes.
+#[must_use]
+pub fn round_head(
+    round: u64,
+    epoch: u64,
+    delay_seconds: f64,
+    weights: usize,
+) -> [u8; ROUND_HEAD_LEN] {
+    let mut head = [0u8; ROUND_HEAD_LEN];
+    head[..4].copy_from_slice(&frame_len(ROUND_HEAD_LEN - 4 + 8 * weights));
+    head[4] = TAG_ROUND;
+    head[5..13].copy_from_slice(&round.to_le_bytes());
+    head[13..21].copy_from_slice(&epoch.to_le_bytes());
+    head[21..29].copy_from_slice(&delay_seconds.to_le_bytes());
+    head[29..37].copy_from_slice(&(weights as u64).to_le_bytes());
+    head
+}
+
+/// The body of a Round frame: the weights, 8 little-endian bytes each —
+/// what follows a [`round_head`]. The one part of a Round frame every
+/// worker shares.
+#[must_use]
+pub fn encode_round_body(weights: &[f64]) -> BytesMut {
+    let mut body = BytesMut::with_capacity(8 * weights.len());
+    wire::put_f64s_le(&mut body, weights);
+    body
+}
+
+/// Serializes a Round frame into `buf` directly from borrowed weights
+/// ([`NetMessage::Round`] would force the caller to clone the weight
+/// vector just to encode it): [`round_head`] then the weights. Returns the
 /// frame length.
 pub fn encode_round_into(
     buf: &mut BytesMut,
@@ -294,56 +334,37 @@ pub fn encode_round_into(
     delay_seconds: f64,
     weights: &[f64],
 ) -> usize {
-    let body_len = 8 + 8 + 8 + 8 + 8 * weights.len();
     buf.clear();
-    buf.reserve(4 + 1 + body_len);
-    buf.extend_from_slice(
-        &u32::try_from(1 + body_len)
-            .expect("frame fits u32")
-            .to_le_bytes(),
-    );
-    buf.extend_from_slice(&[TAG_ROUND]);
-    buf.extend_from_slice(&round.to_le_bytes());
-    buf.extend_from_slice(&epoch.to_le_bytes());
-    buf.extend_from_slice(&delay_seconds.to_le_bytes());
-    buf.extend_from_slice(&(weights.len() as u64).to_le_bytes());
+    buf.reserve(ROUND_HEAD_LEN + 8 * weights.len());
+    buf.extend_from_slice(&round_head(round, epoch, delay_seconds, weights.len()));
     wire::put_f64s_le(buf, weights);
     buf.len()
 }
 
-/// Rewrites the `delay_seconds` field of an already-encoded Round frame
-/// in place — the per-worker personalization step after encoding the
-/// shared body once.
-///
-/// # Panics
-/// Panics when `frame` is not a Round frame at least delay-field long;
-/// this is a master-side programming error, never reachable from wire
-/// input.
-pub fn patch_round_delay(frame: &mut [u8], delay_seconds: f64) {
-    assert!(
-        frame.len() >= ROUND_DELAY_OFFSET + 8 && frame[4] == TAG_ROUND,
-        "patch_round_delay needs an encoded Round frame"
-    );
-    frame[ROUND_DELAY_OFFSET..ROUND_DELAY_OFFSET + 8].copy_from_slice(&delay_seconds.to_le_bytes());
+/// The head of a Data frame wrapping an `envelope_len`-byte wire
+/// envelope. A worker's Data frame is this head followed by the envelope.
+#[must_use]
+pub fn data_head(epoch: u64, envelope_len: usize) -> [u8; DATA_HEAD_LEN] {
+    let mut head = [0u8; DATA_HEAD_LEN];
+    head[..4].copy_from_slice(&frame_len(DATA_HEAD_LEN - 4 + envelope_len));
+    head[4] = TAG_DATA;
+    head[5..].copy_from_slice(&epoch.to_le_bytes());
+    head
 }
 
-/// Serializes a Data frame into `buf` directly from an already-encoded
-/// wire envelope — the worker-side zero-copy path (no intermediate
-/// `Bytes` allocation between the envelope staging buffer and the
-/// frame). Returns the frame length.
+/// Serializes a Data frame into `buf` from an already-encoded wire
+/// envelope: [`data_head`] then the envelope. Returns the frame length.
 pub fn encode_data_frame_into(buf: &mut BytesMut, epoch: u64, envelope: &[u8]) -> usize {
-    let body_len = 8 + envelope.len();
     buf.clear();
-    buf.reserve(4 + 1 + body_len);
-    buf.extend_from_slice(
-        &u32::try_from(1 + body_len)
-            .expect("frame fits u32")
-            .to_le_bytes(),
-    );
-    buf.extend_from_slice(&[TAG_DATA]);
-    buf.extend_from_slice(&epoch.to_le_bytes());
+    buf.reserve(DATA_HEAD_LEN + envelope.len());
+    buf.extend_from_slice(&data_head(epoch, envelope.len()));
     buf.extend_from_slice(envelope);
     buf.len()
+}
+
+/// A frame's length prefix for a tag + body of `len` bytes.
+fn frame_len(len: usize) -> [u8; 4] {
+    u32::try_from(len).expect("frame fits u32").to_le_bytes()
 }
 
 /// A free-list of frame staging buffers shared between the broadcast
@@ -518,40 +539,33 @@ pub fn read_message(r: &mut impl Read) -> Result<Option<NetMessage>, ClusterErro
     decode_frame(&frame).map(Some)
 }
 
-/// Writes one complete frame to `w`, returning the bytes put on the wire.
+/// Writes one complete frame to `w` and flushes, returning the bytes put
+/// on the wire.
 ///
 /// # Errors
 /// [`ClusterError::Net`] wrapping the underlying IO error.
 pub fn write_message(w: &mut impl Write, msg: &NetMessage) -> Result<usize, ClusterError> {
     let frame = encode(msg);
-    write_frame_bytes(w, &frame)?;
+    write_frame_parts(w, &frame, &[])?;
+    flush_stream(w)?;
     Ok(frame.len())
 }
 
-/// Writes an already-encoded frame to `w` (write + flush) — the writer
-/// threads' raw path for pooled buffers; coalescing callers flush
-/// themselves via [`write_frame_bytes_no_flush`].
+/// Writes one frame given as `head` then `body` (`body` may be empty),
+/// without flushing. A Round or Data frame goes out as its small head and
+/// then its shared or staged bulk, with no copy joining the two; a writer
+/// draining a burst flushes once at its end ([`flush_stream`]).
 ///
 /// # Errors
 /// [`ClusterError::Net`] wrapping the underlying IO error.
-pub fn write_frame_bytes(w: &mut impl Write, frame: &[u8]) -> Result<(), ClusterError> {
-    w.write_all(frame)
-        .and_then(|()| w.flush())
+pub fn write_frame_parts(w: &mut impl Write, head: &[u8], body: &[u8]) -> Result<(), ClusterError> {
+    w.write_all(head)
+        .and_then(|()| w.write_all(body))
         .map_err(|e| err(format!("send failed: {e}")))
 }
 
-/// Writes an already-encoded frame without flushing — lets a writer
-/// thread draining a burst coalesce many frames into one flush.
-///
-/// # Errors
-/// [`ClusterError::Net`] wrapping the underlying IO error.
-pub fn write_frame_bytes_no_flush(w: &mut impl Write, frame: &[u8]) -> Result<(), ClusterError> {
-    w.write_all(frame)
-        .map_err(|e| err(format!("send failed: {e}")))
-}
-
-/// Flushes `w` with [`ClusterError::Net`] errors — the tail of a
-/// coalesced burst.
+/// Flushes `w` with [`ClusterError::Net`] errors — the tail of a frame
+/// or of a coalesced burst.
 ///
 /// # Errors
 /// [`ClusterError::Net`] wrapping the underlying IO error.
@@ -664,35 +678,6 @@ mod tests {
         });
         assert_eq!(buf.as_ref(), generic.as_slice());
         assert_eq!(n, generic.len());
-    }
-
-    #[test]
-    fn patch_round_delay_rewrites_only_the_delay() {
-        let msg = NetMessage::Round {
-            round: 6,
-            epoch: 17,
-            delay_seconds: 0.25,
-            weights: vec![1.0, 2.0, 3.0],
-        };
-        let mut frame = encode(&msg);
-        patch_round_delay(&mut frame, 9.5);
-        let decoded = decode_frame(&frame[4..]).unwrap();
-        assert_eq!(
-            decoded,
-            NetMessage::Round {
-                round: 6,
-                epoch: 17,
-                delay_seconds: 9.5,
-                weights: vec![1.0, 2.0, 3.0],
-            }
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "encoded Round frame")]
-    fn patch_round_delay_rejects_non_round_frames() {
-        let mut frame = encode(&NetMessage::Shutdown);
-        patch_round_delay(&mut frame, 1.0);
     }
 
     #[test]

@@ -28,9 +28,10 @@
 //! byte-identically (pinned by `tests/net_equivalence.rs`).
 //!
 //! The hot path is pipelined: per-worker writer threads drain bounded
-//! queues of pooled, pre-encoded frames (a stalled peer surfaces as
-//! backpressure instead of blocking broadcast), the shared Round body is
-//! encoded once with per-worker delays patched in, and round `t+1` fans
+//! queues of pre-encoded frames (a stalled peer surfaces as backpressure
+//! instead of blocking broadcast), a round's weights are encoded once into
+//! one body every worker's Round frame shares behind its own small head,
+//! and round `t+1` fans
 //! out while round `t`'s tail arrivals drain — broadcast epochs keep late
 //! frames out of the decoder, so the pipelined path stays bit-identical
 //! to the serial reference (`BackendConfig::pipelining(false)`).

@@ -13,10 +13,12 @@
 //! completes the round.
 //!
 //! **Fan-out** is pipelined by default: every connection also owns a
-//! writer thread fed by a bounded queue of pooled, pre-encoded frames.
-//! The shared Round body is encoded once per round and the per-worker
-//! compute delay patched in, so broadcast is a handful of queue pushes —
-//! a stalled peer fills its own queue (surfacing as
+//! writer thread fed by a bounded queue of pre-encoded frames. A round's
+//! weights are encoded once into one shared body; each worker's queue
+//! gets its own 37-byte Round head (round, epoch, its compute delay,
+//! weight count) plus a handle to that body, and its writer sends the
+//! head and then the body. Broadcast is a handful of queue pushes that
+//! copy no weights — a stalled peer fills its own queue (surfacing as
 //! `NetStats::backpressure_events`) instead of head-of-line-blocking the
 //! other workers, and round `t+1`'s fan-out overlaps round `t`'s tail
 //! arrivals, which the broadcast-epoch tag keeps out of the decoder.
@@ -105,12 +107,45 @@ enum MasterEvent {
     Down { worker: usize, gen: u64 },
 }
 
+/// One frame on a writer queue, sent as its head and then its body.
+enum Outgoing {
+    /// A fully encoded control frame in a pooled buffer.
+    Frame(BytesMut),
+    /// A Round frame: this worker's head, then the round's weight body,
+    /// which every worker's Round frame of one broadcast shares.
+    Round {
+        head: [u8; frame::ROUND_HEAD_LEN],
+        body: Arc<BytesMut>,
+    },
+}
+
+impl Outgoing {
+    /// Writes the frame, head then body, without flushing; returns its
+    /// length.
+    fn write_to(&self, sink: &mut impl std::io::Write) -> Result<usize, ClusterError> {
+        let (head, body): (&[u8], &[u8]) = match self {
+            Self::Frame(buf) => (buf.as_ref(), &[]),
+            Self::Round { head, body } => (head, body.as_ref().as_ref()),
+        };
+        frame::write_frame_parts(sink, head, body)?;
+        Ok(head.len() + body.len())
+    }
+
+    /// Returns a pooled buffer to `pool`; a Round frame only drops its
+    /// handle on the shared body.
+    fn recycle(self, pool: &FramePool) {
+        if let Self::Frame(buf) = self {
+            pool.put(buf);
+        }
+    }
+}
+
 /// One registered worker connection: the registry's stream clone (serial
 /// writes + socket shutdown), the writer thread's frame queue, and the
 /// connection generation.
 struct Conn {
     stream: TcpStream,
-    tx: SyncSender<BytesMut>,
+    tx: SyncSender<Outgoing>,
     writer: JoinHandle<()>,
     gen: u64,
 }
@@ -326,7 +361,7 @@ impl TcpCluster {
             self.events_tx.clone(),
             self.stats.clone(),
         ));
-        let (tx, rx) = bounded::<BytesMut>(QUEUE_CAP);
+        let (tx, rx) = bounded::<Outgoing>(QUEUE_CAP);
         let writer = spawn_writer(
             writer_stream,
             worker,
@@ -391,43 +426,43 @@ impl TcpCluster {
         }
     }
 
-    /// Queues an encoded frame on `worker`'s writer thread. On a full
-    /// queue this records backpressure and, when `block` is set, retries
-    /// until [`ENQUEUE_STALL_TIMEOUT`]; `false` means the worker is
-    /// unreachable (no connection, closed queue, or stalled peer).
-    fn enqueue_frame(&self, worker: usize, frame: BytesMut, block: bool) -> bool {
+    /// Queues a frame on `worker`'s writer thread. On a full queue this
+    /// records backpressure and, when `block` is set, retries until
+    /// [`ENQUEUE_STALL_TIMEOUT`]; `false` means the worker is unreachable
+    /// (no connection, closed queue, or stalled peer).
+    fn enqueue_frame(&self, worker: usize, frame: Outgoing, block: bool) -> bool {
         let Some(conn) = self.conns.get(&worker) else {
-            self.pool.put(frame);
+            frame.recycle(&self.pool);
             return false;
         };
         match conn.tx.try_send(frame) {
             Ok(()) => true,
-            Err(TrySendError::Disconnected(buf)) => {
-                self.pool.put(buf);
+            Err(TrySendError::Disconnected(frame)) => {
+                frame.recycle(&self.pool);
                 false
             }
-            Err(TrySendError::Full(buf)) => {
+            Err(TrySendError::Full(frame)) => {
                 self.stats.record_backpressure();
                 if !block {
-                    self.pool.put(buf);
+                    frame.recycle(&self.pool);
                     return false;
                 }
                 let deadline = Instant::now() + ENQUEUE_STALL_TIMEOUT;
-                let mut pending = buf;
+                let mut pending = frame;
                 loop {
                     std::thread::sleep(Duration::from_millis(2));
                     match conn.tx.try_send(pending) {
                         Ok(()) => return true,
-                        Err(TrySendError::Disconnected(buf)) => {
-                            self.pool.put(buf);
+                        Err(TrySendError::Disconnected(frame)) => {
+                            frame.recycle(&self.pool);
                             return false;
                         }
-                        Err(TrySendError::Full(buf)) => {
+                        Err(TrySendError::Full(frame)) => {
                             if Instant::now() >= deadline {
-                                self.pool.put(buf);
+                                frame.recycle(&self.pool);
                                 return false;
                             }
-                            pending = buf;
+                            pending = frame;
                         }
                     }
                 }
@@ -435,24 +470,68 @@ impl TcpCluster {
         }
     }
 
-    /// Ships an already-encoded frame to `worker`: queued on its writer
-    /// thread in pipelined mode, written synchronously (write + flush,
-    /// the seed path) otherwise. The buffer returns to the pool either
-    /// way.
-    fn ship_frame(&self, worker: usize, buf: BytesMut, block: bool) -> bool {
+    /// Ships a frame to `worker`: queued on its writer thread in pipelined
+    /// mode, written synchronously (head, body, flush — the seed path)
+    /// otherwise. A pooled buffer returns to the pool either way.
+    fn ship_frame(&self, worker: usize, frame: Outgoing, block: bool) -> bool {
         if self.core.pipelined() {
-            return self.enqueue_frame(worker, buf, block);
+            return self.enqueue_frame(worker, frame, block);
         }
-        let ok = self.conns.get(&worker).is_some_and(|conn| {
+        let sent = self.conns.get(&worker).and_then(|conn| {
             let mut sink = &conn.stream;
-            frame::write_frame_bytes(&mut sink, buf.as_ref()).is_ok()
+            let len = frame.write_to(&mut sink).ok()?;
+            frame::flush_stream(&mut sink).ok().map(|()| len)
         });
-        if ok {
-            self.stats.record_send(buf.len());
+        if let Some(len) = sent {
+            self.stats.record_send(len);
             self.stats.record_flush();
         }
-        self.pool.put(buf);
-        ok
+        frame.recycle(&self.pool);
+        sent.is_some()
+    }
+
+    /// Ships `worker` its Round frame: its own head (its `delay_seconds`
+    /// under `epoch`) and a handle to the round's shared weight `body`.
+    fn ship_round(
+        &self,
+        worker: usize,
+        round: u64,
+        epoch: u64,
+        delay_seconds: f64,
+        body: &Arc<BytesMut>,
+    ) -> bool {
+        let head = frame::round_head(round, epoch, delay_seconds, body.len() / 8);
+        let body = Arc::clone(body);
+        self.ship_frame(worker, Outgoing::Round { head, body }, true)
+    }
+
+    /// Fans round `round` out to `live` under one fresh broadcast epoch.
+    /// The weights are encoded once, into one shared body, and every
+    /// worker gets its own head plus a handle to it ([`Self::ship_round`]).
+    /// A worker whose socket is already gone is marked dead now, so the
+    /// round never waits on it. Returns the epoch, the body (kept for
+    /// mid-round rejoins) and the workers reached.
+    fn broadcast_round(
+        &mut self,
+        round: u64,
+        weights: &[f64],
+        live: Vec<usize>,
+        delays: &BTreeMap<usize, f64>,
+    ) -> (u64, Arc<BytesMut>, Vec<usize>) {
+        let epoch = self.next_epoch();
+        let started = Instant::now();
+        let body = Arc::new(frame::encode_round_body(weights));
+        let mut reached = Vec::with_capacity(live.len());
+        for worker in live {
+            if self.ship_round(worker, round, epoch, delays[&worker], &body) {
+                reached.push(worker);
+            } else {
+                self.core.dead_workers.insert(worker);
+                self.stats.record_death();
+            }
+        }
+        self.stats.record_broadcast_wall(started.elapsed());
+        (epoch, body, reached)
     }
 }
 
@@ -477,7 +556,7 @@ impl RoundSession for TcpCluster {
             master: self,
             round: 0,
             start: now,
-            weights: Vec::new(),
+            body: Arc::default(),
             delays: BTreeMap::new(),
             epoch_of: HashMap::new(),
             live: BTreeSet::new(),
@@ -629,14 +708,14 @@ fn spawn_writer(
     stream: TcpStream,
     worker: usize,
     gen: u64,
-    rx: Receiver<BytesMut>,
+    rx: Receiver<Outgoing>,
     pool: FramePool,
     events_tx: Sender<MasterEvent>,
     stats: SharedStats,
 ) -> JoinHandle<()> {
     std::thread::spawn(move || {
         let mut sink = &stream;
-        let mut burst: Vec<BytesMut> = Vec::new();
+        let mut burst: Vec<Outgoing> = Vec::new();
         loop {
             match rx.recv() {
                 Ok(first) => burst.push(first),
@@ -648,20 +727,20 @@ fn spawn_writer(
             let depth = burst.len();
             stats.observe_queue_depth(depth);
             let mut failed = false;
-            for buf in burst.drain(..) {
+            for frame in burst.drain(..) {
                 if !failed {
-                    match frame::write_frame_bytes_no_flush(&mut sink, buf.as_ref()) {
-                        Ok(()) => stats.record_send(buf.len()),
+                    match frame.write_to(&mut sink) {
+                        Ok(len) => stats.record_send(len),
                         Err(_) => failed = true,
                     }
                 }
-                pool.put(buf);
+                frame.recycle(&pool);
             }
             if !failed && depth >= BACKPRESSURE_BURST {
                 let advisory = frame::encode(&NetMessage::Backpressure {
                     queued: depth as u64,
                 });
-                match frame::write_frame_bytes_no_flush(&mut sink, &advisory) {
+                match frame::write_frame_parts(&mut sink, &advisory, &[]) {
                     Ok(()) => stats.record_send(advisory.len()),
                     Err(_) => failed = true,
                 }
@@ -676,8 +755,8 @@ fn spawn_writer(
                 let _ = events_tx.send(MasterEvent::Down { worker, gen });
                 // Keep draining so enqueuers never block on a dead queue;
                 // the channel closes when the registry drops this conn.
-                while let Ok(buf) = rx.recv() {
-                    pool.put(buf);
+                while let Ok(frame) = rx.recv() {
+                    frame.recycle(&pool);
                 }
                 return;
             }
@@ -700,8 +779,9 @@ struct NetArrivals<'a> {
     participants: BTreeSet<usize>,
     round: u64,
     start: Instant,
-    /// The broadcast weights, kept for mid-round rejoin re-broadcasts.
-    weights: Vec<f64>,
+    /// The round's encoded weights, kept for mid-round rejoin
+    /// re-broadcasts.
+    body: Arc<BytesMut>,
     /// Deterministic per-worker compute delays for *every* participant.
     delays: BTreeMap<usize, f64>,
     /// The broadcast epoch each worker's Data must echo to count.
@@ -745,36 +825,12 @@ impl RoundTransport for NetArrivals<'_> {
         let batch = selection.as_ref();
         let delay = |&w: &usize| (w, ctx.compute_delay(model, seed, round, w, batch));
         self.delays = self.participants.iter().map(delay).collect();
-        // Encode the shared Round body once; per worker the pooled copy
-        // only gets its delay patched in.
-        let epoch = master.next_epoch();
-        let broadcast_started = Instant::now();
-        let mut template = master.pool.take();
-        frame::encode_round_into(&mut template, round, epoch, 0.0, &weights);
-        self.epoch_of.clear();
-        self.live.clear();
-        for worker in live {
-            let mut buf = master.pool.take();
-            buf.clear();
-            buf.extend_from_slice(template.as_ref());
-            frame::patch_round_delay(buf.as_mut(), self.delays[&worker]);
-            if master.ship_frame(worker, buf, true) {
-                self.live.insert(worker);
-                self.epoch_of.insert(worker, epoch);
-            } else {
-                // Already-dead socket: record the death now so the round
-                // never waits on it.
-                master.core.dead_workers.insert(worker);
-                master.stats.record_death();
-            }
-        }
-        master.pool.put(template);
-        master
-            .stats
-            .record_broadcast_wall(broadcast_started.elapsed());
+        let (epoch, body, reached) = master.broadcast_round(round, &weights, live, &self.delays);
+        self.epoch_of = reached.iter().map(|&w| (w, epoch)).collect();
+        self.live = reached.into_iter().collect();
         let now = Instant::now();
         self.round = round;
-        self.weights = weights;
+        self.body = body;
         self.start = now;
         self.last_progress = now;
         self.reported.clear();
@@ -796,7 +852,7 @@ impl RoundTransport for NetArrivals<'_> {
                 },
                 &mut buf,
             );
-            let _ = self.master.ship_frame(worker, buf, false);
+            let _ = self.master.ship_frame(worker, Outgoing::Frame(buf), false);
         }
         self.master.core.dead_workers.extend(self.deaths.drain(..));
     }
@@ -830,9 +886,10 @@ impl NetArrivals<'_> {
         }
         let delay = *self.delays.get(&worker)?;
         let epoch = self.master.next_epoch();
-        let mut buf = self.master.pool.take();
-        frame::encode_round_into(&mut buf, self.round, epoch, delay, &self.weights);
-        if !self.master.ship_frame(worker, buf, true) {
+        if !self
+            .master
+            .ship_round(worker, self.round, epoch, delay, &self.body)
+        {
             return None;
         }
         let now = Instant::now();
@@ -1024,19 +1081,23 @@ impl ArrivalSource for NetArrivals<'_> {
 mod tests {
     use super::*;
     use bcc_cluster::latency::CommModel;
+    use std::net::TcpListener;
 
-    #[test]
-    fn bind_resolves_ephemeral_port_and_shuts_down() {
-        let profile = ClusterProfile::homogeneous(
-            2,
+    fn profile(workers: usize) -> ClusterProfile {
+        ClusterProfile::homogeneous(
+            workers,
             4.0,
             0.001,
             CommModel {
                 per_message_overhead: 0.001,
                 per_unit: 0.001,
             },
-        );
-        let mut master = TcpCluster::bind("127.0.0.1:0", profile, 1, 1.0).unwrap();
+        )
+    }
+
+    #[test]
+    fn bind_resolves_ephemeral_port_and_shuts_down() {
+        let mut master = TcpCluster::bind("127.0.0.1:0", profile(2), 1, 1.0).unwrap();
         assert_ne!(master.local_addr().port(), 0);
         master.shutdown();
         master.shutdown(); // idempotent
@@ -1044,16 +1105,7 @@ mod tests {
 
     #[test]
     fn missing_workers_fail_registration_within_timeout() {
-        let profile = ClusterProfile::homogeneous(
-            2,
-            4.0,
-            0.001,
-            CommModel {
-                per_message_overhead: 0.001,
-                per_unit: 0.001,
-            },
-        );
-        let mut master = TcpCluster::bind("127.0.0.1:0", profile, 1, 1.0)
+        let mut master = TcpCluster::bind("127.0.0.1:0", profile(2), 1, 1.0)
             .unwrap()
             .configured(BackendConfig::new().connect_timeout(Duration::from_millis(100)));
         let err = master.ensure_registered(&[0, 1]).unwrap_err();
@@ -1061,5 +1113,112 @@ mod tests {
             matches!(err, ClusterError::Net(ref msg) if msg.contains("did not register")),
             "got {err:?}"
         );
+    }
+
+    /// Every Round frame one broadcast queues holds a handle to the same
+    /// body, so the weights are encoded once and copied for no worker;
+    /// each worker's head plus that body is exactly its Round frame.
+    #[test]
+    fn broadcast_queues_one_shared_body_for_every_worker() {
+        for n in [2, 8] {
+            let mut master = TcpCluster::bind("127.0.0.1:0", profile(n), 1, 1.0).unwrap();
+            // Stand-in connections: real sockets, but the test holds each
+            // writer queue's receiving end.
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let mut queues = Vec::new();
+            let mut peers = Vec::new();
+            for worker in 0..n {
+                peers.push(TcpStream::connect(listener.local_addr().unwrap()).unwrap());
+                let (stream, _) = listener.accept().unwrap();
+                let (tx, rx) = bounded::<Outgoing>(QUEUE_CAP);
+                let writer = std::thread::spawn(|| {});
+                master.conns.insert(
+                    worker,
+                    Conn {
+                        stream,
+                        tx,
+                        writer,
+                        gen: 0,
+                    },
+                );
+                queues.push(rx);
+            }
+            let weights: Vec<f64> = (0..1000).map(|i| f64::from(i) * 0.25 - 7.0).collect();
+            let delays: BTreeMap<usize, f64> = (0..n).map(|w| (w, 0.5 + w as f64)).collect();
+            let (epoch, body, reached) =
+                master.broadcast_round(3, &weights, (0..n).collect(), &delays);
+            assert_eq!(reached, (0..n).collect::<Vec<_>>());
+            for (worker, rx) in queues.iter().enumerate() {
+                let Ok(Outgoing::Round { head, body: queued }) = rx.try_recv() else {
+                    panic!("n = {n}: worker {worker} got no Round frame");
+                };
+                assert!(
+                    Arc::ptr_eq(&queued, &body),
+                    "n = {n}: worker {worker}'s Round frame copies the body"
+                );
+                let mut bytes = head.to_vec();
+                bytes.extend_from_slice(queued.as_ref().as_ref());
+                let expect = frame::encode(&NetMessage::Round {
+                    round: 3,
+                    epoch,
+                    delay_seconds: delays[&worker],
+                    weights: weights.clone(),
+                });
+                assert_eq!(bytes, expect, "n = {n}: worker {worker}'s bytes");
+                assert!(rx.try_recv().is_err(), "one frame per worker");
+            }
+            assert_eq!(Arc::strong_count(&body), 1, "n = {n}: every handle dropped");
+            master.shutdown();
+        }
+    }
+
+    /// Head then body is one frame on the wire and in `NetStats`, on the
+    /// writer threads and on the serial write-and-flush path alike.
+    #[test]
+    fn a_round_head_and_its_body_count_as_one_frame() {
+        let n = 3;
+        let weights: Vec<f64> = (0..500).map(|i| f64::from(i) - 1.5).collect();
+        let round_len = frame::ROUND_HEAD_LEN + 8 * weights.len();
+        let control_len = frame::encode(&NetMessage::Shutdown).len();
+        for pipelined in [true, false] {
+            let mut master = TcpCluster::bind("127.0.0.1:0", profile(n), 1, 1.0)
+                .unwrap()
+                .configured(BackendConfig::new().pipelining(pipelined));
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let mut peers = Vec::new();
+            for worker in 0..n {
+                let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+                let (stream, _) = listener.accept().unwrap();
+                master.register(Registration { worker, stream });
+                let job = frame::read_message(&mut peer).unwrap();
+                assert_eq!(job, Some(NetMessage::Job(String::new())));
+                peers.push(peer);
+            }
+            let delays: BTreeMap<usize, f64> = (0..n).map(|w| (w, 0.25 * w as f64)).collect();
+            let (epoch, _, reached) =
+                master.broadcast_round(9, &weights, (0..n).collect(), &delays);
+            assert_eq!(reached.len(), n);
+            for (worker, peer) in peers.iter_mut().enumerate() {
+                let got = frame::read_message(peer).unwrap();
+                let expect = NetMessage::Round {
+                    round: 9,
+                    epoch,
+                    delay_seconds: delays[&worker],
+                    weights: weights.clone(),
+                };
+                assert_eq!(got, Some(expect), "pipelined = {pipelined}");
+            }
+            master.shutdown();
+            // Per worker: the Job, the Round and the Shutdown frame; one
+            // flush for the Round.
+            let stats = master.stats();
+            assert_eq!(stats.frames_sent, 3 * n as u64, "pipelined = {pipelined}");
+            assert_eq!(
+                stats.bytes_sent,
+                (n * (round_len + 2 * control_len)) as u64,
+                "pipelined = {pipelined}"
+            );
+            assert_eq!(stats.flushes, n as u64, "pipelined = {pipelined}");
+        }
     }
 }

@@ -44,7 +44,7 @@ pub struct NetStats {
     /// (a subset of `reconnects`, which also counts boundary rejoins).
     pub rejoins: u64,
     /// Cumulative wall nanoseconds the master spent fanning rounds out
-    /// (template encode → last frame handed to its writer queue). With
+    /// (body encode → last frame handed to its writer queue). With
     /// writer threads this is queue-push time, not socket time — the
     /// number `repro net` publishes as the broadcast wall.
     pub broadcast_wall_nanos: u64,

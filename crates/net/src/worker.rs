@@ -19,7 +19,6 @@ use crate::frame::{self, NetMessage};
 use bcc_cluster::engine::RoundContext;
 use bcc_cluster::worker::{cancellable_sleep, WorkerReport, WorkerStep};
 use bcc_cluster::ClusterError;
-use bytes::BytesMut;
 use crossbeam_channel::{unbounded, Receiver, Sender};
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -275,10 +274,8 @@ fn round_loop(
     writer: &Mutex<TcpStream>,
 ) -> Result<(), ClusterError> {
     // Reused across rounds: the step's gradient scratch and wire staging
-    // buffer, and the outgoing frame buffer — after warm-up the data path
-    // allocates nothing per round.
+    // buffer — after warm-up the data path allocates nothing per round.
     let mut step = WorkerStep::new(*ctx, cfg.worker, cfg.time_scale, finished_before);
-    let mut frame_buf = BytesMut::with_capacity(0);
     while let Ok(event) = event_rx.recv() {
         let NetMessage::Round {
             round,
@@ -300,18 +297,20 @@ fn round_loop(
         let selection = ctx.selection_for(round);
         match step.run(round, &weights, selection.as_ref(), delay_seconds) {
             WorkerReport::Cancelled => continue, // master settled this round first
-            // Straight from the envelope staging buffer into the frame
-            // buffer, echoing the broadcast epoch — no intermediate
-            // `Bytes` allocation.
+            // The Data head echoing the broadcast epoch, then the envelope
+            // straight from its staging buffer, under one hold of the
+            // writer lock so a heartbeat cannot land between them.
             WorkerReport::Envelope(envelope) => {
-                frame::encode_data_frame_into(&mut frame_buf, epoch, envelope);
+                let head = frame::data_head(epoch, envelope.len());
+                let mut w = writer.lock().expect("worker writer lock poisoned");
+                frame::write_frame_parts(&mut *w, &head, envelope)?;
+                frame::flush_stream(&mut *w)?;
             }
             WorkerReport::Skipped => {
-                frame::encode_into(&NetMessage::Skipped { round }, &mut frame_buf);
+                let mut w = writer.lock().expect("worker writer lock poisoned");
+                frame::write_message(&mut *w, &NetMessage::Skipped { round })?;
             }
         }
-        let mut w = writer.lock().expect("worker writer lock poisoned");
-        frame::write_frame_bytes(&mut *w, frame_buf.as_ref())?;
     }
     Ok(())
 }

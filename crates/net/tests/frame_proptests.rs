@@ -12,7 +12,8 @@
 //! The read path is also driven through a socket that trickles 1–7 bytes
 //! per call and interrupts itself, and at full size: a 131 072-weight
 //! Round frame and a 1 MiB Data frame. Round frames are held to the
-//! per-element encoder the bulk f64 codec replaced.
+//! per-element encoder the bulk f64 codec replaced, and the head-then-body
+//! frames the master and the workers send to the one-buffer encoders.
 
 use bcc_cluster::ClusterError;
 use bcc_net::frame::{self, NetMessage};
@@ -303,25 +304,41 @@ proptest! {
     }
 
     #[test]
-    fn round_template_patching_matches_direct_encode(
+    fn round_head_then_shared_body_is_the_round_frame(
         round in any::<u64>(),
         epoch in any::<u64>(),
-        template_delay in finite_f64(),
-        patched_delay in finite_f64(),
-        weights in prop::collection::vec(finite_f64(), 0..32),
+        delay_seconds in any_bits_f64(),
+        weights in prop::collection::vec(any_bits_f64(), 0..64),
     ) {
-        // Broadcast encodes the Round body once and patches the per-worker
-        // delay in place; the result must equal a direct encode.
-        let mut buf = bytes::BytesMut::with_capacity(0);
-        frame::encode_round_into(&mut buf, round, epoch, template_delay, &weights);
-        frame::patch_round_delay(buf.as_mut(), patched_delay);
+        // Broadcast encodes the weights once into a body every worker
+        // shares and gives each worker its own head; the two written back
+        // to back must be the frame the generic encoder produces.
+        let head = frame::round_head(round, epoch, delay_seconds, weights.len());
+        let mut sent = head.to_vec();
+        sent.extend_from_slice(frame::encode_round_body(&weights).as_ref());
         let direct = frame::encode(&NetMessage::Round {
             round,
             epoch,
-            delay_seconds: patched_delay,
+            delay_seconds,
             weights,
         });
-        prop_assert_eq!(buf.as_ref(), direct.as_slice());
+        prop_assert_eq!(sent, direct);
+    }
+
+    #[test]
+    fn data_head_then_envelope_is_the_data_frame(
+        epoch in any::<u64>(),
+        envelope in prop::collection::vec(any::<u8>(), 0..600),
+    ) {
+        // A worker writes the Data head and then its staged envelope; the
+        // two must be the bytes `encode_data_frame_into` builds in one
+        // buffer.
+        let mut sent = frame::data_head(epoch, envelope.len()).to_vec();
+        sent.extend_from_slice(&envelope);
+        let mut buf = BytesMut::with_capacity(0);
+        let len = frame::encode_data_frame_into(&mut buf, epoch, &envelope);
+        prop_assert_eq!(len, sent.len());
+        prop_assert_eq!(sent.as_slice(), buf.as_ref());
     }
 
     #[test]
