@@ -176,8 +176,8 @@ impl Matrix {
             .collect())
     }
 
-    /// Matrix–vector product `out = A x` into a reused buffer, register-
-    /// blocked four rows at a time.
+    /// Matrix–vector product over a row range into a reused buffer:
+    /// `out[k] = row_{rows.start+k}·x`, register-blocked four rows at a time.
     ///
     /// Each output element is **bit-identical** to `vec_ops::dot(row, x)` —
     /// the blocked loop keeps the exact 4-lane + tail accumulation structure
@@ -186,17 +186,8 @@ impl Matrix {
     /// bit-equality with the per-example path is a contract.
     ///
     /// # Panics
-    /// Panics when `x.len() != cols` (caller bug in the hot path; the
-    /// fallible API is [`Matrix::gemv`]).
-    pub fn gemv_into(&self, x: &[f64], out: &mut Vec<f64>) {
-        self.gemv_rows_into(0..self.rows, x, out);
-    }
-
-    /// [`Matrix::gemv_into`] over a row range: `out[k] = row_{rows.start+k}·x`
-    /// for each row of the range, same bit-equality contract.
-    ///
-    /// # Panics
-    /// Panics when the range exceeds the matrix or `x.len() != cols`.
+    /// Panics when the range exceeds the matrix or `x.len() != cols` (caller
+    /// bug in the hot path; the fallible API is [`Matrix::gemv`]).
     pub fn gemv_rows_into(&self, rows: std::ops::Range<usize>, x: &[f64], out: &mut Vec<f64>) {
         assert!(rows.end <= self.rows, "gemv_rows_into: rows out of range");
         assert_eq!(x.len(), self.cols, "gemv_rows_into: dimension mismatch");
@@ -518,7 +509,7 @@ mod tests {
     }
 
     #[test]
-    fn gemv_into_bit_equals_per_row_dot() {
+    fn gemv_rows_into_bit_equals_per_row_dot() {
         // Ragged shapes exercise both the 4-row block and the scalar tail,
         // and both the 4-lane chunks and the in-row tail.
         for (rows, cols) in [(1, 1), (3, 5), (4, 4), (7, 32), (10, 33), (13, 6)] {
@@ -527,7 +518,7 @@ mod tests {
             });
             let x: Vec<f64> = (0..cols).map(|j| (j as f64 * 0.37).cos()).collect();
             let mut out = Vec::new();
-            m.gemv_into(&x, &mut out);
+            m.gemv_rows_into(0..rows, &x, &mut out);
             for i in 0..rows {
                 let expect = vec_ops::dot(m.row(i), &x);
                 assert_eq!(

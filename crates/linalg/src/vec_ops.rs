@@ -34,12 +34,11 @@ pub fn dot(x: &[f64], y: &[f64]) -> f64 {
     reduce8(&acc) + tail
 }
 
-/// The 8-lane reduction shared by [`dot`] and `Matrix::dot_rows4`: pairwise
-/// within each 4-lane half, then across halves — part of the bit-equality
-/// contract between the two.
+/// The 8-lane reduction of [`dot`], which `Matrix::dot_rows4` spells out
+/// per row: pairwise within each 4-lane half, then across halves — part of
+/// the bit-equality contract between the two.
 #[inline]
-#[must_use]
-pub fn reduce8(acc: &[f64; 8]) -> f64 {
+fn reduce8(acc: &[f64; 8]) -> f64 {
     ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
 }
 
@@ -49,15 +48,6 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     assert_eq!(x.len(), y.len(), "axpy: length mismatch");
     for (yi, xi) in y.iter_mut().zip(x) {
         *yi = xi.mul_add(alpha, *yi);
-    }
-}
-
-/// `y = alpha * x + beta * y`.
-#[inline]
-pub fn axpby(alpha: f64, x: &[f64], beta: f64, y: &mut [f64]) {
-    assert_eq!(x.len(), y.len(), "axpby: length mismatch");
-    for (yi, xi) in y.iter_mut().zip(x) {
-        *yi = alpha * xi + beta * *yi;
     }
 }
 
@@ -186,13 +176,6 @@ mod tests {
         let mut y = vec![1.0, 2.0, 3.0];
         axpy(2.0, &[10.0, 20.0, 30.0], &mut y);
         assert_eq!(y, vec![21.0, 42.0, 63.0]);
-    }
-
-    #[test]
-    fn axpby_combines() {
-        let mut y = vec![1.0, 1.0];
-        axpby(2.0, &[3.0, 4.0], -1.0, &mut y);
-        assert_eq!(y, vec![5.0, 7.0]);
     }
 
     #[test]

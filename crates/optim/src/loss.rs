@@ -28,7 +28,11 @@ pub trait Loss: Send + Sync {
     /// blocked implementations may batch the margin computation (`X·w`) and
     /// the coefficient map, but the per-element accumulation order must
     /// stay the example order. The default implementation is the
-    /// per-example loop itself.
+    /// per-example loop itself. It follows that calling this over
+    /// consecutive sub-ranges of `rows`, in order, into the same `acc` is
+    /// bit-identical to one call over `rows`:
+    /// [`GradScratch`](crate::GradScratch) relies on that to hand a large
+    /// unit over in cache-sized blocks.
     ///
     /// Taking a matrix + row *range* (instead of a whole block) is what
     /// lets every worker stream one shared arena: a unit is a range into

@@ -10,6 +10,10 @@
 use crate::loss::Loss;
 use bcc_linalg::Matrix;
 
+/// Element budget of one row block handed to the gradient kernel: 64 KiB of
+/// `f64`, small enough that a block's second pass finds its rows in L2.
+const BLOCK_F64: usize = 64 * 1024 / std::mem::size_of::<f64>();
+
 /// Owned margins + partial-gradient buffers, reused across rounds.
 #[derive(Debug, Default)]
 pub struct GradScratch {
@@ -83,6 +87,17 @@ impl GradScratch {
     /// `acc` (zeroed by the caller), using this scratch's margin buffer —
     /// the one gradient-kernel call site, shared by [`Self::fill_partial`]
     /// and by backends that keep their own per-unit storage.
+    ///
+    /// A range of more than 64 KiB of features goes to
+    /// [`Loss::add_gradient_rows`] as consecutive blocks of B rows — the
+    /// largest multiple of four rows within 64 KiB, never fewer than four
+    /// (8 rows at dimension 1024) — so a blocked kernel's second pass over a
+    /// block (margins, then accumulation) reads rows still in cache instead
+    /// of streaming the whole unit from memory twice. Splitting a range into
+    /// consecutive sub-ranges is bit-identical by that method's contract:
+    /// margins and coefficients are per row, and every element still
+    /// accumulates in example order. A range of at most four rows or at most
+    /// 64 KiB takes a single call, with no division.
     pub fn accumulate_rows(
         &mut self,
         loss: &dyn Loss,
@@ -92,7 +107,18 @@ impl GradScratch {
         w: &[f64],
         acc: &mut [f64],
     ) {
-        loss.add_gradient_rows(x, y, rows, w, &mut self.margins, acc);
+        if rows.len() <= 4 || rows.len() * x.cols() <= BLOCK_F64 {
+            loss.add_gradient_rows(x, y, rows, w, &mut self.margins, acc);
+            return;
+        }
+        // A multiple of four keeps the kernel's four-row margin blocks whole.
+        let block = (BLOCK_F64 / x.cols() / 4 * 4).max(4);
+        let mut start = rows.start;
+        while start < rows.end {
+            let end = rows.end.min(start + block);
+            loss.add_gradient_rows(x, y, start..end, w, &mut self.margins, acc);
+            start = end;
+        }
     }
 
     /// Overwrites slot `slot` with an already-computed gradient (the
