@@ -136,12 +136,6 @@ impl EventLog {
     pub fn shared() -> Arc<Mutex<Self>> {
         Arc::new(Mutex::new(Self::default()))
     }
-
-    /// The events of one round, in order.
-    #[must_use]
-    pub fn round_events(&self, round: u64) -> Vec<&RoundEvent> {
-        self.events.iter().filter(|e| e.round() == round).collect()
-    }
 }
 
 impl RoundObserver for EventLog {
@@ -158,7 +152,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn event_log_records_and_filters_by_round() {
+    fn event_log_records_events_in_order() {
         let mut log = EventLog::default();
         log.on_event(&RoundEvent::Broadcast {
             round: 0,
@@ -176,8 +170,6 @@ mod tests {
             participants: 3,
         });
         assert_eq!(log.events.len(), 3);
-        assert_eq!(log.round_events(0).len(), 2);
-        assert_eq!(log.round_events(1).len(), 1);
         assert_eq!(log.events[1].round(), 0);
     }
 }

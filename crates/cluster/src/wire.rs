@@ -219,15 +219,6 @@ fn get_vec(bytes: &mut Bytes) -> Result<Vec<f64>, ClusterError> {
     Ok(v)
 }
 
-/// Size in bytes an envelope occupies on the wire — used by tests to check
-/// the unit-based load accounting against physical bytes. Computed
-/// arithmetically (no encoding pass); `encode_into` debug-asserts the two
-/// stay in sync.
-#[must_use]
-pub fn encoded_len(envelope: &Envelope) -> usize {
-    HEADER_LEN + payload_body_len(&envelope.payload)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -346,23 +337,6 @@ mod tests {
     }
 
     #[test]
-    fn encoded_len_matches_actual_encoding() {
-        for payload in [
-            Payload::Sum {
-                unit: 3,
-                vector: vec![1.0; 7],
-            },
-            Payload::Linear { vector: vec![] },
-            Payload::PerExample {
-                entries: vec![(0, vec![1.0; 4]), (2, vec![2.0; 4])],
-            },
-        ] {
-            let e = env(payload);
-            assert_eq!(encoded_len(&e), encode(&e).len());
-        }
-    }
-
-    #[test]
     fn encode_into_reuses_buffer_across_messages() {
         let mut buf = BytesMut::with_capacity(0);
         let big = env(Payload::Linear {
@@ -392,7 +366,7 @@ mod tests {
         let per_example = env(Payload::PerExample {
             entries: (0..r).map(|j| (j, vec![1.0; dim])).collect(),
         });
-        let ratio = encoded_len(&per_example) as f64 / encoded_len(&summed) as f64;
+        let ratio = encode(&per_example).len() as f64 / encode(&summed).len() as f64;
         assert!(
             (ratio - r as f64).abs() < 1.0,
             "byte ratio {ratio} should be ≈ {r}"

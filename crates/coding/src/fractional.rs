@@ -58,19 +58,6 @@ impl FractionalRepetitionScheme {
         })
     }
 
-    /// Number of distinct shards (`n/r`).
-    #[must_use]
-    pub fn num_shards(&self) -> usize {
-        self.shards
-    }
-
-    /// Worst-case recovery threshold: all but `r − 1` workers, i.e.
-    /// `n − r + 1` (same worst case as CR).
-    #[must_use]
-    pub fn worst_case_recovery_threshold(&self) -> usize {
-        self.n - self.r + 1
-    }
-
     /// Expected number of uniformly random worker arrivals until every shard
     /// group is hit at least once — a coupon collector *without
     /// replacement* over `N = n/r` groups of `g = r` workers each.
@@ -237,9 +224,10 @@ mod tests {
     fn expected_threshold_sane_bounds() {
         let s = FractionalRepetitionScheme::new(12, 3);
         let e = s.expected_recovery_threshold();
-        // Must need at least one worker per shard and at most the worst case.
-        assert!(e >= s.num_shards() as f64);
-        assert!(e <= s.worst_case_recovery_threshold() as f64 + 1e-9);
+        // At least one worker per shard (n/r = 4), at most the worst case
+        // of all but r − 1 workers (n − r + 1 = 10).
+        assert!(e >= 4.0);
+        assert!(e <= 10.0 + 1e-9);
     }
 
     #[test]
@@ -262,8 +250,6 @@ mod tests {
     #[test]
     fn r_one_is_uncoded_like() {
         let s = FractionalRepetitionScheme::new(5, 1);
-        assert_eq!(s.num_shards(), 5);
-        assert_eq!(s.worst_case_recovery_threshold(), 5);
         assert!((s.expected_recovery_threshold() - 5.0).abs() < 1e-9);
     }
 

@@ -41,20 +41,6 @@ impl RandomSubsetScheme {
         let m = placement.num_examples();
         Self { placement, m, r }
     }
-
-    /// The paper's approximation of the recovery threshold, eq. (5):
-    /// `K_random ≈ (m/r)·log m`.
-    #[must_use]
-    pub fn approx_recovery_threshold(m: usize, r: usize) -> f64 {
-        bcc_stats::coupon::random_scheme_approx(m, r)
-    }
-
-    /// The paper's approximation of the communication load, eq. (6):
-    /// `L_random ≈ m·log m`.
-    #[must_use]
-    pub fn approx_communication_load(m: usize) -> f64 {
-        m as f64 * (m as f64).ln()
-    }
 }
 
 impl GradientCodingScheme for RandomSubsetScheme {
@@ -75,7 +61,7 @@ impl GradientCodingScheme for RandomSubsetScheme {
     }
 
     fn analytic_recovery_threshold(&self) -> Option<f64> {
-        Some(Self::approx_recovery_threshold(self.m, self.r))
+        Some(bcc_stats::coupon::random_scheme_approx(self.m, self.r))
     }
 
     fn message_units(&self, worker: usize) -> usize {
@@ -167,16 +153,5 @@ mod tests {
             &total_sum(&grads),
             1e-9
         ));
-    }
-
-    #[test]
-    fn approximations_match_paper_formulas() {
-        let (m, r) = (100usize, 10usize);
-        let k = RandomSubsetScheme::approx_recovery_threshold(m, r);
-        assert!((k - 10.0 * (100.0f64).ln()).abs() < 1e-12);
-        let l = RandomSubsetScheme::approx_communication_load(m);
-        assert!((l - 100.0 * (100.0f64).ln()).abs() < 1e-12);
-        // L ≈ r·K: each counted worker ships r units.
-        assert!((l - r as f64 * k).abs() < 1e-9);
     }
 }

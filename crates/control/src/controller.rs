@@ -105,16 +105,6 @@ impl ChosenPolicy {
         }
     }
 
-    /// Drain every live worker ([`BestEffortAll`]).
-    #[must_use]
-    pub fn best_effort_all() -> Self {
-        Self {
-            policy: "best-effort-all".into(),
-            k: None,
-            deadline: None,
-        }
-    }
-
     /// Builds the live policy object.
     ///
     /// # Panics
@@ -464,10 +454,13 @@ mod tests {
         );
         assert_eq!(ChosenPolicy::fastest_k(3).build().name(), "fastest-k");
         assert_eq!(ChosenPolicy::deadline(0.5).build().name(), "deadline");
-        assert_eq!(
-            ChosenPolicy::best_effort_all().build().name(),
-            "best-effort-all"
-        );
+        // The experiment's configured policy may be any built-in.
+        let all = ChosenPolicy {
+            policy: "best-effort-all".into(),
+            k: None,
+            deadline: None,
+        };
+        assert_eq!(all.build().name(), "best-effort-all");
     }
 
     #[test]

@@ -645,16 +645,6 @@ impl BackendSpec {
             wan: None,
         }
     }
-
-    /// The loopback TCP backend with WAN-link emulation.
-    #[must_use]
-    pub fn tcp_loopback_wan(time_scale: f64, wan: NetProfileSpec) -> Self {
-        Self::Tcp {
-            time_scale,
-            addr: None,
-            wan: Some(wan),
-        }
-    }
 }
 
 // Manual impl so an unknown backend names the valid variants instead of
@@ -1090,13 +1080,14 @@ mod tests {
         let back: BackendSpec = serde_json::from_str(&json).unwrap();
         assert_eq!(back, bound);
 
-        let wan = BackendSpec::tcp_loopback_wan(
-            0.05,
-            NetProfileSpec {
+        let wan = BackendSpec::Tcp {
+            time_scale: 0.05,
+            addr: None,
+            wan: Some(NetProfileSpec {
                 latency: 0.04,
                 jitter: 0.01,
-            },
-        );
+            }),
+        };
         let json = serde_json::to_string(&wan).unwrap();
         let back: BackendSpec = serde_json::from_str(&json).unwrap();
         assert_eq!(back, wan);

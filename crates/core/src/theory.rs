@@ -22,28 +22,11 @@ pub fn lower_bound(m: usize, r: usize) -> f64 {
     m as f64 / r as f64
 }
 
-/// `K_BCC(r) = ⌈m/r⌉·H_{⌈m/r⌉}` (eq. (2)).
+/// `K_BCC(r) = ⌈m/r⌉·H_{⌈m/r⌉}` (eq. (2)), also BCC's communication load
+/// `L_BCC(r)` (eq. (14)): every counted worker ships one unit.
 #[must_use]
 pub fn k_bcc(m: usize, r: usize) -> f64 {
     coupon::expected_draws(m.div_ceil(r))
-}
-
-/// `L_BCC(r) = K_BCC(r)` (eq. (14)): every counted worker ships one unit.
-#[must_use]
-pub fn l_bcc(m: usize, r: usize) -> f64 {
-    k_bcc(m, r)
-}
-
-/// `K_random ≈ (m/r)·log m` (eq. (5)).
-#[must_use]
-pub fn k_random_approx(m: usize, r: usize) -> f64 {
-    coupon::random_scheme_approx(m, r)
-}
-
-/// `L_random ≈ m·log m` (eq. (6)).
-#[must_use]
-pub fn l_random_approx(m: usize) -> f64 {
-    m as f64 * (m as f64).ln()
 }
 
 /// Coded schemes' worst-case threshold `K_CR = K_RS = K_CM = m − r + 1`
@@ -93,7 +76,7 @@ pub fn fig2_tradeoff(m: usize, loads: &[usize]) -> Vec<TradeoffPoint> {
             r,
             lower_bound: lower_bound(m, r),
             bcc: k_bcc(m, r),
-            random: k_random_approx(m, r),
+            random: coupon::random_scheme_approx(m, r),
             cyclic_repetition: k_coded(m, r),
             bcc_exact: mean(coupon::batched_pmf(m.div_ceil(r), m)),
             random_exact: mean(coupon::random_subset_pmf(m, r, m)),
@@ -134,7 +117,7 @@ mod tests {
         for r in [5, 10, 20, 25] {
             let lb = lower_bound(m, r);
             let kb = k_bcc(m, r);
-            let kr = k_random_approx(m, r);
+            let kr = coupon::random_scheme_approx(m, r);
             assert!(lb <= kb + 1e-12, "r={r}");
             assert!(kb <= kr + 1e-12, "r={r}: BCC {kb} vs random {kr}");
         }
@@ -158,12 +141,6 @@ mod tests {
             assert!(lb <= k + 1e-12, "m={m} r={r}");
             assert!(k <= ub + 1e-12, "m={m} r={r}: K {k} > upper {ub}");
         }
-    }
-
-    #[test]
-    fn communication_loads() {
-        assert_eq!(l_bcc(100, 10), k_bcc(100, 10));
-        assert!((l_random_approx(100) - 100.0 * (100.0f64).ln()).abs() < 1e-9);
     }
 
     #[test]

@@ -75,16 +75,6 @@ impl Batching {
         self.batch_range(b).collect()
     }
 
-    /// Which batch an example belongs to.
-    ///
-    /// # Panics
-    /// Panics when the example index is out of range.
-    #[must_use]
-    pub fn batch_of(&self, example: usize) -> usize {
-        assert!(example < self.m, "example {example} out of range");
-        example / self.batch_size
-    }
-
     /// Iterator over all batch ranges.
     pub fn iter(&self) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
         (0..self.num_batches()).map(|b| self.batch_range(b))
@@ -125,16 +115,6 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|s| *s));
-    }
-
-    #[test]
-    fn batch_of_inverts_ranges() {
-        let b = Batching::even(23, 7);
-        for batch in 0..b.num_batches() {
-            for j in b.batch_range(batch) {
-                assert_eq!(b.batch_of(j), batch);
-            }
-        }
     }
 
     #[test]

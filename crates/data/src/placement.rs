@@ -64,27 +64,6 @@ impl Placement {
         self.assignments[i].len()
     }
 
-    /// Computational load `r = maxᵢ rᵢ` (Definition 1).
-    #[must_use]
-    pub fn computational_load(&self) -> usize {
-        self.assignments.iter().map(Vec::len).max().unwrap_or(0)
-    }
-
-    /// Total stored examples `Σ rᵢ` (storage footprint of the cluster).
-    #[must_use]
-    pub fn total_load(&self) -> usize {
-        self.assignments.iter().map(Vec::len).sum()
-    }
-
-    /// Average replication factor `Σ rᵢ / m`.
-    #[must_use]
-    pub fn replication_factor(&self) -> f64 {
-        if self.num_examples == 0 {
-            return 0.0;
-        }
-        self.total_load() as f64 / self.num_examples as f64
-    }
-
     /// True when every example is stored by at least one worker — the
     /// coverage requirement `N(k₁) ∪ … ∪ N(kₙ) = {d₁,…,d_m}`.
     #[must_use]
@@ -282,8 +261,9 @@ mod tests {
     fn disjoint_shards_cover_without_overlap() {
         let p = Placement::disjoint_shards(103, 10);
         assert!(p.covers_all());
-        assert_eq!(p.total_load(), 103);
-        assert_eq!(p.computational_load(), 11); // ⌈103/10⌉
+        let loads: Vec<usize> = (0..10).map(|i| p.load_of(i)).collect();
+        assert_eq!(loads.iter().sum::<usize>(), 103);
+        assert_eq!(loads.iter().max(), Some(&11)); // ⌈103/10⌉
         assert!(p.replication_counts().iter().all(|c| *c == 1));
     }
 
@@ -292,12 +272,8 @@ mod tests {
         let p = Placement::disjoint_shards(3, 5);
         assert!(p.covers_all());
         assert_eq!(p.num_workers(), 5);
-        // Two workers hold nothing.
-        assert_eq!(
-            p.replication_factor(),
-            1.0,
-            "no repetition in uncoded placement"
-        );
+        // Two workers hold nothing, and nothing is repeated.
+        assert_eq!(p.replication_counts(), vec![1; 3]);
     }
 
     #[test]
@@ -310,7 +286,6 @@ mod tests {
         for (i, &b) in choices.iter().enumerate() {
             assert_eq!(p.worker_examples(i), batching.batch_indices(b).as_slice());
         }
-        assert_eq!(p.computational_load(), 10);
     }
 
     #[test]
@@ -331,7 +306,6 @@ mod tests {
         assert_eq!(p.worker_examples(0), &[0, 1, 2]);
         assert_eq!(p.worker_examples(3), &[0, 3, 4]); // {3,4,0} sorted
         assert!(p.covers_all());
-        assert_eq!(p.computational_load(), 3);
         // Every example replicated exactly r times.
         assert!(p.replication_counts().iter().all(|c| *c == 3));
     }
@@ -366,7 +340,6 @@ mod tests {
         let speeds = vec![1.0, 1.0, 1.0, 1.0, 20.0];
         let p = Placement::load_balanced(500, &speeds);
         assert!(p.covers_all());
-        assert_eq!(p.total_load(), 500);
         // The fast worker gets the lion's share.
         assert!(p.load_of(4) > p.load_of(0) * 10);
         assert!(p.replication_counts().iter().all(|c| *c == 1));
@@ -393,9 +366,8 @@ mod tests {
     }
 
     #[test]
-    fn replication_factor_counts_duplicates() {
+    fn replication_counts_count_duplicates() {
         let p = Placement::new(4, vec![vec![0, 1], vec![1, 2], vec![2, 3]]);
-        assert!((p.replication_factor() - 1.5).abs() < 1e-12);
         assert!(p.covers_all());
         assert_eq!(p.replication_counts(), vec![1, 2, 2, 1]);
     }

@@ -14,8 +14,8 @@ pub enum LinAlgError {
         /// Shape of the right operand as `(rows, cols)`.
         rhs: (usize, usize),
     },
-    /// The matrix is singular (or numerically singular) where a solve or
-    /// inverse was requested.
+    /// The matrix is singular (or numerically singular) where a solve was
+    /// requested.
     Singular {
         /// Pivot index at which elimination broke down.
         pivot: usize,

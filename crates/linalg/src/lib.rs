@@ -5,7 +5,7 @@
 //!
 //! * [`vec_ops`] — BLAS-1 style kernels over `&[f64]` slices (dot, axpy, …).
 //! * [`Matrix`] — row-major dense matrices with BLAS-2/3 kernels.
-//! * [`solve`] — LU with partial pivoting, triangular solves, inverse.
+//! * [`solve`] — LU with partial pivoting and triangular solves.
 //! * [`qr`] — Householder QR and least-squares solves that skip each
 //!   column's leading and trailing zeros (used by the cyclic-repetition
 //!   decoder, which solves the banded `a^T B_F = 1^T`).
@@ -33,9 +33,6 @@ pub use matrix::Matrix;
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, LinAlgError>;
-
-/// Default absolute tolerance used by equality helpers in tests and decoders.
-pub const DEFAULT_TOL: f64 = 1e-9;
 
 /// Returns true when `a` and `b` are within `tol` absolutely or relatively.
 ///

@@ -385,12 +385,6 @@ impl Matrix {
         })
     }
 
-    /// Frobenius norm.
-    #[must_use]
-    pub fn norm_fro(&self) -> f64 {
-        vec_ops::norm2(&self.data)
-    }
-
     /// Maximum absolute entry.
     #[must_use]
     pub fn norm_max(&self) -> f64 {
@@ -600,7 +594,6 @@ mod tests {
     #[test]
     fn norms() {
         let m = Matrix::from_vec(1, 2, vec![3.0, 4.0]).unwrap();
-        assert!((m.norm_fro() - 5.0).abs() < 1e-12);
         assert_eq!(m.norm_max(), 4.0);
     }
 }

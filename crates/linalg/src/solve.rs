@@ -2,8 +2,7 @@
 //!
 //! Used by the gradient-coding decoders: the cyclic-repetition decoder solves
 //! `B_Fᵀ a = 1` for the decoding coefficients `a` given the set `F` of
-//! finished workers, and tests invert small coding matrices to check
-//! decodability claims.
+//! finished workers.
 
 use crate::error::LinAlgError;
 use crate::matrix::Matrix;
@@ -22,8 +21,6 @@ pub struct Lu {
     lu: Matrix,
     /// Row permutation: `perm[i]` is the original row now at position `i`.
     perm: Vec<usize>,
-    /// Sign of the permutation, for determinants.
-    perm_sign: f64,
 }
 
 impl Lu {
@@ -39,7 +36,6 @@ impl Lu {
         let n = a.rows();
         let mut lu = a.clone();
         let mut perm: Vec<usize> = (0..n).collect();
-        let mut perm_sign = 1.0;
 
         for k in 0..n {
             // Partial pivot: largest magnitude in column k at or below row k.
@@ -57,7 +53,6 @@ impl Lu {
             }
             if p != k {
                 perm.swap(p, k);
-                perm_sign = -perm_sign;
                 for j in 0..n {
                     let tmp = lu[(k, j)];
                     lu[(k, j)] = lu[(p, j)];
@@ -74,11 +69,7 @@ impl Lu {
                 }
             }
         }
-        Ok(Self {
-            lu,
-            perm,
-            perm_sign,
-        })
+        Ok(Self { lu, perm })
     }
 
     /// Order of the factored matrix.
@@ -119,16 +110,6 @@ impl Lu {
         }
         Ok(x)
     }
-
-    /// Determinant of the original matrix.
-    #[must_use]
-    pub fn det(&self) -> f64 {
-        let mut d = self.perm_sign;
-        for i in 0..self.order() {
-            d *= self.lu[(i, i)];
-        }
-        d
-    }
 }
 
 /// One-shot solve of `A x = b`.
@@ -137,41 +118,6 @@ impl Lu {
 /// Propagates factorization and shape errors.
 pub fn solve(a: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
     Lu::factor(a)?.solve(b)
-}
-
-/// Inverse of a square matrix (column-by-column solve).
-///
-/// # Errors
-/// Propagates factorization errors.
-pub fn inverse(a: &Matrix) -> Result<Matrix> {
-    let n = a.rows();
-    let lu = Lu::factor(a)?;
-    let mut inv = Matrix::zeros(n, n);
-    let mut e = vec![0.0; n];
-    for j in 0..n {
-        e[j] = 1.0;
-        let col = lu.solve(&e)?;
-        e[j] = 0.0;
-        for i in 0..n {
-            inv[(i, j)] = col[i];
-        }
-    }
-    Ok(inv)
-}
-
-/// Determinant via LU; zero when the matrix is singular.
-///
-/// # Errors
-/// [`LinAlgError::NotSquare`] for rectangular input.
-pub fn det(a: &Matrix) -> Result<f64> {
-    if !a.is_square() {
-        return Err(LinAlgError::NotSquare { shape: a.shape() });
-    }
-    match Lu::factor(a) {
-        Ok(lu) => Ok(lu.det()),
-        Err(LinAlgError::Singular { .. }) => Ok(0.0),
-        Err(e) => Err(e),
-    }
 }
 
 #[cfg(test)]
@@ -206,29 +152,12 @@ mod tests {
             solve(&a, &[1.0, 2.0]),
             Err(LinAlgError::Singular { .. })
         ));
-        assert_eq!(det(&a).unwrap(), 0.0);
     }
 
     #[test]
     fn rectangular_rejected() {
         let a = mat(2, 3, &[1.0; 6]);
         assert!(matches!(Lu::factor(&a), Err(LinAlgError::NotSquare { .. })));
-    }
-
-    #[test]
-    fn det_with_permutation_sign() {
-        let a = mat(2, 2, &[0.0, 1.0, 1.0, 0.0]);
-        assert!((det(&a).unwrap() + 1.0).abs() < 1e-12);
-        let b = mat(2, 2, &[3.0, 0.0, 0.0, 2.0]);
-        assert!((det(&b).unwrap() - 6.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn inverse_roundtrip() {
-        let a = mat(3, 3, &[4.0, 2.0, 0.5, 1.0, 3.0, 1.0, 0.0, 1.0, 2.5]);
-        let inv = inverse(&a).unwrap();
-        let prod = a.matmul(&inv).unwrap();
-        assert!(prod.approx_eq(&Matrix::identity(3), 1e-9));
     }
 
     #[test]

@@ -14,25 +14,6 @@
 
 use crate::schedule::LearningRate;
 use crate::Optimizer;
-use serde::{Deserialize, Serialize};
-
-/// Momentum schedule for Nesterov's method.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum Momentum {
-    /// Classic convex schedule `β_t = t/(t+3)`.
-    ConvexSchedule,
-    /// Fixed momentum coefficient `β ∈ [0, 1)`.
-    Constant(f64),
-}
-
-impl Momentum {
-    fn at(self, t: usize) -> f64 {
-        match self {
-            Self::ConvexSchedule => t as f64 / (t as f64 + 3.0),
-            Self::Constant(beta) => beta,
-        }
-    }
-}
 
 /// Nesterov accelerated gradient descent.
 #[derive(Debug, Clone)]
@@ -40,32 +21,18 @@ pub struct Nesterov {
     w: Vec<f64>,
     v: Vec<f64>,
     lr: LearningRate,
-    momentum: Momentum,
     t: usize,
 }
 
 impl Nesterov {
     /// Starts from `w0` with the given learning-rate schedule and the classic
-    /// convex momentum schedule.
+    /// convex momentum schedule `β_t = t/(t+3)`.
     #[must_use]
     pub fn new(w0: Vec<f64>, lr: LearningRate) -> Self {
-        Self::with_momentum(w0, lr, Momentum::ConvexSchedule)
-    }
-
-    /// Starts from `w0` with an explicit momentum rule.
-    ///
-    /// # Panics
-    /// Panics when a constant momentum is outside `[0, 1)`.
-    #[must_use]
-    pub fn with_momentum(w0: Vec<f64>, lr: LearningRate, momentum: Momentum) -> Self {
-        if let Momentum::Constant(beta) = momentum {
-            assert!((0.0..1.0).contains(&beta), "momentum must be in [0,1)");
-        }
         Self {
             v: w0.clone(),
             w: w0,
             lr,
-            momentum,
             t: 0,
         }
     }
@@ -79,7 +46,7 @@ impl Optimizer for Nesterov {
     fn step(&mut self, gradient: &[f64]) {
         assert_eq!(gradient.len(), self.w.len(), "gradient dimension mismatch");
         let mu = self.lr.at(self.t);
-        let beta = self.momentum.at(self.t);
+        let beta = self.t as f64 / (self.t as f64 + 3.0);
         // w_next = v − μ g ; v_next = w_next + β (w_next − w).
         for k in 0..self.w.len() {
             let w_next = self.v[k] - mu * gradient[k];
@@ -154,26 +121,6 @@ mod tests {
         let mut nag = Nesterov::new(vec![1.0], LearningRate::Constant(0.1));
         nag.step(&[2.0]);
         assert!((nag.iterate()[0] - (1.0 - 0.2)).abs() < 1e-15);
-    }
-
-    #[test]
-    fn constant_momentum_validated() {
-        let ok = Nesterov::with_momentum(
-            vec![0.0],
-            LearningRate::Constant(0.1),
-            Momentum::Constant(0.9),
-        );
-        assert_eq!(ok.iteration(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "[0,1)")]
-    fn bad_momentum_panics() {
-        let _ = Nesterov::with_momentum(
-            vec![0.0],
-            LearningRate::Constant(0.1),
-            Momentum::Constant(1.5),
-        );
     }
 
     #[test]

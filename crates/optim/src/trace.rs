@@ -73,16 +73,6 @@ impl ConvergenceTrace {
             _ => false,
         }
     }
-
-    /// Largest single-iteration risk *increase* (0 for monotone decreasing
-    /// traces) — used by tests to bound non-monotonicity of Nesterov.
-    #[must_use]
-    pub fn max_risk_increase(&self) -> f64 {
-        self.points
-            .windows(2)
-            .map(|w| (w[1].risk - w[0].risk).max(0.0))
-            .fold(0.0, f64::max)
-    }
 }
 
 #[cfg(test)]
@@ -95,7 +85,6 @@ mod tests {
         assert!(t.is_empty());
         assert_eq!(t.final_risk(), None);
         assert!(!t.improved());
-        assert_eq!(t.max_risk_increase(), 0.0);
     }
 
     #[test]
@@ -108,16 +97,5 @@ mod tests {
         assert!(t.improved());
         assert_eq!(t.initial_risk(), Some(1.0));
         assert_eq!(t.final_risk(), Some(0.5));
-        assert_eq!(t.max_risk_increase(), 0.0);
-    }
-
-    #[test]
-    fn detects_risk_bumps() {
-        let mut t = ConvergenceTrace::new();
-        t.push(0, 1.0, 0.1);
-        t.push(1, 1.3, 0.1); // bump of 0.3
-        t.push(2, 0.2, 0.1);
-        assert!((t.max_risk_increase() - 0.3).abs() < 1e-12);
-        assert!(t.improved());
     }
 }

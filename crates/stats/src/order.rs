@@ -28,12 +28,6 @@ pub fn expected_kth_of_exponentials(n: usize, k: usize, rate: f64) -> f64 {
     harmonic_range(n - k + 1, n) / rate
 }
 
-/// Expected maximum of `n` i.i.d. `Exp(rate)` variables: `H_n/rate`.
-#[must_use]
-pub fn expected_max_of_exponentials(n: usize, rate: f64) -> f64 {
-    expected_kth_of_exponentials(n, n, rate)
-}
-
 /// Expected `k`-th smallest of `n` i.i.d. shift-exponential workers with
 /// identical parameters (µ, a) each processing `r` examples: the common
 /// shift `a·r` translates the exponential order statistic.
@@ -50,7 +44,7 @@ mod tests {
     #[test]
     fn max_identity_is_harmonic() {
         // E[max of n Exp(1)] = H_n.
-        let e = expected_max_of_exponentials(10, 1.0);
+        let e = expected_kth_of_exponentials(10, 10, 1.0);
         assert!((e - crate::harmonic::harmonic(10)).abs() < 1e-12);
     }
 

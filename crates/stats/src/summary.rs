@@ -25,16 +25,6 @@ impl Summary {
         }
     }
 
-    /// Builds a summary from a slice in one pass.
-    #[must_use]
-    pub fn from_slice(xs: &[f64]) -> Self {
-        let mut s = Self::new();
-        for &x in xs {
-            s.push(x);
-        }
-        s
-    }
-
     /// Adds one observation.
     pub fn push(&mut self, x: f64) {
         self.count += 1;
@@ -126,12 +116,6 @@ impl Summary {
             self.max
         }
     }
-
-    /// 95% normal-approximation confidence half-width around the mean.
-    #[must_use]
-    pub fn ci95_half_width(&self) -> f64 {
-        1.96 * self.std_err()
-    }
 }
 
 /// Quantile of a sample by linear interpolation on the sorted copy.
@@ -165,6 +149,14 @@ pub fn median(xs: &[f64]) -> f64 {
 mod tests {
     use super::*;
 
+    fn from_slice(xs: &[f64]) -> Summary {
+        let mut s = Summary::new();
+        for &x in xs {
+            s.push(x);
+        }
+        s
+    }
+
     #[test]
     fn empty_summary_defaults() {
         let s = Summary::new();
@@ -178,7 +170,7 @@ mod tests {
 
     #[test]
     fn known_moments() {
-        let s = Summary::from_slice(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]);
+        let s = from_slice(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]);
         assert!((s.mean() - 5.0).abs() < 1e-12);
         // Population variance 4 → sample variance 32/7.
         assert!((s.variance() - 32.0 / 7.0).abs() < 1e-12);
@@ -190,10 +182,10 @@ mod tests {
     fn merge_equals_concatenation() {
         let xs: Vec<f64> = (0..57).map(|i| (i as f64).sin() * 10.0).collect();
         let (a, b) = xs.split_at(23);
-        let mut s1 = Summary::from_slice(a);
-        let s2 = Summary::from_slice(b);
+        let mut s1 = from_slice(a);
+        let s2 = from_slice(b);
         s1.merge(&s2);
-        let full = Summary::from_slice(&xs);
+        let full = from_slice(&xs);
         assert_eq!(s1.count(), full.count());
         assert!((s1.mean() - full.mean()).abs() < 1e-10);
         assert!((s1.variance() - full.variance()).abs() < 1e-10);
@@ -203,7 +195,7 @@ mod tests {
 
     #[test]
     fn merge_with_empty_is_identity() {
-        let mut s = Summary::from_slice(&[1.0, 2.0]);
+        let mut s = from_slice(&[1.0, 2.0]);
         let before = s.clone();
         s.merge(&Summary::new());
         assert_eq!(s.count(), before.count());
@@ -217,7 +209,7 @@ mod tests {
 
     #[test]
     fn single_observation() {
-        let s = Summary::from_slice(&[3.5]);
+        let s = from_slice(&[3.5]);
         assert_eq!(s.mean(), 3.5);
         assert_eq!(s.variance(), 0.0);
         assert_eq!(s.min(), 3.5);
@@ -243,12 +235,5 @@ mod tests {
     #[should_panic(expected = "empty")]
     fn quantile_empty_panics() {
         let _ = quantile(&[], 0.5);
-    }
-
-    #[test]
-    fn ci_shrinks_with_samples() {
-        let few = Summary::from_slice(&[1.0, 2.0, 3.0]);
-        let many = Summary::from_slice(&(0..300).map(|i| (i % 3) as f64 + 1.0).collect::<Vec<_>>());
-        assert!(many.ci95_half_width() < few.ci95_half_width());
     }
 }
