@@ -12,6 +12,7 @@ use crate::units::UnitMap;
 use bcc_coding::GradientCodingScheme;
 use bcc_data::Dataset;
 use bcc_linalg::Matrix;
+use bcc_optim::GradScratch;
 use std::ops::Range;
 
 /// Every unit's row range into the arena (the resident dataset), plus every
@@ -96,15 +97,16 @@ fn per_worker_ranges(
         .collect()
 }
 
-/// Per-round table of unit partial gradients for single-threaded backends.
+/// Per-round table of unit partial gradients for the virtual backend.
 ///
 /// Coded schemes replicate units across workers (that is the whole point of
 /// the redundancy), so within one round several simulated workers compute
 /// the *same* unit gradient at the same weights. A real cluster pays that
-/// cost in parallel on separate machines; a single-threaded simulator pays
+/// cost in parallel on separate machines; a simulator on one host would pay
 /// it serially — and needlessly, because the result is bit-identical. The
-/// table holds one entry per unit id: [`UnitGradientCache::compute_in_place`]
-/// computes a unit once per round, directly into its entry, and a worker
+/// table holds one entry per unit id: [`UnitGradientCache::fill`] computes
+/// each of a worker's units at most once per round, directly into its
+/// entry, spreading them over the host's cores when asked, and a worker
 /// whose placement row is one ascending run of unit ids is encoded straight
 /// from [`UnitGradientCache::filled_range`] without a copy. It must be
 /// [`UnitGradientCache::begin_round`]-reset whenever the weights change.
@@ -112,6 +114,11 @@ fn per_worker_ranges(
 pub struct UnitGradientCache {
     grads: Vec<Vec<f64>>,
     filled: Vec<bool>,
+    /// The ids one [`UnitGradientCache::fill`] computes, ascending; the
+    /// buffer is reused across calls.
+    pending: Vec<usize>,
+    /// One gradient scratch per fill thread, grown on first use.
+    scratches: Vec<GradScratch>,
 }
 
 impl UnitGradientCache {
@@ -121,6 +128,8 @@ impl UnitGradientCache {
         Self {
             grads: vec![Vec::new(); units],
             filled: vec![false; units],
+            pending: Vec::new(),
+            scratches: Vec::new(),
         }
     }
 
@@ -143,24 +152,80 @@ impl UnitGradientCache {
         self.filled[unit] = true;
     }
 
-    /// `unit`'s gradient this round, computed in place on first touch: the
-    /// entry is zeroed to `dim` and handed to `compute`, which accumulates
-    /// into it (a `compute` that adds nothing leaves the zero vector). Later
-    /// touches this round return the entry without calling `compute`.
-    pub fn compute_in_place(
-        &mut self,
-        unit: usize,
-        dim: usize,
-        compute: impl FnOnce(&mut [f64]),
-    ) -> &[f64] {
-        let grad = &mut self.grads[unit];
-        if !self.filled[unit] {
-            grad.clear();
-            grad.resize(dim, 0.0);
-            compute(grad);
-            self.filled[unit] = true;
+    /// Fills every entry among `units` not yet filled this round: each is
+    /// zeroed to `dim` and handed, with a gradient scratch of its own
+    /// thread, to `compute`, which accumulates into it (a `compute` that
+    /// adds nothing leaves the zero vector). Filled entries are left as
+    /// they are.
+    ///
+    /// The pending ids, ascending, are cut into up to `threads` runs of
+    /// near-equal length, one per thread: the calling thread takes the
+    /// first and each other run gets a scoped thread. Every entry is still
+    /// one `compute` call into its own zeroed vector, so the thread count
+    /// changes no bit. With one thread (or one pending entry) nothing is
+    /// spawned and, once the table is warm, nothing is allocated.
+    ///
+    /// # Panics
+    /// Panics when `threads == 0`, and propagates a panic of `compute`.
+    pub fn fill<F>(&mut self, units: &[usize], dim: usize, threads: usize, compute: F)
+    where
+        F: Fn(&mut GradScratch, usize, &mut [f64]) + Sync,
+    {
+        assert!(threads > 0, "a fill needs at least one thread");
+        self.pending.clear();
+        for &unit in units {
+            if !self.filled[unit] {
+                self.filled[unit] = true;
+                self.pending.push(unit);
+            }
         }
-        grad
+        if self.pending.is_empty() {
+            return;
+        }
+        self.pending.sort_unstable();
+        let threads = threads.min(self.pending.len());
+        if self.scratches.len() < threads {
+            self.scratches.resize_with(threads, GradScratch::new);
+        }
+        let Self {
+            grads,
+            pending,
+            scratches,
+            ..
+        } = self;
+        if threads == 1 {
+            fill_run(
+                pending,
+                &mut grads[pending[0]..],
+                dim,
+                &mut scratches[0],
+                &compute,
+            );
+            return;
+        }
+        let per_thread = pending.len().div_ceil(threads);
+        std::thread::scope(|scope| {
+            // Each run's entries lie in a window of the table from its first
+            // id to its last: ascending runs make the windows disjoint, so
+            // they split off the table one after another.
+            let (mut rest, mut base) = (grads.as_mut_slice(), 0);
+            let mut runs = pending
+                .chunks(per_thread)
+                .zip(scratches)
+                .map(|(ids, scratch)| {
+                    let (first, end) = (ids[0], ids[ids.len() - 1] + 1);
+                    let (window, tail) = std::mem::take(&mut rest).split_at_mut(end - base);
+                    let window = &mut window[first - base..];
+                    (rest, base) = (tail, end);
+                    (ids, window, scratch)
+                });
+            let (ids, window, scratch) = runs.next().expect("at least one pending entry");
+            for (ids, window, scratch) in runs {
+                let compute = &compute;
+                scope.spawn(move || fill_run(ids, window, dim, scratch, compute));
+            }
+            fill_run(ids, window, dim, scratch, &compute);
+        });
     }
 
     /// The entries of unit ids `units`, in id order, borrowed — the
@@ -178,11 +243,34 @@ impl UnitGradientCache {
     }
 }
 
+/// One fill thread's run: zeroes the entry of each id in `ids` (ascending;
+/// `window` starts at the entry of `ids[0]`) to `dim` and accumulates
+/// `compute` into it.
+fn fill_run<F>(
+    ids: &[usize],
+    window: &mut [Vec<f64>],
+    dim: usize,
+    scratch: &mut GradScratch,
+    compute: &F,
+) where
+    F: Fn(&mut GradScratch, usize, &mut [f64]),
+{
+    for &unit in ids {
+        let grad = &mut window[unit - ids[0]];
+        grad.clear();
+        grad.resize(dim, 0.0);
+        compute(scratch, unit, grad);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use bcc_coding::{BccScheme, UncodedScheme};
     use bcc_data::synthetic::{generate, SyntheticConfig};
+    use bcc_optim::{LogisticLoss, Loss};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Mutex;
 
     #[test]
     fn worker_ranges_follow_the_placement() {
@@ -276,30 +364,85 @@ mod tests {
     }
 
     #[test]
-    fn unit_cache_computes_once_in_place_and_lends_ranges() {
+    fn unit_cache_fills_once_in_place_and_lends_ranges() {
         let mut cache = UnitGradientCache::new(4);
         cache.store(2, &[9.0, 9.0, 9.0]);
         cache.begin_round();
-        let mut calls = 0;
-        for unit in 1..3 {
-            let grad = cache.compute_in_place(unit, 2, |acc| {
-                calls += 1;
-                acc[0] += unit as f64;
-            });
-            assert_eq!(grad, &[unit as f64, 0.0], "stale entry is zeroed first");
-        }
-        let again = cache.compute_in_place(1, 2, |_| calls += 1);
-        assert_eq!(again, &[1.0, 0.0]);
-        assert_eq!(calls, 2, "a filled unit is never recomputed");
-        assert_eq!(cache.get(2), Some(&[2.0, 0.0][..]));
+        let calls = AtomicUsize::new(0);
+        let bump = |_: &mut GradScratch, unit: usize, acc: &mut [f64]| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            acc[0] += unit as f64;
+        };
+        cache.fill(&[1, 2], 2, 1, bump);
+        assert_eq!(cache.get(1), Some(&[1.0, 0.0][..]));
+        assert_eq!(
+            cache.get(2),
+            Some(&[2.0, 0.0][..]),
+            "stale entry is zeroed first"
+        );
+        cache.fill(&[2, 1], 2, 2, bump);
+        assert_eq!(calls.into_inner(), 2, "a filled unit is never recomputed");
         assert_eq!(cache.filled_range(1..3), &[vec![1.0, 0.0], vec![2.0, 0.0]]);
+    }
+
+    /// The fill over real rows at every thread count — one, two, three,
+    /// and more threads than units — leaves byte-equal entries; entries
+    /// filled before the call keep their bytes and are never handed to
+    /// `compute`; a unit `compute` skips (outside a minibatch) stays zero.
+    #[test]
+    fn unit_cache_fill_is_bit_identical_at_every_thread_count() {
+        let g = generate(&SyntheticConfig::small(130, 37, 9));
+        let units = UnitMap::grouped(130, 12);
+        let (x, y) = (g.dataset.features(), g.dataset.labels());
+        let w: Vec<f64> = (0..37).map(|j| 0.03 * (j as f64 * 0.7).sin()).collect();
+        let outside = 5;
+        let row = [7, 2, 9, 2, 0, 11, 5, 3, 8];
+        let filled_before = 3;
+        let fill = |threads: usize| {
+            let mut cache = UnitGradientCache::new(12);
+            cache.store(filled_before, &[0.5; 37]);
+            let calls = Mutex::new(Vec::new());
+            cache.fill(&row, 37, threads, |scratch, unit, acc| {
+                calls.lock().unwrap().push(unit);
+                if unit != outside {
+                    scratch.accumulate_rows(&LogisticLoss, x, y, units.unit_range(unit), &w, acc);
+                }
+            });
+            let mut calls = calls.into_inner().unwrap();
+            calls.sort_unstable();
+            assert_eq!(calls, [0, 2, 5, 7, 8, 9, 11], "threads={threads}");
+            assert_eq!(cache.get(filled_before), Some(&[0.5; 37][..]));
+            assert_eq!(cache.get(outside), Some(&[0.0; 37][..]));
+            assert!(cache.get(1).is_none(), "a unit off the row stays unfilled");
+            row.map(|unit| cache.get(unit).unwrap().to_vec())
+        };
+        let serial = fill(1);
+        for (&unit, grad) in row.iter().zip(&serial) {
+            if unit != outside && unit != filled_before {
+                let mut expect = vec![0.0; 37];
+                for i in units.unit_range(unit) {
+                    LogisticLoss.add_gradient(g.dataset.x(i), g.dataset.y(i), &w, &mut expect);
+                }
+                assert_eq!(grad, &expect, "unit {unit} equals the per-example path");
+            }
+        }
+        for threads in [2, 3, 64] {
+            let parallel = fill(threads);
+            for ((&unit, a), b) in row.iter().zip(&parallel).zip(&serial) {
+                let (a, b): (Vec<u64>, Vec<u64>) = (
+                    a.iter().map(|v| v.to_bits()).collect(),
+                    b.iter().map(|v| v.to_bits()).collect(),
+                );
+                assert_eq!(a, b, "threads={threads}, unit {unit}");
+            }
+        }
     }
 
     #[test]
     #[should_panic(expected = "read before it was filled")]
     fn unit_cache_range_rejects_unfilled_entries() {
         let mut cache = UnitGradientCache::new(3);
-        cache.compute_in_place(0, 1, |_| {});
+        cache.fill(&[0], 1, 1, |_, _, _| {});
         let _ = cache.filled_range(0..2);
     }
 }

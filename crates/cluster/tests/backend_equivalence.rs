@@ -169,3 +169,55 @@ fn batched_runs_stay_equivalent_across_rounds() {
         virtual_driver.outcomes[1].metrics.compute_time,
     );
 }
+
+#[test]
+fn bcc_run_above_the_parallel_fill_threshold_is_backend_invariant() {
+    // Dimension 1024, 8 units of 80 rows in two batches of 4: each row
+    // reads 4 × 80 × 1024 ≥ 2¹⁸ feature elements, so the virtual backend
+    // fills a batch's units on several cores of a multi-core host while
+    // the threaded backend computes every worker's row on its own thread.
+    // Workers 0 and 2 share batch 0 and finish first.
+    let profile = staircase_profile(&[0.005, 0.015, 0.010, 0.020, 0.025, 0.030]);
+    let units = UnitMap::grouped(640, 8);
+    let scheme = BccScheme::from_choices(8, 4, vec![0, 1, 0, 1, 1, 0]);
+    let data = generate(&SyntheticConfig {
+        num_examples: 640,
+        dim: 1024,
+        separation: 1.5,
+        seed: 53,
+    });
+    let w: Vec<f64> = (0..1024).map(|j| 0.01 * (j as f64 * 0.3).cos()).collect();
+    let rounds = 2;
+    let mut virtual_driver = FixedPointDriver::new(w.clone());
+    VirtualCluster::new(profile.clone(), 53)
+        .run_rounds(
+            rounds,
+            &scheme,
+            &units,
+            &data.dataset,
+            &LogisticLoss,
+            &mut virtual_driver,
+        )
+        .expect("virtual run completes");
+    let mut threaded_driver = FixedPointDriver::new(w);
+    ThreadedCluster::new(profile, 53, 1.0)
+        .run_rounds(
+            rounds,
+            &scheme,
+            &units,
+            &data.dataset,
+            &LogisticLoss,
+            &mut threaded_driver,
+        )
+        .expect("threaded run completes");
+    assert_eq!(virtual_driver.outcomes.len(), rounds);
+    assert_eq!(threaded_driver.outcomes.len(), rounds);
+    for (v, t) in virtual_driver
+        .outcomes
+        .iter()
+        .zip(&threaded_driver.outcomes)
+    {
+        assert_eq!(v.metrics.messages_used, 3, "both batches plus one repeat");
+        assert_outcomes_match(v, t);
+    }
+}

@@ -820,6 +820,32 @@ fn validate_mode(spec: &ExperimentSpec, mode: &dyn TrainingMode) -> Result<(), B
                         .into(),
                 });
             }
+            // Local steps run on their own virtual clock and average every
+            // worker's model at each barrier: no backend is built and no
+            // aggregation policy is consulted, so a spec naming others
+            // would silently not run them.
+            if spec.backend != BackendSpec::Virtual {
+                return Err(BuildError::InvalidValue {
+                    field: "backend",
+                    reason: format!(
+                        "mode `{}` runs on the virtual clock only; got {:?}",
+                        mode.name(),
+                        spec.backend
+                    ),
+                });
+            }
+            if !spec.policy.is_default() {
+                return Err(BuildError::InvalidValue {
+                    field: "policy",
+                    reason: format!(
+                        "mode `{}` averages every worker at each barrier; policy `{}` \
+                         would not be applied (only `{}` is)",
+                        mode.name(),
+                        spec.policy.name,
+                        PolicySpec::DEFAULT_NAME
+                    ),
+                });
+            }
             Ok(())
         }
     }

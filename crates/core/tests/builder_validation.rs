@@ -3,7 +3,8 @@
 //! panics.
 
 use bcc_core::experiment::{
-    BuildError, DataSpec, Experiment, ExperimentSpec, LatencySpec, SchemeSpec,
+    BackendSpec, BuildError, DataSpec, Experiment, ExperimentSpec, LatencySpec, ModeSpec,
+    PolicySpec, SchemeSpec,
 };
 
 fn builder_for(m: usize, n: usize, scheme: SchemeSpec) -> Result<Experiment, BuildError> {
@@ -427,4 +428,51 @@ fn default_policy_is_wait_decodable() {
     let experiment = builder_for(6, 6, SchemeSpec::named("uncoded")).unwrap();
     assert_eq!(experiment.aggregation_policy().name(), "wait-decodable");
     assert!(experiment.spec().policy.is_default());
+}
+
+/// `local-sgd` runs its barriers on the virtual clock and averages every
+/// worker: a spec naming another backend or another policy would silently
+/// not run it, so the build refuses it and names the field.
+#[test]
+fn local_sgd_rejects_what_it_cannot_run() {
+    let local = || {
+        Experiment::builder()
+            .workers(6)
+            .units(6)
+            .scheme(SchemeSpec::with_load("bcc", 2))
+            .data(DataSpec::synthetic(2, 3))
+            .mode(ModeSpec::local_sgd(2))
+            .iterations(4)
+            .seed(1)
+    };
+    let field_of = |err: BuildError| match err {
+        BuildError::InvalidValue { field, .. } => field,
+        other => panic!("expected InvalidValue, got {other:?}"),
+    };
+    for backend in [
+        BackendSpec::Threaded { time_scale: 0.1 },
+        BackendSpec::tcp_loopback(0.1),
+    ] {
+        let err = local().backend(backend.clone()).build().unwrap_err();
+        assert_eq!(field_of(err), "backend", "{backend:?}");
+    }
+    for policy in [
+        PolicySpec::fastest_k(3),
+        PolicySpec::deadline(0.5),
+        PolicySpec::named("best-effort-all"),
+    ] {
+        let err = local().policy(policy.clone()).build().unwrap_err();
+        assert_eq!(field_of(err), "policy", "{policy:?}");
+    }
+    // The spec path reports the same error.
+    let mut spec = local().build().unwrap().spec().clone();
+    spec.backend = BackendSpec::Threaded { time_scale: 0.1 };
+    let err = Experiment::from_spec(spec).unwrap_err();
+    assert_eq!(field_of(err), "backend");
+    // Virtual + wait-decodable, explicit or by default, still builds.
+    local()
+        .backend(BackendSpec::Virtual)
+        .policy(PolicySpec::named(PolicySpec::DEFAULT_NAME))
+        .build()
+        .unwrap();
 }

@@ -1,7 +1,12 @@
-//! Fork/join helpers built on `crossbeam::scope`.
+//! The thread budget, and the master's parallel weighted sum.
 //!
-//! The only data parallelism the workloads need is the master's weighted
-//! sum of received vectors, split across columns. Scoped threads keep
+//! The workloads use data parallelism in two places, both under a
+//! [`Parallelism`] budget and both bit-identical at every thread count:
+//! the master's weighted sum of received vectors, split across columns
+//! ([`par_weighted_sum`], here), and the virtual backend's per-round
+//! unit-gradient table, whose unfilled entries are split across cores
+//! (`bcc_cluster::packed::UnitGradientCache::fill`). [`Parallelism::available`]
+//! is the one place the host's core count is read. Scoped threads keep
 //! borrows simple (no `Arc`), per the Rust Atomics & Locks guidance, and
 //! avoid pulling in a full work-stealing runtime.
 

@@ -4,8 +4,9 @@
 //! every iteration; allocating margins and accumulator vectors per round is
 //! pure overhead. A [`GradScratch`] owns those buffers and is threaded
 //! through the cluster backends — one per persistent worker thread on the
-//! threaded backend, one per run on the virtual backend — so after the
-//! first round the hot path allocates nothing.
+//! threaded backend, one per fill thread of the virtual backend's
+//! unit-gradient table — so after the first round the hot path allocates
+//! nothing.
 
 use crate::loss::Loss;
 use bcc_linalg::Matrix;
@@ -122,7 +123,7 @@ impl GradScratch {
     }
 
     /// Overwrites slot `slot` with an already-computed gradient (the
-    /// memoized-unit path of single-threaded backends).
+    /// memoized-unit path of the virtual backend).
     ///
     /// # Panics
     /// Panics when `slot` was not sized by a preceding `ensure_slots` or

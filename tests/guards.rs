@@ -177,6 +177,16 @@ const GUARDS: &[Guard] = &[
         rule: Rule::BannedWord(&["fn gemv_into", "fn axpby"]),
     },
     Guard {
+        name: "Host parallelism read in one place",
+        set_by: "the virtual backend fills a worker's unit-gradient table on every core",
+        why: "`Parallelism::available` is the one host query, and a backend \
+              reads it once per session, never per round: a per-round \
+              `available_parallelism()` call cost three workloads 13–21 % of \
+              their round wall before it was removed",
+        paths: CODE,
+        rule: Rule::Count("available_parallelism", 1),
+    },
+    Guard {
         name: "Nothing unreached — every public fn and const has a user",
         set_by: "the workspace orphan sweep",
         why: "an item only its own unit tests call is code no run reaches; \
