@@ -5,12 +5,11 @@
 //! the decodable prefix of one coded round. The
 //! [mode layer](bcc_cluster::mode) opens the orthogonal axis — *when* an
 //! update may be applied: `ssgd` (the paper), `ssp` (bounded staleness),
-//! `asgd` (fully asynchronous), and `local-sgd` (communication-avoiding
-//! local steps). This grid trains the same logistic model under every
-//! builtin mode, across heavy-tail and bimodal straggler regimes, and
-//! reports per cell the **risk-vs-wallclock tradeoff**: simulated
-//! wallclock (overlapped makespan for the stale modes, barrier sum for
-//! local SGD), final empirical risk, and the staleness actually incurred.
+//! and `asgd` (fully asynchronous). This grid trains the same logistic
+//! model under every builtin mode, across heavy-tail and bimodal straggler
+//! regimes, and reports per cell the **risk-vs-wallclock tradeoff**:
+//! simulated wallclock (overlapped makespan for the stale modes), final
+//! empirical risk, and the staleness actually incurred.
 //!
 //! Every cell is an independent seeded experiment on the virtual backend
 //! (all times are deterministic simulated seconds) — a pooled [`Grid`]
@@ -39,13 +38,10 @@ pub struct ModesConfig {
     pub dim: usize,
     /// Computational load for the coded schemes.
     pub r: usize,
-    /// Gradient iterations per cell (for `local-sgd` these are *local*
-    /// steps; the sync-round count is `iterations / local_steps`).
+    /// Gradient iterations (coded rounds) per cell.
     pub iterations: usize,
     /// Staleness bound of the `ssp` column.
     pub staleness: usize,
-    /// Local steps per sync of the `local-sgd` column.
-    pub local_steps: usize,
     /// Constant learning rate (plain gradient descent — the one optimizer
     /// every mode supports, so the comparison isolates the schedule).
     pub rate: f64,
@@ -58,10 +54,9 @@ pub struct ModesConfig {
 impl ModesConfig {
     /// Default: scenario-one sized, 40 gradient iterations per cell.
     ///
-    /// `staleness = 4` keeps SSP's window well under the iteration count;
-    /// `local_steps = 4` gives local SGD a 4× communication reduction —
-    /// both small enough that the stale/averaged gradients stay close to
-    /// the synchronous trajectory.
+    /// `staleness = 4` keeps SSP's window well under the iteration count —
+    /// small enough that the stale gradients stay close to the synchronous
+    /// trajectory.
     #[must_use]
     pub fn default_config() -> Self {
         Self {
@@ -72,7 +67,6 @@ impl ModesConfig {
             r: 10,
             iterations: 40,
             staleness: 4,
-            local_steps: 4,
             rate: 0.2,
             seed: 2024,
             threads: 0,
@@ -106,7 +100,6 @@ impl ModesConfig {
             ModeSpec::default(),
             ModeSpec::ssp(self.staleness),
             ModeSpec::named("asgd"),
-            ModeSpec::local_sgd(self.local_steps),
         ]
     }
 
@@ -150,11 +143,10 @@ pub struct ModeCellRow {
     pub scheme: String,
     /// Training-mode name.
     pub mode: String,
-    /// Coded rounds measured (sync rounds for `local-sgd`, gradient
-    /// updates otherwise).
+    /// Coded rounds measured (one gradient update each).
     pub rounds: usize,
     /// Simulated wallclock of the run — overlapped makespan under
-    /// SSP/ASGD, barrier sum under local SGD, round-time sum under `ssgd`.
+    /// SSP/ASGD, round-time sum under `ssgd`.
     /// The wallclock axis of the tradeoff.
     pub simulated_seconds: f64,
     /// Sum of per-round service times (`= simulated_seconds` only for the
@@ -163,7 +155,7 @@ pub struct ModeCellRow {
     /// Mean messages consumed per round (empirical `K`).
     pub avg_messages_used: f64,
     /// Mean staleness of the applied updates (rounds merged after this
-    /// one's broadcast; `0.0` under `ssgd` and `local-sgd`).
+    /// one's broadcast; `0.0` under `ssgd`).
     pub mean_staleness: f64,
     /// Worst staleness incurred (`≤` the SSP bound by construction).
     pub max_staleness: usize,
@@ -312,7 +304,6 @@ pub(crate) mod tests {
             r: 2,
             iterations: 8,
             staleness: 2,
-            local_steps: 2,
             rate: 0.2,
             seed: 5,
             threads: 2,
@@ -325,18 +316,15 @@ pub(crate) mod tests {
         let result = run(&cfg);
         assert_eq!(
             result.rows.len(),
-            2 * 3 * 4,
-            "2 models × 3 schemes × 4 modes"
+            2 * 3 * 3,
+            "2 models × 3 schemes × 3 modes"
         );
         for row in &result.rows {
             assert!(row.simulated_seconds > 0.0);
             assert!(row.final_risk.is_finite());
-            match row.mode.as_str() {
-                "local-sgd" => assert_eq!(row.rounds, cfg.iterations / cfg.local_steps),
-                _ => assert_eq!(row.rounds, cfg.iterations),
-            }
+            assert_eq!(row.rounds, cfg.iterations);
         }
-        for mode in ["ssgd", "ssp", "asgd", "local-sgd"] {
+        for mode in ["ssgd", "ssp", "asgd"] {
             assert!(result.rows.iter().any(|r| r.mode == mode), "{mode}");
         }
         assert_eq!(ModesConfig::render(&result).len(), result.rows.len());
@@ -348,16 +336,14 @@ pub(crate) mod tests {
         let result = run(&cfg);
         for row in &result.rows {
             match row.mode.as_str() {
-                "ssgd" | "local-sgd" => {
+                "ssgd" => {
                     assert_eq!(row.max_staleness, 0, "{}/{}", row.model, row.scheme);
                     assert_eq!(row.mean_gradient_error, 0.0);
                     // Synchronous wallclock is exactly the round-time sum.
-                    if row.mode == "ssgd" {
-                        assert_eq!(
-                            row.simulated_seconds.to_bits(),
-                            row.total_round_time.to_bits()
-                        );
-                    }
+                    assert_eq!(
+                        row.simulated_seconds.to_bits(),
+                        row.total_round_time.to_bits()
+                    );
                 }
                 "ssp" => assert!(
                     row.max_staleness <= cfg.staleness,
@@ -374,18 +360,18 @@ pub(crate) mod tests {
 
     #[test]
     fn overlap_beats_synchronous_rounds_at_matched_risk() {
-        // The grid's headline claim (and the PR's acceptance bar): in at
-        // least two heavy-tail/bimodal cells, SSP or LocalSGD finishes
-        // faster than SSGD at equal-or-better final risk (1 % slack).
+        // The grid's headline claim: in at least two heavy-tail/bimodal
+        // cells, SSP finishes faster than SSGD at equal-or-better final
+        // risk (1 % slack).
         let result = run(&tiny());
         let wins = result.wins_over_ssgd(0.01);
         let overlap: Vec<_> = wins
             .iter()
-            .filter(|(_, _, mode, _)| mode == "ssp" || mode == "local-sgd")
+            .filter(|(_, _, mode, _)| mode == "ssp")
             .collect();
         assert!(
             overlap.len() >= 2,
-            "need ≥ 2 SSP/LocalSGD wins over ssgd, got {wins:?}"
+            "need ≥ 2 SSP wins over ssgd, got {wins:?}"
         );
         for (_, _, _, speedup) in &overlap {
             assert!(*speedup > 1.0);

@@ -102,13 +102,11 @@ fn modes_artifact_cells_replay_byte_identically() {
     let body = std::fs::read_to_string(path).expect("artifact is checked in");
     let artifact: ModesResult = serde_json::from_str(&body).expect("artifact parses");
 
-    // One cell per builtin mode keeps the debug-mode cost modest; the
-    // uncoded/local-sgd cell exercises the shard-averaging path.
+    // One cell per builtin mode keeps the debug-mode cost modest.
     for (model, scheme, mode) in [
         ("pareto", "bcc", "ssgd"),
         ("pareto", "bcc", "ssp"),
         ("bimodal", "bcc", "asgd"),
-        ("bimodal", "uncoded", "local-sgd"),
     ] {
         let (name, spec) = artifact
             .config

@@ -194,7 +194,6 @@ fn list_enumerates_schemes_models_and_policies() {
         "ssgd",
         "ssp",
         "asgd",
-        "local-sgd",
         "training modes",
         "straggler controllers",
         "static",
@@ -339,7 +338,7 @@ fn unknown_mode_in_spec_file_is_a_readable_error() {
         "stderr must name the bad mode: {err}"
     );
     assert!(
-        err.contains("ssgd, ssp, asgd, local-sgd"),
+        err.contains("ssgd, ssp, asgd"),
         "stderr must list the valid modes: {err}"
     );
     assert!(!err.contains("panicked"), "must not panic: {err}");

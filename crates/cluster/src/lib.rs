@@ -65,7 +65,7 @@ pub use latency::{ClusterProfile, CommModel, WorkerProfile};
 pub use message::Envelope;
 pub use metrics::{ArrivalStamp, RoundMetrics, RoundSample, RunMetrics};
 pub use minibatch::{Minibatch, UnitSelection};
-pub use mode::{Asgd, LocalSgd, ModeSchedule, OffsetModel, OffsetTable, Ssgd, Ssp, TrainingMode};
+pub use mode::{Asgd, ModeSchedule, OffsetModel, OffsetTable, Ssgd, Ssp, TrainingMode};
 pub use observer::{EventLog, NullObserver, RoundEvent, RoundObserver, SharedObserver};
 pub use packed::WorkerBlocks;
 pub use policy::{

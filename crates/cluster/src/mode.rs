@@ -5,7 +5,7 @@
 //! iteration — that cost is exactly what coded redundancy buys back. The
 //! straggler-mitigation literature's other lever is *staleness*: let
 //! workers run ahead and apply late gradients to newer weights. This module
-//! names the four points on that axis as an object-safe [`TrainingMode`]
+//! names three points on that axis as an object-safe [`TrainingMode`]
 //! (the experiment layer's `ModeSpec`/`ModeRegistry` resolve to one):
 //!
 //! | mode | step rule | blocking |
@@ -13,7 +13,6 @@
 //! | [`Ssgd`] | one exact step per completed round | every round |
 //! | [`Ssp`] | stale steps allowed up to `staleness` rounds behind | only at the bound |
 //! | [`Asgd`] | every decodable arrival applied as it lands | never |
-//! | [`LocalSgd`] | `local_steps` local steps, then synchronized averaging | every sync |
 //!
 //! A mode is *policy*, not *mechanism*: the round engine, arrival sources,
 //! and backends are untouched. SSP/ASGD overlap rounds by scheduling each
@@ -53,14 +52,6 @@ pub enum ModeSchedule {
     /// starts as soon as any prior round completes, and each decodable
     /// completion is applied the moment it lands.
     Async,
-    /// Each participant takes `local_steps` plain gradient steps on its own
-    /// partition, then the master averages the resulting iterates
-    /// (one synchronization per communication round).
-    LocalSteps {
-        /// Local steps per communication round (`H` in the LocalSGD
-        /// literature).
-        local_steps: usize,
-    },
 }
 
 /// A training mode: the round-to-step relationship an experiment runs
@@ -143,31 +134,6 @@ impl TrainingMode for Asgd {
 
     fn schedule(&self) -> ModeSchedule {
         ModeSchedule::Async
-    }
-}
-
-/// Local SGD: `local_steps` plain gradient steps per worker between
-/// synchronized parameter averages — trades per-step communication for
-/// per-sync straggler exposure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LocalSgd {
-    /// Local steps per communication round.
-    pub local_steps: usize,
-}
-
-impl TrainingMode for LocalSgd {
-    fn name(&self) -> &str {
-        "local-sgd"
-    }
-
-    fn description(&self) -> &str {
-        "local steps then synchronized averaging: pay the straggler tail once per sync, not per step"
-    }
-
-    fn schedule(&self) -> ModeSchedule {
-        ModeSchedule::LocalSteps {
-            local_steps: self.local_steps,
-        }
     }
 }
 
@@ -299,7 +265,7 @@ impl StragglerModel for OffsetModel {
 /// The built-in modes as `(name, one-line description)` pairs — the
 /// discovery surface `repro list` prints (mirrors
 /// [`crate::straggler::ZOO`]).
-pub const MODES: [(&str, &str); 4] = [
+pub const MODES: [(&str, &str); 3] = [
     (
         "ssgd",
         "synchronous rounds: one exact step per decoded round (the paper's protocol, default)",
@@ -312,10 +278,6 @@ pub const MODES: [(&str, &str); 4] = [
         "asgd",
         "asynchronous parameter server: apply each decodable round as it lands, unbounded staleness",
     ),
-    (
-        "local-sgd",
-        "local steps then synchronized averaging: pay the straggler tail once per sync, not per step",
-    ),
 ];
 
 #[cfg(test)]
@@ -325,12 +287,7 @@ mod tests {
 
     #[test]
     fn builtin_names_match_the_discovery_table() {
-        let modes: [&dyn TrainingMode; 4] = [
-            &Ssgd,
-            &Ssp { staleness: 2 },
-            &Asgd,
-            &LocalSgd { local_steps: 4 },
-        ];
+        let modes: [&dyn TrainingMode; 3] = [&Ssgd, &Ssp { staleness: 2 }, &Asgd];
         for (mode, (name, description)) in modes.iter().zip(MODES) {
             assert_eq!(mode.name(), name);
             assert_eq!(mode.description(), description);
@@ -345,10 +302,6 @@ mod tests {
             ModeSchedule::StaleBounded { staleness: 3 }
         );
         assert_eq!(Asgd.schedule(), ModeSchedule::Async);
-        assert_eq!(
-            LocalSgd { local_steps: 5 }.schedule(),
-            ModeSchedule::LocalSteps { local_steps: 5 }
-        );
     }
 
     #[test]

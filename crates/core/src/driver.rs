@@ -18,15 +18,14 @@ use bcc_optim::{ConvergenceTrace, Loss, Optimizer};
 pub(crate) struct RunOutput {
     /// Final model iterate.
     pub(crate) weights: Vec<f64>,
-    /// Risk trace (one point per applied update / synchronization).
+    /// Risk trace (one point per applied update).
     pub(crate) trace: ConvergenceTrace,
     /// Aggregated round metrics — the Tables I/II quantities.
     pub(crate) metrics: RunMetrics,
     /// Per-round observables in round order.
     pub(crate) round_samples: Vec<RoundSample>,
     /// Simulated wallclock: the sum of round times under synchronous
-    /// rounds and LocalSGD barriers, the overlapped timeline's makespan
-    /// under SSP/ASGD.
+    /// rounds, the overlapped timeline's makespan under SSP/ASGD.
     pub(crate) simulated_seconds: f64,
 }
 

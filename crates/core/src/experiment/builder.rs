@@ -11,7 +11,7 @@ use super::spec::{
 };
 use crate::driver::SyncDriver;
 use crate::error::BccError;
-use crate::modes::{run_local_sgd, StaleDriver};
+use crate::modes::StaleDriver;
 use bcc_cluster::{
     AggregationPolicy, BackendConfig, BimodalModel, ClusterBackend, ClusterProfile, CommModel,
     MarkovModel, Minibatch, ModeSchedule, OffsetModel, OffsetTable, ParetoModel, RoundSample,
@@ -60,13 +60,12 @@ pub struct ExperimentReport {
     /// generation and scheme construction).
     pub wall_seconds: f64,
     /// Simulated (virtual-clock) seconds the run took. Equal to
-    /// `metrics.total_time` under synchronous modes, the overlapped
+    /// `metrics.total_time` under synchronous modes and the overlapped
     /// timeline's makespan under SSP/ASGD (rounds overlap, so the sum of
-    /// round times overstates the wallclock), and the sum of
-    /// synchronization-round times under LocalSGD.
+    /// round times overstates the wallclock).
     pub simulated_seconds: f64,
     /// Per-round straggler-controller decisions in round order (one per
-    /// round under synchronous modes; empty under SSP/ASGD/LocalSGD, whose
+    /// round under synchronous modes; empty under SSP/ASGD, whose
     /// overlapping rounds have no boundary to apply a decision at).
     pub controller_records: Vec<ControlRecord>,
     /// How many controller decisions changed the installed aggregation
@@ -347,8 +346,8 @@ impl Experiment {
     }
 
     /// Runs the experiment: generate data, spin up the backend, and drive
-    /// `iterations` rounds (or local steps) through the optimizer under
-    /// the spec's training mode.
+    /// `iterations` rounds through the optimizer under the spec's training
+    /// mode.
     ///
     /// Deterministic on the virtual backend: the dataset derives from the
     /// spec seed, the scheme placement from `derive(seed, 0xC0DE)`, and the
@@ -455,35 +454,6 @@ impl Experiment {
                     &mut driver,
                 )?;
                 driver.finalize()
-            }
-            ModeSchedule::LocalSteps { local_steps } => {
-                // No round protocol at all — the barrier timeline is
-                // simulated directly against the straggler model, so the
-                // run is backend-independent (WAN emulation has no socket
-                // path to apply to; the serial receive port still charges
-                // per-arrival transfer time).
-                let rate = match spec.optimizer {
-                    OptimizerSpec::Nesterov { rate } | OptimizerSpec::GradientDescent { rate } => {
-                        rate
-                    }
-                    OptimizerSpec::FixedPoint => {
-                        unreachable!("validated: local-sgd requires an optimizer")
-                    }
-                };
-                run_local_sgd(
-                    self.scheme.as_ref(),
-                    &units,
-                    &data.dataset,
-                    loss,
-                    self.profile.comm,
-                    self.model.as_ref(),
-                    backend_seed,
-                    rate,
-                    dim,
-                    spec.iterations,
-                    local_steps,
-                    spec.record_risk,
-                )
             }
         };
         let wall_seconds = start.elapsed().as_secs_f64();
@@ -777,77 +747,28 @@ fn validate_spec(spec: &ExperimentSpec) -> Result<(), BuildError> {
 /// the spec (the registry already rejected missing/zero parameters for the
 /// built-ins; these bounds also cover custom registrations).
 fn validate_mode(spec: &ExperimentSpec, mode: &dyn TrainingMode) -> Result<(), BuildError> {
-    let requires_optimizer = || match spec.optimizer {
-        OptimizerSpec::FixedPoint => Err(BuildError::InvalidValue {
-            field: "optimizer",
-            reason: format!(
-                "fixed-point metrics runs have no optimizer state for mode `{}` to update",
-                mode.name()
-            ),
-        }),
-        _ => Ok(()),
-    };
-    let bounded = |field: &'static str, value: usize| {
-        if value == 0 {
-            return Err(BuildError::InvalidValue {
-                field,
-                reason: format!("mode `{}` needs a positive value", mode.name()),
-            });
-        }
-        if value > spec.iterations {
-            return Err(BuildError::InvalidValue {
-                field,
-                reason: format!("{value} exceeds the {}-iteration run", spec.iterations),
-            });
-        }
-        Ok(())
-    };
     match mode.schedule() {
         ModeSchedule::Synchronous => Ok(()),
-        ModeSchedule::StaleBounded { staleness } => {
-            bounded("mode.staleness", staleness)?;
-            requires_optimizer()
+        ModeSchedule::StaleBounded { staleness: 0 } => Err(BuildError::InvalidValue {
+            field: "mode.staleness",
+            reason: format!("mode `{}` needs a positive value", mode.name()),
+        }),
+        ModeSchedule::StaleBounded { staleness } if staleness > spec.iterations => {
+            Err(BuildError::InvalidValue {
+                field: "mode.staleness",
+                reason: format!("{staleness} exceeds the {}-iteration run", spec.iterations),
+            })
         }
-        ModeSchedule::Async => requires_optimizer(),
-        ModeSchedule::LocalSteps { local_steps } => {
-            bounded("mode.local_steps", local_steps)?;
-            requires_optimizer()?;
-            if spec.data.minibatch().is_some() {
-                return Err(BuildError::InvalidValue {
-                    field: "data.minibatch",
-                    reason: "local-sgd workers iterate over their full shard; \
-                             minibatch rounds are undefined under it"
-                        .into(),
-                });
-            }
-            // Local steps run on their own virtual clock and average every
-            // worker's model at each barrier: no backend is built and no
-            // aggregation policy is consulted, so a spec naming others
-            // would silently not run them.
-            if spec.backend != BackendSpec::Virtual {
-                return Err(BuildError::InvalidValue {
-                    field: "backend",
-                    reason: format!(
-                        "mode `{}` runs on the virtual clock only; got {:?}",
-                        mode.name(),
-                        spec.backend
-                    ),
-                });
-            }
-            if !spec.policy.is_default() {
-                return Err(BuildError::InvalidValue {
-                    field: "policy",
-                    reason: format!(
-                        "mode `{}` averages every worker at each barrier; policy `{}` \
-                         would not be applied (only `{}` is)",
-                        mode.name(),
-                        spec.policy.name,
-                        PolicySpec::DEFAULT_NAME
-                    ),
-                });
-            }
-            Ok(())
-        }
+        ModeSchedule::StaleBounded { .. } | ModeSchedule::Async => match spec.optimizer {
+            OptimizerSpec::FixedPoint => Err(BuildError::InvalidValue {
+                field: "optimizer",
+                reason: format!(
+                    "fixed-point metrics runs have no optimizer state for mode `{}` to update",
+                    mode.name()
+                ),
+            }),
+            _ => Ok(()),
+        },
     }
 }
 
@@ -1197,18 +1118,17 @@ mod tests {
 
     #[test]
     fn every_mode_runs_and_improves_risk() {
-        for (mode, rounds) in [
-            (ModeSpec::default(), 8),
-            (ModeSpec::ssp(2), 8),
-            (ModeSpec::named("asgd"), 8),
-            (ModeSpec::local_sgd(2), 4), // 8 local steps / 2 per sync
+        for mode in [
+            ModeSpec::default(),
+            ModeSpec::ssp(2),
+            ModeSpec::named("asgd"),
         ] {
             let name = mode.name.clone();
             let report = tiny_builder().mode(mode).build().unwrap().run().unwrap();
-            assert_eq!(report.metrics.rounds, rounds, "{name}");
+            assert_eq!(report.metrics.rounds, 8, "{name}");
             assert!(report.trace.improved(), "{name} must reduce risk");
             assert!(report.simulated_seconds > 0.0, "{name}");
-            assert_eq!(report.round_samples.len(), rounds, "{name}");
+            assert_eq!(report.round_samples.len(), 8, "{name}");
         }
     }
 
@@ -1248,38 +1168,20 @@ mod tests {
 
     #[test]
     fn mode_bounds_are_validated() {
-        // Zero parameters die in the registry factory.
-        for (mode, field) in [
-            (ModeSpec::ssp(0), "mode.staleness"),
-            (ModeSpec::local_sgd(0), "mode.local_steps"),
-        ] {
+        // Zero dies in the registry factory, a bound beyond the iteration
+        // budget in mode validation (tiny_builder runs 8 iterations).
+        for mode in [ModeSpec::ssp(0), ModeSpec::ssp(9)] {
             let err = tiny_builder().mode(mode).build().unwrap_err();
             assert!(
-                matches!(&err, BuildError::InvalidValue { field: f, .. } if *f == field),
-                "expected InvalidValue on {field}, got {err:?}"
-            );
-        }
-        // Parameters beyond the iteration budget die in mode validation
-        // (tiny_builder runs 8 iterations).
-        for (mode, field) in [
-            (ModeSpec::ssp(9), "mode.staleness"),
-            (ModeSpec::local_sgd(9), "mode.local_steps"),
-        ] {
-            let err = tiny_builder().mode(mode).build().unwrap_err();
-            assert!(
-                matches!(&err, BuildError::InvalidValue { field: f, .. } if *f == field),
-                "expected InvalidValue on {field}, got {err:?}"
+                matches!(&err, BuildError::InvalidValue { field, .. } if *field == "mode.staleness"),
+                "expected InvalidValue on mode.staleness, got {err:?}"
             );
         }
     }
 
     #[test]
     fn non_synchronous_modes_reject_fixed_point() {
-        for mode in [
-            ModeSpec::ssp(2),
-            ModeSpec::named("asgd"),
-            ModeSpec::local_sgd(2),
-        ] {
+        for mode in [ModeSpec::ssp(2), ModeSpec::named("asgd")] {
             let err = tiny_builder()
                 .mode(mode)
                 .optimizer(OptimizerSpec::FixedPoint)
@@ -1290,19 +1192,6 @@ mod tests {
                 "fixed-point must be rejected, got {err:?}"
             );
         }
-    }
-
-    #[test]
-    fn local_sgd_rejects_minibatch() {
-        let err = tiny_builder()
-            .mode(ModeSpec::local_sgd(2))
-            .data(DataSpec::synthetic(5, 4).with_minibatch(4))
-            .build()
-            .unwrap_err();
-        assert!(
-            matches!(&err, BuildError::InvalidValue { field, .. } if *field == "data.minibatch"),
-            "local-sgd + minibatch must be rejected, got {err:?}"
-        );
     }
 
     #[test]
@@ -1422,11 +1311,7 @@ mod tests {
 
     #[test]
     fn adaptive_controllers_require_ssgd() {
-        for mode in [
-            ModeSpec::ssp(2),
-            ModeSpec::named("asgd"),
-            ModeSpec::local_sgd(2),
-        ] {
+        for mode in [ModeSpec::ssp(2), ModeSpec::named("asgd")] {
             let err = tiny_builder()
                 .mode(mode)
                 .controller(ControllerSpec::adaptive_k(3.0))

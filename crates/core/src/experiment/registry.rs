@@ -8,8 +8,8 @@
 //! [`ControllerRegistry`] are aliases of it; per kind there is only the
 //! factory signature (`register` / `build`) and the built-in registrations:
 //! the paper's comparison set (six [`bcc_coding`] schemes), the four members
-//! of [`bcc_cluster::policy`], of [`bcc_cluster::mode`] and of
-//! [`bcc_control`]. A built-in is one `register` call in its kind's
+//! of [`bcc_cluster::policy`], the three of [`bcc_cluster::mode`] and the
+//! four of [`bcc_control`]. A built-in is one `register` call in its kind's
 //! `builtin()` — nothing else in the workspace lists the names — so a new
 //! scheme is one file in `crates/coding/src` plus one `register` line here.
 //!
@@ -27,7 +27,7 @@
 use super::error::BuildError;
 use super::spec::{ControllerSpec, ModeSpec, PolicySpec, SchemeSpec};
 use bcc_cluster::{
-    AggregationPolicy, Asgd, BestEffortAll, Deadline, FastestK, LocalSgd, Ssgd, Ssp, TrainingMode,
+    AggregationPolicy, Asgd, BestEffortAll, Deadline, FastestK, Ssgd, Ssp, TrainingMode,
     WaitDecodable,
 };
 use bcc_coding::{
@@ -57,8 +57,16 @@ mod kind {
         /// The built-in registrations.
         fn builtin() -> Registry<Self>;
     }
+
+    /// A [`Kind`] whose parameters are optional spec fields — policies,
+    /// modes and controllers.
+    pub trait Params: Kind {
+        /// Every parameter field of the kind, by its qualified name
+        /// (`"policy.k"`, …), with whether this spec sets it.
+        fn params(&self) -> Vec<(&'static str, bool)>;
+    }
 }
-use kind::Kind;
+use kind::{Kind, Params};
 
 /// Name → (one-line description, factory) map resolving the specs of one
 /// plug-in kind to instances.
@@ -156,6 +164,24 @@ fn param<S: Kind, T: Copy + Display>(
         None => format!("{noun} `{name}` requires it ({expect})"),
     };
     Err(BuildError::InvalidValue { field, reason })
+}
+
+/// The other half of every built-in factory's parameter check: the
+/// parameters it reads are `reads`, and any other one `spec` sets is an
+/// error rather than silently dropped.
+fn reads_only<S: Params>(spec: &S, reads: &[&str]) -> Result<(), BuildError> {
+    let (noun, name) = (S::NOUN, spec.name());
+    match spec
+        .params()
+        .into_iter()
+        .find(|(field, set)| *set && !reads.contains(field))
+    {
+        None => Ok(()),
+        Some((field, _)) => Err(BuildError::InvalidValue {
+            field,
+            reason: format!("{noun} `{name}` does not read it"),
+        }),
+    }
 }
 
 /// The kinds whose factories take the spec alone — policies, modes, and
@@ -404,12 +430,16 @@ impl Kind for PolicySpec {
         reg.register(
             "wait-decodable",
             "exact decode: stop at the scheme's completion condition (the paper's master; default)",
-            |_spec| Ok(Arc::new(WaitDecodable) as Arc<dyn AggregationPolicy>),
+            |spec| {
+                reads_only(spec, &[])?;
+                Ok(Arc::new(WaitDecodable) as Arc<dyn AggregationPolicy>)
+            },
         );
         reg.register(
             "fastest-k",
             "stop after the fastest k arrivals; coverage-rescaled unbiased estimate (requires `k`)",
             |spec| {
+                reads_only(spec, &["policy.k"])?;
                 let k = param(
                     spec,
                     "policy.k",
@@ -424,6 +454,7 @@ impl Kind for PolicySpec {
             "deadline",
             "cut the round off at a simulated-time budget; rescaled partial gradient (requires `deadline`)",
             |spec| {
+                reads_only(spec, &["policy.deadline"])?;
                 let d = param(
                     spec,
                     "policy.deadline",
@@ -437,9 +468,21 @@ impl Kind for PolicySpec {
         reg.register(
             "best-effort-all",
             "drain every live worker before finishing; the oracle coverage baseline",
-            |_spec| Ok(Arc::new(BestEffortAll) as Arc<dyn AggregationPolicy>),
+            |spec| {
+                reads_only(spec, &[])?;
+                Ok(Arc::new(BestEffortAll) as Arc<dyn AggregationPolicy>)
+            },
         );
         reg
+    }
+}
+
+impl Params for PolicySpec {
+    fn params(&self) -> Vec<(&'static str, bool)> {
+        vec![
+            ("policy.k", self.k.is_some()),
+            ("policy.deadline", self.deadline.is_some()),
+        ]
     }
 }
 
@@ -471,17 +514,19 @@ impl Kind for ModeSpec {
         BuildError::UnknownMode { name, known }
     }
 
-    /// The four modes of [`bcc_cluster::mode`] (descriptions from
-    /// [`bcc_cluster::mode::MODES`]). The factories only require their
-    /// parameter to be present and `>= 1`; the iterations-relative upper
-    /// bound is the builder's job — the registry does not know the spec.
+    /// The three modes of [`bcc_cluster::mode`] (descriptions from
+    /// [`bcc_cluster::mode::MODES`]). `ssp` only requires its bound to be
+    /// present and `>= 1`; the iterations-relative upper bound is the
+    /// builder's job — the registry does not know the spec.
     fn builtin() -> ModeRegistry {
         let description = |name| described(&bcc_cluster::mode::MODES, name);
         let mut reg = ModeRegistry::empty();
-        reg.register("ssgd", description("ssgd"), |_spec| {
+        reg.register("ssgd", description("ssgd"), |spec| {
+            reads_only(spec, &[])?;
             Ok(Arc::new(Ssgd) as Arc<dyn TrainingMode>)
         });
         reg.register("ssp", description("ssp"), |spec| {
+            reads_only(spec, &["mode.staleness"])?;
             let staleness = param(
                 spec,
                 "mode.staleness",
@@ -491,20 +536,17 @@ impl Kind for ModeSpec {
             )?;
             Ok(Arc::new(Ssp { staleness }) as Arc<dyn TrainingMode>)
         });
-        reg.register("asgd", description("asgd"), |_spec| {
+        reg.register("asgd", description("asgd"), |spec| {
+            reads_only(spec, &[])?;
             Ok(Arc::new(Asgd) as Arc<dyn TrainingMode>)
         });
-        reg.register("local-sgd", description("local-sgd"), |spec| {
-            let local_steps = param(
-                spec,
-                "mode.local_steps",
-                spec.local_steps,
-                |s| s >= 1,
-                "a local step count >= 1",
-            )?;
-            Ok(Arc::new(LocalSgd { local_steps }) as Arc<dyn TrainingMode>)
-        });
         reg
+    }
+}
+
+impl Params for ModeSpec {
+    fn params(&self) -> Vec<(&'static str, bool)> {
+        vec![("mode.staleness", self.staleness.is_some())]
     }
 }
 
@@ -542,13 +584,18 @@ impl Kind for ControllerSpec {
             )
         };
         let mut reg = ControllerRegistry::empty();
-        reg.register("static", description("static"), |_spec| {
+        reg.register("static", description("static"), |spec| {
+            reads_only(spec, &[])?;
             Ok(Box::new(StaticController) as Box<dyn Controller>)
         });
         reg.register(
             "quantile-deadline",
             description("quantile-deadline"),
             |spec| {
+                reads_only(
+                    spec,
+                    &["controller.q", "controller.margin", "controller.warmup"],
+                )?;
                 let defaults = QuantileDeadline::default();
                 Ok(Box::new(QuantileDeadline {
                     q: param(
@@ -570,6 +617,7 @@ impl Kind for ControllerSpec {
             },
         );
         reg.register("adaptive-k", description("adaptive-k"), move |spec| {
+            reads_only(spec, &["controller.slow_factor", "controller.warmup"])?;
             let defaults = AdaptiveK::default();
             Ok(Box::new(AdaptiveK {
                 slow_factor: slow_factor(spec, defaults.slow_factor)?,
@@ -578,6 +626,7 @@ impl Kind for ControllerSpec {
             }) as Box<dyn Controller>)
         });
         reg.register("regime-switch", description("regime-switch"), move |spec| {
+            reads_only(spec, &["controller.slow_factor", "controller.hysteresis"])?;
             let defaults = RegimeSwitch::default();
             Ok(Box::new(RegimeSwitch {
                 slow_factor: slow_factor(spec, defaults.slow_factor)?,
@@ -592,6 +641,18 @@ impl Kind for ControllerSpec {
             }) as Box<dyn Controller>)
         });
         reg
+    }
+}
+
+impl Params for ControllerSpec {
+    fn params(&self) -> Vec<(&'static str, bool)> {
+        vec![
+            ("controller.q", self.q.is_some()),
+            ("controller.margin", self.margin.is_some()),
+            ("controller.warmup", self.warmup.is_some()),
+            ("controller.slow_factor", self.slow_factor.is_some()),
+            ("controller.hysteresis", self.hysteresis.is_some()),
+        ]
     }
 }
 
@@ -704,7 +765,7 @@ mod tests {
             lookup(&regs.modes, &ModeSpec::named("hogwild")),
             Err(BuildError::UnknownMode {
                 name: "hogwild".into(),
-                known: known(&["asgd", "local-sgd", "ssgd", "ssp"]),
+                known: known(&["asgd", "ssgd", "ssp"]),
             })
         );
         assert_eq!(
@@ -796,11 +857,6 @@ mod tests {
         );
         let m = reg.build(&ModeSpec::named("asgd")).unwrap();
         assert_eq!(m.schedule(), bcc_cluster::ModeSchedule::Async);
-        let m = reg.build(&ModeSpec::local_sgd(8)).unwrap();
-        assert_eq!(
-            m.schedule(),
-            bcc_cluster::ModeSchedule::LocalSteps { local_steps: 8 }
-        );
     }
 
     #[test]
@@ -841,8 +897,6 @@ mod tests {
         for (spec, field) in [
             (ModeSpec::named("ssp"), "mode.staleness"),
             (ModeSpec::ssp(0), "mode.staleness"),
-            (ModeSpec::named("local-sgd"), "mode.local_steps"),
-            (ModeSpec::local_sgd(0), "mode.local_steps"),
         ] {
             assert_eq!(field_of(regs.modes.build(&spec).unwrap_err()).0, field);
         }

@@ -140,29 +140,23 @@ impl Deserialize for PolicySpec {
 /// the built-ins take.
 ///
 /// In JSON either a bare string (`"ssgd"`) or an object
-/// (`{"name": "ssp", "staleness": 4}` /
-/// `{"name": "local-sgd", "local_steps": 4}`). The bare-string form only
+/// (`{"name": "ssp", "staleness": 4}`). The bare-string form only
 /// admits the built-in names (a typo should fail at parse time, naming the
 /// valid variants); the object form passes any name through to the
 /// [`ModeRegistry`](super::ModeRegistry), so custom registrations stay
 /// reachable from spec files.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct ModeSpec {
-    /// Registry name (`"ssgd"`, `"ssp"`, `"asgd"`, `"local-sgd"`, or a
-    /// custom registration).
+    /// Registry name (`"ssgd"`, `"ssp"`, `"asgd"`, or a custom
+    /// registration).
     pub name: String,
     /// Staleness bound for `ssp`-style modes.
     pub staleness: Option<usize>,
-    /// Local steps per sync for `local-sgd`-style modes.
-    pub local_steps: Option<usize>,
 }
 
 impl ModeSpec {
     /// The default mode's registry name (the paper's synchronous rounds).
     pub const DEFAULT_NAME: &'static str = "ssgd";
-
-    /// The built-in mode names, for error messages and `repro list`.
-    pub const VARIANTS: &'static str = "ssgd, ssp, asgd, local-sgd";
 
     /// A mode referenced by name alone.
     #[must_use]
@@ -170,7 +164,6 @@ impl ModeSpec {
         Self {
             name: name.into(),
             staleness: None,
-            local_steps: None,
         }
     }
 
@@ -181,18 +174,6 @@ impl ModeSpec {
         Self {
             name: "ssp".into(),
             staleness: Some(staleness),
-            local_steps: None,
-        }
-    }
-
-    /// The built-in `local-sgd` mode at `local_steps` local steps per
-    /// synchronization.
-    #[must_use]
-    pub fn local_sgd(local_steps: usize) -> Self {
-        Self {
-            name: "local-sgd".into(),
-            staleness: None,
-            local_steps: Some(local_steps),
         }
     }
 
@@ -225,11 +206,10 @@ impl From<String> for ModeSpec {
 
 impl Deserialize for ModeSpec {
     fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        let shape = "{name, staleness?, local_steps?}";
+        let shape = "{name, staleness?}";
         Ok(Self {
             name: reference_name(v, "mode", shape, Some(&bcc_cluster::mode::MODES))?,
             staleness: opt_field(v, "staleness")?,
-            local_steps: opt_field(v, "local_steps")?,
         })
     }
 }
@@ -268,9 +248,6 @@ impl ControllerSpec {
     /// The default controller's registry name (the no-op, pinned
     /// bit-identical to uncontrolled runs).
     pub const DEFAULT_NAME: &'static str = "static";
-
-    /// The built-in controller names, for error messages and `repro list`.
-    pub const VARIANTS: &'static str = "static, quantile-deadline, adaptive-k, regime-switch";
 
     /// A controller referenced by name alone.
     #[must_use]
@@ -943,17 +920,25 @@ mod tests {
         assert_eq!(c, ControllerSpec::named("my-controller"));
     }
 
+    /// The built-in names of a `(name, description)` table the way a
+    /// parse error lists them.
+    fn variants(table: &[(&str, &str)]) -> String {
+        let names: Vec<&str> = table.iter().map(|(name, _)| *name).collect();
+        names.join(", ")
+    }
+
     #[test]
     fn unknown_bare_controller_error_names_valid_variants() {
+        let expected = variants(&bcc_control::CONTROLLERS);
         let err = serde_json::from_str::<ControllerSpec>(r#""pid""#).unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("unknown controller `pid`"), "got: {msg}");
-        assert!(msg.contains(ControllerSpec::VARIANTS), "got: {msg}");
+        assert!(msg.contains(&expected), "got: {msg}");
         let err = ExperimentSpec::from_json(
             r#"{"workers": 4, "units": 4, "scheme": "uncoded", "controller": "pid"}"#,
         )
         .unwrap_err();
-        assert!(err.to_string().contains(ControllerSpec::VARIANTS));
+        assert!(err.to_string().contains(&expected));
     }
 
     #[test]
@@ -962,9 +947,11 @@ mod tests {
         assert_eq!(m, ModeSpec::named("asgd"));
         let m: ModeSpec = serde_json::from_str(r#"{"name": "ssp", "staleness": 4}"#).unwrap();
         assert_eq!(m, ModeSpec::ssp(4));
+        // A field the spec no longer has, written as null by an older
+        // generator, reads as absent.
         let m: ModeSpec =
-            serde_json::from_str(r#"{"name": "local-sgd", "local_steps": 8}"#).unwrap();
-        assert_eq!(m, ModeSpec::local_sgd(8));
+            serde_json::from_str(r#"{"name": "ssp", "staleness": 4, "retired": null}"#).unwrap();
+        assert_eq!(m, ModeSpec::ssp(4));
         // The object form defers name resolution to the registry, so custom
         // registrations stay reachable from spec files.
         let m: ModeSpec = serde_json::from_str(r#"{"name": "my-mode"}"#).unwrap();
@@ -973,15 +960,16 @@ mod tests {
 
     #[test]
     fn unknown_bare_mode_error_names_valid_variants() {
+        let expected = variants(&bcc_cluster::mode::MODES);
         let err = serde_json::from_str::<ModeSpec>(r#""hogwild""#).unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("unknown mode `hogwild`"), "got: {msg}");
-        assert!(msg.contains("ssgd, ssp, asgd, local-sgd"), "got: {msg}");
+        assert!(msg.contains(&expected), "got: {msg}");
         let err = ExperimentSpec::from_json(
             r#"{"workers": 4, "units": 4, "scheme": "uncoded", "mode": "hogwild"}"#,
         )
         .unwrap_err();
-        assert!(err.to_string().contains("ssgd, ssp, asgd, local-sgd"));
+        assert!(err.to_string().contains(&expected));
     }
 
     #[test]

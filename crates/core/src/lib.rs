@@ -17,8 +17,8 @@
 //! * the round drivers behind [`Experiment::run`] — synchronous (per
 //!   iteration the master broadcasts the evaluation point, the cluster
 //!   backend runs one coded round, the decoded gradient feeds the optimizer;
-//!   Nesterov in the paper's experiments) and stale (SSP/ASGD), plus the
-//!   LocalSGD barrier simulation.
+//!   Nesterov in the paper's experiments) and stale (SSP/ASGD), both over
+//!   a backend's one round loop.
 //! * [`hetero`] — §IV, the heterogeneous extension: the shift-exponential
 //!   worker model, the P2 load-allocation solver (Lambert-W closed form per
 //!   worker + a closed-form target time, following the HCMM structure of

@@ -1,28 +1,20 @@
-//! Mode drivers: how SSP, ASGD, and LocalSGD reorder the round loop.
+//! The stale-mode driver: how SSP and ASGD reorder the round loop.
 //!
 //! The synchronous driver ([`SyncDriver`](crate::driver::SyncDriver))
 //! blocks on every round: broadcast, wait for the scheme's completion
 //! condition, apply, repeat. The stale modes instead let workers run ahead
-//! of the master's applied model, and LocalSGD trades per-round
-//! communication for local iteration. All three reuse the existing
-//! backends unchanged:
-//!
-//! - **SSP / ASGD** ([`StaleDriver`]) drive the backend's ordinary
-//!   sequential round loop, but re-time it. The driver replicates each
-//!   worker's compute schedule from the same `(seed, round, worker)`
-//!   latency stream the backend samples, tracks when each worker's
-//!   previous round actually finishes on the overlapped timeline, and
-//!   publishes the difference as a per-`(round, worker)` offset through a
-//!   shared [`OffsetTable`]. The backend's straggler model is wrapped in
-//!   an [`OffsetModel`](bcc_cluster::OffsetModel) that adds those offsets,
-//!   so the gradients, coverage, and message counts it produces are
-//!   exactly what the overlapped execution would deliver — on *any*
-//!   backend, since all three sample master-side from the same stream.
-//! - **LocalSGD** ([`run_local_sgd`]) needs no round protocol at all:
-//!   workers take `k` plain-GD steps on their own shard between
-//!   synchronizations, so the master only averages parameters every `k`
-//!   steps. It simulates the barrier directly against the straggler model
-//!   and the master's serial receive port.
+//! of the master's applied model. Both reuse the existing backends
+//! unchanged: [`StaleDriver`] drives the backend's ordinary sequential
+//! round loop, but re-times it. The driver replicates each worker's
+//! compute schedule from the same `(seed, round, worker)` latency stream
+//! the backend samples, tracks when each worker's previous round actually
+//! finishes on the overlapped timeline, and publishes the difference as a
+//! per-`(round, worker)` offset through a shared [`OffsetTable`]. The
+//! backend's straggler model is wrapped in an
+//! [`OffsetModel`](bcc_cluster::OffsetModel) that adds those offsets, so
+//! the gradients, coverage, and message counts it produces are exactly
+//! what the overlapped execution would deliver — on *any* backend, since
+//! all of them sample master-side from the same stream.
 //!
 //! Deliberate timing simplifications (documented, shared with the
 //! backends' own conventions): the master's receive port is serialized
@@ -33,13 +25,13 @@
 
 use crate::driver::{empirical_risk_dyn, exact_mean_gradient, gradient_error_norm, RunOutput};
 use bcc_cluster::{
-    engine, CommModel, Minibatch, OffsetTable, RoundDriver, RoundMetrics, RoundOutcome,
-    RoundSample, RunMetrics, StragglerModel, UnitMap, WorkerBlocks,
+    engine, Minibatch, OffsetTable, RoundDriver, RoundOutcome, RoundSample, RunMetrics,
+    StragglerModel,
 };
 use bcc_coding::GradientCodingScheme;
 use bcc_data::Dataset;
 use bcc_linalg::vec_ops;
-use bcc_optim::{ConvergenceTrace, GradScratch, LearningRate, Loss, Optimizer};
+use bcc_optim::{ConvergenceTrace, Loss, Optimizer};
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -300,134 +292,5 @@ impl RoundDriver for StaleDriver<'_> {
             sample,
             merges_at_broadcast: self.broadcast_merges[round],
         });
-    }
-}
-
-/// LocalSGD: every participant takes `local_steps` plain-GD steps on its
-/// own shard between parameter-averaging barriers.
-///
-/// The timeline needs no round protocol: per synchronization round, each
-/// participant's compute time is the sum of its per-step draws from the
-/// same `(seed, step, worker)` latency stream the backends use, arrivals
-/// serialize through the master's receive port in `(finish, worker)`
-/// order at one communication unit each (a parameter vector is
-/// gradient-sized), and the master averages uniformly. Local steps use
-/// the optimizer spec's learning-rate schedule at the *global* step index
-/// but are plain GD regardless of the outer optimizer family — momentum
-/// state does not average meaningfully across diverged replicas.
-///
-/// `iterations` counts local steps, so a run makes
-/// `ceil(iterations / local_steps)` synchronizations and every mode sees
-/// the same gradient-step budget. The output carries one trace point,
-/// metrics entry and sample per synchronization (trace iteration = last
-/// global step the sync covers, its gradient-norm column the averaged
-/// update's magnitude `‖w_before − w_after‖₂`); barriers never overlap, so
-/// the simulated wallclock is the sum of their times.
-#[allow(clippy::too_many_arguments)] // one-shot wiring, one arg per collaborator
-pub(crate) fn run_local_sgd(
-    scheme: &dyn GradientCodingScheme,
-    units: &UnitMap,
-    data: &Dataset,
-    loss: &dyn Loss,
-    comm: CommModel,
-    model: &dyn StragglerModel,
-    backend_seed: u64,
-    rate: LearningRate,
-    dim: usize,
-    iterations: usize,
-    local_steps: usize,
-    record_risk: bool,
-) -> RunOutput {
-    let participants = engine::participants(scheme, &HashSet::new());
-    debug_assert!(!participants.is_empty(), "schemes place data somewhere");
-    let packed = WorkerBlocks::build(scheme, units, data);
-    let (x, y) = packed.arena(data);
-    let placement = scheme.placement();
-    let total_units = scheme.num_examples();
-    let covered_units = {
-        let mut seen = vec![false; total_units];
-        for &w in &participants {
-            for &u in placement.worker_examples(w) {
-                seen[u] = true;
-            }
-        }
-        seen.iter().filter(|&&s| s).count()
-    };
-
-    let mut global = vec![0.0; dim];
-    let mut scratch = GradScratch::new();
-    let mut grad = vec![0.0; dim];
-    let mut trace = ConvergenceTrace::new();
-    let mut metrics = RunMetrics::new();
-    let mut round_samples = Vec::with_capacity(iterations.div_ceil(local_steps));
-    let mut clock = 0.0;
-    let mut step = 0;
-    while step < iterations {
-        let steps_this_round = local_steps.min(iterations - step);
-        let w_before = record_risk.then(|| global.clone());
-        let mut arrivals: Vec<(f64, usize, Vec<f64>)> = Vec::with_capacity(participants.len());
-        for &worker in &participants {
-            let ranges = packed.worker(worker);
-            let examples: usize = ranges.iter().map(|r| r.len()).sum();
-            let load = placement.load_of(worker);
-            let mut local = global.clone();
-            let mut compute = 0.0;
-            for j in 0..steps_this_round {
-                let partials = scratch.worker_partials(loss, x, y, ranges, &local);
-                grad.iter_mut().for_each(|g| *g = 0.0);
-                for p in partials {
-                    vec_ops::axpy(1.0, p, &mut grad);
-                }
-                vec_ops::scale(1.0 / examples as f64, &mut grad);
-                vec_ops::axpy(-rate.at(step + j), &grad, &mut local);
-                compute += model.compute_seconds(backend_seed, (step + j) as u64, worker, load);
-            }
-            arrivals.push((compute, worker, local));
-        }
-        arrivals.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        let compute_time = arrivals.last().map_or(0.0, |a| a.0);
-        let mut port_free = 0.0_f64;
-        for (finish, _, _) in &arrivals {
-            port_free = port_free.max(*finish) + comm.transfer_time(1);
-        }
-        let total_time = port_free;
-
-        let inv = 1.0 / arrivals.len() as f64;
-        global.iter_mut().for_each(|v| *v = 0.0);
-        for (_, _, local) in &arrivals {
-            vec_ops::axpy(inv, local, &mut global);
-        }
-
-        step += steps_this_round;
-        clock += total_time;
-        metrics.absorb(&RoundMetrics {
-            messages_used: arrivals.len(),
-            communication_units: arrivals.len(),
-            compute_time,
-            comm_time: total_time - compute_time,
-            total_time,
-        });
-        round_samples.push(RoundSample {
-            total_time,
-            messages_used: arrivals.len(),
-            covered_units,
-            total_units,
-            exact: covered_units == total_units,
-            gradient_error: None,
-            staleness: 0,
-        });
-        if let Some(before) = w_before {
-            let mut delta = before;
-            vec_ops::axpy(-1.0, &global, &mut delta);
-            let risk = empirical_risk_dyn(data, loss, &global);
-            trace.push(step - 1, risk, vec_ops::norm2(&delta));
-        }
-    }
-    RunOutput {
-        weights: global,
-        trace,
-        metrics,
-        round_samples,
-        simulated_seconds: clock,
     }
 }

@@ -3,8 +3,7 @@
 //! panics.
 
 use bcc_core::experiment::{
-    BackendSpec, BuildError, DataSpec, Experiment, ExperimentSpec, LatencySpec, ModeSpec,
-    PolicySpec, SchemeSpec,
+    BuildError, DataSpec, Experiment, ExperimentSpec, LatencySpec, SchemeSpec,
 };
 
 fn builder_for(m: usize, n: usize, scheme: SchemeSpec) -> Result<Experiment, BuildError> {
@@ -430,49 +429,111 @@ fn default_policy_is_wait_decodable() {
     assert!(experiment.spec().policy.is_default());
 }
 
-/// `local-sgd` runs its barriers on the virtual clock and averages every
-/// worker: a spec naming another backend or another policy would silently
-/// not run it, so the build refuses it and names the field.
+/// Every built-in policy, mode and controller reads a fixed set of
+/// parameters; a spec that sets any other one fails the build naming the
+/// field, instead of quietly running without it. One table, two paths: the
+/// builder and a spec file.
 #[test]
-fn local_sgd_rejects_what_it_cannot_run() {
-    let local = || {
-        Experiment::builder()
+fn a_parameter_its_plug_in_does_not_read_is_rejected() {
+    // (a spec's plug-in field, the parameter the build rejects)
+    let cases = [
+        (
+            r#""policy": {"name": "wait-decodable", "k": 5}"#,
+            Some("policy.k"),
+        ),
+        (
+            r#""policy": {"name": "best-effort-all", "deadline": 0.5}"#,
+            Some("policy.deadline"),
+        ),
+        (
+            r#""policy": {"name": "fastest-k", "k": 3, "deadline": 0.5}"#,
+            Some("policy.deadline"),
+        ),
+        (
+            r#""policy": {"name": "deadline", "k": 3, "deadline": 0.5}"#,
+            Some("policy.k"),
+        ),
+        (r#""policy": {"name": "fastest-k", "k": 3}"#, None),
+        (
+            r#""mode": {"name": "asgd", "staleness": 4}"#,
+            Some("mode.staleness"),
+        ),
+        (
+            r#""mode": {"name": "ssgd", "staleness": 2}"#,
+            Some("mode.staleness"),
+        ),
+        (r#""mode": {"name": "ssp", "staleness": 2}"#, None),
+        (
+            r#""controller": {"name": "adaptive-k", "hysteresis": 2}"#,
+            Some("controller.hysteresis"),
+        ),
+        (
+            r#""controller": {"name": "static", "q": 0.5}"#,
+            Some("controller.q"),
+        ),
+        (
+            r#""controller": {"name": "regime-switch", "warmup": 3}"#,
+            Some("controller.warmup"),
+        ),
+        (
+            r#""controller": {"name": "quantile-deadline", "q": 0.7, "warmup": 2}"#,
+            None,
+        ),
+    ];
+    let outcome = |result: Result<Experiment, BuildError>| match result {
+        Ok(_) => None,
+        Err(BuildError::InvalidValue { field, .. }) => Some(field),
+        Err(other) => panic!("expected InvalidValue, got {other:?}"),
+    };
+    for (field, expected) in cases {
+        let spec = ExperimentSpec::from_json(&format!(
+            r#"{{"workers": 6, "units": 6, "scheme": {{"name": "bcc", "r": 2}},
+                "iterations": 4, {field}}}"#
+        ))
+        .unwrap();
+        let built = Experiment::builder()
             .workers(6)
             .units(6)
             .scheme(SchemeSpec::with_load("bcc", 2))
-            .data(DataSpec::synthetic(2, 3))
-            .mode(ModeSpec::local_sgd(2))
             .iterations(4)
-            .seed(1)
-    };
-    let field_of = |err: BuildError| match err {
-        BuildError::InvalidValue { field, .. } => field,
-        other => panic!("expected InvalidValue, got {other:?}"),
-    };
-    for backend in [
-        BackendSpec::Threaded { time_scale: 0.1 },
-        BackendSpec::tcp_loopback(0.1),
-    ] {
-        let err = local().backend(backend.clone()).build().unwrap_err();
-        assert_eq!(field_of(err), "backend", "{backend:?}");
+            .policy(spec.policy.clone())
+            .mode(spec.mode.clone())
+            .controller(spec.controller.clone())
+            .build();
+        assert_eq!(outcome(built), expected, "builder: {field}");
+        let from_spec = Experiment::from_spec(spec);
+        assert_eq!(outcome(from_spec), expected, "spec: {field}");
     }
-    for policy in [
-        PolicySpec::fastest_k(3),
-        PolicySpec::deadline(0.5),
-        PolicySpec::named("best-effort-all"),
-    ] {
-        let err = local().policy(policy.clone()).build().unwrap_err();
-        assert_eq!(field_of(err), "policy", "{policy:?}");
-    }
-    // The spec path reports the same error.
-    let mut spec = local().build().unwrap().spec().clone();
-    spec.backend = BackendSpec::Threaded { time_scale: 0.1 };
-    let err = Experiment::from_spec(spec).unwrap_err();
-    assert_eq!(field_of(err), "backend");
-    // Virtual + wait-decodable, explicit or by default, still builds.
-    local()
-        .backend(BackendSpec::Virtual)
-        .policy(PolicySpec::named(PolicySpec::DEFAULT_NAME))
-        .build()
-        .unwrap();
+    // The message names the plug-in that ignores the field.
+    let err = Experiment::from_spec(
+        ExperimentSpec::from_json(
+            r#"{"workers": 6, "units": 6, "scheme": "uncoded",
+                "mode": {"name": "asgd", "staleness": 4}}"#,
+        )
+        .unwrap(),
+    )
+    .unwrap_err();
+    assert_eq!(
+        err,
+        BuildError::InvalidValue {
+            field: "mode.staleness",
+            reason: "mode `asgd` does not read it".into(),
+        }
+    );
+    // A spec still naming the deleted `local-sgd` mode fails the build,
+    // listing the modes there are.
+    let err = Experiment::from_spec(
+        ExperimentSpec::from_json(
+            r#"{"workers": 6, "units": 6, "scheme": "uncoded", "mode": {"name": "local-sgd"}}"#,
+        )
+        .unwrap(),
+    )
+    .unwrap_err();
+    assert_eq!(
+        err,
+        BuildError::UnknownMode {
+            name: "local-sgd".into(),
+            known: vec!["asgd".into(), "ssgd".into(), "ssp".into()],
+        }
+    );
 }

@@ -86,7 +86,6 @@ fn mode_strategy() -> impl Strategy<Value = ModeSpec> {
         Just(ModeSpec::default()),
         Just(ModeSpec::named("asgd")),
         (1usize..64).prop_map(ModeSpec::ssp),
-        (1usize..64).prop_map(ModeSpec::local_sgd),
         // Custom registrations referenced by object form round-trip too.
         (0usize..3).prop_map(|i| ModeSpec::named(["my-mode", "pipeline-two", "hogwild"][i])),
     ]

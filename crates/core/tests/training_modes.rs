@@ -10,9 +10,9 @@
 //!    aggregation policies.
 //! 2. **Every mode is backend-invariant.** SSP/ASGD re-time rounds through
 //!    offsets sampled master-side from the shared `(seed, round, worker)`
-//!    latency stream, and LocalSGD simulates its barrier directly, so the
-//!    virtual, threaded, and loopback-TCP backends must produce
-//!    byte-identical weights, message counts, and per-round staleness.
+//!    latency stream, so the virtual, threaded, and loopback-TCP backends
+//!    must produce byte-identical weights, message counts, and per-round
+//!    staleness.
 
 use bcc_cluster::{
     AggregationPolicy, BackendConfig, ClusterBackend, FastestK, RoundDriver, RoundOutcome,
@@ -162,11 +162,11 @@ fn ssgd_mode_matches_a_hand_wired_round_loop() {
 /// extra arrival into a round. As in the `BENCH_net` replay pin, each
 /// real-time backend retries a bounded number of times — transient jitter
 /// passes on a retry, while a genuine mode-schedule change fails every
-/// attempt deterministically. `local-sgd` runs on the virtual clock only
-/// (a real-time backend is a build error, pinned in
-/// `builder_validation.rs`), so it is not in the loop.
+/// attempt deterministically. The modes are the built-in table, so a
+/// built-in that bypasses the backend fails here, and one this test has no
+/// spec for fails by name.
 #[test]
-fn every_round_engine_mode_is_backend_invariant() {
+fn every_mode_is_backend_invariant() {
     let backends = [
         BackendSpec::Threaded { time_scale: 0.1 },
         BackendSpec::Tcp {
@@ -175,11 +175,12 @@ fn every_round_engine_mode_is_backend_invariant() {
             wan: None,
         },
     ];
-    for mode in [
-        ModeSpec::default(),
-        ModeSpec::ssp(3),
-        ModeSpec::named("asgd"),
-    ] {
+    for (name, _) in bcc_cluster::mode::MODES {
+        let mode = match name {
+            "ssgd" | "asgd" => ModeSpec::named(name),
+            "ssp" => ModeSpec::ssp(3),
+            other => panic!("built-in mode `{other}` has no spec here"),
+        };
         let run = |backend: &BackendSpec| {
             builder(SchemeSpec::with_load("bcc", 2), 43)
                 .mode(mode.clone())

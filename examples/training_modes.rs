@@ -1,6 +1,6 @@
-//! One experiment, four training modes: the paper's synchronous rounds
-//! (`ssgd`) against bounded staleness (`ssp`), fully asynchronous updates
-//! (`asgd`), and communication-avoiding local steps (`local-sgd`).
+//! One experiment, three training modes: the paper's synchronous rounds
+//! (`ssgd`) against bounded staleness (`ssp`) and fully asynchronous
+//! updates (`asgd`).
 //!
 //! ```sh
 //! cargo run --release --example training_modes
@@ -13,10 +13,8 @@
 //! rounds, so the tail worker's backlog arrives stale instead of stalling
 //! the fleet. The staleness column shows the price: stale updates drift
 //! from the exact gradient at their application point, which is why SSP
-//! bounds the window. Local SGD trades the other way — fewer broadcasts,
-//! but on a coded scheme every local step recomputes the full redundant
-//! assignment, so it only wins where communication (not compute)
-//! dominates: compare the uncoded rows of `BENCH_modes.json`.
+//! bounds the window. Every mode runs the same coded rounds on the same
+//! backend; only when each decoded gradient is applied changes.
 
 use bcc::experiment::{DataSpec, Experiment, LatencySpec, ModeSpec, OptimizerSpec, SchemeSpec};
 
@@ -57,7 +55,6 @@ fn main() {
         ModeSpec::default(),
         ModeSpec::ssp(3),
         ModeSpec::named("asgd"),
-        ModeSpec::local_sgd(3),
     ] {
         let name = mode.name.clone();
         let report = run(mode);

@@ -187,6 +187,22 @@ const GUARDS: &[Guard] = &[
         rule: Rule::Count("available_parallelism", 1),
     },
     Guard {
+        name: "One round clock — no private LocalSGD barrier",
+        set_by: "every training mode runs on the round engine",
+        why: "every mode builds a backend and runs its rounds through \
+              `run_rounds`; the local-steps mode and its barrier simulator, \
+              which ignored the backend, the policy and the code and lost \
+              all six cells of BENCH_modes.json to `ssp` and `asgd`, stay gone",
+        paths: CODE,
+        rule: Rule::Banned(&[
+            "run_local_sgd",
+            "LocalSteps",
+            "LocalSgd",
+            "local_sgd",
+            "local_steps",
+        ]),
+    },
+    Guard {
         name: "Nothing unreached — every public fn and const has a user",
         set_by: "the workspace orphan sweep",
         why: "an item only its own unit tests call is code no run reaches; \
