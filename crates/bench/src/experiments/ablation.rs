@@ -1,5 +1,5 @@
-//! Ablations beyond the paper's figures (DESIGN.md §4.6): which design
-//! choices carry BCC's win?
+//! Ablations beyond the paper's figures (the README's "Reproduction scope",
+//! "Ablations"): which design choices carry BCC's win?
 //!
 //! 1. **Compression** (Remark 3): BCC vs BCC-without-summation — same
 //!    coverage process, `r×` the communication load.

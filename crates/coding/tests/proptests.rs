@@ -1,6 +1,6 @@
 //! Property tests: every scheme recovers the exact gradient sum under
 //! arbitrary straggler patterns — the core correctness invariant of the
-//! reproduction (DESIGN.md §4, "Exact-recovery invariant").
+//! reproduction (the README's "Reproduction scope", "Exact recovery").
 
 use bcc_coding::scheme::test_support::{random_gradients, total_sum, worker_partials};
 use bcc_coding::{

@@ -698,6 +698,23 @@ fn validate_spec(spec: &ExperimentSpec) -> Result<(), BuildError> {
     } = spec.data;
     positive("data.points_per_unit", points_per_unit)?;
     positive("data.dim", dim)?;
+    // The resident dataset is `units × points_per_unit` rows of `dim` f64s.
+    // Release builds do not check overflow, so a shape whose byte size does
+    // not fit `usize` would wrap into a wrong dataset, not fail.
+    let bytes = spec
+        .units
+        .checked_mul(points_per_unit)
+        .and_then(|rows| rows.checked_mul(dim))
+        .and_then(|elements| elements.checked_mul(std::mem::size_of::<f64>()));
+    if bytes.is_none() {
+        return Err(BuildError::InvalidValue {
+            field: "data",
+            reason: format!(
+                "{} units × {points_per_unit} points × dim {dim} × 8 bytes overflows usize",
+                spec.units
+            ),
+        });
+    }
     if !separation.is_finite() || separation <= 0.0 {
         return Err(BuildError::InvalidValue {
             field: "data.separation",

@@ -192,6 +192,34 @@ fn spec_path_reports_the_same_errors_as_the_builder() {
 }
 
 #[test]
+fn a_dataset_shape_whose_size_overflows_is_rejected() {
+    // Validation fails before anything is allocated: units × points
+    // overflows, or the rows fit and only the byte size (× dim × 8) does not.
+    let shapes = [(1usize << 40, 1usize << 30, 2usize), (1 << 30, 1 << 30, 4)];
+    for (units, points_per_unit, dim) in shapes {
+        let built = Experiment::builder()
+            .workers(4)
+            .units(units)
+            .scheme(SchemeSpec::named("uncoded"))
+            .data(DataSpec::synthetic(points_per_unit, dim))
+            .build();
+        let json = format!(
+            r#"{{"workers": 4, "units": {units}, "scheme": "uncoded",
+                "data": {{"Synthetic": {{"points_per_unit": {points_per_unit},
+                                         "dim": {dim}, "separation": 1.5}}}}}}"#
+        );
+        let from_spec = Experiment::from_spec(ExperimentSpec::from_json(&json).unwrap());
+        for (path, result) in [("builder", built), ("spec", from_spec)] {
+            let err = result.unwrap_err();
+            assert!(
+                matches!(err, BuildError::InvalidValue { field: "data", .. }),
+                "{path}, {units} × {points_per_unit} × {dim}: {err:?}"
+            );
+        }
+    }
+}
+
+#[test]
 fn fig5_profile_requires_its_worker_count() {
     let err = Experiment::builder()
         .workers(10)

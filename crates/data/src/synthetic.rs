@@ -8,9 +8,11 @@
 //!
 //! The paper uses `p = 8000` features; the default config keeps that but the
 //! examples and benches scale `p` down (the latency model, not the feature
-//! count, drives every reproduced effect — see DESIGN.md).
+//! count, drives every reproduced effect — see the README's "Reproduction
+//! scope").
 
 use crate::dataset::Dataset;
+use bcc_linalg::parallel::Parallelism;
 use bcc_linalg::{vec_ops, Matrix};
 use bcc_stats::dist::{Bernoulli, Gaussian};
 use bcc_stats::rng::derive_rng;
@@ -67,7 +69,9 @@ pub struct SyntheticDataset {
 /// Generates a dataset exactly per the paper's model.
 ///
 /// Deterministic in `config.seed`: weights, mixture choices, features and
-/// labels each draw from derived streams.
+/// labels each draw from derived streams. The rows are filled as
+/// [`generate_rows`] fills them — on up to [`Parallelism::available`]
+/// threads, bit-identical at every thread count.
 ///
 /// # Panics
 /// Panics when `num_examples == 0` or `dim == 0`.
@@ -100,6 +104,11 @@ pub fn generate_true_weights(config: &SyntheticConfig) -> Vec<f64> {
 /// of [`generate`]: each example draws from its own derived stream
 /// (`1 + j`), so any sub-range can be materialized independently of the rest.
 ///
+/// The rows are filled on up to [`Parallelism::available`] threads, each
+/// taking a contiguous run of at least 2¹⁸ feature elements; a smaller
+/// range is filled on the calling thread. Every row is still drawn from its
+/// own stream, so the output is bit-identical at every thread count.
+///
 /// # Panics
 /// Panics when `range` exceeds `config.num_examples` or
 /// `true_weights.len() != config.dim`.
@@ -108,6 +117,36 @@ pub fn generate_rows(
     config: &SyntheticConfig,
     true_weights: &[f64],
     range: std::ops::Range<usize>,
+) -> (Matrix, Vec<f64>) {
+    // The host is asked for its cores only when the range is work enough
+    // to share.
+    let work = range.len().saturating_mul(config.dim);
+    let threads = if work < PARALLEL_GENERATE_MIN_WORK {
+        1
+    } else {
+        Parallelism::available()
+            .get()
+            .min(work / PARALLEL_GENERATE_MIN_WORK)
+    };
+    generate_rows_on(config, true_weights, range, threads)
+}
+
+/// Feature elements below which a range is generated on the calling
+/// thread, and the least any generating thread is given: 2¹⁸ Box–Muller
+/// draws take milliseconds, far more than a spawn. Purely a scheduling
+/// threshold — every thread count produces identical bits.
+const PARALLEL_GENERATE_MIN_WORK: usize = 1 << 18;
+
+/// [`generate_rows`] on up to `threads` threads: the rows are cut into
+/// contiguous runs of near-equal length, one per thread. The feature buffer
+/// is allocated once and each run fills its own window of it; the calling
+/// thread takes the first run and each other run gets a scoped thread. With
+/// one thread, or at most one row, nothing is spawned.
+fn generate_rows_on(
+    config: &SyntheticConfig,
+    true_weights: &[f64],
+    range: std::ops::Range<usize>,
+    threads: usize,
 ) -> (Matrix, Vec<f64>) {
     assert!(
         range.end <= config.num_examples,
@@ -120,31 +159,70 @@ pub fn generate_rows(
         "true weights must match dim"
     );
 
+    let (rows, p) = (range.len(), config.dim);
+    let len = rows
+        .checked_mul(p)
+        .expect("feature buffer size overflows usize");
+    let mut features = vec![0.0; len];
+    let mut labels = vec![0.0; rows];
+    let threads = threads.min(rows);
+    if threads <= 1 || len == 0 {
+        fill_rows(
+            config,
+            true_weights,
+            range.start,
+            &mut features,
+            &mut labels,
+        );
+    } else {
+        let per_thread = rows.div_ceil(threads);
+        std::thread::scope(|scope| {
+            let mut runs = features
+                .chunks_mut(per_thread * p)
+                .zip(labels.chunks_mut(per_thread))
+                .enumerate()
+                .map(|(run, (x, y))| (range.start + run * per_thread, x, y));
+            let (first, x, y) = runs.next().expect("at least one row");
+            for (first, x, y) in runs {
+                scope.spawn(move || fill_rows(config, true_weights, first, x, y));
+            }
+            fill_rows(config, true_weights, first, x, y);
+        });
+    }
+    let features = Matrix::from_vec(rows, p, features).expect("buffer holds rows × dim");
+    (features, labels)
+}
+
+/// Fills examples `first, first + 1, …` into `labels` (one each) and
+/// `features` (row-major, `config.dim` per example), each example from its
+/// own derived stream.
+fn fill_rows(
+    config: &SyntheticConfig,
+    true_weights: &[f64],
+    first: usize,
+    features: &mut [f64],
+    labels: &mut [f64],
+) {
     let p = config.dim;
     let scale = config.separation / p as f64;
     let gauss = Gaussian::standard();
-    let mut features = Matrix::zeros(range.len(), p);
-    let mut labels = vec![0.0; range.len()];
-
-    for (i, j) in range.enumerate() {
-        let mut xrng = derive_rng(config.seed, 1 + j as u64);
+    for (i, label) in labels.iter_mut().enumerate() {
+        let mut xrng = derive_rng(config.seed, 1 + (first + i) as u64);
         // Mixture component: ±1 with equal probability.
         let sign = if xrng.gen::<bool>() { 1.0 } else { -1.0 };
-        let row = features.row_mut(i);
-        for (k, wk) in true_weights.iter().enumerate() {
-            row[k] = sign * scale * wk + bcc_stats::dist::Sample::sample(&gauss, &mut xrng);
+        let row = &mut features[i * p..(i + 1) * p];
+        for (x, wk) in row.iter_mut().zip(true_weights) {
+            *x = sign * scale * wk + bcc_stats::dist::Sample::sample(&gauss, &mut xrng);
         }
         let margin = vec_ops::dot(row, true_weights);
         // κ = 1/(exp(xᵀw*) + 1) = σ(−margin), labels in {−1, +1}.
         let kappa = 1.0 / (margin.exp() + 1.0);
-        labels[i] = if Bernoulli::new(kappa).sample_bool(&mut xrng) {
+        *label = if Bernoulli::new(kappa).sample_bool(&mut xrng) {
             1.0
         } else {
             -1.0
         };
     }
-
-    (features, labels)
 }
 
 /// Stream label reserved for the `w*` draw; example streams are `1 + j`.
@@ -184,6 +262,99 @@ mod tests {
                 assert_eq!(x.row(i), full.dataset.x(j), "row {j} must be bit-identical");
                 assert_eq!(y[i], full.dataset.y(j));
             }
+        }
+    }
+
+    fn assert_bit_equal(what: &str, got: &[f64], want: &[f64]) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (k, (a, b)) in got.iter().zip(want).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "{what}: element {k}: {a} vs {b}");
+        }
+    }
+
+    #[test]
+    fn rows_are_bit_identical_at_every_thread_count() {
+        // 1000 × 300 features: above the parallel threshold.
+        let c = SyntheticConfig::small(1100, 300, 5);
+        let w = generate_true_weights(&c);
+        assert!(1000 * c.dim >= PARALLEL_GENERATE_MIN_WORK);
+        // (range, thread counts): runs of 334/334/332 rows at 3 threads, a
+        // 7-row range cut 3/3/1 and a 5-row range at more threads than rows.
+        let cases = [
+            (37..1037, vec![2, 3]),
+            (0..1100, vec![2, 3]),
+            (100..107, vec![2, 3, 9]),
+            (3..8, vec![2, 9]),
+            (1100..1100, vec![2, 9]),
+        ];
+        for (range, thread_counts) in cases {
+            let (x1, y1) = generate_rows_on(&c, &w, range.clone(), 1);
+            assert_eq!(x1.rows(), range.len());
+            for threads in thread_counts {
+                let (x, y) = generate_rows_on(&c, &w, range.clone(), threads);
+                let what = format!("{range:?} at {threads} threads");
+                assert_eq!(x.rows(), x1.rows(), "{what}: rows");
+                assert_bit_equal(&what, x.as_slice(), x1.as_slice());
+                assert_bit_equal(&what, &y, &y1);
+            }
+            // The public entry point, at the host's own thread count.
+            let (x, y) = generate_rows(&c, &w, range.clone());
+            assert_bit_equal(
+                &format!("{range:?} on this host"),
+                x.as_slice(),
+                x1.as_slice(),
+            );
+            assert_bit_equal(&format!("{range:?} on this host"), &y, &y1);
+        }
+    }
+
+    /// FNV-1a over the bit patterns (little-endian bytes) of `values`.
+    fn fnv1a(values: &[f64]) -> u64 {
+        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        for v in values {
+            for byte in v.to_bits().to_le_bytes() {
+                hash ^= u64::from(byte);
+                hash = hash.wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        hash
+    }
+
+    #[test]
+    fn generator_output_is_pinned() {
+        // The hashes were taken from the one-thread generator. A change to
+        // the sampler, the stream derivation or the row-to-stream mapping
+        // fails here by name. The second config is above the parallel
+        // threshold on a multi-core host, and is also filled at 3 threads
+        // whatever the host has.
+        let pins = [
+            (
+                SyntheticConfig::small(200, 32, 7),
+                0xc30f_c9b7_2ae4_2e1f_u64,
+                0xe936_b9da_0656_8225_u64,
+            ),
+            (
+                SyntheticConfig::small(600, 1024, 2024),
+                0x9b98_1829_2ee2_b066,
+                0x5bd9_080a_a3f6_09a5,
+            ),
+        ];
+        for (c, features_pin, labels_pin) in pins {
+            let g = generate(&c);
+            let shape = (c.num_examples, c.dim);
+            assert_eq!(
+                fnv1a(g.dataset.features().as_slice()),
+                features_pin,
+                "features of {shape:?}"
+            );
+            assert_eq!(fnv1a(g.dataset.labels()), labels_pin, "labels of {shape:?}");
+            let (x, y) = generate_rows_on(&c, &g.true_weights, 0..c.num_examples, 3);
+            assert_eq!(
+                fnv1a(x.as_slice()),
+                features_pin,
+                "features of {shape:?}, 3 threads"
+            );
+            assert_eq!(fnv1a(&y), labels_pin, "labels of {shape:?}, 3 threads");
         }
     }
 

@@ -1,14 +1,17 @@
 //! The thread budget, and the master's parallel weighted sum.
 //!
-//! The workloads use data parallelism in two places, both under a
-//! [`Parallelism`] budget and both bit-identical at every thread count:
+//! The workloads use data parallelism in three places, all under a
+//! [`Parallelism`] budget and all bit-identical at every thread count:
 //! the master's weighted sum of received vectors, split across columns
-//! ([`par_weighted_sum`], here), and the virtual backend's per-round
+//! ([`par_weighted_sum`], here); the virtual backend's per-round
 //! unit-gradient table, whose unfilled entries are split across cores
-//! (`bcc_cluster::packed::UnitGradientCache::fill`). [`Parallelism::available`]
-//! is the one place the host's core count is read. Scoped threads keep
-//! borrows simple (no `Arc`), per the Rust Atomics & Locks guidance, and
-//! avoid pulling in a full work-stealing runtime.
+//! (`bcc_cluster::packed::UnitGradientCache::fill`); and the synthetic
+//! data generator, whose rows are split into contiguous runs, each example
+//! drawn from its own stream (`bcc_data::synthetic::generate_rows`).
+//! [`Parallelism::available`] is the one place the host's core count is
+//! read. Scoped threads keep borrows simple (no `Arc`), per the Rust
+//! Atomics & Locks guidance, and avoid pulling in a full work-stealing
+//! runtime.
 
 use std::num::NonZeroUsize;
 
