@@ -5,11 +5,11 @@
 //! that fold is the round's serial bottleneck once the packed worker
 //! kernels made per-worker compute nearly free. [`DecodePool`] routes
 //! decoders that expose their result as a fixed-order weighted sum
-//! ([`Decoder::partial_sum_terms`]) through the work-stealing column
-//! reduction in [`bcc_linalg::parallel::par_weighted_sum`].
+//! ([`Decoder::partial_sum_terms`]) through the column-window reduction
+//! in [`bcc_linalg::parallel::par_weighted_sum`].
 //!
 //! **Determinism contract**: the parallel reduction partitions *columns*,
-//! never the per-element accumulation chain, and each column chunk replays
+//! never the per-element accumulation chain, and each column window replays
 //! the exact serial recurrence (`out[k] = c₀·v₀[k]` then
 //! `out[k] = vᵢ[k].mul_add(cᵢ, out[k])`). The result is bit-identical to
 //! the serial `decode`/`decode_partial` fold for **any** thread count —
@@ -34,7 +34,7 @@ pub struct DecodePool {
 impl Default for DecodePool {
     /// The serial fold ([`DecodePool::serial`]); threads only when asked
     /// for with [`DecodePool::threads`]. Most rounds fold less than
-    /// `par_weighted_sum`'s 64k-element serial threshold and never spawn,
+    /// `split_runs`' 2¹⁸-element `MIN_WORK` threshold and never spawn,
     /// and where they do spawn the threads can lose: on a 2-core host two
     /// threads sum 2 × 131 072 terms in 396 µs against 176 µs serially
     /// (median of 400 calls).

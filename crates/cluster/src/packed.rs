@@ -11,6 +11,7 @@
 use crate::units::UnitMap;
 use bcc_coding::GradientCodingScheme;
 use bcc_data::Dataset;
+use bcc_linalg::parallel::{split_runs, Parallelism};
 use bcc_linalg::Matrix;
 use bcc_optim::GradScratch;
 use std::ops::Range;
@@ -156,22 +157,22 @@ impl UnitGradientCache {
     /// zeroed to `dim` and handed, with a gradient scratch of its own
     /// thread, to `compute`, which accumulates into it (a `compute` that
     /// adds nothing leaves the zero vector). Filled entries are left as
-    /// they are.
+    /// they are. `work` is the feature elements `compute` reads for a unit.
     ///
-    /// The pending ids, ascending, are cut into up to `threads` runs of
-    /// near-equal length, one per thread: the calling thread takes the
-    /// first and each other run gets a scoped thread. Every entry is still
-    /// one `compute` call into its own zeroed vector, so the thread count
-    /// changes no bit. With one thread (or one pending entry) nothing is
-    /// spawned and, once the table is warm, nothing is allocated.
+    /// The pending ids, ascending, are cut into runs by [`split_runs`]
+    /// under `par`, with their summed `work`: below
+    /// [`MIN_WORK`](bcc_linalg::parallel::MIN_WORK) the calling thread
+    /// fills them all. Every entry is still one `compute` call into its own
+    /// zeroed vector, so the thread count changes no bit. When nothing is
+    /// spawned and the table is warm, nothing is allocated.
     ///
     /// # Panics
-    /// Panics when `threads == 0`, and propagates a panic of `compute`.
-    pub fn fill<F>(&mut self, units: &[usize], dim: usize, threads: usize, compute: F)
+    /// Propagates a panic of `compute`.
+    pub fn fill<W, F>(&mut self, units: &[usize], dim: usize, par: Parallelism, work: W, compute: F)
     where
+        W: Fn(usize) -> usize,
         F: Fn(&mut GradScratch, usize, &mut [f64]) + Sync,
     {
-        assert!(threads > 0, "a fill needs at least one thread");
         self.pending.clear();
         for &unit in units {
             if !self.filled[unit] {
@@ -183,9 +184,9 @@ impl UnitGradientCache {
             return;
         }
         self.pending.sort_unstable();
-        let threads = threads.min(self.pending.len());
-        if self.scratches.len() < threads {
-            self.scratches.resize_with(threads, GradScratch::new);
+        let runs = par.get().min(self.pending.len());
+        if self.scratches.len() < runs {
+            self.scratches.resize_with(runs, GradScratch::new);
         }
         let Self {
             grads,
@@ -193,39 +194,33 @@ impl UnitGradientCache {
             scratches,
             ..
         } = self;
-        if threads == 1 {
-            fill_run(
-                pending,
-                &mut grads[pending[0]..],
-                dim,
-                &mut scratches[0],
-                &compute,
-            );
-            return;
-        }
-        let per_thread = pending.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            // Each run's entries lie in a window of the table from its first
-            // id to its last: ascending runs make the windows disjoint, so
-            // they split off the table one after another.
-            let (mut rest, mut base) = (grads.as_mut_slice(), 0);
-            let mut runs = pending
-                .chunks(per_thread)
-                .zip(scratches)
-                .map(|(ids, scratch)| {
-                    let (first, end) = (ids[0], ids[ids.len() - 1] + 1);
-                    let (window, tail) = std::mem::take(&mut rest).split_at_mut(end - base);
-                    let window = &mut window[first - base..];
-                    (rest, base) = (tail, end);
-                    (ids, window, scratch)
-                });
-            let (ids, window, scratch) = runs.next().expect("at least one pending entry");
-            for (ids, window, scratch) in runs {
-                let compute = &compute;
-                scope.spawn(move || fill_run(ids, window, dim, scratch, compute));
-            }
-            fill_run(ids, window, dim, scratch, &compute);
-        });
+        let total: usize = pending.iter().map(|&unit| work(unit)).sum();
+        // Each run's entries lie in a window of the table from its first id
+        // to its last: ascending runs make the windows disjoint, so they
+        // split off the table one after another.
+        let (mut rest, mut base) = (grads.as_mut_slice(), 0);
+        let mut scratches = scratches.iter_mut();
+        split_runs(
+            par,
+            total,
+            pending.len(),
+            |run| {
+                let ids = &pending[run];
+                let (first, end) = (ids[0], ids[ids.len() - 1] + 1);
+                let (window, tail) = std::mem::take(&mut rest).split_at_mut(end - base);
+                let window = &mut window[first - base..];
+                (rest, base) = (tail, end);
+                (ids, window, scratches.next().expect("one scratch per run"))
+            },
+            |(ids, window, scratch)| {
+                for &unit in ids {
+                    let grad = &mut window[unit - ids[0]];
+                    grad.clear();
+                    grad.resize(dim, 0.0);
+                    compute(scratch, unit, grad);
+                }
+            },
+        );
     }
 
     /// The entries of unit ids `units`, in id order, borrowed — the
@@ -243,31 +238,12 @@ impl UnitGradientCache {
     }
 }
 
-/// One fill thread's run: zeroes the entry of each id in `ids` (ascending;
-/// `window` starts at the entry of `ids[0]`) to `dim` and accumulates
-/// `compute` into it.
-fn fill_run<F>(
-    ids: &[usize],
-    window: &mut [Vec<f64>],
-    dim: usize,
-    scratch: &mut GradScratch,
-    compute: &F,
-) where
-    F: Fn(&mut GradScratch, usize, &mut [f64]),
-{
-    for &unit in ids {
-        let grad = &mut window[unit - ids[0]];
-        grad.clear();
-        grad.resize(dim, 0.0);
-        compute(scratch, unit, grad);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use bcc_coding::{BccScheme, UncodedScheme};
     use bcc_data::synthetic::{generate, SyntheticConfig};
+    use bcc_linalg::parallel::MIN_WORK;
     use bcc_optim::{LogisticLoss, Loss};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
@@ -373,14 +349,14 @@ mod tests {
             calls.fetch_add(1, Ordering::Relaxed);
             acc[0] += unit as f64;
         };
-        cache.fill(&[1, 2], 2, 1, bump);
+        cache.fill(&[1, 2], 2, Parallelism::sequential(), |_| 0, bump);
         assert_eq!(cache.get(1), Some(&[1.0, 0.0][..]));
         assert_eq!(
             cache.get(2),
             Some(&[2.0, 0.0][..]),
             "stale entry is zeroed first"
         );
-        cache.fill(&[2, 1], 2, 2, bump);
+        cache.fill(&[2, 1], 2, Parallelism::threads(2), |_| 0, bump);
         assert_eq!(calls.into_inner(), 2, "a filled unit is never recomputed");
         assert_eq!(cache.filled_range(1..3), &[vec![1.0, 0.0], vec![2.0, 0.0]]);
     }
@@ -389,37 +365,62 @@ mod tests {
     /// and more threads than units — leaves byte-equal entries; entries
     /// filled before the call keep their bytes and are never handed to
     /// `compute`; a unit `compute` skips (outside a minibatch) stays zero.
+    /// The row's pending units read 65 rows × 4100 features, above
+    /// `MIN_WORK`, so every budget above one splits them.
     #[test]
     fn unit_cache_fill_is_bit_identical_at_every_thread_count() {
-        let g = generate(&SyntheticConfig::small(130, 37, 9));
+        const DIM: usize = 4_100;
+        let g = generate(&SyntheticConfig::small(130, DIM, 9));
         let units = UnitMap::grouped(130, 12);
         let (x, y) = (g.dataset.features(), g.dataset.labels());
-        let w: Vec<f64> = (0..37).map(|j| 0.03 * (j as f64 * 0.7).sin()).collect();
+        let w: Vec<f64> = (0..DIM).map(|j| 0.03 * (j as f64 * 0.7).sin()).collect();
         let outside = 5;
         let row = [7, 2, 9, 2, 0, 11, 5, 3, 8];
         let filled_before = 3;
         let fill = |threads: usize| {
             let mut cache = UnitGradientCache::new(12);
-            cache.store(filled_before, &[0.5; 37]);
+            cache.store(filled_before, &[0.5; DIM]);
             let calls = Mutex::new(Vec::new());
-            cache.fill(&row, 37, threads, |scratch, unit, acc| {
-                calls.lock().unwrap().push(unit);
-                if unit != outside {
-                    scratch.accumulate_rows(&LogisticLoss, x, y, units.unit_range(unit), &w, acc);
+            let work = |unit: usize| {
+                if unit == outside {
+                    0
+                } else {
+                    units.unit_range(unit).len() * DIM
                 }
-            });
+            };
+            let pending = [0, 2, 7, 8, 9, 11];
+            assert!(pending.iter().map(|&unit| work(unit)).sum::<usize>() >= MIN_WORK);
+            cache.fill(
+                &row,
+                DIM,
+                Parallelism::threads(threads),
+                work,
+                |scratch, unit, acc| {
+                    calls.lock().unwrap().push(unit);
+                    if unit != outside {
+                        scratch.accumulate_rows(
+                            &LogisticLoss,
+                            x,
+                            y,
+                            units.unit_range(unit),
+                            &w,
+                            acc,
+                        );
+                    }
+                },
+            );
             let mut calls = calls.into_inner().unwrap();
             calls.sort_unstable();
             assert_eq!(calls, [0, 2, 5, 7, 8, 9, 11], "threads={threads}");
-            assert_eq!(cache.get(filled_before), Some(&[0.5; 37][..]));
-            assert_eq!(cache.get(outside), Some(&[0.0; 37][..]));
+            assert_eq!(cache.get(filled_before), Some(&[0.5; DIM][..]));
+            assert_eq!(cache.get(outside), Some(&[0.0; DIM][..]));
             assert!(cache.get(1).is_none(), "a unit off the row stays unfilled");
             row.map(|unit| cache.get(unit).unwrap().to_vec())
         };
         let serial = fill(1);
         for (&unit, grad) in row.iter().zip(&serial) {
             if unit != outside && unit != filled_before {
-                let mut expect = vec![0.0; 37];
+                let mut expect = vec![0.0; DIM];
                 for i in units.unit_range(unit) {
                     LogisticLoss.add_gradient(g.dataset.x(i), g.dataset.y(i), &w, &mut expect);
                 }
@@ -442,7 +443,7 @@ mod tests {
     #[should_panic(expected = "read before it was filled")]
     fn unit_cache_range_rejects_unfilled_entries() {
         let mut cache = UnitGradientCache::new(3);
-        cache.fill(&[0], 1, 1, |_, _, _| {});
+        cache.fill(&[0], 1, Parallelism::sequential(), |_| 0, |_, _, _| {});
         let _ = cache.filled_range(0..2);
     }
 }

@@ -101,13 +101,6 @@ impl RoundSession for VirtualCluster {
         } else {
             Vec::new()
         };
-        // Likewise per run: the host is asked for its cores once, and only
-        // when some worker's units can be work enough to share.
-        let fill_threads = if cache.is_some() && max_row_work(&ctx) >= PARALLEL_FILL_MIN_WORK {
-            Parallelism::available().get()
-        } else {
-            1
-        };
         // Amortized over the run: the participant set, the gradient
         // scratch and the schedule buffer are built once, not per round.
         let mut transport = VirtualArrivals {
@@ -118,7 +111,6 @@ impl RoundSession for VirtualCluster {
             ctx,
             scratch: GradScratch::new(),
             cache,
-            fill_threads,
             contiguous,
             schedule: Vec::new(),
             next: 0,
@@ -138,28 +130,6 @@ fn use_cache(scheme: &dyn GradientCodingScheme) -> bool {
         .replication_counts()
         .iter()
         .any(|&c| c > 1)
-}
-
-/// Feature elements below which a worker's unfilled units are computed on
-/// the arriving thread: a fill of fewer than 2¹⁸ `f64` (2 MiB) is over
-/// before a second thread would pay for its spawn. Purely a scheduling
-/// threshold — every thread count produces identical bits.
-const PARALLEL_FILL_MIN_WORK: usize = 1 << 18;
-
-/// The most feature elements any worker's placement row reads: the largest
-/// fill one arrival can ask for.
-fn max_row_work(ctx: &RoundContext<'_>) -> usize {
-    let rows = (0..ctx.packed.num_workers())
-        .map(|worker| {
-            ctx.packed
-                .worker(worker)
-                .iter()
-                .map(Range::len)
-                .sum::<usize>()
-        })
-        .max()
-        .unwrap_or(0);
-    rows * ctx.data.dim()
 }
 
 /// Per worker: its placement row as a range of unit ids when the ids
@@ -192,9 +162,6 @@ struct VirtualArrivals<'a> {
     /// Reusable gradient buffers, carried across rounds.
     scratch: GradScratch,
     cache: Option<UnitGradientCache>,
-    /// Thread budget of a table fill: the host's cores when some placement
-    /// row can reach [`PARALLEL_FILL_MIN_WORK`], else 1.
-    fill_threads: usize,
     /// [`contiguous_rows`] of the placement when `cache` is in use.
     contiguous: Vec<Option<Range<usize>>>,
     /// `(worker, finish_time)` stably sorted by finish time — FIFO port
@@ -242,10 +209,10 @@ impl VirtualArrivals<'_> {
     /// every replica worker — bit-identical by construction, since every
     /// replica computes the same block at the same weights into the same
     /// zeroed accumulator. The worker's units not yet in the table are
-    /// filled on up to `fill_threads` cores when they hold at least
-    /// [`PARALLEL_FILL_MIN_WORK`] feature elements, else on this thread. A
-    /// contiguous placement row is encoded straight from the table; any
-    /// other row is gathered into scratch slots first.
+    /// filled on up to [`Parallelism::available`] cores when they are work
+    /// enough to share ([`UnitGradientCache::fill`]). A contiguous
+    /// placement row is encoded straight from the table; any other row is
+    /// gathered into scratch slots first.
     fn compute_and_encode_cached(&mut self, worker: usize) -> Result<Payload, ClusterError> {
         let Some(cache) = self.cache.as_mut() else {
             return self.ctx.compute_and_encode_selected(
@@ -261,26 +228,26 @@ impl VirtualArrivals<'_> {
         let (loss, weights, selection) = (self.ctx.loss, &self.weights, self.selection.as_ref());
         let dim = weights.len();
         let selected = |unit: usize| selection.is_none_or(|sel| sel.contains(unit));
-        let pending_work = || {
-            let rows: usize = unit_ids
-                .iter()
-                .filter(|&&unit| cache.get(unit).is_none() && selected(unit))
-                .map(|&unit| packed.unit_range(unit).len())
-                .sum();
-            rows * dim
-        };
-        let threads = if self.fill_threads > 1 && pending_work() >= PARALLEL_FILL_MIN_WORK {
-            self.fill_threads
-        } else {
-            1
-        };
-        // Units outside the round's minibatch stay the zero vector the
-        // entry was reset to.
-        cache.fill(unit_ids, dim, threads, |scratch, unit, acc| {
+        // Units outside the round's minibatch read nothing and stay the
+        // zero vector the entry was reset to.
+        let work = |unit: usize| {
             if selected(unit) {
-                scratch.accumulate_rows(loss, x, y, packed.unit_range(unit), weights, acc);
+                packed.unit_range(unit).len() * dim
+            } else {
+                0
             }
-        });
+        };
+        cache.fill(
+            unit_ids,
+            dim,
+            Parallelism::available(),
+            work,
+            |scratch, unit, acc| {
+                if selected(unit) {
+                    scratch.accumulate_rows(loss, x, y, packed.unit_range(unit), weights, acc);
+                }
+            },
+        );
         let partials = match self.contiguous[worker].clone() {
             Some(units) => cache.filled_range(units),
             None => {

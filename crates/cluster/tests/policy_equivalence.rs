@@ -258,12 +258,14 @@ impl RoundDriver for StepDriver {
 
 #[test]
 fn virtual_replays_threaded_on_every_row_shape() {
-    // Odd multiples of 4 ms: a one-unit finish (a·1) and a two-unit
+    // Odd multiples of 8 ms: a one-unit finish (a·1) and a two-unit
     // finish (a·2, an even multiple) never collide, so the threaded
-    // backend's real arrival order is the virtual order. A 9-of-10
-    // minibatch keeps at most one worker at zero load (and zero compute).
+    // backend's real arrival order is the virtual order. Distinct finishes
+    // lie at least 8 ms apart: at 4 ms a scheduling stall on a loaded
+    // 2-core host once reordered two arrivals. A 9-of-10 minibatch keeps
+    // at most one worker at zero load (and zero compute).
     let shifts: Vec<f64> = (0..10)
-        .map(|i| 0.004 * (2 * ((i * 7) % 10) + 1) as f64)
+        .map(|i| 0.008 * (2 * ((i * 7) % 10) + 1) as f64)
         .collect();
     let profile = staircase_profile(&shifts);
     let units = UnitMap::grouped(40, 10);

@@ -12,7 +12,7 @@
 //! scope").
 
 use crate::dataset::Dataset;
-use bcc_linalg::parallel::Parallelism;
+use bcc_linalg::parallel::{split_runs, Parallelism};
 use bcc_linalg::{vec_ops, Matrix};
 use bcc_stats::dist::{Bernoulli, Gaussian};
 use bcc_stats::rng::derive_rng;
@@ -104,10 +104,11 @@ pub fn generate_true_weights(config: &SyntheticConfig) -> Vec<f64> {
 /// of [`generate`]: each example draws from its own derived stream
 /// (`1 + j`), so any sub-range can be materialized independently of the rest.
 ///
-/// The rows are filled on up to [`Parallelism::available`] threads, each
-/// taking a contiguous run of at least 2¹⁸ feature elements; a smaller
-/// range is filled on the calling thread. Every row is still drawn from its
-/// own stream, so the output is bit-identical at every thread count.
+/// The rows are filled in contiguous runs by [`split_runs`] on up to
+/// [`Parallelism::available`] threads once the range holds
+/// [`MIN_WORK`](bcc_linalg::parallel::MIN_WORK) feature elements, else on
+/// the calling thread. Every row is still drawn from its own stream, so the
+/// output is bit-identical at every thread count.
 ///
 /// # Panics
 /// Panics when `range` exceeds `config.num_examples` or
@@ -118,35 +119,16 @@ pub fn generate_rows(
     true_weights: &[f64],
     range: std::ops::Range<usize>,
 ) -> (Matrix, Vec<f64>) {
-    // The host is asked for its cores only when the range is work enough
-    // to share.
-    let work = range.len().saturating_mul(config.dim);
-    let threads = if work < PARALLEL_GENERATE_MIN_WORK {
-        1
-    } else {
-        Parallelism::available()
-            .get()
-            .min(work / PARALLEL_GENERATE_MIN_WORK)
-    };
-    generate_rows_on(config, true_weights, range, threads)
+    generate_rows_on(config, true_weights, range, Parallelism::available())
 }
 
-/// Feature elements below which a range is generated on the calling
-/// thread, and the least any generating thread is given: 2¹⁸ Box–Muller
-/// draws take milliseconds, far more than a spawn. Purely a scheduling
-/// threshold — every thread count produces identical bits.
-const PARALLEL_GENERATE_MIN_WORK: usize = 1 << 18;
-
-/// [`generate_rows`] on up to `threads` threads: the rows are cut into
-/// contiguous runs of near-equal length, one per thread. The feature buffer
-/// is allocated once and each run fills its own window of it; the calling
-/// thread takes the first run and each other run gets a scoped thread. With
-/// one thread, or at most one row, nothing is spawned.
+/// [`generate_rows`] under the thread budget `par`. The feature buffer is
+/// allocated once and each run of rows fills its own window of it.
 fn generate_rows_on(
     config: &SyntheticConfig,
     true_weights: &[f64],
     range: std::ops::Range<usize>,
-    threads: usize,
+    par: Parallelism,
 ) -> (Matrix, Vec<f64>) {
     assert!(
         range.end <= config.num_examples,
@@ -165,30 +147,19 @@ fn generate_rows_on(
         .expect("feature buffer size overflows usize");
     let mut features = vec![0.0; len];
     let mut labels = vec![0.0; rows];
-    let threads = threads.min(rows);
-    if threads <= 1 || len == 0 {
-        fill_rows(
-            config,
-            true_weights,
-            range.start,
-            &mut features,
-            &mut labels,
-        );
-    } else {
-        let per_thread = rows.div_ceil(threads);
-        std::thread::scope(|scope| {
-            let mut runs = features
-                .chunks_mut(per_thread * p)
-                .zip(labels.chunks_mut(per_thread))
-                .enumerate()
-                .map(|(run, (x, y))| (range.start + run * per_thread, x, y));
-            let (first, x, y) = runs.next().expect("at least one row");
-            for (first, x, y) in runs {
-                scope.spawn(move || fill_rows(config, true_weights, first, x, y));
-            }
-            fill_rows(config, true_weights, first, x, y);
-        });
-    }
+    let (mut x_rest, mut y_rest) = (features.as_mut_slice(), labels.as_mut_slice());
+    split_runs(
+        par,
+        len,
+        rows,
+        |run| {
+            let (x, x_tail) = std::mem::take(&mut x_rest).split_at_mut(run.len() * p);
+            let (y, y_tail) = std::mem::take(&mut y_rest).split_at_mut(run.len());
+            (x_rest, y_rest) = (x_tail, y_tail);
+            (range.start + run.start, x, y)
+        },
+        |(first, x, y)| fill_rows(config, true_weights, first, x, y),
+    );
     let features = Matrix::from_vec(rows, p, features).expect("buffer holds rows × dim");
     (features, labels)
 }
@@ -231,6 +202,7 @@ const WEIGHT_STREAM: u64 = u64::MAX;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bcc_linalg::parallel::MIN_WORK;
 
     fn cfg() -> SyntheticConfig {
         SyntheticConfig::small(200, 32, 7)
@@ -274,24 +246,26 @@ mod tests {
 
     #[test]
     fn rows_are_bit_identical_at_every_thread_count() {
-        // 1000 × 300 features: above the parallel threshold.
-        let c = SyntheticConfig::small(1100, 300, 5);
-        let w = generate_true_weights(&c);
-        assert!(1000 * c.dim >= PARALLEL_GENERATE_MIN_WORK);
-        // (range, thread counts): runs of 334/334/332 rows at 3 threads, a
-        // 7-row range cut 3/3/1 and a 5-row range at more threads than rows.
+        // Every non-empty range holds at least `MIN_WORK` feature elements,
+        // so each budget above one splits it: 1000 × 300 rows cut
+        // 334/334/332 at 3 threads, 7 rows of a 60 000-wide config cut
+        // 3/3/1, and 5 rows at more threads than rows.
+        let wide = SyntheticConfig::small(1100, 300, 5);
+        let tall = SyntheticConfig::small(20, 60_000, 5);
+        assert!(1000 * wide.dim >= MIN_WORK && 5 * tall.dim >= MIN_WORK);
         let cases = [
-            (37..1037, vec![2, 3]),
-            (0..1100, vec![2, 3]),
-            (100..107, vec![2, 3, 9]),
-            (3..8, vec![2, 9]),
-            (1100..1100, vec![2, 9]),
+            (wide, 37..1037, vec![2, 3]),
+            (wide, 0..1100, vec![2, 3]),
+            (tall, 3..10, vec![2, 3, 9]),
+            (tall, 3..8, vec![2, 9]),
+            (wide, 1100..1100, vec![2, 9]),
         ];
-        for (range, thread_counts) in cases {
-            let (x1, y1) = generate_rows_on(&c, &w, range.clone(), 1);
+        for (c, range, thread_counts) in cases {
+            let w = generate_true_weights(&c);
+            let (x1, y1) = generate_rows_on(&c, &w, range.clone(), Parallelism::sequential());
             assert_eq!(x1.rows(), range.len());
             for threads in thread_counts {
-                let (x, y) = generate_rows_on(&c, &w, range.clone(), threads);
+                let (x, y) = generate_rows_on(&c, &w, range.clone(), Parallelism::threads(threads));
                 let what = format!("{range:?} at {threads} threads");
                 assert_eq!(x.rows(), x1.rows(), "{what}: rows");
                 assert_bit_equal(&what, x.as_slice(), x1.as_slice());
@@ -348,7 +322,12 @@ mod tests {
                 "features of {shape:?}"
             );
             assert_eq!(fnv1a(g.dataset.labels()), labels_pin, "labels of {shape:?}");
-            let (x, y) = generate_rows_on(&c, &g.true_weights, 0..c.num_examples, 3);
+            let (x, y) = generate_rows_on(
+                &c,
+                &g.true_weights,
+                0..c.num_examples,
+                Parallelism::threads(3),
+            );
             assert_eq!(
                 fnv1a(x.as_slice()),
                 features_pin,

@@ -9,9 +9,10 @@
 //! * [`qr`] — Householder QR and least-squares solves that skip each
 //!   column's leading and trailing zeros (used by the cyclic-repetition
 //!   decoder, which solves the banded `a^T B_F = 1^T`).
-//! * [`parallel`] — the thread budget ([`parallel::Parallelism`]) and the
-//!   bit-deterministic column-parallel weighted sum the decode pool runs on
-//!   `crossbeam::scope`.
+//! * [`parallel`] — the thread budget ([`parallel::Parallelism`]), the one
+//!   scoped splitter every data-parallel path runs on
+//!   ([`parallel::split_runs`]), and the bit-deterministic column-parallel
+//!   weighted sum the decode pool folds with.
 //!
 //! Everything is `f64`; the reproduction never needs mixed precision.
 

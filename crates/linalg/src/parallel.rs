@@ -1,19 +1,22 @@
-//! The thread budget, and the master's parallel weighted sum.
+//! The thread budget, and the one splitter every data-parallel path runs on.
 //!
 //! The workloads use data parallelism in three places, all under a
-//! [`Parallelism`] budget and all bit-identical at every thread count:
-//! the master's weighted sum of received vectors, split across columns
-//! ([`par_weighted_sum`], here); the virtual backend's per-round
-//! unit-gradient table, whose unfilled entries are split across cores
-//! (`bcc_cluster::packed::UnitGradientCache::fill`); and the synthetic
-//! data generator, whose rows are split into contiguous runs, each example
-//! drawn from its own stream (`bcc_data::synthetic::generate_rows`).
-//! [`Parallelism::available`] is the one place the host's core count is
-//! read. Scoped threads keep borrows simple (no `Arc`), per the Rust
-//! Atomics & Locks guidance, and avoid pulling in a full work-stealing
-//! runtime.
+//! [`Parallelism`] budget, all through [`split_runs`] and all bit-identical
+//! at every thread count: the master's weighted sum of received vectors,
+//! split across columns ([`par_weighted_sum`], here); the virtual backend's
+//! per-round unit-gradient table, whose unfilled entries are split into
+//! ascending id runs (`bcc_cluster::packed::UnitGradientCache::fill`); and
+//! the synthetic data generator, whose rows are split into contiguous runs,
+//! each example drawn from its own stream
+//! (`bcc_data::synthetic::generate_rows`). One threshold, [`MIN_WORK`],
+//! decides whether a job is shared at all. [`Parallelism::available`] is
+//! the one place the host's core count is read, once per process. Scoped
+//! threads keep borrows simple (no `Arc`), per the Rust Atomics & Locks
+//! guidance, and avoid pulling in a full work-stealing runtime.
 
 use std::num::NonZeroUsize;
+use std::ops::Range;
+use std::sync::OnceLock;
 
 /// Degree of parallelism: a thread budget.
 ///
@@ -37,10 +40,14 @@ impl Parallelism {
         Self::threads(1)
     }
 
-    /// Available hardware parallelism, falling back to 1.
+    /// Available hardware parallelism, falling back to 1. The host is
+    /// asked once per process; every later call reads the memoized answer,
+    /// so a hot path may call this freely.
     #[must_use]
     pub fn available() -> Self {
-        Self(std::thread::available_parallelism().unwrap_or(NonZeroUsize::MIN))
+        static HOST: OnceLock<Parallelism> = OnceLock::new();
+        *HOST
+            .get_or_init(|| Self(std::thread::available_parallelism().unwrap_or(NonZeroUsize::MIN)))
     }
 
     /// Thread count.
@@ -56,18 +63,59 @@ impl Default for Parallelism {
     }
 }
 
-/// Columns per work item of [`par_weighted_sum`]. Fixed (never derived from
-/// the thread count) so the work decomposition — and therefore the output —
-/// is a function of the input shape alone.
-const WEIGHTED_SUM_COL_CHUNK: usize = 1024;
+/// Work, in elements, below which [`split_runs`] spawns nothing: a job of
+/// fewer than 2¹⁸ `f64` (2 MiB) is over before a second thread pays for
+/// its spawn. Purely a scheduling threshold — every caller produces
+/// identical bits at every thread count.
+pub const MIN_WORK: usize = 1 << 18;
 
-/// Minimum `terms × dim` below which [`par_weighted_sum`] stays serial:
-/// under ~64k multiply-adds the reduction finishes faster than threads
-/// spawn. Purely a scheduling threshold — both paths produce identical bits.
-const WEIGHTED_SUM_MIN_WORK: usize = 1 << 16;
+/// Cuts `items` into contiguous runs and calls `run` once per run, on up to
+/// `par` threads.
+///
+/// Below [`MIN_WORK`] elements of `work`, or when one thread or one item is
+/// all there is, the calling thread runs every item as one run and nothing
+/// is spawned. Otherwise `threads = min(par, items)` and the runs are
+/// `⌈items / threads⌉` items long (the last may be shorter). `split` turns
+/// each run's item range, in ascending order and on the calling thread,
+/// into that run's share — typically the disjoint windows of the caller's
+/// buffers it writes. The calling thread runs the first share; each other
+/// share gets a scoped thread, and all are joined before this returns.
+///
+/// # Panics
+/// Propagates a panic of `split` or `run`.
+pub fn split_runs<S, P, R>(par: Parallelism, work: usize, items: usize, mut split: S, run: R)
+where
+    S: FnMut(Range<usize>) -> P,
+    P: Send,
+    R: Fn(P) + Sync,
+{
+    let threads = if work < MIN_WORK {
+        1
+    } else {
+        par.get().min(items)
+    };
+    if threads <= 1 {
+        run(split(0..items));
+        return;
+    }
+    let per_thread = items.div_ceil(threads);
+    std::thread::scope(|scope| {
+        let mut shares = (0..items.div_ceil(per_thread)).map(|i| {
+            let lo = i * per_thread;
+            split(lo..items.min(lo + per_thread))
+        });
+        let first = shares.next().expect("two or more items");
+        for share in shares {
+            let run = &run;
+            scope.spawn(move || run(share));
+        }
+        run(first);
+    });
+}
 
 /// Weighted sum `Σ cᵢ·vᵢ` over equal-length vectors, parallelized across
-/// **columns** with a work-stealing claim over fixed-size column chunks.
+/// **columns**: [`split_runs`] hands each thread one contiguous column
+/// window of the output, with `terms × dim` as the work.
 ///
 /// Bit-for-bit identical to the serial left folds in
 /// [`vec_ops`](crate::vec_ops) regardless of the thread count, because every
@@ -81,7 +129,7 @@ const WEIGHTED_SUM_MIN_WORK: usize = 1 << 16;
 /// uses, and (at `cᵢ = 1`) the order
 /// [`vec_ops::sum_vectors`](crate::vec_ops::sum_vectors) uses, since `1·x == x` and
 /// `x.mul_add(1, y) == x + y` exactly in IEEE 754. Column partitioning never
-/// splits an element's accumulation chain, so chunk boundaries and thread
+/// splits an element's accumulation chain, so window boundaries and thread
 /// scheduling cannot perturb a single bit.
 ///
 /// Returns `None` when `terms` is empty (an empty sum has no dimension).
@@ -95,62 +143,27 @@ pub fn par_weighted_sum(par: Parallelism, terms: &[(f64, &[f64])]) -> Option<Vec
     for (_, v) in terms {
         assert_eq!(v.len(), dim, "par_weighted_sum: length mismatch");
     }
-    let chunks = dim.div_ceil(WEIGHTED_SUM_COL_CHUNK).max(1);
-    let threads = par.get().min(chunks);
-    if threads <= 1 || terms.len() * dim < WEIGHTED_SUM_MIN_WORK {
-        let mut out = vec![0.0; dim];
-        weighted_sum_columns(terms, 0..dim, &mut out);
-        return Some(out);
-    }
-
-    // Work stealing: threads claim chunk indices from a shared counter, so
-    // an unlucky thread (preempted, slow core) cannot stall the reduction.
-    // Results are keyed by chunk index and reassembled in column order;
-    // which thread computed a chunk is unobservable in the output.
-    let next = std::sync::atomic::AtomicUsize::new(0);
     let mut out = vec![0.0; dim];
-    let mut parts: Vec<Option<Vec<f64>>> = Vec::new();
-    parts.resize_with(chunks, || None);
-    crossbeam::scope(|s| {
-        let mut handles = Vec::with_capacity(threads);
-        for _ in 0..threads {
-            let next = &next;
-            handles.push(s.spawn(move |_| {
-                let mut mine = Vec::new();
-                loop {
-                    let ci = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if ci >= chunks {
-                        break;
-                    }
-                    let lo = ci * WEIGHTED_SUM_COL_CHUNK;
-                    let hi = (lo + WEIGHTED_SUM_COL_CHUNK).min(dim);
-                    let mut part = vec![0.0; hi - lo];
-                    weighted_sum_columns(terms, lo..hi, &mut part);
-                    mine.push((ci, part));
-                }
-                mine
-            }));
-        }
-        for h in handles {
-            for (ci, part) in h.join().expect("weighted-sum worker panicked") {
-                parts[ci] = Some(part);
-            }
-        }
-    })
-    .expect("crossbeam scope failed");
-    for (ci, part) in parts.into_iter().enumerate() {
-        let part = part.expect("every chunk claimed exactly once");
-        let lo = ci * WEIGHTED_SUM_COL_CHUNK;
-        out[lo..lo + part.len()].copy_from_slice(&part);
-    }
+    let mut rest = out.as_mut_slice();
+    split_runs(
+        par,
+        terms.len() * dim,
+        dim,
+        |cols| {
+            let (window, tail) = std::mem::take(&mut rest).split_at_mut(cols.len());
+            rest = tail;
+            (cols, window)
+        },
+        |(cols, window)| weighted_sum_columns(terms, cols, window),
+    );
     Some(out)
 }
 
 /// The serial recurrence of [`par_weighted_sum`] over columns `cols`,
 /// writing into `out` (whose length equals the column range). Terms sweep
-/// the chunk one at a time — the same streaming access pattern as the
-/// serial fold, restricted to a cache-resident column window.
-fn weighted_sum_columns(terms: &[(f64, &[f64])], cols: std::ops::Range<usize>, out: &mut [f64]) {
+/// the window one at a time — the same streaming access pattern as the
+/// serial fold, restricted to the window's columns.
+fn weighted_sum_columns(terms: &[(f64, &[f64])], cols: Range<usize>, out: &mut [f64]) {
     let (c0, v0) = terms[0];
     for (o, x) in out.iter_mut().zip(&v0[cols.clone()]) {
         *o = c0 * x;
@@ -200,6 +213,70 @@ mod tests {
         terms.iter().map(|(c, v)| (*c, v.as_slice())).collect()
     }
 
+    /// [`split_runs`] over `items` at budget `par` and the given work: each
+    /// item `i` gets a rounding-heavy value of `i` written by the run that
+    /// owns it; returns the values, the runs in the order `split` saw them,
+    /// and the threads the runs ran on.
+    fn split_into(
+        par: usize,
+        work: usize,
+        items: usize,
+    ) -> (Vec<f64>, Vec<(usize, usize)>, Vec<std::thread::ThreadId>) {
+        let mut out = vec![0.0; items];
+        let mut runs = Vec::new();
+        let threads = std::sync::Mutex::new(Vec::new());
+        let mut rest = out.as_mut_slice();
+        split_runs(
+            Parallelism::threads(par),
+            work,
+            items,
+            |run| {
+                let (window, tail) = std::mem::take(&mut rest).split_at_mut(run.len());
+                rest = tail;
+                runs.push((run.start, run.end));
+                (run.start, window)
+            },
+            |(first, window)| {
+                threads.lock().unwrap().push(std::thread::current().id());
+                for (i, x) in window.iter_mut().enumerate() {
+                    let k = (first + i) as f64;
+                    *x = (k * 0.1).sin().mul_add(1.0 / 3.0, k.sqrt());
+                }
+            },
+        );
+        (out, runs, threads.into_inner().unwrap())
+    }
+
+    #[test]
+    fn split_runs_is_bit_identical_at_every_budget() {
+        // Empty, one item, ragged (10 items at 3 threads: 4/4/2; at 7:
+        // 2 × 5) and more threads than items.
+        for items in [0, 1, 2, 10, 1_000] {
+            let (serial, runs, threads) = split_into(1, MIN_WORK, items);
+            assert_eq!(runs, [(0, items)], "one run at budget 1");
+            assert_eq!(threads, [std::thread::current().id()]);
+            for par in [1, 2, 3, 7] {
+                let (below, runs, _) = split_into(par, MIN_WORK - 1, items);
+                assert_eq!(runs, [(0, items)], "below MIN_WORK nothing is split");
+                let (out, runs, threads) = split_into(par, MIN_WORK, items);
+                let what = format!("{items} items at budget {par}");
+                for (a, b) in out.iter().chain(&below).zip(serial.iter().cycle()) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{what}");
+                }
+                let per_thread = items.div_ceil(par.min(items).max(1)).max(1);
+                let want: Vec<_> = (0..items.div_ceil(per_thread).max(1))
+                    .map(|i| (i * per_thread, items.min((i + 1) * per_thread)))
+                    .collect();
+                assert_eq!(runs, want, "{what}: contiguous ascending runs");
+                assert!(runs.len() <= par, "{what}: at most one run per thread");
+                let distinct: std::collections::HashSet<_> = threads.iter().collect();
+                assert_eq!(distinct.len(), runs.len(), "{what}: one thread per run");
+                assert!(threads.contains(&std::thread::current().id()));
+            }
+        }
+        assert_eq!(split_into(7, MIN_WORK, 10).1.len(), 5, "2 items × 5 runs");
+    }
+
     #[test]
     fn weighted_sum_empty_is_none() {
         assert!(par_weighted_sum(Parallelism::threads(4), &[]).is_none());
@@ -207,9 +284,10 @@ mod tests {
 
     #[test]
     fn weighted_sum_matches_linear_combination_bit_for_bit() {
-        // Large enough to cross the serial threshold and span many column
-        // chunks at every thread count.
-        let terms = test_terms(40, 5_000);
+        // 40 × 7000 = 280 000 elements: above `MIN_WORK`, so every
+        // budget above one cuts the columns into that many windows.
+        let terms = test_terms(40, 7_000);
+        const { assert!(40 * 7_000 >= MIN_WORK) };
         let refs = as_refs(&terms);
         let serial = crate::vec_ops::linear_combination(refs.iter().copied()).unwrap();
         for threads in [1, 2, 3, 8] {
@@ -227,7 +305,8 @@ mod tests {
 
     #[test]
     fn unit_coefficients_match_sum_vectors_bit_for_bit() {
-        let terms: Vec<(f64, Vec<f64>)> = test_terms(30, 4_096)
+        // 64 × 4096 = 2¹⁸ elements: exactly at `MIN_WORK`.
+        let terms: Vec<(f64, Vec<f64>)> = test_terms(64, 4_096)
             .into_iter()
             .map(|(_, v)| (1.0, v))
             .collect();

@@ -179,12 +179,42 @@ const GUARDS: &[Guard] = &[
     Guard {
         name: "Host parallelism read in one place",
         set_by: "the virtual backend fills a worker's unit-gradient table on every core",
-        why: "`Parallelism::available` is the one host query, and a backend \
-              reads it once per session, never per round: a per-round \
-              `available_parallelism()` call cost three workloads 13–21 % of \
-              their round wall before it was removed",
+        why: "`Parallelism::available` is the one host query, and it is \
+              memoized once per process, so a hot path may call it: an \
+              unmemoized per-round `available_parallelism()` call cost three \
+              workloads 13–21 % of their round wall before it was removed",
         paths: CODE,
         rule: Rule::Count("available_parallelism", 1),
+    },
+    Guard {
+        name: "One scoped splitter",
+        set_by: "one scoped splitter, one threshold, one host read",
+        why: "the unit-gradient fill, the generator and the weighted sum cut \
+              their work with `bcc_linalg::parallel::split_runs` under its one \
+              `MIN_WORK` threshold; their private thresholds, the per-run fill \
+              budget and the weighted sum's column-chunk pool stay gone",
+        paths: CODE,
+        rule: Rule::Banned(&[
+            "PARALLEL_FILL_MIN_WORK",
+            "PARALLEL_GENERATE_MIN_WORK",
+            "WEIGHTED_SUM_MIN_WORK",
+            "WEIGHTED_SUM_COL_CHUNK",
+            "fill_threads",
+            "max_row_work",
+        ]),
+    },
+    Guard {
+        name: "One scoped splitter — one thread scope",
+        set_by: "one scoped splitter, one threshold, one host read",
+        why: "`split_runs` is the only scoped spawn of the data-parallel paths; \
+              a second one beside it is a hand-written splitter come back",
+        paths: &[
+            "crates/linalg/src",
+            "crates/data/src",
+            "crates/cluster/src/packed.rs",
+            "crates/cluster/src/virtual_cluster.rs",
+        ],
+        rule: Rule::Count("thread::scope", 1),
     },
     Guard {
         name: "One round clock — no private LocalSGD barrier",
