@@ -98,19 +98,22 @@ fn per_worker_ranges(
         .collect()
 }
 
-/// Per-round table of unit partial gradients for the virtual backend.
+/// Table of unit partial gradients at one evaluation point, for the virtual
+/// backend.
 ///
 /// Coded schemes replicate units across workers (that is the whole point of
 /// the redundancy), so within one round several simulated workers compute
-/// the *same* unit gradient at the same weights. A real cluster pays that
-/// cost in parallel on separate machines; a simulator on one host would pay
-/// it serially — and needlessly, because the result is bit-identical. The
+/// the *same* unit gradient at the same weights — and a run at a fixed
+/// point computes it again every round. A real cluster pays that cost in
+/// parallel on separate machines; a simulator on one host would pay it
+/// serially — and needlessly, because the result is bit-identical. The
 /// table holds one entry per unit id: [`UnitGradientCache::fill`] computes
-/// each of a worker's units at most once per round, directly into its
-/// entry, spreading them over the host's cores when asked, and a worker
-/// whose placement row is one ascending run of unit ids is encoded straight
-/// from [`UnitGradientCache::filled_range`] without a copy. It must be
-/// [`UnitGradientCache::begin_round`]-reset whenever the weights change.
+/// each of a worker's units at most once per evaluation point, directly
+/// into its entry, spreading them over the host's cores when asked, and a
+/// worker whose placement row is one ascending run of unit ids is encoded
+/// straight from [`UnitGradientCache::filled_range`] without a copy. It
+/// must be [`UnitGradientCache::begin_round`]-reset whenever the point
+/// changes: the weights in any bit, or the units a minibatch selects.
 #[derive(Debug)]
 pub struct UnitGradientCache {
     grads: Vec<Vec<f64>>,
@@ -134,13 +137,14 @@ impl UnitGradientCache {
         }
     }
 
-    /// Invalidates every entry (call at the start of each round — the
-    /// evaluation point changed).
+    /// Invalidates every entry (call when a round's evaluation point
+    /// differs from the one the entries were computed at).
     pub fn begin_round(&mut self) {
         self.filled.fill(false);
     }
 
-    /// The memoized gradient of `unit`, if this round already computed it.
+    /// The memoized gradient of `unit`, if it was computed since the last
+    /// [`UnitGradientCache::begin_round`].
     #[must_use]
     pub fn get(&self, unit: usize) -> Option<&[f64]> {
         self.filled[unit].then(|| self.grads[unit].as_slice())
@@ -153,7 +157,7 @@ impl UnitGradientCache {
         self.filled[unit] = true;
     }
 
-    /// Fills every entry among `units` not yet filled this round: each is
+    /// Fills every entry among `units` not yet filled at this point: each is
     /// zeroed to `dim` and handed, with a gradient scratch of its own
     /// thread, to `compute`, which accumulates into it (a `compute` that
     /// adds nothing leaves the zero vector). Filled entries are left as
@@ -227,12 +231,12 @@ impl UnitGradientCache {
     /// `partials` of a placement row that is exactly this run of ids.
     ///
     /// # Panics
-    /// Panics when an entry in `units` was not filled this round.
+    /// Panics when an entry in `units` was not filled at this point.
     #[must_use]
     pub fn filled_range(&self, units: Range<usize>) -> &[Vec<f64>] {
         assert!(
             self.filled[units.clone()].iter().all(|&f| f),
-            "unit range {units:?} read before it was filled this round"
+            "unit range {units:?} read before it was filled at this point"
         );
         &self.grads[units]
     }

@@ -16,12 +16,16 @@
 //! timestamps and arrival order are event-for-event identical to pumping a
 //! general discrete-event queue, at a fraction of the per-round cost.
 //!
-//! A worker's payload is computed when it is delivered. Under a scheme
-//! that replicates units, each unit's gradient is computed at most once
-//! per round into a [`UnitGradientCache`] that all its replicas read, and
-//! an arriving worker's units not yet in that table are filled on the
-//! host's cores when they are work enough — the paper's workers computing
-//! in parallel, on as many cores as the host has. Neither changes a bit.
+//! A worker's payload is computed when it is delivered, from a
+//! [`UnitGradientCache`] that holds each unit's gradient at the round's
+//! broadcast point: every replica of a unit reads one entry, and an
+//! arriving worker's units not yet in that table are filled on the host's
+//! cores when they are work enough — the paper's workers computing in
+//! parallel, on as many cores as the host has. The table is keyed on the
+//! broadcast point (the weights' bits and the minibatch selection), not on
+//! the round: a round that broadcasts the previous round's point reuses
+//! every entry, so a fixed-point run computes each unit at most once. None
+//! of this changes a bit.
 
 use crate::config::BackendConfig;
 use crate::engine::{Arrival, ArrivalEvent, ArrivalSource, RoundContext};
@@ -31,7 +35,7 @@ use crate::minibatch::UnitSelection;
 use crate::packed::UnitGradientCache;
 use crate::round_loop::{BackendCore, RoundLoop, RoundSession, RoundTransport};
 use crate::straggler::StragglerModel;
-use bcc_coding::{GradientCodingScheme, Payload};
+use bcc_coding::Payload;
 use bcc_data::Placement;
 use bcc_linalg::parallel::Parallelism;
 use bcc_optim::GradScratch;
@@ -92,17 +96,9 @@ impl RoundSession for VirtualCluster {
 
     fn session(&mut self, rounds: &mut RoundLoop<'_>) -> Result<(), ClusterError> {
         let ctx = rounds.ctx;
-        // Replication-free schemes (uncoded) never share a unit across
-        // workers, so the unit table would save no kernel call and only
-        // add an m × dim allocation — decided once per run, not per round.
-        let cache = use_cache(ctx.scheme).then(|| UnitGradientCache::new(ctx.units.num_units()));
-        let contiguous = if cache.is_some() {
-            contiguous_rows(ctx.scheme.placement())
-        } else {
-            Vec::new()
-        };
-        // Amortized over the run: the participant set, the gradient
-        // scratch and the schedule buffer are built once, not per round.
+        // Amortized over the run: the participant set, the unit table, the
+        // gradient scratch and the schedule buffer are built once, not per
+        // round.
         let mut transport = VirtualArrivals {
             comm: self.core.profile().comm,
             model: self.core.model(),
@@ -110,8 +106,8 @@ impl RoundSession for VirtualCluster {
             participants: ctx.participants(&self.core.dead_workers),
             ctx,
             scratch: GradScratch::new(),
-            cache,
-            contiguous,
+            cache: UnitGradientCache::new(ctx.units.num_units()),
+            contiguous: contiguous_rows(ctx.scheme.placement()),
             schedule: Vec::new(),
             next: 0,
             port_free_at: 0.0,
@@ -120,16 +116,6 @@ impl RoundSession for VirtualCluster {
         };
         rounds.run(&mut transport)
     }
-}
-
-/// True when any unit is stored by more than one worker (per-round unit
-/// memoization pays off).
-fn use_cache(scheme: &dyn GradientCodingScheme) -> bool {
-    scheme
-        .placement()
-        .replication_counts()
-        .iter()
-        .any(|&c| c > 1)
 }
 
 /// Per worker: its placement row as a range of unit ids when the ids
@@ -161,14 +147,17 @@ struct VirtualArrivals<'a> {
     ctx: RoundContext<'a>,
     /// Reusable gradient buffers, carried across rounds.
     scratch: GradScratch,
-    cache: Option<UnitGradientCache>,
-    /// [`contiguous_rows`] of the placement when `cache` is in use.
+    /// Every unit's gradient at the point `weights` and `selection` name.
+    cache: UnitGradientCache,
+    /// [`contiguous_rows`] of the placement.
     contiguous: Vec<Option<Range<usize>>>,
     /// `(worker, finish_time)` stably sorted by finish time — FIFO port
     /// order; the buffer is reused across rounds.
     schedule: Vec<(usize, f64)>,
     next: usize,
     port_free_at: f64,
+    /// The round's broadcast point; kept into the next round, whose
+    /// `begin_round` compares its own against it.
     weights: Vec<f64>,
     selection: Option<UnitSelection>,
 }
@@ -180,8 +169,16 @@ impl RoundTransport for VirtualArrivals<'_> {
         weights: Vec<f64>,
         selection: Option<UnitSelection>,
     ) -> usize {
-        if let Some(cache) = &mut self.cache {
-            cache.begin_round();
+        // The table holds the previous round's point. It stays valid when
+        // this round broadcasts the same weights, bit for bit (`==` would
+        // take -0.0 for 0.0 and never match a NaN), over the same units.
+        let same_point = weights.len() == self.weights.len()
+            && weights
+                .iter()
+                .zip(&self.weights)
+                .all(|(a, b)| a.to_bits() == b.to_bits());
+        if !same_point || selection != self.selection {
+            self.cache.begin_round();
         }
         self.schedule.clear();
         for &worker in &self.participants {
@@ -204,24 +201,18 @@ impl RoundTransport for VirtualArrivals<'_> {
 }
 
 impl VirtualArrivals<'_> {
-    /// [`RoundContext::compute_and_encode`] over the round's unit-gradient
-    /// table: each unit is computed once per round, in place, and reused by
-    /// every replica worker — bit-identical by construction, since every
-    /// replica computes the same block at the same weights into the same
-    /// zeroed accumulator. The worker's units not yet in the table are
-    /// filled on up to [`Parallelism::available`] cores when they are work
-    /// enough to share ([`UnitGradientCache::fill`]). A contiguous
-    /// placement row is encoded straight from the table; any other row is
-    /// gathered into scratch slots first.
+    /// [`RoundContext::compute_and_encode_selected`] over the unit-gradient
+    /// table: each unit is computed once per broadcast point, in place, and
+    /// reused by every replica worker and every round at that point —
+    /// bit-identical by construction, since every replica computes the same
+    /// block at the same weights into the same zeroed accumulator. The
+    /// worker's units not yet in the table are filled on up to
+    /// [`Parallelism::available`] cores when they are work enough to share
+    /// ([`UnitGradientCache::fill`]). A contiguous placement row is encoded
+    /// straight from the table; any other row is gathered into scratch
+    /// slots first.
     fn compute_and_encode_cached(&mut self, worker: usize) -> Result<Payload, ClusterError> {
-        let Some(cache) = self.cache.as_mut() else {
-            return self.ctx.compute_and_encode_selected(
-                worker,
-                &self.weights,
-                &mut self.scratch,
-                self.selection.as_ref(),
-            );
-        };
+        let cache = &mut self.cache;
         let unit_ids = self.ctx.scheme.placement().worker_examples(worker);
         let packed = self.ctx.packed;
         let (x, y) = packed.arena(self.ctx.data);

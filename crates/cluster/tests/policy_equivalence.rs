@@ -20,7 +20,7 @@
 //!    serial fold bit-for-bit on every builtin scheme under every builtin
 //!    policy — exact decodes and partial (approximate) readouts alike.
 //! 4. **Row-shape equivalence.** The virtual backend reads replicated
-//!    schemes' partials from a per-round unit-gradient table — borrowed for
+//!    partials from a unit-gradient table — borrowed for
 //!    contiguous placement rows, gathered for wrap-around and scattered
 //!    ones. Over several rounds at moving weights, with and without a
 //!    minibatch, every row shape must replay the threaded backend (which

@@ -4,7 +4,7 @@
 //! [`Parallelism`] budget, all through [`split_runs`] and all bit-identical
 //! at every thread count: the master's weighted sum of received vectors,
 //! split across columns ([`par_weighted_sum`], here); the virtual backend's
-//! per-round unit-gradient table, whose unfilled entries are split into
+//! unit-gradient table, whose unfilled entries are split into
 //! ascending id runs (`bcc_cluster::packed::UnitGradientCache::fill`); and
 //! the synthetic data generator, whose rows are split into contiguous runs,
 //! each example drawn from its own stream
@@ -74,8 +74,9 @@ pub const MIN_WORK: usize = 1 << 18;
 ///
 /// Below [`MIN_WORK`] elements of `work`, or when one thread or one item is
 /// all there is, the calling thread runs every item as one run and nothing
-/// is spawned. Otherwise `threads = min(par, items)` and the runs are
-/// `⌈items / threads⌉` items long (the last may be shorter). `split` turns
+/// is spawned. Otherwise `threads = min(par, items)` runs share the items
+/// as evenly as they go: each is `⌊items / threads⌋` items long, and the
+/// first `items % threads` take one more, so every thread gets work. `split` turns
 /// each run's item range, in ascending order and on the calling thread,
 /// into that run's share — typically the disjoint windows of the caller's
 /// buffers it writes. The calling thread runs the first share; each other
@@ -98,11 +99,11 @@ where
         run(split(0..items));
         return;
     }
-    let per_thread = items.div_ceil(threads);
+    let (per_thread, longer) = (items / threads, items % threads);
     std::thread::scope(|scope| {
-        let mut shares = (0..items.div_ceil(per_thread)).map(|i| {
-            let lo = i * per_thread;
-            split(lo..items.min(lo + per_thread))
+        let mut shares = (0..threads).map(|i| {
+            let lo = i * per_thread + i.min(longer);
+            split(lo..lo + per_thread + usize::from(i < longer))
         });
         let first = shares.next().expect("two or more items");
         for share in shares {
@@ -249,8 +250,8 @@ mod tests {
 
     #[test]
     fn split_runs_is_bit_identical_at_every_budget() {
-        // Empty, one item, ragged (10 items at 3 threads: 4/4/2; at 7:
-        // 2 × 5) and more threads than items.
+        // Empty, one item, ragged (10 items at 3 threads: 4/3/3; at 7:
+        // 2/2/2/1/1/1/1) and more threads than items.
         for items in [0, 1, 2, 10, 1_000] {
             let (serial, runs, threads) = split_into(1, MIN_WORK, items);
             assert_eq!(runs, [(0, items)], "one run at budget 1");
@@ -263,18 +264,37 @@ mod tests {
                 for (a, b) in out.iter().chain(&below).zip(serial.iter().cycle()) {
                     assert_eq!(a.to_bits(), b.to_bits(), "{what}");
                 }
-                let per_thread = items.div_ceil(par.min(items).max(1)).max(1);
-                let want: Vec<_> = (0..items.div_ceil(per_thread).max(1))
-                    .map(|i| (i * per_thread, items.min((i + 1) * per_thread)))
-                    .collect();
-                assert_eq!(runs, want, "{what}: contiguous ascending runs");
-                assert!(runs.len() <= par, "{what}: at most one run per thread");
+                assert_eq!(runs.first().map(|r| r.0), Some(0), "{what}");
+                assert_eq!(runs.last().map(|r| r.1), Some(items), "{what}");
+                assert!(
+                    runs.windows(2).all(|w| w[0].1 == w[1].0),
+                    "{what}: contiguous ascending runs"
+                );
+                let lens: Vec<usize> = runs.iter().map(|r| r.1 - r.0).collect();
+                assert!(
+                    lens.windows(2).all(|w| w[0] == w[1] || w[0] == w[1] + 1),
+                    "{what}: balanced runs, longer first: {lens:?}"
+                );
+                assert_eq!(
+                    runs.len(),
+                    par.min(items).max(1),
+                    "{what}: every thread gets work"
+                );
                 let distinct: std::collections::HashSet<_> = threads.iter().collect();
                 assert_eq!(distinct.len(), runs.len(), "{what}: one thread per run");
                 assert!(threads.contains(&std::thread::current().id()));
             }
         }
-        assert_eq!(split_into(7, MIN_WORK, 10).1.len(), 5, "2 items × 5 runs");
+        assert_eq!(
+            split_into(7, MIN_WORK, 10).1,
+            [(0, 2), (2, 4), (4, 6), (6, 7), (7, 8), (8, 9), (9, 10)],
+            "3 runs of 2 items, 4 of 1"
+        );
+        assert_eq!(
+            split_into(4, MIN_WORK, 5).1,
+            [(0, 2), (2, 3), (3, 4), (4, 5)],
+            "1 run of 2 items, 3 of 1"
+        );
     }
 
     #[test]

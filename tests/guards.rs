@@ -233,6 +233,20 @@ const GUARDS: &[Guard] = &[
         ]),
     },
     Guard {
+        name: "Real-time workers recompute every round",
+        set_by: "the virtual backend computes each unit gradient once per broadcast point",
+        why: "only the virtual backend memoizes unit gradients across rounds; \
+              the threaded and TCP workers compute their whole row every round \
+              on purpose, because their wall time is what `repro net` and \
+              ROADMAP item 20 measure",
+        paths: &[
+            "crates/cluster/src/worker.rs",
+            "crates/cluster/src/threaded.rs",
+            "crates/net/src",
+        ],
+        rule: Rule::Banned(&["UnitGradientCache"]),
+    },
+    Guard {
         name: "Nothing unreached — every public fn and const has a user",
         set_by: "the workspace orphan sweep",
         why: "an item only its own unit tests call is code no run reaches; \
