@@ -8,6 +8,7 @@
 //! therefore cost no extra memory, nothing is copied, and round-time access
 //! is a linear scan of one contiguous allocation.
 
+use crate::minibatch::UnitSelection;
 use crate::units::UnitMap;
 use bcc_coding::GradientCodingScheme;
 use bcc_data::Dataset;
@@ -111,13 +112,20 @@ fn per_worker_ranges(
 /// each of a worker's units at most once per evaluation point, directly
 /// into its entry, spreading them over the host's cores when asked, and a
 /// worker whose placement row is one ascending run of unit ids is encoded
-/// straight from [`UnitGradientCache::filled_range`] without a copy. It
-/// must be [`UnitGradientCache::begin_round`]-reset whenever the point
-/// changes: the weights in any bit, or the units a minibatch selects.
+/// straight from [`UnitGradientCache::filled_range`] without a copy. The
+/// entries must be invalidated whenever the point changes — the weights in
+/// any bit, or the units a minibatch selects: a caller that knows the point
+/// keys the table on it with [`UnitGradientCache::begin_point`], which
+/// resets only then, and [`UnitGradientCache::begin_round`] resets
+/// unconditionally.
 #[derive(Debug)]
 pub struct UnitGradientCache {
     grads: Vec<Vec<f64>>,
     filled: Vec<bool>,
+    /// The point [`UnitGradientCache::begin_point`] last keyed the table
+    /// on: the weights and the minibatch selection.
+    weights: Vec<f64>,
+    selection: Option<UnitSelection>,
     /// The ids one [`UnitGradientCache::fill`] computes, ascending; the
     /// buffer is reused across calls.
     pending: Vec<usize>,
@@ -132,6 +140,8 @@ impl UnitGradientCache {
         Self {
             grads: vec![Vec::new(); units],
             filled: vec![false; units],
+            weights: Vec::new(),
+            selection: None,
             pending: Vec::new(),
             scratches: Vec::new(),
         }
@@ -143,8 +153,27 @@ impl UnitGradientCache {
         self.filled.fill(false);
     }
 
-    /// The memoized gradient of `unit`, if it was computed since the last
-    /// [`UnitGradientCache::begin_round`].
+    /// Keys the table on a round's broadcast point: every entry is
+    /// invalidated unless `weights` equal the point the table was last
+    /// keyed on bit for bit (`==` would take `-0.0` for `0.0` and never
+    /// match a NaN) and `selection` selects the same units. A run at a
+    /// fixed point thus computes each unit once.
+    pub fn begin_point(&mut self, weights: &[f64], selection: Option<&UnitSelection>) {
+        let same_weights = weights.len() == self.weights.len()
+            && weights
+                .iter()
+                .zip(&self.weights)
+                .all(|(a, b)| a.to_bits() == b.to_bits());
+        if !same_weights || selection != self.selection.as_ref() {
+            self.begin_round();
+            self.weights.clear();
+            self.weights.extend_from_slice(weights);
+            self.selection = selection.cloned();
+        }
+    }
+
+    /// The memoized gradient of `unit`, if it was computed since the table
+    /// was last reset.
     #[must_use]
     pub fn get(&self, unit: usize) -> Option<&[f64]> {
         self.filled[unit].then(|| self.grads[unit].as_slice())
@@ -245,6 +274,7 @@ impl UnitGradientCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::minibatch::Minibatch;
     use bcc_coding::{BccScheme, UncodedScheme};
     use bcc_data::synthetic::{generate, SyntheticConfig};
     use bcc_linalg::parallel::MIN_WORK;
@@ -341,6 +371,28 @@ mod tests {
         assert_eq!(cache.get(1), Some(&[1.0, 2.0][..]));
         cache.begin_round();
         assert!(cache.get(1).is_none(), "begin_round invalidates");
+    }
+
+    #[test]
+    fn unit_cache_keeps_its_entries_while_the_point_holds() {
+        let (first, second) = (Minibatch::new(2, 1).select(0, 4), None);
+        let mut cache = UnitGradientCache::new(3);
+        let mut kept = |weights: &[f64], selection: Option<&UnitSelection>| {
+            cache.begin_point(weights, selection);
+            let kept = cache.get(0).is_some();
+            cache.store(0, &[1.0]);
+            kept
+        };
+        assert!(!kept(&[0.0, f64::NAN], None), "a new table is empty");
+        assert!(kept(&[0.0, f64::NAN], None), "same bits, NaN included");
+        assert!(
+            !kept(&[-0.0, f64::NAN], None),
+            "the sign of a zero moves it"
+        );
+        assert!(!kept(&[-0.0], None), "so does the length");
+        assert!(!kept(&[-0.0], Some(&first)), "and the selection");
+        assert!(kept(&[-0.0], Some(&first)));
+        assert!(!kept(&[-0.0], second));
     }
 
     #[test]

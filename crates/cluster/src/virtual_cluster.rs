@@ -23,9 +23,9 @@
 //! cores when they are work enough — the paper's workers computing in
 //! parallel, on as many cores as the host has. The table is keyed on the
 //! broadcast point (the weights' bits and the minibatch selection), not on
-//! the round: a round that broadcasts the previous round's point reuses
-//! every entry, so a fixed-point run computes each unit at most once. None
-//! of this changes a bit.
+//! the round ([`UnitGradientCache::begin_point`]): a round that broadcasts
+//! the previous round's point reuses every entry, so a fixed-point run
+//! computes each unit at most once. None of this changes a bit.
 
 use crate::config::BackendConfig;
 use crate::engine::{Arrival, ArrivalEvent, ArrivalSource, RoundContext};
@@ -156,8 +156,7 @@ struct VirtualArrivals<'a> {
     schedule: Vec<(usize, f64)>,
     next: usize,
     port_free_at: f64,
-    /// The round's broadcast point; kept into the next round, whose
-    /// `begin_round` compares its own against it.
+    /// The round's broadcast point.
     weights: Vec<f64>,
     selection: Option<UnitSelection>,
 }
@@ -169,17 +168,7 @@ impl RoundTransport for VirtualArrivals<'_> {
         weights: Vec<f64>,
         selection: Option<UnitSelection>,
     ) -> usize {
-        // The table holds the previous round's point. It stays valid when
-        // this round broadcasts the same weights, bit for bit (`==` would
-        // take -0.0 for 0.0 and never match a NaN), over the same units.
-        let same_point = weights.len() == self.weights.len()
-            && weights
-                .iter()
-                .zip(&self.weights)
-                .all(|(a, b)| a.to_bits() == b.to_bits());
-        if !same_point || selection != self.selection {
-            self.cache.begin_round();
-        }
+        self.cache.begin_point(&weights, selection.as_ref());
         self.schedule.clear();
         for &worker in &self.participants {
             let delay =

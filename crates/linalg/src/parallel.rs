@@ -264,22 +264,12 @@ mod tests {
                 for (a, b) in out.iter().chain(&below).zip(serial.iter().cycle()) {
                     assert_eq!(a.to_bits(), b.to_bits(), "{what}");
                 }
-                assert_eq!(runs.first().map(|r| r.0), Some(0), "{what}");
-                assert_eq!(runs.last().map(|r| r.1), Some(items), "{what}");
-                assert!(
-                    runs.windows(2).all(|w| w[0].1 == w[1].0),
-                    "{what}: contiguous ascending runs"
-                );
-                let lens: Vec<usize> = runs.iter().map(|r| r.1 - r.0).collect();
-                assert!(
-                    lens.windows(2).all(|w| w[0] == w[1] || w[0] == w[1] + 1),
-                    "{what}: balanced runs, longer first: {lens:?}"
-                );
-                assert_eq!(
-                    runs.len(),
-                    par.min(items).max(1),
-                    "{what}: every thread gets work"
-                );
+                // One run per thread of the budget the items can fill; run
+                // i starts at i·⌊items / t⌋ + min(i, items mod t).
+                let t = par.min(items).max(1);
+                let start = |i: usize| i * (items / t) + i.min(items % t);
+                let want: Vec<_> = (0..t).map(|i| (start(i), start(i + 1))).collect();
+                assert_eq!(runs, want, "{what}: balanced contiguous runs");
                 let distinct: std::collections::HashSet<_> = threads.iter().collect();
                 assert_eq!(distinct.len(), runs.len(), "{what}: one thread per run");
                 assert!(threads.contains(&std::thread::current().id()));
@@ -294,6 +284,16 @@ mod tests {
             split_into(4, MIN_WORK, 5).1,
             [(0, 2), (2, 3), (3, 4), (4, 5)],
             "1 run of 2 items, 3 of 1"
+        );
+        let lens: Vec<usize> = split_into(7, MIN_WORK, 1_000)
+            .1
+            .iter()
+            .map(|r| r.1 - r.0)
+            .collect();
+        assert_eq!(
+            lens,
+            [143, 143, 143, 143, 143, 143, 142],
+            "6 runs of 143, 1 of 142"
         );
     }
 
