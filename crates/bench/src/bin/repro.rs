@@ -29,12 +29,11 @@
 //! [table](bcc_bench::experiments::GRIDS) — write their perf-trajectory
 //! files `BENCH_<artifact>.json` at the working directory.
 
-use bcc_bench::experiments::spec_run::ScenarioSpec;
-use bcc_bench::experiments::{ablation, fig2, fig5, scenario, spec_run, GRIDS};
+use bcc_bench::experiments::{ablation, fig2, fig5, paper_specs, scenario, spec_run, GRIDS};
 use bcc_bench::gate;
 use bcc_bench::grid::Options;
 use bcc_bench::report::{persist, Table};
-use bcc_core::experiment::{ExperimentSpec, Registries};
+use bcc_core::experiment::Registries;
 use std::path::PathBuf;
 
 struct Args {
@@ -187,35 +186,33 @@ fn main() {
     // fig4 shares its runs with table1/table2; compute each scenario once.
     let mut one = None;
     let mut two = None;
-    let iterations = if args.options.fast { 20 } else { 100 };
+    let iterations = scenario::table_iterations(args.options);
     if want("fig4") || want("table1") {
         let mut cfg = scenario::ScenarioConfig::scenario_one();
         cfg.iterations = iterations;
-        one = Some((scenario::run(&cfg, false), cfg));
+        one = Some(scenario::run(&cfg, false));
     }
     if want("fig4") || want("table2") {
         let mut cfg = scenario::ScenarioConfig::scenario_two();
         cfg.iterations = iterations;
-        two = Some((scenario::run(&cfg, false), cfg));
+        two = Some(scenario::run(&cfg, false));
     }
     if want("table1") {
         ran_any = true;
-        let (one, cfg) = one.as_ref().expect("computed above");
+        let one = one.as_ref().expect("computed above");
         print_table(&scenario::render(one));
         persist(&args.out_dir, "table1_scenario_one", one);
-        persist_scenario_spec(&args.out_dir, "table1_scenario_one", cfg);
     }
     if want("table2") {
         ran_any = true;
-        let (two, cfg) = two.as_ref().expect("computed above");
+        let two = two.as_ref().expect("computed above");
         print_table(&scenario::render(two));
         persist(&args.out_dir, "table2_scenario_two", two);
-        persist_scenario_spec(&args.out_dir, "table2_scenario_two", cfg);
     }
     if want("fig4") {
         ran_any = true;
-        let (one, _) = one.as_ref().unwrap();
-        let (two, _) = two.as_ref().unwrap();
+        let one = one.as_ref().unwrap();
+        let two = two.as_ref().unwrap();
         print_table(&scenario::render_figure4(one, two));
         persist(&args.out_dir, "fig4_runtime", &(one.clone(), two.clone()));
     }
@@ -230,10 +227,10 @@ fn main() {
 
     if want("ablations") {
         ran_any = true;
-        let comp = ablation::compression(2024);
-        let bw = ablation::bandwidth_sweep(2024);
-        let batches = ablation::batch_count_scan(2024);
-        let rs = ablation::random_stragglers(2024);
+        let comp = ablation::compression(ablation::SEED);
+        let bw = ablation::bandwidth_sweep(ablation::SEED);
+        let batches = ablation::batch_count_scan(ablation::SEED);
+        let rs = ablation::random_stragglers(ablation::SEED);
         for table in ablation::render_all(&comp, &bw, &batches, &rs) {
             print_table(&table);
         }
@@ -241,8 +238,11 @@ fn main() {
         persist(&args.out_dir, "ablation_bandwidth", &bw);
         persist(&args.out_dir, "ablation_batch_count", &batches);
         persist(&args.out_dir, "ablation_random_stragglers", &rs);
-        for (name, spec) in ablation_specs(2024) {
-            persist_spec(&args.out_dir, name, &spec);
+    }
+    // The resolved specs of the paper artifacts just run.
+    for (target, name, spec) in paper_specs(args.options) {
+        if want(target) {
+            persist(&args.out_dir, &format!("{name}.spec"), &spec);
         }
     }
 
@@ -395,55 +395,4 @@ fn run_scenario_file(path: &std::path::Path, out_dir: &std::path::Path) {
         .unwrap_or("scenario")
         .trim_end_matches(".spec");
     persist(out_dir, &format!("{stem}.result"), &result);
-}
-
-/// The resolved specs behind each ablation artifact — the *same* lists the
-/// ablation run functions consume, so replay cannot drift from the
-/// artifacts. (The batch-count scan is excepted: it averages over fresh
-/// placements with a distinct seed per round, so it has no single spec.)
-fn ablation_specs(seed: u64) -> Vec<(&'static str, ScenarioSpec)> {
-    vec![
-        (
-            "ablation_compression",
-            ScenarioSpec {
-                name: "ablation: in-worker summation".into(),
-                experiments: ablation::compression_specs(seed),
-            },
-        ),
-        (
-            "ablation_bandwidth",
-            ScenarioSpec {
-                name: "ablation: master bandwidth sweep".into(),
-                experiments: ablation::bandwidth_specs(seed),
-            },
-        ),
-        (
-            "ablation_random_stragglers",
-            ScenarioSpec {
-                name: "ablation: random stragglers".into(),
-                experiments: ablation::straggler_specs(seed),
-            },
-        ),
-    ]
-}
-
-/// Writes the scenario's resolved experiment specs as `<name>.spec.json`.
-fn persist_spec(dir: &std::path::Path, name: &str, spec: &ScenarioSpec) {
-    persist(dir, &format!("{name}.spec"), spec);
-}
-
-/// The resolved spec group for one Table I/II scenario.
-fn persist_scenario_spec(dir: &std::path::Path, name: &str, cfg: &scenario::ScenarioConfig) {
-    let experiments: Vec<ExperimentSpec> = scenario::paper_schemes(cfg.r)
-        .into_iter()
-        .map(|s| cfg.experiment_spec(s, false))
-        .collect();
-    persist_spec(
-        dir,
-        name,
-        &ScenarioSpec {
-            name: cfg.name.clone(),
-            experiments,
-        },
-    );
 }

@@ -12,6 +12,7 @@
 //!    repetition can finish before `m − r + 1` under random stragglers, but
 //!    stays above BCC.
 
+use super::spec_run::ScenarioSpec;
 use crate::report::{f1, f3, Table};
 use bcc_cluster::{ClusterProfile, CommModel};
 use bcc_core::experiment::{
@@ -22,6 +23,36 @@ use serde::{Deserialize, Serialize};
 
 /// Rounds used by each ablation arm.
 pub const ROUNDS: usize = 40;
+
+/// The seed `repro ablations` runs and writes its specs at.
+pub const SEED: u64 = 2024;
+
+/// The resolved specs behind each ablation artifact, keyed by file stem —
+/// the *same* lists the ablation run functions consume, so replay cannot
+/// drift from the artifacts. (The batch-count scan is excepted: it averages
+/// over fresh placements with a distinct seed per round, so it has no
+/// single spec.)
+#[must_use]
+pub fn specs(seed: u64) -> Vec<(&'static str, ScenarioSpec)> {
+    let spec = |name: &str, experiments| ScenarioSpec {
+        name: format!("ablation: {name}"),
+        experiments,
+    };
+    vec![
+        (
+            "ablation_compression",
+            spec("in-worker summation", compression_specs(seed)),
+        ),
+        (
+            "ablation_bandwidth",
+            spec("master bandwidth sweep", bandwidth_specs(seed)),
+        ),
+        (
+            "ablation_random_stragglers",
+            spec("random stragglers", straggler_specs(seed)),
+        ),
+    ]
+}
 
 /// Measured behaviour of one scheme under one cluster profile.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

@@ -13,7 +13,8 @@ pub mod scenario;
 pub mod spec_run;
 pub mod sweep;
 
-use crate::grid::Entry;
+use crate::grid::{Entry, Options};
+use spec_run::ScenarioSpec;
 
 /// The table of grids: every experiment behind a `BENCH_*.json`, in the
 /// order `repro all` runs them and `repro gate` reports them. One line
@@ -29,6 +30,40 @@ pub const GRIDS: [Entry; 8] = [
     Entry::of::<control::ControlConfig>(),
     Entry::of::<sweep::SweepConfig>(),
 ];
+
+/// Every tracked paper spec as `(repro target, file stem, spec)`, in the
+/// order `repro fig4 table1 table2 ablations` writes them under
+/// `experiments/`: Table I and II's scenarios at `options`' round count,
+/// then the ablations a spec list describes.
+#[must_use]
+pub fn paper_specs(options: Options) -> Vec<(&'static str, &'static str, ScenarioSpec)> {
+    let tables = [
+        (
+            "table1",
+            "table1_scenario_one",
+            scenario::ScenarioConfig::scenario_one(),
+        ),
+        (
+            "table2",
+            "table2_scenario_two",
+            scenario::ScenarioConfig::scenario_two(),
+        ),
+    ];
+    let mut specs: Vec<_> = tables
+        .into_iter()
+        .map(|(target, name, mut cfg)| {
+            cfg.iterations = scenario::table_iterations(options);
+            (target, name, cfg.scenario_spec())
+        })
+        .collect();
+    let ablations = ablation::specs(ablation::SEED);
+    specs.extend(
+        ablations
+            .into_iter()
+            .map(|(name, spec)| ("ablations", name, spec)),
+    );
+    specs
+}
 
 #[cfg(test)]
 mod tests {

@@ -9,15 +9,13 @@
 //!   spec seed — identical across hosts, thread counts, and `--fast` — and
 //!   are what the perf gate compares, so drift means a behaviour change,
 //!   never host noise.
-//! * **Server-side decode, serial vs parallel**: one round of the same
-//!   experiment — its scheme, its resident dataset, its minibatch sampler —
-//!   computed and encoded worker by worker into a decoder, which is then
-//!   drained through [`DecodePool::serial`] and [`DecodePool::threads`],
-//!   asserted **bit-identical** before timing — the determinism contract of
-//!   the parallel column reduction. The speedup column is only meaningful
-//!   on multi-core hosts; the result records
-//!   [`host_threads`](ScaleBenchResult::host_threads) so a single-core CI
-//!   reading (speedup ≈ 1) is not mistaken for a regression.
+//! * **Server-side decode**: one round of the same experiment — its
+//!   scheme, its resident dataset, its minibatch sampler — computed and
+//!   encoded worker by worker into a decoder, whose
+//!   [`Decoder::decode`](bcc_coding::Decoder::decode)
+//!   (the master's one decode) is then timed. The result records
+//!   [`host_threads`](ScaleBenchResult::host_threads), the host the
+//!   wall-clock column was read on.
 //!
 //! Each cell holds one dataset, dropped before the next cell starts.
 //!
@@ -30,7 +28,7 @@
 use crate::grid::{Artifact, Grid, Options};
 use crate::report::{f1, Table};
 use bcc_cluster::engine::RoundContext;
-use bcc_cluster::{DecodePool, UnitMap, UnitSelection, WorkerBlocks};
+use bcc_cluster::{UnitMap, UnitSelection, WorkerBlocks};
 use bcc_coding::GradientCodingScheme;
 use bcc_core::experiment::{DataSpec, Experiment, ExperimentSpec, OptimizerSpec, SchemeSpec};
 use bcc_optim::{GradScratch, LogisticLoss};
@@ -64,10 +62,8 @@ pub struct ScaleGrid {
 pub struct ScaleBenchConfig {
     /// The deterministic grid (the gate's comparison key).
     pub grid: ScaleGrid,
-    /// Timed decodes per cell and path (minimum is reported).
+    /// Timed decodes per cell (minimum is reported).
     pub decode_reps: usize,
-    /// Thread budget of the parallel decode path.
-    pub decode_threads: usize,
 }
 
 impl ScaleBenchConfig {
@@ -86,7 +82,6 @@ impl ScaleBenchConfig {
                 seed: 2024,
             },
             decode_reps: 5,
-            decode_threads: 8,
         }
     }
 
@@ -195,13 +190,8 @@ pub struct ScaleCellRow {
     /// workers (counts replication: each selected unit is computed by `r`
     /// workers).
     pub rows_per_sweep: usize,
-    /// Host seconds of the fastest serial decode of the completed round.
-    pub serial_decode_seconds: f64,
-    /// Host seconds of the fastest parallel decode (bit-identical result).
-    pub parallel_decode_seconds: f64,
-    /// `serial / parallel` (≈ 1 on single-core hosts — read with
-    /// [`ScaleBenchResult::host_threads`]).
-    pub decode_speedup: f64,
+    /// Host seconds of the fastest decode of the completed round.
+    pub decode_seconds: f64,
     /// Mean simulated round latency (deterministic; gated).
     pub simulated_seconds_per_round: f64,
     /// Mean messages consumed per round (deterministic).
@@ -209,8 +199,7 @@ pub struct ScaleCellRow {
 }
 
 /// The full benchmark result (serialized to `BENCH_scale.json`). Records
-/// `host_threads` — the context every wall-clock column (and especially
-/// `decode_speedup`) must be read in.
+/// `host_threads` — the context the wall-clock column must be read in.
 pub type ScaleBenchResult = Artifact<ScaleBenchConfig>;
 
 /// The evaluation point of the decoded round (fixed, seedless).
@@ -244,7 +233,7 @@ impl Grid for ScaleBenchConfig {
 
     const TARGET: &'static str = "scale";
     const ARTIFACT: &'static str = "scale";
-    const VERSION: u32 = 2;
+    const VERSION: u32 = 3;
     const GATED: (&'static str, &'static str) =
         ("simulated_seconds_per_round", "simulated s/round");
     const CLAIM: &'static str =
@@ -262,12 +251,10 @@ impl Grid for ScaleBenchConfig {
     /// Measures one cell.
     ///
     /// # Panics
-    /// Panics when the cell's spec fails to build or run (the grid is
-    /// structurally valid by construction) or when the parallel decode is
-    /// not bit-identical to the serial decode — the determinism contract
-    /// this benchmark exists to guard.
+    /// Panics when the cell's spec fails to build or run, or its round
+    /// fails to decode (the grid is structurally valid by construction).
     fn run_cell(&self, cell: &ScaleCell) -> ScaleCellRow {
-        let (config, grid) = (self, &self.grid);
+        let grid = &self.grid;
         let n = cell.workers;
         let num_examples = n * grid.points_per_unit;
 
@@ -279,7 +266,7 @@ impl Grid for ScaleBenchConfig {
         // One round of the same experiment, computed and encoded over the
         // resident arena worker by worker until the decoder completes.
         // (The cyclic-repetition decoder solves for its coefficients and
-        // then takes a weighted sum — the fold the pool parallelizes.)
+        // then takes a weighted sum.)
         let scheme = experiment.scheme();
         let units = UnitMap::grouped(num_examples, n);
         let packed = WorkerBlocks::build(scheme, &units, experiment.dataset());
@@ -309,32 +296,11 @@ impl Grid for ScaleBenchConfig {
         assert!(decoder.is_complete(), "all workers reported");
         let rows_per_sweep = sweep_rows(scheme, &units, selection.as_ref());
 
-        // Serial-vs-parallel decode of the completed round, asserted
-        // bit-identical before timing.
-        let serial = DecodePool::serial();
-        let parallel = DecodePool::threads(config.decode_threads);
-        let s_out = serial.decode(&*decoder).expect("serial decode");
-        let p_out = parallel.decode(&*decoder).expect("parallel decode");
-        assert!(
-            s_out.len() == p_out.len()
-                && s_out
-                    .iter()
-                    .zip(&p_out)
-                    .all(|(a, b)| a.to_bits() == b.to_bits()),
-            "parallel decode must be bit-identical to serial \
-                 (n={n}, dim={}, mode={})",
-            cell.dim,
-            cell.mode()
-        );
-        let mut serial_best = f64::INFINITY;
-        let mut parallel_best = f64::INFINITY;
-        for _ in 0..config.decode_reps.max(1) {
+        let mut decode_seconds = f64::INFINITY;
+        for _ in 0..self.decode_reps.max(1) {
             let t = Instant::now();
-            std::hint::black_box(serial.decode(&*decoder).expect("serial decode"));
-            serial_best = serial_best.min(t.elapsed().as_secs_f64());
-            let t = Instant::now();
-            std::hint::black_box(parallel.decode(&*decoder).expect("parallel decode"));
-            parallel_best = parallel_best.min(t.elapsed().as_secs_f64());
+            std::hint::black_box(decoder.decode().expect("decode"));
+            decode_seconds = decode_seconds.min(t.elapsed().as_secs_f64());
         }
 
         ScaleCellRow {
@@ -344,9 +310,7 @@ impl Grid for ScaleBenchConfig {
             examples: num_examples,
             minibatch_units: cell.minibatch,
             rows_per_sweep,
-            serial_decode_seconds: serial_best,
-            parallel_decode_seconds: parallel_best,
-            decode_speedup: serial_best / parallel_best,
+            decode_seconds,
             simulated_seconds_per_round: report.metrics.avg_round_time(),
             avg_messages_used: report.metrics.avg_recovery_threshold(),
         }
@@ -383,23 +347,13 @@ impl Grid for ScaleBenchConfig {
                 result.rows.len(),
                 result.host_threads.unwrap_or(1)
             ),
-            &[
-                "cell",
-                "examples",
-                "serial dec ms",
-                "par dec ms",
-                "dec speedup",
-                "sim s/round",
-                "K (msgs)",
-            ],
+            &["cell", "examples", "decode ms", "sim s/round", "K (msgs)"],
         );
         for row in &result.rows {
             table.push_row(vec![
                 format!("n{} d{} {}", row.workers, row.dim, row.mode),
                 row.examples.to_string(),
-                format!("{:.3}", row.serial_decode_seconds * 1e3),
-                format!("{:.3}", row.parallel_decode_seconds * 1e3),
-                format!("{:.2}x", row.decode_speedup),
+                format!("{:.3}", row.decode_seconds * 1e3),
                 format!("{:.3}", row.simulated_seconds_per_round),
                 f1(row.avg_messages_used),
             ]);
@@ -425,7 +379,6 @@ mod tests {
                 seed: 11,
             },
             decode_reps: 1,
-            decode_threads: 4,
         }
     }
 
@@ -444,13 +397,10 @@ mod tests {
 
     #[test]
     fn tiny_grid_produces_sane_rows() {
-        // `run_cell` asserts parallel decode ≡ serial decode bit for bit in
-        // every cell before it times either.
         let result = run(&tiny());
         assert_eq!(result.rows.len(), 4, "2 n × 1 dim × 2 modes");
         for row in &result.rows {
-            assert!(row.serial_decode_seconds > 0.0, "{row:?}");
-            assert!(row.parallel_decode_seconds > 0.0, "{row:?}");
+            assert!(row.decode_seconds > 0.0, "{row:?}");
             assert!(row.simulated_seconds_per_round > 0.0, "{row:?}");
         }
         let full = result.find("n8 d3 full").unwrap();
@@ -460,7 +410,7 @@ mod tests {
             mini.rows_per_sweep < full.rows_per_sweep,
             "minibatch sweeps touch fewer rows"
         );
-        assert_eq!(result.schema, "bcc/bench_scale/v2");
+        assert_eq!(result.schema, "bcc/bench_scale/v3");
         assert!(result.host_threads.is_some() && result.threads_used.is_none());
         assert_eq!(ScaleBenchConfig::render(&result).len(), 4);
     }

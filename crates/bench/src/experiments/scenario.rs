@@ -8,6 +8,8 @@
 //! README's engine/adapter notes); times are simulated seconds, so *ratios
 //! and ordering* are the reproduction target, not absolute values.
 
+use super::spec_run::ScenarioSpec;
+use crate::grid::Options;
 use crate::report::{f1, f3, Table};
 use bcc_core::experiment::{
     DataSpec, Experiment, ExperimentReport, ExperimentSpec, LatencySpec, OptimizerSpec, SchemeSpec,
@@ -103,6 +105,25 @@ impl ScenarioConfig {
             ..ExperimentSpec::with_required(self.workers, self.units, scheme)
         }
     }
+
+    /// The scenario's resolved spec group: one exact-decode experiment per
+    /// [`paper_schemes`] entry, what `repro table1` / `table2` persists.
+    #[must_use]
+    pub fn scenario_spec(&self) -> ScenarioSpec {
+        ScenarioSpec {
+            name: self.name.clone(),
+            experiments: paper_schemes(self.r)
+                .into_iter()
+                .map(|scheme| self.experiment_spec(scheme, false))
+                .collect(),
+        }
+    }
+}
+
+/// Rounds per Table I/II run: the paper's 100, or 20 under `--fast`.
+#[must_use]
+pub fn table_iterations(options: Options) -> usize {
+    options.pick(|| 100, || 20)
 }
 
 /// One row of Table I/II.

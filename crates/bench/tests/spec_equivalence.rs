@@ -1,20 +1,51 @@
-//! Spec-vs-code equivalence pin: the checked-in Table I spec file must
-//! reproduce exactly what the hand-parameterized `table1` path
+//! Spec-vs-code equivalence pins: every tracked paper spec file (Tables
+//! I and II, and the three ablations a spec list describes) is byte for
+//! byte what `repro fig4 table1 table2 ablations` writes, and the Table I
+//! spec reproduces exactly what the hand-parameterized `table1` path
 //! (`ScenarioConfig::scenario_one`) produces — same schemes, same
 //! `messages_used`, bit-identical times. This is the guarantee that makes
 //! `repro scenario experiments/table1_scenario_one.spec.json` a faithful
 //! replay of the paper artifact.
 
-use bcc_bench::experiments::{scenario, spec_run};
+use bcc_bench::experiments::{paper_specs, scenario, spec_run};
+use bcc_bench::grid::Options;
 use std::path::PathBuf;
 
 /// Iterations for the pinned comparison (the full artifact runs 100; the
 /// equivalence property is per-round, so a short run pins it cheaply).
 const ITERATIONS: usize = 8;
 
+fn experiments_dir() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../experiments")
+}
+
 fn checked_in_spec() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../../experiments/table1_scenario_one.spec.json")
+    experiments_dir().join("table1_scenario_one.spec.json")
+}
+
+#[test]
+fn every_paper_spec_file_is_what_repro_writes() {
+    let specs = paper_specs(Options::default());
+    let names: Vec<&str> = specs.iter().map(|&(_, name, _)| name).collect();
+    assert_eq!(
+        names,
+        [
+            "table1_scenario_one",
+            "table2_scenario_two",
+            "ablation_compression",
+            "ablation_bandwidth",
+            "ablation_random_stragglers",
+        ]
+    );
+    for (_, name, spec) in specs {
+        let path = experiments_dir().join(format!("{name}.spec.json"));
+        let checked_in =
+            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        assert!(
+            checked_in == serde_json::to_string_pretty(&spec).unwrap(),
+            "experiments/{name}.spec.json is not what repro writes — regenerate it"
+        );
+    }
 }
 
 #[test]

@@ -16,7 +16,6 @@
 //!
 //! [`OffsetModel`]: crate::mode::OffsetModel
 
-use crate::decode::DecodePool;
 use crate::minibatch::Minibatch;
 use crate::observer::SharedObserver;
 use crate::policy::AggregationPolicy;
@@ -33,7 +32,6 @@ use std::time::Duration;
 /// | `straggler_model` | ✓ | ✓ | ✓ |
 /// | `aggregation_policy` | ✓ | ✓ | ✓ |
 /// | `observer` | ✓ | ✓ | ✓ |
-/// | `decode_pool` | ✓ | ✓ | ✓ |
 /// | `minibatch` | ✓ | ✓ | ✓ |
 /// | `recv_timeout` | — | ✓ | ✓ |
 /// | `heartbeat_timeout` | — | — | ✓ |
@@ -52,8 +50,6 @@ pub struct BackendConfig {
     /// Subscriber for the per-round [`RoundEvent`](crate::observer::RoundEvent)
     /// stream.
     pub observer: Option<SharedObserver>,
-    /// Master decode/aggregate thread budget (unset: the serial fold).
-    pub decode_pool: Option<DecodePool>,
     /// Per-round unit-subset sampler (minibatch rounds).
     pub minibatch: Option<Minibatch>,
     /// Master stall-detection timeout (real time).
@@ -86,7 +82,6 @@ impl BackendConfig {
             straggler_model: other.straggler_model.or(self.straggler_model.take()),
             aggregation_policy: other.aggregation_policy.or(self.aggregation_policy.take()),
             observer: other.observer.or(self.observer.take()),
-            decode_pool: other.decode_pool.or(self.decode_pool),
             minibatch: other.minibatch.or(self.minibatch),
             recv_timeout: other.recv_timeout.or(self.recv_timeout),
             heartbeat_timeout: other.heartbeat_timeout.or(self.heartbeat_timeout),
@@ -115,13 +110,6 @@ impl BackendConfig {
     #[must_use]
     pub fn observer(mut self, observer: SharedObserver) -> Self {
         self.observer = Some(observer);
-        self
-    }
-
-    /// Sets the decode/aggregate thread budget.
-    #[must_use]
-    pub fn decode_pool(mut self, pool: DecodePool) -> Self {
-        self.decode_pool = Some(pool);
         self
     }
 
@@ -187,7 +175,6 @@ mod tests {
         assert!(c.straggler_model.is_none());
         assert!(c.aggregation_policy.is_none());
         assert!(c.observer.is_none());
-        assert!(c.decode_pool.is_none());
         assert!(c.minibatch.is_none());
         assert!(c.recv_timeout.is_none());
         assert!(c.heartbeat_timeout.is_none());
@@ -202,7 +189,6 @@ mod tests {
         let c = BackendConfig::new()
             .straggler_model(Arc::new(ShiftedExpModel::homogeneous(2, 1.0, 0.0)))
             .aggregation_policy(Arc::new(WaitDecodable))
-            .decode_pool(DecodePool::serial())
             .recv_timeout(Duration::from_secs(1))
             .heartbeat_timeout(Duration::from_secs(2))
             .connect_timeout(Duration::from_secs(3))
@@ -211,7 +197,6 @@ mod tests {
             .auth_token(42);
         assert!(c.straggler_model.is_some());
         assert!(c.aggregation_policy.is_some());
-        assert!(c.decode_pool.is_some());
         assert_eq!(c.recv_timeout, Some(Duration::from_secs(1)));
         assert_eq!(c.heartbeat_timeout, Some(Duration::from_secs(2)));
         assert_eq!(c.connect_timeout, Some(Duration::from_secs(3)));

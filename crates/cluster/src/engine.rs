@@ -19,7 +19,6 @@
 //! backend (pinned by `tests/backend_equivalence.rs` and
 //! `bcc_net`'s `tests/net_equivalence.rs`).
 
-use crate::decode::DecodePool;
 use crate::error::ClusterError;
 use crate::latency::ClusterProfile;
 use crate::metrics::{ArrivalStamp, RoundMetrics};
@@ -309,7 +308,6 @@ pub struct RoundEngine<'a> {
     /// policy finishes a round on exhaustion).
     last_at: f64,
     complete: bool,
-    pool: DecodePool,
     stamps: Vec<ArrivalStamp>,
 }
 
@@ -330,18 +328,8 @@ impl<'a> RoundEngine<'a> {
             max_compute_used: 0.0,
             last_at: 0.0,
             complete: false,
-            pool: DecodePool::default(),
             stamps: Vec::new(),
         }
-    }
-
-    /// Overrides the decode/aggregate thread budget (default: the serial
-    /// fold, [`DecodePool::default`]; any thread count gives the same
-    /// bits, see [`crate::decode`]).
-    #[must_use]
-    pub fn with_decode_pool(mut self, pool: DecodePool) -> Self {
-        self.pool = pool;
-        self
     }
 
     /// The policy's read-only view of the round.
@@ -350,7 +338,6 @@ impl<'a> RoundEngine<'a> {
             decoder: &*self.decoder,
             live_participants: self.live_participants,
             now: self.last_at,
-            pool: self.pool,
         }
     }
 

@@ -5,8 +5,8 @@
 //! trait, [`ClusterBackend`] (see the workspace README's architecture map
 //! for why the substitution preserves the paper's effects) — two here, two
 //! in `bcc_net`. All four run **one round loop** ([`round_loop`]: packing,
-//! validation, the round counter, policy / decode-pool / observer wiring,
-//! outcome assembly) over **one protocol engine** ([`engine::RoundEngine`]:
+//! validation, the round counter, policy and observer wiring, outcome
+//! assembly) over **one protocol engine** ([`engine::RoundEngine`]:
 //! decoder feeding, completion detection, stall handling, metrics), and the
 //! real-time ones share **one worker body** ([`worker::WorkerStep`]). A
 //! backend itself is only session set-up plus a

@@ -7,13 +7,12 @@
 //! (spawn a thread scope, bind a listener and a fleet, wait for
 //! registrations) around one [`RoundTransport`], its arrival adapter.
 //! Everything else around the [`RoundEngine`] — packing the worker blocks,
-//! validation, the attempted-round counter, policy / decode-pool / observer
-//! wiring, outcome assembly — happens here, once, so a fault or a phase span
+//! validation, the attempted-round counter, policy and observer wiring,
+//! outcome assembly — happens here, once, so a fault or a phase span
 //! injected in [`RoundLoop::run`] reaches every backend.
 
 use crate::backend::{ClusterBackend, RoundDriver, RoundOutcome};
 use crate::config::BackendConfig;
-use crate::decode::DecodePool;
 use crate::engine::{ArrivalSource, RoundContext, RoundEngine};
 use crate::error::ClusterError;
 use crate::latency::ClusterProfile;
@@ -180,15 +179,14 @@ pub struct RoundLoop<'a> {
     next_round: u64,
     rounds: usize,
     policy: Arc<dyn AggregationPolicy>,
-    decode_pool: DecodePool,
     observer: Option<SharedObserver>,
     driver: &'a mut dyn RoundDriver,
 }
 
 impl RoundLoop<'_> {
     /// Drives every round: evaluation point → broadcast → engine (policy,
-    /// decode pool, observer) over the transport's arrivals → aggregate →
-    /// outcome to the driver.
+    /// observer) over the transport's arrivals → aggregate → outcome to the
+    /// driver.
     ///
     /// # Errors
     /// The first round failure ([`ClusterError::Stalled`], coding/wire
@@ -201,8 +199,7 @@ impl RoundLoop<'_> {
             let selection = self.ctx.selection_for(round);
             let examples_used = selection.as_ref().map(|sel| self.ctx.examples_in(sel));
             let live = transport.begin_round(round, weights, selection);
-            let mut engine = RoundEngine::with_policy(self.ctx.scheme, live, &*self.policy)
-                .with_decode_pool(self.decode_pool);
+            let mut engine = RoundEngine::with_policy(self.ctx.scheme, live, &*self.policy);
             let result = {
                 // A user observer that panicked mid-event poisons only its
                 // own mutex: keep delivering events rather than panic in
@@ -268,9 +265,8 @@ impl<B: RoundSession> ClusterBackend for B {
             ctx,
             next_round: core.round,
             rounds,
-            // Defaults: the exact `WaitDecodable` policy, the serial fold.
+            // Default: the exact `WaitDecodable` policy.
             policy: policy.unwrap_or_else(default_policy),
-            decode_pool: core.config.decode_pool.unwrap_or_default(),
             observer: core.config.observer.clone(),
             driver,
         };

@@ -64,9 +64,9 @@ impl ThreadedCluster {
     }
 
     /// Stores `config`; this backend reads the latency model, aggregation
-    /// policy, observer, decode pool, minibatch sampler, and receive
-    /// timeout. TCP-only knobs (heartbeat/connect timeouts, pipelining,
-    /// job, auth token) are never read.
+    /// policy, observer, minibatch sampler, and receive timeout. TCP-only
+    /// knobs (heartbeat/connect timeouts, pipelining, job, auth token) are
+    /// never read.
     #[must_use]
     pub fn configured(mut self, config: BackendConfig) -> Self {
         self.core.config.merge(config);

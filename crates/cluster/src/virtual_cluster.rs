@@ -60,9 +60,9 @@ impl VirtualCluster {
     }
 
     /// Stores `config`; this backend reads the latency model, aggregation
-    /// policy, observer, decode pool, and minibatch sampler. Network-only
-    /// knobs (timeouts, pipelining, job, auth token) are never read — the
-    /// virtual clock has no real network.
+    /// policy, observer, and minibatch sampler. Network-only knobs
+    /// (timeouts, pipelining, job, auth token) are never read — the virtual
+    /// clock has no real network.
     #[must_use]
     pub fn configured(mut self, config: BackendConfig) -> Self {
         self.core.config.merge(config);

@@ -1,6 +1,6 @@
 //! Aggregation-policy equivalence suite.
 //!
-//! Four contracts:
+//! Three contracts:
 //!
 //! 1. **Legacy equivalence.** The default engine path *is*
 //!    [`WaitDecodable`]: a backend with no policy installed and one with
@@ -15,11 +15,7 @@
 //!    as in `backend_equivalence.rs`), the threaded and virtual backends
 //!    must agree byte-for-byte under *every* builtin policy, not just the
 //!    exact one.
-//! 3. **Parallel-decode equivalence.** The master's parallel
-//!    decode/aggregate fold ([`bcc_cluster::DecodePool`]) must replay the
-//!    serial fold bit-for-bit on every builtin scheme under every builtin
-//!    policy — exact decodes and partial (approximate) readouts alike.
-//! 4. **Row-shape equivalence.** The virtual backend reads replicated
+//! 3. **Row-shape equivalence.** The virtual backend reads replicated
 //!    partials from a unit-gradient table — borrowed for
 //!    contiguous placement rows, gathered for wrap-around and scattered
 //!    ones. Over several rounds at moving weights, with and without a
@@ -29,7 +25,7 @@
 use bcc_cluster::backend::FixedPointDriver;
 use bcc_cluster::{
     AggregationPolicy, BackendConfig, BestEffortAll, ClusterBackend, ClusterProfile, CommModel,
-    Deadline, DecodePool, EventLog, FastestK, Minibatch, RoundDriver, RoundEvent, RoundOutcome,
+    Deadline, EventLog, FastestK, Minibatch, RoundDriver, RoundEvent, RoundOutcome,
     ThreadedCluster, UnitMap, VirtualCluster, WaitDecodable, WorkerProfile,
 };
 use bcc_coding::{
@@ -319,71 +315,6 @@ fn virtual_replays_threaded_on_every_row_shape() {
         3,
         "the schemes must cover contiguous, wrap and scattered rows: {shapes:?}"
     );
-}
-
-#[test]
-fn parallel_decode_replays_the_serial_fold_on_every_scheme_and_policy() {
-    // A coarse staircase fixes the arrival order, so every policy's cut
-    // point — and with it the decoded/partially-decoded unit set — is
-    // identical between the two pools; the only degree of freedom left is
-    // the fold itself.
-    let shifts: Vec<f64> = (0..10).map(|i| 0.04 * (i + 1) as f64).collect();
-    let profile = staircase_profile(&shifts);
-    let units = UnitMap::grouped(40, 10);
-    let data = generate(&SyntheticConfig::small(40, 5, 83));
-    let w = vec![0.05; 5];
-    let policies: Vec<(&str, Arc<dyn AggregationPolicy>)> = vec![
-        ("wait-decodable", Arc::new(WaitDecodable)),
-        ("fastest-k", Arc::new(FastestK::new(6))),
-        ("deadline", Arc::new(Deadline::new(0.19))),
-        ("best-effort-all", Arc::new(BestEffortAll)),
-    ];
-    for scheme in builtin_schemes() {
-        for (policy_name, policy) in &policies {
-            // Some combinations legitimately cannot finish (e.g. a
-            // fastest-k cut below cyclic repetition's solve threshold): then both
-            // pools must fail identically, never just one of them.
-            let run = |pool: DecodePool| {
-                let mut cluster = VirtualCluster::new(profile.clone(), 83).configured(
-                    BackendConfig::new()
-                        .aggregation_policy(Arc::clone(policy))
-                        .decode_pool(pool),
-                );
-                let mut driver = FixedPointDriver::new(w.clone());
-                cluster
-                    .run_rounds(
-                        3,
-                        scheme.as_ref(),
-                        &units,
-                        &data.dataset,
-                        &LogisticLoss,
-                        &mut driver,
-                    )
-                    .map(|()| driver.outcomes)
-            };
-            let tag = format!("{}/{policy_name}", scheme.name());
-            match (run(DecodePool::serial()), run(DecodePool::threads(8))) {
-                (Ok(serial), Ok(parallel)) => {
-                    assert_eq!(serial.len(), parallel.len(), "{tag}");
-                    for (round, (s, p)) in serial.iter().zip(&parallel).enumerate() {
-                        assert_outcomes_identical(s, p, &format!("{tag}/round {round}"));
-                    }
-                }
-                (Err(serial), Err(parallel)) => {
-                    assert_eq!(
-                        serial.to_string(),
-                        parallel.to_string(),
-                        "{tag}: pools must fail identically"
-                    );
-                }
-                (serial, parallel) => panic!(
-                    "{tag}: pools diverged — serial {:?} vs parallel {:?}",
-                    serial.map(|o| o.len()),
-                    parallel.map(|o| o.len())
-                ),
-            }
-        }
-    }
 }
 
 #[test]

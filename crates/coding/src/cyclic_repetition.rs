@@ -318,18 +318,6 @@ impl Decoder for CrDecoder<'_> {
         // rows span the decoding space, then everything at once.
         Coverage::all_or_nothing(self.is_complete(), self.scheme.num_examples())
     }
-
-    fn partial_sum_terms(&self) -> Option<Vec<(f64, &[f64])>> {
-        // Only meaningful once the decoding coefficients exist; before
-        // completion the serial path must surface `NotComplete`.
-        let a = self.coefficients.as_ref()?;
-        let terms: Vec<_> = a
-            .iter()
-            .copied()
-            .zip(self.messages.iter().map(Vec::as_slice))
-            .collect();
-        (!terms.is_empty()).then_some(terms)
-    }
 }
 
 #[cfg(test)]
@@ -508,18 +496,6 @@ mod tests {
         assert_eq!(s.decoding_coefficients(&all_but_three_from(112)), None);
         let everyone: Vec<usize> = (0..200).collect();
         assert_eq!(s.decoding_coefficients(&everyone), None);
-    }
-
-    #[test]
-    fn terms_appear_exactly_when_the_coefficients_do() {
-        let s = scheme(10, 3, 5);
-        let grads = random_gradients(10, 8, 13);
-        let mut dec = s.decoder();
-        for i in 0..10 {
-            let partials = worker_partials(s.placement(), i, &grads);
-            dec.receive(i, s.encode(i, &partials).unwrap()).unwrap();
-            assert_eq!(dec.partial_sum_terms().is_some(), dec.is_complete());
-        }
     }
 
     #[test]

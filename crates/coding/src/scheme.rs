@@ -156,21 +156,6 @@ pub trait Decoder {
     fn decode_partial(&self) -> Result<Vec<f64>, CodingError> {
         self.decode()
     }
-
-    /// The decoder's current result expressed as a weighted sum
-    /// `Σ cᵢ·vᵢ` over borrowed state vectors, **in the exact term order the
-    /// serial decode folds them** — the hook parallel aggregation uses.
-    ///
-    /// `Some(terms)` promises that folding the terms left-to-right with
-    /// `out[k] = c₀·v₀[k]; out[k] = vᵢ[k].mul_add(cᵢ, out[k])` reproduces
-    /// [`Decoder::decode`] (when [`Decoder::is_complete`]) or
-    /// [`Decoder::decode_partial`] (otherwise) bit-for-bit. Decoders whose
-    /// recovery is not a linear combination of stored vectors in a fixed
-    /// order (e.g. linear solves) return `None`, and callers must fall back
-    /// to the serial entry points. The default is `None`.
-    fn partial_sum_terms(&self) -> Option<Vec<(f64, &[f64])>> {
-        None
-    }
 }
 
 /// The argument check every `encode` starts with: `worker` exists and
@@ -411,11 +396,6 @@ impl Decoder for CoverageDecoder<'_> {
         vec_ops::sum_vectors(self.kept_vectors()).ok_or(CodingError::NotComplete {
             received: self.log.messages(),
         })
-    }
-
-    fn partial_sum_terms(&self) -> Option<Vec<(f64, &[f64])>> {
-        let terms: Vec<_> = self.kept_vectors().map(|v| (1.0, v)).collect();
-        (!terms.is_empty()).then_some(terms)
     }
 }
 

@@ -91,8 +91,10 @@ fn drive(
     let mut dec = scheme.decoder();
     for &worker in arrival {
         if dec.receive(worker, payloads[worker].clone()).unwrap() {
-            let terms = dec.partial_sum_terms().unwrap();
-            let coefficients = terms.iter().map(|&(a, _)| a).collect();
+            // The pure function the decoder itself solved on this message.
+            let coefficients = scheme
+                .decoding_coefficients(&arrival[..dec.messages_received()])
+                .unwrap();
             return (coefficients, dec.decode().unwrap());
         }
     }

@@ -6,15 +6,14 @@
 //!
 //! Per scheme, over random arrival orders × seeds at `m = n = 20`, `r = 4`
 //! (workers a placement leaves empty never report, as in the round engine):
-//! exact recovery, truthful monotone coverage, the partial readout,
-//! `partial_sum_terms` folding bit-identically (serially and in parallel),
-//! and `receive` rejecting hostile input atomically.
+//! exact recovery, `NotComplete` from an empty or incomplete decoder,
+//! truthful monotone coverage, the partial readout, and `receive` rejecting
+//! hostile input atomically.
 
 use bcc_cluster::ClusterProfile;
 use bcc_coding::scheme::test_support::{random_gradients, total_sum, worker_partials};
 use bcc_coding::{CodingError, Decoder, GradientCodingScheme, Payload};
 use bcc_core::{hetero, SchemeSpec};
-use bcc_linalg::parallel::{par_weighted_sum, Parallelism};
 use bcc_stats::rng::derive_rng;
 use rand::seq::SliceRandom;
 
@@ -81,19 +80,6 @@ fn sum_over(units: &[bool], grads: &[Vec<f64>]) -> Vec<f64> {
     total_sum(&covered.cloned().collect::<Vec<_>>())
 }
 
-/// The exact serial fold the `partial_sum_terms` contract names:
-/// `out[k] = c₀·v₀[k]; out[k] = vᵢ[k].mul_add(cᵢ, out[k])`.
-fn serial_fold(terms: &[(f64, &[f64])]) -> Vec<f64> {
-    let (c0, v0) = terms[0];
-    let mut out: Vec<f64> = v0.iter().map(|x| c0 * x).collect();
-    for &(c, v) in &terms[1..] {
-        for (o, x) in out.iter_mut().zip(v) {
-            *o = x.mul_add(c, *o);
-        }
-    }
-    out
-}
-
 fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
 }
@@ -106,20 +92,21 @@ fn observables(dec: &dyn Decoder) -> impl PartialEq + std::fmt::Debug {
         dec.coverage(),
         dec.is_complete(),
         dec.decode_partial().map(|v| bits(&v)),
-        dec.partial_sum_terms()
-            .map(|terms| bits(&serial_fold(&terms))),
+        dec.decode().map(|v| bits(&v)),
     )
 }
 
 #[test]
-fn every_registered_scheme_decodes_covers_and_folds() {
+fn every_registered_scheme_decodes_and_covers() {
     for seed in 0..SEEDS {
         for scheme in schemes_under_test(seed) {
             let grads = random_gradients(M, 9, seed ^ 0x9e);
             for k in 0..ORDERS {
                 let what = format!("{} (seed {seed}, order {k})", scheme.name());
                 let mut dec = scheme.decoder();
-                assert!(dec.partial_sum_terms().is_none(), "{what}: no terms yet");
+                let nothing = Err(CodingError::NotComplete { received: 0 });
+                assert_eq!(dec.decode(), nothing, "{what}: empty decode");
+                assert_eq!(dec.decode_partial(), nothing, "{what}: empty readout");
                 let mut heard = vec![false; M];
                 let mut covered_before = 0;
                 for worker in arrival_order(scheme.as_ref(), seed, k) {
@@ -140,6 +127,15 @@ fn every_registered_scheme_decodes_covers_and_folds() {
                     assert!(coverage.covered_units >= covered_before, "{what}");
                     covered_before = coverage.covered_units;
                     assert!(!done || coverage.is_full(), "{what}: complete ⇒ full");
+                    if !done {
+                        assert_eq!(
+                            dec.decode(),
+                            Err(CodingError::NotComplete {
+                                received: dec.messages_received()
+                            }),
+                            "{what}: no exact decode before completion"
+                        );
+                    }
                     let partial = dec.decode_partial();
                     if coverage.covered_units == 0 {
                         assert_eq!(
@@ -157,30 +153,6 @@ fn every_registered_scheme_decodes_covers_and_folds() {
                             bcc_linalg::approx_eq_slice(&partial, &expect, 1e-6),
                             "{what}: partial readout ≠ Σ over the covered units"
                         );
-                    }
-
-                    // Terms, when offered, fold to the serial entry point's
-                    // exact bits — and are not offered without a result.
-                    let serial = if done {
-                        dec.decode()
-                    } else {
-                        dec.decode_partial()
-                    };
-                    let threads: &[usize] = if k == 0 { &[1, 2, 8] } else { &[] };
-                    match (dec.partial_sum_terms(), serial) {
-                        (None, _) => {}
-                        (Some(_), Err(e)) => panic!("{what}: terms but no result ({e})"),
-                        (Some(terms), Ok(serial)) => {
-                            assert_eq!(bits(&serial_fold(&terms)), bits(&serial), "{what}");
-                            for &t in threads {
-                                let par = par_weighted_sum(Parallelism::threads(t), &terms);
-                                assert_eq!(
-                                    bits(&par.expect("non-empty terms")),
-                                    bits(&serial),
-                                    "{what} ({t} threads)"
-                                );
-                            }
-                        }
                     }
                 }
 

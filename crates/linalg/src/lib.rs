@@ -11,8 +11,8 @@
 //!   decoder, which solves the banded `a^T B_F = 1^T`).
 //! * [`parallel`] — the thread budget ([`parallel::Parallelism`]), the one
 //!   scoped splitter every data-parallel path runs on
-//!   ([`parallel::split_runs`]), and the bit-deterministic column-parallel
-//!   weighted sum the decode pool folds with.
+//!   ([`parallel::split_runs`]), and a bit-deterministic column-parallel
+//!   weighted sum that only the benchmark package's layer replay calls.
 //!
 //! Everything is `f64`; the reproduction never needs mixed precision.
 

@@ -1,14 +1,15 @@
 //! The thread budget, and the one splitter every data-parallel path runs on.
 //!
-//! The workloads use data parallelism in three places, all under a
-//! [`Parallelism`] budget, all through [`split_runs`] and all bit-identical
-//! at every thread count: the master's weighted sum of received vectors,
-//! split across columns ([`par_weighted_sum`], here); the virtual backend's
-//! unit-gradient table, whose unfilled entries are split into
-//! ascending id runs (`bcc_cluster::packed::UnitGradientCache::fill`); and
-//! the synthetic data generator, whose rows are split into contiguous runs,
-//! each example drawn from its own stream
-//! (`bcc_data::synthetic::generate_rows`). One threshold, [`MIN_WORK`],
+//! The library uses data parallelism in two places, both under a
+//! [`Parallelism`] budget, both through [`split_runs`] and both
+//! bit-identical at every thread count: the virtual backend's unit-gradient
+//! table, whose unfilled entries are split into ascending id runs
+//! (`bcc_cluster::packed::UnitGradientCache::fill`); and the synthetic data
+//! generator, whose rows are split into contiguous runs, each example drawn
+//! from its own stream (`bcc_data::synthetic::generate_rows`). The master
+//! decodes serially; [`par_weighted_sum`], a column-split weighted sum of
+//! vectors, stays only because the benchmark package's layer replay times
+//! it. One threshold, [`MIN_WORK`],
 //! decides whether a job is shared at all. [`Parallelism::available`] is
 //! the one place the host's core count is read, once per process. Scoped
 //! threads keep borrows simple (no `Arc`), per the Rust Atomics & Locks

@@ -256,10 +256,10 @@ impl TcpCluster {
     }
 
     /// Stores `config` — the TCP master reads the full set (latency model,
-    /// aggregation policy, observer, decode pool, minibatch,
-    /// receive/heartbeat/connect timeouts, pipelining, job string, auth
-    /// token). The token is also published to the acceptor thread, which
-    /// has been checking `Hello`s since [`TcpCluster::bind`].
+    /// aggregation policy, observer, minibatch, receive/heartbeat/connect
+    /// timeouts, pipelining, job string, auth token). The token is also
+    /// published to the acceptor thread, which has been checking `Hello`s
+    /// since [`TcpCluster::bind`].
     #[must_use]
     pub fn configured(mut self, config: BackendConfig) -> Self {
         self.core.config.merge(config);

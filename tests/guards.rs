@@ -247,6 +247,26 @@ const GUARDS: &[Guard] = &[
         rule: Rule::Banned(&["UnitGradientCache"]),
     },
     Guard {
+        name: "One decode on the master",
+        set_by: "the master decodes on one path",
+        why: "a policy's `finish` calls the decoder's own `decode` / \
+              `decode_partial`; the opt-in threaded fold of \
+              `partial_sum_terms`, its `BackendConfig` knob and its \
+              `RoundEngine` setter are gone. Measured on a 2-core host it was \
+              1.3–1.9× slower at n = 50 × dim 10240 and 1.3–1.6× slower at \
+              n = 1000 × dim 1024, and won (1.13–1.40×) only at n = 1000 × \
+              dim 10240, where no run used it. A threaded fold returns only \
+              with an automatic size threshold and a benchmark workload on \
+              each side of it, never as a knob",
+        paths: CODE,
+        rule: Rule::Banned(&[
+            "partial_sum_terms",
+            "decode_pool",
+            "with_decode_pool",
+            "DecodePool::threads",
+        ]),
+    },
+    Guard {
         name: "Nothing unreached — every public fn and const has a user",
         set_by: "the workspace orphan sweep",
         why: "an item only its own unit tests call is code no run reaches; \
