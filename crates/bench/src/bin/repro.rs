@@ -31,7 +31,7 @@
 
 use bcc_bench::experiments::{ablation, fig2, fig5, paper_specs, scenario, spec_run, GRIDS};
 use bcc_bench::gate;
-use bcc_bench::grid::Options;
+use bcc_bench::grid::{writes_specs, Options};
 use bcc_bench::report::{persist, Table};
 use bcc_core::experiment::Registries;
 use std::path::PathBuf;
@@ -239,9 +239,11 @@ fn main() {
         persist(&args.out_dir, "ablation_batch_count", &batches);
         persist(&args.out_dir, "ablation_random_stragglers", &rs);
     }
-    // The resolved specs of the paper artifacts just run.
-    for (target, name, spec) in paper_specs(args.options) {
-        if want(target) {
+    // The resolved specs of the paper artifacts just run (under `--fast`,
+    // only those the smoke configuration leaves at their full form).
+    let full = paper_specs(args.options.full());
+    for ((target, name, spec), (_, _, full)) in paper_specs(args.options).into_iter().zip(full) {
+        if want(target) && writes_specs(args.options, name, &spec, &full) {
             persist(&args.out_dir, &format!("{name}.spec"), &spec);
         }
     }

@@ -3,19 +3,21 @@
 //!
 //! The paper fixes its round protocol offline; the
 //! [control layer](bcc_control) re-tunes it between rounds from arrival
-//! telemetry. This grid pits every builtin controller against the pinned
-//! `static` baseline under the two time-correlated straggler regimes the
+//! telemetry. This grid pits every builtin controller against two `static`
+//! baselines under the two time-correlated straggler regimes the
 //! controllers are built for — Markov chains and the bimodal cluster with
 //! a persistently slow subset — across the paper's scheme comparison.
 //!
-//! Every cell starts from the **`best-effort-all`** aggregation policy:
-//! the oracle baseline that drains every worker and therefore pays the
-//! full straggler tail each round. The `static` controller leaves it in
-//! place (bit-identical to an uncontrolled run); the adaptive controllers
+//! Every controller starts from **`best-effort-all`**, which drains every
+//! worker and pays the full straggler tail each round; the adaptive ones
 //! detect the slow set online and re-point the policy (`fastest-k`, a
-//! telemetry-derived `deadline`) to cut the tail. On the coded schemes the
-//! cut rounds still decode exactly, so the headline claim is measurable
-//! per cell: **lower simulated wallclock at equal-or-better final risk**.
+//! telemetry-derived `deadline`) to cut it. The claim has two clauses, one
+//! per `static` row of a cell: every adaptive controller beats `static`
+//! over `best-effort-all` at ≤ 1 % risk slack in ≥ 4 cells, and none beats
+//! `static` over `wait-decodable` — **the paper's rule**: stop at BCC's
+//! coupon-collector threshold and decode exactly — at equal-or-lower risk
+//! in any cell. On the coded schemes the rule is the fastest column; on
+//! `uncoded` the controllers finish sooner only at a higher risk.
 //!
 //! Every cell is an independent seeded experiment on the virtual backend —
 //! a pooled [`Grid`] exactly like the [training-mode grid](super::modes) —
@@ -35,6 +37,13 @@ use serde::{Deserialize, Serialize};
 
 /// The pinned baseline controller every adaptive column is judged against.
 pub const STATIC_NAME: &str = "static";
+
+/// The policy every controller starts from: wait for every worker.
+pub const START_POLICY: &str = "best-effort-all";
+
+/// The paper's rule, run under [`STATIC_NAME`] as the second baseline:
+/// wait until the received batches decode, then decode exactly.
+pub const PAPER_RULE: &str = "wait-decodable";
 
 /// Configuration of one adaptive-control grid run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -143,29 +152,39 @@ impl ControlConfig {
             ControllerSpec::named(STATIC_NAME),
             ControllerSpec::quantile_deadline(0.7),
             ControllerSpec::adaptive_k(3.0),
-            ControllerSpec::regime_switch(2),
         ]
     }
 
     /// The full cell grid in row order: model-major, then scheme, then
-    /// controller. Each entry is `(cell name, resolved spec)`; the name
-    /// doubles as the per-cell spec-file stem.
+    /// column — every controller from [`START_POLICY`], with `static` once
+    /// more over the [`PAPER_RULE`] right after its first row. Each entry
+    /// is `(cell name, resolved spec)`; the name doubles as the per-cell
+    /// spec-file stem, and names the starting policy only when it is not
+    /// [`START_POLICY`].
     #[must_use]
     pub fn cells(&self) -> Vec<(String, ExperimentSpec)> {
+        let from_start = |controller| (controller, START_POLICY);
+        let mut columns: Vec<_> = self.controllers().into_iter().map(from_start).collect();
+        columns.insert(1, (ControllerSpec::named(STATIC_NAME), PAPER_RULE));
         let mut cells = Vec::new();
         for (model, latency) in self.models() {
             for scheme in partial_readout_schemes(self.r) {
-                for controller in self.controllers() {
-                    let name = format!("{model}_{}_{}", scheme.name, controller.name);
+                for (controller, policy) in columns.clone() {
+                    let (mut stem, mut label) = (controller.name.clone(), controller.name.clone());
+                    if policy != START_POLICY {
+                        stem = format!("{stem}_{policy}");
+                        label = format!("{label} / {policy}");
+                    }
+                    let name = format!("{model}_{}_{stem}", scheme.name);
                     let spec = ExperimentSpec {
-                        name: format!("control / {model} / {} / {}", scheme.name, controller.name),
+                        name: format!("control / {model} / {} / {label}", scheme.name),
                         data: DataSpec::synthetic(self.points_per_unit, self.dim),
                         latency: latency.clone(),
                         optimizer: OptimizerSpec::GradientDescent {
                             rate: LearningRate::Constant(self.rate),
                         },
-                        policy: PolicySpec::named("best-effort-all"),
-                        controller: controller.clone(),
+                        policy: PolicySpec::named(policy),
+                        controller,
                         iterations: self.iterations,
                         record_risk: true,
                         seed: self.seed,
@@ -188,6 +207,8 @@ pub struct ControlCellRow {
     pub scheme: String,
     /// Controller name.
     pub controller: String,
+    /// The aggregation policy the run started from (what `static` keeps).
+    pub policy: String,
     /// Gradient rounds run.
     pub rounds: usize,
     /// Simulated wallclock of the run — the axis the controllers exist to
@@ -212,27 +233,27 @@ pub struct ControlCellRow {
 pub type ControlResult = Artifact<ControlConfig>;
 
 impl ControlResult {
-    /// Row lookup by `(model, scheme, controller)`.
+    /// Row lookup by `(model, scheme, controller, starting policy)`.
     #[must_use]
-    pub fn row(&self, model: &str, scheme: &str, controller: &str) -> Option<&ControlCellRow> {
-        self.find(&format!("{model}/{scheme}/{controller}"))
+    pub fn row(
+        &self,
+        model: &str,
+        scheme: &str,
+        controller: &str,
+        policy: &str,
+    ) -> Option<&ControlCellRow> {
+        self.find(&format!("{model}/{scheme}/{controller}/{policy}"))
     }
 
-    /// The cells where an adaptive controller beat its `static`
-    /// counterpart on simulated wallclock **at equal-or-lower final risk**
-    /// (within `risk_slack`, e.g. `0.01` for 1 %): the grid's headline
-    /// claim. Returns `(model, scheme, controller, wallclock speedup)`
-    /// tuples.
+    /// The rows that beat their cell's `static` row started from `policy`
+    /// on simulated wallclock **at equal-or-lower final risk** (within
+    /// `risk_slack`, e.g. `0.01` for 1 %), each with its wallclock speedup.
+    /// Against [`START_POLICY`] that is the controllers' claim; against
+    /// [`PAPER_RULE`] at zero slack it must stay empty.
     #[must_use]
-    pub fn wins_over_static(&self, risk_slack: f64) -> Vec<(String, String, String, f64)> {
-        let fixed = |r: &ControlCellRow| format!("{}/{}/{STATIC_NAME}", r.model, r.scheme);
+    pub fn wins_over_static(&self, policy: &str, risk_slack: f64) -> Vec<(&ControlCellRow, f64)> {
+        let fixed = |r: &ControlCellRow| format!("{}/{}/{STATIC_NAME}/{policy}", r.model, r.scheme);
         self.wins_over(fixed, |r| (r.simulated_seconds, r.final_risk), risk_slack)
-            .into_iter()
-            .map(|(r, speedup)| {
-                let (model, scheme) = (r.model.clone(), r.scheme.clone());
-                (model, scheme, r.controller.clone(), speedup)
-            })
-            .collect()
     }
 }
 
@@ -244,7 +265,7 @@ impl Grid for ControlConfig {
     const ARTIFACT: &'static str = "adaptive";
     const GATED: (&'static str, &'static str) = ("simulated_seconds", "simulated s");
     const CLAIM: &'static str =
-        "every adaptive controller beats `static` on simulated wallclock at ≤ 1% risk slack in ≥ 4 cells";
+        "every adaptive controller beats `static` + `best-effort-all` on simulated wallclock at ≤ 1% risk slack in ≥ 4 cells, and none beats `static` + `wait-decodable` (the paper's rule) at equal-or-lower risk in any cell";
 
     fn config(options: Options) -> Self {
         options.pick(Self::default_config, Self::fast)
@@ -264,6 +285,7 @@ impl Grid for ControlConfig {
             model: spec.latency.model_name().to_string(),
             scheme: report.scheme,
             controller: spec.controller.name.clone(),
+            policy: spec.policy.name.clone(),
             rounds: report.round_samples.len(),
             simulated_seconds: report.simulated_seconds,
             avg_messages_used: report.metrics.avg_recovery_threshold(),
@@ -275,22 +297,33 @@ impl Grid for ControlConfig {
     }
 
     fn key(row: &ControlCellRow) -> String {
-        format!("{}/{}/{}", row.model, row.scheme, row.controller)
+        format!(
+            "{}/{}/{}/{}",
+            row.model, row.scheme, row.controller, row.policy
+        )
     }
 
     /// The artifact's headline claim must keep holding on fresh runs, not
-    /// just its timings.
+    /// just its timings: both of its clauses.
     fn claim(current: &ControlResult) -> Result<(), String> {
-        let wins = current.wins_over_static(0.01);
+        let wins = current.wins_over_static(START_POLICY, 0.01);
         for controller in current.config.controllers() {
             let name = controller.name;
-            let own = wins.iter().filter(|(_, _, c, _)| *c == name).count();
+            let own = wins.iter().filter(|(r, _)| r.controller == name).count();
             if name != STATIC_NAME && own < 4 {
                 return Err(format!(
-                    "controller `{name}` now beats static in only {own} cells \
+                    "controller `{name}` now beats static + {START_POLICY} in only {own} cells \
                      (need ≥ 4 at ≤ 1% risk slack) — the adaptive-control claim broke"
                 ));
             }
+        }
+        if let Some((row, speedup)) = current.wins_over_static(PAPER_RULE, 0.0).first() {
+            return Err(format!(
+                "`{}` over {} beats the paper's rule (static + {PAPER_RULE}) on {}/{} \
+                 ({speedup:.2}x at equal-or-lower risk) — the claim that no controller \
+                 does broke",
+                row.controller, row.policy, row.model, row.scheme
+            ));
         }
         Ok(())
     }
@@ -300,7 +333,7 @@ impl Grid for ControlConfig {
     }
 
     /// Each (model, scheme) block reads as one static-vs-adaptive
-    /// comparison across the controller column.
+    /// comparison across the controller column, against both baselines.
     fn render(result: &ControlResult) -> Table {
         let mut t = Table::new(
             format!(
@@ -313,30 +346,36 @@ impl Grid for ControlConfig {
                 "model",
                 "scheme",
                 "controller",
+                "start policy",
                 "rounds",
                 "K (msgs)",
                 "switches",
                 "wallclock s",
-                "vs static",
+                "vs static all",
+                "vs paper rule",
                 "final risk",
             ],
         );
         for row in &result.rows {
-            let speedup = result
-                .row(&row.model, &row.scheme, STATIC_NAME)
-                .map_or_else(
-                    || "-".into(),
-                    |base| format!("{:.2}x", base.simulated_seconds / row.simulated_seconds),
-                );
+            let speedup = |policy| {
+                result
+                    .row(&row.model, &row.scheme, STATIC_NAME, policy)
+                    .map_or_else(
+                        || "-".into(),
+                        |base| format!("{:.2}x", base.simulated_seconds / row.simulated_seconds),
+                    )
+            };
             t.push_row(vec![
                 row.model.clone(),
                 row.scheme.clone(),
                 row.controller.clone(),
+                row.policy.clone(),
                 row.rounds.to_string(),
                 f1(row.avg_messages_used),
                 row.switches.to_string(),
                 f3(row.simulated_seconds),
-                speedup,
+                speedup(START_POLICY),
+                speedup(PAPER_RULE),
                 format!("{:.4}", row.final_risk),
             ]);
         }
@@ -364,7 +403,7 @@ pub(crate) mod tests {
         assert_eq!(
             result.rows.len(),
             2 * 3 * 4,
-            "2 models × 3 schemes × 4 controllers"
+            "2 models × 3 schemes × (3 controllers + the paper's rule)"
         );
         for row in &result.rows {
             assert!(row.simulated_seconds > 0.0);
@@ -373,35 +412,82 @@ pub(crate) mod tests {
             assert_eq!(row.trace.len(), cfg.iterations, "one decision per round");
             if row.controller == STATIC_NAME {
                 assert_eq!(row.switches, 0, "static never switches");
+                assert!(row.trace.iter().all(|r| r.policy.policy == row.policy));
+            } else {
+                assert_eq!(row.policy, START_POLICY);
             }
         }
-        for controller in ["static", "quantile-deadline", "adaptive-k", "regime-switch"] {
-            assert!(
-                result.rows.iter().any(|r| r.controller == controller),
-                "{controller}"
-            );
-        }
+        let columns: Vec<(&str, &str)> = result.rows[..4]
+            .iter()
+            .map(|r| (r.controller.as_str(), r.policy.as_str()))
+            .collect();
+        assert_eq!(
+            columns,
+            [
+                ("static", "best-effort-all"),
+                ("static", "wait-decodable"),
+                ("quantile-deadline", "best-effort-all"),
+                ("adaptive-k", "best-effort-all"),
+            ]
+        );
         assert_eq!(ControlConfig::render(&result).len(), result.rows.len());
     }
 
     #[test]
     fn every_adaptive_controller_beats_static_at_matched_risk() {
-        // The grid's headline claim (and the PR's acceptance bar): each
-        // adaptive builtin beats its static counterpart on simulated
-        // wallclock at equal-or-lower final risk (1 % slack) in at least
-        // four of its six Markov/bimodal cells.
+        // The grid's headline claim: each adaptive builtin beats static +
+        // best-effort-all on simulated wallclock at equal-or-lower final
+        // risk (1 % slack) in at least four of its six Markov/bimodal
+        // cells, and none beats the paper's rule at equal-or-lower risk.
         let result = run(&tiny());
-        let wins = result.wins_over_static(0.01);
-        for controller in ["quantile-deadline", "adaptive-k", "regime-switch"] {
-            let own: Vec<_> = wins.iter().filter(|(_, _, c, _)| c == controller).collect();
+        let wins = result.wins_over_static(START_POLICY, 0.01);
+        for controller in ["quantile-deadline", "adaptive-k"] {
+            let own: Vec<_> = wins
+                .iter()
+                .filter(|(r, _)| r.controller == controller)
+                .collect();
             assert!(
                 own.len() >= 4,
                 "{controller}: need ≥ 4 wins over static, got {own:?}"
             );
-            for (_, _, _, speedup) in &own {
+            for (_, speedup) in &own {
                 assert!(*speedup > 1.0);
             }
         }
+        assert_eq!(result.wins_over_static(PAPER_RULE, 0.0), vec![]);
+        assert_eq!(ControlConfig::claim(&result), Ok(()));
+    }
+
+    #[test]
+    fn a_controller_faster_than_the_paper_rule_breaks_the_claim() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let checked_in: ControlResult = crate::grid::read(&root).expect("artifact is checked in");
+        assert_eq!(ControlConfig::claim(&checked_in), Ok(()));
+        // One coded cell's controller, set just under its cell's rule row.
+        // Coded cells decode exactly, so every column there ends at the
+        // same risk: a win over the rule, and the claim fails.
+        let mut artifact = checked_in.clone();
+        let rule = artifact
+            .row("bimodal", "bcc", STATIC_NAME, PAPER_RULE)
+            .expect("rule row")
+            .clone();
+        let row = artifact
+            .rows
+            .iter_mut()
+            .find(|r| {
+                (r.model.as_str(), r.scheme.as_str(), r.controller.as_str())
+                    == ("bimodal", "bcc", "quantile-deadline")
+            })
+            .expect("controller row");
+        assert_eq!(row.final_risk, rule.final_risk);
+        row.simulated_seconds = rule.simulated_seconds * 0.99;
+        let err = ControlConfig::claim(&artifact).unwrap_err();
+        assert!(
+            err.contains("quantile-deadline")
+                && err.contains("bimodal/bcc")
+                && err.contains("paper's rule"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -409,7 +495,7 @@ pub(crate) mod tests {
         let result = run(&tiny());
         for row in &result.rows {
             match row.controller.as_str() {
-                "adaptive-k" | "regime-switch" => assert!(
+                "adaptive-k" => assert!(
                     row.trace
                         .iter()
                         .any(|r| r.policy.policy == "fastest-k" && r.policy.k.is_some()),

@@ -41,6 +41,15 @@ pub struct Options {
 }
 
 impl Options {
+    /// These options without `--fast`.
+    #[must_use]
+    pub fn full(self) -> Self {
+        Self {
+            fast: false,
+            ..self
+        }
+    }
+
     /// The `fast` configuration under `--fast`, the `full` one otherwise.
     pub fn pick<T>(self, full: fn() -> T, fast: fn() -> T) -> T {
         if self.fast {
@@ -341,8 +350,7 @@ pub fn read<G: Grid>(dir: &Path) -> Result<Artifact<G>, String> {
 /// dump under `out_dir`.
 ///
 /// Under `--fast` the dump is written only when it equals the full
-/// configuration's: the checked-in specs describe the full grid, and a
-/// smoke run must not overwrite them with trimmed variants.
+/// configuration's ([`writes_specs`]).
 ///
 /// # Panics
 /// Panics when a cell does (see [`Grid::run_cell`]).
@@ -355,20 +363,23 @@ pub fn regenerate<G: Grid>(options: Options, out_dir: &Path) {
         Err(e) => eprintln!("[warn] could not write {}: {e}", file_name(G::ARTIFACT)),
     }
     let dump = config.spec_dump();
-    let full = Options {
-        fast: false,
-        ..options
-    };
-    if options.fast && dump != G::config(full).spec_dump() {
-        println!(
-            "[--fast: skipping {} specs (checked-in specs are full-config)]",
-            G::ARTIFACT
-        );
-        return;
+    let full = G::config(options.full()).spec_dump();
+    if writes_specs(options, G::ARTIFACT, &dump, &full) {
+        for (stem, scenario) in dump {
+            persist(out_dir, &format!("{stem}.spec"), &scenario);
+        }
     }
-    for (stem, scenario) in dump {
-        persist(out_dir, &format!("{stem}.spec"), &scenario);
+}
+
+/// Whether a run under `options` writes the specs `dump` of `what`: under
+/// `--fast` only when they equal `full`, the full configuration's, which
+/// the checked-in specs describe. Prints a note when it skips them.
+pub fn writes_specs<T: PartialEq>(options: Options, what: &str, dump: &T, full: &T) -> bool {
+    if options.fast && dump != full {
+        println!("[--fast: skipping {what} specs (checked-in specs are full-config)]");
+        return false;
     }
+    true
 }
 
 /// One grid of the [table](crate::experiments::GRIDS) with its types

@@ -193,39 +193,61 @@ fn net_artifact_simulated_metrics_replay_byte_identically() {
 }
 
 /// The committed adaptive-control grid replays from its own config: one
-/// cell per builtin controller, pinning the simulated wallclock, final
-/// risk, and switch count bit-for-bit. The grid runs on the virtual
-/// backend, so any drift is a change in the telemetry/controller algebra
-/// itself. The pin also re-asserts the headline claim the artifact
-/// exists to carry: every adaptive controller beats its static
-/// counterpart on wallclock at ≤ 1% risk slack in at least four cells.
+/// cell per builtin controller plus the paper's rule, pinning the
+/// simulated wallclock, final risk, and switch count bit-for-bit. The grid
+/// runs on the virtual backend, so any drift is a change in the
+/// telemetry/controller algebra itself. The pin also re-asserts both
+/// clauses of the claim the artifact exists to carry: every adaptive
+/// controller beats static + best-effort-all on wallclock at ≤ 1% risk
+/// slack in at least four cells, and none beats static + wait-decodable
+/// (the paper's rule) at equal-or-lower risk in any cell.
 #[test]
 fn control_artifact_cells_replay_byte_identically() {
-    use bcc_bench::experiments::control::ControlResult;
+    use bcc_bench::experiments::control::{ControlResult, PAPER_RULE, START_POLICY};
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_adaptive.json");
     let body = std::fs::read_to_string(path).expect("artifact is checked in");
     let artifact: ControlResult = serde_json::from_str(&body).expect("artifact parses");
 
     // One cell per builtin controller keeps the debug-mode cost modest;
-    // static rides on the markov model, the adaptives on bimodal.
-    for (model, scheme, controller) in [
-        ("markov", "bcc", "static"),
-        ("markov", "uncoded", "adaptive-k"),
-        ("bimodal", "bcc", "quantile-deadline"),
-        ("bimodal", "fractional-repetition", "regime-switch"),
+    // static rides on the markov model, the adaptives and the paper's rule
+    // on bimodal.
+    for (model, scheme, controller, policy, stem) in [
+        ("markov", "bcc", "static", START_POLICY, "static"),
+        (
+            "markov",
+            "uncoded",
+            "adaptive-k",
+            START_POLICY,
+            "adaptive-k",
+        ),
+        (
+            "bimodal",
+            "bcc",
+            "quantile-deadline",
+            START_POLICY,
+            "quantile-deadline",
+        ),
+        (
+            "bimodal",
+            "fractional-repetition",
+            "static",
+            PAPER_RULE,
+            "static_wait-decodable",
+        ),
     ] {
         let (name, spec) = artifact
             .config
             .cells()
             .into_iter()
-            .find(|(name, _)| name == &format!("{model}_{scheme}_{controller}"))
+            .find(|(name, _)| name == &format!("{model}_{scheme}_{stem}"))
             .expect("cell in grid");
+        assert_eq!(spec.policy.name, policy, "{name}: starting policy");
         let report = Experiment::from_spec(spec)
             .expect("control cell builds")
             .run()
             .expect("control cell completes");
         let row = artifact
-            .row(model, scheme, controller)
+            .row(model, scheme, controller, policy)
             .expect("row present");
         assert_eq!(
             report.simulated_seconds.to_bits(),
@@ -248,17 +270,22 @@ fn control_artifact_cells_replay_byte_identically() {
         );
     }
 
-    for controller in ["quantile-deadline", "adaptive-k", "regime-switch"] {
+    for controller in ["quantile-deadline", "adaptive-k"] {
         let wins = artifact
-            .wins_over_static(0.01)
+            .wins_over_static(START_POLICY, 0.01)
             .into_iter()
-            .filter(|(_, _, c, _)| c == controller)
+            .filter(|(r, _)| r.controller == controller)
             .count();
         assert!(
             wins >= 4,
             "checked-in artifact must show `{controller}` beating static in ≥ 4 cells (got {wins})"
         );
     }
+    let over_rule = artifact.wins_over_static(PAPER_RULE, 0.0);
+    assert!(
+        over_rule.is_empty(),
+        "checked-in artifact must show no row beating the paper's rule, got {over_rule:?}"
+    );
 }
 
 /// Static bit-identity: threading an explicit `static` controller through

@@ -199,7 +199,6 @@ fn list_enumerates_schemes_models_and_policies() {
         "static",
         "quantile-deadline",
         "adaptive-k",
-        "regime-switch",
         "Batched Coupon's Collector",
         "in-memory",
         "minibatch",
@@ -398,10 +397,7 @@ fn unknown_controller_in_spec_file_is_a_readable_error() {
         "stderr must name the bad controller: {err}"
     );
     assert!(
-        err.contains("static")
-            && err.contains("quantile-deadline")
-            && err.contains("adaptive-k")
-            && err.contains("regime-switch"),
+        err.contains("static") && err.contains("quantile-deadline") && err.contains("adaptive-k"),
         "stderr must list the builtin controllers: {err}"
     );
     assert!(!err.contains("panicked"), "must not panic: {err}");
@@ -458,5 +454,34 @@ fn unknown_policy_in_spec_file_is_a_readable_error() {
         "stderr must list the registered policies: {err}"
     );
     assert!(!err.contains("panicked"), "must not panic: {err}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `--fast` trims Table I/II to 20 iterations; the checked-in table specs
+/// are the full configuration's, so a smoke run writes its result but no
+/// spec.
+#[test]
+fn fast_table_runs_write_no_trimmed_spec() {
+    let dir = scratch("fast_table");
+    let out_dir = dir.join("out");
+    let out = repro(
+        &["table1", "--fast", "--out", out_dir.to_str().unwrap()],
+        &dir,
+    );
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+    assert!(
+        stdout.contains("[--fast: skipping table1_scenario_one specs"),
+        "{stdout}"
+    );
+    assert!(out_dir.join("table1_scenario_one.json").is_file());
+    let written: Vec<String> = std::fs::read_dir(&out_dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    assert!(
+        !written.iter().any(|name| name.ends_with(".spec.json")),
+        "a --fast run wrote a trimmed spec: {written:?}"
+    );
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -1,4 +1,4 @@
-//! The controller contract and the four built-in controllers.
+//! The controller contract and the three built-in controllers.
 //!
 //! A [`Controller`] is consulted once per finished round with that round's
 //! telemetry and answers with a [`ControlAction`]: keep the current
@@ -8,7 +8,7 @@
 //! `compute_seconds`), so a `(seed, spec)` pair yields the same decision
 //! trace on every backend at any thread count.
 
-use crate::telemetry::{Regime, Telemetry, TelemetryConfig};
+use crate::telemetry::Telemetry;
 use bcc_cluster::{
     AggregationPolicy, ArrivalStamp, BestEffortAll, Deadline, FastestK, WaitDecodable,
 };
@@ -19,7 +19,7 @@ use std::sync::Arc;
 /// Every built-in controller, with the one-line description `repro list`
 /// prints — the single source of truth for names, shared by the spec
 /// parser and the registry.
-pub const CONTROLLERS: [(&str, &str); 4] = [
+pub const CONTROLLERS: [(&str, &str); 3] = [
     (
         "static",
         "no-op: keep the configured policy all run (bit-identical to uncontrolled runs)",
@@ -31,10 +31,6 @@ pub const CONTROLLERS: [(&str, &str); 4] = [
     (
         "adaptive-k",
         "pick fastest-k's k from the estimated persistent straggler count",
-    ),
-    (
-        "regime-switch",
-        "hysteresis-guarded policy switch when the straggler regime shifts",
     ),
 ];
 
@@ -164,12 +160,6 @@ pub trait Controller: fmt::Debug + Send {
 
     /// Consulted after each finished round.
     fn observe_round(&mut self, round: &RoundTelemetry<'_>) -> ControlAction;
-
-    /// The telemetry configuration this controller wants its store built
-    /// with.
-    fn telemetry_config(&self) -> TelemetryConfig {
-        TelemetryConfig::default()
-    }
 }
 
 /// The no-op controller: never acts, pinned bit-identical to uncontrolled
@@ -272,60 +262,6 @@ impl Controller for AdaptiveK {
     }
 }
 
-/// Switches policy only when the telemetry's hysteresis-guarded regime
-/// tracker flips: the slow regime installs [`FastestK`] sized to exclude
-/// the estimated stragglers, the fast regime reverts to the configured
-/// policy.
-#[derive(Debug, Clone, Copy)]
-pub struct RegimeSwitch {
-    /// EWMA multiple of the median that marks a worker slow — both for
-    /// sizing `k` and, passed on as [`TelemetryConfig::slow_factor`], for
-    /// the slow-worker fraction the regime tracker votes on.
-    pub slow_factor: f64,
-    /// Consecutive contrary rounds before the regime flips.
-    pub hysteresis: usize,
-    /// Lower bound on the chosen `k` in the slow regime.
-    pub min_k: usize,
-}
-
-impl Default for RegimeSwitch {
-    fn default() -> Self {
-        Self {
-            slow_factor: 3.0,
-            hysteresis: 2,
-            min_k: 1,
-        }
-    }
-}
-
-impl Controller for RegimeSwitch {
-    fn name(&self) -> &'static str {
-        "regime-switch"
-    }
-
-    fn observe_round(&mut self, round: &RoundTelemetry<'_>) -> ControlAction {
-        match round.telemetry.regime() {
-            Regime::Fast => ControlAction::Revert,
-            Regime::Slow => {
-                let slow = round
-                    .telemetry
-                    .slow_worker_count(self.slow_factor, round.participants)
-                    .max(1);
-                let k = round.participants.saturating_sub(slow).max(self.min_k);
-                ControlAction::SetPolicy(ChosenPolicy::fastest_k(k))
-            }
-        }
-    }
-
-    fn telemetry_config(&self) -> TelemetryConfig {
-        TelemetryConfig {
-            slow_factor: self.slow_factor,
-            hysteresis: self.hysteresis,
-            ..TelemetryConfig::default()
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -344,7 +280,7 @@ mod tests {
         round: u64,
         arrivals: &[ArrivalStamp],
     ) -> ControlAction {
-        telemetry.observe(4, arrivals);
+        telemetry.observe(arrivals);
         controller.observe_round(&RoundTelemetry {
             round,
             participants: 4,
@@ -360,7 +296,7 @@ mod tests {
     #[test]
     fn static_controller_never_acts() {
         let mut c = StaticController;
-        let mut t = Telemetry::new(c.telemetry_config());
+        let mut t = Telemetry::new();
         for round in 0..5 {
             assert_eq!(
                 observe(&mut c, &mut t, round, &mixed_round()),
@@ -376,7 +312,7 @@ mod tests {
             margin: 2.0,
             warmup: 2,
         };
-        let mut t = Telemetry::new(c.telemetry_config());
+        let mut t = Telemetry::new();
         assert_eq!(
             observe(&mut c, &mut t, 0, &mixed_round()),
             ControlAction::Keep,
@@ -397,7 +333,7 @@ mod tests {
     #[test]
     fn adaptive_k_excludes_persistent_stragglers() {
         let mut c = AdaptiveK::default();
-        let mut t = Telemetry::new(c.telemetry_config());
+        let mut t = Telemetry::new();
         let mut last = ControlAction::Keep;
         for round in 0..4 {
             last = observe(&mut c, &mut t, round, &mixed_round());
@@ -409,41 +345,12 @@ mod tests {
         );
         // A uniform cluster reverts to the configured policy.
         let mut c = AdaptiveK::default();
-        let mut t = Telemetry::new(c.telemetry_config());
+        let mut t = Telemetry::new();
         let uniform = vec![stamp(0, 1.0), stamp(1, 1.0), stamp(2, 1.0), stamp(3, 1.0)];
         for round in 0..4 {
             last = observe(&mut c, &mut t, round, &uniform);
         }
         assert_eq!(last, ControlAction::Revert);
-    }
-
-    #[test]
-    fn regime_switch_flips_only_after_hysteresis() {
-        let mut c = RegimeSwitch::default();
-        let mut t = Telemetry::new(c.telemetry_config());
-        assert_eq!(
-            observe(&mut c, &mut t, 0, &mixed_round()),
-            ControlAction::Revert,
-            "one slow round is not a regime"
-        );
-        let action = observe(&mut c, &mut t, 1, &mixed_round());
-        assert!(
-            matches!(&action, ControlAction::SetPolicy(p) if p.policy == "fastest-k"),
-            "two consecutive slow rounds flip to the slow regime, got {action:?}"
-        );
-        // Recovery is deliberately sluggish: the straggler's EWMA must
-        // decay back under the threshold AND the fast vote must hold for
-        // `hysteresis` consecutive rounds before the regime flips back.
-        let uniform = vec![stamp(0, 1.0), stamp(1, 1.0), stamp(2, 1.0), stamp(3, 1.0)];
-        let mut action = ControlAction::Keep;
-        for round in 2..10 {
-            action = observe(&mut c, &mut t, round, &uniform);
-        }
-        assert_eq!(
-            action,
-            ControlAction::Revert,
-            "sustained fast rounds revert"
-        );
     }
 
     #[test]
@@ -472,13 +379,9 @@ mod tests {
     #[test]
     fn controllers_const_matches_names() {
         let names: Vec<&str> = CONTROLLERS.iter().map(|(n, _)| *n).collect();
-        assert_eq!(
-            names,
-            ["static", "quantile-deadline", "adaptive-k", "regime-switch"]
-        );
+        assert_eq!(names, ["static", "quantile-deadline", "adaptive-k"]);
         assert_eq!(StaticController.name(), "static");
         assert_eq!(QuantileDeadline::default().name(), "quantile-deadline");
         assert_eq!(AdaptiveK::default().name(), "adaptive-k");
-        assert_eq!(RegimeSwitch::default().name(), "regime-switch");
     }
 }

@@ -6,20 +6,24 @@
 //! crate closes the loop for the time-correlated straggler models (Markov,
 //! bimodal-persistent) where the optimal deadline / `k` changes mid-run:
 //!
-//! * [`Telemetry`] — per-worker arrival-time history (EWMA), a bounded
-//!   deterministic streaming quantile estimator, and a hysteresis-guarded
-//!   slow/fast [`Regime`] tracker, all fed once per round from the round's
-//!   consumed [`ArrivalStamp`]s;
+//! * [`Telemetry`] — per-worker arrival-time history (EWMA) and a bounded
+//!   deterministic streaming quantile estimator, both fed once per round
+//!   from the round's consumed [`ArrivalStamp`]s;
 //! * [`Controller`] — the object-safe per-round decision contract
-//!   (`observe_round(&RoundTelemetry) -> ControlAction`) with four
+//!   (`observe_round(&RoundTelemetry) -> ControlAction`) with three
 //!   built-ins: [`StaticController`] (no-op, bit-identical to uncontrolled
-//!   runs), [`QuantileDeadline`], [`AdaptiveK`], [`RegimeSwitch`];
+//!   runs), [`QuantileDeadline`], [`AdaptiveK`];
 //! * [`SwitchablePolicy`] — the
 //!   [`AggregationPolicy`] handle backends
 //!   hold while the loop re-points it between rounds;
 //! * [`ControlLoop`] — ties the three together and records one
 //!   [`ControlRecord`] per round (the decision trace
 //!   `BENCH_adaptive.json` serializes).
+//!
+//! What they buy (`BENCH_adaptive.json`): every controller beats waiting
+//! for all workers (`best-effort-all`), none beats the paper's own rule
+//! (`static` over `wait-decodable`, exact decode at BCC's threshold). On
+//! `uncoded` they finish sooner only by ending at a higher risk.
 //!
 //! Controllers see only deterministic inputs — worker-sorted arrival
 //! stamps and statistics over their `compute_seconds`, which replay
@@ -35,12 +39,10 @@ pub mod telemetry;
 
 pub use controller::{
     AdaptiveK, ChosenPolicy, ControlAction, ControlRecord, Controller, QuantileDeadline,
-    RegimeSwitch, RoundTelemetry, StaticController, CONTROLLERS,
+    RoundTelemetry, StaticController, CONTROLLERS,
 };
 pub use switchable::SwitchablePolicy;
-pub use telemetry::{
-    QuantileEstimator, Regime, RegimeTracker, Telemetry, TelemetryConfig, WorkerStats,
-};
+pub use telemetry::{QuantileEstimator, Telemetry, WorkerStats};
 
 use bcc_cluster::{AggregationPolicy, ArrivalStamp};
 use std::sync::Arc;
@@ -75,9 +77,8 @@ impl ControlLoop {
         participants: usize,
         initial: ChosenPolicy,
     ) -> Self {
-        let telemetry = Telemetry::new(controller.telemetry_config());
         Self {
-            telemetry,
+            telemetry: Telemetry::new(),
             controller,
             switchable: None,
             revert_policy: None,
@@ -102,7 +103,7 @@ impl ControlLoop {
     /// telemetry, consults the controller, and applies + records the
     /// decision (in force from round `round + 1`).
     pub fn observe_round(&mut self, round: u64, arrivals: &[ArrivalStamp]) {
-        self.telemetry.observe(self.participants, arrivals);
+        self.telemetry.observe(arrivals);
         let action = self.controller.observe_round(&RoundTelemetry {
             round,
             participants: self.participants,
@@ -143,12 +144,6 @@ impl ControlLoop {
     #[must_use]
     pub fn switches(&self) -> usize {
         self.switches
-    }
-
-    /// The telemetry store (read access for reports and tests).
-    #[must_use]
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
     }
 
     /// Consumes the loop, yielding its decision trace.

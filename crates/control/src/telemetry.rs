@@ -1,6 +1,5 @@
 //! The telemetry store controllers feed on: per-worker arrival-time history
-//! with EWMA smoothing, a bounded streaming quantile estimator, and a
-//! hysteresis-guarded slow/fast regime tracker.
+//! with EWMA smoothing and a bounded streaming quantile estimator.
 //!
 //! Everything here is keyed on the **worker-reported compute time**
 //! ([`ArrivalStamp::compute_seconds`]), never the backend clock
@@ -19,41 +18,18 @@
 //! than a third of observed rounds (including workers never seen at all).
 //!
 //! **Cost.** The store is dense — one slot per worker id, grown on first
-//! sight — and the median EWMA is a selection (`select_nth_unstable_by`),
-//! not a sort: a round costs O(arrivals + highest worker id), which matters
-//! at n = 1000, where the regime vote runs every round even under the
-//! `static` controller. The selected value equals sort-then-index, so
-//! every count and decision is the same as over a sorted copy.
+//! sight — so folding a round in costs O(arrivals), and that fold is all
+//! the `static` controller pays. The median EWMA behind
+//! [`Telemetry::slow_worker_count`] is a selection
+//! (`select_nth_unstable_by`), not a sort: a query costs O(highest worker
+//! id), paid only by the controllers that ask. The selected value equals
+//! sort-then-index, so every count and decision is the same as over a
+//! sorted copy.
 
 use bcc_cluster::ArrivalStamp;
 
-/// Tuning knobs a [`Controller`](crate::Controller) hands its telemetry
-/// store at construction.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TelemetryConfig {
-    /// EWMA smoothing factor in `(0, 1]` — weight of the newest sample.
-    pub alpha: f64,
-    /// A worker counts as slow when its EWMA exceeds `slow_factor ×` the
-    /// median EWMA; the regime tracker votes on the resulting
-    /// [`Telemetry::slow_worker_count`] as a fraction of participants.
-    pub slow_factor: f64,
-    /// Persistent-slow worker fraction at/above which a round votes for
-    /// the slow regime.
-    pub regime_threshold: f64,
-    /// Consecutive contrary rounds required before the regime flips.
-    pub hysteresis: usize,
-}
-
-impl Default for TelemetryConfig {
-    fn default() -> Self {
-        Self {
-            alpha: 0.3,
-            slow_factor: 3.0,
-            regime_threshold: 0.1,
-            hysteresis: 2,
-        }
-    }
-}
+/// EWMA smoothing factor in `(0, 1]`: the weight of the newest sample.
+const ALPHA: f64 = 0.3;
 
 /// Arrival-time summary of one worker.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -64,65 +40,6 @@ pub struct WorkerStats {
     pub last: f64,
     /// Number of arrivals folded in.
     pub samples: u64,
-}
-
-/// The straggler regime the tracker currently believes the cluster is in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Regime {
-    /// Arrivals are well-behaved; no persistent straggling observed.
-    Fast,
-    /// A persistent straggler population is present.
-    Slow,
-}
-
-/// Flips between [`Regime`]s only after `hysteresis` consecutive rounds
-/// vote against the current one — single noisy rounds never switch policy.
-#[derive(Debug, Clone)]
-pub struct RegimeTracker {
-    regime: Regime,
-    pending: usize,
-    threshold: f64,
-    hysteresis: usize,
-}
-
-impl RegimeTracker {
-    /// Tracker starting in the fast regime.
-    #[must_use]
-    pub fn new(threshold: f64, hysteresis: usize) -> Self {
-        Self {
-            regime: Regime::Fast,
-            pending: 0,
-            threshold,
-            hysteresis: hysteresis.max(1),
-        }
-    }
-
-    /// Folds one round's straggler fraction in; returns `true` when the
-    /// regime flipped on this observation.
-    pub fn observe(&mut self, straggler_fraction: f64) -> bool {
-        let votes_slow = straggler_fraction >= self.threshold;
-        let contrary = votes_slow != (self.regime == Regime::Slow);
-        if !contrary {
-            self.pending = 0;
-            return false;
-        }
-        self.pending += 1;
-        if self.pending < self.hysteresis {
-            return false;
-        }
-        self.regime = match self.regime {
-            Regime::Fast => Regime::Slow,
-            Regime::Slow => Regime::Fast,
-        };
-        self.pending = 0;
-        true
-    }
-
-    /// The current regime.
-    #[must_use]
-    pub fn regime(&self) -> Regime {
-        self.regime
-    }
 }
 
 /// A bounded, deterministic streaming quantile estimator: retains up to a
@@ -193,46 +110,42 @@ impl QuantileEstimator {
     }
 }
 
-/// The store: per-worker EWMA history, a global compute-time quantile
-/// estimator, and the regime tracker, all fed once per round from the
-/// round's consumed [`ArrivalStamp`]s.
+/// The store: per-worker EWMA history and a global compute-time quantile
+/// estimator, both fed once per round from the round's consumed
+/// [`ArrivalStamp`]s.
 #[derive(Debug, Clone)]
 pub struct Telemetry {
-    config: TelemetryConfig,
     /// Indexed by worker id; `None` until the worker first arrives.
     workers: Vec<Option<WorkerStats>>,
     /// Number of `Some` entries in `workers`.
     seen: usize,
     quantiles: QuantileEstimator,
-    regime: RegimeTracker,
     rounds_observed: u64,
 }
 
 impl Default for Telemetry {
     fn default() -> Self {
-        Self::new(TelemetryConfig::default())
+        Self::new()
     }
 }
 
 impl Telemetry {
-    /// A fresh store under `config`.
+    /// A fresh, empty store.
     #[must_use]
-    pub fn new(config: TelemetryConfig) -> Self {
+    pub fn new() -> Self {
         Self {
-            config,
             workers: Vec::new(),
             seen: 0,
             quantiles: QuantileEstimator::new(512),
-            regime: RegimeTracker::new(config.regime_threshold, config.hysteresis),
             rounds_observed: 0,
         }
     }
 
     /// Folds one round's consumed arrivals in (EWMA per worker, quantile
-    /// samples, one regime vote). `participants` is the number of workers
-    /// that *could* have sent — workers missing from `arrivals` were
-    /// censored by the round cut, the strongest straggler signal there is.
-    pub fn observe(&mut self, participants: usize, arrivals: &[ArrivalStamp]) {
+    /// samples). Workers missing from `arrivals` were censored by the
+    /// round cut, the strongest straggler signal there is:
+    /// [`Self::slow_worker_count`] reads it from the round count.
+    pub fn observe(&mut self, arrivals: &[ArrivalStamp]) {
         self.rounds_observed += 1;
         for stamp in arrivals {
             self.quantiles.push(stamp.compute_seconds);
@@ -249,19 +162,11 @@ impl Telemetry {
                 samples: 0,
             });
             if stats.samples > 0 {
-                stats.ewma = self.config.alpha * stamp.compute_seconds
-                    + (1.0 - self.config.alpha) * stats.ewma;
+                stats.ewma = ALPHA * stamp.compute_seconds + (1.0 - ALPHA) * stats.ewma;
             }
             stats.last = stamp.compute_seconds;
             stats.samples += 1;
         }
-        let fraction = if participants == 0 {
-            0.0
-        } else {
-            self.slow_worker_count(self.config.slow_factor, participants) as f64
-                / participants as f64
-        };
-        self.regime.observe(fraction);
     }
 
     /// One worker's summary, if it ever arrived.
@@ -320,22 +225,10 @@ impl Telemetry {
         never_seen + observed_slow
     }
 
-    /// The regime the tracker currently believes the cluster is in.
-    #[must_use]
-    pub fn regime(&self) -> Regime {
-        self.regime.regime()
-    }
-
     /// Rounds folded in so far.
     #[must_use]
     pub fn rounds_observed(&self) -> u64 {
         self.rounds_observed
-    }
-
-    /// The store's config (what the owning controller asked for).
-    #[must_use]
-    pub fn config(&self) -> TelemetryConfig {
-        self.config
     }
 }
 
@@ -354,8 +247,8 @@ mod tests {
     #[test]
     fn ewma_tracks_per_worker_history() {
         let mut t = Telemetry::default();
-        t.observe(2, &[stamp(0, 1.0), stamp(1, 2.0)]);
-        t.observe(2, &[stamp(0, 2.0)]);
+        t.observe(&[stamp(0, 1.0), stamp(1, 2.0)]);
+        t.observe(&[stamp(0, 2.0)]);
         let w0 = t.worker(0).unwrap();
         assert_eq!(w0.samples, 2);
         assert!((w0.ewma - (0.3 * 2.0 + 0.7 * 1.0)).abs() < 1e-12);
@@ -384,35 +277,12 @@ mod tests {
     }
 
     #[test]
-    fn regime_tracker_requires_hysteresis_rounds() {
-        let mut r = RegimeTracker::new(0.25, 2);
-        assert_eq!(r.regime(), Regime::Fast);
-        assert!(!r.observe(0.5), "first contrary round only arms the flip");
-        assert!(r.observe(0.5), "second consecutive contrary round flips");
-        assert_eq!(r.regime(), Regime::Slow);
-        assert!(!r.observe(0.5), "agreeing rounds keep the regime");
-        assert!(!r.observe(0.0));
-        assert!(r.observe(0.0));
-        assert_eq!(r.regime(), Regime::Fast);
-        // A single noisy round between contrary ones resets the counter.
-        let mut r = RegimeTracker::new(0.25, 2);
-        assert!(!r.observe(0.5));
-        assert!(!r.observe(0.0));
-        assert!(!r.observe(0.5));
-        assert_eq!(r.regime(), Regime::Fast);
-    }
-
-    #[test]
     fn slow_workers_exceed_median_ewma() {
         let mut t = Telemetry::default();
         for _ in 0..3 {
-            t.observe(
-                4,
-                &[stamp(0, 1.0), stamp(1, 1.2), stamp(2, 0.8), stamp(3, 10.0)],
-            );
+            t.observe(&[stamp(0, 1.0), stamp(1, 1.2), stamp(2, 0.8), stamp(3, 10.0)]);
         }
         assert_eq!(t.slow_worker_count(3.0, 4), 1);
-        assert_eq!(t.regime(), Regime::Slow, "25% stragglers vote slow");
     }
 
     #[test]
@@ -421,57 +291,45 @@ mod tests {
         // in the arrival stream at all, yet must be counted slow.
         let mut t = Telemetry::default();
         for _ in 0..6 {
-            t.observe(4, &[stamp(0, 1.0), stamp(1, 1.2), stamp(2, 0.8)]);
+            t.observe(&[stamp(0, 1.0), stamp(1, 1.2), stamp(2, 0.8)]);
         }
         assert_eq!(t.slow_worker_count(3.0, 4), 1);
-        assert_eq!(t.regime(), Regime::Slow);
 
         // A worker seen in under a third of rounds is censored-slow too.
         let mut t = Telemetry::default();
-        t.observe(
-            4,
-            &[stamp(0, 1.0), stamp(1, 1.0), stamp(2, 1.0), stamp(3, 1.1)],
-        );
+        t.observe(&[stamp(0, 1.0), stamp(1, 1.0), stamp(2, 1.0), stamp(3, 1.1)]);
         for _ in 0..8 {
-            t.observe(4, &[stamp(0, 1.0), stamp(1, 1.0), stamp(2, 1.0)]);
+            t.observe(&[stamp(0, 1.0), stamp(1, 1.0), stamp(2, 1.0)]);
         }
         assert_eq!(t.slow_worker_count(3.0, 4), 1);
 
         // Full participation in a uniform cluster stays fast.
         let mut t = Telemetry::default();
         for _ in 0..6 {
-            t.observe(
-                4,
-                &[stamp(0, 1.0), stamp(1, 1.2), stamp(2, 0.8), stamp(3, 1.1)],
-            );
+            t.observe(&[stamp(0, 1.0), stamp(1, 1.2), stamp(2, 0.8), stamp(3, 1.1)]);
         }
         assert_eq!(t.slow_worker_count(3.0, 4), 0);
-        assert_eq!(t.regime(), Regime::Fast);
     }
 
     /// The store before it went dense: a `BTreeMap` keyed by worker id and
     /// a full sort of every EWMA per median — the oracle [`Telemetry`]
     /// must agree with bit for bit.
     struct SortedStore {
-        config: TelemetryConfig,
         workers: std::collections::BTreeMap<usize, WorkerStats>,
         quantiles: QuantileEstimator,
-        regime: RegimeTracker,
         rounds_observed: u64,
     }
 
     impl SortedStore {
-        fn new(config: TelemetryConfig) -> Self {
+        fn new() -> Self {
             Self {
-                config,
                 workers: std::collections::BTreeMap::new(),
                 quantiles: QuantileEstimator::new(512),
-                regime: RegimeTracker::new(config.regime_threshold, config.hysteresis),
                 rounds_observed: 0,
             }
         }
 
-        fn observe(&mut self, participants: usize, arrivals: &[ArrivalStamp]) {
+        fn observe(&mut self, arrivals: &[ArrivalStamp]) {
             self.rounds_observed += 1;
             for stamp in arrivals {
                 self.quantiles.push(stamp.compute_seconds);
@@ -484,19 +342,11 @@ mod tests {
                         samples: 0,
                     });
                 if stats.samples > 0 {
-                    stats.ewma = self.config.alpha * stamp.compute_seconds
-                        + (1.0 - self.config.alpha) * stats.ewma;
+                    stats.ewma = ALPHA * stamp.compute_seconds + (1.0 - ALPHA) * stats.ewma;
                 }
                 stats.last = stamp.compute_seconds;
                 stats.samples += 1;
             }
-            let fraction = if participants == 0 {
-                0.0
-            } else {
-                self.slow_worker_count(self.config.slow_factor, participants) as f64
-                    / participants as f64
-            };
-            self.regime.observe(fraction);
         }
 
         fn median_ewma(&self) -> Option<f64> {
@@ -526,19 +376,14 @@ mod tests {
             never_seen + observed_slow
         }
 
-        /// The three acting controllers' decisions, each written out over
+        /// The two acting controllers' decisions, each written out over
         /// this store's queries.
         fn decisions(
             &self,
-            controllers: &(QuantileDeadline, AdaptiveK, RegimeSwitch),
+            controllers: &(QuantileDeadline, AdaptiveK),
             participants: usize,
-        ) -> [ControlAction; 3] {
-            let (deadline, adaptive, switch) = controllers;
-            let fastest_k = |slow: usize, min_k: usize| {
-                ControlAction::SetPolicy(ChosenPolicy::fastest_k(
-                    participants.saturating_sub(slow).max(min_k),
-                ))
-            };
+        ) -> [ControlAction; 2] {
+            let (deadline, adaptive) = controllers;
             let deadline = if self.rounds_observed < deadline.warmup {
                 ControlAction::Keep
             } else {
@@ -554,24 +399,17 @@ mod tests {
             } else {
                 match self.slow_worker_count(adaptive.slow_factor, participants) {
                     0 => ControlAction::Revert,
-                    slow => fastest_k(slow, adaptive.min_k),
+                    slow => ControlAction::SetPolicy(ChosenPolicy::fastest_k(
+                        participants.saturating_sub(slow).max(adaptive.min_k),
+                    )),
                 }
             };
-            let switch = match self.regime.regime() {
-                Regime::Fast => ControlAction::Revert,
-                Regime::Slow => fastest_k(
-                    self.slow_worker_count(switch.slow_factor, participants)
-                        .max(1),
-                    switch.min_k,
-                ),
-            };
-            [deadline, adaptive, switch]
+            [deadline, adaptive]
         }
     }
 
     use crate::controller::{
-        AdaptiveK, ChosenPolicy, ControlAction, Controller, QuantileDeadline, RegimeSwitch,
-        RoundTelemetry,
+        AdaptiveK, ChosenPolicy, ControlAction, Controller, QuantileDeadline, RoundTelemetry,
     };
     use proptest::prelude::*;
 
@@ -599,24 +437,20 @@ mod tests {
                 1..30,
             ),
             slow_factor in 1.5..4.0f64,
-            hysteresis in 1usize..4,
             warmup in 0u64..4,
         ) {
-            let switch = RegimeSwitch { slow_factor, hysteresis, min_k: 1 };
             let controllers = (
                 QuantileDeadline { q: 0.6, margin: 2.0, warmup },
-                AdaptiveK { slow_factor: 2.0, warmup, min_k: 2 },
-                switch,
+                AdaptiveK { slow_factor, warmup, min_k: 2 },
             );
-            let config = switch.telemetry_config();
-            let mut dense = Telemetry::new(config);
-            let mut sorted = SortedStore::new(config);
+            let mut dense = Telemetry::new();
+            let mut sorted = SortedStore::new();
             let mut ids = vec![0, 7, 5000];
             for (round, (participants, arrivals)) in rounds.iter().enumerate() {
                 let arrivals: Vec<ArrivalStamp> =
                     arrivals.iter().map(|&(w, c)| stamp(w, c)).collect();
-                dense.observe(*participants, &arrivals);
-                sorted.observe(*participants, &arrivals);
+                dense.observe(&arrivals);
+                sorted.observe(&arrivals);
                 ids.extend(arrivals.iter().flat_map(|a| [a.worker, a.worker + 1]));
 
                 for &id in &ids {
@@ -631,7 +465,7 @@ mod tests {
                     dense.median_ewma().map(f64::to_bits),
                     sorted.median_ewma().map(f64::to_bits)
                 );
-                for factor in [2.0, 3.0] {
+                for factor in [2.0, 3.0, slow_factor] {
                     for p in [*participants, participants + 5] {
                         prop_assert_eq!(
                             dense.slow_worker_count(factor, p),
@@ -639,7 +473,6 @@ mod tests {
                         );
                     }
                 }
-                prop_assert_eq!(dense.regime(), sorted.regime.regime());
                 for q in [0.0, 0.5, 0.7, 1.0] {
                     prop_assert_eq!(
                         dense.quantile(q).map(f64::to_bits),
@@ -654,12 +487,8 @@ mod tests {
                     arrivals: &arrivals,
                     telemetry: &dense,
                 };
-                let (mut deadline, mut adaptive, mut regime) = controllers;
-                let got = [
-                    deadline.observe_round(&seen),
-                    adaptive.observe_round(&seen),
-                    regime.observe_round(&seen),
-                ];
+                let (mut deadline, mut adaptive) = controllers;
+                let got = [deadline.observe_round(&seen), adaptive.observe_round(&seen)];
                 prop_assert_eq!(got, sorted.decisions(&controllers, *participants));
             }
         }

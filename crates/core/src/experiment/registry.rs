@@ -34,7 +34,7 @@ use bcc_coding::{
     BccScheme, CyclicRepetitionScheme, FractionalRepetitionScheme, GradientCodingScheme,
     RandomSubsetScheme, UncodedScheme, UncompressedBccScheme,
 };
-use bcc_control::{AdaptiveK, Controller, QuantileDeadline, RegimeSwitch, StaticController};
+use bcc_control::{AdaptiveK, Controller, QuantileDeadline, StaticController};
 use rand::RngCore;
 use std::collections::BTreeMap;
 use std::fmt::Display;
@@ -569,20 +569,11 @@ impl Kind for ControllerSpec {
         BuildError::UnknownController { name, known }
     }
 
-    /// The four controllers of [`bcc_control`] (descriptions from
+    /// The three controllers of [`bcc_control`] (descriptions from
     /// [`bcc_control::CONTROLLERS`]); absent tuning fields take the
     /// controller's documented defaults.
     fn builtin() -> ControllerRegistry {
         let description = |name| described(&bcc_control::CONTROLLERS, name);
-        let slow_factor = |spec: &ControllerSpec, default: f64| {
-            param(
-                spec,
-                "controller.slow_factor",
-                spec.slow_factor.or(Some(default)),
-                |s: f64| s.is_finite() && s > 1.0,
-                "a slow factor > 1",
-            )
-        };
         let mut reg = ControllerRegistry::empty();
         reg.register("static", description("static"), |spec| {
             reads_only(spec, &[])?;
@@ -616,27 +607,18 @@ impl Kind for ControllerSpec {
                 }) as Box<dyn Controller>)
             },
         );
-        reg.register("adaptive-k", description("adaptive-k"), move |spec| {
+        reg.register("adaptive-k", description("adaptive-k"), |spec| {
             reads_only(spec, &["controller.slow_factor", "controller.warmup"])?;
             let defaults = AdaptiveK::default();
             Ok(Box::new(AdaptiveK {
-                slow_factor: slow_factor(spec, defaults.slow_factor)?,
-                warmup: spec.warmup.unwrap_or(defaults.warmup),
-                min_k: defaults.min_k,
-            }) as Box<dyn Controller>)
-        });
-        reg.register("regime-switch", description("regime-switch"), move |spec| {
-            reads_only(spec, &["controller.slow_factor", "controller.hysteresis"])?;
-            let defaults = RegimeSwitch::default();
-            Ok(Box::new(RegimeSwitch {
-                slow_factor: slow_factor(spec, defaults.slow_factor)?,
-                hysteresis: param(
+                slow_factor: param(
                     spec,
-                    "controller.hysteresis",
-                    spec.hysteresis.or(Some(defaults.hysteresis)),
-                    |h| h >= 1,
-                    "hysteresis >= 1",
+                    "controller.slow_factor",
+                    spec.slow_factor.or(Some(defaults.slow_factor)),
+                    |s: f64| s.is_finite() && s > 1.0,
+                    "a slow factor > 1",
                 )?,
+                warmup: spec.warmup.unwrap_or(defaults.warmup),
                 min_k: defaults.min_k,
             }) as Box<dyn Controller>)
         });
@@ -651,7 +633,6 @@ impl Params for ControllerSpec {
             ("controller.margin", self.margin.is_some()),
             ("controller.warmup", self.warmup.is_some()),
             ("controller.slow_factor", self.slow_factor.is_some()),
-            ("controller.hysteresis", self.hysteresis.is_some()),
         ]
     }
 }
@@ -772,7 +753,7 @@ mod tests {
             lookup(&regs.controllers, &ControllerSpec::named("pid")),
             Err(BuildError::UnknownController {
                 name: "pid".into(),
-                known: known(&["adaptive-k", "quantile-deadline", "regime-switch", "static"]),
+                known: known(&["adaptive-k", "quantile-deadline", "static"]),
             })
         );
     }
@@ -867,13 +848,12 @@ mod tests {
             (ControllerSpec::default(), "static"),
             (ControllerSpec::quantile_deadline(0.8), "quantile-deadline"),
             (ControllerSpec::adaptive_k(4.0), "adaptive-k"),
-            (ControllerSpec::regime_switch(3), "regime-switch"),
             // Bare names take the controller's documented defaults.
             (
                 ControllerSpec::named("quantile-deadline"),
                 "quantile-deadline",
             ),
-            (ControllerSpec::named("regime-switch"), "regime-switch"),
+            (ControllerSpec::named("adaptive-k"), "adaptive-k"),
         ] {
             assert_eq!(reg.build(&spec).unwrap().name(), name);
         }
@@ -914,12 +894,11 @@ mod tests {
             (ControllerSpec::adaptive_k(1.0), "controller.slow_factor"),
             (
                 ControllerSpec {
-                    slow_factor: Some(0.5),
-                    ..ControllerSpec::named("regime-switch")
+                    slow_factor: Some(f64::INFINITY),
+                    ..ControllerSpec::named("adaptive-k")
                 },
                 "controller.slow_factor",
             ),
-            (ControllerSpec::regime_switch(0), "controller.hysteresis"),
         ] {
             let err = regs.controllers.build(&spec).unwrap_err();
             assert_eq!(field_of(err).0, field, "{spec:?}");

@@ -226,7 +226,7 @@ impl Deserialize for ModeSpec {
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ControllerSpec {
     /// Registry name (`"static"`, `"quantile-deadline"`, `"adaptive-k"`,
-    /// `"regime-switch"`, or a custom registration).
+    /// or a custom registration).
     pub name: String,
     /// Compute-time quantile `quantile-deadline` tracks.
     pub q: Option<f64>,
@@ -237,11 +237,8 @@ pub struct ControllerSpec {
     /// `adaptive-k`).
     pub warmup: Option<u64>,
     /// EWMA multiple of the median that marks a worker slow
-    /// (`adaptive-k`, `regime-switch`).
+    /// (`adaptive-k`).
     pub slow_factor: Option<f64>,
-    /// Consecutive contrary rounds before the regime flips
-    /// (`regime-switch`).
-    pub hysteresis: Option<usize>,
 }
 
 impl ControllerSpec {
@@ -258,7 +255,6 @@ impl ControllerSpec {
             margin: None,
             warmup: None,
             slow_factor: None,
-            hysteresis: None,
         }
     }
 
@@ -278,16 +274,6 @@ impl ControllerSpec {
         Self {
             slow_factor: Some(slow_factor),
             ..Self::named("adaptive-k")
-        }
-    }
-
-    /// The built-in `regime-switch` controller flipping after
-    /// `hysteresis` consecutive contrary rounds.
-    #[must_use]
-    pub fn regime_switch(hysteresis: usize) -> Self {
-        Self {
-            hysteresis: Some(hysteresis),
-            ..Self::named("regime-switch")
         }
     }
 
@@ -320,14 +306,13 @@ impl From<String> for ControllerSpec {
 
 impl Deserialize for ControllerSpec {
     fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        let shape = "{name, q?, margin?, warmup?, slow_factor?, hysteresis?}";
+        let shape = "{name, q?, margin?, warmup?, slow_factor?}";
         Ok(Self {
             name: reference_name(v, "controller", shape, Some(&bcc_control::CONTROLLERS))?,
             q: opt_field(v, "q")?,
             margin: opt_field(v, "margin")?,
             warmup: opt_field(v, "warmup")?,
             slow_factor: opt_field(v, "slow_factor")?,
-            hysteresis: opt_field(v, "hysteresis")?,
         })
     }
 }
@@ -912,8 +897,8 @@ mod tests {
             }
         );
         let c: ControllerSpec =
-            serde_json::from_str(r#"{"name": "regime-switch", "hysteresis": 3}"#).unwrap();
-        assert_eq!(c, ControllerSpec::regime_switch(3));
+            serde_json::from_str(r#"{"name": "adaptive-k", "slow_factor": 2.5}"#).unwrap();
+        assert_eq!(c, ControllerSpec::adaptive_k(2.5));
         // The object form defers name resolution to the registry, so custom
         // registrations stay reachable from spec files.
         let c: ControllerSpec = serde_json::from_str(r#"{"name": "my-controller"}"#).unwrap();

@@ -492,16 +492,16 @@ fn a_parameter_its_plug_in_does_not_read_is_rejected() {
         ),
         (r#""mode": {"name": "ssp", "staleness": 2}"#, None),
         (
-            r#""controller": {"name": "adaptive-k", "hysteresis": 2}"#,
-            Some("controller.hysteresis"),
+            r#""controller": {"name": "quantile-deadline", "slow_factor": 2.0}"#,
+            Some("controller.slow_factor"),
         ),
         (
             r#""controller": {"name": "static", "q": 0.5}"#,
             Some("controller.q"),
         ),
         (
-            r#""controller": {"name": "regime-switch", "warmup": 3}"#,
-            Some("controller.warmup"),
+            r#""controller": {"name": "adaptive-k", "margin": 2.0}"#,
+            Some("controller.margin"),
         ),
         (
             r#""controller": {"name": "quantile-deadline", "q": 0.7, "warmup": 2}"#,

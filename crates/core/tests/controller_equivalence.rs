@@ -49,12 +49,11 @@ fn builder(controller: ControllerSpec) -> ExperimentBuilder {
         .controller(controller)
 }
 
-fn builtins() -> [ControllerSpec; 4] {
+fn builtins() -> [ControllerSpec; 3] {
     [
         ControllerSpec::named("static"),
         ControllerSpec::quantile_deadline(0.7),
         ControllerSpec::adaptive_k(3.0),
-        ControllerSpec::regime_switch(2),
     ]
 }
 

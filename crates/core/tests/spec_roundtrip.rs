@@ -96,7 +96,10 @@ fn controller_strategy() -> impl Strategy<Value = ControllerSpec> {
         Just(ControllerSpec::default()),
         (0.01f64..0.99).prop_map(ControllerSpec::quantile_deadline),
         (1.01f64..16.0).prop_map(ControllerSpec::adaptive_k),
-        (1usize..8).prop_map(ControllerSpec::regime_switch),
+        (1.01f64..16.0, 0u64..10).prop_map(|(slow_factor, warmup)| ControllerSpec {
+            warmup: Some(warmup),
+            ..ControllerSpec::adaptive_k(slow_factor)
+        }),
         // Partially-specified object forms: unset parameters stay None
         // through the round-trip and take the builtin defaults at build.
         (0.01f64..0.99, 1.0f64..8.0, 0u64..10).prop_map(|(q, margin, warmup)| ControllerSpec {

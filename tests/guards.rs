@@ -135,8 +135,8 @@ const GUARDS: &[Guard] = &[
     Guard {
         name: "No round_straggler_count",
         set_by: "5181164: a round pays only for what it reads",
-        why: "the regime tracker votes on `Telemetry::slow_worker_count`; the \
-              per-round median count that claimed to be its input is gone",
+        why: "controllers read `Telemetry::slow_worker_count`; the per-round \
+              median count that claimed to be its input is gone",
         paths: CODE,
         rule: Rule::Banned(&["round_straggler_count"]),
     },
@@ -264,6 +264,27 @@ const GUARDS: &[Guard] = &[
             "decode_pool",
             "with_decode_pool",
             "DecodePool::threads",
+        ]),
+    },
+    Guard {
+        name: "One straggler controller per decision",
+        set_by: "judge the controllers against the paper's rule",
+        why: "`regime-switch` never beat `adaptive-k`, which makes the same \
+              fastest-k decision: in BENCH_adaptive.json's grid (30 rounds, \
+              seed 2027) their bimodal times were identical (0.468, 0.914, \
+              0.914 s), in every markov cell it was slower (0.522 vs 0.492, \
+              1.384 vs 1.260 s), and its uncoded risk stayed within 0.12 % of \
+              adaptive-k's. Its regime tracker cost one extra slow-worker \
+              count on every round of every run, `static` included. A second \
+              controller for a decision returns only with a grid cell it wins",
+        paths: CODE,
+        rule: Rule::Banned(&[
+            "RegimeSwitch",
+            "RegimeTracker",
+            "TelemetryConfig",
+            "telemetry_config",
+            "regime_switch",
+            "\"regime-switch\"",
         ]),
     },
     Guard {
