@@ -32,7 +32,7 @@ pub struct RoundOutcome {
     pub examples_used: Option<usize>,
     /// The messages the master consumed, sorted by worker id — the
     /// per-worker arrival telemetry adaptive controllers feed on (see
-    /// [`RoundEngine::arrival_stamps`](crate::engine::RoundEngine::arrival_stamps)).
+    /// [`RoundEngine::take_arrival_stamps`](crate::engine::RoundEngine::take_arrival_stamps)).
     pub arrivals: Vec<ArrivalStamp>,
 }
 

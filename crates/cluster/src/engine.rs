@@ -368,15 +368,18 @@ impl<'a> RoundEngine<'a> {
         self.complete
     }
 
-    /// The messages fed so far, sorted by worker id — the round's arrival
-    /// telemetry. Worker-id order (not delivery order) because threaded
-    /// delivery order is subject to OS scheduling jitter while the consumed
-    /// *set* is what the cross-backend equivalence contract pins; callers
-    /// extract this before [`Self::finish`] consumes the engine.
+    /// Moves out the messages fed so far, sorted by worker id — the round's
+    /// arrival telemetry; the engine keeps none. Worker-id order (not
+    /// delivery order) because threaded delivery order is subject to OS
+    /// scheduling jitter while the consumed *set* is what the cross-backend
+    /// equivalence contract pins. The decoder rejects a worker's second
+    /// message before it is stamped, so the ids are unique and an unstable
+    /// sort is the stable one. Callers take the stamps once the round is
+    /// decided and before [`Self::finish`] consumes the engine.
     #[must_use]
-    pub fn arrival_stamps(&self) -> Vec<ArrivalStamp> {
-        let mut stamps = self.stamps.clone();
-        stamps.sort_by_key(|s| s.worker);
+    pub fn take_arrival_stamps(&mut self) -> Vec<ArrivalStamp> {
+        let mut stamps = std::mem::take(&mut self.stamps);
+        stamps.sort_unstable_by_key(|s| s.worker);
         stamps
     }
 

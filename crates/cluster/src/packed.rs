@@ -157,19 +157,23 @@ impl UnitGradientCache {
     /// invalidated unless `weights` equal the point the table was last
     /// keyed on bit for bit (`==` would take `-0.0` for `0.0` and never
     /// match a NaN) and `selection` selects the same units. A run at a
-    /// fixed point thus computes each unit once.
-    pub fn begin_point(&mut self, weights: &[f64], selection: Option<&UnitSelection>) {
+    /// fixed point thus computes each unit once. Returns whether the table
+    /// was reset, so that whatever a caller derived from the entries can be
+    /// dropped with them.
+    pub fn begin_point(&mut self, weights: &[f64], selection: Option<&UnitSelection>) -> bool {
         let same_weights = weights.len() == self.weights.len()
             && weights
                 .iter()
                 .zip(&self.weights)
                 .all(|(a, b)| a.to_bits() == b.to_bits());
-        if !same_weights || selection != self.selection.as_ref() {
+        let moved = !same_weights || selection != self.selection.as_ref();
+        if moved {
             self.begin_round();
             self.weights.clear();
             self.weights.extend_from_slice(weights);
             self.selection = selection.cloned();
         }
+        moved
     }
 
     /// The memoized gradient of `unit`, if it was computed since the table

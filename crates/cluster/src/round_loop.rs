@@ -218,7 +218,7 @@ impl RoundLoop<'_> {
             transport.end_round(round);
             let end = result?;
             let total_time = transport.elapsed().unwrap_or(end);
-            let arrivals = engine.arrival_stamps();
+            let arrivals = engine.take_arrival_stamps();
             let (aggregate, metrics) = engine.finish(total_time)?;
             let mut outcome = RoundOutcome::new(aggregate, metrics);
             outcome.examples_used = examples_used;

@@ -12,9 +12,12 @@
 //!
 //! Because every finish time is known when the round starts and the
 //! receive port is strictly serial, the event calendar collapses to a
-//! stable sort of `(finish time, worker)` walked in order — delivery
-//! timestamps and arrival order are event-for-event identical to pumping a
-//! general discrete-event queue, at a fraction of the per-round cost.
+//! sort of `(finish time, worker)` walked in order — delivery timestamps
+//! and arrival order are event-for-event identical to pumping a general
+//! discrete-event queue, at a fraction of the per-round cost. Each entry
+//! is one integer key, the finish time's `total_cmp` order above the
+//! worker id, so an unstable sort of the keys is exactly the stable sort by
+//! finish time.
 //!
 //! A worker's payload is computed when it is delivered, from a
 //! [`UnitGradientCache`] that holds each unit's gradient at the round's
@@ -25,7 +28,15 @@
 //! broadcast point (the weights' bits and the minibatch selection), not on
 //! the round ([`UnitGradientCache::begin_point`]): a round that broadcasts
 //! the previous round's point reuses every entry, so a fixed-point run
-//! computes each unit at most once. None of this changes a bit.
+//! computes each unit at most once.
+//!
+//! Where the scheme promises that several workers send one message
+//! ([`GradientCodingScheme::message_slot`]: a BCC batch, a
+//! fractional-repetition group), the first of them to arrive at a point
+//! encodes it and every later one receives a copy; the copies are dropped
+//! with the table when the point moves. So a round encodes each shared
+//! message once, and a fixed-point run once per run. None of this changes
+//! a bit.
 
 use crate::config::BackendConfig;
 use crate::engine::{Arrival, ArrivalEvent, ArrivalSource, RoundContext};
@@ -35,10 +46,11 @@ use crate::minibatch::UnitSelection;
 use crate::packed::UnitGradientCache;
 use crate::round_loop::{BackendCore, RoundLoop, RoundSession, RoundTransport};
 use crate::straggler::StragglerModel;
-use bcc_coding::Payload;
+use bcc_coding::{GradientCodingScheme, Payload};
 use bcc_data::Placement;
 use bcc_linalg::parallel::Parallelism;
 use bcc_optim::GradScratch;
+use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -96,17 +108,21 @@ impl RoundSession for VirtualCluster {
 
     fn session(&mut self, rounds: &mut RoundLoop<'_>) -> Result<(), ClusterError> {
         let ctx = rounds.ctx;
+        let participants = ctx.participants(&self.core.dead_workers);
+        let (shared, slots) = shared_messages(ctx.scheme, &participants);
         // Amortized over the run: the participant set, the unit table, the
-        // gradient scratch and the schedule buffer are built once, not per
-        // round.
+        // shared messages, the gradient scratch and the schedule buffer are
+        // built once, not per round.
         let mut transport = VirtualArrivals {
             comm: self.core.profile().comm,
             model: self.core.model(),
             seed: self.core.seed(),
-            participants: ctx.participants(&self.core.dead_workers),
+            participants,
             ctx,
             scratch: GradScratch::new(),
             cache: UnitGradientCache::new(ctx.units.num_units()),
+            shared,
+            messages: vec![None; slots],
             contiguous: contiguous_rows(ctx.scheme.placement()),
             schedule: Vec::new(),
             next: 0,
@@ -135,6 +151,53 @@ fn contiguous_rows(placement: &Placement) -> Vec<Option<Range<usize>>> {
         .collect()
 }
 
+/// Per worker: an index into the shared-message memo when its
+/// [`GradientCodingScheme::message_slot`] is also another participant's,
+/// else `None`; and the number of such slots.
+fn shared_messages(
+    scheme: &dyn GradientCodingScheme,
+    participants: &[usize],
+) -> (Vec<Option<usize>>, usize) {
+    let mut senders: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+    for &worker in participants {
+        if let Some(slot) = scheme.message_slot(worker) {
+            senders.entry(slot).or_default().push(worker);
+        }
+    }
+    let mut shared = vec![None; scheme.num_workers()];
+    let mut slots = 0;
+    for workers in senders.into_values().filter(|workers| workers.len() > 1) {
+        for worker in workers {
+            shared[worker] = Some(slots);
+        }
+        slots += 1;
+    }
+    (shared, slots)
+}
+
+/// The sign bit of an `f64`.
+const SIGN: u64 = 1 << 63;
+
+/// One schedule entry as a key whose integer order is the stable order of
+/// `(worker, delay)` by `delay.total_cmp`: the delay's ordered bits above
+/// the worker id. Participants ascend by worker id, so the id breaks ties
+/// exactly as a stable sort of them by delay does. The ordered bits are
+/// `total_cmp`'s own map (a negative value's magnitude bits flipped, which
+/// is its own inverse) with the sign bit flipped, so that they compare as
+/// unsigned integers.
+fn schedule_key(worker: usize, delay: f64) -> u128 {
+    let bits = delay.to_bits();
+    let ordered = bits ^ ((((bits as i64) >> 63) as u64) >> 1) ^ SIGN;
+    (u128::from(ordered) << 64) | worker as u128
+}
+
+/// The `(worker, delay)` a [`schedule_key`] was made from, bit for bit.
+fn from_schedule_key(key: u128) -> (usize, f64) {
+    let ordered = (key >> 64) as u64 ^ SIGN;
+    let bits = ordered ^ ((((ordered as i64) >> 63) as u64) >> 1);
+    (key as u64 as usize, f64::from_bits(bits))
+}
+
 /// Arrival adapter: walks the round's finish-time schedule in order,
 /// modelling the master's serialized receive port, and materializes each
 /// worker's payload at delivery time.
@@ -149,11 +212,16 @@ struct VirtualArrivals<'a> {
     scratch: GradScratch,
     /// Every unit's gradient at the point `weights` and `selection` name.
     cache: UnitGradientCache,
+    /// [`shared_messages`] of the participants.
+    shared: Vec<Option<usize>>,
+    /// Each shared slot's message at the point the table holds, once its
+    /// first sender has arrived there; emptied with the table.
+    messages: Vec<Option<Payload>>,
     /// [`contiguous_rows`] of the placement.
     contiguous: Vec<Option<Range<usize>>>,
-    /// `(worker, finish_time)` stably sorted by finish time — FIFO port
-    /// order; the buffer is reused across rounds.
-    schedule: Vec<(usize, f64)>,
+    /// [`schedule_key`]s of `(worker, finish_time)`, sorted: FIFO port
+    /// order. The buffer is reused across rounds.
+    schedule: Vec<u128>,
     next: usize,
     port_free_at: f64,
     /// The round's broadcast point.
@@ -168,17 +236,20 @@ impl RoundTransport for VirtualArrivals<'_> {
         weights: Vec<f64>,
         selection: Option<UnitSelection>,
     ) -> usize {
-        self.cache.begin_point(&weights, selection.as_ref());
+        if self.cache.begin_point(&weights, selection.as_ref()) {
+            self.messages.fill(None);
+        }
         self.schedule.clear();
         for &worker in &self.participants {
             let delay =
                 self.ctx
                     .compute_delay(&*self.model, self.seed, round, worker, selection.as_ref());
-            self.schedule.push((worker, delay));
+            self.schedule.push(schedule_key(worker, delay));
         }
-        // Stable: simultaneous finishers keep participant order, exactly
-        // like the FIFO tie-breaking of a discrete-event calendar.
-        self.schedule.sort_by(|a, b| a.1.total_cmp(&b.1));
+        // Simultaneous finishers keep participant order (the keys' low
+        // half), exactly like the FIFO tie-breaking of a discrete-event
+        // calendar.
+        self.schedule.sort_unstable();
         self.next = 0;
         self.port_free_at = 0.0;
         self.weights = weights;
@@ -190,6 +261,21 @@ impl RoundTransport for VirtualArrivals<'_> {
 }
 
 impl VirtualArrivals<'_> {
+    /// The worker's message at the round's point: a copy of its slot's
+    /// message when another sender of the slot already encoded it here,
+    /// else freshly encoded (and kept when the slot is shared).
+    fn message(&mut self, worker: usize) -> Result<Payload, ClusterError> {
+        let Some(slot) = self.shared[worker] else {
+            return self.compute_and_encode_cached(worker);
+        };
+        if let Some(message) = &self.messages[slot] {
+            return Ok(message.clone());
+        }
+        let message = self.compute_and_encode_cached(worker)?;
+        self.messages[slot] = Some(message.clone());
+        Ok(message)
+    }
+
     /// [`RoundContext::compute_and_encode_selected`] over the unit-gradient
     /// table: each unit is computed once per broadcast point, in place, and
     /// reused by every replica worker and every round at that point —
@@ -248,12 +334,13 @@ impl VirtualArrivals<'_> {
 
 impl ArrivalSource for VirtualArrivals<'_> {
     fn next_arrival(&mut self) -> Result<ArrivalEvent, ClusterError> {
-        let Some(&(worker, finish)) = self.schedule.get(self.next) else {
+        let Some(&key) = self.schedule.get(self.next) else {
             return Ok(ArrivalEvent::Exhausted {
                 reason: "all live workers reported without completing the scheme".into(),
             });
         };
         self.next += 1;
+        let (worker, finish) = from_schedule_key(key);
         // Queue on the single receive port: the transfer starts when both
         // the message and the port are ready. Port order is finish order,
         // so delivery times are nondecreasing.
@@ -261,7 +348,7 @@ impl ArrivalSource for VirtualArrivals<'_> {
         let start = self.port_free_at.max(finish);
         let done = start + self.comm.transfer_time(payload_units);
         self.port_free_at = done;
-        let payload = self.compute_and_encode_cached(worker)?;
+        let payload = self.message(worker)?;
         Ok(ArrivalEvent::Delivered(Arrival {
             worker,
             payload,
@@ -406,6 +493,44 @@ mod tests {
             .metrics
             .total_time;
         assert_ne!(t1, t2, "per-round latency streams must differ");
+    }
+
+    #[test]
+    fn keyed_schedule_sorts_like_a_stable_total_cmp_sort() {
+        let delays = [
+            1.5,
+            0.0,
+            -0.0,
+            1.5,
+            f64::MIN_POSITIVE / 4.0,
+            -f64::MIN_POSITIVE / 4.0,
+            f64::from_bits(1),
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            0.0,
+            -2.5,
+            f64::MAX,
+            f64::INFINITY,
+            1.5,
+            f64::MIN_POSITIVE,
+            -0.0,
+        ];
+        let entries: Vec<(usize, f64)> = delays.iter().copied().enumerate().collect();
+        let mut expected = entries.clone();
+        expected.sort_by(|a, b| a.1.total_cmp(&b.1));
+        let mut keys: Vec<u128> = entries.iter().map(|&(w, d)| schedule_key(w, d)).collect();
+        keys.sort_unstable();
+        let got: Vec<(usize, f64)> = keys.into_iter().map(from_schedule_key).collect();
+        let bits = |v: &[(usize, f64)]| -> Vec<(usize, u64)> {
+            v.iter().map(|&(w, d)| (w, d.to_bits())).collect()
+        };
+        assert_eq!(bits(&got), bits(&expected));
+        for &(worker, delay) in &entries {
+            let (w, d) = from_schedule_key(schedule_key(worker, delay));
+            assert_eq!((w, d.to_bits()), (worker, delay.to_bits()));
+        }
     }
 
     #[test]

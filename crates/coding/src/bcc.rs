@@ -120,6 +120,11 @@ impl GradientCodingScheme for BccScheme {
     fn analytic_recovery_threshold(&self) -> Option<f64> {
         Some(coupon::expected_draws(self.batching.num_batches()))
     }
+
+    /// The batch the worker chose: the slot its decoder files the message in.
+    fn message_slot(&self, worker: usize) -> Option<usize> {
+        self.choices.get(worker).copied()
+    }
 }
 
 #[cfg(test)]

@@ -119,6 +119,11 @@ impl GradientCodingScheme for FractionalRepetitionScheme {
     fn analytic_recovery_threshold(&self) -> Option<f64> {
         Some(self.expected_recovery_threshold())
     }
+
+    /// The worker's shard group: the slot its decoder files the message in.
+    fn message_slot(&self, worker: usize) -> Option<usize> {
+        self.shard_of.get(worker).copied()
+    }
 }
 
 #[cfg(test)]

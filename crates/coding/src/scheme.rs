@@ -54,6 +54,19 @@ pub trait GradientCodingScheme: std::fmt::Debug + Send + Sync {
         let _ = worker;
         1
     }
+
+    /// The shared message worker `i` sends, when the scheme knows one:
+    /// `Some(s)` promises that every worker returning `s` encodes a
+    /// bit-identical payload from the same unit gradients, so a simulator
+    /// may encode slot `s` once per evaluation point and hand the result to
+    /// every sender. The summed coverage schemes (uncoded, BCC, fractional
+    /// repetition) return the slot their decoder tags the message with.
+    /// Default: `None`, no promise — equal placement rows alone are not
+    /// one, since a linear code may weigh the same units differently.
+    fn message_slot(&self, worker: usize) -> Option<usize> {
+        let _ = worker;
+        None
+    }
 }
 
 /// How much of the gradient sum a decoder has recovered so far, counted in

@@ -64,6 +64,11 @@ impl GradientCodingScheme for UncodedScheme {
     fn analytic_recovery_threshold(&self) -> Option<f64> {
         Some(self.non_empty as f64)
     }
+
+    /// The worker's own shard: the slot its decoder files the message in.
+    fn message_slot(&self, worker: usize) -> Option<usize> {
+        self.shard_of.get(worker).copied()
+    }
 }
 
 #[cfg(test)]

@@ -8,7 +8,9 @@
 //! (workers a placement leaves empty never report, as in the round engine):
 //! exact recovery, `NotComplete` from an empty or incomplete decoder,
 //! truthful monotone coverage, the partial readout, and `receive` rejecting
-//! hostile input atomically.
+//! hostile input atomically — and the promise behind
+//! `GradientCodingScheme::message_slot`: workers naming one slot send one
+//! message, bit for bit, under the tag their decoder files it in.
 
 use bcc_cluster::ClusterProfile;
 use bcc_coding::scheme::test_support::{random_gradients, total_sum, worker_partials};
@@ -16,6 +18,7 @@ use bcc_coding::{CodingError, Decoder, GradientCodingScheme, Payload};
 use bcc_core::{hetero, SchemeSpec};
 use bcc_stats::rng::derive_rng;
 use rand::seq::SliceRandom;
+use std::collections::{BTreeMap, BTreeSet};
 
 const M: usize = 20;
 const N: usize = 20;
@@ -273,4 +276,85 @@ fn rejected_messages_leave_every_registered_decoder_untouched() {
             assert_eq!(dec.messages_received(), 2, "{what}");
         }
     }
+}
+
+#[test]
+fn workers_naming_one_message_slot_send_one_message() {
+    let mut sharing = BTreeSet::new();
+    for seed in 0..SEEDS {
+        for scheme in schemes_under_test(seed) {
+            let name = scheme.name();
+            let grads = random_gradients(M, 7, seed ^ 0x51);
+            let mut senders: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+            for worker in 0..N {
+                if let Some(slot) = scheme.message_slot(worker) {
+                    senders.entry(slot).or_default().push(worker);
+                }
+            }
+            for (&slot, workers) in &senders {
+                let what = format!("{name} (seed {seed}, slot {slot})");
+                let tag_and_bits = |payload: &Payload| match payload {
+                    Payload::Sum { unit, vector } => (*unit, bits(vector)),
+                    other => panic!("{what}: a slot's message is a Sum, got {other:?}"),
+                };
+                let (_, first) = tag_and_bits(&encode(scheme.as_ref(), workers[0], &grads));
+                for &worker in workers {
+                    assert_eq!(
+                        scheme.placement().worker_examples(worker),
+                        scheme.placement().worker_examples(workers[0]),
+                        "{what}: one slot, one placement row"
+                    );
+                    let payload = encode(scheme.as_ref(), worker, &grads);
+                    assert_eq!(
+                        tag_and_bits(&payload),
+                        (slot, first.clone()),
+                        "{what}: worker {worker} sends the slot's message, bit for bit"
+                    );
+                    scheme
+                        .decoder()
+                        .receive(worker, payload)
+                        .unwrap_or_else(|e| panic!("{what}: worker {worker} rejected: {e}"));
+                }
+                if workers.len() > 1 {
+                    sharing.insert(name);
+                }
+            }
+        }
+    }
+    for name in ["bcc", "fractional-repetition"] {
+        assert!(
+            sharing.contains(name),
+            "{name} shares a slot at ({M}, {N}, {R}): {sharing:?}"
+        );
+    }
+}
+
+#[test]
+fn equal_rows_with_other_coefficients_name_no_slot() {
+    // Cyclic repetition at r = n: every worker holds every unit, but each
+    // row of the coding matrix weighs them differently, so equal placement
+    // rows are no promise of one message.
+    let registry = hetero::schemes(&profile());
+    let scheme = registry
+        .build(
+            &SchemeSpec::with_load("cyclic-repetition", N),
+            M,
+            N,
+            &mut derive_rng(3, 0x5c4e),
+        )
+        .expect("cyclic repetition builds at r = n");
+    let grads = random_gradients(M, 7, 0x51);
+    let first = encode(scheme.as_ref(), 0, &grads);
+    for worker in 0..N {
+        assert_eq!(
+            scheme.placement().worker_examples(worker),
+            scheme.placement().worker_examples(0)
+        );
+        assert_eq!(scheme.message_slot(worker), None, "worker {worker}");
+    }
+    assert_ne!(
+        encode(scheme.as_ref(), 1, &grads),
+        first,
+        "equal rows, different messages"
+    );
 }
